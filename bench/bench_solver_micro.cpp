@@ -235,6 +235,11 @@ BENCHMARK(BM_PolicyRollout)->Unit(benchmark::kMillisecond);
 // precompiled tau-damped probability column (mathematically equivalent,
 // different FP association — which is why production solvers don't use it;
 // see compiled_model.hpp).
+//
+// Policy evaluation gets its own rows: a fixed-policy Jacobi sweep over the
+// model's CSR columns (restricted to the policy's action per state) against
+// kernel::rvi_eval_sweep over the policy's compacted chain, once per ISA.
+// All of them must agree bit-for-bit.
 
 namespace {
 
@@ -336,7 +341,7 @@ void soa_damped_sweep(const mdp::CompiledModel& model,
 
 /// One greedy Jacobi sweep lowered onto the dispatched kernels
 /// (mdp/kernel.hpp), mirroring rvi_core's vector discipline: the state-0
-/// reference residual from a small backup_expected slice, then the fused
+/// reference residual from a one-state pass, then the fused
 /// kernel::rvi_sweep over every state (backup + rewards + tau transform +
 /// max in one register-resident pass, vectorized over states on this
 /// model's uniform 2-action menu). Reads `bias_in`, writes `bias_out`
@@ -346,33 +351,69 @@ void kernel_jacobi_sweep(const mdp::CompiledModel& model,
                          std::span<const double> rewards,
                          const std::vector<double>& bias_in,
                          std::vector<double>& bias_out,
-                         std::vector<double>& q_buf, mdp::kernel::Isa isa) {
-  const mdp::StateId n = model.num_states();
-  const double* rewards_data = rewards.data();
-  mdp::kernel::backup_expected(model, nullptr, 1.0, bias_in.data(), 0,
-                               model.state_begin(1), q_buf.data(), isa);
-  double best0 = -std::numeric_limits<double>::infinity();
-  for (std::size_t a = 0; a < model.num_actions(0); ++a) {
-    const double q = kKernelTau * (rewards_data[a] + q_buf[a]) +
-                     (1.0 - kKernelTau) * bias_in[0];
-    if (q > best0) {
-      best0 = q;
-    }
-  }
-  const double ref = best0 - bias_in[0];
+                         mdp::kernel::Isa isa) {
   double span_min = std::numeric_limits<double>::infinity();
   double span_max = -std::numeric_limits<double>::infinity();
-  mdp::kernel::rvi_sweep(model, rewards_data, kKernelTau, bias_in.data(), ref,
-                         nullptr, 0, n, bias_out.data(), nullptr, &span_min,
-                         &span_max, isa);
+  double backup0 = 0.0;
+  mdp::kernel::rvi_sweep(model, rewards.data(), kKernelTau, bias_in.data(),
+                         0.0, 0, 1, &backup0, nullptr, &span_min, &span_max,
+                         isa);
+  mdp::kernel::rvi_sweep(model, rewards.data(), kKernelTau, bias_in.data(),
+                         backup0 - bias_in[0], 0, model.num_states(),
+                         bias_out.data(), nullptr, &span_min, &span_max, isa);
+}
+
+/// One fixed-policy Jacobi sweep over the CSR columns: per state, only the
+/// policy's action is backed up (the restricted backup of rvi_core's
+/// scalar paths), with the state-0 reference residual computed up front.
+/// Reads `bias_in`, writes `bias_out`.
+void csr_eval_sweep(const mdp::CompiledModel& model,
+                    std::span<const double> rewards,
+                    const std::vector<std::uint32_t>& policy,
+                    const std::vector<double>& bias_in,
+                    std::vector<double>& bias_out) {
+  const mdp::StateId n = model.num_states();
+  const mdp::StateId* next_col = model.next();
+  const double* prob_col = model.prob();
+  const auto backup = [&](mdp::StateId s) {
+    const mdp::SaIndex sa = model.sa_index(s, policy[s]);
+    double expected_next = 0.0;
+    const std::size_t end = model.outcome_end(sa);
+    for (std::size_t k = model.outcome_begin(sa); k < end; ++k) {
+      expected_next += prob_col[k] * bias_in[next_col[k]];
+    }
+    return kKernelTau * (rewards[sa] + expected_next) +
+           (1.0 - kKernelTau) * bias_in[s];
+  };
+  const double ref = backup(0) - bias_in[0];
+  for (mdp::StateId s = 0; s < n; ++s) {
+    bias_out[s] = backup(s) - ref;
+  }
+}
+
+/// The same sweep over the policy's compacted chain on the dispatched
+/// kernel, as rvi_core runs it: the state-0 reference from a one-state
+/// pass, then kernel::rvi_eval_sweep over every state.
+void chain_eval_sweep(const mdp::PolicyChain& chain,
+                      const std::vector<double>& bias_in,
+                      std::vector<double>& bias_out, mdp::kernel::Isa isa) {
+  double span_min = std::numeric_limits<double>::infinity();
+  double span_max = -std::numeric_limits<double>::infinity();
+  double backup0 = 0.0;
+  mdp::kernel::rvi_eval_sweep(chain, kKernelTau, bias_in.data(), 0.0, 0, 1,
+                              &backup0, &span_min, &span_max, isa);
+  mdp::kernel::rvi_eval_sweep(chain, kKernelTau, bias_in.data(),
+                              backup0 - bias_in[0], 0, chain.num_states(),
+                              bias_out.data(), &span_min, &span_max, isa);
 }
 
 /// One benchmark row: a sweep variant, its best-of-reps time, and the bias
 /// vector it converges to (captured on the first rep; every rep starts
 /// from the same zero bias, so reps are deterministic replicas).
 struct TimedRow {
-  const char* kind;  ///< "aos" | "soa" | "damped" | "kernel"
-  mdp::kernel::Isa isa = mdp::kernel::Isa::kScalar;  ///< kernel rows only
+  /// "aos" | "soa" | "damped" | "kernel" | "eval_csr" | "eval"
+  const char* kind;
+  mdp::kernel::Isa isa = mdp::kernel::Isa::kScalar;  ///< kernel, eval rows
   std::function<void(std::vector<double>&)> sweep;
   double best_seconds = std::numeric_limits<double>::infinity();
   std::vector<double> result;
@@ -433,7 +474,6 @@ int run_kernel_mode(int argc, char** argv) {
                                         compiled.num_state_actions()};
 
   std::vector<double> bias(model.num_states(), 0.0);
-  std::vector<double> q_buf(compiled.num_state_actions(), 0.0);
   // Per-kernel-row Jacobi scratch; deque for stable addresses across
   // push_back (the row lambdas capture pointers into it).
   std::deque<std::vector<double>> scratches;
@@ -468,7 +508,44 @@ int run_kernel_mode(int argc, char** argv) {
     scratches.emplace_back(model.num_states(), 0.0);
     std::vector<double>* scratch = &scratches.back();
     push_row("kernel", isa, [&, scratch, isa](std::vector<double>& b) {
-      kernel_jacobi_sweep(compiled, rewards, b, *scratch, q_buf, isa);
+      kernel_jacobi_sweep(compiled, rewards, b, *scratch, isa);
+      b.swap(*scratch);
+    });
+  }
+  // Policy-evaluation rows. The policy is the greedy one after a short
+  // kernel pre-pass from zero bias: a realistic mix of both actions.
+  std::vector<std::uint32_t> policy(model.num_states(), 0);
+  {
+    std::vector<double> warm(model.num_states(), 0.0);
+    std::vector<double> next(model.num_states(), 0.0);
+    for (int i = 0; i < 20; ++i) {
+      double span_min = std::numeric_limits<double>::infinity();
+      double span_max = -std::numeric_limits<double>::infinity();
+      mdp::kernel::rvi_sweep(compiled, rewards.data(), kKernelTau,
+                             warm.data(), 0.0, 0, model.num_states(),
+                             next.data(), policy.data(), &span_min,
+                             &span_max, mdp::kernel::Isa::kScalar);
+      warm.swap(next);
+    }
+  }
+  const mdp::PolicyChain chain(compiled, policy, rewards);
+  scratches.emplace_back(model.num_states(), 0.0);
+  std::vector<double>* csr_scratch = &scratches.back();
+  push_row("eval_csr", mdp::kernel::Isa::kScalar,
+           [&, csr_scratch](std::vector<double>& b) {
+             csr_eval_sweep(compiled, rewards, policy, b, *csr_scratch);
+             b.swap(*csr_scratch);
+           });
+  for (const mdp::kernel::Isa isa :
+       {mdp::kernel::Isa::kScalar, mdp::kernel::Isa::kAvx2,
+        mdp::kernel::Isa::kAvx512}) {
+    if (!mdp::kernel::isa_available(isa)) {
+      continue;
+    }
+    scratches.emplace_back(model.num_states(), 0.0);
+    std::vector<double>* scratch = &scratches.back();
+    push_row("eval", isa, [&, scratch, isa](std::vector<double>& b) {
+      chain_eval_sweep(chain, b, *scratch, isa);
       b.swap(*scratch);
     });
   }
@@ -483,29 +560,45 @@ int run_kernel_mode(int argc, char** argv) {
     }
     return 0.0;
   };
-  std::vector<const TimedRow*> kernel_rows;
-  for (const TimedRow& row : rows) {
-    if (std::string_view(row.kind) == "kernel") {
-      kernel_rows.push_back(&row);
+  const auto rows_of = [&](std::string_view kind) {
+    std::vector<const TimedRow*> matching;
+    for (const TimedRow& row : rows) {
+      if (row.kind == kind) {
+        matching.push_back(&row);
+      }
     }
-  }
+    return matching;
+  };
+  // == (not memcmp): ELL padding may flip a zero's sign.
+  const auto all_equal = [](const std::vector<const TimedRow*>& group,
+                            const std::vector<double>& expected) {
+    for (const TimedRow* row : group) {
+      if (row->result.size() != expected.size()) {
+        return false;
+      }
+      for (std::size_t s = 0; s < expected.size(); ++s) {
+        if (row->result[s] != expected[s]) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  const std::vector<const TimedRow*> kernel_rows = rows_of("kernel");
+  const std::vector<const TimedRow*> eval_rows = rows_of("eval");
   const bool bit_identical =
       std::memcmp(rows[0].result.data(), rows[1].result.data(),
                   rows[0].result.size() * sizeof(double)) == 0;
-  bool kernel_bit_identical = true;
-  for (const TimedRow* row : kernel_rows) {
-    for (std::size_t s = 0; s < row->result.size(); ++s) {
-      // == (not memcmp): ELL padding may flip a zero's sign.
-      if (row->result[s] != kernel_rows.front()->result[s]) {
-        kernel_bit_identical = false;
-        break;
-      }
-    }
-  }
+  const bool kernel_bit_identical =
+      kernel_rows.empty() ||
+      all_equal(kernel_rows, kernel_rows.front()->result);
+  const std::vector<double>& csr_eval = rows_of("eval_csr").front()->result;
+  const bool eval_bit_identical = all_equal(eval_rows, csr_eval);
 
   const double aos_rate = row_rate("aos");
   const double soa_rate = row_rate("soa");
   const double damped_rate = row_rate("damped");
+  const double eval_csr_rate = row_rate("eval_csr");
   const double speedup = soa_rate / aos_rate;
   const double threshold = 1.5;
 
@@ -555,6 +648,19 @@ int run_kernel_mode(int argc, char** argv) {
   json << "\n  ],\n"
        << "  \"kernel_bit_identical\": "
        << (kernel_bit_identical ? "true" : "false") << ",\n"
+       << "  \"eval_csr_sweeps_per_sec\": " << eval_csr_rate << ",\n"
+       << "  \"eval_rows\": [";
+  for (std::size_t i = 0; i < eval_rows.size(); ++i) {
+    const double rate =
+        static_cast<double>(sweeps) / eval_rows[i]->best_seconds;
+    json << (i == 0 ? "\n" : ",\n") << "    {\"isa\": \""
+         << mdp::kernel::to_string(eval_rows[i]->isa)
+         << "\", \"sweeps_per_sec\": " << rate << ", \"speedup_vs_csr\": "
+         << (eval_csr_rate > 0.0 ? rate / eval_csr_rate : 0.0) << "}";
+  }
+  json << "\n  ],\n"
+       << "  \"eval_bit_identical\": "
+       << (eval_bit_identical ? "true" : "false") << ",\n"
        << "  \"dispatched_isa\": \"" << mdp::kernel::to_string(dispatched)
        << "\",\n"
        << "  \"speedup_vector_vs_soa\": " << vector_speedup << ",\n"
@@ -580,10 +686,20 @@ int run_kernel_mode(int argc, char** argv) {
                 std::string(mdp::kernel::to_string(row->isa)).c_str(), rate,
                 soa_rate > 0.0 ? rate / soa_rate : 0.0);
   }
+  std::printf("  eval CSR (restricted):      %10.1f sweeps/s\n",
+              eval_csr_rate);
+  for (const TimedRow* row : eval_rows) {
+    const double rate = static_cast<double>(sweeps) / row->best_seconds;
+    std::printf("  eval %-7s (chain):       %10.1f sweeps/s  (%.2fx vs CSR)\n",
+                std::string(mdp::kernel::to_string(row->isa)).c_str(), rate,
+                eval_csr_rate > 0.0 ? rate / eval_csr_rate : 0.0);
+  }
   std::printf(
+      "  eval rows bit-identical:    %s\n"
       "  kernel rows bit-identical:  %s\n"
       "  dispatched ISA: %s  (%.2fx vs scalar SoA%s)\n"
       "  -> %s\n",
+      eval_bit_identical ? "yes" : "NO (BUG)",
       kernel_bit_identical ? "yes" : "NO (BUG)",
       std::string(mdp::kernel::to_string(dispatched)).c_str(), vector_speedup,
       vector_pass ? (dispatched == mdp::kernel::Isa::kScalar
@@ -591,7 +707,10 @@ int run_kernel_mode(int argc, char** argv) {
                          : ", >= 1.3x target")
                   : ", BELOW 1.3x target",
       out_path.c_str());
-  return bit_identical && kernel_bit_identical && vector_pass ? 0 : 1;
+  return bit_identical && kernel_bit_identical && eval_bit_identical &&
+                 vector_pass
+             ? 0
+             : 1;
 }
 
 }  // namespace

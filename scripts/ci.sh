@@ -52,12 +52,16 @@ ctest --test-dir "$repo/$build" --output-on-failure -L shard
 ctest --test-dir "$repo/$build" --output-on-failure -L sim
 
 # Kernel dispatch gate: the kernel-labeled suite (ISA equivalence, fused
-# sweep bit-identity, warm starts, NUMA smoke) must hold both with the
-# vector kernels forced off and under auto dispatch. Vector-ISA cases
-# GTEST_SKIP on machines without AVX2/AVX-512, so both passes stay green
-# (not red) on any hardware; BVC_KERNEL=scalar additionally proves the
-# env-var override path end to end.
-BVC_KERNEL=scalar ctest --test-dir "$repo/$build" --output-on-failure -L kernel
-BVC_KERNEL=auto ctest --test-dir "$repo/$build" --output-on-failure -L kernel
+# sweep and chain-sweep bit-identity, warm starts, NUMA smoke) must hold
+# with the vector kernels forced off, under each vector ISA, and under auto
+# dispatch — the explicit avx2/avx512 passes run the solver-level greedy
+# and fixed-policy evaluation paths on each vector ISA, not only on the
+# one calibration picks. Requests clamp to what the CPU has and vector-ISA
+# cases GTEST_SKIP on machines without AVX2/AVX-512, so every pass stays
+# green (not red) on any hardware; the env var additionally proves the
+# override path end to end.
+for isa in scalar avx2 avx512 auto; do
+  BVC_KERNEL=$isa ctest --test-dir "$repo/$build" --output-on-failure -L kernel
+done
 
 echo "ci.sh: all checks passed"

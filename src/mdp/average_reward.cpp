@@ -46,12 +46,16 @@ namespace {
 ///   vector kernel (kernel::resolve() != scalar, model has an ELL mirror)
 ///     — the same Jacobi discipline for EVERY thread count, with the whole
 ///     sweep (expected-value backup, rewards + tau transform, per-state
-///     max) lowered onto the fused kernel::rvi_sweep, which keeps the
-///     expected-next values in registers instead of round-tripping a q
-///     column through memory (vectorized over states when the action menu
-///     is uniform). The kernel evaluates the scalar loops' exact
-///     expression trees, so this path is bit-identical to the threads >= 2
-///     scalar Jacobi path at any thread count — and, like it,
+///     max) lowered onto a fused kernel sweep that keeps the expected-next
+///     values in registers instead of round-tripping a q column through
+///     memory. Optimizing solves run kernel::rvi_sweep over the full
+///     action menu (vectorized over states when the menu is a uniform two
+///     actions; kernel::rvi_sweep_isa names the path). Policy evaluation
+///     first compacts the policy's rows into a PolicyChain — one row per
+///     state, built once per solve — and runs kernel::rvi_eval_sweep over
+///     it, vectorized for every model. Both kernels evaluate the scalar
+///     loops' exact expression trees, so this path is bit-identical to the
+///     threads >= 2 scalar Jacobi path at any thread count — and, like it,
 ///     trajectory-different but fixed-point-equal to Gauss-Seidel.
 GainResult rvi_core(const CompiledModel& model,
                     std::span<const double> sa_rewards, const Policy* policy,
@@ -147,33 +151,6 @@ GainResult rvi_core(const CompiledModel& model,
     return {best, best_action};
   };
 
-  // State-0 combine for the kernel path's reference residual: identical
-  // arithmetic to `backup`, with the expected-value sum read from q_all
-  // (which the kernel computed in the scalar loop's exact accumulation
-  // order). The full-sweep combine is kernel::rvi_combine — the same
-  // expression tree, vectorized when the model's action menu allows.
-  const auto combine = [&](StateId s, const double* q_all,
-                           const double* bias_in)
-      -> std::pair<double, std::uint32_t> {
-    const std::size_t first =
-        policy != nullptr ? policy->action[s] : std::size_t{0};
-    const std::size_t last =
-        policy != nullptr ? first + 1 : model.num_actions(s);
-    const SaIndex sa_base = model.state_begin(s);
-    double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = static_cast<std::uint32_t>(first);
-    for (std::size_t a = first; a < last; ++a) {
-      const SaIndex sa = sa_base + a;
-      double q = rewards_data[sa];
-      q = tau_eff * (q + q_all[sa]) + (1.0 - tau_eff) * bias_in[s];
-      if (q > best) {
-        best = q;
-        best_action = static_cast<std::uint32_t>(a);
-      }
-    }
-    return {best, best_action};
-  };
-
   // Parallel-sweep scratch. The chunk count is a scheduling detail only:
   // backups read nothing another chunk writes and the span reduction is
   // exact, so it does not affect the computed values.
@@ -181,6 +158,18 @@ GainResult rvi_core(const CompiledModel& model,
   const bool parallel = threads > 1 && n > 1;
   const kernel::Isa isa = kernel::resolve();
   const bool use_kernel = isa != kernel::Isa::kScalar && model.has_ell();
+  // Policy evaluation on the kernel path sweeps the policy's compacted
+  // chain instead of the model.
+  std::optional<PolicyChain> chain;
+  if (use_kernel && policy != nullptr) {
+    chain.emplace(model, policy->action, sa_rewards);
+  }
+  // The sweep path that actually runs, for the span: the chain sweep runs
+  // at `isa` on every model, the greedy sweep where rvi_sweep_isa allows.
+  const kernel::Isa swept_isa =
+      !use_kernel ? kernel::Isa::kScalar
+      : chain     ? isa
+                  : kernel::rvi_sweep_isa(model, isa);
   std::optional<util::ThreadPool> pool;
   std::vector<double> next_bias;
   std::vector<double> chunk_min;
@@ -199,14 +188,11 @@ GainResult rvi_core(const CompiledModel& model,
   // first-touched by the pool workers so their pages land near the threads
   // that stream them (util/numa.hpp; plain serial fill on single-node
   // machines). The state partition used for the touch matches the sweep's
-  // chunking. The small q buffer covers state 0's slice only — the fused
-  // sweep keeps every other expected-next value in registers.
-  util::AlignedVector<double> q_buf;
+  // chunking.
   util::AlignedVector<double> kernel_bias;
   util::AlignedVector<double> kernel_next;
   if (use_kernel) {
     util::ThreadPool* touch_pool = pool ? &*pool : nullptr;
-    util::numa::first_touch_fill(q_buf, model.state_begin(1), 0.0, nullptr, 1);
     util::numa::first_touch_fill(kernel_bias, n, 0.0, touch_pool, chunks);
     util::numa::first_touch_fill(kernel_next, n, 0.0, touch_pool, chunks);
     std::copy(result.bias.begin(), result.bias.end(), kernel_bias.begin());
@@ -225,36 +211,44 @@ GainResult rvi_core(const CompiledModel& model,
     double span_max = -std::numeric_limits<double>::infinity();
 
     if (use_kernel) {
-      // Vectorized Jacobi sweep (any thread count). The reference residual
-      // comes from state 0's slice up front, exactly like the scalar
-      // Jacobi branch; chunk 0 recomputes that slice below with identical
-      // bits, so no ordering hazard exists.
+      // Vectorized Jacobi sweep (any thread count) of states [begin, end)
+      // into `out`: the chain sweep for a fixed policy, the greedy sweep
+      // otherwise.
       const double* current = kernel_bias.data();
-      double* q_all = q_buf.data();
-      const std::uint32_t* restrict_policy =
-          policy != nullptr ? policy->action.data() : nullptr;
-      kernel::backup_expected(model, nullptr, 1.0, current, 0,
-                              model.state_begin(1), q_all, isa);
-      const double reference_residual =
-          combine(0, q_all, current).first - current[0];
+      const auto sweep_states = [&](StateId begin, StateId end,
+                                    double reference, double* out,
+                                    double* lo, double* hi) {
+        if (chain) {
+          kernel::rvi_eval_sweep(*chain, tau_eff, current, reference, begin,
+                                 end, out, lo, hi, isa);
+        } else {
+          kernel::rvi_sweep(model, rewards_data, tau_eff, current, reference,
+                            begin, end, out, result.policy.action.data(), lo,
+                            hi, isa);
+        }
+      };
+      // The reference residual comes from state 0's backup up front,
+      // exactly like the scalar Jacobi branch: sweeping [0, 1) against
+      // reference 0 returns that backup unchanged (x - 0.0 == x), and
+      // chunk 0 recomputes it below with identical bits (every ISA replays
+      // the scalar tree), so no ordering hazard exists.
+      double backup0 = 0.0;
+      double unused_min = std::numeric_limits<double>::infinity();
+      double unused_max = -std::numeric_limits<double>::infinity();
+      sweep_states(0, 1, 0.0, &backup0, &unused_min, &unused_max);
+      const double reference_residual = backup0 - current[0];
       if (!parallel) {
-        kernel::rvi_sweep(model, rewards_data, tau_eff, current,
-                          reference_residual, restrict_policy, 0, n,
-                          kernel_next.data(), result.policy.action.data(),
-                          &span_min, &span_max, isa);
+        sweep_states(0, n, reference_residual, kernel_next.data(), &span_min,
+                     &span_max);
       } else {
         pool->parallel_for(
             n, chunks,
             [&](std::size_t chunk, std::size_t begin, std::size_t end) {
               double local_min = std::numeric_limits<double>::infinity();
               double local_max = -std::numeric_limits<double>::infinity();
-              kernel::rvi_sweep(model, rewards_data, tau_eff, current,
-                                reference_residual, restrict_policy,
-                                static_cast<StateId>(begin),
-                                static_cast<StateId>(end),
-                                kernel_next.data(),
-                                result.policy.action.data(), &local_min,
-                                &local_max, isa);
+              sweep_states(static_cast<StateId>(begin),
+                           static_cast<StateId>(end), reference_residual,
+                           kernel_next.data(), &local_min, &local_max);
               chunk_min[chunk] = local_min;
               chunk_max[chunk] = local_max;
             });
@@ -341,10 +335,15 @@ GainResult rvi_core(const CompiledModel& model,
   if (use_kernel) {
     result.bias.assign(kernel_bias.begin(), kernel_bias.end());
   }
+  if (chain && sweep > 0) {
+    // The chain sweep has no argmax to report; the other paths echo the
+    // evaluated policy once a sweep has run.
+    result.policy = *policy;
+  }
   result.gain = gain_estimate;
   result.iterations = sweep;
   result.wall_clock_ns = guard.elapsed_ns();
-  solve_span.arg("kernel", kernel::to_string(isa));
+  solve_span.arg("kernel", kernel::to_string(swept_isa));
   solve_span.arg("sweeps", static_cast<std::int64_t>(sweep));
   solve_span.arg("status", robust::to_string(result.status));
   if (obs::metrics_enabled()) {
@@ -419,6 +418,7 @@ PolicyGains evaluate_policy_average(const CompiledModel& model,
   gains.reward_rate = reward_run.gain;
   gains.weight_rate = weight_run.gain;
   gains.status = std::max(reward_run.status, weight_run.status);
+  gains.sweeps = reward_run.sweeps() + weight_run.sweeps();
   if (reward_bias != nullptr) {
     *reward_bias = std::move(reward_run.bias);
   }

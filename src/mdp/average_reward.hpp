@@ -99,6 +99,8 @@ struct PolicyGains {
   double weight_rate = 0.0;  ///< denominator stream per step
   /// Worst status of the two stream evaluations.
   robust::RunStatus status = robust::RunStatus::kToleranceStalled;
+  /// RVI sweeps the two stream evaluations ran together.
+  std::int64_t sweeps = 0;
 
   [[nodiscard]] bool converged() const noexcept {
     return robust::is_success(status);

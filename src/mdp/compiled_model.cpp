@@ -12,6 +12,39 @@
 
 namespace bvc::mdp {
 
+namespace {
+
+/// The one writer of the ELL layout (the model's mirror and every
+/// PolicyChain): row i of the block is flat action row_sa(i) of `model`'s
+/// CSR columns, stored column-major as prob_out[j * stride + i] /
+/// next_out[j * stride + i]. Entries past a row's real outcomes, and rows
+/// past `rows` up to the stride, stay prob 0.0 / next 0. The stride is
+/// `rows` rounded up to 8, so an 8-lane load at any row < `rows` stays
+/// inside the allocation. Returns the stride.
+template <typename RowSa>
+std::size_t fill_ell(const CompiledModel& model, std::size_t rows,
+                     RowSa row_sa, std::size_t width,
+                     util::AlignedVector<double>& prob_out,
+                     util::AlignedVector<StateId>& next_out) {
+  const std::size_t stride = (rows + 7) / 8 * 8;
+  prob_out.assign(width * stride, 0.0);
+  next_out.assign(width * stride, 0);
+  const double* prob = model.prob();
+  const StateId* next = model.next();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const SaIndex sa = row_sa(i);
+    const std::size_t begin = model.outcome_begin(sa);
+    const std::size_t end = model.outcome_end(sa);
+    for (std::size_t k = begin; k < end; ++k) {
+      prob_out[(k - begin) * stride + i] = prob[k];
+      next_out[(k - begin) * stride + i] = next[k];
+    }
+  }
+  return stride;
+}
+
+}  // namespace
+
 CompiledModel CompiledModel::compile(const Model& model, double tau) {
   BVC_REQUIRE(tau > 0.0 && tau <= 1.0, "aperiodicity tau must be in (0, 1]");
 
@@ -82,22 +115,10 @@ void CompiledModel::finalize_layout() {
   ell_next_.clear();
   if (num_sa > 0 && width > 0 && width <= kMaxEllWidth &&
       width * num_sa <= kMaxEllPaddingFactor * next_.size()) {
-    // Stride padded to 8 doubles so an 8-lane load at any sa <
-    // num_state_actions() stays inside the allocation.
-    const std::size_t stride = (num_sa + 7) / 8 * 8;
     ell_width_ = width;
-    ell_stride_ = stride;
-    ell_prob_.assign(width * stride, 0.0);
-    ell_next_.assign(width * stride, 0);
-    for (std::size_t sa = 0; sa < num_sa; ++sa) {
-      const std::size_t begin = outcome_begin_[sa];
-      const std::size_t end = outcome_begin_[sa + 1];
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::size_t j = k - begin;
-        ell_prob_[j * stride + sa] = prob_[k];
-        ell_next_[j * stride + sa] = next_[k];
-      }
-    }
+    ell_stride_ = fill_ell(
+        *this, num_sa, [](std::size_t sa) { return sa; }, width, ell_prob_,
+        ell_next_);
   }
 
   // NUMA: interleave the columns every sweep worker streams. No-op on
@@ -119,6 +140,30 @@ void CompiledModel::finalize_layout() {
     spread(ell_prob_);
     spread(ell_next_);
   }
+}
+
+PolicyChain::PolicyChain(const CompiledModel& model,
+                         std::span<const std::uint32_t> policy,
+                         std::span<const double> sa_rewards) {
+  const StateId n = model.num_states();
+  BVC_REQUIRE(policy.size() == n,
+              "policy must assign an action to every state");
+  BVC_REQUIRE(sa_rewards.size() == model.num_state_actions(),
+              "sa_rewards must cover every (state, action) pair");
+  reward_.resize(n);
+  for (StateId s = 0; s < n; ++s) {
+    BVC_REQUIRE(policy[s] < model.num_actions(s),
+                "policy action out of range for its state");
+    const SaIndex sa = model.sa_index(s, policy[s]);
+    width_ = std::max(width_, model.outcome_end(sa) - model.outcome_begin(sa));
+    reward_[s] = sa_rewards[sa];
+  }
+  stride_ = fill_ell(
+      model, n,
+      [&](std::size_t s) {
+        return model.sa_index(static_cast<StateId>(s), policy[s]);
+      },
+      width_, prob_, next_);
 }
 
 std::shared_ptr<const CompiledModel> CompiledModel::compile_shared(

@@ -40,13 +40,20 @@
 // at build/load time (util/numa.hpp) — every sweep worker streams every
 // column, so round-robin pages balance the memory channels.
 //
+// A PolicyChain (below) is the same ELL layout cut down to one fixed
+// policy: one row per state instead of one per state-action. Policy
+// evaluation builds one per solve and sweeps it with
+// kernel::rvi_eval_sweep.
+//
 // CompiledModel is immutable after compile() and safe to share across
 // threads by const reference — mdp::ModelCache (model_cache.hpp) hands out
 // shared_ptr<const CompiledModel> on exactly that basis.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -229,6 +236,48 @@ class CompiledModel {
   std::size_t ell_stride_ = 0;
   util::AlignedVector<double> ell_prob_;
   util::AlignedVector<StateId> ell_next_;
+};
+
+/// One fixed policy's transition chain in the ELL layout: per state s, the
+/// outcome rows of the action the policy picks there, as
+/// prob()[j * stride() + s] / next()[j * stride() + s] for j in
+/// [0, width()), and that action's reward as reward()[s]. Rows keep the
+/// model's outcome order and are zero-padded past their real outcomes
+/// exactly like the model's ELL mirror, so a sweep that sums all width()
+/// terms reproduces the CSR sum (padding adds exact zeros). width() is the
+/// widest CHOSEN row, which can be narrower than the model's ELL width.
+/// The stride is padded to a multiple of 8 states, as in the model's
+/// mirror, so an 8-lane load at any state < num_states() stays in bounds.
+///
+/// A fixed-policy sweep (kernel::rvi_eval_sweep) reads only this: half the
+/// rows of a two-action model, and no per-state action lookups. Building
+/// one is an O(states x width) copy, done once per policy-evaluation solve.
+class PolicyChain {
+ public:
+  /// Compacts `model` to the action `policy[s]` (a local action index) of
+  /// every state s; `sa_rewards[sa]` is the per-(state, action) reward the
+  /// sweep adds.
+  PolicyChain(const CompiledModel& model,
+              std::span<const std::uint32_t> policy,
+              std::span<const double> sa_rewards);
+
+  [[nodiscard]] StateId num_states() const noexcept {
+    return static_cast<StateId>(reward_.size());
+  }
+  [[nodiscard]] std::size_t width() const noexcept { return width_; }
+  [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
+  [[nodiscard]] const double* prob() const noexcept { return prob_.data(); }
+  [[nodiscard]] const StateId* next() const noexcept { return next_.data(); }
+  [[nodiscard]] const double* reward() const noexcept {
+    return reward_.data();
+  }
+
+ private:
+  std::size_t width_ = 0;
+  std::size_t stride_ = 0;
+  util::AlignedVector<double> prob_;
+  util::AlignedVector<StateId> next_;
+  util::AlignedVector<double> reward_;
 };
 
 }  // namespace bvc::mdp

@@ -147,9 +147,8 @@ Isa calibrated_vector_isa() noexcept {
           for (int i = 0; i < 8; ++i) {
             double span_min = std::numeric_limits<double>::infinity();
             double span_max = -std::numeric_limits<double>::infinity();
-            rvi_sweep(compiled, rewards, 0.999, bias.data(), 0.0, nullptr, 0,
-                      kStates, next.data(), nullptr, &span_min, &span_max,
-                      isa);
+            rvi_sweep(compiled, rewards, 0.999, bias.data(), 0.0, 0, kStates,
+                      next.data(), nullptr, &span_min, &span_max, isa);
           }
           best = std::min(
               best, std::chrono::duration<double>(Clock::now() - start)
@@ -217,23 +216,19 @@ void backup_scalar(const CompiledModel& model, const double* seed,
 
 void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
                         double tau, const double* bias_in, const double* q_all,
-                        double reference_residual,
-                        const std::uint32_t* restrict_policy, StateId s_begin,
+                        double reference_residual, StateId s_begin,
                         StateId s_end, double* bias_out,
                         std::uint32_t* policy_out, double* span_min_io,
                         double* span_max_io) noexcept {
   double span_min = *span_min_io;
   double span_max = *span_max_io;
   for (StateId s = s_begin; s < s_end; ++s) {
-    const std::size_t first =
-        restrict_policy != nullptr ? restrict_policy[s] : std::size_t{0};
-    const std::size_t last =
-        restrict_policy != nullptr ? first + 1 : model.num_actions(s);
+    const std::size_t actions = model.num_actions(s);
     const SaIndex sa_base = model.state_begin(s);
     const double damped = (1.0 - tau) * bias_in[s];
     double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = static_cast<std::uint32_t>(first);
-    for (std::size_t a = first; a < last; ++a) {
+    std::uint32_t best_action = 0;
+    for (std::size_t a = 0; a < actions; ++a) {
       const SaIndex sa = sa_base + a;
       // Separate roundings throughout (this TU disables FP contraction):
       // fl(fl(tau * fl(r + q)) + damped), the exact tree of the scalar
@@ -258,8 +253,7 @@ void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
 
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
-                      double reference_residual,
-                      const std::uint32_t* restrict_policy, StateId s_begin,
+                      double reference_residual, StateId s_begin,
                       StateId s_end, double* bias_out,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept {
@@ -268,15 +262,12 @@ void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
   double span_min = *span_min_io;
   double span_max = *span_max_io;
   for (StateId s = s_begin; s < s_end; ++s) {
-    const std::size_t first =
-        restrict_policy != nullptr ? restrict_policy[s] : std::size_t{0};
-    const std::size_t last =
-        restrict_policy != nullptr ? first + 1 : model.num_actions(s);
+    const std::size_t actions = model.num_actions(s);
     const SaIndex sa_base = model.state_begin(s);
     const double damped = (1.0 - tau) * bias_in[s];
     double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = static_cast<std::uint32_t>(first);
-    for (std::size_t a = first; a < last; ++a) {
+    std::uint32_t best_action = 0;
+    for (std::size_t a = 0; a < actions; ++a) {
       const SaIndex sa = sa_base + a;
       double expected_next = 0.0;
       const std::size_t end = model.outcome_end(sa);
@@ -298,6 +289,35 @@ void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
     span_min = std::min(span_min, residual);
     span_max = std::max(span_max, residual);
     bias_out[s] = best - reference_residual;
+  }
+  *span_min_io = span_min;
+  *span_max_io = span_max;
+}
+
+void rvi_eval_sweep_scalar(const PolicyChain& chain, double tau,
+                           const double* bias_in, double reference_residual,
+                           StateId s_begin, StateId s_end, double* bias_out,
+                           double* span_min_io, double* span_max_io) noexcept {
+  const std::size_t width = chain.width();
+  const std::size_t stride = chain.stride();
+  const double* prob = chain.prob();
+  const StateId* next = chain.next();
+  const double* reward = chain.reward();
+  double span_min = *span_min_io;
+  double span_max = *span_max_io;
+  for (StateId s = s_begin; s < s_end; ++s) {
+    // rvi_sweep_scalar's tree with one action: padding terms past the
+    // row's real outcomes add exact zeros.
+    double expected_next = 0.0;
+    for (std::size_t j = 0; j < width; ++j) {
+      expected_next += prob[j * stride + s] * bias_in[next[j * stride + s]];
+    }
+    const double value =
+        tau * (reward[s] + expected_next) + (1.0 - tau) * bias_in[s];
+    const double residual = value - bias_in[s];
+    span_min = std::min(span_min, residual);
+    span_max = std::max(span_max, residual);
+    bias_out[s] = value - reference_residual;
   }
   *span_min_io = span_min;
   *span_max_io = span_max;
@@ -326,14 +346,12 @@ void backup_expected(const CompiledModel& model, const double* seed,
 
 void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
                  const double* bias_in, const double* q_all,
-                 double reference_residual,
-                 const std::uint32_t* restrict_policy, StateId s_begin,
-                 StateId s_end, double* bias_out, std::uint32_t* policy_out,
+                 double reference_residual, StateId s_begin, StateId s_end,
+                 double* bias_out, std::uint32_t* policy_out,
                  double* span_min_io, double* span_max_io, Isa isa) noexcept {
   // The vector combines are fixed-width over a uniform 2-action menu (the
-  // attack models' shape); anything else — ragged menus, fixed-policy
-  // evaluation — takes the scalar loop.
-  if (restrict_policy == nullptr && model.uniform_actions() == 2) {
+  // attack models' shape); any other menu takes the scalar loop.
+  if (model.uniform_actions() == 2) {
     switch (isa) {
       case Isa::kAvx512:
         detail::rvi_combine_avx512(model, rewards, tau, bias_in, q_all,
@@ -351,38 +369,63 @@ void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
     }
   }
   detail::rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                             reference_residual, restrict_policy, s_begin,
-                             s_end, bias_out, policy_out, span_min_io,
-                             span_max_io);
+                             reference_residual, s_begin, s_end, bias_out,
+                             policy_out, span_min_io, span_max_io);
+}
+
+Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept {
+  // The in-register backup needs the ELL mirror, and the combine the
+  // fixed-width uniform 2-action menu rvi_combine's vector path handles.
+  return model.has_ell() && model.uniform_actions() == 2 ? isa
+                                                         : Isa::kScalar;
 }
 
 void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
                const double* bias_in, double reference_residual,
-               const std::uint32_t* restrict_policy, StateId s_begin,
-               StateId s_end, double* bias_out, std::uint32_t* policy_out,
-               double* span_min_io, double* span_max_io, Isa isa) noexcept {
-  // Same gate as rvi_combine, plus the ELL mirror the in-register backup
-  // needs: greedy pass over a uniform 2-action menu.
-  if (model.has_ell() && restrict_policy == nullptr &&
-      model.uniform_actions() == 2) {
-    switch (isa) {
-      case Isa::kAvx512:
-        detail::rvi_sweep_avx512(model, rewards, tau, bias_in,
-                                 reference_residual, s_begin, s_end, bias_out,
-                                 policy_out, span_min_io, span_max_io);
-        return;
-      case Isa::kAvx2:
-        detail::rvi_sweep_avx2(model, rewards, tau, bias_in,
+               StateId s_begin, StateId s_end, double* bias_out,
+               std::uint32_t* policy_out, double* span_min_io,
+               double* span_max_io, Isa isa) noexcept {
+  switch (rvi_sweep_isa(model, isa)) {
+    case Isa::kAvx512:
+      detail::rvi_sweep_avx512(model, rewards, tau, bias_in,
                                reference_residual, s_begin, s_end, bias_out,
                                policy_out, span_min_io, span_max_io);
-        return;
-      case Isa::kScalar:
-        break;
-    }
+      return;
+    case Isa::kAvx2:
+      detail::rvi_sweep_avx2(model, rewards, tau, bias_in, reference_residual,
+                             s_begin, s_end, bias_out, policy_out,
+                             span_min_io, span_max_io);
+      return;
+    case Isa::kScalar:
+      break;
   }
   detail::rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual,
-                           restrict_policy, s_begin, s_end, bias_out,
-                           policy_out, span_min_io, span_max_io);
+                           s_begin, s_end, bias_out, policy_out, span_min_io,
+                           span_max_io);
+}
+
+void rvi_eval_sweep(const PolicyChain& chain, double tau,
+                    const double* bias_in, double reference_residual,
+                    StateId s_begin, StateId s_end, double* bias_out,
+                    double* span_min_io, double* span_max_io,
+                    Isa isa) noexcept {
+  switch (isa) {
+    case Isa::kAvx512:
+      detail::rvi_eval_sweep_avx512(chain, tau, bias_in, reference_residual,
+                                    s_begin, s_end, bias_out, span_min_io,
+                                    span_max_io);
+      return;
+    case Isa::kAvx2:
+      detail::rvi_eval_sweep_avx2(chain, tau, bias_in, reference_residual,
+                                  s_begin, s_end, bias_out, span_min_io,
+                                  span_max_io);
+      return;
+    case Isa::kScalar:
+      break;
+  }
+  detail::rvi_eval_sweep_scalar(chain, tau, bias_in, reference_residual,
+                                s_begin, s_end, bias_out, span_min_io,
+                                span_max_io);
 }
 
 }  // namespace bvc::mdp::kernel

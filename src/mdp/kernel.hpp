@@ -15,6 +15,10 @@
 //   * the fixed-tau damped bench variant: seed = null, scale = tau
 //     (fl(tau * p) is bit-equal to the precompiled damped_prob column).
 //
+// RVI runs it fused with its combine: rvi_sweep for the greedy pass over
+// a model's full action menu, rvi_eval_sweep for a fixed policy over the
+// policy's compacted chain (mdp::PolicyChain, one row per state).
+//
 // Bit-identity policy: the vector kernels evaluate the EXACT same
 // expression tree as the scalar CSR loop — per row, terms are accumulated
 // in outcome order with separate multiply and add (never FMA, which fuses
@@ -104,45 +108,72 @@ void backup_expected(const CompiledModel& model, const double* seed,
 ///   policy_out[s] = argmax          (skipped when policy_out is null)
 ///   *span_min_io / *span_max_io accumulate fl(best - bias_in[s])
 ///
-/// `restrict_policy` non-null evaluates that fixed action per state instead
-/// of maximizing (the policy-evaluation mode). Every operation above is an
-/// elementwise add/mul/sub/min/max — no accumulation crosses states — so
-/// the vector path (taken when the model's action menu is uniform with 2
-/// actions, the shape of all the paper's attack models, and restrict_policy
-/// is null) is bit-identical to the scalar loop. Thread-safe for disjoint
-/// state ranges; span pointers must be distinct per caller/chunk.
+/// Every operation above is an elementwise add/mul/sub/min/max — no
+/// accumulation crosses states — so the vector path (taken when the
+/// model's action menu is uniform with 2 actions, the shape of all the
+/// paper's attack models) is bit-identical to the scalar loop.
+/// Thread-safe for disjoint state ranges; span pointers must be distinct
+/// per caller/chunk.
 void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
                  const double* bias_in, const double* q_all,
-                 double reference_residual,
-                 const std::uint32_t* restrict_policy, StateId s_begin,
-                 StateId s_end, double* bias_out, std::uint32_t* policy_out,
+                 double reference_residual, StateId s_begin, StateId s_end,
+                 double* bias_out, std::uint32_t* policy_out,
                  double* span_min_io, double* span_max_io, Isa isa) noexcept;
 
-/// The fused RVI Jacobi sweep over states [s_begin, s_end): backup_expected
-/// (seed null, scale 1) and rvi_combine in a single traversal, with each
-/// state's expected-next values held in registers instead of round-tripping
-/// through a q column. Exactly the composition the two primitives document
-/// — same expression tree per lane, same argmax tie rule, same span
-/// accumulation — so the result is bit-identical to running them
-/// separately (modulo the sign of exact zeros, as ever). This is the RVI
-/// fast path: the sweep is single-core bandwidth-bound on real models, and
-/// eliminating the q column's store+reload (16 bytes per state-action per
-/// sweep) is worth more than any amount of instruction tuning. The vector
-/// path engages when the model has an ELL mirror, the pass is greedy
-/// (restrict_policy null), and the action menu is uniform with 2 actions;
-/// everything else runs the scalar loop. Thread-safe for disjoint state
-/// ranges; span pointers must be distinct per caller/chunk.
+/// The fused greedy RVI Jacobi sweep over states [s_begin, s_end):
+/// backup_expected (seed null, scale 1) and rvi_combine in a single
+/// traversal, with each state's expected-next values held in registers
+/// instead of round-tripping through a q column. Exactly the composition
+/// the two primitives document — same expression tree per lane, same
+/// argmax tie rule, same span accumulation — so the result is
+/// bit-identical to running them separately (modulo the sign of exact
+/// zeros, as ever). This is the RVI fast path: the sweep is single-core
+/// bandwidth-bound on real models, and eliminating the q column's
+/// store+reload (16 bytes per state-action per sweep) is worth more than
+/// any amount of instruction tuning. It runs on the ISA rvi_sweep_isa
+/// names. Thread-safe for disjoint state ranges; span pointers must be
+/// distinct per caller/chunk.
 void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
                const double* bias_in, double reference_residual,
-               const std::uint32_t* restrict_policy, StateId s_begin,
-               StateId s_end, double* bias_out, std::uint32_t* policy_out,
-               double* span_min_io, double* span_max_io, Isa isa) noexcept;
+               StateId s_begin, StateId s_end, double* bias_out,
+               std::uint32_t* policy_out, double* span_min_io,
+               double* span_max_io, Isa isa) noexcept;
+
+/// The ISA rvi_sweep actually runs for `model` when asked for `isa` — the
+/// dispatcher's own gate: the vector bodies need an ELL mirror and a
+/// uniform 2-action menu; every other model (ragged menus, 3-action
+/// menus, no ELL mirror) takes the scalar loop.
+[[nodiscard]] Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept;
+
+/// The fused fixed-policy RVI Jacobi sweep over states [s_begin, s_end) of
+/// a policy's compacted chain (mdp::PolicyChain). Per state s,
+///
+///   next_s      = sum_j fl(chain.prob[j,s] * bias_in[chain.next[j,s]])
+///                 (j in row order, from +0.0)
+///   value       = fl( fl(tau * fl(chain.reward[s] + next_s))
+///                     + fl((1 - tau) * bias_in[s]) )
+///   bias_out[s] = fl(value - reference_residual)
+///   *span_min_io / *span_max_io accumulate fl(value - bias_in[s])
+///
+/// — the expression tree of rvi_sweep with the action menu cut down to the
+/// policy's action, so the result equals a greedy sweep of the one-action
+/// model those rows form, bit-for-bit under the kernel's == contract. Each
+/// lane owns one state's row, and every chain has the vector shape, so
+/// `isa` is used as given. Thread-safe for disjoint state ranges; span
+/// pointers must be distinct per caller/chunk.
+void rvi_eval_sweep(const PolicyChain& chain, double tau,
+                    const double* bias_in, double reference_residual,
+                    StateId s_begin, StateId s_end, double* bias_out,
+                    double* span_min_io, double* span_max_io,
+                    Isa isa) noexcept;
 
 namespace detail {
 // Per-ISA implementations. The avx2/avx512 symbols exist in every build;
 // when their translation unit was compiled without the ISA (non-x86
 // toolchain) they forward to scalar and *_compiled() reports false, so
-// isa_available() keeps resolve() away from them.
+// isa_available() keeps resolve() away from them. The vector combines and
+// greedy sweeps handle only the uniform-2-action shape (the dispatchers
+// route everything else to scalar).
 void backup_scalar(const CompiledModel& model, const double* seed,
                    double scale, const double* bias, SaIndex sa_begin,
                    SaIndex sa_end, double* q_out) noexcept;
@@ -154,13 +185,10 @@ void backup_avx512(const CompiledModel& model, const double* seed,
                    SaIndex sa_end, double* q_out) noexcept;
 void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
                         double tau, const double* bias_in, const double* q_all,
-                        double reference_residual,
-                        const std::uint32_t* restrict_policy, StateId s_begin,
+                        double reference_residual, StateId s_begin,
                         StateId s_end, double* bias_out,
                         std::uint32_t* policy_out, double* span_min_io,
                         double* span_max_io) noexcept;
-// The vector combines handle only the greedy uniform-2-action shape (the
-// dispatcher routes everything else to scalar), hence no restrict_policy.
 void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in, const double* q_all,
                       double reference_residual, StateId s_begin,
@@ -175,8 +203,7 @@ void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
                         double* span_max_io) noexcept;
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
-                      double reference_residual,
-                      const std::uint32_t* restrict_policy, StateId s_begin,
+                      double reference_residual, StateId s_begin,
                       StateId s_end, double* bias_out,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept;
@@ -191,6 +218,18 @@ void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
                       StateId s_end, double* bias_out,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept;
+void rvi_eval_sweep_scalar(const PolicyChain& chain, double tau,
+                           const double* bias_in, double reference_residual,
+                           StateId s_begin, StateId s_end, double* bias_out,
+                           double* span_min_io, double* span_max_io) noexcept;
+void rvi_eval_sweep_avx2(const PolicyChain& chain, double tau,
+                         const double* bias_in, double reference_residual,
+                         StateId s_begin, StateId s_end, double* bias_out,
+                         double* span_min_io, double* span_max_io) noexcept;
+void rvi_eval_sweep_avx512(const PolicyChain& chain, double tau,
+                           const double* bias_in, double reference_residual,
+                           StateId s_begin, StateId s_end, double* bias_out,
+                           double* span_min_io, double* span_max_io) noexcept;
 [[nodiscard]] bool avx2_compiled() noexcept;
 [[nodiscard]] bool avx512_compiled() noexcept;
 }  // namespace detail

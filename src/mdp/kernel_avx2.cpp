@@ -146,8 +146,8 @@ void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
   }
   if (s < s_end) {
     rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                       reference_residual, nullptr, s, s_end, bias_out,
-                       policy_out, span_min_io, span_max_io);
+                       reference_residual, s, s_end, bias_out, policy_out,
+                       span_min_io, span_max_io);
   }
 }
 
@@ -264,9 +264,8 @@ void rvi_sweep_avx2_impl(const CompiledModel& model, const double* rewards,
     *span_max_io = std::max(*span_max_io, lanes_max[lane]);
   }
   if (s < s_end) {
-    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual,
-                     nullptr, s, s_end, bias_out, policy_out, span_min_io,
-                     span_max_io);
+    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s,
+                     s_end, bias_out, policy_out, span_min_io, span_max_io);
   }
 }
 
@@ -306,6 +305,121 @@ void rvi_sweep_avx2(const CompiledModel& model, const double* rewards,
   }
 }
 
+namespace {
+
+// The fixed-policy chain sweep; see the AVX-512 twin for the lane layout
+// and rounding notes. Four 4-state gather chains per outer step.
+template <int kWidthSpec>
+void rvi_eval_sweep_avx2_impl(const PolicyChain& chain, double tau,
+                              const double* bias_in,
+                              double reference_residual, StateId s_begin,
+                              StateId s_end, double* bias_out,
+                              double* span_min_io,
+                              double* span_max_io) noexcept {
+  constexpr StateId kLanes = 4;
+  constexpr StateId kStep = 16;
+  const std::size_t width =
+      kWidthSpec > 0 ? static_cast<std::size_t>(kWidthSpec) : chain.width();
+  const std::size_t stride = chain.stride();
+  const double* prob = chain.prob();
+  const StateId* next = chain.next();
+  const double* reward = chain.reward();
+  const __m256d vtau = _mm256_set1_pd(tau);
+  const __m256d vdamp = _mm256_set1_pd(1.0 - tau);
+  const __m256d vref = _mm256_set1_pd(reference_residual);
+  __m256d vmin = _mm256_set1_pd(*span_min_io);
+  __m256d vmax = _mm256_set1_pd(*span_max_io);
+
+  // Outcome j's term for the 4 states at `so`: fl(p * b), never fused.
+  const auto term = [&](std::size_t j, StateId so) {
+    const std::size_t at = j * stride + so;
+    const __m256d b = _mm256_i32gather_pd(
+        bias_in, _mm_loadu_si128(reinterpret_cast<const __m128i*>(next + at)),
+        8);
+    return _mm256_mul_pd(_mm256_loadu_pd(prob + at), b);
+  };
+  const auto finish = [&](StateId so, __m256d expected_next) {
+    const __m256d b = _mm256_loadu_pd(bias_in + so);
+    const __m256d value = _mm256_add_pd(
+        _mm256_mul_pd(vtau,
+                      _mm256_add_pd(_mm256_loadu_pd(reward + so),
+                                    expected_next)),
+        _mm256_mul_pd(vdamp, b));
+    const __m256d residual = _mm256_sub_pd(value, b);
+    vmin = _mm256_min_pd(vmin, residual);
+    vmax = _mm256_max_pd(vmax, residual);
+    _mm256_storeu_pd(bias_out + so, _mm256_sub_pd(value, vref));
+  };
+
+  StateId s = s_begin;
+  for (; s + kStep <= s_end; s += kStep) {
+    __m256d q0 = _mm256_setzero_pd();
+    __m256d q1 = _mm256_setzero_pd();
+    __m256d q2 = _mm256_setzero_pd();
+    __m256d q3 = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < width; ++j) {
+      q0 = _mm256_add_pd(q0, term(j, s));
+      q1 = _mm256_add_pd(q1, term(j, s + kLanes));
+      q2 = _mm256_add_pd(q2, term(j, s + 2 * kLanes));
+      q3 = _mm256_add_pd(q3, term(j, s + 3 * kLanes));
+    }
+    finish(s, q0);
+    finish(s + kLanes, q1);
+    finish(s + 2 * kLanes, q2);
+    finish(s + 3 * kLanes, q3);
+  }
+  for (; s + kLanes <= s_end; s += kLanes) {
+    __m256d q = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < width; ++j) {
+      q = _mm256_add_pd(q, term(j, s));
+    }
+    finish(s, q);
+  }
+  // min/max are exact, so the horizontal reduction order is irrelevant.
+  alignas(32) double lanes_min[kLanes];
+  alignas(32) double lanes_max[kLanes];
+  _mm256_store_pd(lanes_min, vmin);
+  _mm256_store_pd(lanes_max, vmax);
+  for (StateId lane = 0; lane < kLanes; ++lane) {
+    *span_min_io = std::min(*span_min_io, lanes_min[lane]);
+    *span_max_io = std::max(*span_max_io, lanes_max[lane]);
+  }
+  if (s < s_end) {
+    rvi_eval_sweep_scalar(chain, tau, bias_in, reference_residual, s, s_end,
+                          bias_out, span_min_io, span_max_io);
+  }
+}
+
+}  // namespace
+
+void rvi_eval_sweep_avx2(const PolicyChain& chain, double tau,
+                         const double* bias_in, double reference_residual,
+                         StateId s_begin, StateId s_end, double* bias_out,
+                         double* span_min_io, double* span_max_io) noexcept {
+  switch (chain.width()) {
+    case 1:
+      rvi_eval_sweep_avx2_impl<1>(chain, tau, bias_in, reference_residual,
+                                  s_begin, s_end, bias_out, span_min_io,
+                                  span_max_io);
+      return;
+    case 2:
+      rvi_eval_sweep_avx2_impl<2>(chain, tau, bias_in, reference_residual,
+                                  s_begin, s_end, bias_out, span_min_io,
+                                  span_max_io);
+      return;
+    case 3:
+      rvi_eval_sweep_avx2_impl<3>(chain, tau, bias_in, reference_residual,
+                                  s_begin, s_end, bias_out, span_min_io,
+                                  span_max_io);
+      return;
+    default:
+      rvi_eval_sweep_avx2_impl<0>(chain, tau, bias_in, reference_residual,
+                                  s_begin, s_end, bias_out, span_min_io,
+                                  span_max_io);
+      return;
+  }
+}
+
 }  // namespace bvc::mdp::kernel::detail
 
 #else  // !defined(__AVX2__)
@@ -327,8 +441,8 @@ void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept {
   rvi_combine_scalar(model, rewards, tau, bias_in, q_all, reference_residual,
-                     nullptr, s_begin, s_end, bias_out, policy_out,
-                     span_min_io, span_max_io);
+                     s_begin, s_end, bias_out, policy_out, span_min_io,
+                     span_max_io);
 }
 
 void rvi_sweep_avx2(const CompiledModel& model, const double* rewards,
@@ -336,9 +450,16 @@ void rvi_sweep_avx2(const CompiledModel& model, const double* rewards,
                     double reference_residual, StateId s_begin, StateId s_end,
                     double* bias_out, std::uint32_t* policy_out,
                     double* span_min_io, double* span_max_io) noexcept {
-  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, nullptr,
-                   s_begin, s_end, bias_out, policy_out, span_min_io,
-                   span_max_io);
+  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s_begin,
+                   s_end, bias_out, policy_out, span_min_io, span_max_io);
+}
+
+void rvi_eval_sweep_avx2(const PolicyChain& chain, double tau,
+                         const double* bias_in, double reference_residual,
+                         StateId s_begin, StateId s_end, double* bias_out,
+                         double* span_min_io, double* span_max_io) noexcept {
+  rvi_eval_sweep_scalar(chain, tau, bias_in, reference_residual, s_begin,
+                        s_end, bias_out, span_min_io, span_max_io);
 }
 
 }  // namespace bvc::mdp::kernel::detail

@@ -141,8 +141,8 @@ void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
   *span_max_io = std::max(*span_max_io, _mm512_reduce_max_pd(vmax));
   if (s < s_end) {
     rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                       reference_residual, nullptr, s, s_end, bias_out,
-                       policy_out, span_min_io, span_max_io);
+                       reference_residual, s, s_end, bias_out, policy_out,
+                       span_min_io, span_max_io);
   }
 }
 
@@ -253,9 +253,8 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
   *span_min_io = std::min(*span_min_io, _mm512_reduce_min_pd(vmin));
   *span_max_io = std::max(*span_max_io, _mm512_reduce_max_pd(vmax));
   if (s < s_end) {
-    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual,
-                     nullptr, s, s_end, bias_out, policy_out, span_min_io,
-                     span_max_io);
+    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s,
+                     s_end, bias_out, policy_out, span_min_io, span_max_io);
   }
 }
 
@@ -296,6 +295,123 @@ void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
   }
 }
 
+namespace {
+
+// The fixed-policy chain sweep, width-specialized like the greedy body.
+// One row per state, so lane l of a vector step is state s + l's whole
+// backup: the expected-next sum (outcome order, separate mul/add), the
+// reward + tau transform, and the reference/span outputs, all in
+// registers. Four 8-state gather chains per outer step keep enough
+// gathers in flight to cover their latency.
+template <int kWidthSpec>
+void rvi_eval_sweep_avx512_impl(const PolicyChain& chain, double tau,
+                                const double* bias_in,
+                                double reference_residual, StateId s_begin,
+                                StateId s_end, double* bias_out,
+                                double* span_min_io,
+                                double* span_max_io) noexcept {
+  constexpr StateId kLanes = 8;
+  constexpr StateId kStep = 32;
+  const std::size_t width =
+      kWidthSpec > 0 ? static_cast<std::size_t>(kWidthSpec) : chain.width();
+  const std::size_t stride = chain.stride();
+  const double* prob = chain.prob();
+  const StateId* next = chain.next();
+  const double* reward = chain.reward();
+  const __m512d vtau = _mm512_set1_pd(tau);
+  const __m512d vdamp = _mm512_set1_pd(1.0 - tau);
+  const __m512d vref = _mm512_set1_pd(reference_residual);
+  __m512d vmin = _mm512_set1_pd(*span_min_io);
+  __m512d vmax = _mm512_set1_pd(*span_max_io);
+
+  // Outcome j's term for the 8 states at `so`: fl(p * b), never fused.
+  const auto term = [&](std::size_t j, StateId so) {
+    const std::size_t at = j * stride + so;
+    const __m512d b = _mm512_i32gather_pd(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(next + at)),
+        bias_in, 8);
+    return _mm512_mul_pd(_mm512_loadu_pd(prob + at), b);
+  };
+  // The combine for the 8 states at `so`, exactly rvi_eval_sweep_scalar's
+  // elementwise tree.
+  const auto finish = [&](StateId so, __m512d expected_next) {
+    const __m512d b = _mm512_loadu_pd(bias_in + so);
+    const __m512d value = _mm512_add_pd(
+        _mm512_mul_pd(vtau,
+                      _mm512_add_pd(_mm512_loadu_pd(reward + so),
+                                    expected_next)),
+        _mm512_mul_pd(vdamp, b));
+    const __m512d residual = _mm512_sub_pd(value, b);
+    vmin = _mm512_min_pd(vmin, residual);
+    vmax = _mm512_max_pd(vmax, residual);
+    _mm512_storeu_pd(bias_out + so, _mm512_sub_pd(value, vref));
+  };
+
+  StateId s = s_begin;
+  for (; s + kStep <= s_end; s += kStep) {
+    __m512d q0 = _mm512_setzero_pd();
+    __m512d q1 = _mm512_setzero_pd();
+    __m512d q2 = _mm512_setzero_pd();
+    __m512d q3 = _mm512_setzero_pd();
+    for (std::size_t j = 0; j < width; ++j) {
+      q0 = _mm512_add_pd(q0, term(j, s));
+      q1 = _mm512_add_pd(q1, term(j, s + kLanes));
+      q2 = _mm512_add_pd(q2, term(j, s + 2 * kLanes));
+      q3 = _mm512_add_pd(q3, term(j, s + 3 * kLanes));
+    }
+    finish(s, q0);
+    finish(s + kLanes, q1);
+    finish(s + 2 * kLanes, q2);
+    finish(s + 3 * kLanes, q3);
+  }
+  // Single blocks, then the scalar remainder; no vector store crosses
+  // s_end (chunked callers own disjoint state ranges).
+  for (; s + kLanes <= s_end; s += kLanes) {
+    __m512d q = _mm512_setzero_pd();
+    for (std::size_t j = 0; j < width; ++j) {
+      q = _mm512_add_pd(q, term(j, s));
+    }
+    finish(s, q);
+  }
+  // min/max are exact, so the horizontal reduction order is irrelevant.
+  *span_min_io = std::min(*span_min_io, _mm512_reduce_min_pd(vmin));
+  *span_max_io = std::max(*span_max_io, _mm512_reduce_max_pd(vmax));
+  if (s < s_end) {
+    rvi_eval_sweep_scalar(chain, tau, bias_in, reference_residual, s, s_end,
+                          bias_out, span_min_io, span_max_io);
+  }
+}
+
+}  // namespace
+
+void rvi_eval_sweep_avx512(const PolicyChain& chain, double tau,
+                           const double* bias_in, double reference_residual,
+                           StateId s_begin, StateId s_end, double* bias_out,
+                           double* span_min_io, double* span_max_io) noexcept {
+  switch (chain.width()) {
+    case 1:
+      rvi_eval_sweep_avx512_impl<1>(chain, tau, bias_in, reference_residual,
+                                    s_begin, s_end, bias_out, span_min_io,
+                                    span_max_io);
+      return;
+    case 2:
+      rvi_eval_sweep_avx512_impl<2>(chain, tau, bias_in, reference_residual,
+                                    s_begin, s_end, bias_out, span_min_io,
+                                    span_max_io);
+      return;
+    case 3:
+      rvi_eval_sweep_avx512_impl<3>(chain, tau, bias_in, reference_residual,
+                                    s_begin, s_end, bias_out, span_min_io,
+                                    span_max_io);
+      return;
+    default:
+      rvi_eval_sweep_avx512_impl<0>(chain, tau, bias_in, reference_residual,
+                                    s_begin, s_end, bias_out, span_min_io,
+                                    span_max_io);
+      return;
+  }
+}
+
 }  // namespace bvc::mdp::kernel::detail
 
 #else  // !defined(__AVX512F__)
@@ -317,8 +433,8 @@ void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
                         std::uint32_t* policy_out, double* span_min_io,
                         double* span_max_io) noexcept {
   rvi_combine_scalar(model, rewards, tau, bias_in, q_all, reference_residual,
-                     nullptr, s_begin, s_end, bias_out, policy_out,
-                     span_min_io, span_max_io);
+                     s_begin, s_end, bias_out, policy_out, span_min_io,
+                     span_max_io);
 }
 
 void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
@@ -327,9 +443,16 @@ void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
                       StateId s_end, double* bias_out,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept {
-  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, nullptr,
-                   s_begin, s_end, bias_out, policy_out, span_min_io,
-                   span_max_io);
+  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s_begin,
+                   s_end, bias_out, policy_out, span_min_io, span_max_io);
+}
+
+void rvi_eval_sweep_avx512(const PolicyChain& chain, double tau,
+                           const double* bias_in, double reference_residual,
+                           StateId s_begin, StateId s_end, double* bias_out,
+                           double* span_min_io, double* span_max_io) noexcept {
+  rvi_eval_sweep_scalar(chain, tau, bias_in, reference_residual, s_begin,
+                        s_end, bias_out, span_min_io, span_max_io);
 }
 
 }  // namespace bvc::mdp::kernel::detail

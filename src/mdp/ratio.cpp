@@ -234,6 +234,7 @@ RatioResult maximize_ratio(const CompiledModel& model,
           evaluate_policy_average(model, run.policy, inner_options(),
                                   &eval_reward_bias, &eval_weight_bias);
       result.diagnostics.inner_solves += 2;
+      result.diagnostics.inner_sweeps += gains.sweeps;
       if (gains.weight_rate > options.min_weight_rate) {
         const double achieved = gains.reward_rate / gains.weight_rate;
         if (achieved > lo) {

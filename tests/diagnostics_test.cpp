@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/solver_config.hpp"
+#include "obs/metrics.hpp"
 #include "robust/retry.hpp"
 #include "robust/run_control.hpp"
 
@@ -88,7 +90,16 @@ TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
   // rate of 0.1 then triggers the Dinkelbach stall and the solver must
   // finish the bracket by bisection.
   config.ratio.min_weight_rate = 0.2;
+  // Every RVI sweep the solve runs lands in the mdp.rvi.sweeps counter;
+  // the diagnostics must account for all of them, including the paired
+  // policy evaluations the bisection phase runs.
+  obs::set_metrics_enabled(true);
+  obs::Counter& sweep_counter =
+      obs::MetricsRegistry::global().counter("mdp.rvi.sweeps");
+  const std::uint64_t sweeps_before = sweep_counter.value();
   const mdp::RatioResult result = mdp::maximize_ratio(model, config);
+  const std::uint64_t sweeps_run = sweep_counter.value() - sweeps_before;
+  obs::set_metrics_enabled(false);
   ASSERT_TRUE(result.used_bisection)
       << "test model failed to force the bisection fallback (status "
       << robust::to_string(result.status) << ")";
@@ -106,6 +117,8 @@ TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
   // stall; diagnostics must count the inner work both phases performed.
   EXPECT_GT(result.diagnostics.inner_solves, 2);
   EXPECT_GT(result.diagnostics.inner_sweeps, 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(result.diagnostics.inner_sweeps),
+            sweeps_run);
 }
 
 TEST(SolveDiagnostics, RetryPathAccumulatesAcrossAttempts) {

@@ -1,9 +1,12 @@
 // The vectorized backup kernel layer (mdp/kernel.hpp): dispatch
 // vocabulary, bit-identical scalar/AVX2/AVX-512 equivalence (including
-// remainder lanes, odd outcome widths, and the damped-prob variant),
-// solver-level bit-identity of the kernel Jacobi path against the scalar
-// Jacobi path, cross-cell warm starts (fixed point unchanged, counters
-// accurate), and the NUMA placement helpers' smoke behaviour.
+// remainder lanes, odd outcome widths, and the damped-prob variant), the
+// fixed-policy chain sweep against a greedy sweep of the policy's
+// one-action model, solver-level bit-identity of the kernel Jacobi path
+// against the scalar Jacobi path (optimizing and evaluating), the sweep
+// path the rvi.solve span names, cross-cell warm starts (fixed point
+// unchanged, counters accurate), and the NUMA placement helpers' smoke
+// behaviour.
 //
 // Vector-ISA cases GTEST_SKIP when the build or CPU lacks the ISA, so the
 // suite is green (not red) on machines without AVX2/AVX-512.
@@ -15,6 +18,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +32,7 @@
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/solver_config.hpp"
+#include "obs/trace.hpp"
 #include "util/aligned.hpp"
 #include "util/numa.hpp"
 
@@ -300,11 +307,11 @@ void expect_rvi_sweep_equivalence(const mdp::CompiledModel& compiled,
   std::vector<std::uint32_t> pol_vector(n, 88u);
   double min_scalar = inf, max_scalar = -inf;
   double min_vector = inf, max_vector = -inf;
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr, 0,
-                         n, out_scalar.data(), pol_scalar.data(), &min_scalar,
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0, n,
+                         out_scalar.data(), pol_scalar.data(), &min_scalar,
                          &max_scalar, Isa::kScalar);
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr, 0,
-                         n, out_vector.data(), pol_vector.data(), &min_vector,
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0, n,
+                         out_vector.data(), pol_vector.data(), &min_vector,
                          &max_vector, isa);
   for (mdp::StateId s = 0; s < n; ++s) {
     EXPECT_EQ(out_scalar[s], out_vector[s]) << "state=" << s;
@@ -319,12 +326,12 @@ void expect_rvi_sweep_equivalence(const mdp::CompiledModel& compiled,
   std::vector<std::uint32_t> pol_split(n, 77u);
   const mdp::StateId cut = n / 3 + 1;
   double min_a = inf, max_a = -inf, min_b = inf, max_b = -inf;
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr, 0,
-                         cut, out_split.data(), pol_split.data(), &min_a,
-                         &max_a, isa);
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr,
-                         cut, n, out_split.data(), pol_split.data(), &min_b,
-                         &max_b, isa);
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0, cut,
+                         out_split.data(), pol_split.data(), &min_a, &max_a,
+                         isa);
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, cut, n,
+                         out_split.data(), pol_split.data(), &min_b, &max_b,
+                         isa);
   for (mdp::StateId s = 0; s < n; ++s) {
     EXPECT_EQ(out_scalar[s], out_split[s]) << "split state=" << s;
     EXPECT_EQ(pol_scalar[s], pol_split[s]) << "split state=" << s;
@@ -402,9 +409,8 @@ TEST(Kernel, RviSweepMatchesBackupCombineComposition) {
   std::vector<std::uint32_t> pol_split(n);
   double min_split = inf, max_split = -inf;
   mdp::kernel::rvi_combine(compiled, rewards, tau, bias.data(), q_all.data(),
-                           ref, nullptr, 0, n, out_split.data(),
-                           pol_split.data(), &min_split, &max_split,
-                           Isa::kScalar);
+                           ref, 0, n, out_split.data(), pol_split.data(),
+                           &min_split, &max_split, Isa::kScalar);
 
   for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
     if (!mdp::kernel::isa_available(isa)) {
@@ -413,9 +419,9 @@ TEST(Kernel, RviSweepMatchesBackupCombineComposition) {
     std::vector<double> out_fused(n, -4.0);
     std::vector<std::uint32_t> pol_fused(n, 55u);
     double min_fused = inf, max_fused = -inf;
-    mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr,
-                           0, n, out_fused.data(), pol_fused.data(),
-                           &min_fused, &max_fused, isa);
+    mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0, n,
+                           out_fused.data(), pol_fused.data(), &min_fused,
+                           &max_fused, isa);
     for (mdp::StateId s = 0; s < n; ++s) {
       EXPECT_EQ(out_split[s], out_fused[s])
           << mdp::kernel::to_string(isa) << " state=" << s;
@@ -427,52 +433,209 @@ TEST(Kernel, RviSweepMatchesBackupCombineComposition) {
   }
 }
 
-TEST(Kernel, RviSweepRestrictPolicyEvaluatesFixedActions) {
-  // restrict_policy pins each state to one action (policy evaluation).
-  // Vector requests take the scalar path (the gate requires greedy), and
-  // the pinned action is echoed in policy_out.
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(uniform_two_action_model(45));
-  const mdp::StateId n = static_cast<mdp::StateId>(compiled.num_states());
-  const std::vector<double> bias = ramp_bias(compiled.num_states());
+// ---- fixed-policy chain sweep --------------------------------------------
+
+/// A model with `menu(s)` actions at state s and `width(s, a)` outcomes per
+/// action, whose probabilities are multiples of 1/64. Their sums are
+/// exact, so ModelBuilder's renormalization leaves them unchanged and a row
+/// rebuilt from the compiled columns keeps its bits.
+mdp::Model dyadic_model(mdp::StateId num_states,
+                        std::size_t (*menu)(mdp::StateId),
+                        std::size_t (*width)(mdp::StateId, std::size_t)) {
+  mdp::ModelBuilder builder(num_states);
+  for (mdp::StateId s = 0; s < num_states; ++s) {
+    for (std::size_t a = 0; a < menu(s); ++a) {
+      builder.begin_action(s, static_cast<mdp::ActionLabel>(a));
+      const std::size_t outcomes = width(s, a);
+      double remaining = 1.0;
+      for (std::size_t j = 0; j < outcomes; ++j) {
+        // At most 12/64 per early outcome and 5 outcomes: the last keeps
+        // at least 16/64.
+        const double sixty_fourths =
+            static_cast<double>(1 + (s * 5 + a * 3 + j) % 12);
+        const double p = j + 1 == outcomes ? remaining : sixty_fourths / 64.0;
+        remaining -= p;
+        builder.add_outcome(
+            static_cast<mdp::StateId>((s * 13 + a * 7 + j * 3 + 1) %
+                                      num_states),
+            p, 0.125 * static_cast<double>((s * 3 + a + j) % 9));
+      }
+    }
+  }
+  return builder.build();
+}
+
+/// The one-action model whose state s has exactly the outcome rows of
+/// `policy[s]` in `model` — what a fixed-policy sweep must agree with.
+mdp::Model one_action_model(const mdp::CompiledModel& model,
+                            const std::vector<std::uint32_t>& policy) {
+  mdp::ModelBuilder builder(model.num_states());
+  for (mdp::StateId s = 0; s < model.num_states(); ++s) {
+    const mdp::SaIndex sa = model.sa_index(s, policy[s]);
+    builder.begin_action(s, 0);
+    for (std::size_t k = model.outcome_begin(sa); k < model.outcome_end(sa);
+         ++k) {
+      builder.add_outcome(model.next()[k], model.prob()[k]);
+    }
+  }
+  return builder.build();
+}
+
+/// rvi_eval_sweep over `policy`'s chain under every available ISA — full
+/// range, and split at cuts off every lane multiple with per-chunk span
+/// accumulators, as the chunked solver path issues them — against a scalar
+/// greedy sweep of the one-action model the policy's rows form: bias and
+/// span must agree bit-for-bit (== on doubles).
+void expect_chain_sweep_equivalence(const mdp::CompiledModel& compiled,
+                                    const std::vector<std::uint32_t>& policy) {
+  const mdp::StateId n = compiled.num_states();
+  const std::vector<double> bias = ramp_bias(n);
+  const double* sa_rewards = compiled.expected_reward();
+  const double tau = 0.875;
+  const double ref = 0.03125;
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<std::uint32_t> restrict_policy(n);
-  for (mdp::StateId s = 0; s < n; ++s) {
-    restrict_policy[s] = s % 2;
-  }
 
-  std::vector<double> out_scalar(n), out_vector(n);
-  std::vector<std::uint32_t> pol_scalar(n), pol_vector(n);
-  double min_s = inf, max_s = -inf, min_v = inf, max_v = -inf;
-  mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
-                         bias.data(), 0.0, restrict_policy.data(), 0, n,
-                         out_scalar.data(), pol_scalar.data(), &min_s, &max_s,
-                         Isa::kScalar);
-  const Isa best = mdp::kernel::resolve(Request::kAuto);
-  mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
-                         bias.data(), 0.0, restrict_policy.data(), 0, n,
-                         out_vector.data(), pol_vector.data(), &min_v, &max_v,
-                         best);
+  const mdp::CompiledModel single =
+      mdp::CompiledModel::compile(one_action_model(compiled, policy));
+  std::vector<double> single_rewards(n);
   for (mdp::StateId s = 0; s < n; ++s) {
-    EXPECT_EQ(pol_scalar[s], restrict_policy[s]) << "state=" << s;
-    EXPECT_EQ(out_scalar[s], out_vector[s]) << "state=" << s;
-    EXPECT_EQ(pol_scalar[s], pol_vector[s]) << "state=" << s;
+    single_rewards[s] = sa_rewards[compiled.sa_index(s, policy[s])];
   }
-  EXPECT_EQ(min_s, min_v);
-  EXPECT_EQ(max_s, max_v);
+  std::vector<double> expected(n, -7.0);
+  double expected_min = inf, expected_max = -inf;
+  mdp::kernel::rvi_sweep(single, single_rewards.data(), tau, bias.data(), ref,
+                         0, n, expected.data(), nullptr, &expected_min,
+                         &expected_max, Isa::kScalar);
 
-  // Pinning to action 1 everywhere must differ from the greedy sweep on
-  // this model (otherwise the test would not distinguish the two paths).
-  std::vector<double> out_greedy(n);
-  double gmin = inf, gmax = -inf;
-  mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
-                         bias.data(), 0.0, nullptr, 0, n, out_greedy.data(),
-                         nullptr, &gmin, &gmax, Isa::kScalar);
-  bool any_difference = false;
-  for (mdp::StateId s = 0; s < n && !any_difference; ++s) {
-    any_difference = out_greedy[s] != out_scalar[s];
+  const mdp::PolicyChain chain(
+      compiled, policy, {sa_rewards, compiled.num_state_actions()});
+  ASSERT_EQ(chain.num_states(), n);
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!mdp::kernel::isa_available(isa)) {
+      continue;
+    }
+    const auto name = mdp::kernel::to_string(isa);
+    std::vector<double> full(n, -8.0);
+    double full_min = inf, full_max = -inf;
+    mdp::kernel::rvi_eval_sweep(chain, tau, bias.data(), ref, 0, n,
+                                full.data(), &full_min, &full_max, isa);
+    for (mdp::StateId s = 0; s < n; ++s) {
+      EXPECT_EQ(expected[s], full[s]) << name << " state=" << s;
+    }
+    EXPECT_EQ(expected_min, full_min) << name;
+    EXPECT_EQ(expected_max, full_max) << name;
+
+    for (const mdp::StateId cut : {mdp::StateId{1}, mdp::StateId{5},
+                                   n / 3 + 1, n - 3}) {
+      std::vector<double> split(n, -9.0);
+      double min_a = inf, max_a = -inf, min_b = inf, max_b = -inf;
+      mdp::kernel::rvi_eval_sweep(chain, tau, bias.data(), ref, 0, cut,
+                                  split.data(), &min_a, &max_a, isa);
+      mdp::kernel::rvi_eval_sweep(chain, tau, bias.data(), ref, cut, n,
+                                  split.data(), &min_b, &max_b, isa);
+      for (mdp::StateId s = 0; s < n; ++s) {
+        EXPECT_EQ(expected[s], split[s])
+            << name << " cut=" << cut << " state=" << s;
+      }
+      EXPECT_EQ(expected_min, std::min(min_a, min_b)) << name << " " << cut;
+      EXPECT_EQ(expected_max, std::max(max_a, max_b)) << name << " " << cut;
+    }
   }
-  EXPECT_TRUE(any_difference);
+}
+
+TEST(Kernel, RviEvalSweepMatchesOneActionGreedySweep) {
+  // 139 states: a multiple of neither 4, 8, 16 nor 32, so every vector body
+  // ends in a scalar remainder. A mixed policy on the attack-model shape
+  // (uniform two actions, three outcomes each).
+  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(dyadic_model(
+      139, [](mdp::StateId) -> std::size_t { return 2; },
+      [](mdp::StateId, std::size_t) -> std::size_t { return 3; }));
+  ASSERT_TRUE(compiled.has_ell());
+  std::vector<std::uint32_t> policy(compiled.num_states());
+  for (mdp::StateId s = 0; s < compiled.num_states(); ++s) {
+    policy[s] = (s * 7 / 3) % 2;
+  }
+  const mdp::PolicyChain chain(
+      compiled, policy,
+      {compiled.expected_reward(), compiled.num_state_actions()});
+  EXPECT_EQ(chain.width(), compiled.ell_width());
+  expect_chain_sweep_equivalence(compiled, policy);
+
+  // The fixed action must matter: pinning differs from the greedy sweep.
+  const mdp::StateId n = compiled.num_states();
+  const std::vector<double> bias = ramp_bias(n);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> greedy(n), pinned(n);
+  double gmin = inf, gmax = -inf, pmin = inf, pmax = -inf;
+  mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
+                         bias.data(), 0.0, 0, n, greedy.data(), nullptr,
+                         &gmin, &gmax, Isa::kScalar);
+  mdp::kernel::rvi_eval_sweep(chain, 0.875, bias.data(), 0.0, 0, n,
+                              pinned.data(), &pmin, &pmax, Isa::kScalar);
+  EXPECT_NE(greedy, pinned);
+}
+
+TEST(Kernel, RviEvalSweepOnNarrowChosenRows) {
+  // Action 0 has one outcome and action 1 three, so the ELL width is 3
+  // while a policy of all action 0 compacts to a width-1 chain.
+  const mdp::StateId n = 141;
+  mdp::ModelBuilder builder(n);
+  for (mdp::StateId s = 0; s < n; ++s) {
+    builder.begin_action(s, 0);
+    builder.add_outcome((s * 5 + 1) % n, 1.0, 0.125 * (s % 7));
+    builder.begin_action(s, 1);
+    builder.add_outcome((s + 1) % n, 0.5, 1.0);
+    builder.add_outcome((s * 3 + 2) % n, 0.375, 0.25);
+    builder.add_outcome((s * 11 + 5) % n, 0.125, 0.5);
+  }
+  const mdp::CompiledModel compiled =
+      mdp::CompiledModel::compile(builder.build());
+  ASSERT_EQ(compiled.ell_width(), 3u);
+  const std::span<const double> rewards{compiled.expected_reward(),
+                                        compiled.num_state_actions()};
+  const std::vector<std::uint32_t> narrow(n, 0);
+  EXPECT_EQ(mdp::PolicyChain(compiled, narrow, rewards).width(), 1u);
+  expect_chain_sweep_equivalence(compiled, narrow);
+  std::vector<std::uint32_t> mixed(n);
+  for (mdp::StateId s = 0; s < n; ++s) {
+    mixed[s] = s % 3 == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(mdp::PolicyChain(compiled, mixed, rewards).width(), 3u);
+  expect_chain_sweep_equivalence(compiled, mixed);
+}
+
+TEST(Kernel, RviEvalSweepOnRaggedModel) {
+  // Ragged menus (1..3 actions) and rows (1..5 outcomes): the chain width
+  // of 5 runs the runtime-width vector body.
+  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(dyadic_model(
+      101, [](mdp::StateId s) -> std::size_t { return 1 + s % 3; },
+      [](mdp::StateId s, std::size_t a) -> std::size_t {
+        return 1 + (s + a) % 5;
+      }));
+  ASSERT_TRUE(compiled.has_ell());
+  std::vector<std::uint32_t> policy(compiled.num_states());
+  for (mdp::StateId s = 0; s < compiled.num_states(); ++s) {
+    policy[s] = static_cast<std::uint32_t>(s % compiled.num_actions(s));
+  }
+  EXPECT_EQ(mdp::PolicyChain(compiled, policy,
+                             {compiled.expected_reward(),
+                              compiled.num_state_actions()})
+                .width(),
+            5u);
+  expect_chain_sweep_equivalence(compiled, policy);
+}
+
+TEST(Kernel, PolicyChainRejectsOutOfRangeActions) {
+  const mdp::CompiledModel compiled =
+      mdp::CompiledModel::compile(uniform_two_action_model(9));
+  std::vector<std::uint32_t> policy(compiled.num_states(), 0);
+  policy[4] = 2;
+  const std::span<const double> rewards{compiled.expected_reward(),
+                                        compiled.num_state_actions()};
+  EXPECT_ANY_THROW(mdp::PolicyChain(compiled, policy, rewards));
+  policy.pop_back();
+  policy[4] = 0;
+  EXPECT_ANY_THROW(mdp::PolicyChain(compiled, policy, rewards));
 }
 
 // ---- solver-level bit-identity -------------------------------------------
@@ -524,6 +687,135 @@ TEST(Kernel, SolverJacobiBitIdenticalToScalarJacobi) {
     }
     EXPECT_EQ(scalar_jacobi.policy, vector_jacobi.policy);
   }
+}
+
+/// The setting-2 cell alpha = 0.25, beta = gamma = 0.375 (30,595 states):
+/// its Dinkelbach loop runs two fixed-policy evaluation solves, so the
+/// chain sweep decides part of the answer. Every vector ISA at 1 and 4
+/// threads must reproduce the scalar Jacobi discipline (scalar kernel, 2
+/// threads) bit-for-bit: value, policy, and sweep count.
+TEST(Kernel, ChainEvaluationSolvesBitIdenticalAcrossIsasAndThreads) {
+  bu::AttackParams params;
+  params.alpha = 0.25;
+  params.beta = 0.375;
+  params.gamma = 0.375;
+  params.setting = bu::Setting::kStickyGate;
+  const bu::AttackModel attack =
+      bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
+  const auto solve = [&](Request request, int threads) {
+    const ScopedKernelRequest scoped(request);
+    bu::AnalysisOptions options;
+    options.inner.threads = threads;
+    return bu::analyze(attack, options);
+  };
+  const bu::AnalysisResult reference = solve(Request::kScalar, 2);
+  ASSERT_TRUE(reference.converged());
+  ASSERT_GT(reference.diagnostics.inner_solves,
+            reference.diagnostics.outer_iterations)
+      << "no fixed-policy evaluation ran";
+  for (const Request request : {Request::kAvx2, Request::kAvx512}) {
+    if (!mdp::kernel::isa_available(static_cast<Isa>(request))) {
+      continue;
+    }
+    for (const int threads : {1, 4}) {
+      const bu::AnalysisResult result = solve(request, threads);
+      const std::string where = std::string(mdp::kernel::to_string(request)) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(reference.utility_value, result.utility_value) << where;
+      EXPECT_EQ(reference.policy, result.policy) << where;
+      EXPECT_EQ(reference.diagnostics.inner_sweeps,
+                result.diagnostics.inner_sweeps)
+          << where;
+    }
+  }
+}
+
+// ---- the rvi.solve span names the sweep path that ran ---------------------
+
+/// A uniform three-action model (the shape of Table 4's models with the
+/// Wait action).
+mdp::Model uniform_three_action_model(mdp::StateId num_states) {
+  mdp::ModelBuilder builder(num_states);
+  for (mdp::StateId s = 0; s < num_states; ++s) {
+    for (std::uint32_t a = 0; a < 3; ++a) {
+      builder.begin_action(s, static_cast<mdp::ActionLabel>(a));
+      builder.add_outcome((s + a + 1) % num_states, 0.75, 0.25 * a);
+      builder.add_outcome((s * 3 + a) % num_states, 0.25, 1.0);
+    }
+  }
+  return builder.build();
+}
+
+/// Runs a short optimizing solve, or a fixed-policy evaluation of the
+/// all-zero policy, with tracing on, and returns the `kernel` arg of the
+/// solve's rvi.solve span.
+std::string traced_kernel_arg(const mdp::CompiledModel& model,
+                              bool evaluate) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.reset();
+  tracer.enable();
+  mdp::AverageRewardKnobs knobs;
+  knobs.max_sweeps = 5;
+  if (evaluate) {
+    mdp::Policy policy;
+    policy.action.assign(model.num_states(), 0);
+    (void)mdp::evaluate_policy_stream(
+        model, policy,
+        {model.expected_reward(), model.num_state_actions()}, knobs);
+  } else {
+    (void)mdp::maximize_average_reward(model, knobs);
+  }
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_jsonl(out);
+  tracer.reset();
+  const std::string trace = out.str();
+  const std::string key = "\"kernel\":\"";
+  const std::size_t at = trace.find(key);
+  if (at == std::string::npos) {
+    return "<no kernel arg>";
+  }
+  const std::size_t begin = at + key.size();
+  return trace.substr(begin, trace.find('"', begin) - begin);
+}
+
+TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
+  const std::string resolved(mdp::kernel::to_string(mdp::kernel::resolve()));
+  // Two uniform actions: both the greedy and the chain sweep vectorize.
+  const mdp::CompiledModel two =
+      mdp::CompiledModel::compile(uniform_two_action_model(64));
+  EXPECT_EQ(traced_kernel_arg(two, false), resolved);
+  EXPECT_EQ(traced_kernel_arg(two, true), resolved);
+  // Three actions and ragged menus: the greedy sweep takes the scalar
+  // loop; the chain of a fixed policy has one row per state and does not.
+  const mdp::CompiledModel three =
+      mdp::CompiledModel::compile(uniform_three_action_model(64));
+  ASSERT_EQ(three.uniform_actions(), 3u);
+  EXPECT_EQ(traced_kernel_arg(three, false), "scalar");
+  EXPECT_EQ(traced_kernel_arg(three, true), resolved);
+  const mdp::CompiledModel ragged =
+      mdp::CompiledModel::compile(ragged_model(53));
+  ASSERT_TRUE(ragged.has_ell());
+  EXPECT_EQ(traced_kernel_arg(ragged, false), "scalar");
+  EXPECT_EQ(traced_kernel_arg(ragged, true), resolved);
+  // No ELL mirror (one row wider than kMaxEllWidth): the solver stays on
+  // its scalar disciplines for both modes.
+  const mdp::StateId n = 40;
+  mdp::ModelBuilder builder(n);
+  for (mdp::StateId s = 0; s < n; ++s) {
+    builder.begin_action(s, 0);
+    const std::size_t width =
+        s == 0 ? mdp::CompiledModel::kMaxEllWidth + 4 : 2;
+    for (std::size_t j = 0; j < width; ++j) {
+      builder.add_outcome(static_cast<mdp::StateId>((s + j + 1) % n),
+                          1.0 / static_cast<double>(width));
+    }
+  }
+  const mdp::CompiledModel no_ell =
+      mdp::CompiledModel::compile(builder.build());
+  ASSERT_FALSE(no_ell.has_ell());
+  EXPECT_EQ(traced_kernel_arg(no_ell, false), "scalar");
+  EXPECT_EQ(traced_kernel_arg(no_ell, true), "scalar");
 }
 
 // ---- warm starts ---------------------------------------------------------
