@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the numerical core: model builds,
-// relative value iteration, ratio (Dinkelbach) solves, and simulator
-// throughput. These guard the performance assumptions behind the table
-// benches (a setting-2 Dinkelbach solve must stay ~1 s or the full grids
-// become impractical).
+// warm-cache cell solves, relative value iteration, ratio (Dinkelbach)
+// solves, and simulator throughput. These guard the performance
+// assumptions behind the table benches (a setting-2 Dinkelbach solve must
+// stay ~1 s or the full grids become impractical).
 //
 // `--mode=kernel` bypasses google-benchmark and runs the AoS-vs-SoA sweep
 // kernel comparison instead, writing BENCH_kernel.json (see run_kernel_mode
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -45,23 +46,48 @@ bu::AttackParams grid_params(bu::Setting setting) {
   return params;
 }
 
-void BM_BuildAttackModelSetting1(benchmark::State& state) {
-  const bu::AttackParams params = grid_params(bu::Setting::kNoStickyGate);
+/// State-space enumeration + Model build for one cell (Arg: the setting,
+/// 1 or 2). The ModelCache holds the cell after the first iteration, so
+/// this is the cost a warm analyze() skips.
+void BM_BuildAttackModel(benchmark::State& state) {
+  const bu::AttackParams params = grid_params(
+      state.range(0) == 2 ? bu::Setting::kStickyGate
+                          : bu::Setting::kNoStickyGate);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         bu::build_attack_model(params, bu::Utility::kRelativeRevenue));
   }
 }
-BENCHMARK(BM_BuildAttackModelSetting1);
+BENCHMARK(BM_BuildAttackModel)->Arg(1)->Arg(2);
 
-void BM_BuildAttackModelSetting2(benchmark::State& state) {
-  const bu::AttackParams params = grid_params(bu::Setting::kStickyGate);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bu::build_attack_model(params, bu::Utility::kRelativeRevenue));
+/// The per-cell cost of a bvcd grid job on a warm cache, without the
+/// daemon: analyze() over 20 setting-1 u1 cells (alpha x Bob/Carol split)
+/// whose compiled models the cache already holds — key format, lookup and
+/// the ratio solve. Reports per-cell time via items_per_second.
+void BM_WarmCellAnalyze(benchmark::State& state) {
+  std::vector<bu::AttackParams> cells;
+  for (const double alpha : {0.10, 0.15, 0.20, 0.25}) {
+    for (const double bob_share : {0.2, 0.4, 0.5, 0.6, 0.8}) {
+      bu::AttackParams params;
+      params.alpha = alpha;
+      params.beta = (1.0 - alpha) * bob_share;
+      params.gamma = 1.0 - alpha - params.beta;
+      cells.push_back(params);
+    }
   }
+  for (const bu::AttackParams& params : cells) {
+    (void)bu::analyze(params, bu::Utility::kRelativeRevenue);  // warm up
+  }
+  for (auto _ : state) {
+    for (const bu::AttackParams& params : cells) {
+      benchmark::DoNotOptimize(
+          bu::analyze(params, bu::Utility::kRelativeRevenue));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells.size()));
 }
-BENCHMARK(BM_BuildAttackModelSetting2);
+BENCHMARK(BM_WarmCellAnalyze)->Unit(benchmark::kMicrosecond);
 
 void BM_RviSweepSetting2(benchmark::State& state) {
   const bu::AttackModel model = bu::build_attack_model(

@@ -7,7 +7,11 @@
 #      baseline CSV (setting 1, 21 grid cells);
 #   2. bvcd is started on an ephemeral port, the same grid is submitted as
 #      one job through bvc-cli, and the polled result's utility values must
-#      match the baseline CSV cell for cell;
+#      match the baseline CSV cell for cell; warm leg: the same grid goes
+#      to the same daemon a second time, its records must equal the first
+#      job's (wall_clock_ns aside), and GET /v1/cache must show every cell
+#      of it served from the model cache (misses unchanged, hits up by the
+#      cell count);
 #   3. a second daemon is crash-injected via BVC_CRASH_AFTER_CELLS: it is
 #      SIGKILLed by the journal hook mid-grid, leaving exactly N journaled
 #      cells; a restarted daemon on the same state dir RESUMES the job, and
@@ -83,12 +87,19 @@ stop_daemon() {
   daemon_pid=""
 }
 
-# 2. Serve the grid and diff against the baseline CSV.
+# 2. Serve the grid and diff against the baseline CSV; then serve it again
+# from the warm cache.
 start_daemon "$out/state1"
 "$cli" submit --port-file "$out/port.txt" --file "$out/job.json" \
   >"$out/submit1.json"
 "$cli" result j1 --port-file "$out/port.txt" --timeout 600 \
   >"$out/result1.json"
+"$cli" cache --port-file "$out/port.txt" >"$out/cache-cold.json"
+"$cli" submit --port-file "$out/port.txt" --file "$out/job.json" \
+  >"$out/submit1-warm.json"
+"$cli" result j2 --port-file "$out/port.txt" --timeout 600 \
+  >"$out/result1-warm.json"
+"$cli" cache --port-file "$out/port.txt" >"$out/cache-warm.json"
 stop_daemon
 
 python3 - "$out/baseline.csv" "$out/result1.json" <<'EOF'
@@ -115,6 +126,31 @@ for record in result["records"]:
         f"cell {key}: service {value!r} vs bench {baseline[key]!r}"
 print(f"check_service: {len(result['records'])} service cells match the "
       "bench CSV")
+EOF
+
+python3 - "$out/result1.json" "$out/result1-warm.json" \
+  "$out/cache-cold.json" "$out/cache-warm.json" <<'EOF'
+import json, sys
+
+def cells(path):
+    result = json.load(open(path))
+    assert result["state"] == "done", (path, result["state"])
+    return {r["key"]: (r["status"],
+                       [(n, v) for n, v in r["values"]
+                        if n != "wall_clock_ns"])
+            for r in result["records"]}
+
+cold, warm = cells(sys.argv[1]), cells(sys.argv[2])
+assert len(warm) == 21, f"warm job has {len(warm)} cells, expected 21"
+assert warm == cold, "warm-cache records differ from the cold job's"
+before, after = json.load(open(sys.argv[3])), json.load(open(sys.argv[4]))
+assert after["misses"] == before["misses"], \
+    f"warm job missed the model cache: {before} -> {after}"
+assert after["hits"] == before["hits"] + len(warm), \
+    f"warm job hit the cache {after['hits'] - before['hits']} times, " \
+    f"expected {len(warm)}"
+print(f"check_service: warm resubmission served all {len(warm)} cells from "
+      "the model cache with identical records")
 EOF
 
 # 3. Crash leg: the journal hook SIGKILLs the daemon after 5 journaled

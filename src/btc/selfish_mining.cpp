@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "mdp/model_cache.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace bvc::btc {
@@ -84,9 +85,13 @@ std::string sm_model_cache_key(const SmParams& params, bu::Utility utility) {
   return key;
 }
 
-SmModel build_sm_model(const SmParams& params, bu::Utility utility) {
-  params.validate();
-  SmStateSpace space(params.max_len);
+namespace {
+
+/// The one builder loop: the selfish-mining(+double-spending) model of
+/// `utility` over the (a, h, fork) grid of `params`.
+mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
+  obs::Span span("btc.build", "btc");
+  const SmStateSpace space(params.max_len);
   mdp::ModelBuilder builder(space.size());
 
   const double alpha = params.alpha;
@@ -209,12 +214,33 @@ SmModel build_sm_model(const SmParams& params, bu::Utility utility) {
   }
 
   mdp::Model model = builder.build();
+  span.arg("states", static_cast<std::int64_t>(model.num_states()));
+  span.arg("outcomes", static_cast<std::int64_t>(model.num_outcomes()));
+  return model;
+}
+
+}  // namespace
+
+SmModel build_sm_model(const SmParams& params, bu::Utility utility) {
+  params.validate();
+  mdp::Model model = enumerate(params, utility);
   std::shared_ptr<const mdp::CompiledModel> compiled =
       mdp::ModelCache::global().get_or_compile(
           sm_model_cache_key(params, utility),
           [&] { return mdp::CompiledModel::compile_shared(model); });
-  return SmModel{space, std::move(model), std::move(compiled), params,
-                 utility};
+  return SmModel{SmStateSpace(params.max_len), std::move(model),
+                 std::move(compiled), params, utility};
+}
+
+std::shared_ptr<const mdp::CompiledModel> sm_model_compiled(
+    const SmParams& params, bu::Utility utility) {
+  params.validate();
+  // Cache-first, like bu::attack_model_compiled: enumerate only on a miss
+  // in both cache tiers.
+  return mdp::ModelCache::global().get_or_compile(
+      sm_model_cache_key(params, utility), [&] {
+        return mdp::CompiledModel::compile_shared(enumerate(params, utility));
+      });
 }
 
 SmAction policy_action(const SmModel& model, const mdp::Policy& policy,
@@ -264,7 +290,8 @@ std::string describe_sm_policy(const SmModel& model,
 
 SmResult analyze_sm(const SmParams& params, bu::Utility utility,
                     double tolerance, const robust::RunControl& control) {
-  const SmModel model = build_sm_model(params, utility);
+  const std::shared_ptr<const mdp::CompiledModel> compiled =
+      sm_model_compiled(params, utility);
 
   mdp::RatioKnobs options;
   options.tolerance = tolerance;
@@ -283,9 +310,7 @@ SmResult analyze_sm(const SmParams& params, bu::Utility utility,
   }
 
   const mdp::RatioResult ratio =
-      model.compiled != nullptr
-          ? mdp::maximize_ratio_with_retry(*model.compiled, options)
-          : mdp::maximize_ratio_with_retry(model.model, options);
+      mdp::maximize_ratio_with_retry(*compiled, options);
   SmResult result;
   result.utility_value = ratio.ratio;
   result.policy = ratio.policy;

@@ -78,7 +78,7 @@ struct SmModel {
   SmStateSpace space;
   mdp::Model model;
   /// Shared SoA compilation from mdp::ModelCache::global(), populated by
-  /// build_sm_model; what analyze_sm sweeps.
+  /// build_sm_model; the same entry analyze_sm sweeps.
   std::shared_ptr<const mdp::CompiledModel> compiled;
   SmParams params;
   bu::Utility utility;
@@ -95,6 +95,13 @@ struct SmModel {
 ///   kOrphaning       — honest blocks orphaned per attacker block.
 [[nodiscard]] SmModel build_sm_model(const SmParams& params,
                                      bu::Utility utility);
+
+/// The compiled model of (params, utility), cache-first: one
+/// ModelCache::global() lookup under sm_model_cache_key, which enumerates
+/// and compiles the model only when both cache tiers miss. What analyze_sm
+/// solves on. Throws on invalid params before touching the cache.
+[[nodiscard]] std::shared_ptr<const mdp::CompiledModel> sm_model_compiled(
+    const SmParams& params, bu::Utility utility);
 
 /// The base report carries how the underlying ratio solve ended (status,
 /// iterations, wall clock, diagnostics); check converged() before trusting
@@ -119,8 +126,9 @@ struct SmResult : mdp::SolveReport {
                                              const mdp::Policy& policy,
                                              unsigned limit = 8);
 
-/// Solves the model to `tolerance` on the utility value. `control` bounds
-/// and/or cancels the whole solve (see robust::RunControl).
+/// Solves the model to `tolerance` on the utility value, on the cell's
+/// sm_model_compiled() entry (a cached cell is not re-enumerated).
+/// `control` bounds and/or cancels the whole solve (see robust::RunControl).
 [[nodiscard]] SmResult analyze_sm(const SmParams& params, bu::Utility utility,
                                   double tolerance = 1e-5,
                                   const robust::RunControl& control = {});

@@ -15,42 +15,35 @@ namespace {
 
 /// A safe upper bound on the utility value, needed by the ratio solver's
 /// bisection fallback.
-double utility_upper_bound(const AttackModel& model) {
-  switch (model.utility) {
+double utility_upper_bound(const AttackParams& params, Utility utility) {
+  switch (utility) {
     case Utility::kRelativeRevenue:
       return 1.0;
     case Utility::kAbsoluteReward:
       // Per step at most one block reward plus (loosely) one settled
       // double-spend per orphaned block of a chain shorter than AD.
-      return 1.0 +
-             model.params.rds * static_cast<double>(model.params.max_ad());
+      return 1.0 + params.rds * static_cast<double>(params.max_ad());
     case Utility::kOrphaning:
       // Each fork orphans fewer than AD blocks of the losing chain.
-      return 3.0 * static_cast<double>(model.params.max_ad());
+      return 3.0 * static_cast<double>(params.max_ad());
   }
   return 1.0;
 }
 
-}  // namespace
-
-AnalysisResult analyze(const AttackModel& model,
-                       const AnalysisOptions& options) {
+/// The ratio solve behind both analyze() overloads.
+AnalysisResult solve(const mdp::CompiledModel& compiled,
+                     const AttackParams& params, Utility utility,
+                     const AnalysisOptions& options) {
   mdp::RatioKnobs ratio_options;
   ratio_options.inner = options.inner;
   ratio_options.tolerance = options.tolerance;
   ratio_options.lower_bound = 0.0;
-  ratio_options.upper_bound = utility_upper_bound(model);
+  ratio_options.upper_bound = utility_upper_bound(params, utility);
   ratio_options.control = options.control;
   ratio_options.warm_start_bias = options.warm_start_bias;
 
-  // Prefer the shared cached compilation; fall back to compiling here for
-  // hand-assembled AttackModels that never went through the cache.
-  mdp::RatioResult ratio =
-      model.compiled != nullptr
-          ? mdp::maximize_ratio_with_retry(*model.compiled, ratio_options,
-                                           options.retry)
-          : mdp::maximize_ratio_with_retry(model.model, ratio_options,
-                                           options.retry);
+  mdp::RatioResult ratio = mdp::maximize_ratio_with_retry(
+      compiled, ratio_options, options.retry);
 
   AnalysisResult result;
   result.utility_value = ratio.ratio;
@@ -63,17 +56,30 @@ AnalysisResult analyze(const AttackModel& model,
   result.diagnostics = ratio.diagnostics;
   result.used_warm_start = ratio.used_warm_start;
   result.final_bias = std::move(ratio.final_bias);
-  result.honest_baseline =
-      model.utility == Utility::kOrphaning ? 0.0 : model.params.alpha;
+  result.honest_baseline = utility == Utility::kOrphaning ? 0.0 : params.alpha;
   result.attack_beats_honest =
       result.utility_value >
       result.honest_baseline + 10.0 * options.tolerance;
   return result;
 }
 
+}  // namespace
+
+AnalysisResult analyze(const AttackModel& model,
+                       const AnalysisOptions& options) {
+  // Prefer the shared cached compilation; compile here for hand-assembled
+  // AttackModels that never went through the cache.
+  if (model.compiled != nullptr) {
+    return solve(*model.compiled, model.params, model.utility, options);
+  }
+  return solve(mdp::CompiledModel::compile(model.model), model.params,
+               model.utility, options);
+}
+
 AnalysisResult analyze(const AttackParams& params, Utility utility,
                        const AnalysisOptions& options) {
-  return analyze(build_attack_model(params, utility), options);
+  return solve(*attack_model_compiled(params, utility), params, utility,
+               options);
 }
 
 std::string analysis_job_key(const AnalysisJob& job,

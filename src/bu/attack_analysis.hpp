@@ -64,18 +64,22 @@ struct AnalysisResult : mdp::SolveReport {
   [[nodiscard]] int solver_iterations() const noexcept { return iterations; }
 };
 
-/// Solves for Alice's optimal utility within the strategy space.
+/// Solves for Alice's optimal utility within the strategy space, on the
+/// cell's attack_model_compiled() entry: a cell the cache already holds is
+/// solved without enumerating its state space.
 [[nodiscard]] AnalysisResult analyze(const AttackParams& params,
                                      Utility utility,
                                      const AnalysisOptions& options = {});
 
-/// As analyze(), but reuses an already-built model (the ratio solver does
-/// several average-reward solves; building once helps sweeps).
+/// As analyze(), on an already-built model, for callers that also need its
+/// state space (rollouts, policy dumps, cross-validation). Bit-identical to
+/// analyze(model.params, model.utility, options).
 [[nodiscard]] AnalysisResult analyze(const AttackModel& model,
                                      const AnalysisOptions& options = {});
 
-/// One cell of a table sweep for analyze_batch: the model is built inside
-/// the worker, so jobs are cheap to enumerate up front.
+/// One cell of a table sweep for analyze_batch: the model is looked up (and
+/// on a miss built) inside the worker, so jobs are cheap to enumerate up
+/// front.
 struct AnalysisJob {
   AttackParams params;
   Utility utility = Utility::kRelativeRevenue;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "mdp/model_cache.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace bvc::bu {
@@ -27,6 +28,16 @@ std::uint16_t gate_open_countdown(const AttackParams& params) {
   return elapsed >= params.gate_period
              ? std::uint16_t{0}
              : static_cast<std::uint16_t>(params.gate_period - elapsed);
+}
+
+/// The builder's normalization of the inputs: the Wait action belongs to
+/// the non-profit-driven model (Sect. 4.4).
+AttackParams effective_params(const AttackParams& params, Utility utility) {
+  AttackParams effective = params;
+  if (utility == Utility::kOrphaning) {
+    effective.allow_wait = true;
+  }
+  return effective;
 }
 
 }  // namespace
@@ -228,10 +239,7 @@ StepResult apply_event(const AttackParams& params, const AttackState& state,
 
 std::string attack_model_cache_key(const AttackParams& params,
                                    Utility utility) {
-  AttackParams effective = params;
-  if (utility == Utility::kOrphaning) {
-    effective.allow_wait = true;  // mirror build_attack_model's normalization
-  }
+  const AttackParams effective = effective_params(params, utility);
   std::string key = "bu_attack";
   mdp::append_key(key, "alpha", effective.alpha);
   mdp::append_key(key, "beta", effective.beta);
@@ -253,14 +261,17 @@ std::string attack_model_cache_key(const AttackParams& params,
   return key;
 }
 
-AttackModel build_attack_model(const AttackParams& params, Utility utility) {
-  params.validate();
-  AttackParams effective = params;
-  // The Wait action belongs to the non-profit-driven model (Sect. 4.4).
-  if (utility == Utility::kOrphaning) {
-    effective.allow_wait = true;
-  }
+namespace {
 
+struct Enumerated {
+  StateSpace space;
+  mdp::Model model;
+};
+
+/// The one builder loop: enumerates the state space of `effective` and
+/// the authoring model of `utility` over it.
+Enumerated enumerate(const AttackParams& effective, Utility utility) {
+  obs::Span span("bu.build", "bu");
   StateSpace space(effective.max_ad(), effective.max_r());
   mdp::ModelBuilder builder(space.size());
 
@@ -285,15 +296,38 @@ AttackModel build_attack_model(const AttackParams& params, Utility utility) {
   }
 
   mdp::Model model = builder.build();
+  span.arg("states", static_cast<std::int64_t>(model.num_states()));
+  span.arg("outcomes", static_cast<std::int64_t>(model.num_outcomes()));
+  return Enumerated{std::move(space), std::move(model)};
+}
+
+}  // namespace
+
+std::shared_ptr<const mdp::CompiledModel> attack_model_compiled(
+    const AttackParams& params, Utility utility) {
+  params.validate();
+  // Cache-first: the state space is enumerated only inside the fill, i.e.
+  // when both the memory and the disk tier miss.
+  return mdp::ModelCache::global().get_or_compile(
+      attack_model_cache_key(params, utility), [&] {
+        return mdp::CompiledModel::compile_shared(
+            enumerate(effective_params(params, utility), utility).model);
+      });
+}
+
+AttackModel build_attack_model(const AttackParams& params, Utility utility) {
+  params.validate();
+  const AttackParams effective = effective_params(params, utility);
+  Enumerated built = enumerate(effective, utility);
   // The compilation is content-addressed: every build of the same effective
   // (params, utility) cell shares one immutable SoA model, so batch workers
   // and repeated table cells never recompile.
   std::shared_ptr<const mdp::CompiledModel> compiled =
       mdp::ModelCache::global().get_or_compile(
           attack_model_cache_key(params, utility),
-          [&] { return mdp::CompiledModel::compile_shared(model); });
-  return AttackModel{std::move(space), std::move(model), std::move(compiled),
-                     effective, utility};
+          [&] { return mdp::CompiledModel::compile_shared(built.model); });
+  return AttackModel{std::move(built.space), std::move(built.model),
+                     std::move(compiled), effective, utility};
 }
 
 }  // namespace bvc::bu

@@ -181,7 +181,17 @@ struct AttackModel {
 /// Builds the sparse MDP for `params` under `utility`. The model's primary
 /// reward stream is the utility numerator, the secondary stream the
 /// denominator; `compiled` is populated through the global ModelCache.
+/// For callers that need the state space (rollouts, policy dumps,
+/// simulators): it always enumerates, even when the cache holds the cell.
 [[nodiscard]] AttackModel build_attack_model(const AttackParams& params,
                                              Utility utility);
+
+/// The compiled model of (params, utility), cache-first: one
+/// ModelCache::global() lookup under attack_model_cache_key, which
+/// enumerates and compiles the model only when both cache tiers miss. What
+/// analyze(params, ...) solves on. Throws on invalid params before touching
+/// the cache.
+[[nodiscard]] std::shared_ptr<const mdp::CompiledModel> attack_model_compiled(
+    const AttackParams& params, Utility utility);
 
 }  // namespace bvc::bu

@@ -49,6 +49,9 @@ class Model {
   [[nodiscard]] std::size_t num_state_actions() const noexcept {
     return action_labels_.size();
   }
+  [[nodiscard]] std::size_t num_outcomes() const noexcept {
+    return outcomes_.size();
+  }
 
   /// Number of actions available in `state` (always >= 1).
   [[nodiscard]] std::size_t num_actions(StateId state) const;

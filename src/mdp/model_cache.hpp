@@ -8,18 +8,26 @@
 // round-trip exactly (%.17g) — to one shared immutable CompiledModel, so
 // repeated cells share a single compilation.
 //
-// Keys are produced by the model authors (bu::build_attack_model,
-// btc::build_sm_model), which know the *effective* parameter set: inputs
-// the builder normalizes (e.g. the orphaning utility forcing allow_wait)
-// are canonicalized before keying, so two parameter structs that build the
-// same model hit the same entry.
+// Keys are produced by the model authors (bu::attack_model_cache_key,
+// btc::sm_model_cache_key), which know the *effective* parameter set:
+// inputs the builder normalizes (e.g. the orphaning utility forcing
+// allow_wait) are canonicalized before keying, so two parameter structs
+// that build the same model hit the same entry. Because the key needs only
+// the parameters, the solve paths look up first (bu::attack_model_compiled,
+// btc::sm_model_compiled): their `fill` callback enumerates the state
+// space, builds the Model and compiles it, so it runs only when both the
+// memory and the disk tier miss, and a hit costs one key format plus one
+// hash probe. The miss cost recorded for eviction (and the
+// `mdp.cache.compile_seconds` histogram) is therefore the whole fill. The
+// builders that hand back the state space too (build_attack_model,
+// build_sm_model) enumerate first and pass a compile-only `fill`.
 //
 // Capacity (off by default): set_capacity_bytes(N) bounds the resident
 // bytes with DEFERRED COST-AWARE LRU eviction. Deferred: lookups and the
 // compile itself never wait on eviction — the cap is enforced after each
 // insert, so residency may transiently overshoot by one model. Cost-aware:
 // the victim is chosen by GreedyDual-Size — each entry carries a priority
-// H = clock + compile_seconds / bytes, refreshed on every hit; evicting
+// H = clock + cost_seconds / bytes, refreshed on every hit; evicting
 // the minimum-H entry advances the clock to it. Plain LRU would happily
 // drop a 10 s setting-2 compilation to keep ten 1 ms toy models; weighting
 // recency by reconstruction cost per byte keeps the entries that are
@@ -120,7 +128,7 @@ class ModelCache {
  private:
   struct Entry {
     std::shared_ptr<const CompiledModel> model;
-    double cost_seconds = 0.0;  ///< compile (or disk-load) wall clock
+    double cost_seconds = 0.0;  ///< fill (or disk-load) wall clock
     double priority = 0.0;      ///< GreedyDual-Size H value
   };
 

@@ -471,21 +471,21 @@ std::string JobSpec::cell_key(std::size_t i) const {
 }
 
 robust::CheckpointRecord JobSpec::solve(
-    std::size_t i, const robust::RunControl& control) const {
+    std::size_t i, const std::string& key,
+    const robust::RunControl& control) const {
   switch (kind_) {
     case JobKind::kBuAttack: {
       bu::AnalysisOptions options = bu_options_;
       options.control = control;
       const bu::AnalysisResult result =
           bu::analyze(bu_jobs_[i].params, bu_jobs_[i].utility, options);
-      return bu::analysis_record(cell_key(i), result,
-                                 /*persist_policy=*/false);
+      return bu::analysis_record(key, result, /*persist_policy=*/false);
     }
     case JobKind::kBtcSm: {
       const btc::SmJob& job = sm_jobs_[i];
       const btc::SmResult result =
           btc::analyze_sm(job.params, job.utility, job.tolerance, control);
-      return btc::sm_record(cell_key(i), result, /*persist_policy=*/false);
+      return btc::sm_record(key, result, /*persist_policy=*/false);
     }
     case JobKind::kCounterVoting: {
       const counter::VotingJob& job = voting_jobs_[i];
@@ -494,13 +494,13 @@ robust::CheckpointRecord JobSpec::solve(
       solver.control = control;
       const counter::VotingSimResult result =
           counter::run_voting_simulation(job.config, job.epochs, rng, solver);
-      return counter::voting_record(cell_key(i), result);
+      return counter::voting_record(key, result);
     }
     case JobKind::kNetSim: {
       bvc::Rng rng(sim::replica_seed(net_seed_, i));
       const sim::NetworkResult result =
           net_sim_->run(net_blocks_, rng, control);
-      return sim::sim_record(cell_key(i), result);
+      return sim::sim_record(key, result);
     }
   }
   return {};

@@ -71,9 +71,11 @@ class JobSpec {
   [[nodiscard]] std::string cell_key(std::size_t i) const;
 
   /// Solves cell `i` under `control` and returns its checkpoint record
-  /// (the wire result). The record's status reflects how the solve ended.
+  /// (the wire result), keyed `key` — the caller's cell_key(i), formatted
+  /// once per cell. The record's status reflects how the solve ended.
   [[nodiscard]] robust::CheckpointRecord solve(
-      std::size_t i, const robust::RunControl& control) const;
+      std::size_t i, const std::string& key,
+      const robust::RunControl& control) const;
 
   /// Validates `record` against this spec's schema (the module's
   /// *_restore): false means the record is foreign or truncated and the

@@ -524,12 +524,13 @@ void SolveService::run_job(Job* job) {
     batch.control.budget = job->spec->budget();
     batch.control.cancel = job->cancel;
 
-    const auto run_item = [this, job](std::size_t i,
-                                      const robust::RunControl& control) {
+    const auto run_item = [this, job, &keys](
+                              std::size_t i,
+                              const robust::RunControl& control) {
       acquire_cell_slot();
       robust::CheckpointRecord record;
       try {
-        record = job->spec->solve(i, control);
+        record = job->spec->solve(i, keys[i], control);
       } catch (...) {
         release_cell_slot();
         throw;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "btc/honest.hpp"
 #include "btc/selfish_mining.hpp"
+#include "mdp/model_cache.hpp"
 
 namespace {
 
@@ -70,6 +73,74 @@ TEST(SmModel, ParamsValidated) {
   params = small_params(0.3, 0.5);
   params.max_len = 2;
   EXPECT_THROW(params.validate(), std::invalid_argument);
+}
+
+// ------------------------------------------------------ cache-first path --
+
+TEST(SmCacheFirst, FillCompilesTheModelBuildSmModelBuilds) {
+  bvc::mdp::ModelCache& cache = bvc::mdp::ModelCache::global();
+  for (const Utility utility :
+       {Utility::kRelativeRevenue, Utility::kAbsoluteReward,
+        Utility::kOrphaning}) {
+    SCOPED_TRACE(std::string(bvc::bu::to_string(utility)));
+    const SmParams params = small_params(0.3, 0.5);
+    cache.clear();
+    const auto filled = sm_model_compiled(params, utility);
+    const bvc::mdp::CompiledModel reference =
+        bvc::mdp::CompiledModel::compile(build_sm_model(params, utility).model);
+    ASSERT_EQ(filled->num_states(), reference.num_states());
+    ASSERT_EQ(filled->num_state_actions(), reference.num_state_actions());
+    ASSERT_EQ(filled->num_outcomes(), reference.num_outcomes());
+    for (std::size_t i = 0; i < reference.num_outcomes(); ++i) {
+      ASSERT_EQ(filled->next()[i], reference.next()[i]);
+      ASSERT_EQ(filled->prob()[i], reference.prob()[i]);
+      ASSERT_EQ(filled->reward()[i], reference.reward()[i]);
+      ASSERT_EQ(filled->weight()[i], reference.weight()[i]);
+    }
+  }
+}
+
+TEST(SmCacheFirst, AnalyzeSmMatchesOnColdAndWarmCache) {
+  bvc::mdp::ModelCache& cache = bvc::mdp::ModelCache::global();
+  for (const Utility utility :
+       {Utility::kRelativeRevenue, Utility::kAbsoluteReward,
+        Utility::kOrphaning}) {
+    SCOPED_TRACE(std::string(bvc::bu::to_string(utility)));
+    const SmParams params = small_params(0.3, 0.5);
+    // Reference: the entry build_sm_model's own builder loop filled.
+    cache.clear();
+    (void)build_sm_model(params, utility);
+    const SmResult built = analyze_sm(params, utility);
+    // Cache-first: a cold lookup fills through the fill, a warm one hits.
+    cache.clear();
+    const SmResult cold = analyze_sm(params, utility);
+    const SmResult warm = analyze_sm(params, utility);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+
+    ASSERT_TRUE(built.converged());
+    for (const SmResult* result : {&cold, &warm}) {
+      EXPECT_EQ(result->status, built.status);
+      EXPECT_EQ(result->utility_value, built.utility_value);
+      EXPECT_EQ(result->policy, built.policy);
+      EXPECT_EQ(result->iterations, built.iterations);
+      EXPECT_EQ(result->diagnostics.inner_sweeps,
+                built.diagnostics.inner_sweeps);
+    }
+  }
+}
+
+TEST(SmCacheFirst, InvalidParamsThrowWithoutTouchingTheCache) {
+  const bvc::mdp::ModelCache::Stats before =
+      bvc::mdp::ModelCache::global().stats();
+  EXPECT_THROW((void)analyze_sm(small_params(0.6, 0.5),
+                                Utility::kRelativeRevenue),
+               std::invalid_argument);
+  const bvc::mdp::ModelCache::Stats after =
+      bvc::mdp::ModelCache::global().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, before.entries);
 }
 
 // ------------------------------------------------------ selfish mining u1 --

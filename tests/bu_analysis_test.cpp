@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "bu/attack_analysis.hpp"
+#include "mdp/model_cache.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -195,6 +198,68 @@ TEST(Analysis, GateCountdownVariantGapShrinksWithThePeriod) {
   const double long_gap = gap(144);
   EXPECT_LT(long_gap, short_gap);
   EXPECT_LT(long_gap, 2e-3);
+}
+
+// ---------------------------------------------------- cache-first path ----
+
+/// Everything a solve decides, compared bit for bit.
+void expect_same_solve(const AnalysisResult& a, const AnalysisResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.utility_value, b.utility_value);
+  EXPECT_EQ(a.reward_rate, b.reward_rate);
+  EXPECT_EQ(a.weight_rate, b.weight_rate);
+  EXPECT_EQ(a.honest_baseline, b.honest_baseline);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.diagnostics.inner_sweeps, b.diagnostics.inner_sweeps);
+}
+
+TEST(CacheFirstAnalysis, MatchesAnalyzeOfTheBuiltModel) {
+  bvc::mdp::ModelCache& cache = bvc::mdp::ModelCache::global();
+  for (const Setting setting :
+       {Setting::kNoStickyGate, Setting::kStickyGate}) {
+    for (const Utility utility :
+         {Utility::kRelativeRevenue, Utility::kAbsoluteReward,
+          Utility::kOrphaning}) {
+      SCOPED_TRACE(std::string(to_string(utility)) +
+                   (setting == Setting::kStickyGate ? " setting 2"
+                                                    : " setting 1"));
+      AttackParams params = make_params(0.25, 0.30, 0.45, setting);
+      params.gate_period = 8;  // short gate: a small setting-2 model
+
+      cache.clear();
+      const AnalysisResult cold = analyze(params, utility);  // fills
+      const AnalysisResult warm = analyze(params, utility);  // hits
+      EXPECT_EQ(cache.stats().misses, 1u);
+      EXPECT_EQ(cache.stats().hits, 1u);
+
+      cache.clear();
+      const AnalysisResult built = analyze(build_attack_model(params, utility));
+      AttackModel uncached = build_attack_model(params, utility);
+      uncached.compiled = nullptr;  // compiled outside the cache
+
+      ASSERT_TRUE(built.converged());
+      expect_same_solve(cold, built);
+      expect_same_solve(warm, built);
+      expect_same_solve(analyze(uncached), built);
+    }
+  }
+}
+
+TEST(CacheFirstAnalysis, InvalidParamsThrowWithoutTouchingTheCache) {
+  const bvc::mdp::ModelCache::Stats before =
+      bvc::mdp::ModelCache::global().stats();
+  EXPECT_THROW((void)analyze(make_params(0.6, 0.2, 0.2),
+                             Utility::kRelativeRevenue),
+               std::invalid_argument);
+  EXPECT_THROW((void)attack_model_compiled(make_params(0.6, 0.2, 0.2),
+                                           Utility::kOrphaning),
+               std::invalid_argument);
+  const bvc::mdp::ModelCache::Stats after =
+      bvc::mdp::ModelCache::global().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, before.entries);
 }
 
 // ----------------------------------------------------------- rollouts ------

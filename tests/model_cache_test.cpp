@@ -14,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "bu/attack_analysis.hpp"
 #include "bu/attack_model.hpp"
 #include "mdp/compiled_model.hpp"
 #include "mdp/model.hpp"
 #include "mdp/model_cache.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -472,6 +474,141 @@ TEST(ModelCache, GlobalCacheServesTheModelBuilders) {
   const bu::AttackModel second =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
   EXPECT_EQ(second.compiled.get(), first.compiled.get());
+}
+
+// ---- cache-first lookups: enumerate only on a miss ------------------------
+
+/// One traced complete span: its name, args and [begin, end] in µs.
+struct TracedSpan {
+  std::string name;
+  std::string args;
+  double begin_us = 0.0;
+  double end_us = 0.0;
+};
+
+/// Runs `body` with tracing on and returns every span it recorded.
+std::vector<TracedSpan> trace_of(const std::function<void()>& body) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.reset();
+  tracer.enable();
+  body();
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_jsonl(out);
+  tracer.reset();
+
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    return at == std::string::npos ? std::string{}
+                                   : line.substr(at + key.size() + 3);
+  };
+  std::vector<TracedSpan> spans;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    TracedSpan span;
+    const std::string name = field(line, "name");
+    span.name = name.substr(1, name.find('"', 1) - 1);
+    const std::string args = field(line, "args");
+    span.args = args.substr(0, args.find('}') + 1);
+    const std::string duration = field(line, "dur");  // none on instants
+    span.begin_us = std::stod(field(line, "ts"));
+    span.end_us =
+        span.begin_us + (duration.empty() ? 0.0 : std::stod(duration));
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+std::vector<TracedSpan> named(const std::vector<TracedSpan>& spans,
+                              const std::string& name) {
+  std::vector<TracedSpan> out;
+  for (const TracedSpan& span : spans) {
+    if (span.name == name) {
+      out.push_back(span);
+    }
+  }
+  return out;
+}
+
+bu::AttackParams cache_first_params() {
+  bu::AttackParams params;
+  params.alpha = 0.27;  // a cell no other test builds
+  params.beta = 0.36;
+  params.gamma = 0.37;
+  return params;
+}
+
+TEST(CacheFirst, MissEnumeratesInsideTheCompileSpan) {
+  mdp::ModelCache::global().clear();
+  std::shared_ptr<const mdp::CompiledModel> compiled;
+  const std::vector<TracedSpan> spans = trace_of([&] {
+    compiled = bu::attack_model_compiled(cache_first_params(),
+                                         bu::Utility::kRelativeRevenue);
+  });
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(mdp::ModelCache::global().stats().misses, 1u);
+
+  const std::vector<TracedSpan> builds = named(spans, "bu.build");
+  const std::vector<TracedSpan> compiles = named(spans, "cache.compile");
+  ASSERT_EQ(builds.size(), 1u);
+  ASSERT_EQ(compiles.size(), 1u);
+  // The enumeration is the fill: its span nests in the miss's compile span.
+  EXPECT_GE(builds[0].begin_us, compiles[0].begin_us);
+  EXPECT_LE(builds[0].end_us, compiles[0].end_us);
+  EXPECT_NE(builds[0].args.find("\"states\":" +
+                                std::to_string(compiled->num_states())),
+            std::string::npos)
+      << builds[0].args;
+  EXPECT_NE(builds[0].args.find("\"outcomes\":" +
+                                std::to_string(compiled->num_outcomes())),
+            std::string::npos)
+      << builds[0].args;
+}
+
+TEST(CacheFirst, WarmRepeatHitsWithoutEnumerating) {
+  const bu::AttackParams params = cache_first_params();
+  mdp::ModelCache::global().clear();
+  (void)bu::analyze(params, bu::Utility::kRelativeRevenue);
+  const mdp::ModelCache::Stats cold = mdp::ModelCache::global().stats();
+  ASSERT_EQ(cold.misses, 1u);
+
+  const std::vector<TracedSpan> spans = trace_of([&] {
+    (void)bu::analyze(params, bu::Utility::kRelativeRevenue);
+    (void)bu::analyze(params, bu::Utility::kRelativeRevenue);
+  });
+  const mdp::ModelCache::Stats warm = mdp::ModelCache::global().stats();
+  EXPECT_EQ(warm.hits, cold.hits + 2);
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_TRUE(named(spans, "bu.build").empty());
+  EXPECT_TRUE(named(spans, "cache.compile").empty());
+  EXPECT_EQ(named(spans, "ratio.solve").size(), 2u);  // the solves did run
+}
+
+TEST_F(ModelCacheDiskTier, GlobalReloadAfterClearSkipsTheEnumeration) {
+  mdp::ModelCache& cache = mdp::ModelCache::global();
+  cache.clear();
+  cache.set_disk_tier(dir_);
+  const bu::AttackParams params = cache_first_params();
+  const auto first =
+      bu::attack_model_compiled(params, bu::Utility::kRelativeRevenue);
+  EXPECT_EQ(cache.stats().disk_stores, 1u);
+
+  cache.clear();  // memory gone, disk tier survives
+  std::shared_ptr<const mdp::CompiledModel> reloaded;
+  const std::vector<TracedSpan> spans = trace_of([&] {
+    reloaded =
+        bu::attack_model_compiled(params, bu::Utility::kRelativeRevenue);
+  });
+  const mdp::ModelCache::Stats stats = cache.stats();
+  cache.set_disk_tier("");
+  cache.clear();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.disk_hits, 1u);
+  EXPECT_TRUE(named(spans, "bu.build").empty());
+  EXPECT_TRUE(named(spans, "cache.compile").empty());
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_EQ(reloaded->num_states(), first->num_states());
+  EXPECT_EQ(reloaded->num_outcomes(), first->num_outcomes());
 }
 
 }  // namespace

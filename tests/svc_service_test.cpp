@@ -89,6 +89,16 @@ double record_value(const Json& snapshot, std::size_t index,
   return 0.0;
 }
 
+/// The canonical key of record `index` of a status snapshot.
+std::string record_key(const Json& snapshot, std::size_t index) {
+  const Json* records = snapshot.find("records");
+  if (records == nullptr || index >= records->size()) {
+    ADD_FAILURE() << "missing record " << index << " in " << snapshot.dump();
+    return {};
+  }
+  return records->at(index).string_or("key", "");
+}
+
 std::string fresh_dir(const std::string& name) {
   const std::string path = ::testing::TempDir() + "svc_service_test_" + name;
   std::filesystem::remove_all(path);
@@ -177,6 +187,8 @@ TEST(SvcServiceSolves, BuAttackCellMatchesDirectAnalyze) {
             expected.honest_baseline);
   EXPECT_EQ(record_value(snapshot, 0, "reward_rate"), expected.reward_rate);
   EXPECT_EQ(record_value(snapshot, 0, "weight_rate"), expected.weight_rate);
+  EXPECT_EQ(record_key(snapshot, 0),
+            bu::analysis_job_key({params, bu::Utility::kRelativeRevenue}, {}));
 }
 
 TEST(SvcServiceSolves, BtcSmCellMatchesDirectSolve) {
@@ -195,6 +207,8 @@ TEST(SvcServiceSolves, BtcSmCellMatchesDirectSolve) {
   EXPECT_EQ(snapshot.string_or("state", ""), "done");
   EXPECT_EQ(record_value(snapshot, 0, "utility_value"),
             expected.utility_value);
+  EXPECT_EQ(record_key(snapshot, 0),
+            btc::sm_job_key({params, bu::Utility::kAbsoluteReward}));
 }
 
 TEST(SvcServiceSolves, VotingCellMatchesDirectSimulation) {
