@@ -257,10 +257,7 @@ BENCHMARK(BM_PolicyRollout)->Unit(benchmark::kMillisecond);
 // Both variants run the identical serial Gauss-Seidel greedy sweep with the
 // identical expression order, so their bias vectors stay bitwise equal —
 // which the run asserts, making this a throughput measurement of the same
-// computation, not of two different algorithms. A third variant sweeps the
-// precompiled tau-damped probability column (mathematically equivalent,
-// different FP association — which is why production solvers don't use it;
-// see compiled_model.hpp).
+// computation, not of two different algorithms.
 //
 // Policy evaluation gets its own rows: a fixed-policy Jacobi sweep over the
 // model's CSR columns (restricted to the policy's action per state) against
@@ -332,61 +329,31 @@ void soa_sweep(const mdp::CompiledModel& model,
   }
 }
 
-/// SoA sweep through the precompiled tau-damped probability column:
-/// tau * (q + sum p*b) == tau*q + sum (tau*p)*b up to FP association.
-void soa_damped_sweep(const mdp::CompiledModel& model,
-                      std::span<const double> rewards,
-                      std::vector<double>& bias) {
-  const mdp::StateId n = model.num_states();
-  const mdp::StateId* next_col = model.next();
-  const double* damped_col = model.damped_prob();
-  const double* rewards_data = rewards.data();
-  double ref = 0.0;
-  for (mdp::StateId s = 0; s < n; ++s) {
-    const std::size_t actions = model.num_actions(s);
-    const mdp::SaIndex sa_base = model.state_begin(s);
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t a = 0; a < actions; ++a) {
-      const mdp::SaIndex sa = sa_base + a;
-      double q = kKernelTau * rewards_data[sa];
-      const std::size_t end = model.outcome_end(sa);
-      for (std::size_t k = model.outcome_begin(sa); k < end; ++k) {
-        q += damped_col[k] * bias[next_col[k]];
-      }
-      q += (1.0 - kKernelTau) * bias[s];
-      if (q > best) {
-        best = q;
-      }
-    }
-    if (s == 0) {
-      ref = best - bias[0];
-    }
-    bias[s] = best - ref;
-  }
-}
-
 /// One greedy Jacobi sweep lowered onto the dispatched kernels
 /// (mdp/kernel.hpp), mirroring rvi_core's vector discipline: the state-0
 /// reference residual from a one-state pass, then the fused
 /// kernel::rvi_sweep over every state (backup + rewards + tau transform +
 /// max in one register-resident pass, vectorized over states on this
-/// model's uniform 2-action menu). Reads `bias_in`, writes `bias_out`
-/// (Jacobi, not in-place Gauss-Seidel — see docs/PARALLELISM.md for why
-/// the two disciplines are separately comparable).
+/// model's uniform 2-action menu). Both passes store the greedy policy in
+/// `policy`, as rvi_core's do on every sweep. Reads `bias_in`, writes
+/// `bias_out` (Jacobi, not in-place Gauss-Seidel — see docs/PARALLELISM.md
+/// for why the two disciplines are separately comparable).
 void kernel_jacobi_sweep(const mdp::CompiledModel& model,
                          std::span<const double> rewards,
                          const std::vector<double>& bias_in,
                          std::vector<double>& bias_out,
+                         std::vector<std::uint32_t>& policy,
                          mdp::kernel::Isa isa) {
   double span_min = std::numeric_limits<double>::infinity();
   double span_max = -std::numeric_limits<double>::infinity();
   double backup0 = 0.0;
   mdp::kernel::rvi_sweep(model, rewards.data(), kKernelTau, bias_in.data(),
-                         0.0, 0, 1, &backup0, nullptr, &span_min, &span_max,
-                         isa);
+                         0.0, 0, 1, &backup0, policy.data(), &span_min,
+                         &span_max, isa);
   mdp::kernel::rvi_sweep(model, rewards.data(), kKernelTau, bias_in.data(),
                          backup0 - bias_in[0], 0, model.num_states(),
-                         bias_out.data(), nullptr, &span_min, &span_max, isa);
+                         bias_out.data(), policy.data(), &span_min, &span_max,
+                         isa);
 }
 
 /// One fixed-policy Jacobi sweep over the CSR columns: per state, only the
@@ -437,7 +404,7 @@ void chain_eval_sweep(const mdp::PolicyChain& chain,
 /// vector it converges to (captured on the first rep; every rep starts
 /// from the same zero bias, so reps are deterministic replicas).
 struct TimedRow {
-  /// "aos" | "soa" | "damped" | "kernel" | "eval_csr" | "eval"
+  /// "aos" | "soa" | "kernel" | "eval_csr" | "eval"
   const char* kind;
   mdp::kernel::Isa isa = mdp::kernel::Isa::kScalar;  ///< kernel, eval rows
   std::function<void(std::vector<double>&)> sweep;
@@ -503,6 +470,7 @@ int run_kernel_mode(int argc, char** argv) {
   // Per-kernel-row Jacobi scratch; deque for stable addresses across
   // push_back (the row lambdas capture pointers into it).
   std::deque<std::vector<double>> scratches;
+  std::deque<std::vector<std::uint32_t>> policies;
 
   std::vector<TimedRow> rows;
   const auto push_row = [&rows](const char* kind, mdp::kernel::Isa isa,
@@ -517,9 +485,6 @@ int run_kernel_mode(int argc, char** argv) {
            [&](std::vector<double>& b) { aos_sweep(model, rewards, b); });
   push_row("soa", mdp::kernel::Isa::kScalar,
            [&](std::vector<double>& b) { soa_sweep(compiled, rewards, b); });
-  push_row("damped", mdp::kernel::Isa::kScalar, [&](std::vector<double>& b) {
-    soa_damped_sweep(compiled, rewards, b);
-  });
   // Dispatched-kernel rows: the same greedy sweep lowered onto the backup
   // kernel (Jacobi discipline), once per ISA this build+CPU carries. All
   // kernel rows must agree bit-for-bit with each other (same expression
@@ -533,10 +498,14 @@ int run_kernel_mode(int argc, char** argv) {
     }
     scratches.emplace_back(model.num_states(), 0.0);
     std::vector<double>* scratch = &scratches.back();
-    push_row("kernel", isa, [&, scratch, isa](std::vector<double>& b) {
-      kernel_jacobi_sweep(compiled, rewards, b, *scratch, isa);
-      b.swap(*scratch);
-    });
+    policies.emplace_back(model.num_states(), 0u);
+    std::vector<std::uint32_t>* greedy = &policies.back();
+    push_row("kernel", isa,
+             [&, scratch, greedy, isa](std::vector<double>& b) {
+               kernel_jacobi_sweep(compiled, rewards, b, *scratch, *greedy,
+                                   isa);
+               b.swap(*scratch);
+             });
   }
   // Policy-evaluation rows. The policy is the greedy one after a short
   // kernel pre-pass from zero bias: a realistic mix of both actions.
@@ -617,13 +586,16 @@ int run_kernel_mode(int argc, char** argv) {
                   rows[0].result.size() * sizeof(double)) == 0;
   const bool kernel_bit_identical =
       kernel_rows.empty() ||
-      all_equal(kernel_rows, kernel_rows.front()->result);
+      (all_equal(kernel_rows, kernel_rows.front()->result) &&
+       std::all_of(policies.begin(), policies.end(),
+                   [&](const std::vector<std::uint32_t>& greedy) {
+                     return greedy == policies.front();
+                   }));
   const std::vector<double>& csr_eval = rows_of("eval_csr").front()->result;
   const bool eval_bit_identical = all_equal(eval_rows, csr_eval);
 
   const double aos_rate = row_rate("aos");
   const double soa_rate = row_rate("soa");
-  const double damped_rate = row_rate("damped");
   const double eval_csr_rate = row_rate("eval_csr");
   const double speedup = soa_rate / aos_rate;
   const double threshold = 1.5;
@@ -656,7 +628,6 @@ int run_kernel_mode(int argc, char** argv) {
        << "  \"sweeps_per_rep\": " << sweeps << ",\n"
        << "  \"aos_sweeps_per_sec\": " << aos_rate << ",\n"
        << "  \"soa_sweeps_per_sec\": " << soa_rate << ",\n"
-       << "  \"soa_damped_sweeps_per_sec\": " << damped_rate << ",\n"
        << "  \"speedup_soa_vs_aos\": " << speedup << ",\n"
        << "  \"threshold\": " << threshold << ",\n"
        << "  \"pass\": " << (speedup >= threshold ? "true" : "false") << ",\n"
@@ -701,11 +672,10 @@ int run_kernel_mode(int argc, char** argv) {
       "  model: %u states, %zu state-actions\n"
       "  AoS (seed Model path):      %10.1f sweeps/s\n"
       "  SoA (CompiledModel):        %10.1f sweeps/s  (%.2fx%s)\n"
-      "  SoA damped-prob column:     %10.1f sweeps/s\n"
       "  bias vectors bit-identical: %s\n",
       sweeps, kReps, model.num_states(), model.num_state_actions(), aos_rate,
       soa_rate, speedup, speedup >= threshold ? ", >= 1.5x target" : "",
-      damped_rate, bit_identical ? "yes" : "NO (BUG)");
+      bit_identical ? "yes" : "NO (BUG)");
   for (const TimedRow* row : kernel_rows) {
     const double rate = static_cast<double>(sweeps) / row->best_seconds;
     std::printf("  kernel %-7s (Jacobi):    %10.1f sweeps/s  (%.2fx vs SoA)\n",

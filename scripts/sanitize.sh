@@ -19,7 +19,10 @@
 # lookups via the parallel-labeled test_model_cache. The address tier also
 # covers the shard-labeled crash-safety suite (test_checkpoint +
 # check_resume): the kill-mid-sweep -> resume scenario runs once under
-# ASan/UBSan here, on top of the plain-build run in ci.sh. The thread tier
+# ASan/UBSan here, on top of the plain-build run in ci.sh. The address
+# tier then re-runs the kernel-labeled suite with BVC_KERNEL=avx512, so
+# the AVX-512 bodies' palette-code loads (8 bytes per 8 lanes) run under
+# ASan/UBSan whichever ISA auto calibration picks. The thread tier
 # additionally re-runs the sim-labeled suite in isolation so
 # sim::run_replicas' multi-threaded replica fan-out (test_sim_replicas
 # drives it at --threads 8) is explicitly TSan-covered.
@@ -61,4 +64,8 @@ ctest --test-dir "$build" --output-on-failure -j"$(nproc)" "$@"
 if [ "$tier" = "thread" ]; then
   ctest --test-dir "$build" --output-on-failure -L sim
   ctest --test-dir "$build" --output-on-failure -L obs
+else
+  # Address tier: the kernel-labeled suite again with the AVX-512 bodies
+  # forced (they clamp to the best available ISA on other CPUs).
+  BVC_KERNEL=avx512 ctest --test-dir "$build" --output-on-failure -L kernel
 fi

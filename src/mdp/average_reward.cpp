@@ -26,9 +26,7 @@ namespace {
 /// flat next/prob outcome columns through raw pointers (no per-access bounds
 /// checks, no 32-byte Outcome structs) but keep the seed path's iteration
 /// and expression order exactly, so results are bit-identical to sweeping
-/// the Model representation. The precompiled damped_prob column is
-/// deliberately NOT used here: folding tau into each probability changes
-/// the floating-point association, and tau_eff adapts mid-solve anyway.
+/// the Model representation.
 ///
 /// Three sweep disciplines live here, selected by options.threads and the
 /// process-wide kernel dispatch (mdp/kernel.hpp):
@@ -164,11 +162,11 @@ GainResult rvi_core(const CompiledModel& model,
   if (use_kernel && policy != nullptr) {
     chain.emplace(model, policy->action, sa_rewards);
   }
-  // The sweep path that actually runs, for the span: the chain sweep runs
-  // at `isa` on every model, the greedy sweep where rvi_sweep_isa allows.
+  // The sweep path that actually runs, for the span: the dispatcher's own
+  // gate for the chain or the greedy sweep.
   const kernel::Isa swept_isa =
       !use_kernel ? kernel::Isa::kScalar
-      : chain     ? isa
+      : chain     ? kernel::rvi_sweep_isa(*chain, isa)
                   : kernel::rvi_sweep_isa(model, isa);
   std::optional<util::ThreadPool> pool;
   std::vector<double> next_bias;

@@ -1,6 +1,7 @@
 #include "mdp/compiled_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -45,14 +46,11 @@ std::size_t fill_ell(const CompiledModel& model, std::size_t rows,
 
 }  // namespace
 
-CompiledModel CompiledModel::compile(const Model& model, double tau) {
-  BVC_REQUIRE(tau > 0.0 && tau <= 1.0, "aperiodicity tau must be in (0, 1]");
-
+CompiledModel CompiledModel::compile(const Model& model) {
   const StateId n = model.num_states();
   const std::size_t actions = model.num_state_actions();
 
   CompiledModel compiled;
-  compiled.tau_ = tau;
   compiled.state_begin_.reserve(n + 1);
   compiled.action_labels_.reserve(actions);
   compiled.outcome_begin_.reserve(actions + 1);
@@ -74,7 +72,6 @@ CompiledModel CompiledModel::compile(const Model& model, double tau) {
       for (const Outcome& o : model.outcomes(sa)) {
         compiled.next_.push_back(o.next);
         compiled.prob_.push_back(o.probability);
-        compiled.damped_prob_.push_back(tau * o.probability);
         compiled.reward_.push_back(o.reward);
         compiled.weight_.push_back(o.weight);
       }
@@ -120,6 +117,7 @@ void CompiledModel::finalize_layout() {
         *this, num_sa, [](std::size_t sa) { return sa; }, width, ell_prob_,
         ell_next_);
   }
+  build_codes();
 
   // NUMA: interleave the columns every sweep worker streams. No-op on
   // single-node machines; small models are not worth a syscall per column.
@@ -132,14 +130,59 @@ void CompiledModel::finalize_layout() {
     };
     spread(next_);
     spread(prob_);
-    spread(damped_prob_);
     spread(reward_);
     spread(weight_);
     spread(expected_reward_);
     spread(expected_weight_);
     spread(ell_prob_);
     spread(ell_next_);
+    spread(ell_code_);
   }
+}
+
+void CompiledModel::build_codes() {
+  ell_code_.clear();
+  palette_.clear();
+  palette_size_ = 0;
+  zero_code_ = 0;
+  if (!has_ell()) {
+    return;
+  }
+  // Values compare by bit pattern, so palette()[code] always has the exact
+  // bits of the cell it codes (-0.0 and +0.0 would take two slots).
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  util::AlignedVector<double> palette(kPaletteSize, 0.0);
+  std::size_t size = 0;
+  util::AlignedVector<std::uint8_t> codes(ell_prob_.size());
+  for (std::size_t i = 0; i < ell_prob_.size(); ++i) {
+    std::size_t code = 0;
+    while (code < size && bits(palette[code]) != bits(ell_prob_[i])) {
+      ++code;
+    }
+    if (code == size) {
+      if (size == kPaletteSize) {
+        return;
+      }
+      palette[size++] = ell_prob_[i];
+    }
+    codes[i] = static_cast<std::uint8_t>(code);
+  }
+  // +0.0 codes the chains' padding: its own slot if a cell holds it, else
+  // the first unused slot (unused slots are +0.0). A full palette without
+  // it leaves the model uncoded.
+  std::size_t zero = 0;
+  while (zero < size && bits(palette[zero]) != bits(0.0)) {
+    ++zero;
+  }
+  if (zero == kPaletteSize) {
+    return;
+  }
+  ell_code_ = std::move(codes);
+  palette_ = std::move(palette);
+  palette_size_ = size;
+  zero_code_ = static_cast<std::uint8_t>(zero);
 }
 
 PolicyChain::PolicyChain(const CompiledModel& model,
@@ -158,29 +201,48 @@ PolicyChain::PolicyChain(const CompiledModel& model,
     width_ = std::max(width_, model.outcome_end(sa) - model.outcome_begin(sa));
     reward_[s] = sa_rewards[sa];
   }
-  stride_ = fill_ell(
-      model, n,
-      [&](std::size_t s) {
-        return model.sa_index(static_cast<StateId>(s), policy[s]);
-      },
-      width_, prob_, next_);
+  const auto row_sa = [&](std::size_t s) {
+    return model.sa_index(static_cast<StateId>(s), policy[s]);
+  };
+  stride_ = fill_ell(model, n, row_sa, width_, prob_, next_);
+  if (model.has_codes()) {
+    // The chain is at most as wide as the mirror, and the mirror's cells
+    // past a row's outcomes are padding, so copying `width_` cells per row
+    // copies their codes too.
+    code_.assign(width_ * stride_, model.zero_code());
+    const std::uint8_t* ell_code = model.ell_code();
+    const std::size_t ell_stride = model.ell_stride();
+    for (StateId s = 0; s < n; ++s) {
+      const SaIndex sa = row_sa(s);
+      for (std::size_t j = 0; j < width_; ++j) {
+        code_[j * stride_ + s] = ell_code[j * ell_stride + sa];
+      }
+    }
+    palette_.assign(model.palette(),
+                    model.palette() + CompiledModel::kPaletteSize);
+  }
 }
 
 std::shared_ptr<const CompiledModel> CompiledModel::compile_shared(
-    const Model& model, double tau) {
-  return std::make_shared<const CompiledModel>(compile(model, tau));
+    const Model& model) {
+  return std::make_shared<const CompiledModel>(compile(model));
 }
 
 namespace {
 
-// Disk-tier wire format: magic, layout fingerprint, tau, then each column
-// as (element count, raw bytes). Native endianness — the file never leaves
+// Disk-tier wire format: magic, layout fingerprint, then each column as
+// (element count, raw bytes). Native endianness — the file never leaves
 // the machine that wrote it, and a mismatched reader fails the fingerprint.
+// The fingerprint's top nibble versions the column set: version-0 files
+// also carry a tau field and a damped-probability column, so they fail
+// the fingerprint and are recompiled.
 constexpr std::uint32_t kMagic = 0x4d435642;  // "BVCM"
+constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint32_t kLayout = (sizeof(StateId) << 0) |
                                   (sizeof(ActionLabel) << 8) |
                                   (sizeof(SaIndex) << 16) |
-                                  (sizeof(std::size_t) << 24);
+                                  (sizeof(std::size_t) << 24) |
+                                  (kFormatVersion << 28);
 
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
@@ -224,13 +286,11 @@ bool read_column(std::istream& in, Vec& column, std::uint64_t max_elements) {
 void CompiledModel::serialize(std::ostream& out) const {
   write_pod(out, kMagic);
   write_pod(out, kLayout);
-  write_pod(out, tau_);
   write_column(out, state_begin_);
   write_column(out, action_labels_);
   write_column(out, outcome_begin_);
   write_column(out, next_);
   write_column(out, prob_);
-  write_column(out, damped_prob_);
   write_column(out, reward_);
   write_column(out, weight_);
   write_column(out, expected_reward_);
@@ -243,7 +303,7 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
   std::uint32_t layout = 0;
   CompiledModel model;
   if (!read_pod(in, magic) || magic != kMagic || !read_pod(in, layout) ||
-      layout != kLayout || !read_pod(in, model.tau_)) {
+      layout != kLayout) {
     return nullptr;
   }
   // ~100M elements/column bounds the read at a few GB — far above any real
@@ -254,7 +314,6 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
       !read_column(in, model.outcome_begin_, kMaxElements) ||
       !read_column(in, model.next_, kMaxElements) ||
       !read_column(in, model.prob_, kMaxElements) ||
-      !read_column(in, model.damped_prob_, kMaxElements) ||
       !read_column(in, model.reward_, kMaxElements) ||
       !read_column(in, model.weight_, kMaxElements) ||
       !read_column(in, model.expected_reward_, kMaxElements) ||
@@ -269,7 +328,6 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
       model.outcome_begin_.back() != model.next_.size() ||
       model.outcome_begin_.size() != model.action_labels_.size() + 1 ||
       model.prob_.size() != model.next_.size() ||
-      model.damped_prob_.size() != model.next_.size() ||
       model.reward_.size() != model.next_.size() ||
       model.weight_.size() != model.next_.size() ||
       model.expected_reward_.size() != model.action_labels_.size() ||
@@ -292,9 +350,9 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
       return nullptr;
     }
   }
-  // The ELL mirror is a derived structure, rebuilt rather than stored: the
-  // disk format stays identical to pre-ELL writers and a corrupt file can
-  // never smuggle in an inconsistent mirror.
+  // The ELL mirror and its codes are derived structures, rebuilt rather
+  // than stored: a corrupt file can never smuggle in an inconsistent
+  // mirror or palette.
   model.finalize_layout();
   return std::make_shared<const CompiledModel>(std::move(model));
 }
@@ -307,6 +365,9 @@ std::string CompiledModel::summary() const {
       << ", align=" << util::kColumnAlignment << "B";
   if (has_ell()) {
     out << ", ell_width=" << ell_width_;
+  }
+  if (has_codes()) {
+    out << ", palette=" << palette_size_;
   }
   out << '}';
   return out.str();

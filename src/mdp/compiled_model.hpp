@@ -18,14 +18,6 @@
 // solvers keep the seed's expression order, so every result is bit-identical
 // to sweeping the Model directly.
 //
-// `damped_prob` additionally stores tau * prob — the aperiodicity-damped
-// probabilities folded in at compile time. The production RVI sweep does
-// NOT read it: folding tau into the products changes the floating-point
-// association (tau * (r + sum p*h) != tau*r + sum (tau*p)*h) and the
-// adaptive damping schedule re-scales tau mid-solve anyway. It exists for
-// kernels with a fixed tau (the bench_solver_micro `kernel` mode) that
-// trade bit-compatibility for one fewer multiply per branch.
-//
 // Since PR 8 the columns are 64-byte-aligned allocations
 // (util::AlignedVector) and, when every action's outcome list is short
 // enough, a padded column-major ELL mirror of the next/prob columns is
@@ -40,10 +32,26 @@
 // at build/load time (util/numa.hpp) — every sweep worker streams every
 // column, so round-robin pages balance the memory channels.
 //
+// The mirror's probabilities take very few distinct values: an attack
+// model's outcomes happen with probability alpha, beta, gamma, a pairwise
+// sum of them or 1.0 (some in two roundings), so with the 0.0 padding the
+// paper's attack models hold at most 12 values, and a Bitcoin
+// selfish-mining mirror 3-4. When a mirror holds at most kPaletteSize (16)
+// values, counting +0.0 among them, it also carries a one-byte code
+// column: ell_code()[j * ell_stride() + sa] is the index of that cell's
+// probability in palette(), the mirror's distinct values compared by bit
+// pattern. The AVX-512 bodies read the codes and decode eight lanes with
+// one zero-extension and one two-register permute, so they stream 1 byte
+// per outcome probability instead of 8; palette()[code] has the bits of
+// the double it replaces, so every product is unchanged. The AVX2 and
+// scalar bodies read the double column (a decode costs AVX2 more than the
+// bytes it saves). A mirror with more values carries no codes, and an
+// AVX-512 request on it runs the AVX2 bodies (kernel::rvi_sweep_isa).
+//
 // A PolicyChain (below) is the same ELL layout cut down to one fixed
 // policy: one row per state instead of one per state-action. Policy
 // evaluation builds one per solve and sweeps it with
-// kernel::rvi_eval_sweep.
+// kernel::rvi_eval_sweep; it copies its rows' codes from the mirror.
 //
 // CompiledModel is immutable after compile() and safe to share across
 // threads by const reference — mdp::ModelCache (model_cache.hpp) hands out
@@ -64,15 +72,12 @@ namespace bvc::mdp {
 
 class CompiledModel {
  public:
-  /// Flattens `model` into the SoA layout. `tau` only parameterizes the
-  /// `damped_prob` column (see file comment); it does not affect any other
-  /// column or any solver result.
-  [[nodiscard]] static CompiledModel compile(const Model& model,
-                                             double tau = 0.999);
+  /// Flattens `model` into the SoA layout.
+  [[nodiscard]] static CompiledModel compile(const Model& model);
 
   /// compile() wrapped in a shared_ptr — the shape ModelCache stores.
   [[nodiscard]] static std::shared_ptr<const CompiledModel> compile_shared(
-      const Model& model, double tau = 0.999);
+      const Model& model);
 
   [[nodiscard]] StateId num_states() const noexcept {
     return static_cast<StateId>(state_begin_.size() - 1);
@@ -83,7 +88,6 @@ class CompiledModel {
   [[nodiscard]] std::size_t num_outcomes() const noexcept {
     return next_.size();
   }
-  [[nodiscard]] double compiled_tau() const noexcept { return tau_; }
 
   // Unchecked structural accessors (the hot-loop interface). Indices are
   // validated once at the solver entry points, not per access.
@@ -115,9 +119,6 @@ class CompiledModel {
   // Outcome columns, indexed by [outcome_begin(sa), outcome_end(sa)).
   [[nodiscard]] const StateId* next() const noexcept { return next_.data(); }
   [[nodiscard]] const double* prob() const noexcept { return prob_.data(); }
-  [[nodiscard]] const double* damped_prob() const noexcept {
-    return damped_prob_.data();
-  }
   [[nodiscard]] const double* reward() const noexcept {
     return reward_.data();
   }
@@ -159,12 +160,36 @@ class CompiledModel {
     return ell_next_.data();
   }
 
+  // Palette codes of the ELL mirror (see the file comment), read by the
+  // AVX-512 bodies. Present only when the mirror is, and its distinct
+  // values number at most kPaletteSize with +0.0 counted even where no
+  // cell holds it: +0.0 needs a slot because PolicyChain pads with it.
+  // Layout: ell_code()[j * ell_stride() + sa], same indexing as ell_prob(),
+  // padding included; palette()[ell_code()[i]] has the bits of
+  // ell_prob()[i]. palette() holds kPaletteSize doubles: the mirror's
+  // values in first-seen order, then +0.0 in every unused slot.
+  [[nodiscard]] bool has_codes() const noexcept { return !palette_.empty(); }
+  [[nodiscard]] const std::uint8_t* ell_code() const noexcept {
+    return ell_code_.data();
+  }
+  [[nodiscard]] const double* palette() const noexcept {
+    return palette_.data();
+  }
+  /// Distinct values the mirror's cells take when coded; 0 otherwise.
+  [[nodiscard]] std::size_t palette_size() const noexcept {
+    return palette_size_;
+  }
+  /// The code of +0.0: the padding cells' code.
+  [[nodiscard]] std::uint8_t zero_code() const noexcept { return zero_code_; }
+
   /// Widest ELL row the compiler will pad to; wider models simply carry no
   /// ELL mirror and sweep through the scalar CSR kernel.
   static constexpr std::size_t kMaxEllWidth = 16;
   /// Cap on (padded cells) / (real outcomes); protects skewed models where
   /// one wide action would multiply the footprint of every narrow one.
   static constexpr std::size_t kMaxEllPaddingFactor = 4;
+  /// Palette entries: two 8-lane AVX-512 registers.
+  static constexpr std::size_t kPaletteSize = 16;
 
   /// Human-readable structural summary (state/action/outcome counts,
   /// column alignment, ELL width).
@@ -183,9 +208,9 @@ class CompiledModel {
 
   /// Bytes held by the SoA columns, each rounded up to its 64-byte
   /// allocation granularity (util::kColumnAlignment) — the actual resident
-  /// footprint of the aligned allocations, including the ELL mirror. Feeds
-  /// the cache's bytes_resident accounting so a sweep can see how much
-  /// model memory it keeps live.
+  /// footprint of the aligned allocations, including the ELL mirror, its
+  /// codes and palette. Feeds the cache's bytes_resident accounting so a
+  /// sweep can see how much model memory it keeps live.
   [[nodiscard]] std::size_t bytes_resident() const noexcept {
     const auto column = [](std::size_t elements,
                            std::size_t element_size) noexcept {
@@ -196,24 +221,28 @@ class CompiledModel {
            column(outcome_begin_.size(), sizeof(std::size_t)) +
            column(next_.size(), sizeof(StateId)) +
            column(prob_.size(), sizeof(double)) +
-           column(damped_prob_.size(), sizeof(double)) +
            column(reward_.size(), sizeof(double)) +
            column(weight_.size(), sizeof(double)) +
            column(expected_reward_.size(), sizeof(double)) +
            column(expected_weight_.size(), sizeof(double)) +
            column(ell_prob_.size(), sizeof(double)) +
-           column(ell_next_.size(), sizeof(StateId));
+           column(ell_next_.size(), sizeof(StateId)) +
+           column(ell_code_.size(), sizeof(std::uint8_t)) +
+           column(palette_.size(), sizeof(double));
   }
 
  private:
   CompiledModel() = default;
 
   /// Builds the ELL mirror from the CSR columns (or leaves it absent when
-  /// the width/padding policy says no), then interleaves the big columns
-  /// across NUMA nodes. Run once at the end of compile()/deserialize().
+  /// the width/padding policy says no) and its palette codes, then
+  /// interleaves the big columns across NUMA nodes. Run once at the end of
+  /// compile()/deserialize().
   void finalize_layout();
+  /// Codes the mirror against its palette, or leaves both empty when it
+  /// takes too many values.
+  void build_codes();
 
-  double tau_ = 0.999;
   // state s owns flat actions [state_begin_[s], state_begin_[s+1])
   util::AlignedVector<SaIndex> state_begin_;
   util::AlignedVector<ActionLabel> action_labels_;
@@ -222,7 +251,6 @@ class CompiledModel {
   // outcome columns (parallel arrays, one row per sparse branch)
   util::AlignedVector<StateId> next_;
   util::AlignedVector<double> prob_;
-  util::AlignedVector<double> damped_prob_;  ///< tau_ * prob_ (kernel-bench only)
   util::AlignedVector<double> reward_;
   util::AlignedVector<double> weight_;
   // per-(state, action) expectations
@@ -236,6 +264,11 @@ class CompiledModel {
   std::size_t ell_stride_ = 0;
   util::AlignedVector<double> ell_prob_;
   util::AlignedVector<StateId> ell_next_;
+  // palette codes of the mirror (see has_codes); empty when uncoded
+  util::AlignedVector<std::uint8_t> ell_code_;
+  util::AlignedVector<double> palette_;
+  std::size_t palette_size_ = 0;
+  std::uint8_t zero_code_ = 0;
 };
 
 /// One fixed policy's transition chain in the ELL layout: per state s, the
@@ -248,6 +281,11 @@ class CompiledModel {
 /// widest CHOSEN row, which can be narrower than the model's ELL width.
 /// The stride is padded to a multiple of 8 states, as in the model's
 /// mirror, so an 8-lane load at any state < num_states() stays in bounds.
+///
+/// When the model's mirror is coded, the chain copies its rows' codes and
+/// the model's palette: code()[j * stride() + s] indexes palette() as
+/// ell_code() does, and the cells past num_states() carry the model's
+/// zero_code(). It never searches a palette itself.
 ///
 /// A fixed-policy sweep (kernel::rvi_eval_sweep) reads only this: half the
 /// rows of a two-action model, and no per-state action lookups. Building
@@ -271,6 +309,14 @@ class PolicyChain {
   [[nodiscard]] const double* reward() const noexcept {
     return reward_.data();
   }
+  /// As CompiledModel::has_codes / ell_code / palette, for these rows.
+  [[nodiscard]] bool has_codes() const noexcept { return !palette_.empty(); }
+  [[nodiscard]] const std::uint8_t* code() const noexcept {
+    return code_.data();
+  }
+  [[nodiscard]] const double* palette() const noexcept {
+    return palette_.data();
+  }
 
  private:
   std::size_t width_ = 0;
@@ -278,6 +324,8 @@ class PolicyChain {
   util::AlignedVector<double> prob_;
   util::AlignedVector<StateId> next_;
   util::AlignedVector<double> reward_;
+  util::AlignedVector<std::uint8_t> code_;
+  util::AlignedVector<double> palette_;
 };
 
 }  // namespace bvc::mdp

@@ -325,12 +325,20 @@ void rvi_eval_sweep_scalar(const PolicyChain& chain, double tau,
 
 }  // namespace detail
 
+namespace {
+
+/// The AVX-512 bodies decode palette codes; rows without codes run the
+/// AVX2 bodies instead, as resolve() degrades avx512 -> avx2.
+Isa coded_isa(Isa isa, bool has_codes) noexcept {
+  return isa == Isa::kAvx512 && !has_codes ? Isa::kAvx2 : isa;
+}
+
+}  // namespace
+
 void backup_expected(const CompiledModel& model, const double* seed,
                      double scale, const double* bias, SaIndex sa_begin,
                      SaIndex sa_end, double* q_out, Isa isa) noexcept {
-  if (!model.has_ell()) {
-    isa = Isa::kScalar;
-  }
+  isa = model.has_ell() ? coded_isa(isa, model.has_codes()) : Isa::kScalar;
   switch (isa) {
     case Isa::kAvx512:
       detail::backup_avx512(model, seed, scale, bias, sa_begin, sa_end, q_out);
@@ -376,8 +384,13 @@ void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
 Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept {
   // The in-register backup needs the ELL mirror, and the combine the
   // fixed-width uniform 2-action menu rvi_combine's vector path handles.
-  return model.has_ell() && model.uniform_actions() == 2 ? isa
-                                                         : Isa::kScalar;
+  return model.has_ell() && model.uniform_actions() == 2
+             ? coded_isa(isa, model.has_codes())
+             : Isa::kScalar;
+}
+
+Isa rvi_sweep_isa(const PolicyChain& chain, Isa isa) noexcept {
+  return coded_isa(isa, chain.has_codes());
 }
 
 void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
@@ -409,7 +422,7 @@ void rvi_eval_sweep(const PolicyChain& chain, double tau,
                     StateId s_begin, StateId s_end, double* bias_out,
                     double* span_min_io, double* span_max_io,
                     Isa isa) noexcept {
-  switch (isa) {
+  switch (rvi_sweep_isa(chain, isa)) {
     case Isa::kAvx512:
       detail::rvi_eval_sweep_avx512(chain, tau, bias_in, reference_residual,
                                     s_begin, s_end, bias_out, span_min_io,

@@ -11,13 +11,22 @@
 //   * RVI (average_reward):  seed = null, scale = 1     (rewards + tau
 //     transform are applied in the combine, exactly as the scalar sweep);
 //   * discounted VI:         seed = expected_reward, scale = discount;
-//   * policy-iteration greedy pass: seed = sa_rewards, scale = 1;
-//   * the fixed-tau damped bench variant: seed = null, scale = tau
-//     (fl(tau * p) is bit-equal to the precompiled damped_prob column).
+//   * policy-iteration greedy pass: seed = sa_rewards, scale = 1.
 //
 // RVI runs it fused with its combine: rvi_sweep for the greedy pass over
 // a model's full action menu, rvi_eval_sweep for a fixed policy over the
 // policy's compacted chain (mdp::PolicyChain, one row per state).
+//
+// Which probability column each ISA reads: the scalar and AVX2 bodies read
+// the ELL mirror's doubles; the AVX-512 bodies read its one-byte palette
+// codes (CompiledModel::has_codes) and decode eight lanes with one
+// _mm512_cvtepu8_epi64 and one _mm512_permutex2var_pd over the palette's
+// two registers. A decoded lane holds the bits of the double it replaces,
+// so the products below are unchanged. The sweeps over big models are
+// bandwidth-bound, and the codes cut the bytes streamed per outcome from
+// 12 (index + double) to 5. On AVX2 the decode costs more than it saves
+// (docs/PARALLELISM.md), so an AVX-512 request on rows without codes (a
+// mirror with more than 16 values) runs the AVX2 bodies.
 //
 // Bit-identity policy: the vector kernels evaluate the EXACT same
 // expression tree as the scalar CSR loop — per row, terms are accumulated
@@ -90,8 +99,9 @@ void set_requested(Request request) noexcept;
 /// [sa_begin, sa_end). `seed` is null or num_state_actions() doubles;
 /// `bias` has num_states() doubles; `q_out` has capacity for indices
 /// [sa_begin, sa_end). Vector ISAs require model.has_ell() (callers gate
-/// on it; a non-ELL model silently runs the scalar path). Thread-safe for
-/// disjoint [sa_begin, sa_end) ranges over shared inputs.
+/// on it; a non-ELL model silently runs the scalar path), and avx512 runs
+/// avx2 on a model without palette codes. Thread-safe for disjoint
+/// [sa_begin, sa_end) ranges over shared inputs.
 void backup_expected(const CompiledModel& model, const double* seed,
                      double scale, const double* bias, SaIndex sa_begin,
                      SaIndex sa_end, double* q_out, Isa isa) noexcept;
@@ -131,8 +141,10 @@ void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
 /// bandwidth-bound on real models, and eliminating the q column's
 /// store+reload (16 bytes per state-action per sweep) is worth more than
 /// any amount of instruction tuning. It runs on the ISA rvi_sweep_isa
-/// names. Thread-safe for disjoint state ranges; span pointers must be
-/// distinct per caller/chunk.
+/// names; on AVX-512 the probabilities come from the palette codes. Every
+/// ISA reads the same probability bits, so the codes change bytes moved,
+/// not results. Thread-safe for disjoint state ranges; span pointers must
+/// be distinct per caller/chunk.
 void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
                const double* bias_in, double reference_residual,
                StateId s_begin, StateId s_end, double* bias_out,
@@ -142,8 +154,13 @@ void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
 /// The ISA rvi_sweep actually runs for `model` when asked for `isa` — the
 /// dispatcher's own gate: the vector bodies need an ELL mirror and a
 /// uniform 2-action menu; every other model (ragged menus, 3-action
-/// menus, no ELL mirror) takes the scalar loop.
+/// menus, no ELL mirror) takes the scalar loop. An avx512 request on a
+/// model without palette codes runs avx2.
 [[nodiscard]] Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept;
+
+/// The ISA rvi_eval_sweep actually runs for `chain` when asked for `isa`:
+/// `isa`, except that avx512 on a chain without codes runs avx2.
+[[nodiscard]] Isa rvi_sweep_isa(const PolicyChain& chain, Isa isa) noexcept;
 
 /// The fused fixed-policy RVI Jacobi sweep over states [s_begin, s_end) of
 /// a policy's compacted chain (mdp::PolicyChain). Per state s,
@@ -158,9 +175,9 @@ void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
 /// — the expression tree of rvi_sweep with the action menu cut down to the
 /// policy's action, so the result equals a greedy sweep of the one-action
 /// model those rows form, bit-for-bit under the kernel's == contract. Each
-/// lane owns one state's row, and every chain has the vector shape, so
-/// `isa` is used as given. Thread-safe for disjoint state ranges; span
-/// pointers must be distinct per caller/chunk.
+/// lane owns one state's row, and every chain has the vector shape, so it
+/// runs on rvi_sweep_isa(chain, isa). Thread-safe for disjoint state
+/// ranges; span pointers must be distinct per caller/chunk.
 void rvi_eval_sweep(const PolicyChain& chain, double tau,
                     const double* bias_in, double reference_residual,
                     StateId s_begin, StateId s_end, double* bias_out,

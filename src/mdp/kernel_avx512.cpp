@@ -1,7 +1,13 @@
 // AVX-512F backup kernel: 8 rows per vector step over the ELL mirror.
 //
-// Needs only the F (foundation) subset — gathers, mul, add — so -mavx512f
-// suffices. Compiled with that flag when the toolchain accepts it (see
+// Probabilities come from the mirror's one-byte palette codes, not its
+// double column (CompiledModel::has_codes; the dispatcher sends uncoded
+// rows to AVX2): eight codes load as one 8-byte word, zero-extend to 64-bit
+// lane indices and pick from the palette's two registers in one permute.
+//
+// Needs only the F (foundation) subset — gathers, mul, add, the
+// zero-extension and the two-register permute — so -mavx512f suffices.
+// Compiled with that flag when the toolchain accepts it (see
 // src/mdp/CMakeLists.txt); resolve() only routes here when the running CPU
 // reports AVX-512F. Otherwise the stub below forwards to scalar and
 // avx512_compiled() reports false.
@@ -15,6 +21,22 @@
 
 namespace bvc::mdp::kernel::detail {
 
+namespace {
+
+/// The eight probabilities whose palette codes start at `codes`: an 8-byte
+/// load zero-extended to 64-bit indices, which pick from `lo` (palette
+/// entries 0-7) or `hi` (8-15) by their bit 3. The zero-extension is the
+/// all-lanes maskz form of _mm512_cvtepu8_epi64 (the same instruction),
+/// whose zero merge source keeps GCC's uninitialized-value warning quiet.
+inline __m512d decode(const std::uint8_t* codes, __m512d lo,
+                      __m512d hi) noexcept {
+  const __m512i index = _mm512_maskz_cvtepu8_epi64(
+      0xFF, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes)));
+  return _mm512_permutex2var_pd(lo, index, hi);
+}
+
+}  // namespace
+
 bool avx512_compiled() noexcept { return true; }
 
 void backup_avx512(const CompiledModel& model, const double* seed,
@@ -23,9 +45,15 @@ void backup_avx512(const CompiledModel& model, const double* seed,
   constexpr SaIndex kLanes = 8;
   const std::size_t width = model.ell_width();
   const std::size_t stride = model.ell_stride();
-  const double* ell_prob = model.ell_prob();
+  const std::uint8_t* ell_code = model.ell_code();
   const StateId* ell_next = model.ell_next();
+  // fl(scale * p) depends on p alone, so scaling the sixteen palette
+  // entries once gives every lane the product a per-term multiply would.
   const __m512d vscale = _mm512_set1_pd(scale);
+  const __m512d pal_lo =
+      _mm512_mul_pd(vscale, _mm512_loadu_pd(model.palette()));
+  const __m512d pal_hi =
+      _mm512_mul_pd(vscale, _mm512_loadu_pd(model.palette() + 8));
 
   SaIndex sa = sa_begin;
   // Two independent 8-row blocks per iteration: each lane's running sum is
@@ -40,16 +68,15 @@ void backup_avx512(const CompiledModel& model, const double* seed,
                                  : _mm512_setzero_pd();
     for (std::size_t j = 0; j < width; ++j) {
       const StateId* row_next = ell_next + j * stride + sa;
-      const double* row_prob = ell_prob + j * stride + sa;
+      const std::uint8_t* row_code = ell_code + j * stride + sa;
       const __m256i idx0 =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row_next));
       const __m256i idx1 = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(row_next + kLanes));
       const __m512d b0 = _mm512_i32gather_pd(idx0, bias, 8);
       const __m512d b1 = _mm512_i32gather_pd(idx1, bias, 8);
-      const __m512d p0 = _mm512_mul_pd(vscale, _mm512_loadu_pd(row_prob));
-      const __m512d p1 =
-          _mm512_mul_pd(vscale, _mm512_loadu_pd(row_prob + kLanes));
+      const __m512d p0 = decode(row_code, pal_lo, pal_hi);
+      const __m512d p1 = decode(row_code + kLanes, pal_lo, pal_hi);
       // mul then add, never FMA: each term must round exactly like the
       // scalar (scale * p) * b before joining the lane's running sum.
       q0 = _mm512_add_pd(q0, _mm512_mul_pd(p0, b0));
@@ -69,8 +96,7 @@ void backup_avx512(const CompiledModel& model, const double* seed,
       const __m256i idx = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(ell_next + j * stride + sa));
       const __m512d b = _mm512_i32gather_pd(idx, bias, 8);
-      const __m512d p =
-          _mm512_mul_pd(vscale, _mm512_loadu_pd(ell_prob + j * stride + sa));
+      const __m512d p = decode(ell_code + j * stride + sa, pal_lo, pal_hi);
       q = _mm512_add_pd(q, _mm512_mul_pd(p, b));
     }
     _mm512_storeu_pd(q_out + sa, q);
@@ -161,7 +187,7 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
                            StateId s_end, double* bias_out,
                            std::uint32_t* policy_out, double* span_min_io,
                            double* span_max_io) noexcept {
-  // Dispatcher precondition: ELL mirror present, uniform 2-action menu,
+  // Dispatcher precondition: coded ELL mirror, uniform 2-action menu,
   // greedy mode. Sixteen states (32 flat actions) per outer step: four
   // 8-lane gather chains accumulate the expected-next values in registers
   // — the unroll keeps enough gathers in flight to cover their latency —
@@ -175,8 +201,10 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
       kWidthSpec > 0 ? static_cast<std::size_t>(kWidthSpec)
                      : model.ell_width();
   const std::size_t stride = model.ell_stride();
-  const double* ell_prob = model.ell_prob();
+  const std::uint8_t* ell_code = model.ell_code();
   const StateId* ell_next = model.ell_next();
+  const __m512d pal_lo = _mm512_loadu_pd(model.palette());
+  const __m512d pal_hi = _mm512_loadu_pd(model.palette() + 8);
   const __m512d vtau = _mm512_set1_pd(tau);
   const __m512d vdamp = _mm512_set1_pd(1.0 - tau);
   const __m512d vref = _mm512_set1_pd(reference_residual);
@@ -195,7 +223,7 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
     __m512d q3 = _mm512_setzero_pd();
     for (std::size_t j = 0; j < width; ++j) {
       const StateId* row_next = ell_next + j * stride + sa;
-      const double* row_prob = ell_prob + j * stride + sa;
+      const std::uint8_t* row_code = ell_code + j * stride + sa;
       const __m512d b0 = _mm512_i32gather_pd(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row_next)),
           bias_in, 8);
@@ -210,13 +238,14 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
           bias_in, 8);
       // At scale 1 the backup term is fl(p * b) (fl(1.0 * p) == p), with
       // mul and add kept separate exactly like backup_avx512.
-      q0 = _mm512_add_pd(q0, _mm512_mul_pd(_mm512_loadu_pd(row_prob), b0));
-      q1 = _mm512_add_pd(q1,
-                         _mm512_mul_pd(_mm512_loadu_pd(row_prob + 8), b1));
-      q2 = _mm512_add_pd(q2,
-                         _mm512_mul_pd(_mm512_loadu_pd(row_prob + 16), b2));
-      q3 = _mm512_add_pd(q3,
-                         _mm512_mul_pd(_mm512_loadu_pd(row_prob + 24), b3));
+      q0 = _mm512_add_pd(
+          q0, _mm512_mul_pd(decode(row_code, pal_lo, pal_hi), b0));
+      q1 = _mm512_add_pd(
+          q1, _mm512_mul_pd(decode(row_code + 8, pal_lo, pal_hi), b1));
+      q2 = _mm512_add_pd(
+          q2, _mm512_mul_pd(decode(row_code + 16, pal_lo, pal_hi), b2));
+      q3 = _mm512_add_pd(
+          q3, _mm512_mul_pd(decode(row_code + 24, pal_lo, pal_hi), b3));
     }
     for (int half = 0; half < 2; ++half) {
       const __m512d qlo = half == 0 ? q0 : q2;
@@ -297,12 +326,13 @@ void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
 
 namespace {
 
-// The fixed-policy chain sweep, width-specialized like the greedy body.
-// One row per state, so lane l of a vector step is state s + l's whole
-// backup: the expected-next sum (outcome order, separate mul/add), the
-// reward + tau transform, and the reference/span outputs, all in
-// registers. Four 8-state gather chains per outer step keep enough
-// gathers in flight to cover their latency.
+// The fixed-policy chain sweep, width-specialized like the greedy body,
+// over a coded chain (the dispatcher's precondition). One row per state,
+// so lane l of a vector step is state s + l's whole backup: the
+// expected-next sum (outcome order, separate mul/add), the reward + tau
+// transform, and the reference/span outputs, all in registers. Four
+// 8-state gather chains per outer step keep enough gathers in flight to
+// cover their latency.
 template <int kWidthSpec>
 void rvi_eval_sweep_avx512_impl(const PolicyChain& chain, double tau,
                                 const double* bias_in,
@@ -315,9 +345,11 @@ void rvi_eval_sweep_avx512_impl(const PolicyChain& chain, double tau,
   const std::size_t width =
       kWidthSpec > 0 ? static_cast<std::size_t>(kWidthSpec) : chain.width();
   const std::size_t stride = chain.stride();
-  const double* prob = chain.prob();
+  const std::uint8_t* code = chain.code();
   const StateId* next = chain.next();
   const double* reward = chain.reward();
+  const __m512d pal_lo = _mm512_loadu_pd(chain.palette());
+  const __m512d pal_hi = _mm512_loadu_pd(chain.palette() + 8);
   const __m512d vtau = _mm512_set1_pd(tau);
   const __m512d vdamp = _mm512_set1_pd(1.0 - tau);
   const __m512d vref = _mm512_set1_pd(reference_residual);
@@ -330,7 +362,7 @@ void rvi_eval_sweep_avx512_impl(const PolicyChain& chain, double tau,
     const __m512d b = _mm512_i32gather_pd(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(next + at)),
         bias_in, 8);
-    return _mm512_mul_pd(_mm512_loadu_pd(prob + at), b);
+    return _mm512_mul_pd(decode(code + at, pal_lo, pal_hi), b);
   };
   // The combine for the 8 states at `so`, exactly rvi_eval_sweep_scalar's
   // elementwise tree.

@@ -1,10 +1,16 @@
 // Equivalence of the CompiledModel SoA kernel layer with the Model (AoS)
-// representation it compiles: structural fidelity, bit-identical solver
-// results through both overload families, and bit-identical raw sweeps
-// against an in-test replica of the seed's AoS Gauss-Seidel backup loop.
+// representation it compiles: structural fidelity, the ELL mirror's
+// palette codes (every code decodes to its double, the 16-value rule, the
+// copies a PolicyChain takes, a disk round trip, the resident bytes),
+// bit-identical solver results through both overload families, and
+// bit-identical raw sweeps against an in-test replica of the seed's AoS
+// Gauss-Seidel backup loop.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +25,7 @@
 #include "mdp/ratio.hpp"
 #include "mdp/rollout.hpp"
 #include "mdp/solver_config.hpp"
+#include "util/aligned.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -80,9 +87,6 @@ TEST(CompiledModel, MirrorsModelStructure) {
         EXPECT_EQ(compiled.prob()[k], outcome.probability);
         EXPECT_EQ(compiled.reward()[k], outcome.reward);
         EXPECT_EQ(compiled.weight()[k], outcome.weight);
-        // The damped column is exactly tau * p (the kernel-bench layout).
-        EXPECT_EQ(compiled.damped_prob()[k],
-                  compiled.compiled_tau() * outcome.probability);
         ++k;
       }
       total_outcomes += outcomes.size();
@@ -91,12 +95,197 @@ TEST(CompiledModel, MirrorsModelStructure) {
   EXPECT_EQ(compiled.num_outcomes(), total_outcomes);
 }
 
-TEST(CompiledModel, RejectsBadTau) {
+// ---- palette codes of the ELL mirror ---------------------------------------
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Checks the code column against the double column it replaces: every
+/// cell, padding included, decodes to its double's exact bits; the palette
+/// holds distinct values, then +0.0 in every unused slot; padding cells
+/// carry zero_code(), which decodes to +0.0.
+void expect_codes_decode(const mdp::CompiledModel& model) {
+  ASSERT_TRUE(model.has_codes());
+  const std::size_t size = model.palette_size();
+  ASSERT_GE(size, 1u);
+  ASSERT_LE(size, mdp::CompiledModel::kPaletteSize);
+  const double* palette = model.palette();
+  for (std::size_t a = 0; a < mdp::CompiledModel::kPaletteSize; ++a) {
+    for (std::size_t b = a + 1; b < size; ++b) {
+      EXPECT_NE(bits(palette[a]), bits(palette[b])) << a << " vs " << b;
+    }
+    if (a >= size) {
+      EXPECT_EQ(bits(palette[a]), bits(0.0)) << "unused slot " << a;
+    }
+  }
+  EXPECT_EQ(bits(palette[model.zero_code()]), bits(0.0));
+  const std::size_t stride = model.ell_stride();
+  for (std::size_t j = 0; j < model.ell_width(); ++j) {
+    for (std::size_t sa = 0; sa < stride; ++sa) {
+      const std::size_t cell = j * stride + sa;
+      const std::uint8_t code = model.ell_code()[cell];
+      ASSERT_LT(code, size);
+      ASSERT_EQ(bits(palette[code]), bits(model.ell_prob()[cell]))
+          << "j=" << j << " sa=" << sa;
+      const bool padding =
+          sa >= model.num_state_actions() ||
+          model.outcome_begin(sa) + j >= model.outcome_end(sa);
+      if (padding) {
+        ASSERT_EQ(code, model.zero_code()) << "j=" << j << " sa=" << sa;
+      }
+    }
+  }
+}
+
+TEST(CompiledModel, CodesDecodeToTheDoubleColumn) {
+  expect_codes_decode(mdp::CompiledModel::compile(setting1_model().model));
+  expect_codes_decode(mdp::CompiledModel::compile(setting2_model().model));
+  expect_codes_decode(mdp::CompiledModel::compile(btc_model().model));
+}
+
+/// One action per state; state s takes row s % rows.size(). Dyadic rows
+/// that sum to exactly 1 keep their bits through the builder.
+mdp::Model rows_model(mdp::StateId num_states,
+                      const std::vector<std::vector<double>>& rows) {
+  mdp::ModelBuilder builder(num_states);
+  for (mdp::StateId s = 0; s < num_states; ++s) {
+    builder.begin_action(s, 0);
+    const std::vector<double>& row = rows[s % rows.size()];
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      builder.add_outcome(static_cast<mdp::StateId>((s + j + 1) % num_states),
+                          row[j]);
+    }
+  }
+  return builder.build();
+}
+
+/// `pairs` rows {k/64, 1 - k/64} for k = 1..pairs: 2 * pairs distinct
+/// values.
+std::vector<std::vector<double>> pair_rows(int pairs) {
+  std::vector<std::vector<double>> rows;
+  for (int k = 1; k <= pairs; ++k) {
+    rows.push_back({k / 64.0, 1.0 - k / 64.0});
+  }
+  return rows;
+}
+
+TEST(CompiledModel, PaletteHoldsAtMostSixteenValuesCountingZero) {
+  // 14 values and no padding (16 rows, a multiple of 8): coded, and +0.0
+  // takes the first unused slot.
+  const mdp::CompiledModel fourteen =
+      mdp::CompiledModel::compile(rows_model(16, pair_rows(7)));
+  ASSERT_TRUE(fourteen.has_codes());
+  EXPECT_EQ(fourteen.palette_size(), 14u);
+  EXPECT_EQ(fourteen.zero_code(), 14u);
+  expect_codes_decode(fourteen);
+
+  // 15 values plus the 0.0 that pads the width-1 row: a full palette.
+  std::vector<std::vector<double>> rows = pair_rows(7);
+  rows.push_back({1.0});
+  const mdp::CompiledModel sixteen =
+      mdp::CompiledModel::compile(rows_model(16, rows));
+  ASSERT_TRUE(sixteen.has_codes());
+  EXPECT_EQ(sixteen.palette_size(), 16u);
+  expect_codes_decode(sixteen);
+
+  // 16 nonzero values without padding: +0.0 would need a 17th slot.
+  const mdp::CompiledModel full =
+      mdp::CompiledModel::compile(rows_model(16, pair_rows(8)));
+  ASSERT_TRUE(full.has_ell());
+  EXPECT_FALSE(full.has_codes());
+  EXPECT_EQ(full.palette_size(), 0u);
+
+  // 16 values plus the stride padding's 0.0 (17 rows): 17 values.
+  const mdp::CompiledModel seventeen =
+      mdp::CompiledModel::compile(rows_model(17, pair_rows(8)));
+  ASSERT_TRUE(seventeen.has_ell());
+  EXPECT_FALSE(seventeen.has_codes());
+}
+
+TEST(CompiledModel, PolicyChainCopiesTheMirrorCodes) {
   const bu::AttackModel attack = setting1_model();
-  EXPECT_THROW((void)mdp::CompiledModel::compile(attack.model, 0.0),
-               std::exception);
-  EXPECT_THROW((void)mdp::CompiledModel::compile(attack.model, 1.5),
-               std::exception);
+  const mdp::CompiledModel model = mdp::CompiledModel::compile(attack.model);
+  ASSERT_TRUE(model.has_codes());
+  const mdp::StateId n = model.num_states();
+  std::vector<std::uint32_t> policy(n);
+  for (mdp::StateId s = 0; s < n; ++s) {
+    policy[s] = (s * 7 / 3) % model.num_actions(s);
+  }
+  const mdp::PolicyChain chain(
+      model, policy, {model.expected_reward(), model.num_state_actions()});
+  ASSERT_TRUE(chain.has_codes());
+  for (std::size_t k = 0; k < mdp::CompiledModel::kPaletteSize; ++k) {
+    EXPECT_EQ(bits(chain.palette()[k]), bits(model.palette()[k]));
+  }
+  for (std::size_t j = 0; j < chain.width(); ++j) {
+    for (std::size_t s = 0; s < chain.stride(); ++s) {
+      const std::size_t cell = j * chain.stride() + s;
+      const std::uint8_t code = chain.code()[cell];
+      if (s < n) {
+        const mdp::SaIndex sa =
+            model.sa_index(static_cast<mdp::StateId>(s), policy[s]);
+        ASSERT_EQ(code, model.ell_code()[j * model.ell_stride() + sa])
+            << "j=" << j << " s=" << s;
+      } else {
+        ASSERT_EQ(code, model.zero_code()) << "j=" << j << " s=" << s;
+      }
+      ASSERT_EQ(bits(chain.palette()[code]), bits(chain.prob()[cell]));
+    }
+  }
+
+  // A mirror without codes gives chains without codes.
+  const mdp::CompiledModel uncoded =
+      mdp::CompiledModel::compile(rows_model(16, pair_rows(8)));
+  const std::vector<std::uint32_t> zeros(uncoded.num_states(), 0);
+  EXPECT_FALSE(mdp::PolicyChain(uncoded, zeros,
+                                {uncoded.expected_reward(),
+                                 uncoded.num_state_actions()})
+                   .has_codes());
+}
+
+TEST(CompiledModel, DiskRoundTripRebuildsCodes) {
+  const bu::AttackModel attack = setting1_model();
+  const btc::SmModel sm = btc_model();
+  for (const mdp::Model* source : {&attack.model, &sm.model}) {
+    const auto original = mdp::CompiledModel::compile_shared(*source);
+    std::stringstream buffer;
+    original->serialize(buffer);
+    const auto restored = mdp::CompiledModel::deserialize(buffer);
+    ASSERT_NE(restored, nullptr);
+    ASSERT_TRUE(restored->has_codes());
+    EXPECT_EQ(restored->palette_size(), original->palette_size());
+    EXPECT_EQ(restored->zero_code(), original->zero_code());
+    EXPECT_EQ(restored->bytes_resident(), original->bytes_resident());
+    for (std::size_t k = 0; k < mdp::CompiledModel::kPaletteSize; ++k) {
+      EXPECT_EQ(bits(restored->palette()[k]), bits(original->palette()[k]));
+    }
+    ASSERT_EQ(restored->ell_width(), original->ell_width());
+    ASSERT_EQ(restored->ell_stride(), original->ell_stride());
+    const std::size_t cells = original->ell_width() * original->ell_stride();
+    for (std::size_t i = 0; i < cells; ++i) {
+      ASSERT_EQ(restored->ell_code()[i], original->ell_code()[i]) << i;
+    }
+  }
+}
+
+TEST(CompiledModel, BytesResidentCountsCodesAndPalette) {
+  // Two models of one shape (16 one-action states, two outcomes each): the
+  // dyadic one is coded, the other takes 32 values and is not.
+  const mdp::CompiledModel coded =
+      mdp::CompiledModel::compile(rows_model(16, pair_rows(7)));
+  std::vector<std::vector<double>> thirds;
+  for (int k = 1; k <= 16; ++k) {
+    thirds.push_back({1.0 / (3.0 * k), 1.0 - 1.0 / (3.0 * k)});
+  }
+  const mdp::CompiledModel uncoded =
+      mdp::CompiledModel::compile(rows_model(16, thirds));
+  ASSERT_TRUE(coded.has_codes());
+  ASSERT_FALSE(uncoded.has_codes());
+  ASSERT_EQ(coded.ell_width() * coded.ell_stride(),
+            uncoded.ell_width() * uncoded.ell_stride());
+  EXPECT_EQ(coded.bytes_resident() - uncoded.bytes_resident(),
+            util::aligned_footprint(coded.ell_width() * coded.ell_stride()) +
+                util::aligned_footprint(mdp::CompiledModel::kPaletteSize *
+                                        sizeof(double)));
 }
 
 // ---- raw sweep equivalence vs an AoS reference replica --------------------

@@ -1,12 +1,14 @@
 // The vectorized backup kernel layer (mdp/kernel.hpp): dispatch
 // vocabulary, bit-identical scalar/AVX2/AVX-512 equivalence (including
-// remainder lanes, odd outcome widths, and the damped-prob variant), the
+// remainder lanes, odd outcome widths, and a damped scale), the
 // fixed-policy chain sweep against a greedy sweep of the policy's
-// one-action model, solver-level bit-identity of the kernel Jacobi path
-// against the scalar Jacobi path (optimizing and evaluating), the sweep
-// path the rvi.solve span names, cross-cell warm starts (fixed point
-// unchanged, counters accurate), and the NUMA placement helpers' smoke
-// behaviour.
+// one-action model, the palette-coded AVX-512 bodies on palettes of 1, 9
+// and 16 values, the paper's models all taking the coded path,
+// solver-level bit-identity of the kernel Jacobi path against the scalar
+// Jacobi path (optimizing and evaluating), the sweep path the rvi.solve
+// span names (uncoded models run avx2 under an avx512 request), cross-cell
+// warm starts (fixed point unchanged, counters accurate), and the NUMA
+// placement helpers' smoke behaviour.
 //
 // Vector-ISA cases GTEST_SKIP when the build or CPU lacks the ISA, so the
 // suite is green (not red) on machines without AVX2/AVX-512.
@@ -18,12 +20,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "btc/selfish_mining.hpp"
 #include "bu/attack_analysis.hpp"
 #include "bu/attack_model.hpp"
 #include "mdp/average_reward.hpp"
@@ -87,6 +91,74 @@ mdp::Model ragged_model(mdp::StateId num_states) {
   return builder.build();
 }
 
+/// Outcome rows whose dyadic probabilities sum to exactly 1, so the
+/// builder keeps every probability's bits and a model built from them
+/// takes exactly their distinct values (plus 0.0 where rows are padded).
+using Rows = std::vector<std::vector<double>>;
+
+/// A model of palette-bounded probabilities: state s offers menu(s)
+/// actions, and action a takes row pick(s, a) % rows.size() of `rows`, with
+/// scattered next states and dyadic rewards/weights.
+mdp::Model palette_model(mdp::StateId num_states,
+                         std::size_t (*menu)(mdp::StateId),
+                         std::size_t (*pick)(mdp::StateId, std::size_t),
+                         const Rows& rows) {
+  mdp::ModelBuilder builder(num_states);
+  for (mdp::StateId s = 0; s < num_states; ++s) {
+    for (std::size_t a = 0; a < menu(s); ++a) {
+      builder.begin_action(s, static_cast<mdp::ActionLabel>(a));
+      const std::vector<double>& row = rows[pick(s, a) % rows.size()];
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        builder.add_outcome(
+            static_cast<mdp::StateId>((s * 13 + a * 7 + j * 3 + 1) %
+                                      num_states),
+            row[j], 0.125 * static_cast<double>((s * 3 + a + j) % 9),
+            0.25 * static_cast<double>((s + j) % 5));
+      }
+    }
+  }
+  return builder.build();
+}
+
+/// The attack-model shape (a uniform two-action menu) over `rows`.
+mdp::Model palette_two_action_model(mdp::StateId num_states,
+                                    const Rows& rows) {
+  return palette_model(
+      num_states, [](mdp::StateId) -> std::size_t { return 2; },
+      [](mdp::StateId s, std::size_t a) -> std::size_t {
+        return s * 5 + a * 3;
+      },
+      rows);
+}
+
+/// One value: every action moves deterministically (probability 1.0).
+const Rows kOneValueRows = {{1.0}};
+/// Eight probabilities; the mixed widths pad with 0.0, the ninth value.
+const Rows kNineValueRows = {{1.0},          {0.5, 0.5},
+                             {0.25, 0.75},   {0.125, 0.875},
+                             {0.375, 0.625}, {0.25, 0.25, 0.5}};
+/// Fifteen probabilities plus the 0.0 padding: a full palette, whose last
+/// eight entries sit in the second palette register.
+const Rows kSixteenValueRows = {
+    {1.0},          {0.5, 0.5},         {0.25, 0.75},
+    {0.125, 0.875}, {0.0625, 0.9375},   {0.03125, 0.96875},
+    {0.015625, 0.984375},               {0.375, 0.625},
+    {0.1875, 0.0625, 0.75}};
+
+/// ragged_model's menus and widths (1..3 actions, 1..5 outcomes) with
+/// probabilities from five halving values (plus 0.0 padding): its coded
+/// twin.
+mdp::Model coded_ragged_model(mdp::StateId num_states) {
+  return palette_model(
+      num_states, [](mdp::StateId s) -> std::size_t { return 1 + s % 3; },
+      [](mdp::StateId s, std::size_t a) -> std::size_t { return s + a; },
+      {{1.0},
+       {0.5, 0.5},
+       {0.5, 0.25, 0.25},
+       {0.5, 0.25, 0.125, 0.125},
+       {0.5, 0.25, 0.125, 0.0625, 0.0625}});
+}
+
 std::vector<double> ramp_bias(std::size_t num_states) {
   std::vector<double> bias(num_states);
   for (std::size_t s = 0; s < num_states; ++s) {
@@ -112,29 +184,22 @@ void expect_backup_equivalence(const mdp::CompiledModel& compiled, Isa isa,
   }
 
   // Split ranges (chunk boundaries at non-lane-multiples): same answer.
-  std::vector<double> q_split(num_sa, -3.0);
-  const std::size_t cut = num_sa / 3 + 1;
-  mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), 0, cut,
-                               q_split.data(), isa);
-  mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), cut, num_sa,
-                               q_split.data(), isa);
-  for (std::size_t sa = 0; sa < num_sa; ++sa) {
-    EXPECT_EQ(q_scalar[sa], q_split[sa]) << "split sa=" << sa;
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{5},
+                                num_sa / 3 + 1, num_sa - 3}) {
+    std::vector<double> q_split(num_sa, -3.0);
+    mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), 0, cut,
+                                 q_split.data(), isa);
+    mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), cut,
+                                 num_sa, q_split.data(), isa);
+    for (std::size_t sa = 0; sa < num_sa; ++sa) {
+      EXPECT_EQ(q_scalar[sa], q_split[sa]) << "cut=" << cut << " sa=" << sa;
+    }
   }
 }
 
-void run_equivalence_suite(Isa isa) {
-  if (!mdp::kernel::isa_available(isa)) {
-    GTEST_SKIP() << mdp::kernel::to_string(isa)
-                 << " not available on this build/CPU";
-  }
-  // 37 states -> a state-action count that is not a multiple of 4 or 8,
-  // so both vector widths exercise their scalar remainder.
-  const mdp::Model model = ragged_model(37);
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-  ASSERT_TRUE(compiled.has_ell());
+/// backup_expected's four solver variants under `isa` against scalar.
+void expect_backup_variants(const mdp::CompiledModel& compiled, Isa isa) {
   const std::size_t num_sa = compiled.num_state_actions();
-
   // Variant A (RVI): no seed, unit scale.
   expect_backup_equivalence(compiled, isa, nullptr, 1.0);
   // Variant B (discounted VI / PI greedy): seeded, scaled.
@@ -144,10 +209,32 @@ void run_equivalence_suite(Isa isa) {
   }
   expect_backup_equivalence(compiled, isa, seed.data(), 0.95);
   expect_backup_equivalence(compiled, isa, seed.data(), 1.0);
-  // Damped variant: scale = compiled tau.
-  expect_backup_equivalence(compiled, isa, nullptr, compiled.compiled_tau());
+  // Damped variant: scale = an aperiodicity tau.
+  expect_backup_equivalence(compiled, isa, nullptr, 0.999);
+}
+
+void run_equivalence_suite(Isa isa) {
+  if (!mdp::kernel::isa_available(isa)) {
+    GTEST_SKIP() << mdp::kernel::to_string(isa)
+                 << " not available on this build/CPU";
+  }
+  // 37 states -> a state-action count that is not a multiple of 4 or 8,
+  // so both vector widths exercise their scalar remainder. The random
+  // probabilities take more than 16 values: no palette codes, so avx512
+  // runs the AVX2 bodies. The coded twin takes the AVX-512 code path.
+  const mdp::CompiledModel compiled =
+      mdp::CompiledModel::compile(ragged_model(37));
+  ASSERT_TRUE(compiled.has_ell());
+  ASSERT_FALSE(compiled.has_codes());
+  expect_backup_variants(compiled, isa);
+  const mdp::CompiledModel coded =
+      mdp::CompiledModel::compile(coded_ragged_model(37));
+  ASSERT_TRUE(coded.has_codes());
+  ASSERT_EQ(coded.num_state_actions(), compiled.num_state_actions());
+  expect_backup_variants(coded, isa);
 
   // Empty range: touches nothing.
+  const std::size_t num_sa = compiled.num_state_actions();
   std::vector<double> q(num_sa, 7.0);
   const std::vector<double> bias = ramp_bias(compiled.num_states());
   mdp::kernel::backup_expected(compiled, nullptr, 1.0, bias.data(), 5, 5,
@@ -205,28 +292,6 @@ TEST(Kernel, Avx2MatchesScalarBitExact) { run_equivalence_suite(Isa::kAvx2); }
 
 TEST(Kernel, Avx512MatchesScalarBitExact) {
   run_equivalence_suite(Isa::kAvx512);
-}
-
-TEST(Kernel, DampedScaleMatchesPrecompiledDampedColumn) {
-  const mdp::Model model = ragged_model(23);
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-  const double tau = compiled.compiled_tau();
-  const std::size_t num_sa = compiled.num_state_actions();
-  const std::vector<double> bias = ramp_bias(compiled.num_states());
-
-  // fl(tau * p) is exactly the precompiled damped_prob entry, so the
-  // scale=tau kernel must reproduce a sweep over that column bit-for-bit.
-  std::vector<double> q(num_sa);
-  mdp::kernel::backup_expected(compiled, nullptr, tau, bias.data(), 0, num_sa,
-                               q.data(), Isa::kScalar);
-  for (std::size_t sa = 0; sa < num_sa; ++sa) {
-    double expected = 0.0;
-    for (std::size_t k = compiled.outcome_begin(sa);
-         k < compiled.outcome_end(sa); ++k) {
-      expected += compiled.damped_prob()[k] * bias[compiled.next()[k]];
-    }
-    EXPECT_EQ(q[sa], expected) << "sa=" << sa;
-  }
 }
 
 TEST(Kernel, NonEllModelFallsBackToScalar) {
@@ -320,24 +385,28 @@ void expect_rvi_sweep_equivalence(const mdp::CompiledModel& compiled,
   EXPECT_EQ(min_scalar, min_vector);
   EXPECT_EQ(max_scalar, max_vector);
 
-  // Split ranges (chunk boundary off any lane multiple) with per-chunk span
-  // accumulators, as the parallel solver path issues them.
-  std::vector<double> out_split(n, -9.0);
-  std::vector<std::uint32_t> pol_split(n, 77u);
-  const mdp::StateId cut = n / 3 + 1;
-  double min_a = inf, max_a = -inf, min_b = inf, max_b = -inf;
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0, cut,
-                         out_split.data(), pol_split.data(), &min_a, &max_a,
-                         isa);
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, cut, n,
-                         out_split.data(), pol_split.data(), &min_b, &max_b,
-                         isa);
-  for (mdp::StateId s = 0; s < n; ++s) {
-    EXPECT_EQ(out_scalar[s], out_split[s]) << "split state=" << s;
-    EXPECT_EQ(pol_scalar[s], pol_split[s]) << "split state=" << s;
+  // Split ranges (chunk boundaries off any lane multiple) with per-chunk
+  // span accumulators, as the parallel solver path issues them.
+  for (const mdp::StateId cut :
+       {mdp::StateId{1}, mdp::StateId{5}, n / 3 + 1, n - 3}) {
+    std::vector<double> out_split(n, -9.0);
+    std::vector<std::uint32_t> pol_split(n, 77u);
+    double min_a = inf, max_a = -inf, min_b = inf, max_b = -inf;
+    mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0, cut,
+                           out_split.data(), pol_split.data(), &min_a, &max_a,
+                           isa);
+    mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, cut, n,
+                           out_split.data(), pol_split.data(), &min_b, &max_b,
+                           isa);
+    for (mdp::StateId s = 0; s < n; ++s) {
+      EXPECT_EQ(out_scalar[s], out_split[s])
+          << "cut=" << cut << " state=" << s;
+      EXPECT_EQ(pol_scalar[s], pol_split[s])
+          << "cut=" << cut << " state=" << s;
+    }
+    EXPECT_EQ(min_scalar, std::min(min_a, min_b)) << "cut=" << cut;
+    EXPECT_EQ(max_scalar, std::max(max_a, max_b)) << "cut=" << cut;
   }
-  EXPECT_EQ(min_scalar, std::min(min_a, min_b));
-  EXPECT_EQ(max_scalar, std::max(max_a, max_b));
 }
 
 void run_rvi_sweep_suite(Isa isa) {
@@ -345,11 +414,14 @@ void run_rvi_sweep_suite(Isa isa) {
     GTEST_SKIP() << mdp::kernel::to_string(isa)
                  << " not available on this build/CPU";
   }
-  // The specialized shape: uniform two actions, ELL width 3.
+  // The specialized shape: uniform two actions, ELL width 3. Its random
+  // probabilities carry no codes, so avx512 runs avx2 here; the coded
+  // bodies are Kernel.CodedAvx512BodiesMatchScalarBitExact's.
   {
     const mdp::CompiledModel compiled =
         mdp::CompiledModel::compile(uniform_two_action_model(137));
     ASSERT_TRUE(compiled.has_ell());
+    ASSERT_FALSE(compiled.has_codes());
     ASSERT_EQ(compiled.uniform_actions(), 2u);
     expect_rvi_sweep_equivalence(compiled, isa);
   }
@@ -638,6 +710,140 @@ TEST(Kernel, PolicyChainRejectsOutOfRangeActions) {
   EXPECT_ANY_THROW(mdp::PolicyChain(compiled, policy, rewards));
 }
 
+// ---- palette-coded AVX-512 bodies ----------------------------------------
+
+/// Palettes of 1, 9 and 16 values (the 16th entry sits in the second
+/// palette register). 140 states gives the one-value model a padding-free
+/// mirror (280 rows, a multiple of 8); 139 leaves every vector body a
+/// scalar remainder.
+struct PaletteCase {
+  const char* name;
+  mdp::StateId states;
+  const Rows* rows;
+  std::size_t values;
+};
+const PaletteCase kPaletteCases[] = {
+    {"1 value", 140, &kOneValueRows, 1},
+    {"9 values", 139, &kNineValueRows, 9},
+    {"16 values", 139, &kSixteenValueRows, 16},
+};
+
+TEST(Kernel, CodedAvx512BodiesMatchScalarBitExact) {
+  if (!mdp::kernel::isa_available(Isa::kAvx512)) {
+    GTEST_SKIP() << "avx512 not available on this build/CPU";
+  }
+  for (const PaletteCase& c : kPaletteCases) {
+    SCOPED_TRACE(c.name);
+    const mdp::CompiledModel compiled = mdp::CompiledModel::compile(
+        palette_two_action_model(c.states, *c.rows));
+    ASSERT_TRUE(compiled.has_codes());
+    ASSERT_EQ(compiled.palette_size(), c.values);
+    ASSERT_EQ(mdp::kernel::rvi_sweep_isa(compiled, Isa::kAvx512),
+              Isa::kAvx512);
+    expect_backup_variants(compiled, Isa::kAvx512);
+    expect_rvi_sweep_equivalence(compiled, Isa::kAvx512);
+
+    std::vector<std::uint32_t> policy(compiled.num_states());
+    for (mdp::StateId s = 0; s < compiled.num_states(); ++s) {
+      policy[s] = (s * 7 / 3) % 2;
+    }
+    const mdp::PolicyChain chain(
+        compiled, policy,
+        {compiled.expected_reward(), compiled.num_state_actions()});
+    ASSERT_TRUE(chain.has_codes());
+    ASSERT_EQ(mdp::kernel::rvi_sweep_isa(chain, Isa::kAvx512), Isa::kAvx512);
+    expect_chain_sweep_equivalence(compiled, policy);
+  }
+}
+
+/// Every model the paper's tables solve takes the coded AVX-512 path: the
+/// Table 2/3/4 grids at setting 1 (setting 2 shares their value counts),
+/// one setting-2 cell per utility, and the Bitcoin selfish-mining
+/// baseline. The greedy sweep vectorizes the uniform two-action menus
+/// (Tables 2 and 3); Table 4's three-action Wait menus and the baseline's
+/// ragged menus keep the scalar greedy loop, and their policy chains run
+/// avx512. Guards against a palette rule that silently leaves cells on
+/// the AVX2 bodies: every result would still pass, only slower.
+TEST(Kernel, PaperModelsTakeTheCodedPath) {
+  struct Cell {
+    std::string name;
+    std::shared_ptr<const mdp::CompiledModel> model;
+    bool two_actions;  ///< the menu the greedy sweep vectorizes
+  };
+  std::vector<Cell> cells;
+  const auto add_bu = [&](double alpha, int b, int g, bu::Setting setting,
+                          bu::Utility utility) {
+    const double rest = 1.0 - alpha;
+    const double beta = rest * b / (b + g);
+    const double gamma = rest - beta;
+    if (alpha > beta || alpha > gamma) {
+      return;  // outside the paper's alpha <= min(beta, gamma)
+    }
+    bu::AttackParams params;
+    params.alpha = alpha;
+    params.beta = beta;
+    params.gamma = gamma;
+    params.setting = setting;
+    cells.push_back(
+        {"u" + std::to_string(static_cast<int>(utility) + 1) + " setting " +
+             (setting == bu::Setting::kNoStickyGate ? "1" : "2") +
+             " alpha=" + std::to_string(alpha) + " b:g=" +
+             std::to_string(b) + ":" + std::to_string(g),
+         bu::attack_model_compiled(params, utility),
+         utility != bu::Utility::kOrphaning});
+  };
+  const bu::Setting one = bu::Setting::kNoStickyGate;
+  for (const auto& [b, g] : std::vector<std::pair<int, int>>{
+           {3, 2}, {1, 1}, {2, 3}, {1, 2}, {1, 3}, {1, 4}}) {
+    for (const double alpha : {0.10, 0.15, 0.20, 0.25}) {
+      add_bu(alpha, b, g, one, bu::Utility::kRelativeRevenue);
+    }
+  }
+  for (const auto& [b, g] : std::vector<std::pair<int, int>>{
+           {4, 1}, {2, 1}, {1, 1}, {1, 2}, {1, 4}}) {
+    for (const double alpha : {0.01, 0.025, 0.05, 0.10, 0.15, 0.20, 0.25}) {
+      add_bu(alpha, b, g, one, bu::Utility::kAbsoluteReward);
+    }
+  }
+  for (const auto& [b, g] : std::vector<std::pair<int, int>>{
+           {4, 1}, {3, 1}, {2, 1}, {3, 2}, {1, 1}, {2, 3}, {1, 2}, {1, 3},
+           {1, 4}}) {
+    add_bu(0.01, b, g, one, bu::Utility::kOrphaning);
+  }
+  add_bu(0.25, 1, 1, bu::Setting::kStickyGate, bu::Utility::kRelativeRevenue);
+  add_bu(0.10, 1, 1, bu::Setting::kStickyGate, bu::Utility::kAbsoluteReward);
+  add_bu(0.01, 1, 1, bu::Setting::kStickyGate, bu::Utility::kOrphaning);
+  // The grids' 61 setting-1 cells (16 + 36 + 9 inside alpha <=
+  // min(beta, gamma)) and the three setting-2 cells.
+  ASSERT_EQ(cells.size(), 61u + 3u);
+  for (const double tie : {0.5, 1.0}) {
+    for (const double alpha : {0.10, 0.15, 0.20, 0.25}) {
+      btc::SmParams params;
+      params.alpha = alpha;
+      params.gamma_tie = tie;
+      cells.push_back(
+          {"bitcoin-sm tie=" + std::to_string(tie) +
+               " alpha=" + std::to_string(alpha),
+           btc::sm_model_compiled(params, bu::Utility::kAbsoluteReward),
+           false});
+    }
+  }
+
+  for (const Cell& cell : cells) {
+    const mdp::CompiledModel& model = *cell.model;
+    ASSERT_TRUE(model.has_codes()) << cell.name;
+    EXPECT_EQ(model.uniform_actions() == 2, cell.two_actions) << cell.name;
+    EXPECT_EQ(mdp::kernel::rvi_sweep_isa(model, Isa::kAvx512),
+              cell.two_actions ? Isa::kAvx512 : Isa::kScalar)
+        << cell.name;
+    const std::vector<std::uint32_t> policy(model.num_states(), 0);
+    const mdp::PolicyChain chain(
+        model, policy, {model.expected_reward(), model.num_state_actions()});
+    EXPECT_EQ(mdp::kernel::rvi_sweep_isa(chain, Isa::kAvx512), Isa::kAvx512)
+        << cell.name;
+  }
+}
+
 // ---- solver-level bit-identity -------------------------------------------
 
 bu::AttackModel small_attack_model() {
@@ -780,24 +986,27 @@ std::string traced_kernel_arg(const mdp::CompiledModel& model,
 }
 
 TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
-  const std::string resolved(mdp::kernel::to_string(mdp::kernel::resolve()));
-  // Two uniform actions: both the greedy and the chain sweep vectorize.
-  const mdp::CompiledModel two =
+  // Two uniform actions with coded probabilities: both the greedy and the
+  // chain sweep run the requested ISA.
+  const mdp::CompiledModel two = mdp::CompiledModel::compile(
+      palette_two_action_model(64, kNineValueRows));
+  ASSERT_TRUE(two.has_codes());
+  // Its random-probability twin carries no codes: an avx512 request runs
+  // the AVX2 bodies for both sweeps.
+  const mdp::CompiledModel random_two =
       mdp::CompiledModel::compile(uniform_two_action_model(64));
-  EXPECT_EQ(traced_kernel_arg(two, false), resolved);
-  EXPECT_EQ(traced_kernel_arg(two, true), resolved);
+  ASSERT_FALSE(random_two.has_codes());
   // Three actions and ragged menus: the greedy sweep takes the scalar
   // loop; the chain of a fixed policy has one row per state and does not.
+  // The ragged model's random probabilities carry no codes either.
   const mdp::CompiledModel three =
       mdp::CompiledModel::compile(uniform_three_action_model(64));
   ASSERT_EQ(three.uniform_actions(), 3u);
-  EXPECT_EQ(traced_kernel_arg(three, false), "scalar");
-  EXPECT_EQ(traced_kernel_arg(three, true), resolved);
+  ASSERT_TRUE(three.has_codes());
   const mdp::CompiledModel ragged =
       mdp::CompiledModel::compile(ragged_model(53));
   ASSERT_TRUE(ragged.has_ell());
-  EXPECT_EQ(traced_kernel_arg(ragged, false), "scalar");
-  EXPECT_EQ(traced_kernel_arg(ragged, true), resolved);
+  ASSERT_FALSE(ragged.has_codes());
   // No ELL mirror (one row wider than kMaxEllWidth): the solver stays on
   // its scalar disciplines for both modes.
   const mdp::StateId n = 40;
@@ -814,8 +1023,27 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
   const mdp::CompiledModel no_ell =
       mdp::CompiledModel::compile(builder.build());
   ASSERT_FALSE(no_ell.has_ell());
-  EXPECT_EQ(traced_kernel_arg(no_ell, false), "scalar");
-  EXPECT_EQ(traced_kernel_arg(no_ell, true), "scalar");
+
+  for (const Request request :
+       {Request::kScalar, Request::kAvx2, Request::kAvx512}) {
+    if (!mdp::kernel::isa_available(static_cast<Isa>(request))) {
+      continue;
+    }
+    const ScopedKernelRequest scoped(request);
+    const std::string asked(mdp::kernel::to_string(request));
+    const std::string uncoded = request == Request::kAvx512 ? "avx2" : asked;
+    SCOPED_TRACE(asked);
+    EXPECT_EQ(traced_kernel_arg(two, false), asked);
+    EXPECT_EQ(traced_kernel_arg(two, true), asked);
+    EXPECT_EQ(traced_kernel_arg(random_two, false), uncoded);
+    EXPECT_EQ(traced_kernel_arg(random_two, true), uncoded);
+    EXPECT_EQ(traced_kernel_arg(three, false), "scalar");
+    EXPECT_EQ(traced_kernel_arg(three, true), asked);
+    EXPECT_EQ(traced_kernel_arg(ragged, false), "scalar");
+    EXPECT_EQ(traced_kernel_arg(ragged, true), uncoded);
+    EXPECT_EQ(traced_kernel_arg(no_ell, false), "scalar");
+    EXPECT_EQ(traced_kernel_arg(no_ell, true), "scalar");
+  }
 }
 
 // ---- warm starts ---------------------------------------------------------
