@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/json.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/supervisor.hpp"
 #include "util/cli.hpp"
@@ -358,8 +359,9 @@ class SweepSession {
                    bench_name_, path.c_str());
       return;
     }
-    out << "{\n  \"bench\": \"" << bench_name_ << "\",\n";
-    out << "  \"checkpoint\": \"" << checkpoint_path_ << "\",\n";
+    out << "{\n  \"bench\": " << obs::json_quoted(bench_name_) << ",\n";
+    out << "  \"checkpoint\": " << obs::json_quoted(checkpoint_path_)
+        << ",\n";
     out << "  \"shards\": " << report_.shards.size() << ",\n";
     out << "  \"total_restarts\": " << report_.total_restarts << ",\n";
     out << "  \"cancelled\": " << (report_.cancelled ? "true" : "false")
@@ -383,8 +385,9 @@ class SweepSession {
           << ", \"stall_kills\": " << shard.stall_kills
           << ", \"last_exit_code\": " << shard.last_exit_code
           << ", \"last_signal\": " << shard.last_signal
-          << ", \"journal\": \"" << journal << "\""
-          << ", \"manifest\": \"" << journal << ".manifest.json\"}"
+          << ", \"journal\": " << obs::json_quoted(journal)
+          << ", \"manifest\": " << obs::json_quoted(journal + ".manifest.json")
+          << "}"
           << (i + 1 < report_.shards.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -70,9 +70,12 @@ diff -u "$out/baseline.txt" "$out/resumed.txt" || {
 # 4. Sharded sweep with a crash-injected worker: shard 0's first
 # incarnation dies after 3 cells; the supervisor restarts it (respawns
 # scrub the injection env), every cell lands in the merged journal, and the
-# parent's render pass reproduces the baseline byte-for-byte.
+# parent's render pass reproduces the baseline byte-for-byte. The
+# checkpoint name holds a backslash and a double quote, which the merged
+# manifest must escape to stay valid JSON.
+ck2="$out/"'c"k\2.jsonl'
 BVC_CRASH_AFTER_CELLS=3 BVC_CRASH_SHARD=0 "$bench" "${flags[@]}" \
-  --shards 2 --checkpoint "$out/ck2.jsonl" \
+  --shards 2 --checkpoint "$ck2" \
   >"$out/sharded.txt" 2>"$out/sharded.err"
 diff -u "$out/baseline.txt" "$out/sharded.txt" || {
   echo "check_resume.sh: sharded output differs from baseline" >&2
@@ -80,10 +83,12 @@ diff -u "$out/baseline.txt" "$out/sharded.txt" || {
   exit 1
 }
 
-python3 - "$out/ck2.jsonl.merged.json" <<'EOF'
+python3 - "$ck2" <<'EOF'
 import json, sys
 
-manifest = json.load(open(sys.argv[1]))
+checkpoint = sys.argv[1]
+manifest = json.load(open(checkpoint + ".merged.json"))
+assert manifest["checkpoint"] == checkpoint, manifest
 assert manifest["shards"] == 2, manifest
 assert manifest["total_restarts"] >= 1, \
     f"injected crash not recorded: {manifest['total_restarts']} restarts"
@@ -93,6 +98,9 @@ assert manifest["merge"]["records"] > 0, manifest
 outcomes = {s["index"]: s for s in manifest["shard_outcomes"]}
 assert outcomes[0]["restarts"] >= 1, outcomes  # the crashed shard
 assert all(s["completed"] for s in outcomes.values()), outcomes
+assert all(s["journal"].startswith(checkpoint) and
+           s["manifest"] == s["journal"] + ".manifest.json"
+           for s in outcomes.values()), outcomes
 print(f"check_resume: merged {manifest['merge']['records']} cells from "
       f"{manifest['shards']} shards, {manifest['total_restarts']} restart(s)")
 EOF

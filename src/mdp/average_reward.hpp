@@ -31,8 +31,7 @@ struct Policy {
 /// The relative-value-iteration knob block. Not a front door: callers
 /// configure solves through mdp::SolverConfig (solver_config.hpp), which
 /// nests this struct as its `average_reward` field and stamps `control` /
-/// `threads` when lowering. The pre-SolverConfig name AverageRewardOptions
-/// survives only as a [[deprecated]] alias in solver_config.hpp.
+/// `threads` when lowering.
 struct AverageRewardKnobs {
   /// Stopping threshold on the span seminorm of successive value differences;
   /// bounds the gain error by the same amount.

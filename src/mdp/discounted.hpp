@@ -12,9 +12,7 @@
 namespace bvc::mdp {
 
 /// The discounted-value-iteration knob block. Not a front door: callers
-/// configure solves through mdp::SolverConfig (solver_config.hpp). The
-/// pre-SolverConfig name DiscountedOptions survives only as a
-/// [[deprecated]] alias there.
+/// configure solves through mdp::SolverConfig (solver_config.hpp).
 struct DiscountedKnobs {
   double discount = 0.999;  ///< beta in (0, 1)
   double tolerance = 1e-10;

@@ -17,9 +17,7 @@
 namespace bvc::mdp {
 
 /// The Howard policy-iteration knob block. Not a front door: callers
-/// configure solves through mdp::SolverConfig (solver_config.hpp). The
-/// pre-SolverConfig name PolicyIterationOptions survives only as a
-/// [[deprecated]] alias there.
+/// configure solves through mdp::SolverConfig (solver_config.hpp).
 struct PolicyIterationKnobs {
   int max_improvements = 1000;
   /// Keep the incumbent action unless a challenger beats it by this margin

@@ -23,8 +23,7 @@ namespace bvc::mdp {
 /// The ratio-solver knob block (outer Dinkelbach/bisection loop plus the
 /// nested inner-RVI knobs). Not a front door: callers configure solves
 /// through mdp::SolverConfig (solver_config.hpp), which lowers to this
-/// shape via SolverConfig::ratio_options(). The pre-SolverConfig name
-/// RatioOptions survives only as a [[deprecated]] alias there.
+/// shape via SolverConfig::ratio_options().
 struct RatioKnobs {
   AverageRewardKnobs inner;
   /// Convergence tolerance on the ratio value.

@@ -15,11 +15,8 @@
 //
 // Every solver entry point — including the fixed-policy evaluators — accepts
 // a SolverConfig through the overloads declared below. The legacy per-solver
-// option structs are RETIRED: their names survive only as the [[deprecated]]
-// aliases at the bottom of this header (scripts/ci.sh builds with
-// -Werror=deprecated-declarations, so no new in-repo use can land), and the
-// underlying knob blocks (`*Knobs`) are what a SolverConfig lowers to
-// internally.
+// option structs are gone; the underlying knob blocks (`*Knobs`) are what a
+// SolverConfig lowers to internally.
 #pragma once
 
 #include <span>
@@ -168,19 +165,5 @@ struct SolverConfig {
 [[nodiscard]] PolicyIterationResult evaluate_policy_exact(
     const CompiledModel& model, const Policy& policy,
     std::span<const double> sa_rewards, const SolverConfig& config);
-
-// Deprecated names of the retired per-solver option structs. They exist so
-// out-of-tree callers keep compiling (with a warning); every in-repo caller
-// passes a SolverConfig — enforced by -Werror=deprecated-declarations in
-// scripts/ci.sh.
-
-using AverageRewardOptions
-    [[deprecated("pass mdp::SolverConfig instead")]] = AverageRewardKnobs;
-using RatioOptions
-    [[deprecated("pass mdp::SolverConfig instead")]] = RatioKnobs;
-using DiscountedOptions
-    [[deprecated("pass mdp::SolverConfig instead")]] = DiscountedKnobs;
-using PolicyIterationOptions
-    [[deprecated("pass mdp::SolverConfig instead")]] = PolicyIterationKnobs;
 
 }  // namespace bvc::mdp

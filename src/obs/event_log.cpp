@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
+#include <string>
+
+#include "obs/json.hpp"
 
 namespace bvc::obs {
 namespace {
@@ -21,37 +23,6 @@ std::uint64_t wall_ms() {
   return static_cast<std::uint64_t>(
       duration_cast<milliseconds>(system_clock::now().time_since_epoch())
           .count());
-}
-
-/// JSON string escaping (control chars, quote, backslash).
-void write_json_string(std::FILE* out, std::string_view text) {
-  std::fputc('"', out);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        std::fputs("\\\"", out);
-        break;
-      case '\\':
-        std::fputs("\\\\", out);
-        break;
-      case '\n':
-        std::fputs("\\n", out);
-        break;
-      case '\r':
-        std::fputs("\\r", out);
-        break;
-      case '\t':
-        std::fputs("\\t", out);
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(out, "\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          std::fputc(c, out);
-        }
-    }
-  }
-  std::fputc('"', out);
 }
 
 }  // namespace
@@ -167,49 +138,42 @@ void EventLog::emit_locked(LogLevel level, const char* subsystem,
     std::fputc('\n', out);
   } else {
     // Structured JSONL.
-    std::fprintf(out, "{\"ts_ms\":%" PRIu64 ",\"level\":\"%.*s\"",
-                 wall_ms(), static_cast<int>(to_string(level).size()),
-                 to_string(level).data());
-    std::fputs(",\"subsystem\":", out);
-    write_json_string(out, subsystem);
-    std::fputs(",\"msg\":", out);
-    write_json_string(out, message);
+    std::string line = "{\"ts_ms\":" + std::to_string(wall_ms()) +
+                       ",\"level\":\"" + std::string(to_string(level)) +
+                       "\",\"subsystem\":";
+    append_json_escaped(line, subsystem);
+    line += ",\"msg\":";
+    append_json_escaped(line, message);
     if (fields.size() > 0) {
-      std::fputs(",\"fields\":{", out);
+      line += ",\"fields\":{";
       bool first = true;
       for (const LogField& field : fields) {
-        if (!first) std::fputc(',', out);
+        line += first ? "" : ",";
         first = false;
-        write_json_string(out, field.key_);
-        std::fputc(':', out);
+        append_json_escaped(line, field.key_);
+        line += ':';
         switch (field.kind_) {
           case LogField::Kind::kString:
-            write_json_string(out, field.text_);
+            append_json_escaped(line, field.text_);
             break;
           case LogField::Kind::kDouble:
-            // NaN/Inf are not valid JSON numbers; quote them.
-            if (!std::isfinite(field.number_)) {
-              char buffer[32];
-              std::snprintf(buffer, sizeof(buffer), "%g", field.number_);
-              write_json_string(out, buffer);
-            } else {
-              std::fprintf(out, "%.17g", field.number_);
-            }
+            append_json_number(line, field.number_);
             break;
           case LogField::Kind::kInt:
-            std::fprintf(out, "%" PRId64, field.int_);
+            line += std::to_string(field.int_);
             break;
           case LogField::Kind::kUint:
-            std::fprintf(out, "%" PRIu64, field.uint_);
+            line += std::to_string(field.uint_);
             break;
           case LogField::Kind::kBool:
-            std::fputs(field.flag_ ? "true" : "false", out);
+            line += field.flag_ ? "true" : "false";
             break;
         }
       }
-      std::fputc('}', out);
+      line += '}';
     }
-    std::fputs("}\n", out);
+    line += "}\n";
+    std::fwrite(line.data(), 1, line.size(), out);
   }
   // Flush per record: these are rare operational events and must survive a
   // crash (the checkpoint layer logs right before a deliberate SIGKILL).

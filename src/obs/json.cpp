@@ -1,11 +1,11 @@
-#include "svc/json.hpp"
+#include "obs/json.hpp"
 
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace bvc::svc {
+namespace bvc::obs {
 
 namespace {
 
@@ -285,24 +285,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void append_number(std::string& out, double value) {
-  // Integral values (job counts, statuses, byte sizes) print as integers;
-  // everything else round-trips via %.17g, matching the checkpoint layer.
-  // Range check FIRST: casting a double outside long long range (or NaN,
-  // which fails the range comparisons) to long long is undefined behavior.
-  if (value >= -9.0e15 && value <= 9.0e15 &&
-      value == static_cast<double>(static_cast<long long>(value))) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-    out += buffer;
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
 void append_value(std::string& out, const Json& value) {
   switch (value.type()) {
     case Json::Type::kNull:
@@ -312,7 +294,7 @@ void append_value(std::string& out, const Json& value) {
       out += value.as_bool() ? "true" : "false";
       return;
     case Json::Type::kNumber:
-      append_number(out, value.as_number());
+      append_json_number(out, value.as_number());
       return;
     case Json::Type::kString:
       append_json_escaped(out, value.as_string());
@@ -364,6 +346,34 @@ void append_json_escaped(std::string& out, std::string_view text) {
     }
   }
   out += '"';
+}
+
+std::string json_quoted(std::string_view text) {
+  std::string out;
+  append_json_escaped(out, text);
+  return out;
+}
+
+void append_json_number(std::string& out, double value) {
+  char buffer[32];
+  if (!std::isfinite(value)) {
+    std::snprintf(buffer, sizeof(buffer), "%g", value);
+    append_json_escaped(out, buffer);
+    return;
+  }
+  // Integral values (job counts, statuses, byte sizes) take an integer
+  // fast path that prints the same bytes %.17g would. Range check FIRST:
+  // casting a double outside long long range to long long is undefined
+  // behavior. -0.0 stays on the %.17g path, which keeps its sign.
+  if (value >= -9.0e15 && value <= 9.0e15 &&
+      value == static_cast<double>(static_cast<long long>(value)) &&
+      !(value == 0.0 && std::signbit(value))) {
+    std::snprintf(buffer, sizeof(buffer), "%lld",
+                  static_cast<long long>(value));
+  } else {
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  }
+  out += buffer;
 }
 
 Json Json::boolean(bool value) {
@@ -454,4 +464,4 @@ std::optional<Json> Json::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-}  // namespace bvc::svc
+}  // namespace bvc::obs

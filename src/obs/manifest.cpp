@@ -7,6 +7,8 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/json.hpp"
+
 // Stamped by src/obs/CMakeLists.txt at configure time; the fallbacks keep
 // out-of-CMake builds (and IDE syntax passes) compiling.
 #ifndef BVC_GIT_SHA
@@ -17,27 +19,6 @@
 #endif
 
 namespace bvc::obs {
-
-namespace {
-
-void write_json_string(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out << buffer;
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 RunManifest make_run_manifest(int argc, const char* const* argv) {
   RunManifest manifest;
@@ -69,39 +50,30 @@ RunManifest make_run_manifest(int argc, const char* const* argv) {
 
 void write_manifest_json(std::ostream& out, const RunManifest& manifest,
                          const MetricsSnapshot& metrics) {
-  out << "{\n  \"binary\": ";
-  write_json_string(out, manifest.binary);
+  out << "{\n  \"binary\": " << json_quoted(manifest.binary);
   out << ",\n  \"args\": [";
   for (std::size_t i = 0; i < manifest.args.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    write_json_string(out, manifest.args[i]);
+    out << (i == 0 ? "" : ", ") << json_quoted(manifest.args[i]);
   }
-  out << "],\n  \"git_sha\": ";
-  write_json_string(out, manifest.git_sha);
-  out << ",\n  \"build_type\": ";
-  write_json_string(out, manifest.build_type);
-  out << ",\n  \"compiler\": ";
-  write_json_string(out, manifest.compiler);
+  out << "],\n  \"git_sha\": " << json_quoted(manifest.git_sha);
+  out << ",\n  \"build_type\": " << json_quoted(manifest.build_type);
+  out << ",\n  \"compiler\": " << json_quoted(manifest.compiler);
   out << ",\n  \"hardware_threads\": " << manifest.hardware_threads;
-  out << ",\n  \"started_at_utc\": ";
-  write_json_string(out, manifest.started_at_utc);
+  out << ",\n  \"started_at_utc\": " << json_quoted(manifest.started_at_utc);
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.6f", manifest.elapsed_seconds);
   out << ",\n  \"elapsed_seconds\": " << buffer;
+  const auto write_pairs =
+      [&out](const std::vector<std::pair<std::string, std::string>>& pairs) {
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          out << (i == 0 ? "" : ", ") << json_quoted(pairs[i].first) << ": "
+              << json_quoted(pairs[i].second);
+        }
+      };
   out << ",\n  \"outputs\": {";
-  for (std::size_t i = 0; i < manifest.outputs.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    write_json_string(out, manifest.outputs[i].first);
-    out << ": ";
-    write_json_string(out, manifest.outputs[i].second);
-  }
+  write_pairs(manifest.outputs);
   out << "},\n  \"annotations\": {";
-  for (std::size_t i = 0; i < manifest.annotations.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    write_json_string(out, manifest.annotations[i].first);
-    out << ": ";
-    write_json_string(out, manifest.annotations[i].second);
-  }
+  write_pairs(manifest.annotations);
   out << "},\n  \"metrics\": ";
   // Indentation mismatch with the nested writer is cosmetic; the payload
   // is for machines first.

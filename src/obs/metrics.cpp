@@ -1,9 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include "obs/event_log.hpp"
+#include "obs/json.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -154,50 +154,49 @@ MetricsRegistry& MetricsRegistry::global() {
 
 // --------------------------------------------------------------- JSON sink
 
-namespace {
-
-void write_double(std::ostream& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out << buffer;
-}
-
-}  // namespace
-
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot) {
-  out << "{\n  \"counters\": {";
+  std::string text = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    out << (first ? "" : ",") << "\n    \"" << name << "\": " << value;
+  // Opens one `"name": ` member of the current section.
+  const auto member = [&](const std::string& name) {
+    text += first ? "\n    " : ",\n    ";
     first = false;
+    append_json_escaped(text, name);
+    text += ": ";
+  };
+  for (const auto& [name, value] : snapshot.counters) {
+    member(name);
+    text += std::to_string(value);
   }
-  out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
+  text += first ? "" : "\n  ";
+  text += "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : snapshot.gauges) {
-    out << (first ? "" : ",") << "\n    \"" << name << "\": ";
-    write_double(out, value);
-    first = false;
+    member(name);
+    append_json_number(text, value);
   }
-  out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
+  text += first ? "" : "\n  ";
+  text += "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, histogram] : snapshot.histograms) {
-    out << (first ? "" : ",") << "\n    \"" << name << "\": {\"bounds\": [";
+    member(name);
+    text += "{\"bounds\": [";
     for (std::size_t i = 0; i < histogram.bounds.size(); ++i) {
-      if (i != 0) {
-        out << ", ";
-      }
-      write_double(out, histogram.bounds[i]);
+      text += i == 0 ? "" : ", ";
+      append_json_number(text, histogram.bounds[i]);
     }
-    out << "], \"counts\": [";
+    text += "], \"counts\": [";
     for (std::size_t i = 0; i < histogram.counts.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << histogram.counts[i];
+      text += i == 0 ? "" : ", ";
+      text += std::to_string(histogram.counts[i]);
     }
-    out << "], \"sum\": ";
-    write_double(out, histogram.sum);
-    out << ", \"count\": " << histogram.count << "}";
-    first = false;
+    text += "], \"sum\": ";
+    append_json_number(text, histogram.sum);
+    text += ", \"count\": " + std::to_string(histogram.count) + "}";
   }
-  out << (first ? "" : "\n  ") << "}\n}\n";
+  text += first ? "" : "\n  ";
+  text += "}\n}\n";
+  out << text;
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -14,174 +14,63 @@
 #include <utility>
 
 #include "obs/event_log.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace bvc::obs {
 namespace {
 
-// --------------------------------------------------------- minimal JSON in
-//
-// Just enough of a recursive-descent parser to read back what
-// write_metrics_json emits (obs cannot depend on svc::Json — layering).
-
-struct JsonIn {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
+/// A count written by write_metrics_json. Anything but a non-negative
+/// integer a uint64 can hold is rejected: casting it would be undefined.
+std::optional<std::uint64_t> read_count(const Json& value) {
+  const double number = value.as_number(-1.0);  // a non-number fails too
+  if (!(number >= 0.0 && number < 0x1p64) || number != std::floor(number)) {
+    return std::nullopt;
   }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    failed = true;
-    return false;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  std::string parse_string() {
-    if (!consume('"')) return {};
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        const char escaped = text[pos++];
-        switch (escaped) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u':
-            // \uXXXX: metric names never need it; map to '?'.
-            pos = std::min(pos + 4, text.size());
-            c = '?';
-            break;
-          default: c = escaped;
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos >= text.size()) {
-      failed = true;
-      return {};
-    }
-    ++pos;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E' || text[pos] == 'i' ||
-            text[pos] == 'n' || text[pos] == 'f' || text[pos] == 'a')) {
-      ++pos;  // the letter set tolerates inf/-inf/nan from %.17g
-    }
-    if (pos == start) {
-      failed = true;
-      return 0.0;
-    }
-    return std::strtod(std::string(text.substr(start, pos - start)).c_str(),
-                       nullptr);
-  }
-};
-
-/// Parses `{"name": <number>, ...}` into `sink(name, value)`.
-template <typename Sink>
-void parse_number_object(JsonIn& in, Sink&& sink) {
-  if (!in.consume('{')) return;
-  if (in.peek('}')) {
-    in.consume('}');
-    return;
-  }
-  while (!in.failed) {
-    const std::string name = in.parse_string();
-    if (in.failed || !in.consume(':')) return;
-    sink(name, in.parse_number());
-    if (in.peek(',')) {
-      in.consume(',');
-      continue;
-    }
-    in.consume('}');
-    return;
-  }
+  return static_cast<std::uint64_t>(number);
 }
 
-void parse_number_array(JsonIn& in, std::vector<double>& out) {
-  if (!in.consume('[')) return;
-  if (in.peek(']')) {
-    in.consume(']');
-    return;
-  }
-  while (!in.failed) {
-    out.push_back(in.parse_number());
-    if (in.peek(',')) {
-      in.consume(',');
-      continue;
-    }
-    in.consume(']');
-    return;
-  }
+/// A double written by write_metrics_json: a JSON number, or the quoted %g
+/// spelling the codec gives a non-finite value.
+std::optional<double> read_real(const Json& value) {
+  if (value.is_number()) return value.as_number();
+  const std::string& text = value.as_string();  // "" for a non-string
+  char* end = nullptr;
+  const double number = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || std::isfinite(number)) return std::nullopt;
+  return number;
 }
 
-void parse_histograms(JsonIn& in, MetricsSnapshot& snapshot) {
-  if (!in.consume('{')) return;
-  if (in.peek('}')) {
-    in.consume('}');
-    return;
-  }
-  while (!in.failed) {
-    const std::string name = in.parse_string();
-    if (in.failed || !in.consume(':') || !in.consume('{')) return;
-    Histogram::Snapshot histogram;
-    while (!in.failed) {
-      const std::string key = in.parse_string();
-      if (in.failed || !in.consume(':')) return;
-      if (key == "bounds") {
-        parse_number_array(in, histogram.bounds);
-      } else if (key == "counts") {
-        std::vector<double> counts;
-        parse_number_array(in, counts);
-        histogram.counts.reserve(counts.size());
-        for (const double c : counts) {
-          histogram.counts.push_back(static_cast<std::uint64_t>(c));
-        }
-      } else if (key == "sum") {
-        histogram.sum = in.parse_number();
-      } else if (key == "count") {
-        histogram.count = static_cast<std::uint64_t>(in.parse_number());
-      } else {
-        in.failed = true;
-        return;
+/// One histogram object; nullopt on an unknown key or a malformed value.
+std::optional<Histogram::Snapshot> read_histogram(const Json& body) {
+  if (!body.is_object()) return std::nullopt;
+  Histogram::Snapshot histogram;
+  for (const auto& [key, value] : body.members()) {
+    if (key == "bounds" && value.is_array()) {
+      for (const Json& item : value.items()) {
+        const std::optional<double> bound = read_real(item);
+        if (!bound) return std::nullopt;
+        histogram.bounds.push_back(*bound);
       }
-      if (in.peek(',')) {
-        in.consume(',');
-        continue;
+    } else if (key == "counts" && value.is_array()) {
+      for (const Json& item : value.items()) {
+        const std::optional<std::uint64_t> count = read_count(item);
+        if (!count) return std::nullopt;
+        histogram.counts.push_back(*count);
       }
-      in.consume('}');
-      break;
+    } else if (key == "sum") {
+      const std::optional<double> sum = read_real(value);
+      if (!sum) return std::nullopt;
+      histogram.sum = *sum;
+    } else if (key == "count") {
+      const std::optional<std::uint64_t> count = read_count(value);
+      if (!count) return std::nullopt;
+      histogram.count = *count;
+    } else {
+      return std::nullopt;
     }
-    snapshot.histograms.emplace(name, std::move(histogram));
-    if (in.peek(',')) {
-      in.consume(',');
-      continue;
-    }
-    in.consume('}');
-    return;
   }
+  return histogram;
 }
 
 // ------------------------------------------------------------- file naming
@@ -297,36 +186,31 @@ std::optional<MetricsSnapshot> read_metrics_json(const std::string& path) {
   if (!in) return std::nullopt;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string body = buffer.str();
+  const std::optional<Json> document = Json::parse(buffer.str());
+  if (!document || !document->is_object()) return std::nullopt;
 
-  JsonIn json{body};
   MetricsSnapshot snapshot;
-  if (!json.consume('{')) return std::nullopt;
-  while (!json.failed) {
-    const std::string section = json.parse_string();
-    if (json.failed || !json.consume(':')) return std::nullopt;
-    if (section == "counters") {
-      parse_number_object(json, [&](const std::string& name, double value) {
-        snapshot.counters.emplace(name, static_cast<std::uint64_t>(value));
-      });
-    } else if (section == "gauges") {
-      parse_number_object(json, [&](const std::string& name, double value) {
-        snapshot.gauges.emplace(name, value);
-      });
-    } else if (section == "histograms") {
-      parse_histograms(json, snapshot);
-    } else {
+  for (const auto& [section, body] : document->members()) {
+    if (!body.is_object() || (section != "counters" && section != "gauges" &&
+                              section != "histograms")) {
       return std::nullopt;
     }
-    if (json.failed) return std::nullopt;
-    if (json.peek(',')) {
-      json.consume(',');
-      continue;
+    for (const auto& [name, value] : body.members()) {
+      if (section == "counters") {
+        const std::optional<std::uint64_t> count = read_count(value);
+        if (!count) return std::nullopt;
+        snapshot.counters.emplace(name, *count);
+      } else if (section == "gauges") {
+        const std::optional<double> gauge = read_real(value);
+        if (!gauge) return std::nullopt;
+        snapshot.gauges.emplace(name, *gauge);
+      } else {
+        std::optional<Histogram::Snapshot> histogram = read_histogram(value);
+        if (!histogram) return std::nullopt;
+        snapshot.histograms.emplace(name, *std::move(histogram));
+      }
     }
-    json.consume('}');
-    break;
   }
-  if (json.failed) return std::nullopt;
   return snapshot;
 }
 
@@ -426,7 +310,7 @@ bool write_merged_chrome_trace(std::ostream& out, const std::string& dir,
                                      const std::string& label) {
     out << (first ? "\n" : ",\n");
     out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"name\":\"" << label << "\"}}";
+        << ",\"tid\":0,\"args\":{\"name\":" << json_quoted(label) << "}}";
     first = false;
   };
 

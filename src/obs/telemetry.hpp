@@ -15,9 +15,9 @@
 //     process's own epoch, so lanes are individually — not mutually —
 //     time-aligned (documented in docs/OBSERVABILITY.md).
 //
-// Layering: obs sits below svc, so the metrics-JSON reader here is a
-// self-contained minimal parser of exactly what write_metrics_json emits
-// (it cannot use svc::Json).
+// The metrics-JSON reader parses with the repo's JSON codec (obs/json.hpp)
+// and accepts exactly the sections and histogram keys write_metrics_json
+// emits.
 #pragma once
 
 #include <atomic>

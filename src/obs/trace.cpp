@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "obs/event_log.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace bvc::obs {
@@ -18,47 +19,12 @@ Clock::time_point trace_epoch() noexcept {
   return epoch;
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-void write_json_string(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buffer;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void write_event_json(std::ostream& out, const TraceEvent& event,
                       std::uint32_t tid, std::uint32_t pid = 0) {
   char buffer[64];
-  out << "{\"name\":";
-  write_json_string(out, event.name != nullptr ? event.name : "?");
-  out << ",\"cat\":";
-  write_json_string(out, event.category != nullptr ? event.category : "?");
+  out << "{\"name\":" << json_quoted(event.name != nullptr ? event.name : "?")
+      << ",\"cat\":"
+      << json_quoted(event.category != nullptr ? event.category : "?");
   if (event.duration_ns < 0) {
     out << ",\"ph\":\"i\",\"s\":\"t\"";
   } else {
@@ -272,7 +238,10 @@ void append_arg(TraceEvent& event, const char* key, const char* formatted) {
   event.args_len = static_cast<std::uint16_t>(event.args_len + length);
 }
 
-/// Appends `"key":"escaped value"`, truncating oversized values.
+/// Appends `"key":"escaped value"`, truncating oversized values. This is
+/// the one escaper outside obs/json: spans record on paths that must not
+/// allocate or throw, so it writes into a fixed buffer and blanks control
+/// characters.
 void append_string_arg(TraceEvent& event, const char* key,
                        std::string_view value) {
   char formatted[96];

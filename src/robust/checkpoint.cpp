@@ -4,155 +4,22 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "obs/event_log.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace bvc::robust {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-/// Minimal cursor over one journal line. The grammar is the fixed flat
-/// schema to_jsonl emits (plus arbitrary whitespace), not general JSON —
-/// anything else is rejected, which is exactly the torn-line tolerance
-/// load() wants.
-class LineParser {
- public:
-  explicit LineParser(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] bool eat(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  [[nodiscard]] bool parse_string(std::string& out) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        const char esc = text_[pos_++];
-        if (esc == 'u') {
-          if (pos_ + 4 > text_.size()) {
-            return false;
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
-          if (code > 0x7f) {
-            return false;  // the writer only escapes control characters
-          }
-          out += static_cast<char>(code);
-        } else if (esc == '"' || esc == '\\') {
-          out += esc;
-        } else {
-          return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  [[nodiscard]] bool parse_double(double& out) {
-    skip_ws();
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtod(begin, &end);
-    if (end == begin || errno == ERANGE) {
-      return false;
-    }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  [[nodiscard]] bool parse_int(std::int64_t& out) {
-    skip_ws();
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoll(begin, &end, 10);
-    if (end == begin || errno == ERANGE) {
-      return false;
-    }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 std::optional<RunStatus> status_from_string(std::string_view text) {
   for (const RunStatus status :
@@ -220,23 +87,23 @@ bool CheckpointRecord::has_value(std::string_view name) const noexcept {
 }
 
 std::string to_jsonl(const CheckpointRecord& record) {
+  // Direct appends, no Json tree: every flush re-serialises the whole
+  // journal, so this stays on the flush's hot path.
   std::string out = "{\"key\":";
-  append_json_string(out, record.key);
+  obs::append_json_escaped(out, record.key);
   out += ",\"status\":";
-  append_json_string(out, to_string(record.status));
+  obs::append_json_escaped(out, to_string(record.status));
   out += ",\"values\":{";
   for (std::size_t i = 0; i < record.values.size(); ++i) {
     if (i != 0) {
       out += ',';
     }
-    append_json_string(out, record.values[i].first);
+    obs::append_json_escaped(out, record.values[i].first);
     out += ':';
-    char buffer[40];
-    // %.17g round-trips every finite double: a resumed cell renders the
-    // exact bits the original solve produced (the bitwise-identical-output
-    // guarantee rests on this).
-    std::snprintf(buffer, sizeof(buffer), "%.17g", record.values[i].second);
-    out += buffer;
+    // Round-trips every finite double bit-exactly: a resumed cell renders
+    // the exact bits the original solve produced (the bitwise-identical-
+    // output guarantee rests on this).
+    obs::append_json_number(out, record.values[i].second);
   }
   out += '}';
   if (!record.policy.empty()) {
@@ -245,9 +112,7 @@ std::string to_jsonl(const CheckpointRecord& record) {
       if (i != 0) {
         out += ',';
       }
-      char buffer[16];
-      std::snprintf(buffer, sizeof(buffer), "%" PRId32, record.policy[i]);
-      out += buffer;
+      out += std::to_string(record.policy[i]);
     }
     out += ']';
   }
@@ -256,68 +121,59 @@ std::string to_jsonl(const CheckpointRecord& record) {
 }
 
 std::optional<CheckpointRecord> parse_jsonl_line(std::string_view line) {
-  LineParser parser(line);
-  CheckpointRecord record;
-  std::string field;
-  if (!parser.eat('{') || !parser.parse_string(field) || field != "key" ||
-      !parser.eat(':') || !parser.parse_string(record.key) ||
-      !parser.eat(',') || !parser.parse_string(field) || field != "status" ||
-      !parser.eat(':')) {
+  const std::optional<obs::Json> document = obs::Json::parse(line);
+  if (!document || !document->is_object()) {
     return std::nullopt;
   }
-  std::string status_text;
-  if (!parser.parse_string(status_text)) {
-    return std::nullopt;
-  }
-  const std::optional<RunStatus> status = status_from_string(status_text);
-  if (!status) {
-    return std::nullopt;
-  }
-  record.status = *status;
-  if (!parser.eat(',') || !parser.parse_string(field) || field != "values" ||
-      !parser.eat(':') || !parser.eat('{')) {
-    return std::nullopt;
-  }
-  if (!parser.eat('}')) {
-    while (true) {
-      std::string name;
-      double value = 0.0;
-      if (!parser.parse_string(name) || !parser.eat(':') ||
-          !parser.parse_double(value)) {
-        return std::nullopt;
-      }
-      record.values.emplace_back(std::move(name), value);
-      if (parser.eat('}')) {
-        break;
-      }
-      if (!parser.eat(',')) {
-        return std::nullopt;
-      }
+  const obs::Json* key = nullptr;
+  const obs::Json* status = nullptr;
+  const obs::Json* values = nullptr;
+  const obs::Json* policy = nullptr;
+  for (const auto& [name, member] : document->members()) {
+    const obs::Json** slot = name == "key"      ? &key
+                             : name == "status" ? &status
+                             : name == "values" ? &values
+                             : name == "policy" ? &policy
+                                                : nullptr;
+    if (slot == nullptr || *slot != nullptr) {
+      return std::nullopt;  // unknown or repeated member
     }
+    *slot = &member;
   }
-  if (parser.eat(',')) {
-    if (!parser.parse_string(field) || field != "policy" ||
-        !parser.eat(':') || !parser.eat('[')) {
+  if (key == nullptr || !key->is_string() || status == nullptr ||
+      values == nullptr || !values->is_object() ||
+      (policy != nullptr && !policy->is_array())) {
+    return std::nullopt;
+  }
+  const std::optional<RunStatus> parsed_status =
+      status_from_string(status->as_string());
+  if (!parsed_status) {
+    return std::nullopt;
+  }
+  CheckpointRecord record;
+  record.key = key->as_string();
+  record.status = *parsed_status;
+  // Object members keep their order and repeats (the voting trace stores
+  // one "limit_per_epoch" value per epoch).
+  record.values.reserve(values->members().size());
+  for (const auto& [name, value] : values->members()) {
+    if (!value.is_number()) {
       return std::nullopt;
     }
-    if (!parser.eat(']')) {
-      while (true) {
-        std::int64_t action = 0;
-        if (!parser.parse_int(action)) {
-          return std::nullopt;
-        }
-        record.policy.push_back(static_cast<std::int32_t>(action));
-        if (parser.eat(']')) {
-          break;
-        }
-        if (!parser.eat(',')) {
-          return std::nullopt;
-        }
-      }
-    }
+    record.values.emplace_back(name, value.as_number());
   }
-  if (!parser.eat('}') || !parser.at_end()) {
-    return std::nullopt;
+  if (policy != nullptr) {
+    record.policy.reserve(policy->size());
+    for (const obs::Json& item : policy->items()) {
+      // Range check before the cast: converting a double outside int32
+      // range is undefined behavior.
+      const double action = item.as_number(0.5);  // a non-number fails too
+      if (!(action >= INT32_MIN && action <= INT32_MAX) ||
+          action != std::trunc(action)) {
+        return std::nullopt;
+      }
+      record.policy.push_back(static_cast<std::int32_t>(action));
+    }
   }
   return record;
 }

@@ -50,8 +50,8 @@
 namespace bvc::robust {
 
 /// One completed sweep cell: the canonical parameter key, how the solve
-/// ended, named result values (doubles, round-tripped exactly via %.17g),
-/// and an optional policy (local action indices) for sweeps whose consumers
+/// ended, named result values (finite doubles round-trip bit-exactly
+/// through obs/json's number writer), and an optional policy (local action indices) for sweeps whose consumers
 /// replay the optimal policy (e.g. the ablation scenario simulations).
 struct CheckpointRecord {
   std::string key;
@@ -68,8 +68,9 @@ struct CheckpointRecord {
 /// Serializes one record as a single JSON line (no trailing newline).
 [[nodiscard]] std::string to_jsonl(const CheckpointRecord& record);
 
-/// Parses one journal line; std::nullopt on any malformed input (torn
-/// write, foreign content). Never throws.
+/// Parses one journal line with obs::Json::parse; std::nullopt on any
+/// malformed input (torn write, foreign content, an unknown or repeated
+/// member, a non-number value, a policy entry outside int32). Never throws.
 [[nodiscard]] std::optional<CheckpointRecord> parse_jsonl_line(
     std::string_view line);
 

@@ -4,31 +4,13 @@
 #include <cstdint>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace bvc::sim {
 
 namespace {
 
 constexpr double kMicrosPerSecond = 1e6;
-
-void write_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 }  // namespace
 
@@ -94,9 +76,7 @@ void Timeline::write_chrome_trace(std::ostream& out) const {
             : "node-" + std::to_string(node);
     sep();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << node
-        << ",\"args\":{\"name\":";
-    write_json_string(out, label);
-    out << "}}";
+        << ",\"args\":{\"name\":" << obs::json_quoted(label) << "}}";
   }
 
   for (const Event& event : events_) {

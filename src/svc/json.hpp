@@ -1,105 +1,11 @@
-// Minimal JSON value + strict parser/writer for the bvcd wire format.
-//
-// The service speaks small request/response documents (job specs, status
-// snapshots, stats), so this is a self-contained recursive value type, not
-// a streaming parser: parse() either returns a fully validated document or
-// nullopt — a malformed body is rejected before any field is read, which
-// is exactly the 400-vs-crash line the HTTP layer needs. Writing is
-// deterministic (object member order preserved, doubles rendered %.17g
-// with integral values printed as integers), so responses diff cleanly in
-// tests and the smoke script.
-//
-// Deliberately NOT general-purpose: no comments, no NaN/Inf literals
-// (JSON has none), UTF-8 passed through verbatim, \uXXXX escapes decoded
-// (surrogate pairs included), nesting capped at kMaxDepth so a hostile
-// body cannot blow the stack.
+// The svc spelling of the repo's JSON codec, which lives in obs/json.hpp.
 #pragma once
 
-#include <cstddef>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
+#include "obs/json.hpp"
 
 namespace bvc::svc {
 
-class Json {
- public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  /// Parser recursion cap; deeper documents are rejected, not truncated.
-  static constexpr std::size_t kMaxDepth = 64;
-
-  Json() = default;  // null
-  static Json boolean(bool value);
-  static Json number(double value);
-  static Json string(std::string value);
-  static Json array();
-  static Json object();
-
-  [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
-  [[nodiscard]] bool is_number() const noexcept {
-    return type_ == Type::kNumber;
-  }
-  [[nodiscard]] bool is_string() const noexcept {
-    return type_ == Type::kString;
-  }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_object() const noexcept {
-    return type_ == Type::kObject;
-  }
-
-  // Typed reads. Wrong-type access returns the neutral value rather than
-  // throwing — callers validate types up front via the predicates.
-  [[nodiscard]] bool as_bool(bool fallback = false) const noexcept;
-  [[nodiscard]] double as_number(double fallback = 0.0) const noexcept;
-  [[nodiscard]] const std::string& as_string() const noexcept;
-
-  // Array access.
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] const Json& at(std::size_t index) const noexcept {
-    return items_[index];
-  }
-  [[nodiscard]] const std::vector<Json>& items() const noexcept {
-    return items_;
-  }
-  void push_back(Json value);
-
-  // Object access (member order preserved; first match wins on lookup).
-  [[nodiscard]] const Json* find(std::string_view key) const noexcept;
-  [[nodiscard]] const std::vector<std::pair<std::string, Json>>& members()
-      const noexcept {
-    return members_;
-  }
-  Json& set(std::string key, Json value);  ///< returns *this for chaining
-
-  // Convenience typed lookups on objects.
-  [[nodiscard]] double number_or(std::string_view key,
-                                 double fallback) const noexcept;
-  [[nodiscard]] bool bool_or(std::string_view key,
-                             bool fallback) const noexcept;
-  [[nodiscard]] std::string string_or(std::string_view key,
-                                      std::string_view fallback) const;
-
-  /// Compact single-line serialization (no insignificant whitespace).
-  [[nodiscard]] std::string dump() const;
-
-  /// Strict parse of exactly one document (trailing non-whitespace fails).
-  [[nodiscard]] static std::optional<Json> parse(std::string_view text);
-
- private:
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> items_;
-  std::vector<std::pair<std::string, Json>> members_;
-};
-
-/// Appends `text` as a quoted JSON string (shared escaping rules).
-void append_json_escaped(std::string& out, std::string_view text);
+using obs::append_json_escaped;
+using obs::Json;
 
 }  // namespace bvc::svc

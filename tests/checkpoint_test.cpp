@@ -5,6 +5,8 @@
 // kill-and-resume script test (scripts/check_resume.sh).
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -53,14 +55,23 @@ TEST(CheckpointRecord, JsonlRoundTripIsExact) {
   record.status = RunStatus::kConverged;
   record.values.emplace_back("third", 1.0 / 3.0);
   record.values.emplace_back("neg", -0.0);
-  // Smallest-magnitude NORMAL doubles round-trip; subnormals are rejected
-  // by the strict parser (strtod underflow), which degrades to recompute.
+  // The smallest normal and the smallest subnormal double both round-trip,
+  // so a cell holding a subnormal resumes instead of being recomputed.
   record.values.emplace_back("tiny", 2.2250738585072014e-308);
+  record.values.emplace_back("subnormal", 4.9406564584124654e-324);
   record.values.emplace_back("big", 12345.678901234567);
+  record.values.emplace_back("count", 42.0);
   record.policy = {0, 1, 3, 2};
 
   const std::string line = to_jsonl(record);
   EXPECT_EQ(line.find('\n'), std::string::npos);
+  // Golden bytes: the journal format on disk.
+  EXPECT_EQ(line,
+            R"({"key":"attack|alpha=0.29999999999999999|u=rel",)"
+            R"("status":"converged","values":{"third":0.33333333333333331,)"
+            R"("neg":-0,"tiny":2.2250738585072014e-308,)"
+            R"("subnormal":4.9406564584124654e-324,)"
+            R"("big":12345.678901234567,"count":42},"policy":[0,1,3,2]})");
 
   const auto parsed = robust::parse_jsonl_line(line);
   ASSERT_TRUE(parsed.has_value());
@@ -72,6 +83,7 @@ TEST(CheckpointRecord, JsonlRoundTripIsExact) {
     // %.17g round-trips every finite double bit-exactly.
     EXPECT_EQ(parsed->values[i].second, record.values[i].second) << i;
   }
+  EXPECT_TRUE(std::signbit(parsed->value_or("neg", 1.0)));
   EXPECT_EQ(parsed->policy, record.policy);
 }
 
@@ -108,6 +120,51 @@ TEST(CheckpointRecord, ParseRejectsTornAndForeignLines) {
   ASSERT_NE(pos, std::string::npos);
   bad_status.replace(pos, 9, "exploded!");
   EXPECT_FALSE(robust::parse_jsonl_line(bad_status).has_value());
+  // Members and values the writer never emits.
+  const std::string head = R"({"key":"k","status":"converged","values":)";
+  EXPECT_TRUE(robust::parse_jsonl_line(head + R"({"a":1}})").has_value());
+  for (const std::string& bad : {
+           head + R"({"a":1},"extra":1})",  // unknown member
+           head + R"({"a":1},"key":"k2"})",  // repeated member
+           head + R"({"a":"1"}})",  // non-number value
+           head + R"({"a":null}})",  // non-number value
+           head + R"({"a":inf}})",  // bare token
+           head + R"({"a":nan}})",  // bare token
+           head + R"([1]})",  // values not an object
+           head + R"({},"policy":[2147483648]})",  // above int32
+           head + R"({},"policy":[-2147483649]})",  // below int32
+           head + R"({},"policy":[1e300]})",  // far outside int32
+           head + R"({},"policy":[1.5]})",  // not an integer
+           head + R"({},"policy":["1"]})",  // not a number
+           head + R"({},"policy":{}})",  // not an array
+           std::string(R"({"key":1,"status":"converged","values":{}})"),
+           std::string(R"({"key":"k","status":7,"values":{}})"),
+           std::string(R"({"key":"k","status":"converged"})"),
+           std::string(R"([{"key":"k","status":"converged","values":{}}])"),
+       }) {
+    EXPECT_FALSE(robust::parse_jsonl_line(bad).has_value()) << bad;
+  }
+  const auto extremes = robust::parse_jsonl_line(
+      head + R"({},"policy":[2147483647,-2147483648,-0]})");
+  ASSERT_TRUE(extremes.has_value());
+  EXPECT_EQ(extremes->policy,
+            (std::vector<std::int32_t>{2147483647, -2147483647 - 1, 0}));
+}
+
+TEST(CheckpointRecord, ParseTakesMembersInAnyOrderAndKeepsRepeatedValues) {
+  // The voting trace repeats "limit_per_epoch" once per epoch, in order.
+  const auto record = robust::parse_jsonl_line(
+      R"({ "values" : {"limit_per_epoch":3,"limit_per_epoch":1,)"
+      R"("limit_per_epoch":2}, "policy":[], "status":"cancelled",)"
+      R"( "key":"voting|k" })");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->key, "voting|k");
+  EXPECT_EQ(record->status, RunStatus::kCancelled);
+  ASSERT_EQ(record->values.size(), 3u);
+  EXPECT_EQ(record->values[0].second, 3.0);
+  EXPECT_EQ(record->values[1].second, 1.0);
+  EXPECT_EQ(record->values[2].second, 2.0);
+  EXPECT_TRUE(record->policy.empty());
 }
 
 // ---------------------------------------------------------------------------

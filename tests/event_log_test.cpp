@@ -1,5 +1,5 @@
 // Tests of obs::EventLog: level parsing and gating, JSONL record shape
-// (validated with the svc JSON parser), per-subsystem rate limiting, and
+// (validated with the obs JSON parser), per-subsystem rate limiting, and
 // concurrent writers. Every test that reconfigures the global log restores
 // the default configuration before returning.
 #include <gtest/gtest.h>
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "obs/event_log.hpp"
-#include "svc/json.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -98,14 +98,14 @@ TEST(EventLog, JsonlRecordsParseAndCarryTypedFields) {
 
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  const std::optional<svc::Json> record = svc::Json::parse(lines[0]);
+  const std::optional<obs::Json> record = obs::Json::parse(lines[0]);
   ASSERT_TRUE(record.has_value());
   ASSERT_TRUE(record->is_object());
   EXPECT_EQ(record->string_or("level", ""), "warn");
   EXPECT_EQ(record->string_or("subsystem", ""), "shape");
   EXPECT_EQ(record->string_or("msg", ""), "all field kinds");
   EXPECT_GT(record->number_or("ts_ms", 0.0), 0.0);
-  const svc::Json* fields = record->find("fields");
+  const obs::Json* fields = record->find("fields");
   ASSERT_NE(fields, nullptr);
   EXPECT_EQ(fields->string_or("text", ""), "va\"lue");
   EXPECT_EQ(fields->number_or("ratio", 0.0), 0.25);
@@ -126,7 +126,7 @@ TEST(EventLog, NonFiniteDoubleFieldsStayValidJson) {
   ASSERT_TRUE(obs::EventLog::global().configure({}));
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  EXPECT_TRUE(svc::Json::parse(lines[0]).has_value()) << lines[0];
+  EXPECT_TRUE(obs::Json::parse(lines[0]).has_value()) << lines[0];
   std::filesystem::remove(path);
 }
 
@@ -178,7 +178,7 @@ TEST(EventLog, ConcurrentWritersNeverCorruptTheSink) {
   ASSERT_EQ(lines.size(),
             static_cast<std::size_t>(kThreads) * kPerThread);
   for (const std::string& line : lines) {
-    ASSERT_TRUE(svc::Json::parse(line).has_value()) << line;
+    ASSERT_TRUE(obs::Json::parse(line).has_value()) << line;
   }
   std::filesystem::remove(path);
 }

@@ -1,15 +1,21 @@
-// The service wire format: strict parsing, deterministic writing, and the
-// malformed-input rejections the HTTP 400 path depends on.
-#include "svc/json.hpp"
+// The repo's JSON codec (obs/json.hpp): strict parsing, deterministic
+// writing, and the malformed-input rejections the HTTP 400 path and the
+// journal's torn-line tolerance depend on. The suite keeps the SvcJson
+// name it had while the codec lived in svc.
+#include "obs/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 
 namespace {
 
-using bvc::svc::Json;
+using bvc::obs::Json;
 
 std::string reparse_dump(const std::string& text) {
   const std::optional<Json> value = Json::parse(text);
@@ -73,6 +79,52 @@ TEST(SvcJson, HugeNumbersDumpWithoutIntegerNarrowing) {
   const std::string nan_dump =
       Json::number(std::numeric_limits<double>::quiet_NaN()).dump();
   EXPECT_FALSE(nan_dump.empty());
+}
+
+TEST(SvcJson, NegativeZeroKeepsItsSignBit) {
+  const std::string dumped = Json::number(-0.0).dump();
+  EXPECT_EQ(dumped, "-0");
+  const std::optional<Json> back = Json::parse(dumped);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(std::signbit(back->as_number()));
+  EXPECT_EQ(Json::number(0.0).dump(), "0");
+}
+
+TEST(SvcJson, NonFiniteNumbersDumpAsQuotedStringsThatParse) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Json::number(kInf).dump(), "\"inf\"");
+  EXPECT_EQ(Json::number(-kInf).dump(), "\"-inf\"");
+  for (const double value :
+       {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    const std::string dumped =
+        Json::object().set("x", Json::number(value)).dump();
+    const std::optional<Json> back = Json::parse(dumped);
+    ASSERT_TRUE(back.has_value()) << dumped;
+    EXPECT_TRUE(back->find("x")->is_string()) << dumped;
+  }
+}
+
+TEST(SvcJson, NumberWriterPrintsPercent17gForEveryFiniteValue) {
+  // The integer fast path must not change a byte: journal lines and wire
+  // bodies are pinned to the %.17g spelling.
+  for (const double value :
+       {0.0, -0.0, 1.0, -3.0, 144.0, 0.25, 1.0 / 3.0, 9.0e15, -9.0e15,
+        9.0e15 + 2.0, 1e17, 0x1p53, 1e300, -1e300, 4.9406564584124654e-324,
+        2.2250738585072014e-308, 12345.678901234567}) {
+    char expected[40];
+    std::snprintf(expected, sizeof(expected), "%.17g", value);
+    std::string written;
+    bvc::obs::append_json_number(written, value);
+    EXPECT_EQ(written, expected);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Json::parse(written)->as_number()),
+              std::bit_cast<std::uint64_t>(value))
+        << written;
+  }
+}
+
+TEST(SvcJson, EscaperWritesControlCharactersAsUnicodeEscapes) {
+  EXPECT_EQ(bvc::obs::json_quoted("a\"b\\c\nd\te\x01"),
+            R"("a\"b\\c\u000ad\u0009e\u0001")");
 }
 
 TEST(SvcJson, StringEscapesRoundTrip) {

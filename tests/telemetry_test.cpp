@@ -1,5 +1,5 @@
 // Tests of cross-process telemetry aggregation (src/obs/telemetry.cpp):
-// metrics-JSON roundtrip through the self-contained reader, the merge
+// metrics-JSON roundtrip through the codec-based reader, the merge
 // rules (counters sum, gauges max, histograms bucket-sum on matching
 // bounds), the TelemetryFlusher's on-disk files, and the merged Chrome
 // trace with one pid lane per worker.
@@ -7,16 +7,18 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "svc/json.hpp"
 
 namespace {
 
@@ -80,10 +82,56 @@ TEST(Telemetry, MetricsJsonRoundTripsThroughTheReader) {
 TEST(Telemetry, ReaderRejectsGarbage) {
   TempDir dir("garbage");
   const std::filesystem::path file = dir.path / "w.1.metrics.json";
-  write_file(file, "{\"counters\":{\"x\": }");
-  EXPECT_FALSE(obs::read_metrics_json(file.string()).has_value());
+  for (const char* bad : {
+           R"({"counters":{"x": })",     // torn
+           R"({"timers": {}})",           // unknown section
+           R"({"histograms": {"h": {"bounds": [], "p99": 1}}})",
+           R"({"gauges": {"g": inf}})",  // bare token, not JSON
+           R"({"gauges": {"g": "fast"}})",  // string, not non-finite
+           R"({"counters": {"c": -1}})",  // negative count
+           R"({"counters": {"c": 1.5}})",  // fractional count
+           R"({"counters": {"c": 1e30}})",  // beyond uint64
+       }) {
+    write_file(file, bad);
+    EXPECT_FALSE(obs::read_metrics_json(file.string()).has_value()) << bad;
+  }
   EXPECT_FALSE(obs::read_metrics_json((dir.path / "nope.json").string())
                    .has_value());
+}
+
+TEST(Telemetry, MetricsJsonRoundTripsEscapedNamesAndEdgeValues) {
+  TempDir dir("edges");
+  const std::string odd = "quote\" back\\slash";
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::MetricsSnapshot snapshot;
+  snapshot.counters[odd] = 3;
+  snapshot.gauges[odd] = -0.0;
+  snapshot.gauges["inf"] = -kInf;
+  snapshot.gauges["nan"] = std::numeric_limits<double>::quiet_NaN();
+  snapshot.gauges["tiny"] = 4.9406564584124654e-324;
+  obs::Histogram::Snapshot histogram;
+  histogram.bounds = {0.5};
+  histogram.counts = {1, 1};
+  histogram.sum = kInf;
+  histogram.count = 2;
+  snapshot.histograms[odd] = histogram;
+
+  const std::filesystem::path file = dir.path / "w.1.metrics.json";
+  {
+    std::ofstream out(file);
+    obs::write_metrics_json(out, snapshot);
+  }
+  const std::optional<obs::MetricsSnapshot> read =
+      obs::read_metrics_json(file.string());
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->counters.at(odd), 3u);
+  EXPECT_EQ(read->gauges.at(odd), 0.0);
+  EXPECT_TRUE(std::signbit(read->gauges.at(odd)));
+  EXPECT_EQ(read->gauges.at("inf"), -kInf);
+  EXPECT_TRUE(std::isnan(read->gauges.at("nan")));
+  EXPECT_EQ(read->gauges.at("tiny"), 4.9406564584124654e-324);
+  EXPECT_EQ(read->histograms.at(odd).sum, kInf);
+  EXPECT_EQ(read->histograms.at(odd).counts, histogram.counts);
 }
 
 TEST(Telemetry, MergeSumsCountersMaxesGaugesSumsMatchingHistograms) {
@@ -178,15 +226,15 @@ TEST(Telemetry, MergedChromeTraceHasOnePidLanePerWorker) {
   std::ostringstream out;
   ASSERT_TRUE(obs::write_merged_chrome_trace(out, dir.str(), nullptr, ""));
   const std::string text = out.str();
-  const std::optional<svc::Json> parsed = svc::Json::parse(text);
+  const std::optional<obs::Json> parsed = obs::Json::parse(text);
   ASSERT_TRUE(parsed.has_value()) << text;
-  const svc::Json* events = parsed->find("traceEvents");
+  const obs::Json* events = parsed->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
 
   int process_names = 0;
   int worker_events = 0;
-  for (const svc::Json& event : events->items()) {
+  for (const obs::Json& event : events->items()) {
     const std::string name = event.string_or("name", "");
     if (name == "process_name") {
       ++process_names;
@@ -198,6 +246,29 @@ TEST(Telemetry, MergedChromeTraceHasOnePidLanePerWorker) {
   EXPECT_EQ(worker_events, 2);
   EXPECT_NE(text.find("shard-0"), std::string::npos);
   EXPECT_NE(text.find("shard-1"), std::string::npos);
+}
+
+TEST(Telemetry, MergedChromeTraceEscapesProcessLabels) {
+  TempDir dir("labels");
+  // Labels come from --telemetry-label and from file names in the dir;
+  // the fake worker pid is above any real pid_max.
+  write_file(dir.path / "we\"ird\\.4000000000.trace.jsonl",
+             "{\"name\":\"solve\",\"cat\":\"mdp\",\"ph\":\"X\",\"ts\":1.0,"
+             "\"dur\":2.0,\"pid\":4000000000,\"tid\":1}\n");
+  obs::Tracer own;  // no events: only its process_name row
+  std::ostringstream out;
+  ASSERT_TRUE(
+      obs::write_merged_chrome_trace(out, dir.str(), &own, "own\"\\label"));
+  const std::optional<obs::Json> parsed = obs::Json::parse(out.str());
+  ASSERT_TRUE(parsed.has_value()) << out.str();
+  std::vector<std::string> labels;
+  for (const obs::Json& event : parsed->find("traceEvents")->items()) {
+    if (event.string_or("name", "") == "process_name") {
+      labels.push_back(event.find("args")->string_or("name", ""));
+    }
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"own\"\\label",
+                                              "we\"ird\\ (pid 4000000000)"}));
 }
 
 }  // namespace

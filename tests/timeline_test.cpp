@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "chain/bu_validity.hpp"
+#include "obs/json.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/timeline.hpp"
-#include "svc/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -63,9 +63,9 @@ TEST(Timeline, RecordsFindsRelaysAcceptsOnEveryNodeTrack) {
   std::ostringstream out;
   timeline.write_chrome_trace(out);
   const std::string text = out.str();
-  const std::optional<svc::Json> parsed = svc::Json::parse(text);
+  const std::optional<obs::Json> parsed = obs::Json::parse(text);
   ASSERT_TRUE(parsed.has_value()) << text.substr(0, 200);
-  const svc::Json* events = parsed->find("traceEvents");
+  const obs::Json* events = parsed->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
 
@@ -73,7 +73,7 @@ TEST(Timeline, RecordsFindsRelaysAcceptsOnEveryNodeTrack) {
   int finds = 0;
   int relays = 0;
   int accepts = 0;
-  for (const svc::Json& event : events->items()) {
+  for (const obs::Json& event : events->items()) {
     const std::string name = event.string_or("name", "");
     const std::string category = event.string_or("cat", "");
     if (name == "thread_name") {
@@ -116,10 +116,10 @@ TEST(Timeline, ValidityForkProducesForkSwitchEvents) {
 
   std::ostringstream out;
   timeline.write_chrome_trace(out);
-  const std::optional<svc::Json> parsed = svc::Json::parse(out.str());
+  const std::optional<obs::Json> parsed = obs::Json::parse(out.str());
   ASSERT_TRUE(parsed.has_value());
   int fork_switches = 0;
-  for (const svc::Json& event : parsed->find("traceEvents")->items()) {
+  for (const obs::Json& event : parsed->find("traceEvents")->items()) {
     if (event.string_or("cat", "") == "fork") {
       ++fork_switches;
     }
@@ -131,7 +131,7 @@ TEST(Timeline, EmptyRecorderStillWritesValidJson) {
   sim::Timeline timeline;
   std::ostringstream out;
   timeline.write_chrome_trace(out);
-  EXPECT_TRUE(svc::Json::parse(out.str()).has_value()) << out.str();
+  EXPECT_TRUE(obs::Json::parse(out.str()).has_value()) << out.str();
 }
 
 }  // namespace
