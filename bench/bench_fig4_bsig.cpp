@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
   std::printf(
       "Figure 4 — block size increasing game, m = (10, 20, 30, 40)%%\n"
       "MPBs = (1, 2, 4, 8) MB\n\n");
-  bvc::mdp::SolverConfig config;
-  config.control = bvc::bench::run_control_from_args(args);
-  const auto outcome = game.play(config);
+  const auto outcome = game.play(bvc::bench::run_control_from_args(args));
   bvc::bench::require_solved(outcome, "block size increasing game playout",
                              /*fatal=*/false);
   std::printf("%s\n", game.describe(outcome).c_str());

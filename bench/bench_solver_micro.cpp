@@ -92,42 +92,17 @@ BENCHMARK(BM_WarmCellAnalyze)->Unit(benchmark::kMicrosecond);
 void BM_RviSweepSetting2(benchmark::State& state) {
   const bu::AttackModel model = bu::build_attack_model(
       grid_params(bu::Setting::kStickyGate), bu::Utility::kRelativeRevenue);
-  mdp::SolverConfig config;
-  config.average_reward.max_sweeps = static_cast<int>(state.range(0));
-  config.average_reward.tolerance = 1e-30;  // force exactly max_sweeps sweeps
+  mdp::AverageRewardKnobs knobs;
+  knobs.max_sweeps = static_cast<int>(state.range(0));
+  knobs.tolerance = 1e-30;  // force exactly max_sweeps sweeps
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        mdp::maximize_average_reward(model.model, config));
+        mdp::maximize_average_reward(model.model, knobs));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           model.model.num_states());
 }
 BENCHMARK(BM_RviSweepSetting2)->Arg(10);
-
-// The same fixed sweep count with the chunked parallel sweep enabled:
-// Arg is the thread count (1 = legacy serial baseline). Thread-count
-// invariance of the results themselves is asserted in tests/batch_test.cpp;
-// this curve shows the wall-clock scaling on multi-core hardware.
-void BM_RviParallelSweepSetting2(benchmark::State& state) {
-  const bu::AttackModel model = bu::build_attack_model(
-      grid_params(bu::Setting::kStickyGate), bu::Utility::kRelativeRevenue);
-  mdp::SolverConfig config;
-  config.average_reward.max_sweeps = 10;
-  config.average_reward.tolerance = 1e-30;  // force exactly max_sweeps sweeps
-  config.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mdp::maximize_average_reward(model.model, config));
-  }
-  state.SetItemsProcessed(state.iterations() * 10 *
-                          model.model.num_states());
-}
-BENCHMARK(BM_RviParallelSweepSetting2)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
 
 // Batch of eight Table-3-style setting-1 solves fanned across the batch
 // engine; Arg is BatchConfig::threads (1 = serial baseline for the speedup
@@ -156,10 +131,10 @@ void BM_BatchSolveTable3(benchmark::State& state) {
   for (const bu::AttackModel& model : models) {
     mdp::RatioJob job;
     job.model = &model.model;
-    job.config.ratio.tolerance = 1e-5;
-    job.config.ratio.upper_bound =
+    job.config.tolerance = 1e-5;
+    job.config.upper_bound =
         1.0 + model.params.rds * static_cast<double>(model.params.max_ad());
-    job.config.average_reward.tolerance = 2e-7;
+    job.config.inner.tolerance = 2e-7;
     jobs.push_back(job);
   }
   mdp::BatchConfig config;
@@ -268,9 +243,8 @@ namespace {
 
 constexpr double kKernelTau = 0.999;
 
-/// One in-place Gauss-Seidel greedy sweep over the AoS Model layout,
-/// mirroring rvi_core's serial discipline (state-0 residual subtracted
-/// in-sweep).
+/// One in-place Gauss-Seidel greedy sweep over the AoS Model layout, the
+/// seed solver's serial discipline (state-0 residual subtracted in-sweep).
 void aos_sweep(const mdp::Model& model, std::span<const double> rewards,
                std::vector<double>& bias) {
   const mdp::StateId n = model.num_states();
@@ -336,8 +310,8 @@ void soa_sweep(const mdp::CompiledModel& model,
 /// max in one register-resident pass, vectorized over states on this
 /// model's uniform 2-action menu). Both passes store the greedy policy in
 /// `policy`, as rvi_core's do on every sweep. Reads `bias_in`, writes
-/// `bias_out` (Jacobi, not in-place Gauss-Seidel — see docs/PARALLELISM.md
-/// for why the two disciplines are separately comparable).
+/// `bias_out` (Jacobi, unlike the in-place aos/soa rows, so the two
+/// groups are compared only within themselves).
 void kernel_jacobi_sweep(const mdp::CompiledModel& model,
                          std::span<const double> rewards,
                          const std::vector<double>& bias_in,
@@ -357,8 +331,9 @@ void kernel_jacobi_sweep(const mdp::CompiledModel& model,
 }
 
 /// One fixed-policy Jacobi sweep over the CSR columns: per state, only the
-/// policy's action is backed up (the restricted backup of rvi_core's
-/// scalar paths), with the state-0 reference residual computed up front.
+/// policy's action is backed up (a restricted CSR backup, the baseline the
+/// chain sweep is timed against), with the state-0 reference residual
+/// computed up front.
 /// Reads `bias_in`, writes `bias_out`.
 void csr_eval_sweep(const mdp::CompiledModel& model,
                     std::span<const double> rewards,

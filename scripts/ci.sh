@@ -60,4 +60,10 @@ for isa in scalar avx2 avx512 auto; do
   BVC_KERNEL=$isa ctest --test-dir "$repo/$build" --output-on-failure -L kernel
 done
 
+# Scalar-host gate: the whole suite once more with the vector kernels
+# forced off — the configuration a CPU without AVX2 runs. Every solver
+# sweeps through the same kernel path on every ISA, so every test must
+# pass here exactly as above.
+BVC_KERNEL=scalar ctest --test-dir "$repo/$build" --output-on-failure
+
 echo "ci.sh: all checks passed"

@@ -32,7 +32,7 @@ Vote cohort_vote(const VoterCohort& cohort, ByteSize current_limit) {
 
 VotingSimResult run_voting_simulation(const VotingSimConfig& config,
                                       std::size_t epochs, Rng& rng,
-                                      const mdp::SolverConfig& solver) {
+                                      const robust::RunControl& control) {
   BVC_REQUIRE(!config.cohorts.empty(), "the simulation needs voters");
   std::vector<double> weights;
   double total = 0.0;
@@ -48,7 +48,7 @@ VotingSimResult run_voting_simulation(const VotingSimConfig& config,
 
   // One tick per block; stride the deadline check so an unlimited budget
   // costs nothing in this per-block hot loop.
-  robust::RunGuard guard(solver.control, /*clock_stride=*/256);
+  robust::RunGuard guard(control, /*clock_stride=*/256);
   VotingSimResult result;
   result.status = robust::RunStatus::kConverged;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
@@ -79,11 +79,6 @@ VotingSimResult run_voting_simulation(const VotingSimConfig& config,
   }
   result.wall_clock_ns = guard.elapsed_ns();
   return result;
-}
-
-VotingSimResult run_voting_simulation(const VotingSimConfig& config,
-                                      std::size_t epochs, Rng& rng) {
-  return run_voting_simulation(config, epochs, rng, mdp::SolverConfig{});
 }
 
 std::string voting_job_key(const VotingJob& job) {
@@ -184,11 +179,9 @@ std::vector<VotingSimResult> run_voting_batch(std::span<const VotingJob> jobs,
   (void)mdp::run_batch(
       jobs.size(), batch, engine,
       [&](std::size_t i, const robust::RunControl& control) {
-        mdp::SolverConfig solver = jobs[i].solver;
-        solver.control = control;
         Rng rng(jobs[i].seed);
-        results[i] =
-            run_voting_simulation(jobs[i].config, jobs[i].epochs, rng, solver);
+        results[i] = run_voting_simulation(jobs[i].config, jobs[i].epochs,
+                                           rng, control);
         return results[i].status;
       },
       [&](std::size_t i, robust::RunStatus status) {

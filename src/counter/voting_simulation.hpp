@@ -10,7 +10,7 @@
 #include "counter/dynamic_limit.hpp"
 #include "mdp/batch.hpp"
 #include "mdp/solve_report.hpp"
-#include "mdp/solver_config.hpp"
+#include "robust/run_control.hpp"
 #include "util/rng.hpp"
 
 namespace bvc::counter {
@@ -30,7 +30,7 @@ struct VotingSimConfig {
 
 /// The base report carries how the run ended: kConverged when every
 /// requested epoch completed, kBudgetExhausted / kCancelled when the
-/// SolverConfig's RunControl stopped the block loop early — the counters
+/// caller's RunControl stopped the block loop early — the counters
 /// then reflect the blocks actually simulated (a usable partial trace).
 /// `iterations` counts *started* epochs.
 struct VotingSimResult : mdp::SolveReport {
@@ -43,31 +43,25 @@ struct VotingSimResult : mdp::SolveReport {
 
 /// Runs `epochs` full difficulty periods. Each block's miner is drawn by
 /// power; the miner votes according to its cohort policy given the limit in
-/// force when the block is mined. `solver.control` bounds/cancels the run
-/// (one guard tick per block); the MDP solver knobs are ignored.
+/// force when the block is mined. `control` bounds/cancels the run (one
+/// guard tick per block).
 [[nodiscard]] VotingSimResult run_voting_simulation(
     const VotingSimConfig& config, std::size_t epochs, Rng& rng,
-    const mdp::SolverConfig& solver);
-
-/// Unbounded run (default SolverConfig).
-[[nodiscard]] VotingSimResult run_voting_simulation(
-    const VotingSimConfig& config, std::size_t epochs, Rng& rng);
+    const robust::RunControl& control = {});
 
 /// One simulation in a batched sweep. Each job owns a private RNG seed, so
 /// batch results are a pure function of the job list (input-ordered and
-/// thread-count-independent, like every mdp::run_batch client).
-/// `solver.control` is OVERRIDDEN by the engine with the batch's shared
-/// budget — set budgets on BatchConfig::control instead.
+/// thread-count-independent, like every mdp::run_batch client). Each runs
+/// under the batch's shared budget (set budgets on BatchConfig::control).
 struct VotingJob {
   VotingSimConfig config;
   std::size_t epochs = 1;
   std::uint64_t seed = 0;
-  mdp::SolverConfig solver;
 };
 
 /// Canonical checkpoint key of one simulation cell: every input the result
 /// is a pure function of — the vote rule, the cohort roster, epochs, and
-/// the RNG seed. Solver knobs are not keyed (the sim only reads control).
+/// the RNG seed.
 [[nodiscard]] std::string voting_job_key(const VotingJob& job);
 
 /// Crash-safe sweep plumbing for run_voting_batch — same lifecycle as

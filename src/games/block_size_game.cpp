@@ -80,9 +80,9 @@ std::size_t BlockSizeIncreasingGame::termination_suffix() const {
 }
 
 BlockSizeIncreasingGame::Outcome BlockSizeIncreasingGame::play(
-    const mdp::SolverConfig& config) const {
+    const robust::RunControl& control) const {
   const std::size_t n = groups_.size();
-  robust::RunGuard guard(config.control);
+  robust::RunGuard guard(control);
   Outcome outcome;
   outcome.final_block_size = groups_.front().mpb;  // game starts at MPB_1
 
@@ -145,10 +145,6 @@ BlockSizeIncreasingGame::Outcome BlockSizeIncreasingGame::play(
   }
 
   return finish(j, robust::RunStatus::kConverged);
-}
-
-BlockSizeIncreasingGame::Outcome BlockSizeIncreasingGame::play() const {
-  return play(mdp::SolverConfig{});
 }
 
 std::string BlockSizeIncreasingGame::describe(const Outcome& outcome) const {

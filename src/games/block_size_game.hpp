@@ -20,7 +20,8 @@
 #include <vector>
 
 #include "mdp/solve_report.hpp"
-#include "mdp/solver_config.hpp"
+#include "mdp/solve_report.hpp"
+#include "robust/run_control.hpp"
 
 namespace bvc::games {
 
@@ -74,7 +75,7 @@ class BlockSizeIncreasingGame {
 
   /// The base report carries how the playout ended: kConverged when the
   /// game reached a stable set, kBudgetExhausted / kCancelled when the
-  /// round loop was stopped by the SolverConfig's RunControl (the trace so
+  /// round loop was stopped by the caller's RunControl (the trace so
   /// far is still returned; `iterations` counts completed voting rounds).
   struct Outcome : mdp::SolveReport {
     std::vector<Round> rounds;
@@ -84,13 +85,9 @@ class BlockSizeIncreasingGame {
   };
 
   /// Plays the game with rational voters (backward-induction votes derived
-  /// from the stable-set analysis) and returns the full trace.
-  /// `config.control` bounds/cancels the round loop; every other solver
-  /// knob is ignored (the game is not an MDP solve).
-  [[nodiscard]] Outcome play(const mdp::SolverConfig& config) const;
-
-  /// Unbounded playout (default SolverConfig).
-  [[nodiscard]] Outcome play() const;
+  /// from the stable-set analysis) and returns the full trace. `control`
+  /// bounds/cancels the round loop (one guard tick per round).
+  [[nodiscard]] Outcome play(const robust::RunControl& control = {}) const;
 
   /// Renders an Outcome like the Figure 4 caption.
   [[nodiscard]] std::string describe(const Outcome& outcome) const;

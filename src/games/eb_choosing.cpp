@@ -109,10 +109,10 @@ bool EbChoosingGame::is_nash_equilibrium(
 }
 
 EbChoosingGame::DynamicsResult EbChoosingGame::best_response_dynamics(
-    std::vector<std::size_t> start, Rng& rng, const mdp::SolverConfig& config,
-    std::size_t max_rounds) const {
+    std::vector<std::size_t> start, Rng& rng,
+    const robust::RunControl& control, std::size_t max_rounds) const {
   BVC_REQUIRE(start.size() == power_.size(), "profile must cover every miner");
-  robust::RunGuard guard(config.control);
+  robust::RunGuard guard(control);
   DynamicsResult result;
   result.profile = std::move(start);
   // No fixed point within max_rounds reads as a stall, mirroring a solver
@@ -148,7 +148,7 @@ EbChoosingGame::DynamicsResult EbChoosingGame::best_response_dynamics(
 
 EbChoosingGame::DynamicsResult EbChoosingGame::best_response_dynamics(
     std::vector<std::size_t> start, Rng& rng, std::size_t max_rounds) const {
-  return best_response_dynamics(std::move(start), rng, mdp::SolverConfig{},
+  return best_response_dynamics(std::move(start), rng, robust::RunControl{},
                                 max_rounds);
 }
 

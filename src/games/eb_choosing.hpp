@@ -15,7 +15,8 @@
 #include <vector>
 
 #include "mdp/solve_report.hpp"
-#include "mdp/solver_config.hpp"
+#include "mdp/solve_report.hpp"
+#include "robust/run_control.hpp"
 #include "util/rng.hpp"
 
 namespace bvc::games {
@@ -60,7 +61,7 @@ class EbChoosingGame {
   /// The base report replaces the old `bool converged` field: kConverged
   /// means a fixed point (an NE) was reached, kToleranceStalled that
   /// `max_rounds` passes went by without one, kBudgetExhausted / kCancelled
-  /// that the SolverConfig's RunControl stopped the dynamics early. The
+  /// that the caller's RunControl stopped the dynamics early. The
   /// final (possibly mid-flight) profile is returned either way.
   struct DynamicsResult : mdp::SolveReport {
     std::vector<std::size_t> profile;  ///< final profile
@@ -75,13 +76,12 @@ class EbChoosingGame {
   /// random order each round, until a fixed point or `max_rounds`. With this
   /// game the dynamics converge to an all-same-EB profile, illustrating the
   /// Sect. 6.1 observation that following the majority is rational.
-  /// `config.control` bounds/cancels the round loop; the MDP solver knobs
-  /// are ignored.
+  /// `control` bounds/cancels the round loop (one guard tick per round).
   [[nodiscard]] DynamicsResult best_response_dynamics(
-      std::vector<std::size_t> start, Rng& rng, const mdp::SolverConfig& config,
-      std::size_t max_rounds = 1000) const;
+      std::vector<std::size_t> start, Rng& rng,
+      const robust::RunControl& control, std::size_t max_rounds = 1000) const;
 
-  /// Unbounded dynamics (default SolverConfig).
+  /// Unbounded dynamics.
   [[nodiscard]] DynamicsResult best_response_dynamics(
       std::vector<std::size_t> start, Rng& rng,
       std::size_t max_rounds = 1000) const;

@@ -10,10 +10,8 @@ std::vector<BlockSizeIncreasingGame::Outcome> play_block_size_batch(
   (void)mdp::run_batch(
       jobs.size(), batch,
       [&](std::size_t i, const robust::RunControl& control) {
-        mdp::SolverConfig config = jobs[i].config;
-        config.control = control;
         const BlockSizeIncreasingGame game(jobs[i].groups);
-        results[i] = game.play(config);
+        results[i] = game.play(control);
         return results[i].status;
       },
       [&](std::size_t i, robust::RunStatus status) {
@@ -29,11 +27,9 @@ std::vector<EbChoosingGame::DynamicsResult> best_response_dynamics_batch(
   (void)mdp::run_batch(
       jobs.size(), batch,
       [&](std::size_t i, const robust::RunControl& control) {
-        mdp::SolverConfig config = jobs[i].config;
-        config.control = control;
         const EbChoosingGame game(jobs[i].power, jobs[i].num_values);
         Rng rng(jobs[i].seed);
-        results[i] = game.best_response_dynamics(jobs[i].start, rng, config,
+        results[i] = game.best_response_dynamics(jobs[i].start, rng, control,
                                                  jobs[i].max_rounds);
         return results[i].status;
       },

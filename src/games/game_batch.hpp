@@ -18,12 +18,10 @@
 
 namespace bvc::games {
 
-/// One block size increasing game instance. `config.control` is OVERRIDDEN
-/// by the engine with the batch's shared budget (set budgets on
-/// BatchConfig::control instead), matching mdp::RatioJob.
+/// One block size increasing game instance. Each playout runs under the
+/// batch's shared budget (set budgets on BatchConfig::control).
 struct BlockSizeGameJob {
   std::vector<MinerGroup> groups;
-  mdp::SolverConfig config;
 };
 
 /// Plays every job across the pool. Items skipped by the shared budget
@@ -33,15 +31,14 @@ play_block_size_batch(std::span<const BlockSizeGameJob> jobs,
                       const mdp::BatchConfig& batch = {});
 
 /// One best-response-dynamics run: game construction parameters, a start
-/// profile, and a private RNG seed. `config.control` is overridden by the
-/// engine, as above.
+/// profile, and a private RNG seed. It runs under the batch's shared
+/// budget, as above.
 struct EbDynamicsJob {
   std::vector<double> power;
   std::size_t num_values = 2;
   std::vector<std::size_t> start;
   std::uint64_t seed = 0;
   std::size_t max_rounds = 1000;
-  mdp::SolverConfig config;
 };
 
 /// Runs every dynamics job across the pool (each with Rng(job.seed)).

@@ -6,6 +6,11 @@
 // the optimal gain g* and a bias vector h*; we additionally apply Puterman's
 // aperiodicity transformation (Sect. 8.5.4 of "Markov Decision Processes")
 // so convergence does not depend on the chain being aperiodic.
+//
+// There is one sweep discipline: a Jacobi sweep with reference
+// subtraction, run by the kernel layer (mdp/kernel.hpp) on whatever ISA it
+// dispatches to. Every ISA computes the same bits, so results do not
+// depend on the host.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +33,8 @@ struct Policy {
   [[nodiscard]] bool operator==(const Policy&) const = default;
 };
 
-/// The relative-value-iteration knob block. Not a front door: callers
-/// configure solves through mdp::SolverConfig (solver_config.hpp), which
-/// nests this struct as its `average_reward` field and stamps `control` /
-/// `threads` when lowering.
+/// The relative-value-iteration knob block. The ratio solver nests one as
+/// RatioKnobs::inner.
 struct AverageRewardKnobs {
   /// Stopping threshold on the span seminorm of successive value differences;
   /// bounds the gain error by the same amount.
@@ -44,14 +47,6 @@ struct AverageRewardKnobs {
   /// probability (1 - tau). 1.0 disables the transformation; the default
   /// keeps a sliver of self-loop as insurance at ~0.1% cost.
   double aperiodicity_tau = 0.999;
-  /// Value-iteration worker threads (prefer setting SolverConfig::threads,
-  /// which stamps this field). 1 runs the legacy serial Gauss-Seidel sweep,
-  /// bit-identical to previous releases. >1 switches to the chunked Jacobi
-  /// sweep (docs/PARALLELISM.md): per-state backups read only the previous
-  /// sweep's values and the span reduction is exact, so the result is
-  /// bit-identical for EVERY thread count >= 2 — but follows a different
-  /// (equally valid) trajectory than the serial sweep to the same optimum.
-  int threads = 1;
   /// Wall-clock/iteration budget and cooperative cancellation. One guard
   /// tick is one sweep; on exhaustion the solver returns its best bias and
   /// greedy policy so far with status kBudgetExhausted / kCancelled.

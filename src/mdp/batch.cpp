@@ -290,7 +290,7 @@ RatioBatchResult solve_batch(std::span<const RatioJob> jobs,
   out.report = run_batch(
       jobs.size(), config,
       [&](std::size_t i, const robust::RunControl& control) {
-        SolverConfig item_config = jobs[i].config;
+        RatioKnobs item_config = jobs[i].config;
         item_config.control = control;
         // The seed shared_ptr must outlive the solve: the pool may replace
         // the entry concurrently, but our reference keeps the bias alive.

@@ -33,15 +33,14 @@
 
 #include "mdp/compiled_model.hpp"
 #include "mdp/ratio.hpp"
-#include "mdp/solver_config.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/retry.hpp"
 #include "robust/run_control.hpp"
 
 namespace bvc::mdp {
 
-/// Engine-level knobs, distinct from SolverConfig::threads (which
-/// parallelizes *inside* one value-iteration sweep).
+/// Engine-level knobs. The batch fan-out is the only parallelism in the
+/// solver stack: each item's solve runs on one worker thread.
 struct BatchConfig {
   /// Worker threads for the batch fan-out. 0 means "all hardware threads";
   /// 1 runs every item inline on the calling thread (no pool is created).
@@ -157,11 +156,13 @@ class WarmStartPool {
 /// safe across workers) is solved directly; `model` is compiled on entry by
 /// the solver, bit-identically. A raw `model` must outlive the solve_batch
 /// call. `config.control` is OVERRIDDEN by the engine with the batch's
-/// shared budget (set budgets on BatchConfig::control instead).
+/// shared budget (set budgets on BatchConfig::control instead), and
+/// `config.warm_start_bias` by a neighbour's bias when BatchConfig's warm
+/// starts find one.
 struct RatioJob {
   const Model* model = nullptr;
   std::shared_ptr<const CompiledModel> compiled;
-  SolverConfig config;
+  RatioKnobs config;
   /// Per-item retry escalation; default disables retries so a batch's cost
   /// stays predictable. Set e.g. robust::RetryPolicy{} for the solo-solve
   /// default behaviour.

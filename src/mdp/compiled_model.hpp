@@ -29,7 +29,7 @@
 // scalar CSR columns remain authoritative; the ELL mirror is rebuilt (not
 // stored) when a model is deserialized from the cache disk tier. On
 // multi-node machines the big columns are interleaved across NUMA nodes
-// at build/load time (util/numa.hpp) — every sweep worker streams every
+// at build/load time (util/numa.hpp) — every concurrent solve streams every
 // column, so round-robin pages balance the memory channels.
 //
 // The mirror's probabilities take very few distinct values: an attack

@@ -26,30 +26,20 @@ DiscountedResult solve_discounted(const CompiledModel& model,
   result.policy.action.assign(n, 0);
   std::vector<double> next(n, 0.0);
 
-  const StateId* next_col = model.next();
-  const double* prob_col = model.prob();
-  const double* expected_reward = model.expected_reward();
-  // Vector kernel path (mdp/kernel.hpp): the backup primitive's variant B
-  // (seed = expected_reward, scale = discount) computes exactly
-  // fl(fl(discount * p) * v) accumulated in outcome order — the same
-  // expression tree as the scalar loop below — so the kernel sweep is
-  // bit-identical to the scalar sweep here (Jacobi either way).
+  // The backup primitive's variant B (mdp/kernel.hpp: seed =
+  // expected_reward, scale = discount) computes every action's
+  // fl(fl(discount * p) * v) terms in outcome order on the dispatched ISA;
+  // the per-state max below finishes the Jacobi sweep.
   const kernel::Isa isa = kernel::resolve();
-  const bool use_kernel = isa != kernel::Isa::kScalar && model.has_ell();
-  util::AlignedVector<double> q_buf;
-  if (use_kernel) {
-    q_buf.assign(model.num_state_actions(), 0.0);
-  }
+  util::AlignedVector<double> q_buf(model.num_state_actions(), 0.0);
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
     if (const auto stop_status = guard.tick()) {
       result.status = *stop_status;
       break;
     }
-    if (use_kernel) {
-      kernel::backup_expected(model, expected_reward, options.discount,
-                              result.value.data(), 0,
-                              model.num_state_actions(), q_buf.data(), isa);
-    }
+    kernel::backup_expected(model, model.expected_reward(), options.discount,
+                            result.value.data(), 0, model.num_state_actions(),
+                            q_buf.data(), isa);
     double max_delta = 0.0;
     for (StateId s = 0; s < n; ++s) {
       double best = -std::numeric_limits<double>::infinity();
@@ -57,17 +47,7 @@ DiscountedResult solve_discounted(const CompiledModel& model,
       const std::size_t actions = model.num_actions(s);
       const SaIndex sa_base = model.state_begin(s);
       for (std::size_t a = 0; a < actions; ++a) {
-        const SaIndex sa = sa_base + a;
-        double q;
-        if (use_kernel) {
-          q = q_buf[sa];
-        } else {
-          q = expected_reward[sa];
-          const std::size_t end = model.outcome_end(sa);
-          for (std::size_t k = model.outcome_begin(sa); k < end; ++k) {
-            q += options.discount * prob_col[k] * result.value[next_col[k]];
-          }
-        }
+        const double q = q_buf[sa_base + a];
         if (q > best) {
           best = q;
           best_action = static_cast<std::uint32_t>(a);

@@ -11,8 +11,7 @@
 
 namespace bvc::mdp {
 
-/// The discounted-value-iteration knob block. Not a front door: callers
-/// configure solves through mdp::SolverConfig (solver_config.hpp).
+/// The discounted-value-iteration knob block.
 struct DiscountedKnobs {
   double discount = 0.999;  ///< beta in (0, 1)
   double tolerance = 1e-10;

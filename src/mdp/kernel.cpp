@@ -214,43 +214,6 @@ void backup_scalar(const CompiledModel& model, const double* seed,
   }
 }
 
-void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
-                        double tau, const double* bias_in, const double* q_all,
-                        double reference_residual, StateId s_begin,
-                        StateId s_end, double* bias_out,
-                        std::uint32_t* policy_out, double* span_min_io,
-                        double* span_max_io) noexcept {
-  double span_min = *span_min_io;
-  double span_max = *span_max_io;
-  for (StateId s = s_begin; s < s_end; ++s) {
-    const std::size_t actions = model.num_actions(s);
-    const SaIndex sa_base = model.state_begin(s);
-    const double damped = (1.0 - tau) * bias_in[s];
-    double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = 0;
-    for (std::size_t a = 0; a < actions; ++a) {
-      const SaIndex sa = sa_base + a;
-      // Separate roundings throughout (this TU disables FP contraction):
-      // fl(fl(tau * fl(r + q)) + damped), the exact tree of the scalar
-      // Jacobi backup in rvi_core.
-      const double q = tau * (rewards[sa] + q_all[sa]) + damped;
-      if (q > best) {
-        best = q;
-        best_action = static_cast<std::uint32_t>(a);
-      }
-    }
-    if (policy_out != nullptr) {
-      policy_out[s] = best_action;
-    }
-    const double residual = best - bias_in[s];
-    span_min = std::min(span_min, residual);
-    span_max = std::max(span_max, residual);
-    bias_out[s] = best - reference_residual;
-  }
-  *span_min_io = span_min;
-  *span_max_io = span_max;
-}
-
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
                       double reference_residual, StateId s_begin,
@@ -352,38 +315,9 @@ void backup_expected(const CompiledModel& model, const double* seed,
   detail::backup_scalar(model, seed, scale, bias, sa_begin, sa_end, q_out);
 }
 
-void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
-                 const double* bias_in, const double* q_all,
-                 double reference_residual, StateId s_begin, StateId s_end,
-                 double* bias_out, std::uint32_t* policy_out,
-                 double* span_min_io, double* span_max_io, Isa isa) noexcept {
-  // The vector combines are fixed-width over a uniform 2-action menu (the
-  // attack models' shape); any other menu takes the scalar loop.
-  if (model.uniform_actions() == 2) {
-    switch (isa) {
-      case Isa::kAvx512:
-        detail::rvi_combine_avx512(model, rewards, tau, bias_in, q_all,
-                                   reference_residual, s_begin, s_end,
-                                   bias_out, policy_out, span_min_io,
-                                   span_max_io);
-        return;
-      case Isa::kAvx2:
-        detail::rvi_combine_avx2(model, rewards, tau, bias_in, q_all,
-                                 reference_residual, s_begin, s_end, bias_out,
-                                 policy_out, span_min_io, span_max_io);
-        return;
-      case Isa::kScalar:
-        break;
-    }
-  }
-  detail::rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                             reference_residual, s_begin, s_end, bias_out,
-                             policy_out, span_min_io, span_max_io);
-}
-
 Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept {
-  // The in-register backup needs the ELL mirror, and the combine the
-  // fixed-width uniform 2-action menu rvi_combine's vector path handles.
+  // The in-register backup needs the ELL mirror, and the vector combine
+  // the fixed-width uniform 2-action menu.
   return model.has_ell() && model.uniform_actions() == 2
              ? coded_isa(isa, model.has_codes())
              : Isa::kScalar;

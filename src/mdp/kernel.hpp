@@ -9,13 +9,17 @@
 // rounding. Each solver is that primitive plus a cheap per-state combine:
 //
 //   * RVI (average_reward):  seed = null, scale = 1     (rewards + tau
-//     transform are applied in the combine, exactly as the scalar sweep);
+//     transform are applied in the combine);
 //   * discounted VI:         seed = expected_reward, scale = discount;
 //   * policy-iteration greedy pass: seed = sa_rewards, scale = 1.
 //
-// RVI runs it fused with its combine: rvi_sweep for the greedy pass over
-// a model's full action menu, rvi_eval_sweep for a fixed policy over the
-// policy's compacted chain (mdp::PolicyChain, one row per state).
+// Discounted VI and the policy-iteration greedy pass call backup_expected
+// and finish the combine themselves. RVI runs the primitive fused with its
+// combine: rvi_sweep for the greedy pass over a model's full action menu,
+// rvi_eval_sweep for a fixed policy over the policy's compacted chain
+// (mdp::PolicyChain, one row per state). These kernels are the solvers'
+// only sweep code, on every ISA: the scalar bodies are the reference
+// expression trees, not a separate solver path.
 //
 // Which probability column each ISA reads: the scalar and AVX2 bodies read
 // the ELL mirror's doubles; the AVX-512 bodies read its one-byte palette
@@ -37,12 +41,8 @@
 // across rows, and q_out is bit-identical to the scalar kernel for every
 // ISA. The one exception is the sign of zero: ELL padding accumulates
 // exact +/-0.0 terms, which can flip a zero result's sign (+0.0 == -0.0,
-// so compare with ==, not memcmp). Solvers that adopt the kernel switch
-// from Gauss-Seidel to Jacobi sweeps where they had a serial in-place
-// path, which follows a different (equally valid) trajectory to the same
-// fixed point — that is a sweep-discipline change, not a kernel rounding
-// change, and it is why the fast path is tolerance-gated against the
-// threads == 1 reference (and bit-identical against the Jacobi path).
+// so compare with ==, not memcmp). A solve therefore returns the same
+// result whichever ISA the dispatcher picks.
 //
 // Dispatch: the process-wide request (BVC_KERNEL env var, overridden by
 // the --kernel flag via set_requested) is clamped to what the build
@@ -98,53 +98,34 @@ void set_requested(Request request) noexcept;
 /// The backup primitive (file comment) over flat actions
 /// [sa_begin, sa_end). `seed` is null or num_state_actions() doubles;
 /// `bias` has num_states() doubles; `q_out` has capacity for indices
-/// [sa_begin, sa_end). Vector ISAs require model.has_ell() (callers gate
-/// on it; a non-ELL model silently runs the scalar path), and avx512 runs
+/// [sa_begin, sa_end). The vector bodies read the ELL mirror, so a model
+/// without one runs the scalar body whatever the request, and avx512 runs
 /// avx2 on a model without palette codes. Thread-safe for disjoint
 /// [sa_begin, sa_end) ranges over shared inputs.
 void backup_expected(const CompiledModel& model, const double* seed,
                      double scale, const double* bias, SaIndex sa_begin,
                      SaIndex sa_end, double* q_out, Isa isa) noexcept;
 
-/// The RVI Jacobi combine step over states [s_begin, s_end): consumes the
-/// expected-next column `q_all` that backup_expected produced (seed null,
-/// scale 1) and finishes the sweep. Per state s,
+/// The fused greedy RVI Jacobi sweep over states [s_begin, s_end). Per
+/// state s, with q_all[sa] the backup primitive at seed null, scale 1:
 ///
 ///   value(a)    = fl( fl(tau * fl(rewards[sa] + q_all[sa]))
 ///                     + fl((1 - tau) * bias_in[s]) )          sa = base + a
 ///   best        = max_a value(a)   (argmax ties keep the LOWER action,
-///                                   matching the scalar `if (q > best)`)
+///                                   the scalar `if (q > best)`)
 ///   bias_out[s] = fl(best - reference_residual)
 ///   policy_out[s] = argmax          (skipped when policy_out is null)
 ///   *span_min_io / *span_max_io accumulate fl(best - bias_in[s])
 ///
-/// Every operation above is an elementwise add/mul/sub/min/max — no
-/// accumulation crosses states — so the vector path (taken when the
-/// model's action menu is uniform with 2 actions, the shape of all the
-/// paper's attack models) is bit-identical to the scalar loop.
-/// Thread-safe for disjoint state ranges; span pointers must be distinct
-/// per caller/chunk.
-void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
-                 const double* bias_in, const double* q_all,
-                 double reference_residual, StateId s_begin, StateId s_end,
-                 double* bias_out, std::uint32_t* policy_out,
-                 double* span_min_io, double* span_max_io, Isa isa) noexcept;
-
-/// The fused greedy RVI Jacobi sweep over states [s_begin, s_end):
-/// backup_expected (seed null, scale 1) and rvi_combine in a single
-/// traversal, with each state's expected-next values held in registers
-/// instead of round-tripping through a q column. Exactly the composition
-/// the two primitives document — same expression tree per lane, same
-/// argmax tie rule, same span accumulation — so the result is
-/// bit-identical to running them separately (modulo the sign of exact
-/// zeros, as ever). This is the RVI fast path: the sweep is single-core
+/// Each state's expected-next values stay in registers instead of
+/// round-tripping through a q column: the sweep is single-core
 /// bandwidth-bound on real models, and eliminating the q column's
 /// store+reload (16 bytes per state-action per sweep) is worth more than
 /// any amount of instruction tuning. It runs on the ISA rvi_sweep_isa
 /// names; on AVX-512 the probabilities come from the palette codes. Every
 /// ISA reads the same probability bits, so the codes change bytes moved,
 /// not results. Thread-safe for disjoint state ranges; span pointers must
-/// be distinct per caller/chunk.
+/// be distinct per caller.
 void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
                const double* bias_in, double reference_residual,
                StateId s_begin, StateId s_end, double* bias_out,
@@ -177,7 +158,7 @@ void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
 /// model those rows form, bit-for-bit under the kernel's == contract. Each
 /// lane owns one state's row, and every chain has the vector shape, so it
 /// runs on rvi_sweep_isa(chain, isa). Thread-safe for disjoint state
-/// ranges; span pointers must be distinct per caller/chunk.
+/// ranges; span pointers must be distinct per caller.
 void rvi_eval_sweep(const PolicyChain& chain, double tau,
                     const double* bias_in, double reference_residual,
                     StateId s_begin, StateId s_end, double* bias_out,
@@ -188,9 +169,9 @@ namespace detail {
 // Per-ISA implementations. The avx2/avx512 symbols exist in every build;
 // when their translation unit was compiled without the ISA (non-x86
 // toolchain) they forward to scalar and *_compiled() reports false, so
-// isa_available() keeps resolve() away from them. The vector combines and
-// greedy sweeps handle only the uniform-2-action shape (the dispatchers
-// route everything else to scalar).
+// isa_available() keeps resolve() away from them. The vector greedy sweeps
+// handle only the uniform-2-action shape (the dispatcher routes everything
+// else to scalar).
 void backup_scalar(const CompiledModel& model, const double* seed,
                    double scale, const double* bias, SaIndex sa_begin,
                    SaIndex sa_end, double* q_out) noexcept;
@@ -200,24 +181,6 @@ void backup_avx2(const CompiledModel& model, const double* seed, double scale,
 void backup_avx512(const CompiledModel& model, const double* seed,
                    double scale, const double* bias, SaIndex sa_begin,
                    SaIndex sa_end, double* q_out) noexcept;
-void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
-                        double tau, const double* bias_in, const double* q_all,
-                        double reference_residual, StateId s_begin,
-                        StateId s_end, double* bias_out,
-                        std::uint32_t* policy_out, double* span_min_io,
-                        double* span_max_io) noexcept;
-void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
-                      double tau, const double* bias_in, const double* q_all,
-                      double reference_residual, StateId s_begin,
-                      StateId s_end, double* bias_out,
-                      std::uint32_t* policy_out, double* span_min_io,
-                      double* span_max_io) noexcept;
-void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
-                        double tau, const double* bias_in, const double* q_all,
-                        double reference_residual, StateId s_begin,
-                        StateId s_end, double* bias_out,
-                        std::uint32_t* policy_out, double* span_min_io,
-                        double* span_max_io) noexcept;
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
                       double reference_residual, StateId s_begin,

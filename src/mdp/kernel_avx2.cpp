@@ -81,76 +81,6 @@ void backup_avx2(const CompiledModel& model, const double* seed, double scale,
   }
 }
 
-void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
-                      double tau, const double* bias_in, const double* q_all,
-                      double reference_residual, StateId s_begin,
-                      StateId s_end, double* bias_out,
-                      std::uint32_t* policy_out, double* span_min_io,
-                      double* span_max_io) noexcept {
-  // Dispatcher precondition: uniform 2-action menu, greedy mode. Four
-  // states per step; see the AVX-512 combine for the lane/rounding notes.
-  constexpr StateId kLanes = 4;
-  // unpack{lo,hi} + this 4x64 permute deinterleave [a0 a1 a0 a1 ...] into
-  // the action-0 and action-1 columns.
-  constexpr int kDeinterleave = _MM_SHUFFLE(3, 1, 2, 0);
-  const __m256d vtau = _mm256_set1_pd(tau);
-  const __m256d vdamp = _mm256_set1_pd(1.0 - tau);
-  const __m256d vref = _mm256_set1_pd(reference_residual);
-  __m256d vmin = _mm256_set1_pd(*span_min_io);
-  __m256d vmax = _mm256_set1_pd(*span_max_io);
-
-  StateId s = s_begin;
-  for (; s + kLanes <= s_end; s += kLanes) {
-    const std::size_t sa = 2 * static_cast<std::size_t>(s);
-    const __m256d qlo = _mm256_loadu_pd(q_all + sa);
-    const __m256d qhi = _mm256_loadu_pd(q_all + sa + kLanes);
-    const __m256d rlo = _mm256_loadu_pd(rewards + sa);
-    const __m256d rhi = _mm256_loadu_pd(rewards + sa + kLanes);
-    const __m256d q0 = _mm256_permute4x64_pd(_mm256_unpacklo_pd(qlo, qhi),
-                                             kDeinterleave);
-    const __m256d q1 = _mm256_permute4x64_pd(_mm256_unpackhi_pd(qlo, qhi),
-                                             kDeinterleave);
-    const __m256d r0 = _mm256_permute4x64_pd(_mm256_unpacklo_pd(rlo, rhi),
-                                             kDeinterleave);
-    const __m256d r1 = _mm256_permute4x64_pd(_mm256_unpackhi_pd(rlo, rhi),
-                                             kDeinterleave);
-    const __m256d b = _mm256_loadu_pd(bias_in + s);
-    const __m256d damped = _mm256_mul_pd(vdamp, b);
-    const __m256d v0 = _mm256_add_pd(
-        _mm256_mul_pd(vtau, _mm256_add_pd(r0, q0)), damped);
-    const __m256d v1 = _mm256_add_pd(
-        _mm256_mul_pd(vtau, _mm256_add_pd(r1, q1)), damped);
-    // Strict greater-than, exactly the scalar `if (q > best)`: action 1
-    // wins only when strictly better, ties keep action 0.
-    const __m256d take1 = _mm256_cmp_pd(v1, v0, _CMP_GT_OQ);
-    const __m256d best = _mm256_blendv_pd(v0, v1, take1);
-    if (policy_out != nullptr) {
-      const int bits = _mm256_movemask_pd(take1);
-      for (StateId lane = 0; lane < kLanes; ++lane) {
-        policy_out[s + lane] = static_cast<std::uint32_t>((bits >> lane) & 1);
-      }
-    }
-    const __m256d residual = _mm256_sub_pd(best, b);
-    vmin = _mm256_min_pd(vmin, residual);
-    vmax = _mm256_max_pd(vmax, residual);
-    _mm256_storeu_pd(bias_out + s, _mm256_sub_pd(best, vref));
-  }
-  // min/max are exact, so the horizontal reduction order is irrelevant.
-  alignas(32) double lanes_min[kLanes];
-  alignas(32) double lanes_max[kLanes];
-  _mm256_store_pd(lanes_min, vmin);
-  _mm256_store_pd(lanes_max, vmax);
-  for (StateId lane = 0; lane < kLanes; ++lane) {
-    *span_min_io = std::min(*span_min_io, lanes_min[lane]);
-    *span_max_io = std::max(*span_max_io, lanes_max[lane]);
-  }
-  if (s < s_end) {
-    rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                       reference_residual, s, s_end, bias_out, policy_out,
-                       span_min_io, span_max_io);
-  }
-}
-
 namespace {
 
 // Width-specialized fused-sweep body; see the AVX-512 twin for why the
@@ -432,17 +362,6 @@ void backup_avx2(const CompiledModel& model, const double* seed, double scale,
                  const double* bias, SaIndex sa_begin, SaIndex sa_end,
                  double* q_out) noexcept {
   backup_scalar(model, seed, scale, bias, sa_begin, sa_end, q_out);
-}
-
-void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
-                      double tau, const double* bias_in, const double* q_all,
-                      double reference_residual, StateId s_begin,
-                      StateId s_end, double* bias_out,
-                      std::uint32_t* policy_out, double* span_min_io,
-                      double* span_max_io) noexcept {
-  rvi_combine_scalar(model, rewards, tau, bias_in, q_all, reference_residual,
-                     s_begin, s_end, bias_out, policy_out, span_min_io,
-                     span_max_io);
 }
 
 void rvi_sweep_avx2(const CompiledModel& model, const double* rewards,

@@ -106,72 +106,6 @@ void backup_avx512(const CompiledModel& model, const double* seed,
   }
 }
 
-void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
-                        double tau, const double* bias_in, const double* q_all,
-                        double reference_residual, StateId s_begin,
-                        StateId s_end, double* bias_out,
-                        std::uint32_t* policy_out, double* span_min_io,
-                        double* span_max_io) noexcept {
-  // Dispatcher precondition: uniform 2-action menu, greedy mode. Eight
-  // states per step: the two action columns are deinterleaved from the
-  // contiguous q/rewards streams (sa = 2s + a), so every floating-point
-  // op is the same elementwise add/mul/sub/min/max the scalar loop
-  // performs — no reassociation, no FMA (-ffp-contract=off).
-  constexpr StateId kLanes = 8;
-  const __m512d vtau = _mm512_set1_pd(tau);
-  // fl(1 - tau) once, then fl(that * bias) per lane — the scalar damped
-  // term's exact roundings.
-  const __m512d vdamp = _mm512_set1_pd(1.0 - tau);
-  const __m512d vref = _mm512_set1_pd(reference_residual);
-  const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-  const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-  __m512d vmin = _mm512_set1_pd(*span_min_io);
-  __m512d vmax = _mm512_set1_pd(*span_max_io);
-  const __m512i action_one = _mm512_set1_epi64(1);
-
-  StateId s = s_begin;
-  for (; s + kLanes <= s_end; s += kLanes) {
-    const std::size_t sa = 2 * static_cast<std::size_t>(s);
-    const __m512d qlo = _mm512_loadu_pd(q_all + sa);
-    const __m512d qhi = _mm512_loadu_pd(q_all + sa + kLanes);
-    const __m512d rlo = _mm512_loadu_pd(rewards + sa);
-    const __m512d rhi = _mm512_loadu_pd(rewards + sa + kLanes);
-    const __m512d q0 = _mm512_permutex2var_pd(qlo, even, qhi);
-    const __m512d q1 = _mm512_permutex2var_pd(qlo, odd, qhi);
-    const __m512d r0 = _mm512_permutex2var_pd(rlo, even, rhi);
-    const __m512d r1 = _mm512_permutex2var_pd(rlo, odd, rhi);
-    const __m512d b = _mm512_loadu_pd(bias_in + s);
-    const __m512d damped = _mm512_mul_pd(vdamp, b);
-    const __m512d v0 = _mm512_add_pd(
-        _mm512_mul_pd(vtau, _mm512_add_pd(r0, q0)), damped);
-    const __m512d v1 = _mm512_add_pd(
-        _mm512_mul_pd(vtau, _mm512_add_pd(r1, q1)), damped);
-    // Strict greater-than, exactly the scalar `if (q > best)`: action 1
-    // wins only when strictly better, ties keep action 0.
-    const __mmask8 take1 = _mm512_cmp_pd_mask(v1, v0, _CMP_GT_OQ);
-    const __m512d best = _mm512_mask_blend_pd(take1, v0, v1);
-    if (policy_out != nullptr) {
-      // 64-bit mask-move then narrow: the 256-bit masked forms need
-      // AVX512VL, which -mavx512f does not carry.
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(policy_out + s),
-          _mm512_cvtepi64_epi32(_mm512_maskz_mov_epi64(take1, action_one)));
-    }
-    const __m512d residual = _mm512_sub_pd(best, b);
-    vmin = _mm512_min_pd(vmin, residual);
-    vmax = _mm512_max_pd(vmax, residual);
-    _mm512_storeu_pd(bias_out + s, _mm512_sub_pd(best, vref));
-  }
-  // min/max are exact, so the horizontal reduction order is irrelevant.
-  *span_min_io = std::min(*span_min_io, _mm512_reduce_min_pd(vmin));
-  *span_max_io = std::max(*span_max_io, _mm512_reduce_max_pd(vmax));
-  if (s < s_end) {
-    rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                       reference_residual, s, s_end, bias_out, policy_out,
-                       span_min_io, span_max_io);
-  }
-}
-
 namespace {
 
 // The fused-sweep body, specialized on the ELL width for the common small
@@ -193,8 +127,11 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
   // — the unroll keeps enough gathers in flight to cover their latency —
   // and the combine consumes them before they ever touch memory. Every
   // lane evaluates the exact scalar expression tree (separate mul/add,
-  // -ffp-contract=off), so the result is bit-identical to the split
-  // backup_expected + rvi_combine pair.
+  // -ffp-contract=off), so the result is bit-identical to
+  // rvi_sweep_scalar. The combine deinterleaves the two action columns
+  // from the contiguous q/rewards streams (sa = 2s + a), and takes
+  // fl(1 - tau) once, then fl(that * bias) per lane — the scalar damped
+  // term's exact roundings.
   constexpr StateId kBlock = 8;   // states per combine vector
   constexpr StateId kStep = 16;   // states per unrolled outer iteration
   const std::size_t width =
@@ -269,6 +206,8 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
       const __mmask8 take1 = _mm512_cmp_pd_mask(v1, v0, _CMP_GT_OQ);
       const __m512d best = _mm512_mask_blend_pd(take1, v0, v1);
       if (policy_out != nullptr) {
+        // 64-bit mask-move then narrow: the 256-bit masked forms need
+        // AVX512VL, which -mavx512f does not carry.
         _mm256_storeu_si256(
             reinterpret_cast<__m256i*>(policy_out + so),
             _mm512_cvtepi64_epi32(_mm512_maskz_mov_epi64(take1, action_one)));
@@ -456,17 +395,6 @@ void backup_avx512(const CompiledModel& model, const double* seed,
                    double scale, const double* bias, SaIndex sa_begin,
                    SaIndex sa_end, double* q_out) noexcept {
   backup_scalar(model, seed, scale, bias, sa_begin, sa_end, q_out);
-}
-
-void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
-                        double tau, const double* bias_in, const double* q_all,
-                        double reference_residual, StateId s_begin,
-                        StateId s_end, double* bias_out,
-                        std::uint32_t* policy_out, double* span_min_io,
-                        double* span_max_io) noexcept {
-  rvi_combine_scalar(model, rewards, tau, bias_in, q_all, reference_residual,
-                     s_begin, s_end, bias_out, policy_out, span_min_io,
-                     span_max_io);
 }
 
 void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,

@@ -141,6 +141,8 @@ PolicyIterationResult policy_iteration(
     }
   };
   robust::RunGuard guard(options.control);
+  const kernel::Isa isa = kernel::resolve();
+  util::AlignedVector<double> q_buf(model.num_state_actions(), 0.0);
   PolicyIterationResult evaluated;
   for (int round = 0; round < options.max_improvements; ++round) {
     if (const auto stop_status = guard.tick()) {
@@ -157,21 +159,12 @@ PolicyIterationResult policy_iteration(
     evaluated = evaluate_policy_exact(model, policy, sa_rewards, options);
     evaluated.iterations = round;
 
-    // Greedy improvement against the exact bias. The vector kernel's
-    // variant B (seed = sa_rewards, scale = 1; fl(1.0 * p) == p exactly)
-    // computes the whole q column in one pass with the same expression
-    // tree as the scalar loop, so both paths pick identical actions.
-    const kernel::Isa isa = kernel::resolve();
-    const bool use_kernel = isa != kernel::Isa::kScalar && model.has_ell();
-    util::AlignedVector<double> q_buf;
-    if (use_kernel) {
-      q_buf.assign(model.num_state_actions(), 0.0);
-      kernel::backup_expected(model, sa_rewards.data(), 1.0,
-                              evaluated.bias.data(), 0,
-                              model.num_state_actions(), q_buf.data(), isa);
-    }
-    const StateId* next_col = model.next();
-    const double* prob_col = model.prob();
+    // Greedy improvement against the exact bias: the backup primitive's
+    // variant B (mdp/kernel.hpp: seed = sa_rewards, scale = 1) computes the
+    // whole q column in one pass on the dispatched ISA.
+    kernel::backup_expected(model, sa_rewards.data(), 1.0,
+                            evaluated.bias.data(), 0,
+                            model.num_state_actions(), q_buf.data(), isa);
     bool changed = false;
     for (StateId s = 0; s < n; ++s) {
       const std::size_t actions = model.num_actions(s);
@@ -179,17 +172,7 @@ PolicyIterationResult policy_iteration(
       double best_q = -std::numeric_limits<double>::infinity();
       std::uint32_t best_action = policy.action[s];
       for (std::size_t candidate = 0; candidate < actions; ++candidate) {
-        const SaIndex sa = model.sa_index(s, candidate);
-        double q;
-        if (use_kernel) {
-          q = q_buf[sa];
-        } else {
-          q = sa_rewards[sa];
-          const std::size_t end = model.outcome_end(sa);
-          for (std::size_t k = model.outcome_begin(sa); k < end; ++k) {
-            q += prob_col[k] * evaluated.bias[next_col[k]];
-          }
-        }
+        const double q = q_buf[model.sa_index(s, candidate)];
         if (candidate == policy.action[s]) {
           incumbent_q = q;
         }

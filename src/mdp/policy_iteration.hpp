@@ -16,8 +16,7 @@
 
 namespace bvc::mdp {
 
-/// The Howard policy-iteration knob block. Not a front door: callers
-/// configure solves through mdp::SolverConfig (solver_config.hpp).
+/// The Howard policy-iteration knob block.
 struct PolicyIterationKnobs {
   int max_improvements = 1000;
   /// Keep the incumbent action unless a challenger beats it by this margin

@@ -20,11 +20,12 @@
 
 namespace bvc::mdp {
 
-/// The ratio-solver knob block (outer Dinkelbach/bisection loop plus the
-/// nested inner-RVI knobs). Not a front door: callers configure solves
-/// through mdp::SolverConfig (solver_config.hpp), which lowers to this
-/// shape via SolverConfig::ratio_options().
+/// The ratio-solver knob block: the outer Dinkelbach/bisection loop plus
+/// the nested inner-RVI knobs.
 struct RatioKnobs {
+  /// Knobs of every inner average-reward solve. Its `control` is ignored:
+  /// maximize_ratio stamps each inner solve with `control`'s cancel token
+  /// and the wall clock remaining on the outer guard.
   AverageRewardKnobs inner;
   /// Convergence tolerance on the ratio value.
   double tolerance = 1e-6;

@@ -490,10 +490,8 @@ robust::CheckpointRecord JobSpec::solve(
     case JobKind::kCounterVoting: {
       const counter::VotingJob& job = voting_jobs_[i];
       bvc::Rng rng(job.seed);
-      mdp::SolverConfig solver = job.solver;
-      solver.control = control;
       const counter::VotingSimResult result =
-          counter::run_voting_simulation(job.config, job.epochs, rng, solver);
+          counter::run_voting_simulation(job.config, job.epochs, rng, control);
       return counter::voting_record(key, result);
     }
     case JobKind::kNetSim: {

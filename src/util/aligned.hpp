@@ -16,8 +16,7 @@
 //     places the whole buffer on that thread's node. The allocator's
 //     zero-argument construct() default-initializes instead (a no-op for
 //     trivial types), so a resize() leaves the pages untouched and the
-//     first real writer — e.g. a ThreadPool chunk in
-//     util::numa::first_touch_fill — decides their placement.
+//     first real writer decides their placement.
 //
 // AlignedVector<T> is the vector type the CompiledModel columns and the
 // kernel scratch buffers use. It interoperates with std::vector<T> only by

@@ -176,7 +176,10 @@ CliArgs ArgParser::parse(int argc, const char* const* argv) const {
           if (!args.value(name).has_value()) {
             fail("flag --" + name + " requires an integer value");
           }
-          (void)args.get_long(name, 0);
+          // Every integer flag is a count, duration, port, cursor or seed.
+          if (args.get_long(name, 0) < 0) {
+            fail("invalid value for --" + name + ": must not be negative");
+          }
           break;
         case ArgType::kDouble:
           if (!args.value(name).has_value()) {

@@ -10,7 +10,8 @@
 //   * rejects unknown flags loudly, with a did-you-mean suggestion
 //     computed by edit distance over the declared names;
 //   * eagerly validates the value of every typed flag (a malformed
-//     `--threads x` fails at startup, not mid-sweep);
+//     `--threads x`, an empty `--threads=`, an out-of-range number or a
+//     negative integer fails at startup, not mid-sweep);
 //   * answers `--help` with a generated usage page and exits.
 //
 // The returned CliArgs is the same object the binaries always consumed,
@@ -39,7 +40,7 @@ namespace bvc::util {
 
 enum class ArgType {
   kFlag,    ///< boolean switch; bare `--name` or `--name=true/false`
-  kLong,    ///< integer value required
+  kLong,    ///< non-negative integer value required
   kDouble,  ///< floating-point value required
   kString,  ///< any non-empty value required
 };

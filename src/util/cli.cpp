@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -74,9 +75,12 @@ double CliArgs::get_double(std::string_view name, double fallback) const {
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(v->c_str(), &end);
-  BVC_REQUIRE(end != nullptr && *end == '\0',
+  const bool in_range = errno != ERANGE;
+  BVC_REQUIRE(!v->empty() && end != nullptr && *end == '\0',
               "flag value is not a valid number");
+  BVC_REQUIRE(in_range, "flag value is out of range");
   return parsed;
 }
 
@@ -86,9 +90,12 @@ long CliArgs::get_long(std::string_view name, long fallback) const {
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(v->c_str(), &end, 10);
-  BVC_REQUIRE(end != nullptr && *end == '\0',
+  const bool in_range = errno != ERANGE;
+  BVC_REQUIRE(!v->empty() && end != nullptr && *end == '\0',
               "flag value is not a valid integer");
+  BVC_REQUIRE(in_range, "flag value is out of range");
   return parsed;
 }
 

@@ -24,7 +24,8 @@ class CliArgs {
 
   [[nodiscard]] std::string get_string(std::string_view name,
                                        std::string fallback) const;
-  /// Throws std::invalid_argument when the value is present but malformed.
+  /// Throw std::invalid_argument when the value is present but empty,
+  /// malformed, or outside the return type's range.
   [[nodiscard]] double get_double(std::string_view name,
                                   double fallback) const;
   [[nodiscard]] long get_long(std::string_view name, long fallback) const;

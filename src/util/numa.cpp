@@ -102,22 +102,4 @@ bool interleave_pages(void* data, std::size_t bytes) noexcept {
 #endif
 }
 
-void first_touch_fill(AlignedVector<double>& buffer, std::size_t count,
-                      double value, ThreadPool* pool, std::size_t chunks) {
-  buffer.resize(count);  // default-init: no page touched yet (aligned.hpp)
-  if (count == 0) {
-    return;
-  }
-  if (pool == nullptr || chunks <= 1 || !multi_node()) {
-    std::fill(buffer.begin(), buffer.end(), value);
-    return;
-  }
-  double* data = buffer.data();
-  pool->parallel_for(count, chunks,
-                     [data, value](std::size_t, std::size_t begin,
-                                   std::size_t end) {
-                       std::fill(data + begin, data + end, value);
-                     });
-}
-
 }  // namespace bvc::util::numa

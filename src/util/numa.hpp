@@ -1,32 +1,17 @@
-// Minimal NUMA placement helpers — no libnuma dependency.
+// Minimal NUMA placement helper — no libnuma dependency.
 //
-// Two mechanisms, matching how the two kinds of hot buffers are born:
+// Buffers that were touched on one thread (std::vector columns built
+// serially at compile(), deserialized cache loads) are re-spread with a raw
+// mbind(MPOL_INTERLEAVE, MPOL_MF_MOVE) syscall. Interleaving is the right
+// policy for the read-shared CompiledModel columns: every solve streams
+// every column once per sweep, and concurrent batch solves share them, so
+// spreading pages round-robin balances the memory channels.
 //
-//   * First-touch (first_touch_fill): Linux places a page on the node of
-//     the CPU that first WRITES it. Fresh kernel scratch buffers are
-//     AlignedVector<double> (default-init resize leaves pages untouched,
-//     see util/aligned.hpp), so writing the initial fill chunk-by-chunk on
-//     the ThreadPool — with the same (count, chunks) partition the sweep
-//     itself uses — spreads a setting-2 bias vector across the nodes whose
-//     workers will sweep it, instead of landing it wholesale on the node
-//     that called resize().
-//
-//   * Page interleaving (interleave_pages): buffers that were already
-//     touched on one thread (std::vector columns built serially at
-//     compile(), deserialized cache loads) are re-spread with a raw
-//     mbind(MPOL_INTERLEAVE, MPOL_MF_MOVE) syscall — no libnuma needed.
-//     Interleaving is the right policy for the read-shared CompiledModel
-//     columns: every worker streams every column once per sweep, so
-//     spreading pages round-robin balances the memory channels.
-//
-// Both helpers are exact no-ops on single-node machines (the common dev
+// The helper is an exact no-op on single-node machines (the common dev
 // container) and on non-Linux builds; callers never need to guard.
 #pragma once
 
 #include <cstddef>
-
-#include "util/aligned.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bvc::util::numa {
 
@@ -43,14 +28,5 @@ namespace bvc::util::numa {
 /// non-Linux builds, sub-page ranges, or EPERM-style refusals (placement
 /// is an optimization — failure is never an error).
 bool interleave_pages(void* data, std::size_t bytes) noexcept;
-
-/// Resizes `buffer` to `count` elements and fills it with `value`,
-/// performing the writes chunk-by-chunk on `pool` (same partition rule as
-/// ThreadPool::parallel_for) so first-touch page placement follows the
-/// sweep's chunk->worker geometry. Serial fill when `pool` is null,
-/// `chunks` <= 1, or the machine has a single node. The buffer's contents
-/// are identical either way; only page placement differs.
-void first_touch_fill(AlignedVector<double>& buffer, std::size_t count,
-                      double value, ThreadPool* pool, std::size_t chunks);
 
 }  // namespace bvc::util::numa

@@ -3,16 +3,17 @@
 // One central FIFO queue feeds N long-lived workers; there are no per-worker
 // deques and no stealing, so task pickup order is the submission order and
 // the scheduling logic stays simple enough to reason about under TSan. Two
-// use patterns in this library:
+// use patterns:
 //
 //   * fan-out (mdp::run_batch): submit one task per independent solve and
 //     wait_idle() — throughput-bound, task granularity is milliseconds to
 //     seconds, so the central queue is never contended;
-//   * data-parallel sweeps (the parallel relative-value-iteration path):
-//     parallel_for() splits a contiguous index range into chunks whose
-//     boundaries depend only on (count, chunks) — never on the thread
-//     count — so any value computed per index is reproducible regardless
-//     of how many workers the pool has.
+//   * data-parallel loops: parallel_for() splits a contiguous index range
+//     into chunks whose boundaries depend only on (count, chunks) — never
+//     on the thread count — so any value computed per index is
+//     reproducible regardless of how many workers the pool has. No solver
+//     uses it: every solve runs on one thread, and run_batch parallelizes
+//     across solves.
 #pragma once
 
 #include <atomic>

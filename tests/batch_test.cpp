@@ -1,7 +1,5 @@
-// The batch-solve engine and the SolverConfig front door: input-order
-// determinism across thread counts, shared-budget semantics (deadline,
-// tick cap, cancellation), parallel-vs-serial value-iteration equivalence,
-// and front-door/legacy-overload equivalence for all four solvers.
+// The batch-solve engine: input-order determinism across thread counts
+// and shared-budget semantics (deadline, tick cap, cancellation).
 #include "mdp/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -11,11 +9,7 @@
 
 #include "bu/attack_analysis.hpp"
 #include "bu/attack_model.hpp"
-#include "mdp/average_reward.hpp"
-#include "mdp/discounted.hpp"
-#include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
-#include "mdp/solver_config.hpp"
 #include "robust/run_control.hpp"
 
 namespace bvc {
@@ -49,8 +43,8 @@ std::vector<mdp::RatioJob> jobs_for(const std::vector<bu::AttackModel>& models) 
   for (const bu::AttackModel& model : models) {
     mdp::RatioJob job;
     job.model = &model.model;
-    job.config.ratio.tolerance = 1e-6;
-    job.config.ratio.upper_bound = 1.0;
+    job.config.tolerance = 1e-6;
+    job.config.upper_bound = 1.0;
     jobs.push_back(job);
   }
   return jobs;
@@ -241,131 +235,6 @@ TEST(AnalyzeBatch, MatchesSerialAnalyzeForEveryThreadCount) {
       EXPECT_EQ(batch[i].honest_baseline, serial[i].honest_baseline);
     }
   }
-}
-
-// ------------------------------------- parallel value-iteration sweeps --
-
-TEST(ParallelVi, MatchesSerialGainAndPolicyOnTable2Model) {
-  const bu::AttackModel model = bu::build_attack_model(
-      [] {
-        bu::AttackParams params;
-        params.alpha = 0.25;
-        params.beta = 0.30;
-        params.gamma = 0.45;
-        params.setting = bu::Setting::kNoStickyGate;
-        return params;
-      }(),
-      bu::Utility::kRelativeRevenue);
-
-  mdp::SolverConfig serial_config;
-  serial_config.average_reward.tolerance = 1e-9;
-  const mdp::GainResult serial =
-      mdp::maximize_average_reward(model.model, serial_config);
-  ASSERT_TRUE(serial.converged());
-
-  mdp::SolverConfig parallel_config = serial_config;
-  parallel_config.threads = 4;
-  const mdp::GainResult parallel =
-      mdp::maximize_average_reward(model.model, parallel_config);
-  ASSERT_TRUE(parallel.converged());
-
-  // Gauss-Seidel (serial) and Jacobi (parallel) follow different sweep
-  // trajectories to the same optimum: gains agree to solver tolerance and
-  // the greedy policies coincide.
-  EXPECT_NEAR(parallel.gain, serial.gain, 1e-7);
-  EXPECT_EQ(parallel.policy, serial.policy);
-}
-
-TEST(ParallelVi, BitIdenticalAcrossParallelThreadCounts) {
-  const bu::AttackModel model = bu::build_attack_model(
-      small_params(0.20, 0.40, 0.40), bu::Utility::kRelativeRevenue);
-
-  mdp::SolverConfig config;
-  config.average_reward.tolerance = 1e-9;
-  config.threads = 2;
-  const mdp::GainResult two =
-      mdp::maximize_average_reward(model.model, config);
-  config.threads = 8;
-  const mdp::GainResult eight =
-      mdp::maximize_average_reward(model.model, config);
-
-  // The chunk partition depends only on (state count, chunk count) and the
-  // span reduction is exact, so EVERY parallel thread count produces the
-  // same bits.
-  EXPECT_EQ(two.gain, eight.gain);
-  EXPECT_EQ(two.iterations, eight.iterations);
-  EXPECT_EQ(two.policy, eight.policy);
-  ASSERT_EQ(two.bias.size(), eight.bias.size());
-  for (std::size_t s = 0; s < two.bias.size(); ++s) {
-    ASSERT_EQ(two.bias[s], eight.bias[s]) << "state " << s;
-  }
-}
-
-// --------------------------------------------- SolverConfig front door --
-
-TEST(SolverConfig, FrontDoorMatchesLegacyOverloads) {
-  const bu::AttackModel attack = bu::build_attack_model(
-      small_params(0.25, 0.30, 0.45), bu::Utility::kRelativeRevenue);
-  const mdp::Model& model = attack.model;
-
-  mdp::SolverConfig config;
-  config.average_reward.tolerance = 1e-9;
-  config.ratio.tolerance = 1e-6;
-  config.discounted.discount = 0.995;
-  config.policy_iteration.max_improvements = 50;
-
-  {
-    const mdp::GainResult front = mdp::maximize_average_reward(model, config);
-    const mdp::GainResult legacy =
-        mdp::maximize_average_reward(model, config.average_reward_options());
-    EXPECT_EQ(front.gain, legacy.gain);
-    EXPECT_EQ(front.policy, legacy.policy);
-    EXPECT_EQ(front.iterations, legacy.iterations);
-  }
-  {
-    const mdp::DiscountedResult front = mdp::solve_discounted(model, config);
-    const mdp::DiscountedResult legacy =
-        mdp::solve_discounted(model, config.discounted_options());
-    EXPECT_EQ(front.value, legacy.value);
-    EXPECT_EQ(front.policy, legacy.policy);
-  }
-  {
-    const mdp::PolicyIterationResult front =
-        mdp::policy_iteration(model, config);
-    const mdp::PolicyIterationResult legacy =
-        mdp::policy_iteration(model, config.policy_iteration_options());
-    EXPECT_EQ(front.gain, legacy.gain);
-    EXPECT_EQ(front.policy, legacy.policy);
-    EXPECT_EQ(front.improvements(), legacy.improvements());
-  }
-  {
-    const mdp::RatioResult front = mdp::maximize_ratio(model, config);
-    const mdp::RatioResult legacy =
-        mdp::maximize_ratio(model, config.ratio_options());
-    EXPECT_EQ(front.ratio, legacy.ratio);
-    EXPECT_EQ(front.policy, legacy.policy);
-    EXPECT_EQ(front.status, legacy.status);
-  }
-}
-
-TEST(SolverConfig, ThreadsAndControlStampTheLoweredOptions) {
-  mdp::SolverConfig config;
-  config.threads = 6;
-  config.control.budget = robust::RunBudget::ticks(123);
-
-  const mdp::AverageRewardKnobs avg = config.average_reward_options();
-  EXPECT_EQ(avg.threads, 6);
-  EXPECT_EQ(avg.control.budget.max_ticks, 123);
-
-  const mdp::RatioKnobs ratio = config.ratio_options();
-  EXPECT_EQ(ratio.inner.threads, 6);
-  EXPECT_EQ(ratio.control.budget.max_ticks, 123);
-  // The outer guard owns the budget; inner solves get the remaining wall
-  // clock stamped at call time, not a second copy of the tick cap.
-  EXPECT_TRUE(ratio.inner.control.budget.unlimited());
-
-  EXPECT_EQ(config.discounted_options().control.budget.max_ticks, 123);
-  EXPECT_EQ(config.policy_iteration_options().control.budget.max_ticks, 123);
 }
 
 }  // namespace

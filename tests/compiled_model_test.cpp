@@ -2,9 +2,9 @@
 // representation it compiles: structural fidelity, the ELL mirror's
 // palette codes (every code decodes to its double, the 16-value rule, the
 // copies a PolicyChain takes, a disk round trip, the resident bytes),
-// bit-identical solver results through both overload families, and
-// bit-identical raw sweeps against an in-test replica of the seed's AoS
-// Gauss-Seidel backup loop.
+// bit-identical solver results through both overload families, and the
+// library's scalar RVI sweep bit-identical to an in-test Jacobi replica
+// over the AoS Model.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,11 +20,11 @@
 #include "mdp/average_reward.hpp"
 #include "mdp/compiled_model.hpp"
 #include "mdp/discounted.hpp"
+#include "mdp/kernel.hpp"
 #include "mdp/model.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/rollout.hpp"
-#include "mdp/solver_config.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 
@@ -290,61 +290,59 @@ TEST(CompiledModel, BytesResidentCountsCodesAndPalette) {
 
 // ---- raw sweep equivalence vs an AoS reference replica --------------------
 
-// The seed's serial Gauss-Seidel greedy backup sweep, written against the
-// AoS Model exactly as average_reward.cpp's rvi_core used to sweep it.
+// One greedy Jacobi RVI sweep written against the AoS Model, independent of
+// the library's sweep code: every state is backed up against the previous
+// sweep's bias `bias_in` into `bias_out`, and the reference residual (state
+// 0's backup minus its bias) is taken first and subtracted from every
+// update. Ties keep the lower action.
 void reference_aos_sweep(const mdp::Model& model,
                          std::span<const double> rewards, double tau,
-                         std::vector<double>& bias) {
-  double ref = 0.0;
-  for (mdp::StateId s = 0; s < model.num_states(); ++s) {
+                         const std::vector<double>& bias_in,
+                         std::vector<double>& bias_out,
+                         std::vector<std::uint32_t>& policy) {
+  const auto backup = [&](mdp::StateId s, std::uint32_t* best_action) {
     double best = -std::numeric_limits<double>::infinity();
     for (std::size_t a = 0; a < model.num_actions(s); ++a) {
       const mdp::SaIndex sa = model.sa_index(s, a);
-      double q = rewards[sa];
       double expected_next = 0.0;
       for (const mdp::Outcome& outcome : model.outcomes(sa)) {
-        expected_next += outcome.probability * bias[outcome.next];
+        expected_next += outcome.probability * bias_in[outcome.next];
       }
-      q = tau * (q + expected_next) + (1.0 - tau) * bias[s];
+      const double q =
+          tau * (rewards[sa] + expected_next) + (1.0 - tau) * bias_in[s];
       if (q > best) {
         best = q;
+        *best_action = static_cast<std::uint32_t>(a);
       }
     }
-    if (s == 0) {
-      ref = best - bias[0];
-    }
-    bias[s] = best - ref;
+    return best;
+  };
+  std::uint32_t unused = 0;
+  const double ref = backup(0, &unused) - bias_in[0];
+  for (mdp::StateId s = 0; s < model.num_states(); ++s) {
+    bias_out[s] = backup(s, &policy[s]) - ref;
   }
 }
 
-// The same sweep over the compiled columns (the layout rvi_core now runs).
-void compiled_soa_sweep(const mdp::CompiledModel& model,
-                        std::span<const double> rewards, double tau,
-                        std::vector<double>& bias) {
-  const mdp::StateId* next_col = model.next();
-  const double* prob_col = model.prob();
-  double ref = 0.0;
-  for (mdp::StateId s = 0; s < model.num_states(); ++s) {
-    const mdp::SaIndex sa_base = model.state_begin(s);
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t a = 0; a < model.num_actions(s); ++a) {
-      const mdp::SaIndex sa = sa_base + a;
-      double q = rewards[sa];
-      double expected_next = 0.0;
-      const std::size_t end = model.outcome_end(sa);
-      for (std::size_t k = model.outcome_begin(sa); k < end; ++k) {
-        expected_next += prob_col[k] * bias[next_col[k]];
-      }
-      q = tau * (q + expected_next) + (1.0 - tau) * bias[s];
-      if (q > best) {
-        best = q;
-      }
-    }
-    if (s == 0) {
-      ref = best - bias[0];
-    }
-    bias[s] = best - ref;
-  }
+// The library's scalar sweep over the compiled model, driven the way
+// rvi_core drives it: the reference from a one-state pass, then every
+// state.
+void library_scalar_sweep(const mdp::CompiledModel& model,
+                          std::span<const double> rewards, double tau,
+                          const std::vector<double>& bias_in,
+                          std::vector<double>& bias_out,
+                          std::vector<std::uint32_t>& policy) {
+  using mdp::kernel::Isa;
+  double span_min = std::numeric_limits<double>::infinity();
+  double span_max = -std::numeric_limits<double>::infinity();
+  double backup0 = 0.0;
+  mdp::kernel::rvi_sweep(model, rewards.data(), tau, bias_in.data(), 0.0, 0,
+                         1, &backup0, policy.data(), &span_min, &span_max,
+                         Isa::kScalar);
+  mdp::kernel::rvi_sweep(model, rewards.data(), tau, bias_in.data(),
+                         backup0 - bias_in[0], 0, model.num_states(),
+                         bias_out.data(), policy.data(), &span_min,
+                         &span_max, Isa::kScalar);
 }
 
 void expect_sweeps_bit_identical(const mdp::Model& model) {
@@ -352,14 +350,24 @@ void expect_sweeps_bit_identical(const mdp::Model& model) {
   const std::span<const double> rewards{compiled.expected_reward(),
                                         compiled.num_state_actions()};
   constexpr double kTau = 0.999;
-  std::vector<double> aos_bias(model.num_states(), 0.0);
-  std::vector<double> soa_bias(model.num_states(), 0.0);
+  const std::size_t n = model.num_states();
+  std::vector<double> aos_bias(n, 0.0);
+  std::vector<double> aos_next(n, 0.0);
+  std::vector<double> lib_bias(n, 0.0);
+  std::vector<double> lib_next(n, 0.0);
+  std::vector<std::uint32_t> aos_policy(n, 0);
+  std::vector<std::uint32_t> lib_policy(n, 0);
   for (int sweep = 0; sweep < 25; ++sweep) {
-    reference_aos_sweep(model, rewards, kTau, aos_bias);
-    compiled_soa_sweep(compiled, rewards, kTau, soa_bias);
+    reference_aos_sweep(model, rewards, kTau, aos_bias, aos_next, aos_policy);
+    library_scalar_sweep(compiled, rewards, kTau, lib_bias, lib_next,
+                         lib_policy);
+    aos_bias.swap(aos_next);
+    lib_bias.swap(lib_next);
   }
-  for (std::size_t i = 0; i < aos_bias.size(); ++i) {
-    ASSERT_EQ(aos_bias[i], soa_bias[i]) << "bias diverged at state " << i;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(aos_bias[i], lib_bias[i]) << "bias diverged at state " << i;
+    ASSERT_EQ(aos_policy[i], lib_policy[i])
+        << "policy diverged at state " << i;
   }
 }
 
@@ -390,8 +398,8 @@ void expect_gain_results_identical(const mdp::GainResult& a,
 }
 
 void expect_gain_equivalence(const mdp::Model& model) {
-  mdp::SolverConfig config;
-  config.average_reward.tolerance = 1e-8;
+  mdp::AverageRewardKnobs config;
+  config.tolerance = 1e-8;
   const mdp::GainResult via_model = mdp::maximize_average_reward(model, config);
   const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
   const mdp::GainResult via_compiled =
@@ -412,9 +420,9 @@ TEST(CompiledModel, GainResultBitIdenticalBtc) {
 }
 
 void expect_ratio_equivalence(const mdp::Model& model, double upper_bound) {
-  mdp::SolverConfig config;
-  config.ratio.tolerance = 1e-6;
-  config.ratio.upper_bound = upper_bound;
+  mdp::RatioKnobs config;
+  config.tolerance = 1e-6;
+  config.upper_bound = upper_bound;
   const mdp::RatioResult via_model = mdp::maximize_ratio(model, config);
   const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
   const mdp::RatioResult via_compiled =
@@ -444,8 +452,8 @@ TEST(CompiledModel, DiscountedAndPolicyIterationBitIdentical) {
   const mdp::Model& model = setting1_model().model;
   const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
 
-  mdp::SolverConfig discounted_config;
-  discounted_config.discounted.discount = 0.95;
+  mdp::DiscountedKnobs discounted_config;
+  discounted_config.discount = 0.95;
   const mdp::DiscountedResult da =
       mdp::solve_discounted(model, discounted_config);
   const mdp::DiscountedResult db =
@@ -458,7 +466,7 @@ TEST(CompiledModel, DiscountedAndPolicyIterationBitIdentical) {
   }
   EXPECT_EQ(da.policy.action, db.policy.action);
 
-  const mdp::SolverConfig howard;
+  const mdp::PolicyIterationKnobs howard;
   const mdp::PolicyIterationResult pa = mdp::policy_iteration(model, howard);
   const mdp::PolicyIterationResult pb =
       mdp::policy_iteration(compiled, howard);
@@ -472,7 +480,7 @@ TEST(CompiledModel, RolloutDrawsIdenticalTrajectory) {
   const mdp::Model& model = setting1_model().model;
   const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
   const mdp::GainResult gain =
-      mdp::maximize_average_reward(model, mdp::SolverConfig{});
+      mdp::maximize_average_reward(model, mdp::AverageRewardKnobs{});
 
   Rng rng_a(99);
   Rng rng_b(99);

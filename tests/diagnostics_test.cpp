@@ -12,7 +12,6 @@
 
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
-#include "mdp/solver_config.hpp"
 #include "obs/metrics.hpp"
 #include "robust/retry.hpp"
 #include "robust/run_control.hpp"
@@ -68,8 +67,8 @@ void expect_trajectories_consistent(const robust::SolveDiagnostics& d) {
 
 TEST(SolveDiagnostics, TrajectoryLengthsMatchOuterIterationsWhenConverged) {
   const Model model = make_alternator(1.0, 3.0);  // ratio 2
-  mdp::SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
   const mdp::RatioResult result = mdp::maximize_ratio(model, config);
   ASSERT_EQ(result.status, robust::RunStatus::kConverged);
   EXPECT_FALSE(result.used_bisection);
@@ -83,13 +82,13 @@ TEST(SolveDiagnostics, TrajectoryLengthsMatchOuterIterationsWhenConverged) {
 
 TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
   const Model model = make_thin_denominator();
-  mdp::SolverConfig config;
-  config.ratio.lower_bound = -5.0;
-  config.ratio.upper_bound = 0.0;
+  mdp::RatioKnobs config;
+  config.lower_bound = -5.0;
+  config.upper_bound = 0.0;
   // Declare denominator rates below 0.2 numerically degenerate: action 0's
   // rate of 0.1 then triggers the Dinkelbach stall and the solver must
   // finish the bracket by bisection.
-  config.ratio.min_weight_rate = 0.2;
+  config.min_weight_rate = 0.2;
   // Every RVI sweep the solve runs lands in the mdp.rvi.sweeps counter;
   // the diagnostics must account for all of them, including the paired
   // policy evaluations the bisection phase runs.
@@ -112,7 +111,7 @@ TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
   const std::vector<double>& residuals = result.diagnostics.residual_trajectory;
   ASSERT_GE(residuals.size(), 4u);
   EXPECT_LT(residuals.back(), residuals.front());
-  EXPECT_LE(residuals.back(), config.ratio.tolerance * (1.0 + 5.0));
+  EXPECT_LE(residuals.back(), config.tolerance * (1.0 + 5.0));
   // The certified policy is the non-degenerate action found before the
   // stall; diagnostics must count the inner work both phases performed.
   EXPECT_GT(result.diagnostics.inner_solves, 2);
@@ -123,8 +122,8 @@ TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
 
 TEST(SolveDiagnostics, RetryPathAccumulatesAcrossAttempts) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
   const mdp::RatioResult plain = mdp::maximize_ratio(model, config);
   const mdp::RatioResult retried =
       mdp::maximize_ratio_with_retry(model, config, robust::RetryPolicy{});

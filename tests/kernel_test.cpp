@@ -4,11 +4,11 @@
 // fixed-policy chain sweep against a greedy sweep of the policy's
 // one-action model, the palette-coded AVX-512 bodies on palettes of 1, 9
 // and 16 values, the paper's models all taking the coded path,
-// solver-level bit-identity of the kernel Jacobi path against the scalar
-// Jacobi path (optimizing and evaluating), the sweep path the rvi.solve
-// span names (uncoded models run avx2 under an avx512 request), cross-cell
-// warm starts (fixed point unchanged, counters accurate), and the NUMA
-// placement helpers' smoke behaviour.
+// solver-level bit-identity of every vector ISA against the scalar
+// request (optimizing and evaluating), the sweep path the rvi.solve span
+// names (uncoded models run avx2 under an avx512 request), cross-cell warm
+// starts (fixed point unchanged, counters accurate), and the NUMA
+// placement helper's smoke behaviour.
 //
 // Vector-ISA cases GTEST_SKIP when the build or CPU lacks the ISA, so the
 // suite is green (not red) on machines without AVX2/AVX-512.
@@ -35,9 +35,7 @@
 #include "mdp/compiled_model.hpp"
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
-#include "mdp/solver_config.hpp"
 #include "obs/trace.hpp"
-#include "util/aligned.hpp"
 #include "util/numa.hpp"
 
 namespace {
@@ -385,8 +383,9 @@ void expect_rvi_sweep_equivalence(const mdp::CompiledModel& compiled,
   EXPECT_EQ(min_scalar, min_vector);
   EXPECT_EQ(max_scalar, max_vector);
 
-  // Split ranges (chunk boundaries off any lane multiple) with per-chunk
-  // span accumulators, as the parallel solver path issues them.
+  // Split ranges (boundaries off any lane multiple) with per-range span
+  // accumulators: the solver sweeps [0, 1) for its reference residual, and
+  // a range may start or end mid-vector.
   for (const mdp::StateId cut :
        {mdp::StateId{1}, mdp::StateId{5}, n / 3 + 1, n - 3}) {
     std::vector<double> out_split(n, -9.0);
@@ -458,51 +457,6 @@ TEST(Kernel, RviSweepAvx2MatchesScalarBitExact) {
 
 TEST(Kernel, RviSweepAvx512MatchesScalarBitExact) {
   run_rvi_sweep_suite(Isa::kAvx512);
-}
-
-TEST(Kernel, RviSweepMatchesBackupCombineComposition) {
-  // The fused sweep is defined as backup_expected (no seed, scale 1)
-  // followed by rvi_combine; the composition must agree bit-for-bit, on
-  // every ISA, including policy and span side outputs.
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(uniform_two_action_model(61));
-  const mdp::StateId n = static_cast<mdp::StateId>(compiled.num_states());
-  const std::size_t num_sa = compiled.num_state_actions();
-  const std::vector<double> bias = ramp_bias(compiled.num_states());
-  const double* rewards = compiled.expected_reward();
-  const double tau = 0.96875;
-  const double ref = -1.5;
-  const double inf = std::numeric_limits<double>::infinity();
-
-  std::vector<double> q_all(num_sa);
-  mdp::kernel::backup_expected(compiled, nullptr, 1.0, bias.data(), 0, num_sa,
-                               q_all.data(), Isa::kScalar);
-  std::vector<double> out_split(n);
-  std::vector<std::uint32_t> pol_split(n);
-  double min_split = inf, max_split = -inf;
-  mdp::kernel::rvi_combine(compiled, rewards, tau, bias.data(), q_all.data(),
-                           ref, 0, n, out_split.data(), pol_split.data(),
-                           &min_split, &max_split, Isa::kScalar);
-
-  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
-    if (!mdp::kernel::isa_available(isa)) {
-      continue;
-    }
-    std::vector<double> out_fused(n, -4.0);
-    std::vector<std::uint32_t> pol_fused(n, 55u);
-    double min_fused = inf, max_fused = -inf;
-    mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0, n,
-                           out_fused.data(), pol_fused.data(), &min_fused,
-                           &max_fused, isa);
-    for (mdp::StateId s = 0; s < n; ++s) {
-      EXPECT_EQ(out_split[s], out_fused[s])
-          << mdp::kernel::to_string(isa) << " state=" << s;
-      EXPECT_EQ(pol_split[s], pol_fused[s])
-          << mdp::kernel::to_string(isa) << " state=" << s;
-    }
-    EXPECT_EQ(min_split, min_fused) << mdp::kernel::to_string(isa);
-    EXPECT_EQ(max_split, max_fused) << mdp::kernel::to_string(isa);
-  }
 }
 
 // ---- fixed-policy chain sweep --------------------------------------------
@@ -868,38 +822,39 @@ TEST(Kernel, SolverJacobiBitIdenticalToScalarJacobi) {
   mdp::AverageRewardKnobs knobs;
   knobs.tolerance = 1e-9;
 
-  // Reference: the scalar chunked-Jacobi discipline (threads >= 2).
+  // Reference: the scalar kernel, the sweep a host without AVX2 runs.
   mdp::GainResult scalar_jacobi;
   {
     const ScopedKernelRequest scoped(Request::kScalar);
-    mdp::AverageRewardKnobs jacobi = knobs;
-    jacobi.threads = 2;
-    scalar_jacobi = mdp::maximize_average_reward(compiled, jacobi);
+    scalar_jacobi = mdp::maximize_average_reward(compiled, knobs);
   }
 
-  // The kernel path is Jacobi at EVERY thread count, and bit-identical to
-  // the scalar Jacobi sweep (same expression tree, lane-per-row).
-  for (const int threads : {1, 2, 3}) {
-    mdp::AverageRewardKnobs kernel_knobs = knobs;
-    kernel_knobs.threads = threads;
+  // Every vector ISA runs the same Jacobi sweep and evaluates the scalar
+  // expression tree lane-per-row, so the solve is bit-identical.
+  for (const Request request : {Request::kAvx2, Request::kAvx512}) {
+    if (!mdp::kernel::isa_available(static_cast<Isa>(request))) {
+      continue;
+    }
+    const ScopedKernelRequest scoped(request);
+    const std::string where(mdp::kernel::to_string(request));
     const mdp::GainResult vector_jacobi =
-        mdp::maximize_average_reward(compiled, kernel_knobs);
-    EXPECT_EQ(scalar_jacobi.gain, vector_jacobi.gain)
-        << "threads=" << threads;
+        mdp::maximize_average_reward(compiled, knobs);
+    EXPECT_EQ(scalar_jacobi.gain, vector_jacobi.gain) << where;
+    EXPECT_EQ(scalar_jacobi.iterations, vector_jacobi.iterations) << where;
     ASSERT_EQ(scalar_jacobi.bias.size(), vector_jacobi.bias.size());
     for (std::size_t s = 0; s < scalar_jacobi.bias.size(); ++s) {
       EXPECT_EQ(scalar_jacobi.bias[s], vector_jacobi.bias[s])
-          << "threads=" << threads << " state=" << s;
+          << where << " state=" << s;
     }
-    EXPECT_EQ(scalar_jacobi.policy, vector_jacobi.policy);
+    EXPECT_EQ(scalar_jacobi.policy, vector_jacobi.policy) << where;
   }
 }
 
 /// The setting-2 cell alpha = 0.25, beta = gamma = 0.375 (30,595 states):
 /// its Dinkelbach loop runs two fixed-policy evaluation solves, so the
-/// chain sweep decides part of the answer. Every vector ISA at 1 and 4
-/// threads must reproduce the scalar Jacobi discipline (scalar kernel, 2
-/// threads) bit-for-bit: value, policy, and sweep count.
+/// chain sweep decides part of the answer. Every vector ISA, at 1 and 4
+/// batch threads, must reproduce the scalar request bit-for-bit: value,
+/// policy, and sweep count.
 TEST(Kernel, ChainEvaluationSolvesBitIdenticalAcrossIsasAndThreads) {
   bu::AttackParams params;
   params.alpha = 0.25;
@@ -908,23 +863,25 @@ TEST(Kernel, ChainEvaluationSolvesBitIdenticalAcrossIsasAndThreads) {
   params.setting = bu::Setting::kStickyGate;
   const bu::AttackModel attack =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-  const auto solve = [&](Request request, int threads) {
-    const ScopedKernelRequest scoped(request);
-    bu::AnalysisOptions options;
-    options.inner.threads = threads;
-    return bu::analyze(attack, options);
-  };
-  const bu::AnalysisResult reference = solve(Request::kScalar, 2);
+  const bu::AnalysisResult reference = [&] {
+    const ScopedKernelRequest scoped(Request::kScalar);
+    return bu::analyze(attack);
+  }();
   ASSERT_TRUE(reference.converged());
   ASSERT_GT(reference.diagnostics.inner_solves,
             reference.diagnostics.outer_iterations)
       << "no fixed-policy evaluation ran";
+  const std::vector<bu::AnalysisJob> jobs = {
+      {params, bu::Utility::kRelativeRevenue}};
   for (const Request request : {Request::kAvx2, Request::kAvx512}) {
     if (!mdp::kernel::isa_available(static_cast<Isa>(request))) {
       continue;
     }
+    const ScopedKernelRequest scoped(request);
     for (const int threads : {1, 4}) {
-      const bu::AnalysisResult result = solve(request, threads);
+      mdp::BatchConfig batch;
+      batch.threads = threads;
+      const bu::AnalysisResult result = bu::analyze_batch(jobs, {}, batch)[0];
       const std::string where = std::string(mdp::kernel::to_string(request)) +
                                 " threads=" + std::to_string(threads);
       EXPECT_EQ(reference.utility_value, result.utility_value) << where;
@@ -1007,8 +964,10 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
       mdp::CompiledModel::compile(ragged_model(53));
   ASSERT_TRUE(ragged.has_ell());
   ASSERT_FALSE(ragged.has_codes());
-  // No ELL mirror (one row wider than kMaxEllWidth): the solver stays on
-  // its scalar disciplines for both modes.
+  // No ELL mirror (one row wider than kMaxEllWidth): the greedy sweep
+  // takes the scalar loop. A fixed policy's chain is built from the CSR
+  // columns, so the chain sweep runs vectorized all the same; the model
+  // carries no codes, so its chain has none either.
   const mdp::StateId n = 40;
   mdp::ModelBuilder builder(n);
   for (mdp::StateId s = 0; s < n; ++s) {
@@ -1042,7 +1001,7 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
     EXPECT_EQ(traced_kernel_arg(ragged, false), "scalar");
     EXPECT_EQ(traced_kernel_arg(ragged, true), uncoded);
     EXPECT_EQ(traced_kernel_arg(no_ell, false), "scalar");
-    EXPECT_EQ(traced_kernel_arg(no_ell, true), "scalar");
+    EXPECT_EQ(traced_kernel_arg(no_ell, true), uncoded);
   }
 }
 
@@ -1163,19 +1122,6 @@ TEST(WarmStart, BatchCountsSeededCellsAtOneThread) {
 TEST(Numa, SmokeOnAnyTopology) {
   EXPECT_GE(util::numa::node_count(), 1);
   EXPECT_EQ(util::numa::multi_node(), util::numa::node_count() > 1);
-
-  util::AlignedVector<double> buffer;
-  util::numa::first_touch_fill(buffer, 1000, 2.5, nullptr, 8);
-  ASSERT_EQ(buffer.size(), 1000u);
-  for (const double value : buffer) {
-    EXPECT_EQ(value, 2.5);
-  }
-  // Shrink + refill: contents identical regardless of pool/topology.
-  util::numa::first_touch_fill(buffer, 10, -1.0, nullptr, 1);
-  ASSERT_EQ(buffer.size(), 10u);
-  for (const double value : buffer) {
-    EXPECT_EQ(value, -1.0);
-  }
 
   // interleave_pages never throws; on single-node machines it reports
   // false (placement is an optimization, not a requirement).

@@ -12,7 +12,6 @@
 #include "mdp/discounted.hpp"
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
-#include "mdp/solver_config.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -130,9 +129,9 @@ TEST_P(SolverVsBruteForce, RatioMatchesEnumeration) {
     best_ratio = std::max(best_ratio, reward / weight);
   }
 
-  SolverConfig config;
-  config.ratio.lower_bound = -100.0;
-  config.ratio.upper_bound = 100.0;
+  RatioKnobs config;
+  config.lower_bound = -100.0;
+  config.upper_bound = 100.0;
   const RatioResult solved = maximize_ratio(model, config);
   EXPECT_TRUE(solved.converged());
   EXPECT_NEAR(solved.ratio, best_ratio, 1e-5);
@@ -160,11 +159,11 @@ TEST_P(SolverVsBruteForce, PolicyEvaluationMatchesPowerIteration) {
 TEST_P(SolverVsBruteForce, DiscountedLimitApproachesGain) {
   Rng rng(GetParam() ^ 0xD15C);
   const Model model = random_model(rng, 3, 2);
-  SolverConfig config;
-  config.discounted.discount = 0.99995;
+  DiscountedKnobs config;
+  config.discount = 0.99995;
   const DiscountedResult discounted = solve_discounted(model, config);
   const GainResult average = maximize_average_reward(model);
-  EXPECT_NEAR((1.0 - config.discounted.discount) * discounted.value[0], average.gain,
+  EXPECT_NEAR((1.0 - config.discount) * discounted.value[0], average.gain,
               2e-3);
 }
 

@@ -7,7 +7,6 @@
 #include "mdp/discounted.hpp"
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
-#include "mdp/solver_config.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -116,8 +115,8 @@ TEST(AverageReward, PeriodicChainConvergesViaAperiodicityTransform) {
   // A strictly periodic two-cycle: without the transform, plain value
   // iteration oscillates.
   const Model model = make_alternator(0.0, 1.0);
-  SolverConfig config;
-  config.average_reward.aperiodicity_tau = 0.9;
+  AverageRewardKnobs config;
+  config.aperiodicity_tau = 0.9;
   const GainResult result = maximize_average_reward(model, config);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.gain, 0.5, 1e-6);
@@ -181,7 +180,7 @@ TEST(AverageReward, WarmStartReachesSameGain) {
   }
   const GainResult cold = maximize_average_reward(model, rewards);
   const GainResult warm =
-      maximize_average_reward(model, rewards, SolverConfig{}, &cold.bias);
+      maximize_average_reward(model, rewards, AverageRewardKnobs{}, &cold.bias);
   EXPECT_NEAR(cold.gain, warm.gain, 1e-9);
   EXPECT_LE(warm.sweeps(), cold.sweeps());
 }
@@ -226,8 +225,8 @@ TEST(Discounted, GeometricSumSingleState) {
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 1.0, 0.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.discounted.discount = 0.9;
+  DiscountedKnobs config;
+  config.discount = 0.9;
   const DiscountedResult result = solve_discounted(model, config);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.value[0], 10.0, 1e-6);
@@ -235,19 +234,19 @@ TEST(Discounted, GeometricSumSingleState) {
 
 TEST(Discounted, AgreesWithAverageRewardInTheLimit) {
   const Model model = make_alternator(1.0, 3.0);
-  SolverConfig config;
-  config.discounted.discount = 0.9999;
+  DiscountedKnobs config;
+  config.discount = 0.9999;
   const DiscountedResult discounted = solve_discounted(model, config);
   const GainResult average = maximize_average_reward(model);
   // (1 - beta) * V_beta -> gain.
-  EXPECT_NEAR((1.0 - config.discounted.discount) * discounted.value[0], average.gain,
+  EXPECT_NEAR((1.0 - config.discount) * discounted.value[0], average.gain,
               1e-3);
 }
 
 TEST(Discounted, RejectsBadDiscount) {
   const Model model = make_alternator(0.0, 0.0);
-  SolverConfig config;
-  config.discounted.discount = 1.0;
+  DiscountedKnobs config;
+  config.discount = 1.0;
   EXPECT_THROW((void)solve_discounted(model, config), std::invalid_argument);
 }
 
@@ -258,8 +257,8 @@ TEST(Ratio, SingleStateRatioOfStreams) {
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 3.0, 4.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  RatioKnobs config;
+  config.upper_bound = 10.0;
   const RatioResult result = maximize_ratio(model, config);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.ratio, 0.75, 1e-6);
@@ -274,8 +273,8 @@ TEST(Ratio, PrefersHigherRatioNotHigherReward) {
   builder.begin_action(0, 1);
   builder.add_outcome(0, 1.0, 2.0, 1.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  RatioKnobs config;
+  config.upper_bound = 10.0;
   const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 2.0, 1e-6);
   EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
@@ -290,8 +289,8 @@ TEST(Ratio, HandlesDegenerateZeroWeightAction) {
   builder.begin_action(0, 1);
   builder.add_outcome(0, 1.0, 1.0, 2.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.ratio.upper_bound = 5.0;
+  RatioKnobs config;
+  config.upper_bound = 5.0;
   const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 0.5, 1e-5);
 }
@@ -305,8 +304,8 @@ TEST(Ratio, TwoStateMixedRatio) {
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 3.0, 2.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  RatioKnobs config;
+  config.upper_bound = 10.0;
   const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 1.0, 1e-6);
 }
@@ -323,8 +322,8 @@ TEST(Ratio, StatefulTradeoff) {
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 4.0, 1.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  RatioKnobs config;
+  config.upper_bound = 10.0;
   const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 2.0, 1e-6);
   EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
@@ -335,8 +334,8 @@ TEST(Ratio, ReportsPolicyRates) {
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 3.0, 6.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.ratio.upper_bound = 2.0;
+  RatioKnobs config;
+  config.upper_bound = 2.0;
   const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.reward_rate, 3.0, 1e-6);
   EXPECT_NEAR(result.weight_rate, 6.0, 1e-6);
@@ -344,9 +343,9 @@ TEST(Ratio, ReportsPolicyRates) {
 
 TEST(Ratio, RejectsEmptyBracket) {
   const Model model = make_alternator(1.0, 1.0);
-  SolverConfig config;
-  config.ratio.lower_bound = 1.0;
-  config.ratio.upper_bound = 1.0;
+  RatioKnobs config;
+  config.lower_bound = 1.0;
+  config.upper_bound = 1.0;
   EXPECT_THROW((void)maximize_ratio(model, config), std::invalid_argument);
 }
 
@@ -357,8 +356,8 @@ TEST(Ratio, ThrowsOnUnboundedObjective) {
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 1.0, 0.0);
   const Model model = builder.build();
-  SolverConfig config;
-  config.ratio.upper_bound = 100.0;
+  RatioKnobs config;
+  config.upper_bound = 100.0;
   EXPECT_THROW((void)maximize_ratio(model, config), bvc::InternalError);
 }
 

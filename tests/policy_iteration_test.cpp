@@ -8,7 +8,6 @@
 #include "bu/attack_model.hpp"
 #include "mdp/average_reward.hpp"
 #include "mdp/policy_iteration.hpp"
-#include "mdp/solver_config.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -107,8 +106,8 @@ TEST(PolicyIteration, SolvesTheSetting1AttackModelExactly) {
 TEST(PolicyIteration, RejectsOversizedModels) {
   Rng rng(3);
   const Model model = random_model(rng, 6, 2);
-  SolverConfig config;
-  config.policy_iteration.max_states = 4;
+  PolicyIterationKnobs config;
+  config.max_states = 4;
   EXPECT_THROW((void)policy_iteration(model, config),
                std::invalid_argument);
 }

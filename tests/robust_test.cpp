@@ -17,7 +17,6 @@
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/rollout.hpp"
-#include "mdp/solver_config.hpp"
 #include "sim/fork_simulation.hpp"
 #include "sim/network_sim.hpp"
 #include "util/rng.hpp"
@@ -228,7 +227,7 @@ RunControl cancelled_control() {
 
 TEST(AverageRewardControl, PreCancelledReturnsWithoutASweep) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
+  mdp::AverageRewardKnobs config;
   config.control = cancelled_control();
   const mdp::GainResult result = mdp::maximize_average_reward(model, config);
   EXPECT_EQ(result.status, RunStatus::kCancelled);
@@ -238,8 +237,8 @@ TEST(AverageRewardControl, PreCancelledReturnsWithoutASweep) {
 
 TEST(AverageRewardControl, TickBudgetCapsSweeps) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
-  config.average_reward.tolerance = 1e-300;  // unreachable: only the budget can stop it
+  mdp::AverageRewardKnobs config;
+  config.tolerance = 1e-300;  // unreachable: only the budget can stop it
   config.control.budget = RunBudget::ticks(3);
   const mdp::GainResult result = mdp::maximize_average_reward(model, config);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
@@ -260,7 +259,7 @@ TEST(AverageRewardControl, UnlimitedControlStillConverges) {
 
 TEST(DiscountedControl, PreCancelledReturnsWithoutASweep) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
+  mdp::DiscountedKnobs config;
   config.control = cancelled_control();
   const mdp::DiscountedResult result = mdp::solve_discounted(model, config);
   EXPECT_EQ(result.status, RunStatus::kCancelled);
@@ -269,8 +268,8 @@ TEST(DiscountedControl, PreCancelledReturnsWithoutASweep) {
 
 TEST(DiscountedControl, TickBudgetCapsSweeps) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
-  config.discounted.tolerance = 1e-300;
+  mdp::DiscountedKnobs config;
+  config.tolerance = 1e-300;
   config.control.budget = RunBudget::ticks(5);
   const mdp::DiscountedResult result = mdp::solve_discounted(model, config);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
@@ -280,7 +279,7 @@ TEST(DiscountedControl, TickBudgetCapsSweeps) {
 
 TEST(PolicyIterationControl, PreCancelledReturnsTotalPolicy) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
+  mdp::PolicyIterationKnobs config;
   config.control = cancelled_control();
   const mdp::PolicyIterationResult result =
       mdp::policy_iteration(model, config);
@@ -301,8 +300,8 @@ TEST(PolicyIterationControl, UnlimitedControlStillConverges) {
 
 TEST(RatioControl, ConvergedSolveCarriesDiagnostics) {
   const Model model = make_alternator(1.0, 3.0);  // ratio = gain = 2
-  mdp::SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
   const mdp::RatioResult result = mdp::maximize_ratio(model, config);
   EXPECT_EQ(result.status, RunStatus::kConverged);
   EXPECT_TRUE(result.converged());
@@ -320,14 +319,42 @@ TEST(RatioControl, ConvergedSolveCarriesDiagnostics) {
 
 TEST(RatioControl, PreCancelledReturnsCancelled) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
   config.control = cancelled_control();
   const mdp::RatioResult result = mdp::maximize_ratio(model, config);
   EXPECT_EQ(result.status, RunStatus::kCancelled);
   EXPECT_FALSE(result.converged());
   EXPECT_EQ(result.iterations, 0);
   EXPECT_EQ(result.diagnostics.inner_solves, 0);  // not even one inner solve
+}
+
+TEST(RatioControl, OuterGuardOwnsTheBudget) {
+  // The outer guard owns the budget: one tick is one outer iteration, and
+  // each inner solve gets only the outer cancel token and the wall clock
+  // remaining, never a copy of the tick cap.
+  const Model model = make_alternator(1.0, 3.0);  // ratio = gain = 2
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
+  config.control.budget = RunBudget::ticks(1);
+  const mdp::RatioResult capped = mdp::maximize_ratio(model, config);
+  EXPECT_EQ(capped.status, RunStatus::kBudgetExhausted);
+  EXPECT_EQ(capped.diagnostics.outer_iterations, 1);
+  // The one permitted iteration ran its optimize and evaluate solves to
+  // convergence: a one-tick inner cap would have stopped the first after
+  // one sweep and ended the solve there.
+  EXPECT_EQ(capped.diagnostics.inner_solves, 2);
+  EXPECT_GT(capped.diagnostics.inner_sweeps, 2);
+  EXPECT_NEAR(capped.reward_rate / capped.weight_rate, 2.0, 1e-6);
+
+  // A budget on the inner knobs is replaced by the outer one, so it cannot
+  // stop an inner solve either.
+  mdp::RatioKnobs inner_capped;
+  inner_capped.upper_bound = 10.0;
+  inner_capped.inner.control.budget = RunBudget::ticks(1);
+  const mdp::RatioResult result = mdp::maximize_ratio(model, inner_capped);
+  EXPECT_EQ(result.status, RunStatus::kConverged);
+  EXPECT_NEAR(result.ratio, 2.0, 1e-5);
 }
 
 TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
@@ -343,9 +370,9 @@ TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
   const bu::AttackModel attack =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
 
-  mdp::SolverConfig config;
-  config.ratio.tolerance = 1e-14;
-  config.average_reward.tolerance = 1e-14;
+  mdp::RatioKnobs config;
+  config.tolerance = 1e-14;
+  config.inner.tolerance = 1e-14;
   config.control.budget = RunBudget::deadline(0.1);
   const mdp::RatioResult result =
       mdp::maximize_ratio(attack.model, config);
@@ -359,9 +386,9 @@ TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
 
 TEST(RatioControl, RetryEscalatesAStalledSolve) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
-  config.ratio.upper_bound = 10.0;
-  config.ratio.max_iterations = 1;  // guaranteed to stall on the first attempt
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
+  config.max_iterations = 1;  // guaranteed to stall on the first attempt
   {
     const mdp::RatioResult single = mdp::maximize_ratio(model, config);
     ASSERT_EQ(single.status, RunStatus::kToleranceStalled);
@@ -375,9 +402,9 @@ TEST(RatioControl, RetryEscalatesAStalledSolve) {
 
 TEST(RatioControl, RetryRespectsTheRetryCap) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
-  config.ratio.upper_bound = 10.0;
-  config.ratio.max_iterations = 1;
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
+  config.max_iterations = 1;
   robust::RetryPolicy retry;
   retry.max_retries = 0;
   retry.iteration_growth_factor = 1.0;
@@ -395,9 +422,9 @@ TEST(RatioControl, RetryDoesNotRetryExhaustedBudgets) {
   params.setting = bu::Setting::kStickyGate;
   const bu::AttackModel attack =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-  mdp::SolverConfig config;
-  config.ratio.tolerance = 1e-14;
-  config.average_reward.tolerance = 1e-14;
+  mdp::RatioKnobs config;
+  config.tolerance = 1e-14;
+  config.inner.tolerance = 1e-14;
   config.control.budget = RunBudget::deadline(0.05);
   const mdp::RatioResult result =
       mdp::maximize_ratio_with_retry(attack.model, config);
@@ -407,8 +434,8 @@ TEST(RatioControl, RetryDoesNotRetryExhaustedBudgets) {
 
 TEST(RatioControl, RetryDoesNotRetryCancellation) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::SolverConfig config;
-  config.ratio.upper_bound = 10.0;
+  mdp::RatioKnobs config;
+  config.upper_bound = 10.0;
   config.control = cancelled_control();
   const mdp::RatioResult result =
       mdp::maximize_ratio_with_retry(model, config);

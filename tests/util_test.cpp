@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/arg_spec.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -357,6 +358,63 @@ TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--alpha", "abc"};
   CliArgs args(3, argv);
   EXPECT_THROW((void)args.get_double("alpha", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, RejectsEmptyAndOutOfRangeNumbers) {
+  const char* argv[] = {"prog", "--count=", "--rate=", "--huge",
+                        "99999999999999999999", "--overflow=1e999"};
+  CliArgs args(6, argv);
+  EXPECT_THROW((void)args.get_long("count", 1), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("rate", 1.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_long("huge", 1), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("overflow", 1.0), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ ArgParser ---
+
+util::ArgParser numeric_parser() {
+  util::ArgParser parser("prog", "numeric flags");
+  parser.add({{"count", util::ArgType::kLong, "N", "a count", ""},
+              {"rate", util::ArgType::kDouble, "X", "a rate", ""}});
+  return parser;
+}
+
+TEST(ArgParser, AcceptsWellFormedNumbers) {
+  const char* argv[] = {"prog", "--count", "0", "--rate=-0.5"};
+  const CliArgs args = numeric_parser().parse(4, argv);
+  EXPECT_EQ(args.get_long("count", 7), 0);
+  EXPECT_EQ(args.get_double("rate", 0.0), -0.5);
+}
+
+// Each malformed value exits 2 with the parser's diagnostic on stderr. The
+// threadsafe style re-runs the test binary instead of forking it, which
+// the sanitizer builds' runtime threads tolerate.
+void expect_rejected(const char* flag, const char* message) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* argv[] = {"prog", flag};
+  EXPECT_EXIT((void)numeric_parser().parse(2, argv),
+              testing::ExitedWithCode(2), message)
+      << flag;
+}
+
+TEST(ArgParserDeathTest, RejectsEmptyInteger) {
+  expect_rejected("--count=", "invalid value for --count");
+}
+
+TEST(ArgParserDeathTest, RejectsOutOfRangeInteger) {
+  expect_rejected("--count=99999999999999999999", "invalid value for --count");
+}
+
+TEST(ArgParserDeathTest, RejectsNegativeInteger) {
+  expect_rejected("--count=-1", "--count: must not be negative");
+}
+
+TEST(ArgParserDeathTest, RejectsEmptyDouble) {
+  expect_rejected("--rate=", "invalid value for --rate");
+}
+
+TEST(ArgParserDeathTest, RejectsOutOfRangeDouble) {
+  expect_rejected("--rate=1e999", "invalid value for --rate");
 }
 
 }  // namespace
