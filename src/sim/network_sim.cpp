@@ -29,6 +29,12 @@ struct NetEvent {
 constexpr std::uint32_t kFind = 0;
 constexpr std::uint32_t kDelivery = 1;
 
+/// The earliest queued arrival of a block at a node that has not learned it.
+struct InFlight {
+  chain::BlockId block = 0;
+  double arrival = 0.0;
+};
+
 /// Bytes a relayed block puts on the wire under the relay policy.
 double wire_bytes(const RelayPolicy& relay, chain::ByteSize size) {
   const auto full = static_cast<double>(size);
@@ -128,6 +134,14 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
   // arrival: a small child can overtake its large parent on a slow link).
   std::vector<std::multimap<chain::BlockId, chain::BlockId>> waiting(
       num_nodes);
+  // Per node, the blocks with a copy queued to it that it has not learned
+  // yet: a handful at a time, whatever the network size.
+  std::vector<std::vector<InFlight>> in_flight(num_nodes);
+  const auto find_in_flight = [&](std::size_t node, chain::BlockId block) {
+    return std::find_if(
+        in_flight[node].begin(), in_flight[node].end(),
+        [block](const InFlight& entry) { return entry.block == block; });
+  };
 
   NetworkResult result;
   result.mined_per_miner.assign(num_miners, 0);
@@ -147,9 +161,10 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
 
   // Delivers `block` and any descendants that were waiting on it, appending
   // every newly learned id to `learned` (relay mode forwards them).
+  std::vector<chain::BlockId> ready;  // reused: one allocation per run
   const auto deliver = [&](std::size_t node, chain::BlockId block, double now,
                            std::vector<chain::BlockId>* learned) {
-    std::vector<chain::BlockId> ready = {block};
+    ready.assign(1, block);
     while (!ready.empty()) {
       const chain::BlockId id = ready.back();
       ready.pop_back();
@@ -163,6 +178,11 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
       }
       const chain::BlockId tip_before = views[node].tip();
       const bool tip_changed = views[node].learn(id);
+      if (const auto entry = find_in_flight(node, id);
+          entry != in_flight[node].end()) {
+        *entry = in_flight[node].back();
+        in_flight[node].pop_back();
+      }
       if (timeline != nullptr) {
         timeline->record_accept(now, node, id);
         // A tip move to anything but a child of the old tip is a reorg:
@@ -194,10 +214,35 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
 
   EventEngine<NetEvent> engine;
 
+  // Whether a copy of `block` landing on `peer` (which has not learned it)
+  // at `arrival` can be left out of the queue. It can when the peer knows
+  // the block's parent and an earlier-queued copy lands no later: that copy
+  // dispatches first (on a tie it has the same class and a lower seq) and
+  // the peer learns the block from it, so this one would find the block
+  // known and do nothing. A copy to a peer missing the parent is queued: it
+  // may park the block a second time, and a second park entry changes the
+  // order in which siblings unpark. Tracks the earliest queued arrival.
+  const auto redundant = [&](std::size_t peer, chain::BlockId block,
+                             double arrival) {
+    const auto entry = find_in_flight(peer, block);
+    if (entry == in_flight[peer].end()) {
+      in_flight[peer].push_back({block, arrival});
+      return false;
+    }
+    if (arrival < entry->arrival) {
+      entry->arrival = arrival;
+      return false;
+    }
+    const chain::BlockId parent = tree.block(block).parent;
+    return parent == chain::kNoBlock || views[peer].knows(parent);
+  };
+  double last_redundant = 0.0;  // latest arrival of a copy never queued
+
   // Schedules one copy of `block` from `from` to `peer`, applying latency
   // jitter, partition deferral (messages crossing an active cut are held
   // until it heals, then take the normal link delay), and crash deferral
-  // (arrivals during downtime wait for the restart).
+  // (arrivals during downtime wait for the restart). Every copy is counted
+  // and recorded; a redundant one is not queued.
   const auto schedule_copy = [&](std::size_t from, std::size_t peer,
                                  chain::BlockId block, double now,
                                  double delay,
@@ -218,6 +263,10 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
     }
     if (timeline != nullptr) {
       timeline->record_relay(now, arrival, peer, from, block);
+    }
+    if (redundant(peer, block, arrival)) {
+      last_redundant = std::max(last_redundant, arrival);
+      return;
     }
     engine.schedule(arrival, kDelivery, NetEvent{peer, block, from});
   };
@@ -344,7 +393,11 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
       });
 
   result.blocks_mined = found;
-  result.duration = engine.now();
+  // A full drain ends at the latest arrival of any copy, redundant ones
+  // included; a stopped run ends at its last dispatched event.
+  result.duration = result.status == robust::RunStatus::kConverged
+                        ? std::max(engine.now(), last_redundant)
+                        : engine.now();
   // Aggregate counters are published once per run (the per-event loop above
   // stays untouched); the fault-injection tallies come straight from the
   // result the loop already maintains.

@@ -93,7 +93,10 @@ struct NetworkConfig {
 
 struct NetworkResult {
   std::uint64_t blocks_mined = 0;
-  double duration = 0.0;  ///< simulated seconds
+  /// Simulated seconds: on a full drain, the latest arrival of any copy
+  /// (redundant copies that were never queued included); on a stopped run,
+  /// the time of the last dispatched event.
+  double duration = 0.0;
   /// Canonical chain at the end: the tip backed by the largest power
   /// coalition (deepest tip on ties).
   std::uint64_t canonical_length = 0;
@@ -135,8 +138,11 @@ class NetworkSimulation {
 
   /// Simulates until `blocks` blocks have been found, then drains all
   /// in-flight deliveries and computes the final accounting. One guard tick
-  /// per event (find or delivery); on budget exhaustion / cancellation the
-  /// accounting covers whatever was simulated, with the status set.
+  /// per dispatched event (find or delivery). A copy that lands after an
+  /// earlier queued copy of the same block, at a node that knows the
+  /// block's parent, is counted and recorded but never queued, so it takes
+  /// no tick. On budget exhaustion / cancellation the accounting covers
+  /// whatever was simulated, with the status set.
   ///
   /// A non-null `timeline` records every find / relay flight / acceptance
   /// / fork switch on the SIMULATED clock (see sim/timeline.hpp) without

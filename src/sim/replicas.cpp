@@ -30,6 +30,11 @@ void append_params(std::string& out, const chain::BuParams& rule) {
   mdp::append_key(out, "ad", static_cast<std::int64_t>(rule.ad));
   mdp::append_key(out, "sticky", rule.sticky_gate);
   mdp::append_key(out, "gp", static_cast<std::int64_t>(rule.gate_period));
+  // Keyed only off its default, so keys (and journals) written before it
+  // was keyed stay byte-identical.
+  if (rule.message_limit != chain::kMessageLimit) {
+    mdp::append_key(out, "ml", static_cast<std::int64_t>(rule.message_limit));
+  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -99,55 +98,6 @@ void ThreadPool::worker_loop() {
     if (in_flight_ == 0) {
       all_done_.notify_all();
     }
-  }
-}
-
-void ThreadPool::parallel_for(
-    std::size_t count, std::size_t chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (count == 0) {
-    return;
-  }
-  chunks = std::clamp<std::size_t>(chunks, 1, count);
-  if (chunks == 1) {
-    body(0, 0, count);
-    return;
-  }
-
-  struct Sync {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining = 0;
-    std::exception_ptr error;
-  } sync;
-  sync.remaining = chunks;
-
-  const std::size_t base = count / chunks;
-  const std::size_t extra = count % chunks;
-  std::size_t begin = 0;
-  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    const std::size_t end = begin + base + (chunk < extra ? 1 : 0);
-    submit([&sync, &body, chunk, begin, end] {
-      try {
-        body(chunk, begin, end);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(sync.mutex);
-        if (!sync.error) {
-          sync.error = std::current_exception();
-        }
-      }
-      const std::lock_guard<std::mutex> lock(sync.mutex);
-      if (--sync.remaining == 0) {
-        sync.done.notify_all();
-      }
-    });
-    begin = end;
-  }
-
-  std::unique_lock<std::mutex> lock(sync.mutex);
-  sync.done.wait(lock, [&sync] { return sync.remaining == 0; });
-  if (sync.error) {
-    std::rethrow_exception(sync.error);
   }
 }
 

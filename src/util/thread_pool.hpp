@@ -2,18 +2,11 @@
 //
 // One central FIFO queue feeds N long-lived workers; there are no per-worker
 // deques and no stealing, so task pickup order is the submission order and
-// the scheduling logic stays simple enough to reason about under TSan. Two
-// use patterns:
-//
-//   * fan-out (mdp::run_batch): submit one task per independent solve and
-//     wait_idle() — throughput-bound, task granularity is milliseconds to
-//     seconds, so the central queue is never contended;
-//   * data-parallel loops: parallel_for() splits a contiguous index range
-//     into chunks whose boundaries depend only on (count, chunks) — never
-//     on the thread count — so any value computed per index is
-//     reproducible regardless of how many workers the pool has. No solver
-//     uses it: every solve runs on one thread, and run_batch parallelizes
-//     across solves.
+// the scheduling logic stays simple enough to reason about under TSan. Its
+// use pattern is fan-out (mdp::run_batch): submit one task per independent
+// solve and wait_idle() — throughput-bound, task granularity is
+// milliseconds to seconds, so the central queue is never contended. Every
+// solve runs on one thread; run_batch parallelizes across solves.
 #pragma once
 
 #include <atomic>
@@ -46,22 +39,11 @@ class ThreadPool {
 
   /// Enqueues one task. Tasks must not throw — an escaping exception
   /// terminates the process (wrap fallible work in try/catch and carry the
-  /// error out by hand, as parallel_for does).
+  /// error out by hand, as mdp::run_batch does).
   void submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished.
   void wait_idle();
-
-  /// Runs body(chunk, begin, end) over [0, count) split into at most
-  /// `chunks` contiguous ranges (sized within one of each other, leading
-  /// chunks larger) and blocks until all of them finished. The partition
-  /// depends only on (count, chunks). The first exception thrown by any
-  /// chunk is rethrown here after every chunk has finished. Must not be
-  /// called from a worker of this pool (the caller blocks on the workers).
-  void parallel_for(
-      std::size_t count, std::size_t chunks,
-      const std::function<void(std::size_t chunk, std::size_t begin,
-                               std::size_t end)>& body);
 
   /// std::thread::hardware_concurrency with a floor of 1.
   [[nodiscard]] static int hardware_threads() noexcept;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "sim/network_sim.hpp"
 #include "util/rng.hpp"
 
@@ -278,6 +279,33 @@ TEST(NetworkSimRelay, CompactRelayReducesOrphans) {
   const NetworkResult thin =
       NetworkSimulation(compact).run(3000, rng_compact);
   EXPECT_LT(thin.orphan_rate(), full.orphan_rate());
+}
+
+TEST(NetworkSimRelay, RedundantCopiesAreCountedButNotDispatched) {
+  // A ring 0-1-2-3-0 with identical links and one miner at node 0: node 2
+  // hears the block from node 1 and from node 3 at the same instant. Both
+  // copies count as relayed messages; only the first one is dispatched.
+  NetworkConfig config;
+  config.miners = {miner("solo", 1.0, kMegabyte, 1e6)};
+  config.topology.adjacency.resize(4);
+  for (std::uint32_t a = 0; a < 4; ++a) {
+    const std::uint32_t b = (a + 1) % 4;
+    config.topology.adjacency[a].push_back({b, 0.5, 1e6});
+    config.topology.adjacency[b].push_back({a, 0.5, 1e6});
+  }
+  NetworkSimulation simulation(config);
+  obs::set_metrics_enabled(true);
+  obs::Counter& events =
+      obs::MetricsRegistry::global().counter("sim.net.events");
+  const std::uint64_t before = events.value();
+  Rng rng(31);
+  const NetworkResult result = simulation.run(1, rng);
+  const std::uint64_t dispatched = events.value() - before;
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(result.blocks_mined, 1u);
+  EXPECT_EQ(result.canonical_length, 1u);
+  EXPECT_EQ(result.relayed_messages, 4u);
+  EXPECT_EQ(dispatched, 4u);  // the find and one arrival at each other node
 }
 
 TEST(NetworkSimRelay, ValidatesTopologyPlacement) {

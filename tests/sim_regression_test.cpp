@@ -3,13 +3,18 @@
 // These values were captured from the pre-engine (hand-rolled loop)
 // simulators and must stay bit-identical: the EventEngine lowering preserves
 // the legacy draw order, event ordering, and tie-breaking exactly, and the
-// post-run `rng.next_u64()` probes pin the RNG stream position too.
+// post-run `rng.next_u64()` probes pin the RNG stream position too. The
+// relay-mode vectors were captured while every gossip copy was still queued
+// and dispatched, so they also pin that leaving redundant copies out of the
+// queue changes no result.
 #include <gtest/gtest.h>
 
 #include "bu/attack_analysis.hpp"
 #include "sim/attack_scenario.hpp"
 #include "sim/fork_simulation.hpp"
 #include "sim/network_sim.hpp"
+#include "sim/timeline.hpp"
+#include "sim/topology.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -109,6 +114,129 @@ TEST(SimRegression, NetworkValidityFork) {
   expect_miner(r, 0, 994, 988, 6);
   expect_miner(r, 1, 1006, 1006, 0);
   EXPECT_EQ(rng.next_u64(), 1508597469776837043ull);
+}
+
+// Relay mode: four miners with unequal block sizes gossiping over a seeded
+// random topology, so small children overtake large parents and park.
+NetworkConfig relay_network(std::size_t nodes, std::uint64_t topology_seed) {
+  NetworkConfig config;
+  config.miners.push_back({"a", 0.3, {}, 1 * chain::kMegabyte, 1e6, 1.0});
+  config.miners.push_back({"b", 0.3, {}, 8 * chain::kMegabyte, 1e6, 1.0});
+  config.miners.push_back({"c", 0.25, {}, 4 * chain::kMegabyte, 1e6, 1.0});
+  config.miners.push_back({"d", 0.15, {}, 2 * chain::kMegabyte, 1e6, 1.0});
+  for (auto& m : config.miners) {
+    m.rule.eb = 32 * chain::kMegabyte;
+    m.rule.mg = 32 * chain::kMegabyte;
+    m.rule.ad = 6;
+  }
+  RandomTopologyConfig graph;
+  graph.nodes = nodes;
+  graph.seed = topology_seed;
+  config.topology = random_topology(graph);
+  config.miner_nodes = {0, static_cast<std::uint32_t>(nodes / 4),
+                        static_cast<std::uint32_t>(nodes / 2),
+                        static_cast<std::uint32_t>(3 * nodes / 4)};
+  config.relay_rule = config.miners.front().rule;
+  return config;
+}
+
+TEST(SimRegression, RelayRandomTopologyNoFaults) {
+  NetworkSimulation net(relay_network(300, 2017));
+  Rng rng(41);
+  const NetworkResult r = net.run(200, rng);
+  EXPECT_EQ(r.blocks_mined, 200u);
+  EXPECT_EQ(r.duration, 137002.02899840928);
+  EXPECT_EQ(r.canonical_length, 196u);
+  EXPECT_EQ(r.orphaned_blocks, 4u);
+  EXPECT_EQ(r.status, robust::RunStatus::kConverged);
+  EXPECT_EQ(r.dropped_messages, 0u);
+  EXPECT_EQ(r.duplicated_messages, 0u);
+  EXPECT_EQ(r.deferred_deliveries, 0u);
+  EXPECT_EQ(r.wasted_finds, 0u);
+  EXPECT_EQ(r.relayed_messages, 177600u);
+  expect_miner(r, 0, 56, 55, 1);
+  expect_miner(r, 1, 68, 67, 1);
+  expect_miner(r, 2, 51, 50, 1);
+  expect_miner(r, 3, 25, 24, 1);
+  EXPECT_EQ(rng.next_u64(), 13676947996431054919ull);
+}
+
+TEST(SimRegression, RelayFaultsAndCompactRelayWithTimeline) {
+  NetworkConfig config = relay_network(150, 2018);
+  config.relay.compact = true;
+  config.faults.seed = 99;
+  config.faults.link.drop_probability = 0.05;
+  config.faults.link.duplicate_probability = 0.10;
+  config.faults.link.jitter_seconds = 1.5;
+  config.faults.crashes.push_back({37, 20'000.0, 60'000.0});
+  robust::PartitionWindow cut{{}, 80'000.0, 110'000.0};
+  for (std::size_t node = 0; node < 30; ++node) {
+    cut.island.push_back(node);  // miner a and its neighbourhood
+  }
+  config.faults.partitions.push_back(cut);
+  NetworkSimulation net(config);
+  Rng rng(42);
+  Timeline timeline;
+  const NetworkResult r = net.run(200, rng, {}, &timeline);
+  EXPECT_EQ(r.blocks_mined, 200u);
+  EXPECT_EQ(r.duration, 138042.19056354254);
+  EXPECT_EQ(r.canonical_length, 186u);
+  EXPECT_EQ(r.orphaned_blocks, 14u);
+  EXPECT_EQ(r.status, robust::RunStatus::kConverged);
+  EXPECT_EQ(r.dropped_messages, 4415u);
+  EXPECT_EQ(r.duplicated_messages, 8397u);
+  EXPECT_EQ(r.deferred_deliveries, 4482u);
+  EXPECT_EQ(r.wasted_finds, 16u);
+  EXPECT_EQ(r.relayed_messages, 88200u);
+  expect_miner(r, 0, 60, 46, 14);
+  expect_miner(r, 1, 43, 43, 0);
+  expect_miner(r, 2, 67, 67, 0);
+  expect_miner(r, 3, 30, 30, 0);
+  EXPECT_EQ(rng.next_u64(), 14697195120306765976ull);
+  EXPECT_EQ(timeline.size(), 122420u);
+}
+
+TEST(SimRegression, RelayDuplicatedCopiesReparkSiblings) {
+  // Thin links with equal latency, unequal block sizes and duplicated
+  // copies: sibling blocks park at nodes that still lack their parent, and
+  // a later copy of one sibling parks it again behind the other, which
+  // decides the order in which the two unpark. Leaving those copies out of
+  // the queue would move the locked / orphaned split of miners 0 and 2.
+  NetworkConfig config;
+  const chain::ByteSize sizes[] = {1, 8, 4, 2, 16};
+  for (const chain::ByteSize size : sizes) {
+    config.miners.push_back({"m", 0.2, {}, size * chain::kMegabyte, 1e6, 1.0});
+    config.miners.back().rule.eb = 32 * chain::kMegabyte;
+    config.miners.back().rule.mg = 32 * chain::kMegabyte;
+  }
+  RandomTopologyConfig graph;
+  graph.nodes = 30;
+  graph.seed = 3091;
+  graph.bandwidth = {5e4, 1e5};
+  graph.latency = {0.1, 0.1};
+  config.topology = random_topology(graph);
+  config.relay_rule = config.miners[1].rule;
+  config.faults.seed = 168;
+  config.faults.link.duplicate_probability = 0.2;
+  NetworkSimulation net(config);
+  Rng rng(591);
+  const NetworkResult r = net.run(150, rng);
+  EXPECT_EQ(r.blocks_mined, 150u);
+  EXPECT_EQ(r.duration, 96485.869658003168);
+  EXPECT_EQ(r.canonical_length, 131u);
+  EXPECT_EQ(r.orphaned_blocks, 19u);
+  EXPECT_EQ(r.status, robust::RunStatus::kConverged);
+  EXPECT_EQ(r.dropped_messages, 0u);
+  EXPECT_EQ(r.duplicated_messages, 2395u);
+  EXPECT_EQ(r.deferred_deliveries, 0u);
+  EXPECT_EQ(r.wasted_finds, 0u);
+  EXPECT_EQ(r.relayed_messages, 11700u);
+  expect_miner(r, 0, 27, 22, 5);
+  expect_miner(r, 1, 23, 22, 1);
+  expect_miner(r, 2, 37, 34, 3);
+  expect_miner(r, 3, 42, 40, 2);
+  expect_miner(r, 4, 21, 13, 8);
+  EXPECT_EQ(rng.next_u64(), 17657066838687731525ull);
 }
 
 TEST(SimRegression, ForkSimulation) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "robust/checkpoint.hpp"
+#include "sim/topology.hpp"
 
 namespace {
 
@@ -163,6 +164,26 @@ TEST(SimReplicas, KeysDependOnEveryInput) {
   other.miners[0].power = 0.41;
   other.miners[1].power = 0.34;
   EXPECT_NE(base, replica_key(other, 300, 2024, 0));
+  // A miner's message limit: above it the miner rejects a block outright.
+  NetworkConfig capped = small_config();
+  capped.miners[1].rule.eb = chain::kMegabyte;
+  NetworkConfig tighter = capped;
+  tighter.miners[1].rule.message_limit = chain::kMegabyte;
+  EXPECT_NE(replica_key(capped, 300, 2024, 0),
+            replica_key(tighter, 300, 2024, 0));
+  // The relay-only nodes' message limit.
+  NetworkConfig relay = small_config();
+  RandomTopologyConfig graph;
+  graph.nodes = 8;
+  relay.topology = random_topology(graph);
+  NetworkConfig relay_tighter = relay;
+  relay_tighter.relay_rule.message_limit = chain::kMegabyte;
+  EXPECT_NE(replica_key(relay, 300, 2024, 0),
+            replica_key(relay_tighter, 300, 2024, 0));
+  // At its default the limit leaves keys as they were before it was keyed.
+  EXPECT_EQ(base, "netsim|cfg=b9fbee373690e776|blocks=300|seed=2024|rep=0");
+  EXPECT_EQ(replica_key(relay, 300, 2024, 0),
+            "netsim|cfg=f2b3d73abdd58513|blocks=300|seed=2024|rep=0");
 }
 
 TEST(SimReplicas, SummarizeComputesSpread) {

@@ -1,14 +1,10 @@
-// util::ThreadPool: scheduling, parallel_for coverage and partition
-// determinism, exception propagation, and shutdown draining.
+// util::ThreadPool: task scheduling, thread-count clamping, and shutdown
+// draining.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstddef>
-#include <numeric>
-#include <stdexcept>
-#include <vector>
 
 namespace bvc::util {
 namespace {
@@ -49,110 +45,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
     // No wait_idle: the destructor must finish the queue before joining.
   }
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (const std::size_t count : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{64}, std::size_t{1000}}) {
-    for (const std::size_t chunks : {std::size_t{1}, std::size_t{3},
-                                     std::size_t{16}, std::size_t{2000}}) {
-      std::vector<std::atomic<int>> hits(count);
-      pool.parallel_for(count, chunks,
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-                          for (std::size_t i = begin; i < end; ++i) {
-                            hits[i].fetch_add(1, std::memory_order_relaxed);
-                          }
-                        });
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(hits[i].load(), 1)
-            << "index " << i << " count " << count << " chunks " << chunks;
-      }
-    }
-  }
-}
-
-TEST(ThreadPool, ParallelForZeroCountIsANoOp) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, 4, [&](std::size_t, std::size_t, std::size_t) {
-    called = true;
-  });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, ParallelForPartitionDependsOnlyOnCountAndChunks) {
-  // The (begin, end) ranges must be a pure function of (count, chunks) —
-  // never of the pool's thread count — so chunk-indexed reductions are
-  // deterministic across machines.
-  const auto partition = [](int threads, std::size_t count,
-                            std::size_t chunks) {
-    ThreadPool pool(threads);
-    std::vector<std::pair<std::size_t, std::size_t>> ranges(
-        std::min(chunks == 0 ? std::size_t{1} : chunks, count));
-    pool.parallel_for(count, chunks,
-                      [&](std::size_t chunk, std::size_t begin,
-                          std::size_t end) { ranges[chunk] = {begin, end}; });
-    return ranges;
-  };
-  EXPECT_EQ(partition(1, 103, 8), partition(4, 103, 8));
-  EXPECT_EQ(partition(2, 103, 8), partition(8, 103, 8));
-  EXPECT_EQ(partition(1, 64, 64), partition(3, 64, 64));
-}
-
-TEST(ThreadPool, ParallelForSplitsIntoContiguousBalancedChunks) {
-  ThreadPool pool(3);
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(4);
-  pool.parallel_for(10, 4,
-                    [&](std::size_t chunk, std::size_t begin,
-                        std::size_t end) { ranges[chunk] = {begin, end}; });
-  // 10 over 4 chunks: two chunks of 3 then two of 2, contiguous.
-  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
-      {0, 3}, {3, 6}, {6, 8}, {8, 10}};
-  EXPECT_EQ(ranges, expected);
-}
-
-TEST(ThreadPool, ParallelForPropagatesChunkException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100, 8,
-                        [&](std::size_t chunk, std::size_t, std::size_t) {
-                          if (chunk == 5) {
-                            throw std::runtime_error("chunk 5 failed");
-                          }
-                        }),
-      std::runtime_error);
-  // The pool must remain usable after a failed parallel_for.
-  std::atomic<int> counter{0};
-  pool.parallel_for(10, 4, [&](std::size_t, std::size_t begin,
-                               std::size_t end) {
-    counter.fetch_add(static_cast<int>(end - begin),
-                      std::memory_order_relaxed);
-  });
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, ParallelForSumMatchesSerial) {
-  ThreadPool pool(4);
-  const std::size_t n = 10'000;
-  std::vector<double> values(n);
-  std::iota(values.begin(), values.end(), 1.0);
-  std::vector<double> partial(16, 0.0);
-  pool.parallel_for(n, 16,
-                    [&](std::size_t chunk, std::size_t begin,
-                        std::size_t end) {
-                      double sum = 0.0;
-                      for (std::size_t i = begin; i < end; ++i) {
-                        sum += values[i];
-                      }
-                      partial[chunk] = sum;
-                    });
-  // Chunk-ordered reduction: deterministic regardless of thread count.
-  double total = 0.0;
-  for (const double s : partial) {
-    total += s;
-  }
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(n) * (n + 1) / 2.0);
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
