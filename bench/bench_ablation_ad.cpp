@@ -70,14 +70,12 @@ int main(int argc, char** argv) {
     orphan_params.gamma = gamma * scale;
     jobs.push_back({orphan_params, bu::Utility::kOrphaning});
   }
-  bu::AnalysisCheckpoint ckpt;
-  ckpt.journal = sweep.journal();
-  ckpt.include = sweep.include_next(jobs.size());
   // The print loop replays each u1-optimal policy through the scenario
   // simulator, so resumed cells must carry their policies.
-  ckpt.persist_policy = true;
-  const std::vector<bu::AnalysisResult> results =
-      bu::analyze_batch(jobs, {}, batch, ckpt);
+  bu::AnalysisOptions keep_policies;
+  keep_policies.persist_policy = true;
+  const std::vector<bu::AnalysisResult> results = bu::analyze_batch(
+      jobs, keep_policies, batch, sweep.next_cells(jobs.size()));
 
   for (std::size_t i = 0; i < ads.size(); ++i) {
     const unsigned ad = ads[i];
@@ -150,11 +148,8 @@ int main(int argc, char** argv) {
     orphan.gamma = gamma * scale;
     hetero_jobs.push_back({orphan, bu::Utility::kOrphaning});
   }
-  bu::AnalysisCheckpoint hetero_ckpt;
-  hetero_ckpt.journal = sweep.journal();
-  hetero_ckpt.include = sweep.include_next(hetero_jobs.size());
-  const std::vector<bu::AnalysisResult> hetero_results =
-      bu::analyze_batch(hetero_jobs, {}, batch, hetero_ckpt);
+  const std::vector<bu::AnalysisResult> hetero_results = bu::analyze_batch(
+      hetero_jobs, {}, batch, sweep.next_cells(hetero_jobs.size()));
 
   for (std::size_t i = 0; i < std::size(pairs); ++i) {
     const auto& pair = pairs[i];

@@ -54,16 +54,10 @@ int main(int argc, char** argv) {
       sm.confirmations = conf;
       sm_jobs.push_back({sm, bu::Utility::kAbsoluteReward, 1e-5});
     }
-    bu::AnalysisCheckpoint bu_ckpt;
-    bu_ckpt.journal = sweep.journal();
-    bu_ckpt.include = sweep.include_next(bu_jobs.size());
-    const std::vector<bu::AnalysisResult> bu_results =
-        bu::analyze_batch(bu_jobs, {}, batch, bu_ckpt);
-    btc::SmCheckpoint sm_ckpt;
-    sm_ckpt.journal = sweep.journal();
-    sm_ckpt.include = sweep.include_next(sm_jobs.size());
-    const std::vector<btc::SmResult> sm_results =
-        btc::analyze_sm_batch(sm_jobs, batch, sm_ckpt);
+    const std::vector<bu::AnalysisResult> bu_results = bu::analyze_batch(
+        bu_jobs, {}, batch, sweep.next_cells(bu_jobs.size()));
+    const std::vector<btc::SmResult> sm_results = btc::analyze_sm_batch(
+        sm_jobs, batch, sweep.next_cells(sm_jobs.size()));
 
     for (std::size_t i = 0; i < confs.size(); ++i) {
       const unsigned conf = confs[i];
@@ -105,16 +99,10 @@ int main(int argc, char** argv) {
       sm.rds = rds;
       sm_jobs.push_back({sm, bu::Utility::kAbsoluteReward, 1e-5});
     }
-    bu::AnalysisCheckpoint bu_ckpt;
-    bu_ckpt.journal = sweep.journal();
-    bu_ckpt.include = sweep.include_next(bu_jobs.size());
-    const std::vector<bu::AnalysisResult> bu_results =
-        bu::analyze_batch(bu_jobs, {}, batch, bu_ckpt);
-    btc::SmCheckpoint sm_ckpt;
-    sm_ckpt.journal = sweep.journal();
-    sm_ckpt.include = sweep.include_next(sm_jobs.size());
-    const std::vector<btc::SmResult> sm_results =
-        btc::analyze_sm_batch(sm_jobs, batch, sm_ckpt);
+    const std::vector<bu::AnalysisResult> bu_results = bu::analyze_batch(
+        bu_jobs, {}, batch, sweep.next_cells(bu_jobs.size()));
+    const std::vector<btc::SmResult> sm_results = btc::analyze_sm_batch(
+        sm_jobs, batch, sweep.next_cells(sm_jobs.size()));
 
     for (std::size_t i = 0; i < rds_values.size(); ++i) {
       const double rds = rds_values[i];

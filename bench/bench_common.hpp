@@ -55,10 +55,6 @@ inline void add_batch_args(util::ArgParser& parser) {
   parser.add({
       {"threads", util::ArgType::kLong, "N",
        "batch solver threads; 0 = all hardware threads", "0"},
-      {"warm-start", util::ArgType::kFlag, "",
-       "seed each batch cell from its nearest finished neighbor's bias "
-       "(deterministic only with --threads=1)",
-       ""},
   });
 }
 
@@ -196,7 +192,6 @@ inline mdp::BatchConfig batch_config_from_args(const CliArgs& args) {
   mdp::BatchConfig config;
   config.threads = static_cast<int>(args.get_long("threads", 0));
   config.control = run_control_from_args(args);
-  config.warm_start = args.get_bool("warm-start", false);
   return config;
 }
 

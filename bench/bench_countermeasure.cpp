@@ -76,11 +76,8 @@ int main(int argc, char** argv) {
   scenario("4. consensus shrinks back to 0.5 MB",
            {{1.0, 500'000, false}}, 20);
 
-  VotingCheckpoint ckpt;
-  ckpt.journal = sweep.journal();
-  ckpt.include = sweep.include_next(jobs.size());
   const std::vector<VotingSimResult> results =
-      run_voting_batch(jobs, batch, ckpt);
+      run_voting_batch(jobs, batch, sweep.next_cells(jobs.size()));
 
   TextTable table({"scenario", "epochs", "final limit", "increases",
                    "decreases"});

@@ -146,8 +146,7 @@ int main(int argc, char** argv) {
     options.blocks = blocks;
     options.seed = 42;  // identical per-replica mining streams in every cell
     options.batch = sweep.batch_config(args);
-    options.journal = sweep.journal();
-    options.include = sweep.include_next(replicas);
+    options.cells = sweep.next_cells(replicas);
     return sim::run_replicas(config, options);
   };
 

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <functional>
@@ -104,9 +103,10 @@ void BM_RviSweepSetting2(benchmark::State& state) {
 }
 BENCHMARK(BM_RviSweepSetting2)->Arg(10);
 
-// Batch of eight Table-3-style setting-1 solves fanned across the batch
-// engine; Arg is BatchConfig::threads (1 = serial baseline for the speedup
-// ratio). UseRealTime because the work happens on pool threads.
+// Batch of eight Table-3-style setting-1 cells through bu::analyze_batch;
+// Arg is BatchConfig::threads (1 = serial baseline for the speedup ratio).
+// The models are compiled into the cache up front, so every Arg times the
+// solves alone. UseRealTime because the work happens on pool threads.
 void BM_BatchSolveTable3(benchmark::State& state) {
   struct Grid {
     int b;
@@ -114,7 +114,7 @@ void BM_BatchSolveTable3(benchmark::State& state) {
   };
   const std::vector<Grid> grids = {{2, 1}, {1, 1}};
   const std::vector<double> alphas = {0.05, 0.10, 0.15, 0.20};
-  std::vector<bu::AttackModel> models;
+  std::vector<bu::AnalysisJob> jobs;
   for (const Grid& grid : grids) {
     for (const double alpha : alphas) {
       bu::AttackParams params;
@@ -123,25 +123,16 @@ void BM_BatchSolveTable3(benchmark::State& state) {
       params.beta = rest * grid.b / (grid.b + grid.g);
       params.gamma = rest - params.beta;
       params.setting = bu::Setting::kNoStickyGate;
-      models.push_back(
-          bu::build_attack_model(params, bu::Utility::kAbsoluteReward));
+      jobs.push_back({params, bu::Utility::kAbsoluteReward});
+      (void)bu::attack_model_compiled(params, bu::Utility::kAbsoluteReward);
     }
-  }
-  std::vector<mdp::RatioJob> jobs;
-  for (const bu::AttackModel& model : models) {
-    mdp::RatioJob job;
-    job.model = &model.model;
-    job.config.tolerance = 1e-5;
-    job.config.upper_bound =
-        1.0 + model.params.rds * static_cast<double>(model.params.max_ad());
-    job.config.inner.tolerance = 2e-7;
-    jobs.push_back(job);
   }
   mdp::BatchConfig config;
   config.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const mdp::RatioBatchResult result = mdp::solve_batch(jobs, config);
-    benchmark::DoNotOptimize(result.report.items_converged);
+    mdp::BatchReport report;
+    (void)bu::analyze_batch(jobs, {}, config, {}, &report);
+    benchmark::DoNotOptimize(report.items_converged);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(jobs.size()));
@@ -418,8 +409,7 @@ void time_rows(std::vector<TimedRow>& rows, std::vector<double>& bias,
   }
 }
 
-int run_kernel_mode(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int run_kernel_mode(const CliArgs& args) {
   const std::string out_path = args.get_string("out", "BENCH_kernel.json");
   // 100-sweep reps: short enough that a rep fits inside one quiet clock
   // window on shared/virtualized hosts (a 200-sweep rep spans several and
@@ -702,28 +692,31 @@ int main(int argc, char** argv) {
        "kernel mode: sweeps per repetition", "100"},
   });
   // Everything else belongs to google-benchmark (--benchmark_filter etc.).
-  parser.allow_prefix("benchmark_").allow_prefix("v");
-  (void)parser.parse(argc, argv);
+  constexpr std::string_view kBenchmarkPrefixes[] = {"benchmark_", "v"};
+  for (const std::string_view prefix : kBenchmarkPrefixes) {
+    parser.allow_prefix(std::string(prefix));
+  }
+  const bvc::CliArgs args = parser.parse(argc, argv);
 
   // The session must outlive the benchmark run; constructed from the full
   // argv so the manifest records every flag.
   bvc::bench::ObsSession obs(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--mode=kernel" ||
-        (arg == "--mode" && i + 1 < argc &&
-         std::string_view(argv[i + 1]) == "kernel")) {
-      return run_kernel_mode(argc, argv);
-    }
+  const std::string mode = args.get_string("mode", "");
+  if (mode == "kernel") {
+    return run_kernel_mode(args);
   }
-  // Strip the shared obs flags before google-benchmark sees argv — it
-  // rejects arguments it does not recognize.
-  const auto is_obs_flag = [](std::string_view arg) {
-    for (const std::string_view prefix :
-         {"--trace-out", "--trace-jsonl", "--metrics-out", "--manifest-out"}) {
-      if (arg == prefix || (arg.size() > prefix.size() &&
-                            arg.substr(0, prefix.size()) == prefix &&
-                            arg[prefix.size()] == '=')) {
+  if (!mode.empty()) {
+    std::fprintf(stderr, "bench_solver_micro: unknown --mode '%s'\n",
+                 mode.c_str());
+    return 2;
+  }
+  // google-benchmark rejects arguments it does not recognize, so it gets
+  // only its own flags: parse() accepted every other flag as declared, and
+  // those are dropped here with their value token (split the way CliArgs
+  // splits `--name value`). Positional arguments pass through.
+  const auto is_benchmark_flag = [&](std::string_view name) {
+    for (const std::string_view prefix : kBenchmarkPrefixes) {
+      if (name.substr(0, prefix.size()) == prefix) {
         return true;
       }
     }
@@ -731,15 +724,16 @@ int main(int argc, char** argv) {
   };
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    if (is_obs_flag(argv[i])) {
-      // `--flag value` form: swallow the value too.
-      if (std::strchr(argv[i], '=') == nullptr && i + 1 < argc &&
-          argv[i + 1][0] != '-') {
-        ++i;
-      }
+    const std::string_view arg = argv[i];
+    if (arg.size() < 3 || arg.substr(0, 2) != "--" ||
+        is_benchmark_flag(arg.substr(2))) {
+      argv[kept++] = argv[i];
       continue;
     }
-    argv[kept++] = argv[i];
+    if (arg.find('=') == std::string_view::npos && i + 1 < argc &&
+        std::string_view(argv[i + 1]).substr(0, 2) != "--") {
+      ++i;
+    }
   }
   argc = kept;
   benchmark::Initialize(&argc, argv);

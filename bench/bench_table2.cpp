@@ -144,20 +144,8 @@ int main(int argc, char** argv) {
         cells.push_back({r, alpha, beta, gamma});
       }
     }
-    bu::AnalysisCheckpoint ckpt;
-    ckpt.journal = sweep.journal();
-    ckpt.include = sweep.include_next(jobs.size());
-    mdp::BatchReport report;
     const std::vector<bu::AnalysisResult> results =
-        bu::analyze_batch(jobs, {}, batch, ckpt, &report);
-    if (batch.warm_start) {
-      std::fprintf(stderr,
-                   "[warm-start] setting %d: %zu/%zu cells seeded, "
-                   "~%lld inner sweeps saved vs same-batch cold mean\n",
-                   setting == bu::Setting::kNoStickyGate ? 1 : 2,
-                   report.items_warm_started, report.items,
-                   static_cast<long long>(report.sweeps_saved_estimate));
-    }
+        bu::analyze_batch(jobs, {}, batch, sweep.next_cells(jobs.size()));
 
     std::size_t next_cell = 0;
     for (std::size_t r = 0; r < ratios.size(); ++r) {

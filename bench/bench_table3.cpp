@@ -126,11 +126,8 @@ int main(int argc, char** argv) {
         cells.push_back({ai, ri, beta, gamma});
       }
     }
-    bu::AnalysisCheckpoint ckpt;
-    ckpt.journal = sweep.journal();
-    ckpt.include = sweep.include_next(jobs.size());
     const std::vector<bu::AnalysisResult> results =
-        bu::analyze_batch(jobs, {}, batch, ckpt);
+        bu::analyze_batch(jobs, {}, batch, sweep.next_cells(jobs.size()));
 
     std::size_t next_cell = 0;
     for (std::size_t ai = 0; ai < kAlphas.size(); ++ai) {
@@ -190,11 +187,8 @@ int main(int argc, char** argv) {
       sm_jobs.push_back({sm_params, bu::Utility::kAbsoluteReward, 1e-5});
     }
   }
-  btc::SmCheckpoint sm_ckpt;
-  sm_ckpt.journal = sweep.journal();
-  sm_ckpt.include = sweep.include_next(sm_jobs.size());
   const std::vector<btc::SmResult> sm_results =
-      btc::analyze_sm_batch(sm_jobs, batch, sm_ckpt);
+      btc::analyze_sm_batch(sm_jobs, batch, sweep.next_cells(sm_jobs.size()));
 
   for (std::size_t ti = 0; ti < ties.size(); ++ti) {
     const double tie = ties[ti];

@@ -72,11 +72,8 @@ int main(int argc, char** argv) {
       jobs.push_back({params, bu::Utility::kOrphaning});
     }
   }
-  bu::AnalysisCheckpoint ckpt;
-  ckpt.journal = sweep.journal();
-  ckpt.include = sweep.include_next(jobs.size());
   const std::vector<bu::AnalysisResult> results =
-      bu::analyze_batch(jobs, {}, batch, ckpt);
+      bu::analyze_batch(jobs, {}, batch, sweep.next_cells(jobs.size()));
 
   TextTable table({"beta:gamma", "Setting 1", "Setting 2"});
   std::size_t next_job = 0;

@@ -13,7 +13,8 @@
 //                          (default 0 = disabled)
 //
 // into the plumbing of src/robust/: a CheckpointJournal every batch records
-// into, shard include-predicates over a global cell cursor, and — in
+// into, shard include-predicates over a global cell cursor (both handed to
+// each batch as one mdp::SweepCells by next_cells), and — in
 // supervisor mode — the full fork/monitor/restart/merge dance before the
 // bench's own sweep code runs.
 //
@@ -32,7 +33,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -101,7 +101,7 @@ class SweepSession {
                      bench_name_);
         std::exit(2);
       }
-      return;  // layer disabled: journal() is null, include_next() is null
+      return;  // layer disabled: next_cells() hands out no journal, no filter
     }
 
     robust::JournalOptions options;
@@ -149,28 +149,25 @@ class SweepSession {
                  checkpoint_path_.c_str());
   }
 
-  /// The journal every domain checkpoint struct should point at; null when
-  /// --checkpoint was not passed (the domain structs treat that as
-  /// disabled).
-  [[nodiscard]] robust::CheckpointJournal* journal() const noexcept {
-    return journal_.get();
-  }
-
-  /// Shard include-predicate covering the NEXT `cells` cells of the sweep.
-  /// Benches run several batches per invocation (one per table block); the
-  /// round-robin partition must span them all, so every batch claims its
-  /// cell range from this cursor — in the same order in every process.
-  /// Returns null (include everything) outside worker mode, but always
-  /// advances the cursor so worker and parent enumerate identically.
-  [[nodiscard]] std::function<bool(std::size_t)> include_next(
-      std::size_t cells) {
+  /// The journal and shard filter of the NEXT `count` cells of the sweep,
+  /// for one domain batch. Benches run several batches per invocation (one
+  /// per table block); the round-robin partition must span them all, so
+  /// every batch claims its cell range from this cursor — in the same order
+  /// in every process. The cursor advances in every process; the filter is
+  /// set only in worker mode (elsewhere every cell is included), and the
+  /// journal is null when --checkpoint was not passed.
+  [[nodiscard]] mdp::SweepCells next_cells(std::size_t count) {
     const std::size_t base = cursor_;
-    cursor_ += cells;
-    if (!is_worker_) {
-      return nullptr;
+    cursor_ += count;
+    mdp::SweepCells cells;
+    cells.journal = journal_.get();
+    if (is_worker_) {
+      const robust::ShardSpec shard = shard_;
+      cells.include = [shard, base](std::size_t i) {
+        return shard.owns(base + i);
+      };
     }
-    const robust::ShardSpec shard = shard_;
-    return [shard, base](std::size_t i) { return shard.owns(base + i); };
+    return cells;
   }
 
   /// batch_config_from_args, with the thread count halved when a shard

@@ -13,8 +13,8 @@
 
 #include "counter/dynamic_limit.hpp"
 #include "counter/voting_simulation.hpp"
+#include "util/arg_spec.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -43,7 +43,23 @@ std::vector<VoterCohort> parse_cohorts(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  util::ArgParser parser(
+      "countermeasure_vote",
+      "simulate the Sect. 6.3 voted block size limit over voter cohorts");
+  parser.add({
+      {"threshold", util::ArgType::kDouble, "X",
+       "share of votes that adjusts the limit", "0.75"},
+      {"veto", util::ArgType::kDouble, "X",
+       "share of opposing votes that blocks an adjustment", "0.10"},
+      {"step-mb", util::ArgType::kDouble, "MB", "size of one adjustment",
+       "0.1"},
+      {"cohorts", util::ArgType::kString, "P:MB,...",
+       "voter cohorts as power%:preferred_mb pairs", "60:4,25:2,15:1"},
+      {"epochs", util::ArgType::kLong, "N", "difficulty periods to simulate",
+       "60"},
+      {"seed", util::ArgType::kLong, "N", "RNG seed", "1"},
+  });
+  const CliArgs args = parser.parse(argc, argv);
 
   VotingSimConfig config;
   config.rule.epoch_length = 2016;

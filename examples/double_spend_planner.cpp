@@ -11,8 +11,8 @@
 #include "btc/honest.hpp"
 #include "btc/selfish_mining.hpp"
 #include "bu/attack_analysis.hpp"
+#include "util/arg_spec.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -42,7 +42,20 @@ double checked(double value, robust::RunStatus status, const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  util::ArgParser parser(
+      "double_spend_planner",
+      "double-spend revenue in BU and on Bitcoin, and the confirmations "
+      "that suppress it");
+  parser.add({
+      {"alpha", util::ArgType::kDouble, "X", "attacker mining power", "0.05"},
+      {"split", util::ArgType::kString, "B:G",
+       "Bob:Carol split of the compliant power", "1:1"},
+      {"rds", util::ArgType::kDouble, "X",
+       "double-spend value in block rewards", "10"},
+      {"show-policy", util::ArgType::kFlag, "",
+       "also print the Bitcoin attacker's optimal action grids", ""},
+  });
+  const CliArgs args = parser.parse(argc, argv);
   const double alpha = args.get_double("alpha", 0.05);
   const double beta_share = parse_split(args.get_string("split", "1:1"));
   const double rds = args.get_double("rds", 10.0);

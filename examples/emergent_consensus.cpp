@@ -17,8 +17,8 @@
 #include "games/block_size_game.hpp"
 #include "games/eb_choosing.hpp"
 #include "sim/fork_simulation.hpp"
+#include "util/arg_spec.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -48,7 +48,15 @@ std::vector<games::MinerGroup> parse_groups(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  util::ArgParser parser(
+      "emergent_consensus",
+      "play the paper's two block size games on a set of miner groups");
+  parser.add({
+      {"groups", util::ArgType::kString, "P:MB,...",
+       "miner groups as power%:max_profitable_mb pairs",
+       "10:1,20:2,30:4,40:8"},
+  });
+  const CliArgs args = parser.parse(argc, argv);
   const std::vector<games::MinerGroup> groups =
       parse_groups(args.get_string("groups", "10:1,20:2,30:4,40:8"));
 

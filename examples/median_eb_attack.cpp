@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "bu/multi_eb.hpp"
+#include "util/arg_spec.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -48,7 +48,16 @@ std::vector<bu::EbGroup> parse_signals(const std::string& text,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  util::ArgParser parser(
+      "median_eb_attack",
+      "find Alice's most damaging split point against a signaled EB "
+      "distribution");
+  parser.add({
+      {"alpha", util::ArgType::kDouble, "X", "attacker mining power", "0.10"},
+      {"signals", util::ArgType::kString, "P:MB,...",
+       "compliant cohorts as power%:eb_mb pairs", "35:1,25:2,20:8,20:16"},
+  });
+  const CliArgs args = parser.parse(argc, argv);
   const double alpha = args.get_double("alpha", 0.10);
   const std::vector<bu::EbGroup> groups =
       parse_signals(args.get_string("signals", "35:1,25:2,20:8,20:16"),

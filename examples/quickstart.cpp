@@ -12,12 +12,24 @@
 #include <cstdio>
 
 #include "bu/attack_analysis.hpp"
-#include "util/cli.hpp"
+#include "util/arg_spec.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bvc;
-  const CliArgs args(argc, argv);
+  util::ArgParser parser("quickstart",
+                         "solve one cell of the fork-attack MDP (utility u1)");
+  parser.add({
+      {"alpha", util::ArgType::kDouble, "X", "Alice's mining power", "0.25"},
+      {"beta", util::ArgType::kDouble, "X", "Bob's (small EB) mining power",
+       "0.375"},
+      {"gamma", util::ArgType::kDouble, "X",
+       "Carol's (large EB) mining power", "0.375"},
+      {"ad", util::ArgType::kLong, "N", "acceptance depth", "6"},
+      {"setting", util::ArgType::kLong, "1|2",
+       "1 = no sticky gate, 2 = sticky gate", "1"},
+  });
+  const CliArgs args = parser.parse(argc, argv);
 
   bu::AttackParams params;
   params.alpha = args.get_double("alpha", 0.25);

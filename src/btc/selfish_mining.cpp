@@ -361,45 +361,20 @@ bool sm_restore(const robust::CheckpointRecord& record, SmResult& result) {
 
 std::vector<SmResult> analyze_sm_batch(std::span<const SmJob> jobs,
                                        const mdp::BatchConfig& batch,
-                                       const SmCheckpoint& checkpoint) {
-  std::vector<SmResult> results(jobs.size());
-
-  mdp::BatchCheckpoint engine;
-  std::vector<std::string> keys;
-  if (checkpoint.journal != nullptr && checkpoint.journal->enabled()) {
-    keys.reserve(jobs.size());
-    for (const SmJob& job : jobs) {
-      keys.push_back(sm_job_key(job));
-    }
-    engine.journal = checkpoint.journal;
-    engine.cell_key = [&keys](std::size_t i) { return keys[i]; };
-    engine.restore = [&results](std::size_t i,
-                                const robust::CheckpointRecord& record) {
-      return sm_restore(record, results[i]);
-    };
-    engine.snapshot = [&results, &keys,
-                       persist = checkpoint.persist_policy](std::size_t i) {
-      return sm_record(keys[i], results[i], persist);
-    };
-  }
-  engine.include = checkpoint.include;
-  engine.exclude = [&results](std::size_t i) {
-    results[i] = SmResult{};
-    results[i].status = robust::RunStatus::kConverged;
-  };
-
-  (void)mdp::run_batch(
-      jobs.size(), batch, engine,
-      [&](std::size_t i, const robust::RunControl& control) {
-        results[i] = analyze_sm(jobs[i].params, jobs[i].utility,
-                                jobs[i].tolerance, control);
-        return results[i].status;
-      },
-      [&](std::size_t i, robust::RunStatus status) {
-        results[i] = SmResult{};
-        results[i].status = status;
-      });
-  return results;
+                                       const mdp::SweepCells& cells) {
+  return mdp::run_cells<SmResult>(
+             jobs.size(), batch, cells,
+             [&](std::size_t i, const robust::RunControl& control) {
+               return analyze_sm(jobs[i].params, jobs[i].utility,
+                                 jobs[i].tolerance, control);
+             },
+             {.key = [&](std::size_t i) { return sm_job_key(jobs[i]); },
+              .record =
+                  [](const std::string& key, const SmResult& result) {
+                    return sm_record(key, result, /*persist_policy=*/false);
+                  },
+              .restore = sm_restore})
+      .results;
 }
 
 double max_sm_double_spend_reward(double alpha, double gamma_tie) {

@@ -143,22 +143,14 @@ struct SmJob {
 /// Canonical checkpoint key of one baseline cell (model key + tolerance).
 [[nodiscard]] std::string sm_job_key(const SmJob& job);
 
-/// Crash-safe sweep plumbing for analyze_sm_batch — same lifecycle as
-/// bu::AnalysisCheckpoint (see mdp::BatchCheckpoint).
-struct SmCheckpoint {
-  robust::CheckpointJournal* journal = nullptr;
-  std::function<bool(std::size_t)> include;
-  bool persist_policy = false;
-};
-
-/// Batched analyze_sm() across mdp::run_batch's thread pool under the
-/// shared budget in `batch.control`. Results are input-ordered and
-/// independent of the thread count; skipped items carry kBudgetExhausted /
-/// kCancelled. With a checkpoint journal, completed cells are journaled and
-/// journaled cells restored instead of re-solved.
+/// Batched analyze_sm() through mdp::run_cells under the shared budget in
+/// `batch.control`; the cell rule is bu::analyze_batch's. Results are
+/// input-ordered and independent of the thread count; skipped items carry
+/// kBudgetExhausted / kCancelled. With a journal in `cells`, completed
+/// cells are journaled and journaled cells restored instead of re-solved.
 [[nodiscard]] std::vector<SmResult> analyze_sm_batch(
     std::span<const SmJob> jobs, const mdp::BatchConfig& batch = {},
-    const SmCheckpoint& checkpoint = {});
+    const mdp::SweepCells& cells = {});
 
 /// Journal (de)serialization of one baseline cell (see bu::analysis_record).
 [[nodiscard]] robust::CheckpointRecord sm_record(const std::string& key,

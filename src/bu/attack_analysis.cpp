@@ -1,7 +1,5 @@
 #include "bu/attack_analysis.hpp"
 
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -40,7 +38,6 @@ AnalysisResult solve(const mdp::CompiledModel& compiled,
   ratio_options.lower_bound = 0.0;
   ratio_options.upper_bound = utility_upper_bound(params, utility);
   ratio_options.control = options.control;
-  ratio_options.warm_start_bias = options.warm_start_bias;
 
   mdp::RatioResult ratio = mdp::maximize_ratio_with_retry(
       compiled, ratio_options, options.retry);
@@ -54,8 +51,6 @@ AnalysisResult solve(const mdp::CompiledModel& compiled,
   result.iterations = ratio.iterations;
   result.wall_clock_ns = ratio.wall_clock_ns;
   result.diagnostics = ratio.diagnostics;
-  result.used_warm_start = ratio.used_warm_start;
-  result.final_bias = std::move(ratio.final_bias);
   result.honest_baseline = utility == Utility::kOrphaning ? 0.0 : params.alpha;
   result.attack_beats_honest =
       result.utility_value >
@@ -142,90 +137,25 @@ bool analysis_restore(const robust::CheckpointRecord& record,
 std::vector<AnalysisResult> analyze_batch(std::span<const AnalysisJob> jobs,
                                           const AnalysisOptions& options,
                                           const mdp::BatchConfig& batch,
-                                          const AnalysisCheckpoint& checkpoint,
+                                          const mdp::SweepCells& cells,
                                           mdp::BatchReport* report) {
-  std::vector<AnalysisResult> results(jobs.size());
-  std::optional<mdp::WarmStartPool> warm_pool;
-  if (batch.warm_start) {
-    warm_pool.emplace();
-  }
-
-  mdp::BatchCheckpoint engine;
-  std::vector<std::string> keys;
-  if (checkpoint.journal != nullptr && checkpoint.journal->enabled()) {
-    keys.reserve(jobs.size());
-    for (const AnalysisJob& job : jobs) {
-      keys.push_back(analysis_job_key(job, options));
-    }
-    engine.journal = checkpoint.journal;
-    engine.cell_key = [&keys](std::size_t i) { return keys[i]; };
-    engine.restore = [&results](std::size_t i,
-                                const robust::CheckpointRecord& record) {
-      return analysis_restore(record, results[i]);
-    };
-    engine.snapshot = [&results, &keys,
-                       persist = checkpoint.persist_policy](std::size_t i) {
-      return analysis_record(keys[i], results[i], persist);
-    };
-  }
-  engine.include = checkpoint.include;
-  // Excluded cells belong to another shard: stamp them solved-looking so a
-  // worker's own (scratch) rendering passes require_solved.
-  engine.exclude = [&results](std::size_t i) {
-    results[i] = AnalysisResult{};
-    results[i].status = robust::RunStatus::kConverged;
-  };
-
-  mdp::BatchReport engine_report = mdp::run_batch(
-      jobs.size(), batch, engine,
+  mdp::CellBatch<AnalysisResult> out = mdp::run_cells<AnalysisResult>(
+      jobs.size(), batch, cells,
       [&](std::size_t i, const robust::RunControl& control) {
         AnalysisOptions item_options = options;
         item_options.control = control;
-        // Hold the seed alive for the duration of the solve (the pool may
-        // replace the entry concurrently).
-        std::shared_ptr<const std::vector<double>> seed;
-        if (warm_pool) {
-          seed = warm_pool->nearest(i);
-          if (seed != nullptr) {
-            item_options.warm_start_bias = seed.get();
-          }
-        }
-        results[i] =
-            analyze(jobs[i].params, jobs[i].utility, item_options);
-        // Sweep results stay lean: the bias moves into the pool (successful
-        // cells only) or is dropped.
-        if (warm_pool && robust::is_success(results[i].status)) {
-          warm_pool->store(i, std::move(results[i].final_bias));
-        }
-        results[i].final_bias = {};
-        return results[i].status;
+        return analyze(jobs[i].params, jobs[i].utility, item_options);
       },
-      [&](std::size_t i, robust::RunStatus status) {
-        results[i] = AnalysisResult{};
-        results[i].status = status;
-      });
-  if (warm_pool) {
-    std::vector<std::pair<bool, std::int64_t>> sweep_obs;
-    sweep_obs.reserve(results.size());
-    for (const AnalysisResult& cell : results) {
-      // inner_solves > 0 keeps journal-restored cells (whose diagnostics
-      // are not persisted) out of the cold-mean baseline.
-      if (robust::is_success(cell.status) &&
-          cell.diagnostics.inner_solves > 0) {
-        if (cell.used_warm_start) {
-          ++engine_report.items_warm_started;
-        }
-        sweep_obs.emplace_back(cell.used_warm_start,
-                               cell.diagnostics.inner_sweeps);
-      }
-    }
-    engine_report.sweeps_saved_estimate =
-        mdp::estimate_sweeps_saved(sweep_obs);
-  }
+      {.key = [&](std::size_t i) { return analysis_job_key(jobs[i], options); },
+       .record =
+           [&](const std::string& key, const AnalysisResult& result) {
+             return analysis_record(key, result, options.persist_policy);
+           },
+       .restore = analysis_restore});
   if (report != nullptr) {
-    *report = engine_report;
+    *report = out.report;
   }
-  return results;
+  return std::move(out.results);
 }
 
 namespace {

@@ -2,6 +2,7 @@
 // cell of the paper's Tables 2–4.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,11 +31,11 @@ struct AnalysisOptions {
   robust::RunControl control;
   /// Escalation for stalled solves; set max_retries = 0 to disable.
   robust::RetryPolicy retry;
-  /// Optional warm-start bias (borrowed; see RatioKnobs::warm_start_bias).
-  /// Seeds the first inner solve when sized to the model's state count;
-  /// ignored otherwise. analyze_batch fills this per cell from its
-  /// WarmStartPool when BatchConfig::warm_start is on.
-  const std::vector<double>* warm_start_bias = nullptr;
+  /// analyze_batch only: journal each cell's optimal policy too, so resumed
+  /// consumers can replay it (the ablation scenario simulations need this;
+  /// the plain tables do not — policies dominate journal size). Not part
+  /// of the cell key.
+  bool persist_policy = false;
 };
 
 /// The base report carries how the underlying ratio solve ended (status,
@@ -52,13 +53,6 @@ struct AnalysisResult : mdp::SolveReport {
   mdp::Policy policy;          ///< optimal policy (local action indices)
   double reward_rate = 0.0;    ///< numerator rate of the optimal policy
   double weight_rate = 0.0;    ///< denominator rate of the optimal policy
-  /// Whether AnalysisOptions::warm_start_bias actually seeded the solve.
-  bool used_warm_start = false;
-  /// Last inner bias — the seed offered to neighboring cells. analyze()
-  /// leaves it populated; analyze_batch moves it into its WarmStartPool
-  /// (or drops it) so sweep results stay lean. Never journaled: a resumed
-  /// cell contributes no seed.
-  std::vector<double> final_bias;
 
   /// Outer ratio iterations (the base report's iteration count).
   [[nodiscard]] int solver_iterations() const noexcept { return iterations; }
@@ -92,37 +86,19 @@ struct AnalysisJob {
 [[nodiscard]] std::string analysis_job_key(const AnalysisJob& job,
                                            const AnalysisOptions& options);
 
-/// Crash-safe sweep plumbing for analyze_batch (see mdp::BatchCheckpoint
-/// for the cell lifecycle). Cells excluded by the shard filter get
-/// default-constructed results stamped kConverged: a shard worker's own
-/// table rendering is scratch (the supervisor redirects it to a log file);
-/// only its journal is merged.
-struct AnalysisCheckpoint {
-  robust::CheckpointJournal* journal = nullptr;
-  /// Shard filter over the job index; null = every cell owned.
-  std::function<bool(std::size_t)> include;
-  /// Persist the optimal policy per cell so resumed consumers can replay it
-  /// (the ablation scenario simulations need this; the plain tables do not
-  /// — policies dominate journal size, so this is opt-in).
-  bool persist_policy = false;
-};
-
-/// Batched analyze(): solves every job across mdp::run_batch's thread pool
-/// under the shared budget in `batch.control` (per-item budgets in
-/// `options.control` are ignored — the engine stamps each item with the
-/// batch's remaining allowance). Results are input-ordered and independent
-/// of the thread count; skipped items carry kBudgetExhausted / kCancelled.
-/// With a checkpoint journal, completed cells are journaled as they finish
-/// and journaled cells are restored instead of re-solved.
-/// With `batch.warm_start`, each cell's first inner solve is seeded by the
-/// nearest finished neighbor's bias (mdp::WarmStartPool); enumerate jobs so
-/// adjacent indices are adjacent grid cells to get the most out of it. The
-/// optional `report` out-param receives the engine's BatchReport including
-/// the warm-start counters (items_warm_started, sweeps_saved_estimate).
+/// Batched analyze(): solves every job through mdp::run_cells under the
+/// shared budget in `batch.control` (per-item budgets in `options.control`
+/// are ignored — the engine stamps each item with the batch's remaining
+/// allowance). Results are input-ordered and independent of the thread
+/// count; skipped items carry kBudgetExhausted / kCancelled, and another
+/// shard's cells come back default-valued and kConverged. With a journal in
+/// `cells`, completed cells are journaled as they finish (with their
+/// policies when `options.persist_policy`) and journaled cells are restored
+/// instead of re-solved. The optional `report` receives the engine's
+/// BatchReport.
 [[nodiscard]] std::vector<AnalysisResult> analyze_batch(
     std::span<const AnalysisJob> jobs, const AnalysisOptions& options = {},
-    const mdp::BatchConfig& batch = {},
-    const AnalysisCheckpoint& checkpoint = {},
+    const mdp::BatchConfig& batch = {}, const mdp::SweepCells& cells = {},
     mdp::BatchReport* report = nullptr);
 
 /// Journal (de)serialization of one analysis cell, exposed for the resume

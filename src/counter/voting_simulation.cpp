@@ -150,45 +150,18 @@ bool voting_restore(const robust::CheckpointRecord& record,
 
 std::vector<VotingSimResult> run_voting_batch(std::span<const VotingJob> jobs,
                                               const mdp::BatchConfig& batch,
-                                              const VotingCheckpoint& checkpoint) {
-  std::vector<VotingSimResult> results(jobs.size());
-
-  mdp::BatchCheckpoint engine;
-  std::vector<std::string> keys;
-  if (checkpoint.journal != nullptr && checkpoint.journal->enabled()) {
-    keys.reserve(jobs.size());
-    for (const VotingJob& job : jobs) {
-      keys.push_back(voting_job_key(job));
-    }
-    engine.journal = checkpoint.journal;
-    engine.cell_key = [&keys](std::size_t i) { return keys[i]; };
-    engine.restore = [&results](std::size_t i,
-                                const robust::CheckpointRecord& record) {
-      return voting_restore(record, results[i]);
-    };
-    engine.snapshot = [&results, &keys](std::size_t i) {
-      return voting_record(keys[i], results[i]);
-    };
-  }
-  engine.include = checkpoint.include;
-  engine.exclude = [&results](std::size_t i) {
-    results[i] = VotingSimResult{};
-    results[i].status = robust::RunStatus::kConverged;
-  };
-
-  (void)mdp::run_batch(
-      jobs.size(), batch, engine,
-      [&](std::size_t i, const robust::RunControl& control) {
-        Rng rng(jobs[i].seed);
-        results[i] = run_voting_simulation(jobs[i].config, jobs[i].epochs,
-                                           rng, control);
-        return results[i].status;
-      },
-      [&](std::size_t i, robust::RunStatus status) {
-        results[i] = VotingSimResult{};
-        results[i].status = status;
-      });
-  return results;
+                                              const mdp::SweepCells& cells) {
+  return mdp::run_cells<VotingSimResult>(
+             jobs.size(), batch, cells,
+             [&](std::size_t i, const robust::RunControl& control) {
+               Rng rng(jobs[i].seed);
+               return run_voting_simulation(jobs[i].config, jobs[i].epochs,
+                                            rng, control);
+             },
+             {.key = [&](std::size_t i) { return voting_job_key(jobs[i]); },
+              .record = voting_record,
+              .restore = voting_restore})
+      .results;
 }
 
 }  // namespace bvc::counter

@@ -64,20 +64,14 @@ struct VotingJob {
 /// the RNG seed.
 [[nodiscard]] std::string voting_job_key(const VotingJob& job);
 
-/// Crash-safe sweep plumbing for run_voting_batch — same lifecycle as
-/// bu::AnalysisCheckpoint (see mdp::BatchCheckpoint).
-struct VotingCheckpoint {
-  robust::CheckpointJournal* journal = nullptr;
-  std::function<bool(std::size_t)> include;
-};
-
-/// Runs every job across the pool (each with Rng(job.seed)). Items skipped
-/// by the shared budget carry status kBudgetExhausted / kCancelled and
-/// empty traces. With a checkpoint journal, completed cells are journaled
-/// (including the per-epoch limit trace) and restored instead of re-run.
+/// Runs every job through mdp::run_cells (each with Rng(job.seed)). Items
+/// skipped by the shared budget carry status kBudgetExhausted / kCancelled
+/// and empty traces. With a journal in `cells`, completed cells are
+/// journaled (including the per-epoch limit trace) and restored instead of
+/// re-run.
 [[nodiscard]] std::vector<VotingSimResult> run_voting_batch(
     std::span<const VotingJob> jobs, const mdp::BatchConfig& batch = {},
-    const VotingCheckpoint& checkpoint = {});
+    const mdp::SweepCells& cells = {});
 
 /// Journal (de)serialization of one simulation cell. The per-epoch limit
 /// trace is stored as repeated "limit_per_epoch" values (order preserved).

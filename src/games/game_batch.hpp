@@ -1,4 +1,4 @@
-// Batched game playouts through mdp::run_batch: Monte-Carlo sweeps over
+// Batched game playouts through mdp::run_cells: Monte-Carlo sweeps over
 // many game instances (bench_games runs thousands) fan out across the
 // shared thread pool under one BatchConfig budget, with the same
 // input-order / thread-count-independence guarantees as the MDP batches.

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
-#include <iterator>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -25,63 +25,6 @@ double seconds_since(Clock::time_point start) {
 }
 
 }  // namespace
-
-void WarmStartPool::store(std::size_t index, std::vector<double> bias) {
-  if (bias.empty()) {
-    return;
-  }
-  auto entry = std::make_shared<const std::vector<double>>(std::move(bias));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_[index] = std::move(entry);
-}
-
-std::shared_ptr<const std::vector<double>> WarmStartPool::nearest(
-    std::size_t index) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.empty()) {
-    return nullptr;
-  }
-  const auto above = entries_.lower_bound(index);
-  if (above == entries_.begin()) {
-    return above->second;
-  }
-  const auto below = std::prev(above);
-  if (above == entries_.end()) {
-    return below->second;
-  }
-  // Ties go to the lower index (prefer the already-swept side of a grid).
-  return (above->first - index) < (index - below->first) ? above->second
-                                                         : below->second;
-}
-
-std::size_t WarmStartPool::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::int64_t estimate_sweeps_saved(
-    std::span<const std::pair<bool, std::int64_t>> items) noexcept {
-  std::int64_t cold_sweeps = 0;
-  std::int64_t cold_items = 0;
-  for (const auto& [warm, sweeps] : items) {
-    if (!warm) {
-      cold_sweeps += sweeps;
-      ++cold_items;
-    }
-  }
-  if (cold_items == 0) {
-    return 0;
-  }
-  const double mean_cold = static_cast<double>(cold_sweeps) /
-                           static_cast<double>(cold_items);
-  double saved = 0.0;
-  for (const auto& [warm, sweeps] : items) {
-    if (warm) {
-      saved += std::max(0.0, mean_cold - static_cast<double>(sweeps));
-    }
-  }
-  return static_cast<std::int64_t>(saved + 0.5);
-}
 
 BatchReport run_batch(
     std::size_t count, const BatchConfig& config,
@@ -272,73 +215,6 @@ BatchReport run_batch(
   report.items_excluded = excluded.load(std::memory_order_relaxed);
   report.elapsed_seconds = seconds_since(start);
   return report;
-}
-
-RatioBatchResult solve_batch(std::span<const RatioJob> jobs,
-                             const BatchConfig& config) {
-  for (const RatioJob& job : jobs) {
-    BVC_REQUIRE(job.model != nullptr || job.compiled != nullptr,
-                "RatioJob needs a model or a compiled model");
-  }
-
-  RatioBatchResult out;
-  out.items.resize(jobs.size());
-  std::optional<WarmStartPool> warm_pool;
-  if (config.warm_start) {
-    warm_pool.emplace();
-  }
-  out.report = run_batch(
-      jobs.size(), config,
-      [&](std::size_t i, const robust::RunControl& control) {
-        RatioKnobs item_config = jobs[i].config;
-        item_config.control = control;
-        // The seed shared_ptr must outlive the solve: the pool may replace
-        // the entry concurrently, but our reference keeps the bias alive.
-        std::shared_ptr<const std::vector<double>> seed;
-        if (warm_pool) {
-          seed = warm_pool->nearest(i);
-          if (seed != nullptr) {
-            item_config.warm_start_bias = seed.get();
-          }
-        }
-        out.items[i] =
-            jobs[i].compiled != nullptr
-                ? maximize_ratio_with_retry(*jobs[i].compiled, item_config,
-                                            jobs[i].retry)
-                : maximize_ratio_with_retry(*jobs[i].model, item_config,
-                                            jobs[i].retry);
-        // Only successful cells seed their neighbors: a budget-truncated
-        // bias is a poor (though harmless) seed.
-        if (warm_pool && robust::is_success(out.items[i].status)) {
-          warm_pool->store(i, out.items[i].final_bias);
-        }
-        return out.items[i].status;
-      },
-      [&](std::size_t i, robust::RunStatus status) {
-        out.items[i] = RatioResult{};
-        out.items[i].status = status;
-      });
-  if (warm_pool) {
-    std::vector<std::pair<bool, std::int64_t>> sweep_obs;
-    sweep_obs.reserve(out.items.size());
-    for (const RatioResult& item : out.items) {
-      if (robust::is_success(item.status)) {
-        if (item.used_warm_start) {
-          ++out.report.items_warm_started;
-        }
-        sweep_obs.emplace_back(item.used_warm_start,
-                               item.diagnostics.inner_sweeps);
-      }
-    }
-    out.report.sweeps_saved_estimate = estimate_sweeps_saved(sweep_obs);
-    if (obs::metrics_enabled()) {
-      static obs::Counter& warm_items = obs::MetricsRegistry::global().counter(
-          "mdp.batch.items_warm_started");
-      warm_items.add(
-          static_cast<std::uint64_t>(out.report.items_warm_started));
-    }
-  }
-  return out;
 }
 
 }  // namespace bvc::mdp

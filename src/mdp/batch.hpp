@@ -22,20 +22,13 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <span>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "mdp/compiled_model.hpp"
-#include "mdp/ratio.hpp"
 #include "robust/checkpoint.hpp"
-#include "robust/retry.hpp"
 #include "robust/run_control.hpp"
+#include "util/check.hpp"
 
 namespace bvc::mdp {
 
@@ -47,16 +40,6 @@ struct BatchConfig {
   int threads = 0;
   /// Budget/cancellation shared by the WHOLE batch (see file comment).
   robust::RunControl control;
-  /// Cross-cell warm starts: seed each item's first inner solve with the
-  /// final bias of the nearest (by job index) already-finished item, via a
-  /// WarmStartPool. Neighboring cells of a parameter grid have nearly
-  /// identical optimal biases, so the seeded solve starts close to its
-  /// fixed point and converges in fewer sweeps; a seed of the wrong model
-  /// size is ignored by the solver. OFF by default: with threads >= 2 the
-  /// available neighbors depend on completion order, so per-cell sweep
-  /// counts (never the converged values, which stay within solver
-  /// tolerance of the cold result) are only reproducible at threads == 1.
-  bool warm_start = false;
 };
 
 /// Aggregate outcome of one batch run.
@@ -71,13 +54,6 @@ struct BatchReport {
   /// Checkpoint/shard accounting (zero without a BatchCheckpoint):
   std::size_t items_resumed = 0;    ///< restored from the journal, not run
   std::size_t items_excluded = 0;   ///< another shard's cells, not run
-  /// Warm-start accounting (zero unless BatchConfig::warm_start). Counts
-  /// items whose solver actually consumed a neighbor's bias; the sweeps
-  /// estimate is Σ over warm items of (mean cold inner sweeps − that
-  /// item's inner sweeps), clamped per item at zero — an honest
-  /// same-batch comparison, not a measurement against a separate cold run.
-  std::size_t items_warm_started = 0;
-  std::int64_t sweeps_saved_estimate = 0;
   double elapsed_seconds = 0.0;
 
   [[nodiscard]] bool all_converged() const noexcept {
@@ -105,6 +81,10 @@ struct BatchReport {
 /// Restores bypass the shared budget on purpose: replaying a finished cell
 /// costs microseconds and must not be starved by a deadline that the
 /// original (computing) run would have beaten.
+///
+/// Domain batches use run_cells below, which fills this struct from a
+/// SweepCells; callers whose restore and snapshot touch state of their own
+/// (svc::SolveService's job records) fill it directly.
 struct BatchCheckpoint {
   robust::CheckpointJournal* journal = nullptr;
   std::function<std::string(std::size_t)> cell_key;
@@ -118,71 +98,10 @@ struct BatchCheckpoint {
   [[nodiscard]] bool enabled() const noexcept {
     return journal != nullptr && journal->enabled();
   }
-  [[nodiscard]] bool sharded() const noexcept { return include != nullptr; }
 };
 
-/// Thread-safe pool of finished cells' biases backing cross-cell warm
-/// starts (BatchConfig::warm_start). Workers store a converged cell's
-/// RatioResult::final_bias under its job index; a starting cell asks for
-/// the nearest stored index (smallest |i - j|, lower index on ties) and
-/// seeds its solve with that bias. Entries are shared_ptr so a concurrent
-/// store never invalidates a bias another worker is reading.
-class WarmStartPool {
- public:
-  /// Stores `bias` as item `index`'s exportable bias; empty biases are
-  /// ignored. Overwrites any previous entry for the index.
-  void store(std::size_t index, std::vector<double> bias);
-
-  /// The stored bias nearest to `index`, or null when the pool is empty.
-  [[nodiscard]] std::shared_ptr<const std::vector<double>> nearest(
-      std::size_t index) const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::size_t, std::shared_ptr<const std::vector<double>>> entries_;
-};
-
-/// The BatchReport::sweeps_saved_estimate aggregation, shared by the batch
-/// wrappers: `items` holds (used_warm_start, inner_sweeps) per SUCCESSFUL
-/// item. Returns Σ over warm items of max(0, mean cold sweeps − item
-/// sweeps), rounded; 0 when either group is empty.
-[[nodiscard]] std::int64_t estimate_sweeps_saved(
-    std::span<const std::pair<bool, std::int64_t>> items) noexcept;
-
-/// One ratio-maximization work item. Exactly one of `model` / `compiled`
-/// must be set: `compiled` (e.g. a ModelCache entry — shared, immutable,
-/// safe across workers) is solved directly; `model` is compiled on entry by
-/// the solver, bit-identically. A raw `model` must outlive the solve_batch
-/// call. `config.control` is OVERRIDDEN by the engine with the batch's
-/// shared budget (set budgets on BatchConfig::control instead), and
-/// `config.warm_start_bias` by a neighbour's bias when BatchConfig's warm
-/// starts find one.
-struct RatioJob {
-  const Model* model = nullptr;
-  std::shared_ptr<const CompiledModel> compiled;
-  RatioKnobs config;
-  /// Per-item retry escalation; default disables retries so a batch's cost
-  /// stays predictable. Set e.g. robust::RetryPolicy{} for the solo-solve
-  /// default behaviour.
-  robust::RetryPolicy retry{.max_retries = 0};
-};
-
-struct RatioBatchResult {
-  /// Input-ordered, one per job. Items skipped by the shared budget carry
-  /// status kBudgetExhausted / kCancelled and default-constructed values.
-  std::vector<RatioResult> items;
-  BatchReport report;
-};
-
-/// Solves every job (maximize_ratio_with_retry) across the pool.
-[[nodiscard]] RatioBatchResult solve_batch(std::span<const RatioJob> jobs,
-                                           const BatchConfig& config = {});
-
-/// Generic engine behind solve_batch, exposed so higher layers (bu::, btc::)
-/// can batch their own analysis types without duplicating the scheduling,
-/// budget-sharing, and exception plumbing.
+/// The generic engine: fans `count` items across the pool with the
+/// scheduling, budget-sharing and exception plumbing of the file comment.
 ///
 /// `run_item(i, control)` solves item `i` under the engine-provided control
 /// (linked cancel token + remaining wall clock) and returns its status,
@@ -205,5 +124,97 @@ struct RatioBatchResult {
     const std::function<robust::RunStatus(std::size_t,
                                           const robust::RunControl&)>& run_item,
     const std::function<void(std::size_t, robust::RunStatus)>& skip_item);
+
+/// The journal and shard filter of one sweep block: what makes a domain
+/// batch crash-safe and shardable. Default-constructed, every cell is
+/// computed and nothing is journaled. bench/sweep_session.hpp hands out one
+/// per block.
+struct SweepCells {
+  /// Where finished cells are appended and resumed cells come from; null
+  /// (or a disabled journal) turns journaling off.
+  robust::CheckpointJournal* journal = nullptr;
+  /// Shard filter over the block's cell index; null means every cell is
+  /// owned by this process.
+  std::function<bool(std::size_t)> include;
+};
+
+/// How run_cells journals one cell type: `key(i)` is cell i's canonical
+/// journal key, `record(key, result)` serializes a finished cell, and
+/// `restore(record, result)` rebuilds one, returning false for a record it
+/// cannot read (the cell is then recomputed). Needed only with a journal.
+template <class Result>
+struct CellCodec {
+  std::function<std::string(std::size_t)> key;
+  std::function<robust::CheckpointRecord(const std::string&, const Result&)>
+      record;
+  std::function<bool(const robust::CheckpointRecord&, Result&)> restore;
+};
+
+/// run_cells' output: one result per cell in input order, plus the
+/// engine's report.
+template <class Result>
+struct CellBatch {
+  std::vector<Result> results;
+  BatchReport report;
+};
+
+/// The per-cell rule every domain batch shares, over the checkpointed
+/// run_batch. Cell i is
+///   * another shard's (`cells.include(i)` false): Result{} stamped
+///     kConverged, so a worker's own scratch rendering passes its
+///     convergence checks; never run, restored or journaled;
+///   * restored from `cells.journal` when it holds `codec.key(i)` and
+///     `codec.restore` accepts the record;
+///   * otherwise `solve(i, control) -> Result`, appended to the journal as
+///     `codec.record(key, result)` when its status is a success;
+///   * skipped by the shared budget or cancellation: Result{} carrying
+///     that status.
+/// `Result` has a public `status` (a SolveReport or a game outcome). Keys
+/// are built only when the journal is enabled. `solve` may run on pool
+/// threads, never twice for one cell.
+template <class Result, class Solve>
+[[nodiscard]] CellBatch<Result> run_cells(std::size_t count,
+                                          const BatchConfig& config,
+                                          const SweepCells& cells,
+                                          Solve&& solve,
+                                          const CellCodec<Result>& codec = {}) {
+  CellBatch<Result> out;
+  std::vector<Result>& results = out.results;
+  results.resize(count);
+  std::vector<std::string> keys;
+  BatchCheckpoint checkpoint;
+  if (cells.journal != nullptr && cells.journal->enabled()) {
+    BVC_REQUIRE(codec.key && codec.record && codec.restore,
+                "a journaled sweep needs a key/record/restore codec");
+    keys.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      keys.push_back(codec.key(i));
+    }
+    checkpoint.journal = cells.journal;
+    checkpoint.cell_key = [&keys](std::size_t i) { return keys[i]; };
+    checkpoint.restore = [&](std::size_t i,
+                             const robust::CheckpointRecord& record) {
+      return codec.restore(record, results[i]);
+    };
+    checkpoint.snapshot = [&](std::size_t i) {
+      return codec.record(keys[i], results[i]);
+    };
+  }
+  checkpoint.include = cells.include;
+  checkpoint.exclude = [&results](std::size_t i) {
+    results[i].status = robust::RunStatus::kConverged;
+  };
+  out.report = run_batch(
+      count, config, checkpoint,
+      [&](std::size_t i, const robust::RunControl& control) {
+        results[i] = solve(i, control);
+        return results[i].status;
+      },
+      [&results](std::size_t i, robust::RunStatus status) {
+        results[i] = Result{};
+        results[i].status = status;
+      });
+  return out;
+}
 
 }  // namespace bvc::mdp

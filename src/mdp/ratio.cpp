@@ -45,12 +45,9 @@ RatioResult maximize_ratio(const CompiledModel& model,
   double hi = options.upper_bound;  // ratio known to be unachievable (ceiling)
   double rho = lo;
   std::vector<double> linearized;
+  // Each linearized solve starts from the previous one's bias: successive
+  // rho differ little, so the fixed points are close.
   std::vector<double> warm_bias;
-  if (options.warm_start_bias != nullptr &&
-      options.warm_start_bias->size() == model.num_states()) {
-    warm_bias = *options.warm_start_bias;
-    result.used_warm_start = true;
-  }
   std::vector<double> eval_reward_bias;
   std::vector<double> eval_weight_bias;
   bool policy_recorded = false;
@@ -92,9 +89,6 @@ RatioResult maximize_ratio(const CompiledModel& model,
     if (!policy_recorded && !last_inner_policy.action.empty()) {
       result.policy = last_inner_policy;
     }
-    // Export the last linearized bias for neighboring warm starts; single
-    // exit point, so warm_bias is dead after this.
-    result.final_bias = std::move(warm_bias);
     result.status = status;
     result.wall_clock_ns = guard.elapsed_ns();
     result.diagnostics.elapsed_seconds = guard.elapsed_seconds();

@@ -43,15 +43,6 @@ struct RatioKnobs {
   /// deadline binds the total work, not each piece separately. On
   /// exhaustion the best policy found so far is returned.
   robust::RunControl control;
-  /// Optional cross-solve warm start: when non-null and sized
-  /// num_states(), seeds the FIRST inner linearized solve's bias (later
-  /// inner solves already chain off each other within the solve). The
-  /// vector is borrowed for the duration of the call, not owned. A
-  /// mismatched size is silently ignored — a neighbor cell with a
-  /// different model shape simply cannot seed this one. Warm starts never
-  /// move the fixed point (RVI converges to the same bias span from any
-  /// seed); they only shorten the trajectory.
-  const std::vector<double>* warm_start_bias = nullptr;
 };
 
 /// `iterations` (on the base report) counts linearized solves performed;
@@ -62,13 +53,6 @@ struct RatioResult : SolveReport {
   double reward_rate = 0.0;  ///< numerator rate of `policy`
   double weight_rate = 0.0;  ///< denominator rate of `policy`
   bool used_bisection = false;
-  /// True iff RatioKnobs::warm_start_bias was supplied with a matching
-  /// size (and therefore actually seeded the first inner solve).
-  bool used_warm_start = false;
-  /// Bias of the last linearized inner solve — the natural seed for a
-  /// neighboring cell's warm start (batch.hpp WarmStartPool). Empty only
-  /// when the solve was stopped before any inner solve finished.
-  std::vector<double> final_bias;
 };
 
 /// The CompiledModel overload is the real solver: every Dinkelbach /

@@ -242,61 +242,36 @@ ReplicaSetResult run_replicas(const NetworkConfig& config,
   // topologies.
   const NetworkSimulation simulation(config);
 
-  ReplicaSetResult out;
-  out.replicas.assign(options.replicas, NetworkResult{});
-  // Cells this process actually produced (run or restored): the shard
-  // filter and budget skips keep excluded/skipped cells out of aggregates.
-  std::vector<char> aggregated(options.replicas, 1);
-
-  mdp::BatchCheckpoint checkpoint;
-  std::vector<std::string> keys;
-  if (options.journal != nullptr && options.journal->enabled()) {
-    keys.reserve(options.replicas);
-    for (std::size_t i = 0; i < options.replicas; ++i) {
-      keys.push_back(replica_key(config, options.blocks, options.seed, i));
-    }
-    checkpoint.journal = options.journal;
-    checkpoint.cell_key = [&keys](std::size_t i) { return keys[i]; };
-    checkpoint.restore = [&out](std::size_t i,
-                                const robust::CheckpointRecord& record) {
-      return sim_restore(record, out.replicas[i]);
-    };
-    checkpoint.snapshot = [&out, &keys](std::size_t i) {
-      return sim_record(keys[i], out.replicas[i]);
-    };
-  }
-  checkpoint.include = options.include;
-  // Excluded cells belong to another shard: stamp them solved-looking (the
-  // analyze_batch idiom) but keep them out of this process's aggregates.
-  checkpoint.exclude = [&out, &aggregated](std::size_t i) {
-    out.replicas[i] = NetworkResult{};
-    out.replicas[i].status = robust::RunStatus::kConverged;
-    aggregated[i] = 0;
-  };
-
-  out.report = mdp::run_batch(
-      options.replicas, options.batch, checkpoint,
+  mdp::CellBatch<NetworkResult> cells = mdp::run_cells<NetworkResult>(
+      options.replicas, options.batch, options.cells,
       [&](std::size_t i, const robust::RunControl& control) {
         obs::Span span("sim.replica", "sim");
         span.arg("replica", static_cast<std::int64_t>(i));
         Rng rng(replica_seed(options.seed, i));
-        out.replicas[i] = simulation.run(options.blocks, rng, control);
-        span.arg("status", robust::to_string(out.replicas[i].status));
-        return out.replicas[i].status;
+        NetworkResult result = simulation.run(options.blocks, rng, control);
+        span.arg("status", robust::to_string(result.status));
+        return result;
       },
-      [&](std::size_t i, robust::RunStatus status) {
-        out.replicas[i] = NetworkResult{};
-        out.replicas[i].status = status;
-        aggregated[i] = 0;
-      });
+      {.key =
+           [&](std::size_t i) {
+             return replica_key(config, options.blocks, options.seed, i);
+           },
+       .record = sim_record,
+       .restore = sim_restore});
+  ReplicaSetResult out;
+  out.replicas = std::move(cells.results);
+  out.report = cells.report;
 
   // Aggregates over the converged replicas this process owns, in input
   // order — a deterministic function of the replica set alone.
   std::vector<double> orphan_rates;
   std::vector<double> durations;
   std::vector<double> lengths;
+  // Budget-skipped replicas fail the status test; another shard's replicas
+  // come back kConverged, so the shard filter is asked again.
+  const std::function<bool(std::size_t)>& include = options.cells.include;
   for (std::size_t i = 0; i < options.replicas; ++i) {
-    if (aggregated[i] == 0 ||
+    if ((include != nullptr && !include(i)) ||
         out.replicas[i].status != robust::RunStatus::kConverged) {
       continue;
     }

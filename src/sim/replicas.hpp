@@ -1,7 +1,7 @@
 // Parallel Monte-Carlo replicas of the network simulation.
 //
 // run_replicas fans N independent replicas of one NetworkConfig across the
-// batch engine (util::ThreadPool via mdp::run_batch): replica i draws from
+// batch engine (util::ThreadPool via mdp::run_cells): replica i draws from
 // its own Rng substream derived from (seed, i), so its NetworkResult is a
 // pure function of (config, blocks, seed, i) — bit-identical whatever the
 // thread count or replica count, and input-ordered in the result vector.
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,11 +78,10 @@ struct ReplicaOptions {
   std::uint64_t seed = 42;
   /// Thread count and the shared budget/cancellation for the whole set.
   mdp::BatchConfig batch;
-  /// Optional crash-safety journal (sim_record per finished replica).
-  robust::CheckpointJournal* journal = nullptr;
-  /// Shard filter: replicas where include(i) is false are another worker's
-  /// cells — skipped and excluded from this process's aggregates.
-  std::function<bool(std::size_t)> include;
+  /// Optional crash-safety journal (sim_record per finished replica) and
+  /// shard filter: replicas the filter rejects are another worker's cells,
+  /// skipped and excluded from this process's aggregates.
+  mdp::SweepCells cells;
 };
 
 struct ReplicaSetResult {

@@ -1,15 +1,16 @@
 // The batch-solve engine: input-order determinism across thread counts
-// and shared-budget semantics (deadline, tick cap, cancellation).
+// and shared-budget semantics (deadline, tick cap, cancellation), driven
+// through bu::analyze_batch and the raw run_batch.
 #include "mdp/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "bu/attack_analysis.hpp"
 #include "bu/attack_model.hpp"
-#include "mdp/ratio.hpp"
 #include "robust/run_control.hpp"
 
 namespace bvc {
@@ -25,119 +26,114 @@ bu::AttackParams small_params(double alpha, double beta, double gamma) {
   return params;
 }
 
-std::vector<bu::AttackModel> small_model_set() {
-  std::vector<bu::AttackModel> models;
-  models.push_back(bu::build_attack_model(
-      small_params(0.25, 0.30, 0.45), bu::Utility::kRelativeRevenue));
-  models.push_back(bu::build_attack_model(
-      small_params(0.15, 0.40, 0.45), bu::Utility::kRelativeRevenue));
-  models.push_back(bu::build_attack_model(
-      small_params(0.10, 0.45, 0.45), bu::Utility::kRelativeRevenue));
-  models.push_back(bu::build_attack_model(
-      small_params(0.20, 0.40, 0.40), bu::Utility::kRelativeRevenue));
-  return models;
+std::vector<bu::AnalysisJob> small_job_set() {
+  return {
+      {small_params(0.25, 0.30, 0.45), bu::Utility::kRelativeRevenue},
+      {small_params(0.15, 0.40, 0.45), bu::Utility::kRelativeRevenue},
+      {small_params(0.10, 0.45, 0.45), bu::Utility::kRelativeRevenue},
+      {small_params(0.20, 0.40, 0.40), bu::Utility::kRelativeRevenue},
+  };
 }
 
-std::vector<mdp::RatioJob> jobs_for(const std::vector<bu::AttackModel>& models) {
-  std::vector<mdp::RatioJob> jobs;
-  for (const bu::AttackModel& model : models) {
-    mdp::RatioJob job;
-    job.model = &model.model;
-    job.config.tolerance = 1e-6;
-    job.config.upper_bound = 1.0;
-    jobs.push_back(job);
-  }
-  return jobs;
+/// bu::analyze_batch over `jobs` with its report, solved to 1e-6.
+mdp::CellBatch<bu::AnalysisResult> analyze_all(
+    std::span<const bu::AnalysisJob> jobs, const mdp::BatchConfig& config) {
+  bu::AnalysisOptions options;
+  options.tolerance = 1e-6;
+  mdp::CellBatch<bu::AnalysisResult> out;
+  out.results = bu::analyze_batch(jobs, options, config, {}, &out.report);
+  return out;
 }
 
-// ------------------------------------------------------------ solve_batch --
+// ---------------------------------------------------------- solving a batch --
 
 TEST(SolveBatch, EmptyBatchConverges) {
-  const mdp::RatioBatchResult result = mdp::solve_batch({}, {});
-  EXPECT_TRUE(result.items.empty());
+  const mdp::CellBatch<bu::AnalysisResult> result = analyze_all({}, {});
+  EXPECT_TRUE(result.results.empty());
   EXPECT_EQ(result.report.status, robust::RunStatus::kConverged);
   EXPECT_EQ(result.report.items, 0u);
   EXPECT_TRUE(result.report.all_converged());
 }
 
 TEST(SolveBatch, ResultsAreBitIdenticalAcrossThreadCounts) {
-  const std::vector<bu::AttackModel> models = small_model_set();
-  const std::vector<mdp::RatioJob> jobs = jobs_for(models);
+  const std::vector<bu::AnalysisJob> jobs = small_job_set();
 
   mdp::BatchConfig serial;
   serial.threads = 1;
-  const mdp::RatioBatchResult baseline = mdp::solve_batch(jobs, serial);
-  ASSERT_EQ(baseline.items.size(), jobs.size());
+  const mdp::CellBatch<bu::AnalysisResult> baseline =
+      analyze_all(jobs, serial);
+  ASSERT_EQ(baseline.results.size(), jobs.size());
   EXPECT_TRUE(baseline.report.all_converged());
 
   for (const int threads : {2, 8}) {
     mdp::BatchConfig config;
     config.threads = threads;
-    const mdp::RatioBatchResult result = mdp::solve_batch(jobs, config);
-    ASSERT_EQ(result.items.size(), jobs.size());
+    const mdp::CellBatch<bu::AnalysisResult> result =
+        analyze_all(jobs, config);
+    ASSERT_EQ(result.results.size(), jobs.size());
     EXPECT_EQ(result.report.status, baseline.report.status);
     EXPECT_EQ(result.report.items_converged,
               baseline.report.items_converged);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       // Bitwise: the engine only reorders wall-clock slices, never the
       // arithmetic each item performs.
-      EXPECT_EQ(result.items[i].ratio, baseline.items[i].ratio)
+      EXPECT_EQ(result.results[i].utility_value,
+                baseline.results[i].utility_value)
           << "item " << i << " threads " << threads;
-      EXPECT_EQ(result.items[i].policy, baseline.items[i].policy)
+      EXPECT_EQ(result.results[i].policy, baseline.results[i].policy)
           << "item " << i << " threads " << threads;
-      EXPECT_EQ(result.items[i].reward_rate, baseline.items[i].reward_rate);
-      EXPECT_EQ(result.items[i].weight_rate, baseline.items[i].weight_rate);
-      EXPECT_EQ(result.items[i].status, baseline.items[i].status);
+      EXPECT_EQ(result.results[i].reward_rate,
+                baseline.results[i].reward_rate);
+      EXPECT_EQ(result.results[i].weight_rate,
+                baseline.results[i].weight_rate);
+      EXPECT_EQ(result.results[i].status, baseline.results[i].status);
     }
   }
 }
 
 TEST(SolveBatch, ExpiredDeadlineSkipsEveryItemWithoutHanging) {
-  const std::vector<bu::AttackModel> models = small_model_set();
-  const std::vector<mdp::RatioJob> jobs = jobs_for(models);
+  const std::vector<bu::AnalysisJob> jobs = small_job_set();
 
   mdp::BatchConfig config;
   config.threads = 4;
   config.control.budget = robust::RunBudget::deadline(0.0);
-  const mdp::RatioBatchResult result = mdp::solve_batch(jobs, config);
-  ASSERT_EQ(result.items.size(), jobs.size());
+  const mdp::CellBatch<bu::AnalysisResult> result = analyze_all(jobs, config);
+  ASSERT_EQ(result.results.size(), jobs.size());
   EXPECT_EQ(result.report.status, robust::RunStatus::kBudgetExhausted);
   EXPECT_EQ(result.report.items_skipped, jobs.size());
   EXPECT_EQ(result.report.items_converged, 0u);
-  for (const mdp::RatioResult& item : result.items) {
+  for (const bu::AnalysisResult& item : result.results) {
     EXPECT_EQ(item.status, robust::RunStatus::kBudgetExhausted);
   }
 }
 
 TEST(SolveBatch, TickBudgetCapsItemsStarted) {
-  const std::vector<bu::AttackModel> models = small_model_set();
-  const std::vector<mdp::RatioJob> jobs = jobs_for(models);
+  const std::vector<bu::AnalysisJob> jobs = small_job_set();
 
   mdp::BatchConfig config;
   config.threads = 2;
   config.control.budget = robust::RunBudget::ticks(2);
-  const mdp::RatioBatchResult result = mdp::solve_batch(jobs, config);
-  ASSERT_EQ(result.items.size(), jobs.size());
+  const mdp::CellBatch<bu::AnalysisResult> result = analyze_all(jobs, config);
+  ASSERT_EQ(result.results.size(), jobs.size());
   // Pickup is index-ordered, so exactly the first two items run.
-  EXPECT_TRUE(result.items[0].converged());
-  EXPECT_TRUE(result.items[1].converged());
-  EXPECT_EQ(result.items[2].status, robust::RunStatus::kBudgetExhausted);
-  EXPECT_EQ(result.items[3].status, robust::RunStatus::kBudgetExhausted);
+  EXPECT_TRUE(result.results[0].converged());
+  EXPECT_TRUE(result.results[1].converged());
+  EXPECT_EQ(result.results[2].status, robust::RunStatus::kBudgetExhausted);
+  EXPECT_EQ(result.results[3].status, robust::RunStatus::kBudgetExhausted);
   EXPECT_EQ(result.report.items_skipped, 2u);
 }
 
 TEST(SolveBatch, PreCancelledTokenSkipsEveryItem) {
-  const std::vector<bu::AttackModel> models = small_model_set();
-  const std::vector<mdp::RatioJob> jobs = jobs_for(models);
+  const std::vector<bu::AnalysisJob> jobs = small_job_set();
 
   mdp::BatchConfig config;
   config.threads = 4;
   config.control.cancel = robust::CancelToken::make();
   config.control.cancel.request_cancel();
-  const mdp::RatioBatchResult result = mdp::solve_batch(jobs, config);
+  const mdp::CellBatch<bu::AnalysisResult> result = analyze_all(jobs, config);
   EXPECT_EQ(result.report.status, robust::RunStatus::kCancelled);
   EXPECT_EQ(result.report.items_skipped, jobs.size());
-  for (const mdp::RatioResult& item : result.items) {
+  for (const bu::AnalysisResult& item : result.results) {
     EXPECT_EQ(item.status, robust::RunStatus::kCancelled);
   }
 }

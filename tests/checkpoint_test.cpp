@@ -1,6 +1,7 @@
 // Crash-safe sweep checkpointing (robust/checkpoint.hpp), the shard
 // supervisor's building blocks (robust/supervisor.hpp, robust/retry.hpp),
-// and the checkpointed batch engine (mdp::run_batch + BatchCheckpoint).
+// the checkpointed batch engine (mdp::run_batch + BatchCheckpoint), and
+// every domain batch's journal/shard rule through mdp::run_cells.
 // Registered under the `shard` ctest label together with the end-to-end
 // kill-and-resume script test (scripts/check_resume.sh).
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "robust/retry.hpp"
 #include "robust/run_control.hpp"
 #include "robust/supervisor.hpp"
+#include "sim/replicas.hpp"
 
 namespace {
 
@@ -760,18 +763,16 @@ TEST(DomainCheckpoint, VotingBatchResumesBitIdentically) {
   {
     CheckpointJournal journal(path);
     journal.load();
-    counter::VotingCheckpoint checkpoint;
-    checkpoint.journal = &journal;
-    computed = counter::run_voting_batch(jobs, {}, checkpoint);
+    computed = counter::run_voting_batch(
+        jobs, {}, {.journal = &journal, .include = nullptr});
     EXPECT_EQ(journal.appended(), jobs.size());
   }
 
   CheckpointJournal journal(path);
   EXPECT_EQ(journal.load(), jobs.size());
-  counter::VotingCheckpoint checkpoint;
-  checkpoint.journal = &journal;
   const std::vector<counter::VotingSimResult> resumed =
-      counter::run_voting_batch(jobs, {}, checkpoint);
+      counter::run_voting_batch(jobs, {},
+                                {.journal = &journal, .include = nullptr});
   EXPECT_EQ(journal.appended(), 0u);  // nothing recomputed
   ASSERT_EQ(resumed.size(), computed.size());
   for (std::size_t i = 0; i < resumed.size(); ++i) {
@@ -779,6 +780,199 @@ TEST(DomainCheckpoint, VotingBatchResumesBitIdentically) {
     EXPECT_EQ(resumed[i].blocks, computed[i].blocks) << i;
     EXPECT_EQ(resumed[i].limit_per_epoch, computed[i].limit_per_epoch) << i;
     EXPECT_EQ(resumed[i].increases, computed[i].increases) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every domain batch through mdp::run_cells
+
+/// One domain batch seen through its journal codec. `run` solves the batch
+/// over `cells` and returns each cell's record, built with the domain's own
+/// key and record functions; `stamped(i)` is the record of a default result
+/// stamped kConverged under cell i's key.
+struct DomainBatch {
+  const char* name;
+  std::size_t cells;
+  std::function<std::vector<CheckpointRecord>(const mdp::SweepCells&)> run;
+  std::function<CheckpointRecord(std::size_t)> stamped;
+};
+
+template <class Result>
+DomainBatch domain_batch(
+    const char* name, std::size_t cells,
+    std::function<std::vector<Result>(const mdp::SweepCells&)> batch,
+    std::function<std::string(std::size_t)> key,
+    std::function<CheckpointRecord(const std::string&, const Result&)>
+        record) {
+  DomainBatch out{name, cells, nullptr, nullptr};
+  out.run = [=](const mdp::SweepCells& sweep) {
+    const std::vector<Result> results = batch(sweep);
+    std::vector<CheckpointRecord> records;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      records.push_back(record(key(i), results[i]));
+    }
+    return records;
+  };
+  out.stamped = [=](std::size_t i) {
+    Result stamped;
+    stamped.status = RunStatus::kConverged;
+    return record(key(i), stamped);
+  };
+  return out;
+}
+
+std::vector<DomainBatch> domain_batches() {
+  std::vector<DomainBatch> batches;
+
+  std::vector<bu::AnalysisJob> bu_jobs(2);
+  for (std::size_t i = 0; i < bu_jobs.size(); ++i) {
+    bu_jobs[i].params.alpha = 0.15 + 0.1 * static_cast<double>(i);
+    bu_jobs[i].params.beta = 0.35;
+    bu_jobs[i].params.gamma = 1.0 - bu_jobs[i].params.alpha - 0.35;
+    bu_jobs[i].params.setting = bu::Setting::kNoStickyGate;
+    bu_jobs[i].params.ad = 4;
+  }
+  bu::AnalysisOptions bu_options;
+  bu_options.persist_policy = true;  // resumed cells must carry policies
+  batches.push_back(domain_batch<bu::AnalysisResult>(
+      "bu", bu_jobs.size(),
+      [=](const mdp::SweepCells& cells) {
+        return bu::analyze_batch(bu_jobs, bu_options, {}, cells);
+      },
+      [=](std::size_t i) {
+        return bu::analysis_job_key(bu_jobs[i], bu_options);
+      },
+      [](const std::string& key, const bu::AnalysisResult& result) {
+        return bu::analysis_record(key, result, /*persist_policy=*/true);
+      }));
+
+  std::vector<btc::SmJob> sm_jobs(2);
+  for (std::size_t i = 0; i < sm_jobs.size(); ++i) {
+    sm_jobs[i].params.alpha = 0.2 + 0.1 * static_cast<double>(i);
+    sm_jobs[i].params.max_len = 10;
+  }
+  batches.push_back(domain_batch<btc::SmResult>(
+      "btc", sm_jobs.size(),
+      [=](const mdp::SweepCells& cells) {
+        return btc::analyze_sm_batch(sm_jobs, {}, cells);
+      },
+      [=](std::size_t i) { return btc::sm_job_key(sm_jobs[i]); },
+      [](const std::string& key, const btc::SmResult& result) {
+        return btc::sm_record(key, result, /*persist_policy=*/false);
+      }));
+
+  counter::VoteRuleConfig rule;
+  rule.epoch_length = 20;
+  rule.adjust_threshold = 0.6;
+  rule.activation_delay = 2;
+  rule.step = 100'000;
+  rule.max_limit = 2'000'000;
+  std::vector<counter::VotingJob> voting_jobs(3);
+  for (std::size_t i = 0; i < voting_jobs.size(); ++i) {
+    voting_jobs[i].config.rule = rule;
+    voting_jobs[i].config.cohorts = {{0.8, 2'000'000, false},
+                                     {0.2, 1'000'000, i == 2}};
+    voting_jobs[i].epochs = 3;
+    voting_jobs[i].seed = 500 + i;
+  }
+  batches.push_back(domain_batch<counter::VotingSimResult>(
+      "counter", voting_jobs.size(),
+      [=](const mdp::SweepCells& cells) {
+        return counter::run_voting_batch(voting_jobs, {}, cells);
+      },
+      [=](std::size_t i) { return counter::voting_job_key(voting_jobs[i]); },
+      counter::voting_record));
+
+  sim::NetworkConfig network;
+  network.miners.push_back({"a", 0.6, {}, 1 * chain::kMegabyte, 1e6, 0.5});
+  network.miners.push_back({"b", 0.4, {}, 4 * chain::kMegabyte, 3e5, 1.5});
+  for (sim::NetMiner& miner : network.miners) {
+    miner.rule.eb = 32 * chain::kMegabyte;
+    miner.rule.mg = 32 * chain::kMegabyte;
+  }
+  sim::ReplicaOptions replicas;
+  replicas.replicas = 3;
+  replicas.blocks = 100;
+  replicas.seed = 7;
+  batches.push_back(domain_batch<sim::NetworkResult>(
+      "sim", replicas.replicas,
+      [=](const mdp::SweepCells& cells) {
+        sim::ReplicaOptions options = replicas;
+        options.cells = cells;
+        return sim::run_replicas(network, options).replicas;
+      },
+      [=](std::size_t i) {
+        return sim::replica_key(network, replicas.blocks, replicas.seed, i);
+      },
+      sim::sim_record));
+  return batches;
+}
+
+/// Equal key, status, policy and values, except the wall clock.
+void expect_same_cell(const CheckpointRecord& got,
+                      const CheckpointRecord& want, const std::string& where) {
+  EXPECT_EQ(got.key, want.key) << where;
+  EXPECT_EQ(got.status, want.status) << where;
+  EXPECT_EQ(got.policy, want.policy) << where;
+  ASSERT_EQ(got.values.size(), want.values.size()) << where;
+  for (std::size_t v = 0; v < got.values.size(); ++v) {
+    EXPECT_EQ(got.values[v].first, want.values[v].first) << where;
+    if (got.values[v].first != "wall_clock_ns") {
+      EXPECT_EQ(got.values[v].second, want.values[v].second)
+          << where << " " << got.values[v].first;
+    }
+  }
+}
+
+TEST(DomainCheckpoint, EveryBatchResumesAndSkipsForeignCells) {
+  for (const DomainBatch& batch : domain_batches()) {
+    const std::string name = batch.name;
+    const std::string path = temp_path("domain_" + name + ".jsonl");
+
+    // A journaled run, then a resumed one: every cell restores exactly and
+    // nothing is recomputed.
+    std::vector<CheckpointRecord> computed;
+    {
+      CheckpointJournal journal(path);
+      computed = batch.run({.journal = &journal, .include = nullptr});
+      EXPECT_EQ(journal.appended(), batch.cells) << name;
+      ASSERT_TRUE(journal.flush()) << name;
+    }
+    {
+      CheckpointJournal journal(path);
+      EXPECT_EQ(journal.load(), batch.cells) << name;
+      const std::vector<CheckpointRecord> resumed =
+          batch.run({.journal = &journal, .include = nullptr});
+      EXPECT_EQ(journal.appended(), 0u) << name;
+      ASSERT_EQ(resumed.size(), computed.size()) << name;
+      for (std::size_t i = 0; i < resumed.size(); ++i) {
+        ASSERT_TRUE(robust::is_success(computed[i].status)) << name;
+        expect_same_cell(resumed[i], computed[i],
+                         name + " cell " + std::to_string(i));
+      }
+    }
+
+    // Shard "even": odd cells are another process's — default-valued,
+    // kConverged, and absent from this journal.
+    const std::string shard_path = temp_path("domain_shard_" + name + ".jsonl");
+    CheckpointJournal journal(shard_path);
+    const std::vector<CheckpointRecord> owned = batch.run(
+        {.journal = &journal,
+         .include = [](std::size_t i) { return i % 2 == 0; }});
+    ASSERT_EQ(owned.size(), batch.cells) << name;
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      const std::string where = name + " cell " + std::to_string(i);
+      if (i % 2 == 0) {
+        expect_same_cell(owned[i], computed[i], where);
+        EXPECT_TRUE(journal.lookup(owned[i].key).has_value()) << where;
+      } else {
+        expect_same_cell(owned[i], batch.stamped(i), where);
+        EXPECT_FALSE(journal.lookup(owned[i].key).has_value()) << where;
+      }
+    }
+    EXPECT_EQ(journal.appended(), (batch.cells + 1) / 2) << name;
+    std::remove(path.c_str());
+    std::remove(shard_path.c_str());
   }
 }
 

@@ -6,8 +6,7 @@
 // and 16 values, the paper's models all taking the coded path,
 // solver-level bit-identity of every vector ISA against the scalar
 // request (optimizing and evaluating), the sweep path the rvi.solve span
-// names (uncoded models run avx2 under an avx512 request), cross-cell warm
-// starts (fixed point unchanged, counters accurate), and the NUMA
+// names (uncoded models run avx2 under an avx512 request), and the NUMA
 // placement helper's smoke behaviour.
 //
 // Vector-ISA cases GTEST_SKIP when the build or CPU lacks the ISA, so the
@@ -1002,118 +1001,6 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
     EXPECT_EQ(traced_kernel_arg(ragged, true), uncoded);
     EXPECT_EQ(traced_kernel_arg(no_ell, false), "scalar");
     EXPECT_EQ(traced_kernel_arg(no_ell, true), uncoded);
-  }
-}
-
-// ---- warm starts ---------------------------------------------------------
-
-TEST(WarmStart, SeedNeverMovesTheFixedPoint) {
-  const bu::AttackModel attack = small_attack_model();
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(attack.model);
-
-  mdp::RatioKnobs knobs;
-  knobs.upper_bound = 1.0;
-  mdp::RatioResult cold = mdp::maximize_ratio(compiled, knobs);
-  ASSERT_TRUE(cold.converged());
-  ASSERT_FALSE(cold.used_warm_start);
-  ASSERT_FALSE(cold.final_bias.empty());
-
-  knobs.warm_start_bias = &cold.final_bias;
-  const mdp::RatioResult warm = mdp::maximize_ratio(compiled, knobs);
-  ASSERT_TRUE(warm.converged());
-  EXPECT_TRUE(warm.used_warm_start);
-  EXPECT_NEAR(cold.ratio, warm.ratio, 10.0 * knobs.tolerance);
-  EXPECT_EQ(cold.policy, warm.policy);
-  // Seeding with the converged bias cannot make the solve work harder.
-  EXPECT_LE(warm.diagnostics.inner_sweeps, cold.diagnostics.inner_sweeps);
-}
-
-TEST(WarmStart, MismatchedSeedSizeIsIgnored) {
-  const bu::AttackModel attack = small_attack_model();
-  const std::vector<double> wrong_size(3, 1.0);
-  mdp::RatioKnobs knobs;
-  knobs.warm_start_bias = &wrong_size;
-  const mdp::RatioResult result = mdp::maximize_ratio(attack.model, knobs);
-  ASSERT_TRUE(result.converged());
-  EXPECT_FALSE(result.used_warm_start);
-}
-
-TEST(WarmStart, PoolNearestPrefersLowerIndexOnTies) {
-  mdp::WarmStartPool pool;
-  EXPECT_EQ(pool.nearest(0), nullptr);
-  pool.store(2, {2.0});
-  pool.store(10, {10.0});
-  pool.store(99, {});  // empty biases are ignored
-  EXPECT_EQ(pool.size(), 2u);
-
-  EXPECT_EQ(pool.nearest(0)->front(), 2.0);
-  EXPECT_EQ(pool.nearest(5)->front(), 2.0);
-  EXPECT_EQ(pool.nearest(6)->front(), 2.0);  // tie |6-2| == |10-6|
-  EXPECT_EQ(pool.nearest(7)->front(), 10.0);
-  EXPECT_EQ(pool.nearest(10)->front(), 10.0);
-  EXPECT_EQ(pool.nearest(500)->front(), 10.0);
-
-  pool.store(10, {11.0});  // overwrite
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.nearest(10)->front(), 11.0);
-}
-
-TEST(WarmStart, EstimateSweepsSaved) {
-  using Obs = std::pair<bool, std::int64_t>;
-  const std::vector<Obs> none;
-  EXPECT_EQ(mdp::estimate_sweeps_saved(none), 0);
-
-  // mean cold = 15; the warm item at 5 saved ~10; a warm item slower than
-  // the cold mean contributes zero (clamped), not a negative.
-  const std::vector<Obs> mixed = {{false, 10}, {false, 20}, {true, 5}};
-  EXPECT_EQ(mdp::estimate_sweeps_saved(mixed), 10);
-  const std::vector<Obs> slow_warm = {{false, 10}, {true, 50}};
-  EXPECT_EQ(mdp::estimate_sweeps_saved(slow_warm), 0);
-  const std::vector<Obs> all_warm = {{true, 5}, {true, 6}};
-  EXPECT_EQ(mdp::estimate_sweeps_saved(all_warm), 0);  // no cold baseline
-}
-
-TEST(WarmStart, BatchCountsSeededCellsAtOneThread) {
-  // A small alpha sweep: neighboring cells have similar biases. With
-  // threads == 1 cells run in index order, so every cell after the first
-  // is seeded by a finished neighbor.
-  std::vector<bu::AnalysisJob> jobs;
-  for (const double alpha : {0.15, 0.20, 0.25}) {
-    bu::AttackParams params;
-    params.alpha = alpha;
-    params.beta = 0.30;
-    params.gamma = 1.0 - alpha - 0.30;
-    params.setting = bu::Setting::kNoStickyGate;
-    params.ad = 4;
-    jobs.push_back({params, bu::Utility::kRelativeRevenue});
-  }
-
-  mdp::BatchConfig batch;
-  batch.threads = 1;
-  batch.warm_start = true;
-  mdp::BatchReport report;
-  const std::vector<bu::AnalysisResult> warm_results =
-      bu::analyze_batch(jobs, {}, batch, {}, &report);
-  ASSERT_EQ(warm_results.size(), jobs.size());
-  for (const bu::AnalysisResult& cell : warm_results) {
-    ASSERT_TRUE(cell.converged());
-    EXPECT_TRUE(cell.final_bias.empty());  // moved into the pool, kept lean
-  }
-  EXPECT_FALSE(warm_results[0].used_warm_start);
-  EXPECT_TRUE(warm_results[1].used_warm_start);
-  EXPECT_TRUE(warm_results[2].used_warm_start);
-  EXPECT_EQ(report.items_warm_started, 2u);
-  EXPECT_GE(report.sweeps_saved_estimate, 0);
-
-  // The warm values equal the cold values within solver tolerance.
-  mdp::BatchConfig cold_batch;
-  cold_batch.threads = 1;
-  const std::vector<bu::AnalysisResult> cold_results =
-      bu::analyze_batch(jobs, {}, cold_batch);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_FALSE(cold_results[i].used_warm_start);
-    EXPECT_NEAR(cold_results[i].utility_value, warm_results[i].utility_value,
-                1e-4);
   }
 }
 

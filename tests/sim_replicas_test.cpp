@@ -87,9 +87,9 @@ TEST(SimReplicas, ShardedUnionMatchesUnsharded) {
   const ReplicaSetResult whole = run_replicas(config, small_options(2));
 
   ReplicaOptions even = small_options(2);
-  even.include = [](std::size_t i) { return i % 2 == 0; };
+  even.cells.include = [](std::size_t i) { return i % 2 == 0; };
   ReplicaOptions odd = small_options(2);
-  odd.include = [](std::size_t i) { return i % 2 == 1; };
+  odd.cells.include = [](std::size_t i) { return i % 2 == 1; };
   const ReplicaSetResult lo = run_replicas(config, even);
   const ReplicaSetResult hi = run_replicas(config, odd);
 
@@ -132,8 +132,8 @@ TEST(SimReplicas, ResumeFromJournalMatchesFreshRun) {
     // First pass journals only the even replicas.
     robust::CheckpointJournal journal(path);
     ReplicaOptions options = small_options(2);
-    options.journal = &journal;
-    options.include = [](std::size_t i) { return i % 2 == 0; };
+    options.cells.journal = &journal;
+    options.cells.include = [](std::size_t i) { return i % 2 == 0; };
     (void)run_replicas(config, options);
     ASSERT_TRUE(journal.flush());
   }
@@ -142,7 +142,7 @@ TEST(SimReplicas, ResumeFromJournalMatchesFreshRun) {
     robust::CheckpointJournal journal(path);
     ASSERT_GT(journal.load(), 0u);
     ReplicaOptions options = small_options(2);
-    options.journal = &journal;
+    options.cells.journal = &journal;
     const ReplicaSetResult resumed = run_replicas(config, options);
     ASSERT_EQ(resumed.replicas.size(), fresh.replicas.size());
     for (std::size_t i = 0; i < fresh.replicas.size(); ++i) {
