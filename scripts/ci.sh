@@ -41,9 +41,10 @@ ctest --test-dir "$repo/$build" --output-on-failure -L shard
 
 # Simulation gate: the sim-labeled suite (event engine, fixed-seed
 # regression vectors, replica determinism incl. threads-1-vs-8 and
-# sharded-vs-unsharded, network sim + relay topologies, and
-# scripts/check_sim_resume.sh's SIGKILL -> byte-identical resume) must pass
-# in isolation, not just inside the full suite above.
+# sharded-vs-unsharded, network sim + relay topologies,
+# scripts/check_sim_resume.sh's SIGKILL -> byte-identical resume, and
+# bench_sim_validation's closed-form checks and scale probe) must pass in
+# isolation, not just inside the full suite above.
 ctest --test-dir "$repo/$build" --output-on-failure -L sim
 
 # Kernel dispatch gate: the kernel-labeled suite (ISA equivalence, fused

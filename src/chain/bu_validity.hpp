@@ -39,6 +39,8 @@ struct BuParams {
   Height gate_period = kDefaultGatePeriod;  ///< non-excessive run that closes
                                             ///< the gate
   ByteSize message_limit = kMessageLimit;   ///< absolute network message cap
+
+  [[nodiscard]] bool operator==(const BuParams&) const = default;
 };
 
 /// Outcome of evaluating a whole chain against a node's rule.

@@ -17,9 +17,9 @@ namespace {
 /// One engine payload. kFind events carry no data (the find is attributed
 /// when it dispatches); kDelivery events carry the arriving copy.
 struct NetEvent {
-  std::size_t node = 0;          ///< delivery target
-  chain::BlockId block = 0;      ///< delivered block
-  std::size_t from = 0;          ///< sender, for gossip suppression
+  std::uint32_t node = 0;    ///< delivery target
+  chain::BlockId block = 0;  ///< delivered block
+  std::uint32_t from = 0;    ///< sender, for gossip suppression
 };
 
 /// Event classes: a find beats any delivery scheduled for the same instant
@@ -113,18 +113,38 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
   };
 
   chain::BlockTree tree;
-  std::vector<BuNodeView> views;
-  views.reserve(num_nodes);
   std::vector<std::size_t> miner_at(num_nodes, num_miners);  // node -> miner
   for (std::size_t i = 0; i < num_miners; ++i) {
     miner_at[miner_node(i)] = i;
   }
-  std::vector<double> weights;
+  // Each node runs its rule through a prefix-state memo shared by every
+  // node with an equal rule, and keeps only its tip.
+  std::vector<BuPrefixMemo> memos;
+  std::vector<std::size_t> memo_of(num_nodes);
   for (std::size_t node = 0; node < num_nodes; ++node) {
-    const bool is_miner = miner_at[node] < num_miners;
-    views.emplace_back(tree, is_miner ? config_.miners[miner_at[node]].rule
-                                      : config_.relay_rule);
+    const chain::BuParams& rule = miner_at[node] < num_miners
+                                      ? config_.miners[miner_at[node]].rule
+                                      : config_.relay_rule;
+    const auto same = std::find_if(
+        memos.begin(), memos.end(),
+        [&rule](const BuPrefixMemo& memo) { return memo.params() == rule; });
+    memo_of[node] = static_cast<std::size_t>(same - memos.begin());
+    if (same == memos.end()) {
+      memos.emplace_back(tree, rule);
+    }
   }
+  std::vector<chain::BlockId> tips(num_nodes, tree.genesis());
+
+  // Which nodes know which block: one row of `words` bits per block, every
+  // bit of genesis's row set. The rows a gossip step reads sit side by
+  // side, whatever the network size.
+  const std::size_t words = (num_nodes + 63) / 64;
+  std::vector<std::uint64_t> known(words, ~std::uint64_t{0});
+  const auto knows = [&](std::size_t node, chain::BlockId block) {
+    return (known[block * words + node / 64] >> (node % 64) & 1U) != 0;
+  };
+
+  std::vector<double> weights;
   for (const NetMiner& miner : config_.miners) {
     weights.push_back(miner.power);
   }
@@ -168,16 +188,17 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
     while (!ready.empty()) {
       const chain::BlockId id = ready.back();
       ready.pop_back();
-      if (views[node].knows(id)) {
+      if (knows(node, id)) {
         continue;
       }
       const chain::BlockId parent = tree.block(id).parent;
-      if (parent != chain::kNoBlock && !views[node].knows(parent)) {
+      if (parent != chain::kNoBlock && !knows(node, parent)) {
         waiting[node].emplace(parent, id);
         continue;
       }
-      const chain::BlockId tip_before = views[node].tip();
-      const bool tip_changed = views[node].learn(id);
+      known[id * words + node / 64] |= std::uint64_t{1} << (node % 64);
+      const chain::BlockId tip_before = tips[node];
+      const bool tip_changed = memos[memo_of[node]].learn(id, tips[node]);
       if (const auto entry = find_in_flight(node, id);
           entry != in_flight[node].end()) {
         *entry = in_flight[node].back();
@@ -189,7 +210,7 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
         // the node abandoned its branch (propagation race or an EB/AD
         // validity fork resolving).
         if (tip_changed) {
-          const chain::BlockId new_tip = views[node].tip();
+          const chain::BlockId new_tip = tips[node];
           if (tree.block(new_tip).parent != tip_before) {
             timeline->record_fork_switch(now, node, tip_before, new_tip);
           }
@@ -234,7 +255,7 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
       return false;
     }
     const chain::BlockId parent = tree.block(block).parent;
-    return parent == chain::kNoBlock || views[peer].knows(parent);
+    return parent == chain::kNoBlock || knows(peer, parent);
   };
   double last_redundant = 0.0;  // latest arrival of a copy never queued
 
@@ -268,7 +289,9 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
       last_redundant = std::max(last_redundant, arrival);
       return;
     }
-    engine.schedule(arrival, kDelivery, NetEvent{peer, block, from});
+    engine.schedule(arrival, kDelivery,
+                    NetEvent{static_cast<std::uint32_t>(peer), block,
+                             static_cast<std::uint32_t>(from)});
   };
 
   // Sends `block` from `from` to `peer` over a link with the given base
@@ -297,7 +320,7 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
     const double bytes = wire_bytes(config_.relay, size);
     for (const Link& link : config_.topology.adjacency[node]) {
       const auto peer = static_cast<std::size_t>(link.to);
-      if (peer == exclude || views[peer].knows(block)) {
+      if (peer == exclude || knows(peer, block)) {
         continue;
       }
       ++result.relayed_messages;
@@ -335,8 +358,9 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
     }
     const NetMiner& miner = config_.miners[who];
     const chain::BlockId block =
-        tree.add_block(views[origin].tip(), miner.block_size,
+        tree.add_block(tips[origin], miner.block_size,
                        static_cast<chain::MinerId>(who));
+    known.resize(known.size() + words, 0);
     if (timeline != nullptr) {
       timeline->record_find(now, origin, who, block, miner.block_size);
     }
@@ -364,13 +388,15 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
   };
 
   std::vector<chain::BlockId> learned;
+  std::uint64_t stale_deliveries = 0;  // copies of blocks already known
   const auto on_delivery = [&](const NetEvent& event, double now) {
+    if (knows(event.node, event.block)) {
+      ++stale_deliveries;
+      return;
+    }
     if (!relay_mode) {
       deliver(event.node, event.block, now, nullptr);
       return;
-    }
-    if (views[event.node].knows(event.block)) {
-      return;  // redundant gossip copy
     }
     learned.clear();
     deliver(event.node, event.block, now, &learned);
@@ -417,13 +443,14 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
         .add(result.deferred_deliveries);
     registry.counter("sim.net.wasted_finds").add(result.wasted_finds);
     registry.counter("sim.net.relayed_messages").add(result.relayed_messages);
+    registry.counter("sim.net.stale_deliveries").add(stale_deliveries);
   }
 
   // --- final accounting ------------------------------------------------
   // Canonical tip: the tip backed by the most power; deepest on ties.
   std::map<chain::BlockId, double> support;
   for (std::size_t i = 0; i < num_miners; ++i) {
-    support[views[miner_node(i)].tip()] += config_.miners[i].power;
+    support[tips[miner_node(i)]] += config_.miners[i].power;
   }
   chain::BlockId canonical = tree.genesis();
   double best_power = -1.0;
@@ -438,9 +465,14 @@ NetworkResult NetworkSimulation::run(std::uint64_t blocks, Rng& rng,
     }
   }
   result.canonical_length = tree.block(canonical).height;
+  std::vector<bool> on_canonical(tree.size(), false);
+  for (chain::BlockId id = canonical; id != chain::kNoBlock;
+       id = tree.block(id).parent) {
+    on_canonical[id] = true;
+  }
   for (chain::BlockId id = 1; id < tree.size(); ++id) {
     const chain::MinerId miner = tree.block(id).miner;
-    if (tree.is_ancestor(id, canonical)) {
+    if (on_canonical[id]) {
       ++result.locked_per_miner[static_cast<std::size_t>(miner)];
     } else {
       ++result.orphaned_blocks;

@@ -17,8 +17,10 @@
 //     toggle (RelayPolicy) models thin/expedited-style propagation by
 //     shrinking wire_bytes to overhead + fraction * size.
 //
-// Nodes are BuNodeView instances: validity is per-node (EB/AD/sticky gate),
-// ties go to the first-seen block — so both *natural* forks (propagation
+// Validity is per node (EB/AD/sticky gate): each node keeps only its tip
+// and evaluates chains through a BuPrefixMemo shared by every node with an
+// equal rule, and one bitmap row per block records which nodes know it.
+// Ties go to the first-seen block — so both *natural* forks (propagation
 // races) and *validity* forks (EB disagreements) emerge.
 //
 // This is the substrate behind the paper's block-size discussions: larger

@@ -9,17 +9,14 @@ using chain::BlockId;
 using chain::Height;
 using chain::kNoBlock;
 
-BuNodeView::BuNodeView(const chain::BlockTree& tree, chain::BuParams params)
-    : tree_(&tree), rule_(params), tip_(tree.genesis()) {
+BuPrefixMemo::BuPrefixMemo(const chain::BlockTree& tree,
+                           chain::BuParams params)
+    : tree_(&tree), rule_(params) {
   states_.resize(1);
-  states_[0].known = true;  // genesis
+  states_[0].evaluated = true;  // genesis
 }
 
-bool BuNodeView::knows(chain::BlockId id) const {
-  return id < states_.size() && states_[id].known;
-}
-
-void BuNodeView::apply_block(PrefixState& state, const Block& block) const {
+void BuPrefixMemo::apply_block(PrefixState& state, const Block& block) const {
   const auto& params = rule_.params();
   if (block.size > params.message_limit) {
     state.invalid = true;
@@ -39,12 +36,11 @@ void BuNodeView::apply_block(PrefixState& state, const Block& block) const {
   state.pending = block.id;  // needs AD depth from the current tip
 }
 
-BuNodeView::PrefixState BuNodeView::compute_state(BlockId id) const {
+BuPrefixMemo::PrefixState BuPrefixMemo::compute_state(BlockId id) const {
   const Block& block = tree_->block(id);
-  BVC_ENSURE(block.parent != kNoBlock && knows(block.parent),
+  BVC_ENSURE(block.parent != kNoBlock && evaluated(block.parent),
              "blocks must be learned parent-before-child");
-  PrefixState state = states_[block.parent];
-  state.known = true;
+  PrefixState state = states_[block.parent];  // evaluated, as its parent
   if (state.invalid) {
     return state;
   }
@@ -129,29 +125,25 @@ BuNodeView::PrefixState BuNodeView::compute_state(BlockId id) const {
   return state;
 }
 
-bool BuNodeView::learn(BlockId id) {
+bool BuPrefixMemo::learn(BlockId id, BlockId& tip) {
   BVC_REQUIRE(id < tree_->size(), "unknown block id");
   if (states_.size() <= id) {
     states_.resize(tree_->size());
   }
-  if (states_[id].known) {
-    return false;
-  }
-  states_[id] = compute_state(id);
-
-  if (!acceptable(id)) {
-    return false;
+  if (!states_[id].evaluated) {
+    states_[id] = compute_state(id);
   }
   // Longest acceptable chain; first-seen keeps ties with the current tip.
-  if (tree_->block(id).height > tree_->block(tip_).height) {
-    tip_ = id;
-    return true;
+  if (!acceptable(id) ||
+      tree_->block(id).height <= tree_->block(tip).height) {
+    return false;
   }
-  return false;
+  tip = id;
+  return true;
 }
 
-bool BuNodeView::acceptable(BlockId id) const {
-  BVC_REQUIRE(knows(id), "block not yet learned by this node");
+bool BuPrefixMemo::acceptable(BlockId id) const {
+  BVC_REQUIRE(evaluated(id), "block not yet learned under this rule");
   const PrefixState& state = states_[id];
   return !state.invalid && state.pending == kNoBlock;
 }

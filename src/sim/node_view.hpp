@@ -1,12 +1,16 @@
-// An incremental per-node view of a growing block tree under BU validity.
+// What BU nodes see of a growing block tree: the memoized prefix states of
+// one validity rule, and the tip rule every node of that rule follows.
 //
 // chain::BuNodeRule::evaluate() walks a whole chain; for long event-driven
-// simulations that is O(height) per query. BuNodeView instead memoizes a
+// simulations that is O(height) per query. BuPrefixMemo instead memoizes a
 // per-block "prefix state" (gate open? run length? pending window?) so each
 // newly learned block costs O(1) amortized (O(AD) when it resolves a
-// pending excessive block). Blocks must be announced parent-before-child;
-// the view tracks the node's mining tip under the longest-acceptable-chain
-// rule with first-seen tie-breaking.
+// pending excessive block). A prefix state depends only on the rule and the
+// chain, never on which node asks or when, so every node that runs the
+// rule shares one memo and a block is evaluated once per rule, not once
+// per node. A node itself is then just its tip, plus whatever record of
+// the blocks it knows the caller keeps: blocks must reach a node
+// parent-before-child.
 //
 // The equivalence of this incremental evaluation with the reference
 // implementation is property-tested in tests/node_view_test.cpp.
@@ -20,33 +24,30 @@
 
 namespace bvc::sim {
 
-class BuNodeView {
+class BuPrefixMemo {
  public:
-  /// `tree` must outlive the view; the view only reads blocks it has been
-  /// told about via learn().
-  BuNodeView(const chain::BlockTree& tree, chain::BuParams params);
+  /// `tree` must outlive the memo. Genesis is evaluated from construction.
+  BuPrefixMemo(const chain::BlockTree& tree, chain::BuParams params);
 
   [[nodiscard]] const chain::BuParams& params() const noexcept {
     return rule_.params();
   }
 
-  /// Announces a block to the node. Its parent must already be known
-  /// (genesis is known from construction). Returns true if the node's
-  /// mining tip changed.
-  bool learn(chain::BlockId id);
+  /// A node of this rule, mining on `tip`, learns block `id`. The parent
+  /// of `id` must already be learned by a node of the rule. Evaluates the
+  /// chain ending at `id` unless the memo holds it, then applies the tip
+  /// rule: the node moves to `id` when that chain is acceptable and
+  /// strictly higher than `tip`, so the first-seen block keeps ties.
+  /// Returns whether `tip` moved.
+  bool learn(chain::BlockId id, chain::BlockId& tip);
 
-  [[nodiscard]] bool knows(chain::BlockId id) const;
-
-  /// Whether the chain ending at `id` is acceptable to this node now
-  /// (id must be known).
+  /// Whether the chain ending at `id` is acceptable under the rule (`id`
+  /// must have been learned by a node of the rule).
   [[nodiscard]] bool acceptable(chain::BlockId id) const;
-
-  /// The block this node mines on: the first-seen deepest acceptable block.
-  [[nodiscard]] chain::BlockId tip() const noexcept { return tip_; }
 
  private:
   struct PrefixState {
-    bool known = false;
+    bool evaluated = false;
     bool invalid = false;
     bool gate_open = false;
     chain::Height run = 0;  ///< consecutive non-excessive since gate opened
@@ -56,6 +57,9 @@ class BuNodeView {
     chain::BlockId pending = chain::kNoBlock;
   };
 
+  [[nodiscard]] bool evaluated(chain::BlockId id) const {
+    return id < states_.size() && states_[id].evaluated;
+  }
   [[nodiscard]] PrefixState compute_state(chain::BlockId id) const;
   /// Applies one block's gate semantics to a concrete (non-pending) state.
   void apply_block(PrefixState& state, const chain::Block& block) const;
@@ -63,7 +67,6 @@ class BuNodeView {
   const chain::BlockTree* tree_;
   chain::BuNodeRule rule_;
   std::vector<PrefixState> states_;  // indexed by BlockId
-  chain::BlockId tip_;
 };
 
 }  // namespace bvc::sim

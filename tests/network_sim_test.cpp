@@ -308,6 +308,38 @@ TEST(NetworkSimRelay, RedundantCopiesAreCountedButNotDispatched) {
   EXPECT_EQ(dispatched, 4u);  // the find and one arrival at each other node
 }
 
+TEST(NetworkSimRelay, StaleDeliveriesCountCopiesOfKnownBlocks) {
+  // A triangle with one slow edge: the miner's direct copy to node 2 lands
+  // at +6 s, but node 1 relays the block to node 2 by +4 s. Landing
+  // earlier, the relayed copy is queued too, and the direct copy then
+  // dispatches for a block node 2 already knows: one stale delivery.
+  NetworkConfig config;
+  config.miners = {miner("solo", 1.0, kMegabyte, 1e6)};
+  config.topology.adjacency.resize(3);
+  const auto link = [&](std::uint32_t a, std::uint32_t b, double latency) {
+    config.topology.adjacency[a].push_back({b, latency, 1e6});
+    config.topology.adjacency[b].push_back({a, latency, 1e6});
+  };
+  link(0, 1, 1.0);
+  link(0, 2, 5.0);
+  link(1, 2, 1.0);
+  NetworkSimulation simulation(config);
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& events = registry.counter("sim.net.events");
+  obs::Counter& stale = registry.counter("sim.net.stale_deliveries");
+  const std::uint64_t events_before = events.value();
+  const std::uint64_t stale_before = stale.value();
+  Rng rng(31);
+  const NetworkResult result = simulation.run(1, rng);
+  const std::uint64_t dispatched = events.value() - events_before;
+  const std::uint64_t stale_copies = stale.value() - stale_before;
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(result.relayed_messages, 3u);
+  EXPECT_EQ(dispatched, 4u);  // the find and all three copies
+  EXPECT_EQ(stale_copies, 1u);
+}
+
 TEST(NetworkSimRelay, ValidatesTopologyPlacement) {
   NetworkConfig config = relay_config(8);
   config.miner_nodes = {1};  // must name one node per miner

@@ -4,12 +4,20 @@
 // simulators and must stay bit-identical: the EventEngine lowering preserves
 // the legacy draw order, event ordering, and tie-breaking exactly, and the
 // post-run `rng.next_u64()` probes pin the RNG stream position too. The
-// relay-mode vectors were captured while every gossip copy was still queued
-// and dispatched, so they also pin that leaving redundant copies out of the
-// queue changes no result.
+// first three relay-mode vectors were captured while every gossip copy was
+// still queued and dispatched, so they also pin that leaving redundant
+// copies out of the queue changes no result. Every relay vector also pins
+// the events the engine dispatched and its peak queue depth, captured on
+// the binary-heap engine with one prefix-state memo per node, so a queue
+// or relay change that adds, drops or reorders an event shows up even
+// when the results happen to agree.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "bu/attack_analysis.hpp"
+#include "obs/metrics.hpp"
 #include "sim/attack_scenario.hpp"
 #include "sim/fork_simulation.hpp"
 #include "sim/network_sim.hpp"
@@ -116,6 +124,27 @@ TEST(SimRegression, NetworkValidityFork) {
   EXPECT_EQ(rng.next_u64(), 1508597469776837043ull);
 }
 
+/// The engine's view of one run, read from the `sim.engine.*` metrics.
+struct EngineCounts {
+  std::uint64_t dispatched = 0;
+  double peak_queue_depth = 0.0;
+};
+
+NetworkResult run_counted(const NetworkSimulation& net, std::uint64_t blocks,
+                          Rng& rng, EngineCounts& counts,
+                          Timeline* timeline = nullptr) {
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& dispatched = registry.counter("sim.engine.events_dispatched");
+  const std::uint64_t before = dispatched.value();
+  const NetworkResult result = net.run(blocks, rng, {}, timeline);
+  counts.dispatched = dispatched.value() - before;
+  counts.peak_queue_depth =
+      registry.gauge("sim.engine.queue_depth_peak").value();
+  obs::set_metrics_enabled(false);
+  return result;
+}
+
 // Relay mode: four miners with unequal block sizes gossiping over a seeded
 // random topology, so small children overtake large parents and park.
 NetworkConfig relay_network(std::size_t nodes, std::uint64_t topology_seed) {
@@ -143,7 +172,8 @@ NetworkConfig relay_network(std::size_t nodes, std::uint64_t topology_seed) {
 TEST(SimRegression, RelayRandomTopologyNoFaults) {
   NetworkSimulation net(relay_network(300, 2017));
   Rng rng(41);
-  const NetworkResult r = net.run(200, rng);
+  EngineCounts engine;
+  const NetworkResult r = run_counted(net, 200, rng, engine);
   EXPECT_EQ(r.blocks_mined, 200u);
   EXPECT_EQ(r.duration, 137002.02899840928);
   EXPECT_EQ(r.canonical_length, 196u);
@@ -159,6 +189,8 @@ TEST(SimRegression, RelayRandomTopologyNoFaults) {
   expect_miner(r, 2, 51, 50, 1);
   expect_miner(r, 3, 25, 24, 1);
   EXPECT_EQ(rng.next_u64(), 13676947996431054919ull);
+  EXPECT_EQ(engine.dispatched, 84068u);
+  EXPECT_EQ(engine.peak_queue_depth, 598.0);
 }
 
 TEST(SimRegression, RelayFaultsAndCompactRelayWithTimeline) {
@@ -177,7 +209,8 @@ TEST(SimRegression, RelayFaultsAndCompactRelayWithTimeline) {
   NetworkSimulation net(config);
   Rng rng(42);
   Timeline timeline;
-  const NetworkResult r = net.run(200, rng, {}, &timeline);
+  EngineCounts engine;
+  const NetworkResult r = run_counted(net, 200, rng, engine, &timeline);
   EXPECT_EQ(r.blocks_mined, 200u);
   EXPECT_EQ(r.duration, 138042.19056354254);
   EXPECT_EQ(r.canonical_length, 186u);
@@ -194,6 +227,8 @@ TEST(SimRegression, RelayFaultsAndCompactRelayWithTimeline) {
   expect_miner(r, 3, 30, 30, 0);
   EXPECT_EQ(rng.next_u64(), 14697195120306765976ull);
   EXPECT_EQ(timeline.size(), 122420u);
+  EXPECT_EQ(engine.dispatched, 47609u);
+  EXPECT_EQ(engine.peak_queue_depth, 4535.0);
 }
 
 TEST(SimRegression, RelayDuplicatedCopiesReparkSiblings) {
@@ -220,7 +255,8 @@ TEST(SimRegression, RelayDuplicatedCopiesReparkSiblings) {
   config.faults.link.duplicate_probability = 0.2;
   NetworkSimulation net(config);
   Rng rng(591);
-  const NetworkResult r = net.run(150, rng);
+  EngineCounts engine;
+  const NetworkResult r = run_counted(net, 150, rng, engine);
   EXPECT_EQ(r.blocks_mined, 150u);
   EXPECT_EQ(r.duration, 96485.869658003168);
   EXPECT_EQ(r.canonical_length, 131u);
@@ -237,6 +273,65 @@ TEST(SimRegression, RelayDuplicatedCopiesReparkSiblings) {
   expect_miner(r, 3, 42, 40, 2);
   expect_miner(r, 4, 21, 13, 8);
   EXPECT_EQ(rng.next_u64(), 17657066838687731525ull);
+  EXPECT_EQ(engine.dispatched, 5577u);
+  EXPECT_EQ(engine.peak_queue_depth, 118.0);
+}
+
+TEST(SimRegression, RelayMixedRulesValidityFork) {
+  // Three BU rules on one gossip graph: miners a and b take blocks up to
+  // 1 MB and mine 1 MB, miners c and d take and mine 8 MB, and every relay
+  // node runs a third rule (EB 2 MB, AD 3). An 8 MB block is excessive
+  // under two rules of the three, so nodes disagree on the tip until its
+  // chain is deep enough: validity forks race the natural ones, and the
+  // nodes of each rule resolve them on their own schedule.
+  NetworkConfig config;
+  config.miners.push_back({"a", 0.3, {}, 1 * chain::kMegabyte, 1e6, 1.0});
+  config.miners.push_back({"b", 0.2, {}, 1 * chain::kMegabyte, 1e6, 1.0});
+  config.miners.push_back({"c", 0.3, {}, 8 * chain::kMegabyte, 1e6, 1.0});
+  config.miners.push_back({"d", 0.2, {}, 8 * chain::kMegabyte, 1e6, 1.0});
+  for (auto& m : config.miners) {
+    m.rule.eb = m.block_size;
+    m.rule.mg = 32 * chain::kMegabyte;
+    m.rule.ad = 4;
+  }
+  RandomTopologyConfig graph;
+  graph.nodes = 200;
+  graph.seed = 2019;
+  config.topology = random_topology(graph);
+  config.miner_nodes = {0, 50, 100, 150};
+  config.relay_rule.eb = 2 * chain::kMegabyte;
+  config.relay_rule.mg = 32 * chain::kMegabyte;
+  config.relay_rule.ad = 3;
+  NetworkSimulation net(config);
+  Rng rng(43);
+  Timeline timeline;
+  EngineCounts engine;
+  const NetworkResult r = run_counted(net, 300, rng, engine, &timeline);
+  EXPECT_EQ(r.blocks_mined, 300u);
+  EXPECT_EQ(r.duration, 188879.71277965634);
+  EXPECT_EQ(r.canonical_length, 292u);
+  EXPECT_EQ(r.orphaned_blocks, 8u);
+  EXPECT_EQ(r.status, robust::RunStatus::kConverged);
+  EXPECT_EQ(r.relayed_messages, 177900u);
+  // Only the 8 MB miners lose blocks: their chains pend at every node of
+  // the other two rules.
+  expect_miner(r, 0, 90, 90, 0);
+  expect_miner(r, 1, 53, 53, 0);
+  expect_miner(r, 2, 93, 91, 2);
+  expect_miner(r, 3, 64, 58, 6);
+  EXPECT_EQ(rng.next_u64(), 608623304759911445ull);
+  EXPECT_EQ(timeline.size(), 238905u);
+  std::ostringstream trace;
+  timeline.write_chrome_trace(trace);
+  const std::string text = trace.str();
+  std::size_t fork_switches = 0;
+  for (std::size_t at = text.find("\"cat\":\"fork\""); at != std::string::npos;
+       at = text.find("\"cat\":\"fork\"", at + 1)) {
+    ++fork_switches;
+  }
+  EXPECT_EQ(fork_switches, 705u);
+  EXPECT_EQ(engine.dispatched, 83126u);
+  EXPECT_EQ(engine.peak_queue_depth, 292.0);
 }
 
 TEST(SimRegression, ForkSimulation) {
