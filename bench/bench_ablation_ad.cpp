@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
   });
   const CliArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(argc, argv);
-  bench::SweepSession sweep(argc, argv, obs, "bench_ablation_ad");
+  bench::SweepSession sweep(args, obs, "bench_ablation_ad");
   const double alpha = args.get_double("alpha", 0.25);
   const double beta = args.get_double("beta", 0.30);
   const double gamma = args.get_double("gamma", 0.45);
-  const mdp::BatchConfig batch = sweep.batch_config(args);
+  const mdp::BatchConfig batch = bench::batch_config_from_args(args);
 
   std::printf(
       "Ablation — acceptance depth AD (alpha=%.2f, beta=%.2f, gamma=%.2f,\n"
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   bu::AnalysisOptions keep_policies;
   keep_policies.persist_policy = true;
   const std::vector<bu::AnalysisResult> results = bu::analyze_batch(
-      jobs, keep_policies, batch, sweep.next_cells(jobs.size()));
+      jobs, keep_policies, batch, sweep.journal());
 
   for (std::size_t i = 0; i < ads.size(); ++i) {
     const unsigned ad = ads[i];
@@ -91,9 +91,9 @@ int main(int argc, char** argv) {
     const bu::AttackModel u1_model =
         bu::build_attack_model(jobs[2 * i].params,
                                bu::Utility::kRelativeRevenue);
-    // A shard worker's excluded cells (and budget-skipped cells) carry no
-    // policy; its rendering is scratch, so print a placeholder instead of
-    // feeding the simulator a policy that does not cover the state space.
+    // Budget-skipped cells carry no policy, so print a placeholder instead
+    // of feeding the simulator a policy that does not cover the state
+    // space.
     std::string takeover_cell = "-";
     if (u1.policy.action.size() == u1_model.space.size()) {
       sim::ScenarioOptions options;
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
     hetero_jobs.push_back({orphan, bu::Utility::kOrphaning});
   }
   const std::vector<bu::AnalysisResult> hetero_results = bu::analyze_batch(
-      hetero_jobs, {}, batch, sweep.next_cells(hetero_jobs.size()));
+      hetero_jobs, {}, batch, sweep.journal());
 
   for (std::size_t i = 0; i < std::size(pairs); ++i) {
     const auto& pair = pairs[i];

@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   });
   const CliArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(argc, argv);
-  bench::SweepSession sweep(argc, argv, obs, "bench_ablation_ds");
+  bench::SweepSession sweep(args, obs, "bench_ablation_ds");
   const double alpha = args.get_double("alpha", 0.10);
-  const mdp::BatchConfig batch = sweep.batch_config(args);
+  const mdp::BatchConfig batch = bench::batch_config_from_args(args);
 
   std::printf(
       "Ablation — double-spend parameters (alpha=%.2f, beta:gamma=1:1)\n\n",
@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
       sm_jobs.push_back({sm, bu::Utility::kAbsoluteReward, 1e-5});
     }
     const std::vector<bu::AnalysisResult> bu_results = bu::analyze_batch(
-        bu_jobs, {}, batch, sweep.next_cells(bu_jobs.size()));
+        bu_jobs, {}, batch, sweep.journal());
     const std::vector<btc::SmResult> sm_results = btc::analyze_sm_batch(
-        sm_jobs, batch, sweep.next_cells(sm_jobs.size()));
+        sm_jobs, batch, sweep.journal());
 
     for (std::size_t i = 0; i < confs.size(); ++i) {
       const unsigned conf = confs[i];
@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
       sm_jobs.push_back({sm, bu::Utility::kAbsoluteReward, 1e-5});
     }
     const std::vector<bu::AnalysisResult> bu_results = bu::analyze_batch(
-        bu_jobs, {}, batch, sweep.next_cells(bu_jobs.size()));
+        bu_jobs, {}, batch, sweep.journal());
     const std::vector<btc::SmResult> sm_results = btc::analyze_sm_batch(
-        sm_jobs, batch, sweep.next_cells(sm_jobs.size()));
+        sm_jobs, batch, sweep.journal());
 
     for (std::size_t i = 0; i < rds_values.size(); ++i) {
       const double rds = rds_values[i];

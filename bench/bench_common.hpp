@@ -9,8 +9,6 @@
 #include <memory>
 #include <string>
 
-#include <unistd.h>
-
 #include "mdp/batch.hpp"
 #include "mdp/kernel.hpp"
 #include "mdp/model_cache.hpp"
@@ -19,7 +17,6 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "robust/run_control.hpp"
 #include "util/arg_spec.hpp"
@@ -85,14 +82,6 @@ inline void add_obs_args(util::ArgParser& parser) {
        ""},
       {"log-level", util::ArgType::kString, "LEVEL",
        "event-log threshold: debug|info|warn|error", "info"},
-      {"telemetry-dir", util::ArgType::kString, "DIR",
-       "periodically flush metrics/trace deltas into DIR so a supervisor "
-       "can aggregate live cross-process telemetry",
-       ""},
-      {"telemetry-interval-ms", util::ArgType::kLong, "MS",
-       "telemetry flush cadence", "500"},
-      {"telemetry-label", util::ArgType::kString, "NAME",
-       "(internal) lane label for telemetry flushes", ""},
   });
 }
 
@@ -251,8 +240,6 @@ inline void print_cache_stats(const char* bench_name) {
 ///   --metrics-prom-out=FILE  the same snapshot, Prometheus exposition text
 ///   --manifest-out=FILE      run manifest (git SHA, args, metrics) as JSON
 ///   --log-out/--log-level    obs::EventLog sink and threshold
-///   --telemetry-dir=DIR      periodic metrics/trace flushes for a
-///                            supervising parent to aggregate
 ///
 /// Construct one ObsSession at the top of main (before any solve) and let
 /// it run out of scope last: construction enables the tracer/metrics layer
@@ -260,11 +247,6 @@ inline void print_cache_stats(const char* bench_name) {
 /// file. With none of the flags present the instrumentation layer stays
 /// disabled and every obs call in the hot paths reduces to one relaxed
 /// atomic load — bench output is bit-identical to an uninstrumented build.
-///
-/// In supervisor mode the SweepSession calls merge_telemetry_from(dir)
-/// after the workers exit; the final metrics/prometheus/trace/manifest
-/// artifacts then cover the WHOLE multi-process run, with one pid lane per
-/// worker in the merged Chrome trace.
 class ObsSession {
  public:
   ObsSession(int argc, const char* const* argv)
@@ -304,17 +286,6 @@ class ObsSession {
         std::exit(2);
       }
     }
-    const std::string telemetry_dir = args.get_string("telemetry-dir", "");
-    if (!telemetry_dir.empty()) {
-      obs::TelemetryConfig telemetry;
-      telemetry.dir = telemetry_dir;
-      telemetry.label = args.get_string("telemetry-label", "main");
-      telemetry.interval_seconds =
-          static_cast<double>(args.get_long("telemetry-interval-ms", 500)) *
-          1e-3;
-      flusher_ = std::make_unique<obs::TelemetryFlusher>(telemetry);
-      annotate("telemetry_dir", telemetry_dir);
-    }
     // Kernel ISA selection (--kernel flag, over the BVC_KERNEL env
     // default) lives here so every bench picks it up by constructing its
     // ObsSession — and so the manifest records which ISA actually ran.
@@ -346,22 +317,13 @@ class ObsSession {
   }
 
   /// Stamps a free-form provenance note (key, value) into the manifest —
-  /// the sweep layer records shard counts, restarts, and resume tallies
-  /// here so a recovered run is distinguishable from a straight-through one.
+  /// the sweep layer records its resume tallies here so a recovered run is
+  /// distinguishable from a straight-through one.
   void annotate(std::string key, std::string value) {
     manifest_.annotations.emplace_back(std::move(key), std::move(value));
   }
 
-  /// Supervisor parents call this after their workers exit: the final
-  /// artifacts fold in the per-worker telemetry flushed into `dir`
-  /// (metrics merged onto this process's registry, worker trace lanes
-  /// joined into the Chrome trace).
-  void merge_telemetry_from(std::string dir) { merge_dir_ = std::move(dir); }
-
   ~ObsSession() {
-    // Final worker-side flush happens before any parent could merge us —
-    // and before our own merged export below reads the directory.
-    flusher_.reset();
     const auto write_file = [](const std::string& path, const char* what,
                                const auto& writer) {
       if (path.empty()) {
@@ -379,15 +341,8 @@ class ObsSession {
 
     if (!trace_path_.empty() || !jsonl_path_.empty()) {
       obs::Tracer& tracer = obs::Tracer::global();
-      if (!merge_dir_.empty()) {
-        write_file(trace_path_, "merged trace", [&](std::ostream& out) {
-          obs::write_merged_chrome_trace(out, merge_dir_, &tracer,
-                                         "supervisor");
-        });
-      } else {
-        write_file(trace_path_, "trace",
-                   [&](std::ostream& out) { tracer.write_chrome_trace(out); });
-      }
+      write_file(trace_path_, "trace",
+                 [&](std::ostream& out) { tracer.write_chrome_trace(out); });
       write_file(jsonl_path_, "trace-jsonl",
                  [&](std::ostream& out) { tracer.write_jsonl(out); });
       if (tracer.dropped_events() > 0) {
@@ -397,22 +352,8 @@ class ObsSession {
     }
     if (!metrics_path_.empty() || !manifest_path_.empty() ||
         !prom_path_.empty()) {
-      obs::MetricsSnapshot snapshot =
+      const obs::MetricsSnapshot snapshot =
           obs::MetricsRegistry::global().snapshot();
-      if (!merge_dir_.empty()) {
-        // Sum the workers' flushed registries onto our own. Our own
-        // telemetry flushes (if any) are excluded by pid, so nothing is
-        // double-counted.
-        const obs::TelemetryMergeReport merged =
-            obs::merge_telemetry_dir(merge_dir_, static_cast<long>(getpid()));
-        obs::merge_metrics(snapshot, merged.metrics);
-        annotate("telemetry_workers_merged",
-                 std::to_string(merged.metrics_files));
-        for (const std::string& error : merged.errors) {
-          obs::log_warn("obs", "telemetry merge skipped a file",
-                        {{"detail", error}});
-        }
-      }
       write_file(metrics_path_, "metrics", [&](std::ostream& out) {
         obs::write_metrics_json(out, snapshot);
       });
@@ -445,8 +386,6 @@ class ObsSession {
   std::string metrics_path_;
   std::string prom_path_;
   std::string manifest_path_;
-  std::string merge_dir_;
-  std::unique_ptr<obs::TelemetryFlusher> flusher_;
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };

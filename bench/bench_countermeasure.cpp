@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   bench::add_sweep_args(parser);
   const CliArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(argc, argv);
-  bench::SweepSession sweep(argc, argv, obs, "bench_countermeasure");
-  const mdp::BatchConfig batch = sweep.batch_config(args);
+  bench::SweepSession sweep(args, obs, "bench_countermeasure");
+  const mdp::BatchConfig batch = bench::batch_config_from_args(args);
 
   VoteRuleConfig rule;  // paper-scale: 2016-block epochs, 200-block delay
   rule.epoch_length = 2016;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
            {{1.0, 500'000, false}}, 20);
 
   const std::vector<VotingSimResult> results =
-      run_voting_batch(jobs, batch, sweep.next_cells(jobs.size()));
+      run_voting_batch(jobs, batch, sweep.journal());
 
   TextTable table({"scenario", "epochs", "final limit", "increases",
                    "decreases"});

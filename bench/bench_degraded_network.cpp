@@ -9,10 +9,10 @@
 // Every cell runs through sim::run_replicas: --replicas N averages N
 // independent Monte-Carlo replicas per cell (mean ± 95% CI), --threads
 // fans the replicas across the batch engine, and the sweep-session flags
-// (--checkpoint/--resume/--shards, bench/sweep_session.hpp) make long
-// campaigns crash-safe — every finished replica is journaled under its
-// canonical replica key and a resumed or sharded run reproduces the
-// uninterrupted stdout byte for byte.
+// (--checkpoint/--resume, bench/sweep_session.hpp) make campaigns
+// crash-safe — every finished replica is journaled under its canonical
+// replica key and a resumed run reproduces the uninterrupted stdout byte
+// for byte.
 //
 // Flags: --blocks N (default 20000), --seed S (fault-plan seed),
 // --replicas N (default 1), plus the shared budget/batch flags
@@ -74,16 +74,13 @@ std::string format_rate(const sim::SummaryStat& stat) {
   return text;
 }
 
-/// Mean of a per-replica counter over the converged replicas this process
-/// actually ran (excluded shard cells are stamped converged with default
-/// values, so blocks_mined == 0 filters them out).
+/// Mean of a per-replica counter over the converged replicas.
 double mean_counter(const sim::ReplicaSetResult& set,
                     std::uint64_t sim::NetworkResult::*field) {
   double sum = 0.0;
   std::size_t count = 0;
   for (const sim::NetworkResult& replica : set.replicas) {
-    if (replica.status == robust::RunStatus::kConverged &&
-        replica.blocks_mined > 0) {
+    if (replica.status == robust::RunStatus::kConverged) {
       sum += static_cast<double>(replica.*field);
       ++count;
     }
@@ -112,7 +109,7 @@ int main(int argc, char** argv) {
   });
   const CliArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(argc, argv);
-  bench::SweepSession sweep(argc, argv, obs, "bench_degraded_network");
+  bench::SweepSession sweep(args, obs, "bench_degraded_network");
   const long blocks_arg = args.get_long("blocks", 20'000);
   if (blocks_arg <= 0) {
     std::fprintf(stderr, "error: --blocks must be positive (got %ld)\n",
@@ -137,16 +134,16 @@ int main(int argc, char** argv) {
   const auto fault_seed =
       static_cast<std::uint64_t>(args.get_long("seed", 20170406));
 
-  // One cell = one run_replicas call; journal + shard filter + shared
-  // budget come from the sweep session so every path (direct, --resume,
-  // --shards) enumerates identical replica keys.
+  // One cell = one run_replicas call; the journal comes from the sweep
+  // session, so a direct and a --resume run enumerate identical replica
+  // keys.
   const auto run_cell = [&](const sim::NetworkConfig& config) {
     sim::ReplicaOptions options;
     options.replicas = replicas;
     options.blocks = blocks;
     options.seed = 42;  // identical per-replica mining streams in every cell
-    options.batch = sweep.batch_config(args);
-    options.cells = sweep.next_cells(replicas);
+    options.batch = bench::batch_config_from_args(args);
+    options.journal = sweep.journal();
     return sim::run_replicas(config, options);
   };
 
@@ -246,10 +243,9 @@ int main(int argc, char** argv) {
 
   // Sim-clock timeline: one dedicated fault-free run with the recorder
   // attached (identical config and seed as the baseline cell, capped at
-  // 500 blocks so the trace stays viewer-sized). Workers skip it — the
-  // timeline is a whole-run artifact the parent owns.
+  // 500 blocks so the trace stays viewer-sized).
   const std::string timeline_out = args.get_string("timeline-out", "");
-  if (!timeline_out.empty() && !sweep.is_worker()) {
+  if (!timeline_out.empty()) {
     sim::Timeline timeline;
     sim::NetworkSimulation simulation(make_network(nodes));
     Rng timeline_rng(42);

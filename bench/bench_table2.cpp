@@ -8,7 +8,7 @@
 //
 // Flags: --quick (skip setting 2), --threads N (batch-solve workers;
 // 0 = all hardware threads), plus the crash-safe sweep flags
-// (--checkpoint/--resume/--shards, see sweep_session.hpp). --alphas
+// (--checkpoint/--resume, see sweep_session.hpp). --alphas
 // 0.1,0.25 style overrides are intentionally not provided — the grid is
 // the paper's.
 #include <cstdio>
@@ -77,10 +77,10 @@ int main(int argc, char** argv) {
   });
   const CliArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(argc, argv);
-  bench::SweepSession sweep(argc, argv, obs, "bench_table2");
+  bench::SweepSession sweep(args, obs, "bench_table2");
   const bool quick = args.get_bool("quick", false);
   const unsigned ad = static_cast<unsigned>(args.get_long("ad", 6));
-  const mdp::BatchConfig batch = sweep.batch_config(args);
+  const mdp::BatchConfig batch = bench::batch_config_from_args(args);
   bench::CsvSink csv = bench::open_csv(
       args, {"setting", "beta", "gamma", "alpha", "u1", "paper"});
 
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
       }
     }
     const std::vector<bu::AnalysisResult> results =
-        bu::analyze_batch(jobs, {}, batch, sweep.next_cells(jobs.size()));
+        bu::analyze_batch(jobs, {}, batch, sweep.journal());
 
     std::size_t next_cell = 0;
     for (std::size_t r = 0; r < ratios.size(); ++r) {

@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
   });
   const CliArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(argc, argv);
-  bench::SweepSession sweep(argc, argv, obs, "bench_table3");
+  bench::SweepSession sweep(args, obs, "bench_table3");
   const bool quick = args.get_bool("quick", false);
-  const mdp::BatchConfig batch = sweep.batch_config(args);
+  const mdp::BatchConfig batch = bench::batch_config_from_args(args);
   bench::CsvSink csv = bench::open_csv(
       args,
       {"protocol", "setting_or_tiewin", "beta", "gamma", "alpha", "u2",
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
       }
     }
     const std::vector<bu::AnalysisResult> results =
-        bu::analyze_batch(jobs, {}, batch, sweep.next_cells(jobs.size()));
+        bu::analyze_batch(jobs, {}, batch, sweep.journal());
 
     std::size_t next_cell = 0;
     for (std::size_t ai = 0; ai < kAlphas.size(); ++ai) {
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<btc::SmResult> sm_results =
-      btc::analyze_sm_batch(sm_jobs, batch, sweep.next_cells(sm_jobs.size()));
+      btc::analyze_sm_batch(sm_jobs, batch, sweep.journal());
 
   for (std::size_t ti = 0; ti < ties.size(); ++ti) {
     const double tie = ties[ti];

@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
   });
   const CliArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(argc, argv);
-  bench::SweepSession sweep(argc, argv, obs, "bench_table4");
+  bench::SweepSession sweep(args, obs, "bench_table4");
   const bool quick = args.get_bool("quick", false);
   const double alpha = args.get_double("alpha", 0.01);
-  const mdp::BatchConfig batch = sweep.batch_config(args);
+  const mdp::BatchConfig batch = bench::batch_config_from_args(args);
   bench::CsvSink csv = bench::open_csv(
       args, {"setting", "beta", "gamma", "alpha", "u3", "paper"});
 
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<bu::AnalysisResult> results =
-      bu::analyze_batch(jobs, {}, batch, sweep.next_cells(jobs.size()));
+      bu::analyze_batch(jobs, {}, batch, sweep.journal());
 
   TextTable table({"beta:gamma", "Setting 1", "Setting 2"});
   std::size_t next_job = 0;

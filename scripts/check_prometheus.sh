@@ -38,7 +38,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-unset BVC_CRASH_AFTER_CELLS BVC_CRASH_SHARD
+unset BVC_CRASH_AFTER_CELLS
 
 # The format lint, shared by every exposition produced below. Reads one
 # exposition file; exits non-zero with a diagnostic on any violation.

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Crash-safe sweep end-to-end test (registered as the `shard`-labeled ctest
-# case check_resume): proves the ISSUE's acceptance scenario on a real bench
-# binary —
+# case check_resume): the kill-and-resume scenario on real bench binaries —
 #
 #   1. an uninterrupted bench_table2 run is the baseline stdout;
 #   2. a checkpointed run is SIGKILLed mid-sweep via the deterministic
@@ -9,12 +8,10 @@
 #      with exactly the cells that finished;
 #   3. resuming from that journal replays the finished cells and computes
 #      the rest — stdout must be BYTE-IDENTICAL to the baseline;
-#   4. a sharded run (--shards 2) whose worker 0 is crash-injected is
-#      restarted by the supervisor, completes with zero lost cells, again
-#      byte-identical, and the merged manifest records the restart;
-#   5-7. the kill/resume and sharded legs again over bench_table3 (a bu
-#      block, then a btc block) and the kill/resume leg over
-#      bench_countermeasure, so every journaled batch wrapper is covered.
+#   4-5. the kill/resume leg again over bench_table3 (a bu block, then a
+#      btc block, one journal across both; stdout and CSV must match) and
+#      over bench_countermeasure, so every journaled batch wrapper is
+#      covered.
 #
 # Usage: scripts/check_resume.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -32,7 +29,7 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 # The injection hooks must never leak in from the caller's environment.
-unset BVC_CRASH_AFTER_CELLS BVC_CRASH_SHARD
+unset BVC_CRASH_AFTER_CELLS
 
 flags=(--quick --ad 3 --threads 2)
 
@@ -70,45 +67,7 @@ diff -u "$out/baseline.txt" "$out/resumed.txt" || {
   exit 1
 }
 
-# 4. Sharded sweep with a crash-injected worker: shard 0's first
-# incarnation dies after 3 cells; the supervisor restarts it (respawns
-# scrub the injection env), every cell lands in the merged journal, and the
-# parent's render pass reproduces the baseline byte-for-byte. The
-# checkpoint name holds a backslash and a double quote, which the merged
-# manifest must escape to stay valid JSON.
-ck2="$out/"'c"k\2.jsonl'
-BVC_CRASH_AFTER_CELLS=3 BVC_CRASH_SHARD=0 "$bench" "${flags[@]}" \
-  --shards 2 --checkpoint "$ck2" \
-  >"$out/sharded.txt" 2>"$out/sharded.err"
-diff -u "$out/baseline.txt" "$out/sharded.txt" || {
-  echo "check_resume.sh: sharded output differs from baseline" >&2
-  cat "$out/sharded.err" >&2
-  exit 1
-}
-
-python3 - "$ck2" <<'EOF'
-import json, sys
-
-checkpoint = sys.argv[1]
-manifest = json.load(open(checkpoint + ".merged.json"))
-assert manifest["checkpoint"] == checkpoint, manifest
-assert manifest["shards"] == 2, manifest
-assert manifest["total_restarts"] >= 1, \
-    f"injected crash not recorded: {manifest['total_restarts']} restarts"
-assert not manifest["cancelled"], manifest
-assert not manifest["degraded"], manifest
-assert manifest["merge"]["records"] > 0, manifest
-outcomes = {s["index"]: s for s in manifest["shard_outcomes"]}
-assert outcomes[0]["restarts"] >= 1, outcomes  # the crashed shard
-assert all(s["completed"] for s in outcomes.values()), outcomes
-assert all(s["journal"].startswith(checkpoint) and
-           s["manifest"] == s["journal"] + ".manifest.json"
-           for s in outcomes.values()), outcomes
-print(f"check_resume: merged {manifest['merge']['records']} cells from "
-      f"{manifest['shards']} shards, {manifest['total_restarts']} restart(s)")
-EOF
-
-# 5-7. The same recoveries through the btc and counter batch wrappers.
+# 4-5. The same recovery through the btc and counter batch wrappers.
 # crash_resume NAME CELLS BENCH FLAGS...: SIGKILL BENCH after CELLS
 # journaled cells, then resume it; stdout must match "$out/NAME.txt".
 crash_resume() {
@@ -140,42 +99,26 @@ crash_resume() {
 
 # bench_table3 --quick runs a bu block, then a btc block: a kill after 35
 # cells leaves all 31 bu cells and 4 btc cells, and the resume finishes the
-# btc block.
+# btc block. The resumed CSV must match the baseline's too.
 table3="$build/bench/bench_table3"
 t3_flags=(--quick --threads 2)
 "$table3" "${t3_flags[@]}" --csv "$out/table3.csv" >"$out/table3.txt" \
   2>"$out/table3.err"
-crash_resume table3 35 "$table3" "${t3_flags[@]}"
+crash_resume table3 35 "$table3" "${t3_flags[@]}" \
+  --csv "$out/table3-resumed.csv"
+cmp "$out/table3.csv" "$out/table3-resumed.csv" || {
+  echo "check_resume.sh: table3: resumed CSV differs from baseline" >&2
+  exit 1
+}
 bu_cells=$(grep -c '"key":"bu_attack|' "$out/table3.jsonl" || true)
 [[ $bu_cells -eq 31 ]] || {
   echo "check_resume.sh: table3 journal holds $bu_cells bu cells, expected 31" >&2
   exit 1
 }
 
-# Sharded bench_table3 with a crash-injected shard 1: one SweepSession
-# cursor spans the bu block and the btc block; stdout and CSV must match.
-BVC_CRASH_AFTER_CELLS=10 BVC_CRASH_SHARD=1 "$table3" "${t3_flags[@]}" \
-  --shards 2 --checkpoint "$out/table3-sharded.jsonl" \
-  --csv "$out/table3-sharded.csv" >"$out/table3-sharded.txt" \
-  2>"$out/table3-sharded.err"
-if ! diff -u "$out/table3.txt" "$out/table3-sharded.txt" ||
-  ! cmp "$out/table3.csv" "$out/table3-sharded.csv"; then
-  echo "check_resume.sh: sharded bench_table3 differs from baseline" >&2
-  cat "$out/table3-sharded.err" >&2
-  exit 1
-fi
-python3 - "$out/table3-sharded.jsonl.merged.json" <<'EOF'
-import json, sys
-
-manifest = json.load(open(sys.argv[1]))
-assert manifest["total_restarts"] >= 1, \
-    f"injected crash not recorded: {manifest['total_restarts']} restarts"
-assert not manifest["degraded"], manifest
-EOF
-
 # bench_countermeasure runs its scenarios through counter::run_voting_batch.
 counter="$build/bench/bench_countermeasure"
 "$counter" --threads 2 >"$out/counter.txt" 2>"$out/counter.err"
 crash_resume counter 2 "$counter" --threads 2
 
-echo "check_resume.sh: OK (resume and sharded outputs byte-identical)"
+echo "check_resume.sh: OK (resumed outputs byte-identical)"

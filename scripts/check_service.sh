@@ -50,7 +50,7 @@ cleanup() {
 trap cleanup EXIT
 
 # The injection hook must never leak in from the caller's environment.
-unset BVC_CRASH_AFTER_CELLS BVC_CRASH_SHARD
+unset BVC_CRASH_AFTER_CELLS
 
 # The same grid, twice: once through the bench, once through the service.
 cat >"$out/job.json" <<'EOF'

@@ -8,15 +8,12 @@
 #     at least three instrumented subsystems (solver, batch/pool, cache);
 #   * --trace-jsonl is one JSON object per line, same event count;
 #   * --metrics-out parses and carries the mdp.cache.* counters;
-#   * --manifest-out parses and embeds git SHA, argv, and the metrics.
-#
-# Then the telemetry plane:
-#
+#   * --manifest-out parses and embeds git SHA, argv, and the metrics;
 #   * a run with every sink enabled prints byte-identical stdout to a
-#     plain run (all obs chatter goes to artifacts or stderr);
-#   * a 2-shard supervised run produces ONE merged metrics snapshot and
-#     ONE merged Chrome trace spanning both workers (two distinct pid
-#     lanes, labeled process_name rows, summed counters).
+#     plain run (all obs chatter goes to artifacts or stderr).
+#
+# The telemetry dir and its offline merge (bvcd --telemetry-dir, bvc-cli
+# merge) are exercised by scripts/check_prometheus.sh.
 #
 # Usage: scripts/check_trace.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -79,7 +76,7 @@ print(f"check_trace: {len(events)} events, categories {sorted(cats)}, "
       f"{lookups} cache lookups")
 EOF
 
-# Telemetry must be invisible on stdout: a plain run and the fully
+# The obs sinks must be invisible on stdout: a plain run and the fully
 # instrumented run above print byte-identical tables.
 "$bench" --quick --threads 2 >"$out/plain.txt"
 cmp "$out/plain.txt" "$out/stdout.txt" || {
@@ -87,45 +84,5 @@ cmp "$out/plain.txt" "$out/stdout.txt" || {
   diff "$out/plain.txt" "$out/stdout.txt" >&2 || true
   exit 1
 }
-
-# 2-shard supervised run: the parent merges the workers' periodic
-# telemetry flushes into ONE snapshot and ONE multi-pid Chrome trace.
-"$bench" --quick --threads 2 --shards 2 \
-  --checkpoint "$out/shard.ck.jsonl" \
-  --telemetry-interval-ms 100 \
-  --trace-out="$out/merged.trace.json" \
-  --metrics-out="$out/merged.metrics.json" \
-  --metrics-prom-out="$out/merged.prom" \
-  >"$out/shard-stdout.txt" 2>"$out/shard-stderr.txt" || {
-  cat "$out/shard-stderr.txt" >&2
-  exit 1
-}
-
-python3 - "$out" <<'EOF'
-import json, sys, pathlib
-
-out = pathlib.Path(sys.argv[1])
-
-trace = json.loads((out / "merged.trace.json").read_text())
-events = trace["traceEvents"]
-span_pids = {e["pid"] for e in events if e.get("ph") == "X"}
-assert len(span_pids) >= 2, \
-    f"merged trace has {len(span_pids)} pid lane(s), expected >= 2: {span_pids}"
-lanes = {e["args"]["name"] for e in events if e.get("name") == "process_name"}
-assert len(lanes) >= 2, f"expected >= 2 labeled lanes, got {lanes}"
-assert any("shard-0" in lane for lane in lanes), lanes
-assert any("shard-1" in lane for lane in lanes), lanes
-
-metrics = json.loads((out / "merged.metrics.json").read_text())
-lookups = metrics["counters"].get("mdp.cache.hits", 0) + \
-          metrics["counters"].get("mdp.cache.misses", 0)
-assert lookups > 0, "merged snapshot lost the workers' cache counters"
-
-prom = (out / "merged.prom").read_text()
-assert "mdp_cache_" in prom, "prometheus export missing merged counters"
-
-print(f"check_trace: merged {len(span_pids)} worker pid lanes "
-      f"({sorted(lanes)}), {lookups} cache lookups after the merge")
-EOF
 
 echo "check_trace.sh: OK"

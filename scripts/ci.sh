@@ -27,21 +27,23 @@ ctest --test-dir "$repo/$build" --output-on-failure "$@"
 "$repo/scripts/check_trace.sh" "$repo/$build"
 
 # Telemetry-plane gate, surfaced as its own named step: the obs-labeled
-# suite (event log, Prometheus exposition, cross-process telemetry merge,
-# plus the check_trace and check_prometheus end-to-end scripts — live bvcd
-# scrape, bvc-cli merge, 2-shard merged trace/metrics, byte-stable bench
-# stdout) must pass in isolation, not just inside the full suite above.
+# suite (event log, Prometheus exposition, the telemetry dir's flush and
+# merge, plus the check_trace and check_prometheus end-to-end scripts —
+# live bvcd scrape, bvcd --telemetry-dir merged by bvc-cli merge,
+# byte-stable bench stdout) must pass in isolation, not just inside the
+# full suite above.
 ctest --test-dir "$repo/$build" --output-on-failure -L obs
 
 # Crash-safety gate, surfaced as its own named step: the shard-labeled
-# tests (journal/supervisor unit tests + scripts/check_resume.sh, which
-# SIGKILLs bench_table2 mid-sweep and demands a byte-identical recovery)
-# must pass in isolation, not just inside the full suite above.
+# tests (checkpoint journal and checkpointed batch unit tests +
+# scripts/check_resume.sh, which SIGKILLs bench_table2, bench_table3 and
+# bench_countermeasure mid-sweep and demands byte-identical resumes) must
+# pass in isolation, not just inside the full suite above.
 ctest --test-dir "$repo/$build" --output-on-failure -L shard
 
 # Simulation gate: the sim-labeled suite (event engine, fixed-seed
 # regression vectors, replica determinism incl. threads-1-vs-8 and
-# sharded-vs-unsharded, network sim + relay topologies,
+# journal resume, network sim + relay topologies,
 # scripts/check_sim_resume.sh's SIGKILL -> byte-identical resume, and
 # bench_sim_validation's closed-form checks and scale probe) must pass in
 # isolation, not just inside the full suite above.

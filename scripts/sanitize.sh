@@ -5,6 +5,7 @@
 #
 #   scripts/sanitize.sh                  # ASan+UBSan: configure+build+ctest
 #   scripts/sanitize.sh address -R Fault # same, forwarding args to ctest
+#   scripts/sanitize.sh address -L shard # journal + kill/resume suites only
 #   scripts/sanitize.sh thread           # TSan over the full suite
 #   scripts/sanitize.sh thread -L parallel   # TSan, parallel-labeled only
 #
@@ -17,9 +18,11 @@
 # equivalence tests (test_compiled_model) run under each sanitizer, and the
 # thread tier additionally exercises the shared ModelCache under concurrent
 # lookups via the parallel-labeled test_model_cache. The address tier also
-# covers the shard-labeled crash-safety suite (test_checkpoint +
-# check_resume): the kill-mid-sweep -> resume scenario runs once under
-# ASan/UBSan here, on top of the plain-build run in ci.sh. The address
+# covers the shard-labeled crash-safety suite (test_checkpoint, including
+# the journal's failed-write branch, + check_resume): the kill-mid-sweep ->
+# resume scenario runs once under ASan/UBSan here, on top of the
+# plain-build run in ci.sh, and so does the obs-labeled suite (trace and
+# metrics export, bvcd's telemetry dir and its merge). The address
 # tier then re-runs the kernel-labeled suite with BVC_KERNEL=avx512, so
 # the AVX-512 bodies' palette-code loads (8 bytes per 8 lanes) run under
 # ASan/UBSan whichever ISA auto calibration picks. The thread tier
@@ -60,7 +63,8 @@ ctest --test-dir "$build" --output-on-failure -j"$(nproc)" "$@"
 # event-engine tests get an explicit, named TSan pass. The obs-labeled
 # suite follows for the same reason: test_event_log hammers the global
 # EventLog from concurrent writers, and the telemetry/trace tests exercise
-# the flusher's background thread against the metrics registry.
+# the flusher's background thread (bvcd --telemetry-dir) against the
+# metrics registry.
 if [ "$tier" = "thread" ]; then
   ctest --test-dir "$build" --output-on-failure -L sim
   ctest --test-dir "$build" --output-on-failure -L obs

@@ -361,9 +361,9 @@ bool sm_restore(const robust::CheckpointRecord& record, SmResult& result) {
 
 std::vector<SmResult> analyze_sm_batch(std::span<const SmJob> jobs,
                                        const mdp::BatchConfig& batch,
-                                       const mdp::SweepCells& cells) {
+                                       robust::CheckpointJournal* journal) {
   return mdp::run_cells<SmResult>(
-             jobs.size(), batch, cells,
+             jobs.size(), batch, journal,
              [&](std::size_t i, const robust::RunControl& control) {
                return analyze_sm(jobs[i].params, jobs[i].utility,
                                  jobs[i].tolerance, control);

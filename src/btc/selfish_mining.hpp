@@ -146,11 +146,11 @@ struct SmJob {
 /// Batched analyze_sm() through mdp::run_cells under the shared budget in
 /// `batch.control`; the cell rule is bu::analyze_batch's. Results are
 /// input-ordered and independent of the thread count; skipped items carry
-/// kBudgetExhausted / kCancelled. With a journal in `cells`, completed
-/// cells are journaled and journaled cells restored instead of re-solved.
+/// kBudgetExhausted / kCancelled. With a `journal`, completed cells are
+/// journaled and journaled cells restored instead of re-solved.
 [[nodiscard]] std::vector<SmResult> analyze_sm_batch(
     std::span<const SmJob> jobs, const mdp::BatchConfig& batch = {},
-    const mdp::SweepCells& cells = {});
+    robust::CheckpointJournal* journal = nullptr);
 
 /// Journal (de)serialization of one baseline cell (see bu::analysis_record).
 [[nodiscard]] robust::CheckpointRecord sm_record(const std::string& key,

@@ -137,10 +137,10 @@ bool analysis_restore(const robust::CheckpointRecord& record,
 std::vector<AnalysisResult> analyze_batch(std::span<const AnalysisJob> jobs,
                                           const AnalysisOptions& options,
                                           const mdp::BatchConfig& batch,
-                                          const mdp::SweepCells& cells,
+                                          robust::CheckpointJournal* journal,
                                           mdp::BatchReport* report) {
   mdp::CellBatch<AnalysisResult> out = mdp::run_cells<AnalysisResult>(
-      jobs.size(), batch, cells,
+      jobs.size(), batch, journal,
       [&](std::size_t i, const robust::RunControl& control) {
         AnalysisOptions item_options = options;
         item_options.control = control;

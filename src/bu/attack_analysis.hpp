@@ -90,15 +90,15 @@ struct AnalysisJob {
 /// shared budget in `batch.control` (per-item budgets in `options.control`
 /// are ignored — the engine stamps each item with the batch's remaining
 /// allowance). Results are input-ordered and independent of the thread
-/// count; skipped items carry kBudgetExhausted / kCancelled, and another
-/// shard's cells come back default-valued and kConverged. With a journal in
-/// `cells`, completed cells are journaled as they finish (with their
+/// count; skipped items carry kBudgetExhausted / kCancelled. With a
+/// `journal`, completed cells are journaled as they finish (with their
 /// policies when `options.persist_policy`) and journaled cells are restored
 /// instead of re-solved. The optional `report` receives the engine's
 /// BatchReport.
 [[nodiscard]] std::vector<AnalysisResult> analyze_batch(
     std::span<const AnalysisJob> jobs, const AnalysisOptions& options = {},
-    const mdp::BatchConfig& batch = {}, const mdp::SweepCells& cells = {},
+    const mdp::BatchConfig& batch = {},
+    robust::CheckpointJournal* journal = nullptr,
     mdp::BatchReport* report = nullptr);
 
 /// Journal (de)serialization of one analysis cell, exposed for the resume

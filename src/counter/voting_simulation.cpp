@@ -148,11 +148,11 @@ bool voting_restore(const robust::CheckpointRecord& record,
   return true;
 }
 
-std::vector<VotingSimResult> run_voting_batch(std::span<const VotingJob> jobs,
-                                              const mdp::BatchConfig& batch,
-                                              const mdp::SweepCells& cells) {
+std::vector<VotingSimResult> run_voting_batch(
+    std::span<const VotingJob> jobs, const mdp::BatchConfig& batch,
+    robust::CheckpointJournal* journal) {
   return mdp::run_cells<VotingSimResult>(
-             jobs.size(), batch, cells,
+             jobs.size(), batch, journal,
              [&](std::size_t i, const robust::RunControl& control) {
                Rng rng(jobs[i].seed);
                return run_voting_simulation(jobs[i].config, jobs[i].epochs,

@@ -66,12 +66,11 @@ struct VotingJob {
 
 /// Runs every job through mdp::run_cells (each with Rng(job.seed)). Items
 /// skipped by the shared budget carry status kBudgetExhausted / kCancelled
-/// and empty traces. With a journal in `cells`, completed cells are
-/// journaled (including the per-epoch limit trace) and restored instead of
-/// re-run.
+/// and empty traces. With a `journal`, completed cells are journaled
+/// (including the per-epoch limit trace) and restored instead of re-run.
 [[nodiscard]] std::vector<VotingSimResult> run_voting_batch(
     std::span<const VotingJob> jobs, const mdp::BatchConfig& batch = {},
-    const mdp::SweepCells& cells = {});
+    robust::CheckpointJournal* journal = nullptr);
 
 /// Journal (de)serialization of one simulation cell. The per-epoch limit
 /// trace is stored as repeated "limit_per_epoch" values (order preserved).

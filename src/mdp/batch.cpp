@@ -65,7 +65,6 @@ BatchReport run_batch(
   std::atomic<std::size_t> converged{0};
   std::atomic<std::size_t> skipped{0};
   std::atomic<std::size_t> resumed{0};
-  std::atomic<std::size_t> excluded{0};
   std::atomic<std::uint8_t> worst{
       static_cast<std::uint8_t>(robust::RunStatus::kConverged)};
   std::mutex error_mutex;
@@ -90,17 +89,7 @@ BatchReport run_batch(
   const auto drain = [&] {
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
-      // Shard exclusion first: another process owns this cell; it neither
-      // runs, resumes, nor burns this shard's budget.
-      if (checkpoint.include != nullptr && !checkpoint.include(i)) {
-        if (checkpoint.exclude != nullptr) {
-          checkpoint.exclude(i);
-        }
-        excluded.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-
-      // Resume next, before any budget check: replaying a finished cell
+      // Resume first, before any budget check: replaying a finished cell
       // from the journal costs microseconds and must not be starved by a
       // deadline the original run would have beaten.
       if (checkpoint.enabled()) {
@@ -212,7 +201,6 @@ BatchReport run_batch(
   report.items_converged = converged.load(std::memory_order_relaxed);
   report.items_skipped = skipped.load(std::memory_order_relaxed);
   report.items_resumed = resumed.load(std::memory_order_relaxed);
-  report.items_excluded = excluded.load(std::memory_order_relaxed);
   report.elapsed_seconds = seconds_since(start);
   return report;
 }

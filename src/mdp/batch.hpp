@@ -44,16 +44,14 @@ struct BatchConfig {
 
 /// Aggregate outcome of one batch run.
 struct BatchReport {
-  /// Worst per-item status (RunStatus is ordered best-to-worst) over the
-  /// items this process was responsible for; kConverged for an empty batch.
-  /// Excluded items (another shard's cells) never contribute.
+  /// Worst per-item status (RunStatus is ordered best-to-worst); kConverged
+  /// for an empty batch.
   robust::RunStatus status = robust::RunStatus::kConverged;
   std::size_t items = 0;            ///< total items submitted
   std::size_t items_converged = 0;  ///< items with is_success(status)
   std::size_t items_skipped = 0;    ///< items never started (budget/cancel)
-  /// Checkpoint/shard accounting (zero without a BatchCheckpoint):
-  std::size_t items_resumed = 0;    ///< restored from the journal, not run
-  std::size_t items_excluded = 0;   ///< another shard's cells, not run
+  /// Restored from the journal, not run (zero without a BatchCheckpoint).
+  std::size_t items_resumed = 0;
   double elapsed_seconds = 0.0;
 
   [[nodiscard]] bool all_converged() const noexcept {
@@ -61,20 +59,17 @@ struct BatchReport {
   }
 };
 
-/// Checkpoint/shard plumbing for run_batch. All callbacks are optional in
-/// the sense that a default-constructed BatchCheckpoint (null journal)
-/// disables the whole layer; with a journal set, `cell_key`, `restore` and
-/// `snapshot` must be provided. Per item i, in pickup order:
+/// Checkpoint plumbing for run_batch. A default-constructed
+/// BatchCheckpoint (null journal) disables the whole layer; with a journal
+/// set, `cell_key`, `restore` and `snapshot` must be provided. Per item i,
+/// in pickup order:
 ///
-///   1. `include(i)` false (another shard's cell) -> `exclude(i)` stamps
-///      the caller's slot however it likes; the item counts only in
-///      items_excluded (never in the worst-status aggregate).
-///   2. journal has `cell_key(i)` and `restore(i, record)` returns true ->
+///   1. journal has `cell_key(i)` and `restore(i, record)` returns true ->
 ///      the cell is resumed: counted via its recorded status, not re-run.
 ///      A restore returning false (schema drift, truncated record) falls
 ///      through to a normal solve — a stale journal degrades to recompute,
 ///      never to wrong results.
-///   3. Otherwise the item runs; if its status is_success, `snapshot(i)`
+///   2. Otherwise the item runs; if its status is_success, `snapshot(i)`
 ///      is appended to the journal (failures are NOT journaled: a resumed
 ///      sweep retries them instead of replaying the failure).
 ///
@@ -83,17 +78,13 @@ struct BatchReport {
 /// original (computing) run would have beaten.
 ///
 /// Domain batches use run_cells below, which fills this struct from a
-/// SweepCells; callers whose restore and snapshot touch state of their own
+/// journal; callers whose restore and snapshot touch state of their own
 /// (svc::SolveService's job records) fill it directly.
 struct BatchCheckpoint {
   robust::CheckpointJournal* journal = nullptr;
   std::function<std::string(std::size_t)> cell_key;
   std::function<bool(std::size_t, const robust::CheckpointRecord&)> restore;
   std::function<robust::CheckpointRecord(std::size_t)> snapshot;
-  /// Shard filter; null means every cell is owned by this process.
-  std::function<bool(std::size_t)> include;
-  /// Stamp for excluded cells; null leaves the caller's slot untouched.
-  std::function<void(std::size_t)> exclude;
 
   [[nodiscard]] bool enabled() const noexcept {
     return journal != nullptr && journal->enabled();
@@ -115,28 +106,15 @@ struct BatchCheckpoint {
                                           const robust::RunControl&)>& run_item,
     const std::function<void(std::size_t, robust::RunStatus)>& skip_item);
 
-/// run_batch with the crash-safe checkpoint/shard layer (see
-/// BatchCheckpoint). With a disabled checkpoint this is exactly the plain
-/// overload. The journal outlives the call; the caller flushes/merges it.
+/// run_batch with the crash-safe checkpoint layer (see BatchCheckpoint).
+/// With a disabled checkpoint this is exactly the plain overload. The
+/// journal outlives the call; the caller flushes it.
 [[nodiscard]] BatchReport run_batch(
     std::size_t count, const BatchConfig& config,
     const BatchCheckpoint& checkpoint,
     const std::function<robust::RunStatus(std::size_t,
                                           const robust::RunControl&)>& run_item,
     const std::function<void(std::size_t, robust::RunStatus)>& skip_item);
-
-/// The journal and shard filter of one sweep block: what makes a domain
-/// batch crash-safe and shardable. Default-constructed, every cell is
-/// computed and nothing is journaled. bench/sweep_session.hpp hands out one
-/// per block.
-struct SweepCells {
-  /// Where finished cells are appended and resumed cells come from; null
-  /// (or a disabled journal) turns journaling off.
-  robust::CheckpointJournal* journal = nullptr;
-  /// Shard filter over the block's cell index; null means every cell is
-  /// owned by this process.
-  std::function<bool(std::size_t)> include;
-};
 
 /// How run_cells journals one cell type: `key(i)` is cell i's canonical
 /// journal key, `record(key, result)` serializes a finished cell, and
@@ -159,11 +137,10 @@ struct CellBatch {
 };
 
 /// The per-cell rule every domain batch shares, over the checkpointed
-/// run_batch. Cell i is
-///   * another shard's (`cells.include(i)` false): Result{} stamped
-///     kConverged, so a worker's own scratch rendering passes its
-///     convergence checks; never run, restored or journaled;
-///   * restored from `cells.journal` when it holds `codec.key(i)` and
+/// run_batch. `journal` is where finished cells are appended and resumed
+/// cells come from; null (or a disabled journal) turns journaling off.
+/// Cell i is
+///   * restored from `journal` when it holds `codec.key(i)` and
 ///     `codec.restore` accepts the record;
 ///   * otherwise `solve(i, control) -> Result`, appended to the journal as
 ///     `codec.record(key, result)` when its status is a success;
@@ -175,7 +152,7 @@ struct CellBatch {
 template <class Result, class Solve>
 [[nodiscard]] CellBatch<Result> run_cells(std::size_t count,
                                           const BatchConfig& config,
-                                          const SweepCells& cells,
+                                          robust::CheckpointJournal* journal,
                                           Solve&& solve,
                                           const CellCodec<Result>& codec = {}) {
   CellBatch<Result> out;
@@ -183,14 +160,14 @@ template <class Result, class Solve>
   results.resize(count);
   std::vector<std::string> keys;
   BatchCheckpoint checkpoint;
-  if (cells.journal != nullptr && cells.journal->enabled()) {
+  if (journal != nullptr && journal->enabled()) {
     BVC_REQUIRE(codec.key && codec.record && codec.restore,
                 "a journaled sweep needs a key/record/restore codec");
     keys.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       keys.push_back(codec.key(i));
     }
-    checkpoint.journal = cells.journal;
+    checkpoint.journal = journal;
     checkpoint.cell_key = [&keys](std::size_t i) { return keys[i]; };
     checkpoint.restore = [&](std::size_t i,
                              const robust::CheckpointRecord& record) {
@@ -200,10 +177,6 @@ template <class Result, class Solve>
       return codec.record(keys[i], results[i]);
     };
   }
-  checkpoint.include = cells.include;
-  checkpoint.exclude = [&results](std::size_t i) {
-    results[i].status = robust::RunStatus::kConverged;
-  };
   out.report = run_batch(
       count, config, checkpoint,
       [&](std::size_t i, const robust::RunControl& control) {

@@ -29,11 +29,12 @@
 // the victim is chosen by GreedyDual-Size — each entry carries a priority
 // H = clock + cost_seconds / bytes, refreshed on every hit; evicting
 // the minimum-H entry advances the clock to it. Plain LRU would happily
-// drop a 10 s setting-2 compilation to keep ten 1 ms toy models; weighting
-// recency by reconstruction cost per byte keeps the entries that are
-// expensive to lose. Evicted (and all newly compiled) models can spill to
-// an optional disk tier (set_disk_tier): a later miss reloads the file —
-// milliseconds instead of a recompile — after verifying the stored key.
+// drop a setting-2 compilation (tens of milliseconds) to keep ten
+// sub-millisecond toy models; weighting recency by reconstruction cost per
+// byte keeps the entries that are expensive to lose. Evicted (and all
+// newly compiled) models can spill to an optional disk tier
+// (set_disk_tier): a later miss reloads the file — milliseconds instead of
+// a recompile — after verifying the stored key.
 //
 // Thread safety: get_or_compile takes the lock only to probe and to
 // insert+evict. The build and all disk I/O run OUTSIDE the lock, so a slow

@@ -27,8 +27,8 @@ struct RunManifest {
   /// e.g. ("csv", "table2.csv"), ("trace", "table2.trace.json").
   std::vector<std::pair<std::string, std::string>> outputs;
   /// Free-form (key, value) provenance notes — e.g. the sweep layer stamps
-  /// ("shards", "4"), ("shard_restarts", "1"), ("cells_resumed", "12") so a
-  /// sharded/resumed run is distinguishable from a straight-through one.
+  /// ("cells_on_file", "12"), ("cells_computed", "30") so a resumed run is
+  /// distinguishable from a straight-through one.
   std::vector<std::pair<std::string, std::string>> annotations;
 };
 

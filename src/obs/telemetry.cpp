@@ -75,10 +75,11 @@ std::optional<Histogram::Snapshot> read_histogram(const Json& body) {
 
 // ------------------------------------------------------------- file naming
 
-/// "<label>.<pid>.metrics.json" → pid, or -1 when the name doesn't parse.
-long pid_from_filename(const std::string& stem_name, std::string* label) {
-  // stem_name is the filename with the ".metrics.json"/".trace.jsonl"
-  // suffix already removed, e.g. "shard-0.12345".
+/// "<label>.<pid>.trace.jsonl" → pid and label, or -1 when the name
+/// doesn't parse.
+long pid_from_filename(const std::string& stem_name, std::string& label) {
+  // stem_name is the filename with the ".trace.jsonl" suffix already
+  // removed, e.g. "bvcd.12345".
   const std::size_t dot = stem_name.rfind('.');
   if (dot == std::string::npos || dot + 1 >= stem_name.size()) return -1;
   const std::string digits = stem_name.substr(dot + 1);
@@ -87,7 +88,7 @@ long pid_from_filename(const std::string& stem_name, std::string* label) {
       })) {
     return -1;
   }
-  if (label != nullptr) *label = stem_name.substr(0, dot);
+  label = stem_name.substr(0, dot);
   return std::strtol(digits.c_str(), nullptr, 10);
 }
 
@@ -116,14 +117,10 @@ TelemetryFlusher::TelemetryFlusher(TelemetryConfig config)
                            std::to_string(pid_);
   metrics_path_ = base + std::string(kMetricsSuffix);
   trace_path_ = base + std::string(kTraceSuffix);
-  if (config_.enable_metrics) {
-    set_metrics_enabled(true);
-  }
-  if (config_.enable_tracing) {
-    Tracer::global().enable();
-  }
+  set_metrics_enabled(true);
+  Tracer::global().enable();
   // Fresh incarnation, fresh trace file (the pid in the name separates
-  // incarnations of a restarted shard).
+  // incarnations of a restarted daemon).
   std::ofstream(trace_path_, std::ios::trunc);
   thread_ = std::thread([this] {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -244,8 +241,7 @@ void merge_metrics(MetricsSnapshot& into, const MetricsSnapshot& from) {
   }
 }
 
-TelemetryMergeReport merge_telemetry_dir(const std::string& dir,
-                                         long skip_pid) {
+TelemetryMergeReport merge_telemetry_dir(const std::string& dir) {
   TelemetryMergeReport report;
   std::error_code ec;
   std::filesystem::directory_iterator it(dir, ec);
@@ -258,18 +254,8 @@ TelemetryMergeReport merge_telemetry_dir(const std::string& dir,
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
     if (ends_with(name, kMetricsSuffix)) {
-      const std::string stem =
-          name.substr(0, name.size() - kMetricsSuffix.size());
-      if (skip_pid >= 0 && pid_from_filename(stem, nullptr) == skip_pid) {
-        continue;
-      }
       metrics_files.push_back(entry.path().string());
     } else if (ends_with(name, kTraceSuffix)) {
-      const std::string stem =
-          name.substr(0, name.size() - kTraceSuffix.size());
-      if (skip_pid >= 0 && pid_from_filename(stem, nullptr) == skip_pid) {
-        continue;
-      }
       report.trace_files.push_back(entry.path().string());
     }
   }
@@ -287,9 +273,7 @@ TelemetryMergeReport merge_telemetry_dir(const std::string& dir,
   return report;
 }
 
-bool write_merged_chrome_trace(std::ostream& out, const std::string& dir,
-                               const Tracer* own,
-                               const std::string& own_label) {
+bool write_merged_chrome_trace(std::ostream& out, const std::string& dir) {
   std::error_code ec;
   std::filesystem::directory_iterator it(dir, ec);
   if (ec) return false;
@@ -303,34 +287,20 @@ bool write_merged_chrome_trace(std::ostream& out, const std::string& dir,
   }
   std::sort(trace_files.begin(), trace_files.end());
 
-  const auto own_pid = static_cast<std::uint32_t>(::getpid());
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  const auto emit_process_name = [&](std::uint32_t pid,
-                                     const std::string& label) {
-    out << (first ? "\n" : ",\n");
-    out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"name\":" << json_quoted(label) << "}}";
-    first = false;
-  };
-
-  if (own != nullptr) {
-    emit_process_name(own_pid,
-                      own_label.empty() ? "supervisor" : own_label);
-    own->write_events_body(out, own_pid, first);
-  }
   for (const std::string& path : trace_files) {
     const std::string name = std::filesystem::path(path).filename().string();
     const std::string stem = name.substr(0, name.size() - kTraceSuffix.size());
     std::string label;
-    const long pid = pid_from_filename(stem, &label);
-    if (pid >= 0 && static_cast<std::uint32_t>(pid) == own_pid &&
-        own != nullptr) {
-      continue;  // own flushes would duplicate the live export above
-    }
+    const long pid = pid_from_filename(stem, label);
     if (pid >= 0) {
-      emit_process_name(static_cast<std::uint32_t>(pid),
-                        label + " (pid " + std::to_string(pid) + ")");
+      out << (first ? "\n" : ",\n");
+      out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+          << ",\"tid\":0,\"args\":{\"name\":"
+          << json_quoted(label + " (pid " + std::to_string(pid) + ")")
+          << "}}";
+      first = false;
     }
     std::ifstream in(path);
     std::string line;

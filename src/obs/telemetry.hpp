@@ -1,16 +1,18 @@
-// Cross-process telemetry aggregation.
+// Telemetry directory: periodic on-disk flushes of a long-running
+// process's metrics and trace, and their offline merge.
 //
-// Worker processes (supervisor shard workers, bvcd) run a TelemetryFlusher:
-// a background thread that every `interval_seconds` (a) atomically rewrites
+// bvcd `--telemetry-dir` runs a TelemetryFlusher: a background thread that
+// every `interval_seconds` (a) atomically rewrites
 // `<label>.<pid>.metrics.json` with a full MetricsSnapshot and (b) appends
 // the tracer's newly published events to `<label>.<pid>.trace.jsonl`, each
-// event stamped with the real pid. The parent merges the directory:
+// event stamped with the real pid. `bvc-cli merge` folds the directory —
+// one daemon incarnation per pid, e.g. across restarts:
 //
-//   * merge_telemetry_dir sums every worker's metrics into ONE snapshot
+//   * merge_telemetry_dir sums every flushed snapshot into ONE snapshot
 //     (counters add, gauges take the max, histograms add bucket-wise when
 //     the bounds match — mismatches keep the first and are logged);
 //   * write_merged_chrome_trace emits ONE Chrome trace whose events carry
-//     each worker's pid, with `process_name` metadata rows so viewers show
+//     each writer's pid, with `process_name` metadata rows so viewers show
 //     one labeled lane per process. Per-process trace clocks start at each
 //     process's own epoch, so lanes are individually — not mutually —
 //     time-aligned (documented in docs/OBSERVABILITY.md).
@@ -34,19 +36,15 @@
 
 namespace bvc::obs {
 
-class Tracer;
-
 struct TelemetryConfig {
   std::string dir;              ///< created if missing
-  std::string label = "worker"; ///< lane label, e.g. "shard-0" or "bvcd"
+  std::string label = "worker"; ///< lane label, e.g. "bvcd"
   double interval_seconds = 0.5;
-  /// The flusher needs live sources: by default it switches both on.
-  bool enable_metrics = true;
-  bool enable_tracing = true;
 };
 
-/// Background flusher owned by a worker process. Construction creates the
-/// directory and starts the thread; destruction performs a final flush.
+/// Background flusher owned by a long-running process. Construction creates
+/// the directory, switches metrics and tracing on (the flushes need live
+/// sources) and starts the thread; destruction performs a final flush.
 class TelemetryFlusher {
  public:
   explicit TelemetryFlusher(TelemetryConfig config);
@@ -94,17 +92,13 @@ struct TelemetryMergeReport {
   std::vector<std::string> errors;       ///< unreadable/unparseable files
 };
 
-/// Scans `dir` for `*.metrics.json` / `*.trace.jsonl`. Files whose name
-/// embeds `skip_pid` are ignored — a parent flushing into the same dir as
-/// its workers must not merge its own flushes on top of its live registry.
-[[nodiscard]] TelemetryMergeReport merge_telemetry_dir(const std::string& dir,
-                                                       long skip_pid = -1);
+/// Scans `dir` for `*.metrics.json` / `*.trace.jsonl` and sums the
+/// metrics files.
+[[nodiscard]] TelemetryMergeReport merge_telemetry_dir(const std::string& dir);
 
-/// One Chrome trace spanning every process: `own` (may be null) exported
-/// under this process's pid and labeled `own_label`, plus each worker
-/// trace-jsonl in `dir` verbatim in its own pid lane with a process_name
-/// metadata row. Returns false when `dir` cannot be scanned.
-bool write_merged_chrome_trace(std::ostream& out, const std::string& dir,
-                               const Tracer* own, const std::string& own_label);
+/// One Chrome trace spanning every process: each trace-jsonl in `dir`
+/// verbatim in its own pid lane with a process_name metadata row. Returns
+/// false when `dir` cannot be scanned.
+bool write_merged_chrome_trace(std::ostream& out, const std::string& dir);
 
 }  // namespace bvc::obs

@@ -119,21 +119,18 @@ void Tracer::record(const TraceEvent& event) noexcept {
 void Tracer::write_chrome_trace(std::ostream& out) const {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  write_events_body(out, /*pid=*/0, first);
-  out << (first ? "" : "\n") << "]}\n";
-}
-
-void Tracer::write_events_body(std::ostream& out, std::uint32_t pid,
-                               bool& first) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& ring : rings_) {
-    const std::size_t n = ring->size.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < n; ++i) {
-      out << (first ? "\n" : ",\n");
-      write_event_json(out, ring->slots[i], ring->tid, pid);
-      first = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& ring : rings_) {
+      const std::size_t n = ring->size.load(std::memory_order_acquire);
+      for (std::size_t i = 0; i < n; ++i) {
+        out << (first ? "\n" : ",\n");
+        write_event_json(out, ring->slots[i], ring->tid, /*pid=*/0);
+        first = false;
+      }
     }
   }
+  out << (first ? "" : "\n") << "]}\n";
 }
 
 void Tracer::write_jsonl(std::ostream& out, std::uint32_t pid) const {

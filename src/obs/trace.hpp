@@ -84,12 +84,6 @@ class Tracer {
   /// merged traces get one lane per process).
   void write_jsonl(std::ostream& out, std::uint32_t pid = 0) const;
 
-  /// Appends every published event as comma-separated JSON objects —
-  /// no enclosing array — for callers assembling a multi-process trace.
-  /// `first` carries comma state across calls.
-  void write_events_body(std::ostream& out, std::uint32_t pid,
-                         bool& first) const;
-
   /// Incremental JSONL export: writes only events published since the last
   /// call with the same `cursor` (one consumed-index per ring, grown as
   /// threads appear). What the telemetry flusher appends every interval.

@@ -33,7 +33,8 @@ std::optional<RunStatus> status_from_string(std::string_view text) {
   return std::nullopt;
 }
 
-/// Writes `content` to `path` atomically: <path>.tmp + fsync + rename.
+}  // namespace
+
 bool write_file_atomically(const std::string& path,
                            const std::string& content) {
   const std::string tmp = path + ".tmp";
@@ -41,6 +42,15 @@ bool write_file_atomically(const std::string& path,
   if (fd < 0) {
     return false;
   }
+  const auto fail = [&tmp](int file) {
+    const int saved = errno;
+    if (file >= 0) {
+      ::close(file);
+    }
+    ::unlink(tmp.c_str());
+    errno = saved;
+    return false;
+  };
   const char* data = content.data();
   std::size_t left = content.size();
   while (left > 0) {
@@ -49,23 +59,34 @@ bool write_file_atomically(const std::string& path,
       if (errno == EINTR) {
         continue;
       }
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
+      return fail(fd);
     }
     data += wrote;
     left -= static_cast<std::size_t>(wrote);
   }
   // fsync before rename: the rename must never land ahead of the data.
-  if (::fsync(fd) != 0 || ::close(fd) != 0 ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
+  if (::fsync(fd) != 0) {
+    return fail(fd);
+  }
+  if (::close(fd) != 0 || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return fail(-1);
+  }
+  // The rename lives in the directory: until the directory is synced, a
+  // power cut can bring back the old entry (or none at all).
+  const std::string::size_type slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) {
     return false;
   }
-  return true;
+  const bool synced = ::fsync(dir_fd) == 0;
+  const int saved = errno;
+  ::close(dir_fd);
+  errno = saved;
+  return synced;
 }
-
-}  // namespace
 
 double CheckpointRecord::value_or(std::string_view name,
                                   double fallback) const noexcept {
@@ -185,10 +206,6 @@ CrashPlan crash_plan_from_env() {
     plan.crash_after_appends =
         static_cast<std::size_t>(std::strtoull(cells, nullptr, 10));
   }
-  if (const char* shard = std::getenv("BVC_CRASH_SHARD");
-      shard != nullptr && *shard != '\0') {
-    plan.only_shard = static_cast<int>(std::strtol(shard, nullptr, 10));
-  }
   return plan;
 }
 
@@ -286,7 +303,7 @@ void CheckpointJournal::append(CheckpointRecord record) {
   if (unflushed_ >= options_.fsync_batch) {
     flush_locked();
   }
-  if (options_.crash.armed_for(options_.shard_index) &&
+  if (options_.crash.crash_after_appends > 0 &&
       appended_ >= options_.crash.crash_after_appends) {
     flush_locked();  // the journal the next run resumes from is complete
     // Die while still holding the journal lock: releasing it first would
@@ -350,43 +367,6 @@ std::size_t CheckpointJournal::appended() const {
 std::size_t CheckpointJournal::skipped_lines() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return skipped_lines_;
-}
-
-MergeReport merge_journals(std::span<const std::string> shard_paths,
-                           const std::string& out_path) {
-  MergeReport report;
-  std::string content;
-  std::unordered_map<std::string, bool> seen;
-  for (const std::string& path : shard_paths) {
-    std::ifstream in(path);
-    if (!in) {
-      continue;  // a shard that never completed a cell has no journal
-    }
-    ++report.inputs;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) {
-        continue;
-      }
-      std::optional<CheckpointRecord> record = parse_jsonl_line(line);
-      if (!record) {
-        ++report.malformed_lines;
-        continue;
-      }
-      if (!seen.try_emplace(record->key, true).second) {
-        ++report.duplicates;
-        continue;  // first occurrence wins
-      }
-      ++report.records;
-      content += line;
-      content += '\n';
-    }
-  }
-  if (!write_file_atomically(out_path, content)) {
-    obs::log_error("checkpoint", "cannot write merged journal",
-                   {{"path", out_path}});
-  }
-  return report;
 }
 
 }  // namespace bvc::robust

@@ -1,22 +1,22 @@
 // Crash-safe sweep checkpointing: a JSONL journal of completed cell results.
 //
-// The table/ablation/countermeasure sweeps are hours-long batches of
-// independent cells; without persistence one crash, OOM kill, or exhausted
-// budget throws the whole sweep away. A CheckpointJournal records each
+// A sweep is a batch of independent cells. A CheckpointJournal records each
 // COMPLETED cell as one JSON line keyed by the cell's canonical parameter
 // key (the same ModelCache-style key vocabulary from mdp::append_key), so
-// an interrupted run can be resumed skipping everything already solved.
+// a run that was killed (OOM killer, power cut, a budget that ran out) is
+// resumed by skipping everything already solved, and the resumed output is
+// byte-identical to an uninterrupted run. The solve service keeps one
+// journal per job for the same reason.
 //
 // Durability protocol (docs/ROBUSTNESS.md §6):
 //
 //   * Appends are buffered in memory and flushed every `fsync_batch`
 //     records (default 1: every cell is durable the moment its append
-//     returns). A flush serializes the ENTIRE journal to `<path>.tmp`,
-//     fsyncs it, and renames it over `<path>` — readers therefore never
-//     observe a torn line, and a crash at any instant leaves either the
-//     previous journal or the new one, both well-formed. Journals are
-//     small (one short line per cell), so the rewrite is cheap next to the
-//     seconds-long solves it checkpoints.
+//     returns). A flush rewrites the ENTIRE journal through
+//     write_file_atomically — `<path>.tmp`, fsync, rename over `<path>`,
+//     fsync of the parent directory — so readers never observe a torn
+//     line, and a crash or power cut at any instant leaves either the
+//     previous journal or the new one, both well-formed.
 //   * load() additionally tolerates journals written by foreign tools or a
 //     pre-rename crash of the raw-append kind: malformed lines are counted
 //     and skipped, never fatal — a half-usable journal resumes half the
@@ -29,16 +29,14 @@
 // process (SIGKILL, as an external OOM killer would) after the Nth append,
 // AFTER that append's flush. crash_plan_from_env() reads the hook from
 //   BVC_CRASH_AFTER_CELLS=<N>   (0/unset disables)
-//   BVC_CRASH_SHARD=<i>         (optional: only shard i crashes)
-// so tests and the shard supervisor can stage a kill-mid-sweep → resume →
-// bitwise-identical-output scenario without patching any bench.
+// so tests can stage a kill-mid-sweep → resume → bitwise-identical-output
+// scenario without patching any bench.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -74,18 +72,20 @@ struct CheckpointRecord {
 [[nodiscard]] std::optional<CheckpointRecord> parse_jsonl_line(
     std::string_view line);
 
+/// Writes `content` to `path` atomically and durably: `<path>.tmp`, fsync,
+/// rename over `<path>`, then fsync of the parent directory so the rename
+/// itself survives a power cut. Returns false (errno set, no `.tmp` left
+/// behind) when any step fails, the directory fsync included; `path` then
+/// still holds its previous content or the complete new one.
+[[nodiscard]] bool write_file_atomically(const std::string& path,
+                                         const std::string& content);
+
 /// Deterministic crash-injection plan (see file comment). Inert by default.
 struct CrashPlan {
   std::size_t crash_after_appends = 0;  ///< 0 disables
-  int only_shard = -1;                  ///< -1 = any process
-
-  [[nodiscard]] bool armed_for(int shard_index) const noexcept {
-    return crash_after_appends > 0 &&
-           (only_shard < 0 || only_shard == shard_index);
-  }
 };
 
-/// Reads BVC_CRASH_AFTER_CELLS / BVC_CRASH_SHARD.
+/// Reads BVC_CRASH_AFTER_CELLS.
 [[nodiscard]] CrashPlan crash_plan_from_env();
 
 /// Journal knobs (namespace-scope so `= {}` default arguments work — a
@@ -98,9 +98,6 @@ struct JournalOptions {
   /// Crash injection, applied at append time (after the flush the append
   /// triggered, so the journal the next run resumes from is well-formed).
   CrashPlan crash;
-  /// This process's shard index for CrashPlan::only_shard matching
-  /// (-1 for unsharded runs and the supervisor itself).
-  int shard_index = -1;
 };
 
 class CheckpointJournal {
@@ -140,9 +137,10 @@ class CheckpointJournal {
   /// becomes durable at the next flush (every fsync_batch appends).
   void append(CheckpointRecord record);
 
-  /// Serialize + fsync + rename now (no-op when nothing is buffered since
-  /// the last flush). Returns false when the write failed (reported once on
-  /// stderr; the sweep continues — checkpointing degrades, work goes on).
+  /// Serialize and write_file_atomically now (no-op when nothing is
+  /// buffered since the last flush). Returns false when the write failed
+  /// (reported once on stderr; the sweep continues — checkpointing
+  /// degrades, work goes on).
   bool flush();
 
   [[nodiscard]] std::size_t size() const;
@@ -163,20 +161,5 @@ class CheckpointJournal {
   std::size_t skipped_lines_ = 0;
   bool write_failed_ = false;  ///< report the first failure only
 };
-
-/// Tallies of one journal merge.
-struct MergeReport {
-  std::size_t inputs = 0;          ///< journal files read (missing excluded)
-  std::size_t records = 0;         ///< distinct keys in the merged output
-  std::size_t duplicates = 0;      ///< records dropped as duplicate keys
-  std::size_t malformed_lines = 0; ///< skipped while loading inputs
-};
-
-/// Combines per-shard journals into `out_path` (atomic write-then-rename;
-/// first occurrence of a key wins, input order = shard order then line
-/// order). The output is itself a valid journal, so the merged sweep can be
-/// resumed or re-rendered from it.
-MergeReport merge_journals(std::span<const std::string> shard_paths,
-                           const std::string& out_path);
 
 }  // namespace bvc::robust

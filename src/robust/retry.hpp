@@ -1,27 +1,15 @@
-// Escalation policies for work that failed but is worth re-attempting.
+// Solver escalation for a ratio solve that failed but is worth
+// re-attempting.
 //
-// Two flavors live here:
-//
-//   * RetryPolicy — solver escalation. A ratio solve can stall for two
-//     curable reasons: the bisection bracket's upper bound was not a
-//     genuine upper bound (the Dinkelbach iterates escape it), or the inner
-//     average-reward solves were too loose for the outer tolerance (the
-//     bracket jitters instead of contracting). The retry policy addresses
-//     both: each attempt widens the bracket, tightens the inner tolerance,
-//     and grants more outer iterations, for a bounded number of attempts.
-//     Budget exhaustion, cancellation, and structural degeneracy are *not*
-//     retried — more effort cannot cure those.
-//
-//   * BackoffPolicy — process supervision. The shard supervisor
-//     (supervisor.hpp) restarts crashed or stalled workers; restarting a
-//     worker that dies instantly in a tight loop would burn the machine, so
-//     each restart waits exponentially longer, saturating at a cap, for a
-//     bounded retry budget. backoff_wait() sleeps that delay cooperatively:
-//     a CancelToken fired mid-backoff (e.g. the operator gave up on the
-//     sweep) returns immediately instead of serving out the sleep.
+// A ratio solve can stall for two curable reasons: the bisection bracket's
+// upper bound was not a genuine upper bound (the Dinkelbach iterates escape
+// it), or the inner average-reward solves were too loose for the outer
+// tolerance (the bracket jitters instead of contracting). RetryPolicy
+// addresses both: each attempt widens the bracket, tightens the inner
+// tolerance, and grants more outer iterations, for a bounded number of
+// attempts. Budget exhaustion, cancellation, and structural degeneracy are
+// *not* retried — more effort cannot cure those.
 #pragma once
-
-#include "robust/run_control.hpp"
 
 namespace bvc::robust {
 
@@ -36,25 +24,5 @@ struct RetryPolicy {
   /// Each retry multiplies the outer iteration cap by this.
   double iteration_growth_factor = 2.0;
 };
-
-/// Exponential backoff with a saturation cap: attempt k (0-based) waits
-/// initial_delay * multiplier^k seconds, clamped to max_delay.
-struct BackoffPolicy {
-  /// Restarts after the first launch (0 = never restart).
-  int max_retries = 3;
-  double initial_delay_seconds = 0.25;
-  double multiplier = 2.0;
-  double max_delay_seconds = 8.0;
-
-  /// The capped delay before (0-based) retry `attempt`. Negative attempts
-  /// and non-positive policies yield 0.
-  [[nodiscard]] double delay_for_attempt(int attempt) const noexcept;
-};
-
-/// Sleeps delay_for_attempt(attempt), polling `cancel` a few times per
-/// second. Returns true when the full delay elapsed, false when the token
-/// fired first (the caller should abandon the retry, not launch anyway).
-bool backoff_wait(const BackoffPolicy& policy, int attempt,
-                  const CancelToken& cancel);
 
 }  // namespace bvc::robust

@@ -243,7 +243,7 @@ ReplicaSetResult run_replicas(const NetworkConfig& config,
   const NetworkSimulation simulation(config);
 
   mdp::CellBatch<NetworkResult> cells = mdp::run_cells<NetworkResult>(
-      options.replicas, options.batch, options.cells,
+      options.replicas, options.batch, options.journal,
       [&](std::size_t i, const robust::RunControl& control) {
         obs::Span span("sim.replica", "sim");
         span.arg("replica", static_cast<std::int64_t>(i));
@@ -262,17 +262,14 @@ ReplicaSetResult run_replicas(const NetworkConfig& config,
   out.replicas = std::move(cells.results);
   out.report = cells.report;
 
-  // Aggregates over the converged replicas this process owns, in input
-  // order — a deterministic function of the replica set alone.
+  // Aggregates over the converged replicas, in input order — a
+  // deterministic function of the replica set alone. Budget-skipped
+  // replicas fail the status test.
   std::vector<double> orphan_rates;
   std::vector<double> durations;
   std::vector<double> lengths;
-  // Budget-skipped replicas fail the status test; another shard's replicas
-  // come back kConverged, so the shard filter is asked again.
-  const std::function<bool(std::size_t)>& include = options.cells.include;
   for (std::size_t i = 0; i < options.replicas; ++i) {
-    if ((include != nullptr && !include(i)) ||
-        out.replicas[i].status != robust::RunStatus::kConverged) {
+    if (out.replicas[i].status != robust::RunStatus::kConverged) {
       continue;
     }
     orphan_rates.push_back(out.replicas[i].orphan_rate());

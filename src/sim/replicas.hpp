@@ -10,10 +10,10 @@
 //
 // Crash safety rides the checkpoint layer: every finished replica is
 // journaled as a robust::CheckpointRecord under a canonical replica key
-// (config digest + blocks + seed + replica index), so long simulation
-// campaigns get --checkpoint/--resume/--shards through bench/sweep_session
-// exactly like the solver benches, and the solve service streams/resumes
-// them as `net-sim` jobs (docs/SERVICE.md).
+// (config digest + blocks + seed + replica index), so simulation campaigns
+// get --checkpoint/--resume through bench/sweep_session exactly like the
+// solver benches, and the solve service streams/resumes them as `net-sim`
+// jobs (docs/SERVICE.md).
 #pragma once
 
 #include <cstdint>
@@ -78,19 +78,16 @@ struct ReplicaOptions {
   std::uint64_t seed = 42;
   /// Thread count and the shared budget/cancellation for the whole set.
   mdp::BatchConfig batch;
-  /// Optional crash-safety journal (sim_record per finished replica) and
-  /// shard filter: replicas the filter rejects are another worker's cells,
-  /// skipped and excluded from this process's aggregates.
-  mdp::SweepCells cells;
+  /// Optional crash-safety journal (sim_record per finished replica);
+  /// journaled replicas are restored instead of re-run.
+  robust::CheckpointJournal* journal = nullptr;
 };
 
 struct ReplicaSetResult {
-  /// Input-ordered, one per replica. Cells excluded by the shard filter are
-  /// stamped converged with default values (merge the journals and resume
-  /// to materialize them).
+  /// Input-ordered, one per replica.
   std::vector<NetworkResult> replicas;
   mdp::BatchReport report;
-  // Aggregates over this process's converged replicas:
+  // Aggregates over the converged replicas:
   SummaryStat orphan_rate;
   SummaryStat duration;
   SummaryStat canonical_length;
@@ -99,7 +96,7 @@ struct ReplicaSetResult {
 /// Runs `options.replicas` independent replicas of `config` and aggregates
 /// them. Thread-count- and replica-count-independent: replica i's result
 /// (and the aggregate over any fixed replica set) is bit-identical at
-/// --threads 1 and --threads N, sharded or not.
+/// --threads 1 and --threads N, resumed or not.
 [[nodiscard]] ReplicaSetResult run_replicas(const NetworkConfig& config,
                                             const ReplicaOptions& options);
 

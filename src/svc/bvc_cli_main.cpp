@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
     }
     if (!trace_out.empty()) {
       write_file(trace_out, [&dir](std::ostream& out) {
-        (void)obs::write_merged_chrome_trace(out, dir, nullptr, "");
+        (void)obs::write_merged_chrome_trace(out, dir);
       });
     }
     return ok ? 0 : 1;

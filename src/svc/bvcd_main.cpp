@@ -16,6 +16,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "robust/checkpoint.hpp"
 #include "svc/http.hpp"
 #include "svc/service.hpp"
 #include "util/arg_spec.hpp"
@@ -25,24 +26,6 @@ namespace {
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void handle_stop_signal(int) { g_stop_requested = 1; }
-
-/// Atomic tmp+rename publish so a poller never reads a partial file.
-bool write_text_file(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << content;
-    if (!out) {
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  return !ec;
-}
 
 }  // namespace
 
@@ -90,7 +73,7 @@ int main(int argc, char** argv) {
        "minimum event-log level: debug|info|warn|error", "info"},
       {"telemetry-dir", util::ArgType::kString, "PATH",
        "periodically flush metrics + trace deltas into PATH (one "
-       "bvcd.<pid>.* file pair) for cross-process aggregation", ""},
+       "bvcd.<pid>.* file pair per incarnation) for `bvc-cli merge`", ""},
       {"telemetry-interval-ms", util::ArgType::kLong, "MS",
        "telemetry flush cadence in milliseconds", "500"},
   });
@@ -184,9 +167,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Periodic metrics/trace flushes into a shared directory: a supervisor
-  // (or `bvc-cli merge`) aggregates them with any other process writing
-  // into the same dir.
+  // Periodic metrics/trace flushes into a directory that `bvc-cli merge`
+  // folds into one snapshot and one trace (one lane per daemon
+  // incarnation).
   std::optional<obs::TelemetryFlusher> flusher;
   const std::string telemetry_dir = args.get_string("telemetry-dir", "");
   if (!telemetry_dir.empty()) {
@@ -223,8 +206,10 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   const std::string port_file = args.get_string("port-file", "");
+  // Atomic publish, so a poller never reads a partial file.
   if (!port_file.empty() &&
-      !write_text_file(port_file, std::to_string(server.port()) + "\n")) {
+      !robust::write_file_atomically(port_file,
+                                     std::to_string(server.port()) + "\n")) {
     obs::log_error("bvcd", "cannot write --port-file", {{"path", port_file}});
     server.stop();
     return 1;

@@ -1,7 +1,9 @@
 #include "svc/service.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -676,21 +678,12 @@ void SolveService::persist_index_locked() {
     // single-line JSON, safe to embed verbatim.
     content += ",\"spec\":" + job.spec_body + "}\n";
   }
+  // The journal's durable write: a full disk or a power cut leaves the
+  // previous index or the new one, never a truncated one.
   const std::string path = config_.state_dir + "/jobs.jsonl";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      obs::log_error("svc", "cannot write job index", {{"path", tmp}});
-      return;
-    }
-    out << content;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    obs::log_error("svc", "cannot publish job index",
-                   {{"path", path}, {"error", ec.message()}});
+  if (!robust::write_file_atomically(path, content)) {
+    obs::log_error("svc", "cannot write job index",
+                   {{"path", path}, {"error", std::strerror(errno)}});
   }
 }
 

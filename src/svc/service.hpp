@@ -34,9 +34,11 @@
 //
 // Persistence (state_dir != ""): the job index (`jobs.jsonl`, one line per
 // job: id + verbatim spec body + terminal-state flag) is rewritten
-// atomically on every mutation, and each job's finished cells live in a
-// per-job robust::CheckpointJournal (`job-<id>.cells.jsonl`) written by
-// the same batch checkpoint layer the bench sweeps use. A restarted
+// atomically and durably (robust::write_file_atomically: tmp file, fsync,
+// rename, directory fsync) on every mutation, and each job's finished
+// cells live in a per-job robust::CheckpointJournal
+// (`job-<id>.cells.jsonl`) written by the same batch checkpoint layer the
+// bench sweeps use. A restarted
 // daemon reloads the index, replays each journal, and RESUMES incomplete
 // jobs — finished cells restore in microseconds, the rest re-solve. The
 // journal honors BVC_CRASH_AFTER_CELLS, so the kill-mid-grid -> restart ->
@@ -154,7 +156,8 @@ class SolveService {
   /// mutex_, so joining under it would deadlock), and `protect_id` — the
   /// job whose own worker is calling — is never evicted (self-join).
   void enforce_retention(const std::string& protect_id = "");
-  /// Rewrites the job index (jobs.jsonl) atomically. Caller holds mutex_.
+  /// Rewrites the job index (jobs.jsonl) through
+  /// robust::write_file_atomically. Caller holds mutex_.
   void persist_index_locked();
   /// Loads the index + journals and restarts incomplete jobs.
   void restore_jobs();

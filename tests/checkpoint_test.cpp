@@ -1,19 +1,17 @@
-// Crash-safe sweep checkpointing (robust/checkpoint.hpp), the shard
-// supervisor's building blocks (robust/supervisor.hpp, robust/retry.hpp),
-// the checkpointed batch engine (mdp::run_batch + BatchCheckpoint), and
-// every domain batch's journal/shard rule through mdp::run_cells.
-// Registered under the `shard` ctest label together with the end-to-end
-// kill-and-resume script test (scripts/check_resume.sh).
+// Crash-safe sweep checkpointing (robust/checkpoint.hpp), the checkpointed
+// batch engine (mdp::run_batch + BatchCheckpoint), and every domain
+// batch's journal rule through mdp::run_cells. Registered under the
+// `shard` ctest label together with the end-to-end kill-and-resume script
+// test (scripts/check_resume.sh).
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,9 +21,7 @@
 #include "counter/voting_simulation.hpp"
 #include "mdp/batch.hpp"
 #include "robust/checkpoint.hpp"
-#include "robust/retry.hpp"
 #include "robust/run_control.hpp"
-#include "robust/supervisor.hpp"
 #include "sim/replicas.hpp"
 
 namespace {
@@ -253,119 +249,22 @@ TEST(CheckpointJournal, LoadSkipsMalformedLines) {
   EXPECT_FALSE(journal.contains("torn"));
 }
 
-TEST(CheckpointJournal, MergeFirstOccurrenceWins) {
-  const std::string shard0 = temp_path("merge_shard0.jsonl");
-  const std::string shard1 = temp_path("merge_shard1.jsonl");
-  const std::string missing = temp_path("merge_missing.jsonl");
-  const std::string out_path = temp_path("merge_out.jsonl");
-  {
-    std::ofstream a(shard0);
-    a << to_jsonl(make_record("k1", 1.0)) << '\n';
-    a << to_jsonl(make_record("k2", 2.0)) << '\n';
-    std::ofstream b(shard1);
-    b << to_jsonl(make_record("k2", 99.0)) << '\n';  // duplicate, dropped
-    b << "garbage line\n";
-    b << to_jsonl(make_record("k3", 3.0)) << '\n';
-  }
-  const std::vector<std::string> inputs = {shard0, shard1, missing};
-  const robust::MergeReport report = robust::merge_journals(inputs, out_path);
-  EXPECT_EQ(report.inputs, 2u);  // the missing shard journal is skipped
-  EXPECT_EQ(report.records, 3u);
-  EXPECT_EQ(report.duplicates, 1u);
-  EXPECT_EQ(report.malformed_lines, 1u);
-
-  // The merged output is itself a resumable journal.
-  CheckpointJournal merged(out_path);
-  EXPECT_EQ(merged.load(), 3u);
-  const auto k2 = merged.lookup("k2");
-  ASSERT_TRUE(k2.has_value());
-  EXPECT_EQ(k2->value_or("value", 0.0), 2.0);  // shard order, first wins
-}
-
-// ---------------------------------------------------------------------------
-// Shard partition
-
-TEST(ShardSpec, ParsesValidAndRejectsInvalid) {
-  const auto ok = robust::ShardSpec::parse("1/4");
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ(ok->index, 1);
-  EXPECT_EQ(ok->count, 4);
-  EXPECT_EQ(ok->to_string(), "1/4");
-  EXPECT_TRUE(robust::ShardSpec::parse("0/1").has_value());
-
-  for (const char* bad :
-       {"", "4/4", "5/4", "-1/4", "1/0", "1/-2", "x/4", "1/y", "1", "1/2/3"}) {
-    EXPECT_FALSE(robust::ShardSpec::parse(bad).has_value()) << bad;
-  }
-}
-
-TEST(ShardSpec, RoundRobinPartitionIsDisjointAndComplete) {
-  constexpr int kShards = 3;
-  constexpr std::size_t kCells = 32;
-  for (std::size_t cell = 0; cell < kCells; ++cell) {
-    int owners = 0;
-    for (int shard = 0; shard < kShards; ++shard) {
-      if (robust::ShardSpec{shard, kShards}.owns(cell)) {
-        ++owners;
-      }
-    }
-    EXPECT_EQ(owners, 1) << "cell " << cell;
-  }
-  // A single-shard spec owns everything.
-  for (std::size_t cell = 0; cell < kCells; ++cell) {
-    EXPECT_TRUE((robust::ShardSpec{0, 1}.owns(cell)));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Backoff policy
-
-TEST(BackoffPolicy, DelaysCompoundAndSaturateAtCap) {
-  robust::BackoffPolicy policy;
-  policy.initial_delay_seconds = 1.0;
-  policy.multiplier = 10.0;
-  policy.max_delay_seconds = 5.0;
-  EXPECT_EQ(policy.delay_for_attempt(0), 1.0);
-  EXPECT_EQ(policy.delay_for_attempt(1), 5.0);  // 10 clamped to the cap
-  EXPECT_EQ(policy.delay_for_attempt(2), 5.0);  // saturated, no overflow
-  EXPECT_EQ(policy.delay_for_attempt(50), 5.0);
-}
-
-TEST(BackoffPolicy, DegenerateInputsYieldZeroDelay) {
-  robust::BackoffPolicy policy;
-  EXPECT_EQ(policy.delay_for_attempt(-1), 0.0);
-  policy.initial_delay_seconds = 0.0;
-  EXPECT_EQ(policy.delay_for_attempt(0), 0.0);
-  policy.initial_delay_seconds = 1.0;
-  policy.max_delay_seconds = -3.0;  // negative cap clamps to zero, not -3
-  EXPECT_EQ(policy.delay_for_attempt(0), 0.0);
-}
-
-TEST(BackoffPolicy, WaitReturnsImmediatelyOnZeroDelay) {
-  robust::BackoffPolicy policy;
-  policy.initial_delay_seconds = 0.0;
-  const robust::CancelToken cancel = robust::CancelToken::make();
-  EXPECT_TRUE(robust::backoff_wait(policy, 0, cancel));
-}
-
-TEST(BackoffPolicy, WaitAbortsWhenLinkedTokenFiresMidBackoff) {
-  robust::BackoffPolicy policy;
-  policy.initial_delay_seconds = 30.0;  // far beyond any test budget
-  const robust::CancelToken parent = robust::CancelToken::make();
-  const robust::CancelToken child = robust::CancelToken::make_linked(parent);
-
-  std::thread firer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    parent.request_cancel();  // cancelling the parent reaches the child
-  });
-  const auto begin = std::chrono::steady_clock::now();
-  const bool completed = robust::backoff_wait(policy, 0, child);
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-          .count();
-  firer.join();
-  EXPECT_FALSE(completed);  // the caller must abandon the retry
-  EXPECT_LT(waited, 10.0);  // aborted the 30 s sleep, not served it out
+TEST(CheckpointJournal, FlushIntoMissingDirectoryFails) {
+  const std::string dir = temp_path("missing_dir");
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/journal.jsonl";
+  robust::JournalOptions options;
+  options.fsync_batch = 10;  // only the explicit flushes below write
+  CheckpointJournal journal(path, options);
+  journal.append(make_record("a", 1.0));
+  EXPECT_FALSE(journal.flush());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  // The in-memory index still serves the cell.
+  const auto record = journal.lookup("a");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->value_or("value", 0.0), 1.0);
+  EXPECT_FALSE(journal.flush());  // still failing, still reported
 }
 
 // ---------------------------------------------------------------------------
@@ -373,22 +272,12 @@ TEST(BackoffPolicy, WaitAbortsWhenLinkedTokenFiresMidBackoff) {
 
 TEST(CrashPlan, ReadsEnvironmentHooks) {
   ::unsetenv("BVC_CRASH_AFTER_CELLS");
-  ::unsetenv("BVC_CRASH_SHARD");
-  EXPECT_FALSE(robust::crash_plan_from_env().armed_for(0));
+  EXPECT_EQ(robust::crash_plan_from_env().crash_after_appends, 0u);
 
   ::setenv("BVC_CRASH_AFTER_CELLS", "3", 1);
-  robust::CrashPlan plan = robust::crash_plan_from_env();
-  EXPECT_EQ(plan.crash_after_appends, 3u);
-  EXPECT_TRUE(plan.armed_for(-1));  // unsharded process
-  EXPECT_TRUE(plan.armed_for(2));   // any shard
-
-  ::setenv("BVC_CRASH_SHARD", "1", 1);
-  plan = robust::crash_plan_from_env();
-  EXPECT_TRUE(plan.armed_for(1));
-  EXPECT_FALSE(plan.armed_for(0));  // only the named shard crashes
+  EXPECT_EQ(robust::crash_plan_from_env().crash_after_appends, 3u);
 
   ::unsetenv("BVC_CRASH_AFTER_CELLS");
-  ::unsetenv("BVC_CRASH_SHARD");
 }
 
 // ---------------------------------------------------------------------------
@@ -483,38 +372,6 @@ TEST(CheckpointedBatch, FailedRestoreFallsBackToRecompute) {
   EXPECT_EQ(results[1], 2.5);
 }
 
-TEST(CheckpointedBatch, ShardFilterExcludesForeignCells) {
-  const std::string path = temp_path("batch_shard.jsonl");
-  constexpr std::size_t kCells = 6;
-  const robust::ShardSpec shard{1, 2};  // owns the odd cells
-  CheckpointJournal journal(path);
-  std::vector<double> results(kCells, 0.0);
-  mdp::BatchCheckpoint checkpoint = numbered_checkpoint(journal, results);
-  checkpoint.include = [shard](std::size_t i) { return shard.owns(i); };
-  checkpoint.exclude = [&results](std::size_t i) { results[i] = -1.0; };
-
-  const mdp::BatchReport report = mdp::run_batch(
-      kCells, {}, checkpoint,
-      [&results](std::size_t i, const robust::RunControl&) {
-        results[i] = static_cast<double>(i);
-        return RunStatus::kConverged;
-      },
-      [](std::size_t, RunStatus) {});
-
-  EXPECT_EQ(report.items_excluded, kCells / 2);
-  EXPECT_EQ(report.items_converged, kCells / 2);
-  EXPECT_EQ(report.status, RunStatus::kConverged);
-  for (std::size_t i = 0; i < kCells; ++i) {
-    EXPECT_EQ(results[i], shard.owns(i) ? static_cast<double>(i) : -1.0) << i;
-  }
-  // Only owned cells reach the journal — merging shard journals can never
-  // collide on a key.
-  EXPECT_EQ(journal.appended(), kCells / 2);
-  for (std::size_t i = 0; i < kCells; ++i) {
-    EXPECT_EQ(journal.contains("cell-" + std::to_string(i)), shard.owns(i));
-  }
-}
-
 TEST(CheckpointedBatch, OnlySuccessfulCellsAreJournaled) {
   const std::string path = temp_path("batch_failures.jsonl");
   CheckpointJournal journal(path);
@@ -530,96 +387,6 @@ TEST(CheckpointedBatch, OnlySuccessfulCellsAreJournaled) {
   EXPECT_EQ(journal.appended(), 1u);
   EXPECT_TRUE(journal.contains("cell-0"));
   EXPECT_FALSE(journal.contains("cell-1"));  // a resume retries the failure
-}
-
-// ---------------------------------------------------------------------------
-// Shard supervisor (cheap /bin/sh workers; the real-bench path is covered
-// end-to-end by scripts/check_resume.sh)
-
-robust::WorkerSpawn shell_worker(const std::string& command,
-                                 const std::string& tag) {
-  robust::WorkerSpawn spawn;
-  spawn.argv = {"/bin/sh", "-c", command};
-  spawn.log_path = temp_path("supervisor_" + tag + ".log");
-  spawn.journal_path = temp_path("supervisor_" + tag + ".jsonl");
-  return spawn;
-}
-
-TEST(Supervisor, CleanWorkersCompleteWithoutRestarts) {
-  const std::vector<robust::WorkerSpawn> workers = {
-      shell_worker("exit 0", "clean0"), shell_worker("exit 0", "clean1")};
-  robust::SupervisorOptions options;
-  options.backoff.initial_delay_seconds = 0.01;
-  const robust::SupervisorReport report =
-      robust::supervise_shards(workers, options);
-  EXPECT_TRUE(report.all_completed());
-  EXPECT_EQ(report.total_restarts, 0);
-  EXPECT_FALSE(report.cancelled);
-}
-
-TEST(Supervisor, ZeroRetryBudgetGivesUpAfterFirstCrash) {
-  const std::vector<robust::WorkerSpawn> workers = {
-      shell_worker("exit 7", "zeroretry")};
-  robust::SupervisorOptions options;
-  options.backoff.max_retries = 0;  // never restart
-  options.backoff.initial_delay_seconds = 0.01;
-  const robust::SupervisorReport report =
-      robust::supervise_shards(workers, options);
-  ASSERT_EQ(report.shards.size(), 1u);
-  EXPECT_FALSE(report.all_completed());
-  EXPECT_TRUE(report.shards[0].gave_up);
-  EXPECT_EQ(report.shards[0].restarts, 0);
-  EXPECT_EQ(report.shards[0].last_exit_code, 7);
-  EXPECT_EQ(report.total_restarts, 0);
-}
-
-TEST(Supervisor, RestartsCrashedWorkerUntilItSucceeds) {
-  // First incarnation crashes, the respawn finds the marker and exits 0 —
-  // exactly the journal-backed resume pattern the supervisor exists for.
-  const std::string marker = temp_path("supervisor_marker");
-  const std::vector<robust::WorkerSpawn> workers = {shell_worker(
-      "if [ -f '" + marker + "' ]; then exit 0; else touch '" + marker +
-          "'; exit 1; fi",
-      "restart")};
-  robust::SupervisorOptions options;
-  options.backoff.max_retries = 3;
-  options.backoff.initial_delay_seconds = 0.01;
-  options.backoff.max_delay_seconds = 0.05;
-  const robust::SupervisorReport report =
-      robust::supervise_shards(workers, options);
-  EXPECT_TRUE(report.all_completed());
-  ASSERT_EQ(report.shards.size(), 1u);
-  EXPECT_EQ(report.shards[0].restarts, 1);
-  EXPECT_FALSE(report.shards[0].gave_up);
-  EXPECT_EQ(report.total_restarts, 1);
-  std::remove(marker.c_str());
-}
-
-TEST(Supervisor, CancelTokenStopsLiveWorkers) {
-  const std::vector<robust::WorkerSpawn> workers = {
-      shell_worker("sleep 600", "cancel")};
-  robust::SupervisorOptions options;
-  options.cancel = robust::CancelToken::make();
-  std::thread firer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    options.cancel.request_cancel();
-  });
-  const auto begin = std::chrono::steady_clock::now();
-  const robust::SupervisorReport report =
-      robust::supervise_shards(workers, options);
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-          .count();
-  firer.join();
-  EXPECT_TRUE(report.cancelled);
-  EXPECT_FALSE(report.all_completed());
-  EXPECT_LT(waited, 60.0);  // SIGTERMed the sleeper instead of waiting it out
-}
-
-TEST(Supervisor, SelfExecutablePathIsAbsolute) {
-  const std::string path = robust::self_executable_path("fallback");
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.front(), '/');  // /proc/self/exe resolves on Linux
 }
 
 // ---------------------------------------------------------------------------
@@ -763,16 +530,14 @@ TEST(DomainCheckpoint, VotingBatchResumesBitIdentically) {
   {
     CheckpointJournal journal(path);
     journal.load();
-    computed = counter::run_voting_batch(
-        jobs, {}, {.journal = &journal, .include = nullptr});
+    computed = counter::run_voting_batch(jobs, {}, &journal);
     EXPECT_EQ(journal.appended(), jobs.size());
   }
 
   CheckpointJournal journal(path);
   EXPECT_EQ(journal.load(), jobs.size());
   const std::vector<counter::VotingSimResult> resumed =
-      counter::run_voting_batch(jobs, {},
-                                {.journal = &journal, .include = nullptr});
+      counter::run_voting_batch(jobs, {}, &journal);
   EXPECT_EQ(journal.appended(), 0u);  // nothing recomputed
   ASSERT_EQ(resumed.size(), computed.size());
   for (std::size_t i = 0; i < resumed.size(); ++i) {
@@ -787,36 +552,29 @@ TEST(DomainCheckpoint, VotingBatchResumesBitIdentically) {
 // Every domain batch through mdp::run_cells
 
 /// One domain batch seen through its journal codec. `run` solves the batch
-/// over `cells` and returns each cell's record, built with the domain's own
-/// key and record functions; `stamped(i)` is the record of a default result
-/// stamped kConverged under cell i's key.
+/// against `journal` and returns each cell's record, built with the
+/// domain's own key and record functions.
 struct DomainBatch {
   const char* name;
   std::size_t cells;
-  std::function<std::vector<CheckpointRecord>(const mdp::SweepCells&)> run;
-  std::function<CheckpointRecord(std::size_t)> stamped;
+  std::function<std::vector<CheckpointRecord>(CheckpointJournal*)> run;
 };
 
 template <class Result>
 DomainBatch domain_batch(
     const char* name, std::size_t cells,
-    std::function<std::vector<Result>(const mdp::SweepCells&)> batch,
+    std::function<std::vector<Result>(CheckpointJournal*)> batch,
     std::function<std::string(std::size_t)> key,
     std::function<CheckpointRecord(const std::string&, const Result&)>
         record) {
-  DomainBatch out{name, cells, nullptr, nullptr};
-  out.run = [=](const mdp::SweepCells& sweep) {
-    const std::vector<Result> results = batch(sweep);
+  DomainBatch out{name, cells, nullptr};
+  out.run = [=](CheckpointJournal* journal) {
+    const std::vector<Result> results = batch(journal);
     std::vector<CheckpointRecord> records;
     for (std::size_t i = 0; i < results.size(); ++i) {
       records.push_back(record(key(i), results[i]));
     }
     return records;
-  };
-  out.stamped = [=](std::size_t i) {
-    Result stamped;
-    stamped.status = RunStatus::kConverged;
-    return record(key(i), stamped);
   };
   return out;
 }
@@ -836,8 +594,8 @@ std::vector<DomainBatch> domain_batches() {
   bu_options.persist_policy = true;  // resumed cells must carry policies
   batches.push_back(domain_batch<bu::AnalysisResult>(
       "bu", bu_jobs.size(),
-      [=](const mdp::SweepCells& cells) {
-        return bu::analyze_batch(bu_jobs, bu_options, {}, cells);
+      [=](CheckpointJournal* journal) {
+        return bu::analyze_batch(bu_jobs, bu_options, {}, journal);
       },
       [=](std::size_t i) {
         return bu::analysis_job_key(bu_jobs[i], bu_options);
@@ -853,8 +611,8 @@ std::vector<DomainBatch> domain_batches() {
   }
   batches.push_back(domain_batch<btc::SmResult>(
       "btc", sm_jobs.size(),
-      [=](const mdp::SweepCells& cells) {
-        return btc::analyze_sm_batch(sm_jobs, {}, cells);
+      [=](CheckpointJournal* journal) {
+        return btc::analyze_sm_batch(sm_jobs, {}, journal);
       },
       [=](std::size_t i) { return btc::sm_job_key(sm_jobs[i]); },
       [](const std::string& key, const btc::SmResult& result) {
@@ -877,8 +635,8 @@ std::vector<DomainBatch> domain_batches() {
   }
   batches.push_back(domain_batch<counter::VotingSimResult>(
       "counter", voting_jobs.size(),
-      [=](const mdp::SweepCells& cells) {
-        return counter::run_voting_batch(voting_jobs, {}, cells);
+      [=](CheckpointJournal* journal) {
+        return counter::run_voting_batch(voting_jobs, {}, journal);
       },
       [=](std::size_t i) { return counter::voting_job_key(voting_jobs[i]); },
       counter::voting_record));
@@ -896,9 +654,9 @@ std::vector<DomainBatch> domain_batches() {
   replicas.seed = 7;
   batches.push_back(domain_batch<sim::NetworkResult>(
       "sim", replicas.replicas,
-      [=](const mdp::SweepCells& cells) {
+      [=](CheckpointJournal* journal) {
         sim::ReplicaOptions options = replicas;
-        options.cells = cells;
+        options.journal = journal;
         return sim::run_replicas(network, options).replicas;
       },
       [=](std::size_t i) {
@@ -924,7 +682,7 @@ void expect_same_cell(const CheckpointRecord& got,
   }
 }
 
-TEST(DomainCheckpoint, EveryBatchResumesAndSkipsForeignCells) {
+TEST(DomainCheckpoint, EveryBatchResumes) {
   for (const DomainBatch& batch : domain_batches()) {
     const std::string name = batch.name;
     const std::string path = temp_path("domain_" + name + ".jsonl");
@@ -934,15 +692,14 @@ TEST(DomainCheckpoint, EveryBatchResumesAndSkipsForeignCells) {
     std::vector<CheckpointRecord> computed;
     {
       CheckpointJournal journal(path);
-      computed = batch.run({.journal = &journal, .include = nullptr});
+      computed = batch.run(&journal);
       EXPECT_EQ(journal.appended(), batch.cells) << name;
       ASSERT_TRUE(journal.flush()) << name;
     }
     {
       CheckpointJournal journal(path);
       EXPECT_EQ(journal.load(), batch.cells) << name;
-      const std::vector<CheckpointRecord> resumed =
-          batch.run({.journal = &journal, .include = nullptr});
+      const std::vector<CheckpointRecord> resumed = batch.run(&journal);
       EXPECT_EQ(journal.appended(), 0u) << name;
       ASSERT_EQ(resumed.size(), computed.size()) << name;
       for (std::size_t i = 0; i < resumed.size(); ++i) {
@@ -951,28 +708,7 @@ TEST(DomainCheckpoint, EveryBatchResumesAndSkipsForeignCells) {
                          name + " cell " + std::to_string(i));
       }
     }
-
-    // Shard "even": odd cells are another process's — default-valued,
-    // kConverged, and absent from this journal.
-    const std::string shard_path = temp_path("domain_shard_" + name + ".jsonl");
-    CheckpointJournal journal(shard_path);
-    const std::vector<CheckpointRecord> owned = batch.run(
-        {.journal = &journal,
-         .include = [](std::size_t i) { return i % 2 == 0; }});
-    ASSERT_EQ(owned.size(), batch.cells) << name;
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      const std::string where = name + " cell " + std::to_string(i);
-      if (i % 2 == 0) {
-        expect_same_cell(owned[i], computed[i], where);
-        EXPECT_TRUE(journal.lookup(owned[i].key).has_value()) << where;
-      } else {
-        expect_same_cell(owned[i], batch.stamped(i), where);
-        EXPECT_FALSE(journal.lookup(owned[i].key).has_value()) << where;
-      }
-    }
-    EXPECT_EQ(journal.appended(), (batch.cells + 1) / 2) << name;
     std::remove(path.c_str());
-    std::remove(shard_path.c_str());
   }
 }
 

@@ -1,8 +1,8 @@
-// Tests of cross-process telemetry aggregation (src/obs/telemetry.cpp):
-// metrics-JSON roundtrip through the codec-based reader, the merge
-// rules (counters sum, gauges max, histograms bucket-sum on matching
-// bounds), the TelemetryFlusher's on-disk files, and the merged Chrome
-// trace with one pid lane per worker.
+// Tests of the telemetry directory (src/obs/telemetry.cpp): metrics-JSON
+// roundtrip through the codec-based reader, the merge rules (counters sum,
+// gauges max, histograms bucket-sum on matching bounds), the
+// TelemetryFlusher's on-disk files, and the merged Chrome trace with one
+// pid lane per writing process.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -196,35 +196,30 @@ TEST(Telemetry, FlusherWritesPidStampedFilesAndMergeFindsThem) {
     EXPECT_NE(flusher.metrics_path().find(expected_stem), std::string::npos);
   }
 
-  // Merge sees the worker's flush (no skip: we are "the parent of nobody").
+  // Merge sees the flushed files.
   const obs::TelemetryMergeReport report =
       obs::merge_telemetry_dir(dir.str());
   EXPECT_TRUE(report.errors.empty());
   EXPECT_EQ(report.metrics_files, 1u);
   ASSERT_EQ(report.trace_files.size(), 1u);
   EXPECT_EQ(report.metrics.counters.at("test.flush.cells"), 3u);
-
-  // Self-exclusion: skipping our own pid leaves nothing to merge.
-  const obs::TelemetryMergeReport skipped =
-      obs::merge_telemetry_dir(dir.str(), static_cast<long>(::getpid()));
-  EXPECT_EQ(skipped.metrics_files, 0u);
-  EXPECT_TRUE(skipped.trace_files.empty());
   obs::MetricsRegistry::global().reset();
 }
 
 TEST(Telemetry, MergedChromeTraceHasOnePidLanePerWorker) {
   TempDir dir("trace");
-  // Two fake workers, pid 111 and 222, one event each (the flusher's JSONL
-  // delta format: complete event objects, one per line, pid stamped).
-  write_file(dir.path / "shard-0.111.trace.jsonl",
+  // Two fake daemon incarnations, pid 111 and 222, one event each (the
+  // flusher's JSONL delta format: complete event objects, one per line,
+  // pid stamped).
+  write_file(dir.path / "bvcd.111.trace.jsonl",
              "{\"name\":\"solve\",\"cat\":\"mdp\",\"ph\":\"X\",\"ts\":1.0,"
              "\"dur\":2.0,\"pid\":111,\"tid\":1}\n");
-  write_file(dir.path / "shard-1.222.trace.jsonl",
+  write_file(dir.path / "bvcd.222.trace.jsonl",
              "{\"name\":\"solve\",\"cat\":\"mdp\",\"ph\":\"X\",\"ts\":1.5,"
              "\"dur\":2.5,\"pid\":222,\"tid\":1}\n");
 
   std::ostringstream out;
-  ASSERT_TRUE(obs::write_merged_chrome_trace(out, dir.str(), nullptr, ""));
+  ASSERT_TRUE(obs::write_merged_chrome_trace(out, dir.str()));
   const std::string text = out.str();
   const std::optional<obs::Json> parsed = obs::Json::parse(text);
   ASSERT_TRUE(parsed.has_value()) << text;
@@ -244,21 +239,19 @@ TEST(Telemetry, MergedChromeTraceHasOnePidLanePerWorker) {
   }
   EXPECT_EQ(process_names, 2);
   EXPECT_EQ(worker_events, 2);
-  EXPECT_NE(text.find("shard-0"), std::string::npos);
-  EXPECT_NE(text.find("shard-1"), std::string::npos);
+  EXPECT_NE(text.find("bvcd (pid 111)"), std::string::npos);
+  EXPECT_NE(text.find("bvcd (pid 222)"), std::string::npos);
 }
 
 TEST(Telemetry, MergedChromeTraceEscapesProcessLabels) {
   TempDir dir("labels");
-  // Labels come from --telemetry-label and from file names in the dir;
-  // the fake worker pid is above any real pid_max.
+  // Labels come from file names in the dir; the fake pid is above any real
+  // pid_max.
   write_file(dir.path / "we\"ird\\.4000000000.trace.jsonl",
              "{\"name\":\"solve\",\"cat\":\"mdp\",\"ph\":\"X\",\"ts\":1.0,"
              "\"dur\":2.0,\"pid\":4000000000,\"tid\":1}\n");
-  obs::Tracer own;  // no events: only its process_name row
   std::ostringstream out;
-  ASSERT_TRUE(
-      obs::write_merged_chrome_trace(out, dir.str(), &own, "own\"\\label"));
+  ASSERT_TRUE(obs::write_merged_chrome_trace(out, dir.str()));
   const std::optional<obs::Json> parsed = obs::Json::parse(out.str());
   ASSERT_TRUE(parsed.has_value()) << out.str();
   std::vector<std::string> labels;
@@ -267,8 +260,8 @@ TEST(Telemetry, MergedChromeTraceEscapesProcessLabels) {
       labels.push_back(event.find("args")->string_or("name", ""));
     }
   }
-  EXPECT_EQ(labels, (std::vector<std::string>{"own\"\\label",
-                                              "we\"ird\\ (pid 4000000000)"}));
+  EXPECT_EQ(labels,
+            (std::vector<std::string>{"we\"ird\\ (pid 4000000000)"}));
 }
 
 }  // namespace
