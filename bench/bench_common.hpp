@@ -28,9 +28,11 @@ namespace bvc::bench {
 /// The flag vocabulary every bench binary shares, declared once for
 /// util::ArgParser. Split into the groups the helpers below consume:
 /// budget (run_control_from_args), batch (batch_config_from_args), csv
-/// (open_csv), and obs (ObsSession). add_standard_bench_args is the union;
-/// benches that wrap a SweepSession also call add_sweep_args
-/// (bench/sweep_session.hpp). Per-bench flags are add()ed at each main.
+/// (open_csv), and obs (ObsSession). add_standard_bench_args is the union
+/// of all but csv: only the benches that call open_csv declare --csv, so
+/// the others reject it instead of ignoring it. Benches that wrap a
+/// SweepSession also call add_sweep_args (bench/sweep_session.hpp).
+/// Per-bench flags are add()ed at each main.
 
 inline void add_budget_args(util::ArgParser& parser) {
   parser.add({
@@ -87,7 +89,6 @@ inline void add_obs_args(util::ArgParser& parser) {
 
 inline void add_standard_bench_args(util::ArgParser& parser) {
   add_batch_args(parser);
-  add_csv_args(parser);
   add_obs_args(parser);
 }
 

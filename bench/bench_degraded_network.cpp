@@ -93,6 +93,7 @@ double mean_counter(const sim::ReplicaSetResult& set,
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_degraded_network", "Consensus damage under message loss/delay/duplication");
   bench::add_standard_bench_args(parser);
+  bench::add_csv_args(parser);
   bench::add_sweep_args(parser);
   parser.add({
       {"blocks", util::ArgType::kLong, "N", "simulated blocks per cell", "20000"},

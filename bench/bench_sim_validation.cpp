@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   util::ArgParser parser("bench_sim_validation",
                          "Event-driven simulator vs closed-form predictions");
   bench::add_standard_bench_args(parser);
+  bench::add_csv_args(parser);
   parser.add({
       {"blocks", util::ArgType::kLong, "N", "blocks per replica", "4000"},
       {"replicas", util::ArgType::kLong, "N",

@@ -46,8 +46,9 @@ bu::AttackParams grid_params(bu::Setting setting) {
 }
 
 /// State-space enumeration + Model build for one cell (Arg: the setting,
-/// 1 or 2). The ModelCache holds the cell after the first iteration, so
-/// this is the cost a warm analyze() skips.
+/// 1 or 2). The ModelCache holds the rule set's template after the first
+/// iteration, so this is the enumeration a warm analyze() skips (it pays
+/// only the template's per-cell instantiation).
 void BM_BuildAttackModel(benchmark::State& state) {
   const bu::AttackParams params = grid_params(
       state.range(0) == 2 ? bu::Setting::kStickyGate

@@ -27,6 +27,7 @@ struct Row {
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_table4", "Reproduce Table 4: orphaned blocks per Alice block (u3)");
   bench::add_standard_bench_args(parser);
+  bench::add_csv_args(parser);
   bench::add_sweep_args(parser);
   parser.add({
       {"quick", util::ArgType::kFlag, "", "solve the reduced grid only", ""},

@@ -4,7 +4,9 @@
 # kernel the host dispatches to. bench_table3 and bench_table4 run twice,
 # once with the vector kernels forced off (BVC_KERNEL=scalar, the path
 # every CPU without AVX2 takes) and once under default dispatch; stdout and
-# the --csv output must be byte-identical between the two runs.
+# the --csv output must be byte-identical between the two runs. The
+# default-dispatch CSV must also equal the reproduced values the benchmark
+# checks against (perfbench/reference/table3.txt and table4.txt, read only).
 #
 # On a host without AVX2 both runs take the scalar path and the check
 # passes trivially. Takes about 10 s on 4 cores.
@@ -47,10 +49,17 @@ for table in table3 table4; do
       status=1
     fi
   done
+  reference="$repo/perfbench/reference/$table.txt"
+  if ! cmp -s "$reference" "$out/$table.default.csv"; then
+    echo "check_isa_identity.sh: bench_$table CSV differs from" \
+      "$reference:" >&2
+    diff "$reference" "$out/$table.default.csv" >&2 || true
+    status=1
+  fi
 done
 
 if [[ "$status" -eq 0 ]]; then
   echo "check_isa_identity.sh: bench_table3/4 stdout and CSV identical" \
-    "under scalar and default dispatch"
+    "under scalar and default dispatch, CSV equal to perfbench/reference"
 fi
 exit "$status"

@@ -1,11 +1,13 @@
 #include "btc/selfish_mining.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 #include <utility>
 
 #include "mdp/model_cache.hpp"
+#include "mdp/model_template.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -73,10 +75,21 @@ SmState SmStateSpace::state(mdp::StateId id) const {
   return s;
 }
 
-std::string sm_model_cache_key(const SmParams& params, bu::Utility utility) {
+namespace {
+
+/// The key of the cell `params` or, without its shares, of its rule set
+/// (the template key), which keeps whether gamma_tie is above 0 and below 1
+/// because that decides the tie branches.
+std::string sm_key(const SmParams& params, bu::Utility utility,
+                   bool with_shares) {
   std::string key = "btc_sm";
-  mdp::append_key(key, "alpha", params.alpha);
-  mdp::append_key(key, "gamma_tie", params.gamma_tie);
+  if (with_shares) {
+    mdp::append_key(key, "alpha", params.alpha);
+    mdp::append_key(key, "gamma_tie", params.gamma_tie);
+  } else {
+    mdp::append_key(key, "tie_to_attacker", params.gamma_tie > 0.0);
+    mdp::append_key(key, "tie_to_honest", params.gamma_tie < 1.0);
+  }
   mdp::append_key(key, "max_len", static_cast<std::int64_t>(params.max_len));
   mdp::append_key(key, "confirmations",
                   static_cast<std::int64_t>(params.confirmations));
@@ -85,20 +98,37 @@ std::string sm_model_cache_key(const SmParams& params, bu::Utility utility) {
   return key;
 }
 
-namespace {
+/// The selfish-mining templates' probability symbols (symbol_values).
+enum SmSymbol : mdp::Symbol {
+  kAttackerBlock,   ///< alpha
+  kHonestBlock,     ///< 1 - alpha
+  kTieToAttacker,   ///< gamma_tie (1 - alpha): honest block on Alice's branch
+  kTieToHonest,     ///< (1 - gamma_tie)(1 - alpha)
+  kNumSmSymbols,
+};
 
-/// The one builder loop: the selfish-mining(+double-spending) model of
-/// `utility` over the (a, h, fork) grid of `params`.
-mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
-  obs::Span span("btc.build", "btc");
-  const SmStateSpace space(params.max_len);
-  mdp::ModelBuilder builder(space.size());
-
+std::array<double, kNumSmSymbols> symbol_values(const SmParams& params) {
   const double alpha = params.alpha;
   const double gamma = params.gamma_tie;
+  return {alpha, 1.0 - alpha, gamma * (1.0 - alpha),
+          (1.0 - gamma) * (1.0 - alpha)};
+}
+
+/// The one builder loop: the selfish-mining(+double-spending) model of
+/// `utility` over the (a, h, fork) grid of `params`, handed to `builder`
+/// (an mdp::TemplateBuilder or an mdp::CellModelBuilder) and built. The
+/// shares enter only as SmSymbols, and gamma_tie only through which tie
+/// branches exist (a share of exactly 0 or 1 drops one).
+template <typename Builder>
+auto enumerate(const SmParams& params, bu::Utility utility, Builder builder) {
+  obs::Span span("btc.build", "btc");
+  const SmStateSpace space(params.max_len);
+
+  const bool tie_to_attacker = params.gamma_tie > 0.0;
+  const bool tie_to_honest = params.gamma_tie < 1.0;
   const unsigned cap = params.max_len;
 
-  const auto emit = [&](mdp::ModelBuilder& b, const SmState& next, double p,
+  const auto emit = [&](Builder& b, const SmState& next, SmSymbol p,
                         const bu::Deltas& deltas) {
     const auto [num, den] = bu::utility_increments(utility, deltas);
     b.add_outcome(space.index(next), p, num, den);
@@ -121,8 +151,8 @@ mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
       bu::Deltas d;
       d.others_locked = s.h;
       d.alice_orphaned = s.a;
-      emit(builder, SmState{1, 0, Fork::kIrrelevant}, alpha, d);
-      emit(builder, SmState{0, 1, Fork::kRelevant}, 1.0 - alpha, d);
+      emit(builder, SmState{1, 0, Fork::kIrrelevant}, kAttackerBlock, d);
+      emit(builder, SmState{0, 1, Fork::kRelevant}, kHonestBlock, d);
     }
     if (can_override) {
       builder.begin_action(id,
@@ -135,8 +165,8 @@ mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
       emit(builder,
            SmState{static_cast<std::uint16_t>(rest + 1), 0,
                    Fork::kIrrelevant},
-           alpha, d);
-      emit(builder, SmState{rest, 1, Fork::kRelevant}, 1.0 - alpha, d);
+           kAttackerBlock, d);
+      emit(builder, SmState{rest, 1, Fork::kRelevant}, kHonestBlock, d);
     }
     if (can_match) {
       builder.begin_action(id,
@@ -145,8 +175,8 @@ mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
       // splits. The new block decides who profits.
       emit(builder,
            SmState{static_cast<std::uint16_t>(s.a + 1), s.h, Fork::kActive},
-           alpha, bu::Deltas{});
-      if (gamma > 0.0) {
+           kAttackerBlock, bu::Deltas{});
+      if (tie_to_attacker) {
         bu::Deltas d;
         // The published attacker prefix wins and locks; the honest block
         // mined on top of it stays in flight as the successor state's
@@ -157,13 +187,13 @@ mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
         emit(builder,
              SmState{static_cast<std::uint16_t>(s.a - s.h), 1,
                      Fork::kRelevant},
-             gamma * (1.0 - alpha), d);
+             kTieToAttacker, d);
       }
-      if (gamma < 1.0) {
+      if (tie_to_honest) {
         emit(builder,
              SmState{s.a, static_cast<std::uint16_t>(s.h + 1),
                      Fork::kRelevant},
-             (1.0 - gamma) * (1.0 - alpha), bu::Deltas{});
+             kTieToHonest, bu::Deltas{});
       }
     }
     if (can_wait) {
@@ -172,8 +202,8 @@ mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
       if (s.fork == Fork::kActive) {
         emit(builder,
              SmState{static_cast<std::uint16_t>(s.a + 1), s.h, Fork::kActive},
-             alpha, bu::Deltas{});
-        if (gamma > 0.0) {
+             kAttackerBlock, bu::Deltas{});
+        if (tie_to_attacker) {
           bu::Deltas d;
           d.alice_locked = s.h;  // new honest block stays in flight (h = 1)
           d.others_orphaned = s.h;
@@ -181,23 +211,23 @@ mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
           emit(builder,
                SmState{static_cast<std::uint16_t>(s.a - s.h), 1,
                        Fork::kRelevant},
-               gamma * (1.0 - alpha), d);
+               kTieToAttacker, d);
         }
-        if (gamma < 1.0) {
+        if (tie_to_honest) {
           emit(builder,
                SmState{s.a, static_cast<std::uint16_t>(s.h + 1),
                        Fork::kRelevant},
-               (1.0 - gamma) * (1.0 - alpha), bu::Deltas{});
+               kTieToHonest, bu::Deltas{});
         }
       } else {
         emit(builder,
              SmState{static_cast<std::uint16_t>(s.a + 1), s.h,
                      Fork::kIrrelevant},
-             alpha, bu::Deltas{});
+             kAttackerBlock, bu::Deltas{});
         emit(builder,
              SmState{s.a, static_cast<std::uint16_t>(s.h + 1),
                      Fork::kRelevant},
-             1.0 - alpha, bu::Deltas{});
+             kHonestBlock, bu::Deltas{});
       }
     }
 
@@ -207,40 +237,50 @@ mdp::Model enumerate(const SmParams& params, bu::Utility utility) {
       // model stays well-formed.
       builder.begin_action(id, static_cast<mdp::ActionLabel>(SmAction::kAdopt));
       builder.add_outcome(space.index(SmState{0, 1, Fork::kRelevant}),
-                          1.0 - alpha, 0.0, 0.0);
+                          kHonestBlock, 0.0, 0.0);
       builder.add_outcome(space.index(SmState{1, 0, Fork::kIrrelevant}),
-                          alpha, 0.0, 0.0);
+                          kAttackerBlock, 0.0, 0.0);
     }
   }
 
-  mdp::Model model = builder.build();
-  span.arg("states", static_cast<std::int64_t>(model.num_states()));
-  span.arg("outcomes", static_cast<std::int64_t>(model.num_outcomes()));
-  return model;
+  auto built = builder.build();
+  span.arg("states", static_cast<std::int64_t>(built.num_states()));
+  span.arg("outcomes", static_cast<std::int64_t>(built.num_outcomes()));
+  return built;
 }
 
 }  // namespace
 
+std::string sm_model_cache_key(const SmParams& params, bu::Utility utility) {
+  return sm_key(params, utility, true);
+}
+
 SmModel build_sm_model(const SmParams& params, bu::Utility utility) {
-  params.validate();
-  mdp::Model model = enumerate(params, utility);
   std::shared_ptr<const mdp::CompiledModel> compiled =
-      mdp::ModelCache::global().get_or_compile(
-          sm_model_cache_key(params, utility),
-          [&] { return mdp::CompiledModel::compile_shared(model); });
-  return SmModel{SmStateSpace(params.max_len), std::move(model),
-                 std::move(compiled), params, utility};
+      sm_model_compiled(params, utility);
+  const SmStateSpace space(params.max_len);
+  const auto values = symbol_values(params);
+  mdp::Model model = enumerate(params, utility,
+                               mdp::CellModelBuilder(space.size(), values));
+  return SmModel{space, std::move(model), std::move(compiled), params,
+                 utility};
 }
 
 std::shared_ptr<const mdp::CompiledModel> sm_model_compiled(
     const SmParams& params, bu::Utility utility) {
   params.validate();
-  // Cache-first, like bu::attack_model_compiled: enumerate only on a miss
-  // in both cache tiers.
-  return mdp::ModelCache::global().get_or_compile(
-      sm_model_cache_key(params, utility), [&] {
-        return mdp::CompiledModel::compile_shared(enumerate(params, utility));
-      });
+  // Cache-first, like bu::attack_model_compiled: enumerate only on a
+  // template miss.
+  const std::shared_ptr<const mdp::ModelTemplate> rules =
+      mdp::ModelCache::global().get_or_build(
+          sm_key(params, utility, false), [&] {
+            return enumerate(params, utility,
+                             mdp::TemplateBuilder(
+                                 SmStateSpace(params.max_len).size(),
+                                 kNumSmSymbols));
+          });
+  return std::make_shared<const mdp::CompiledModel>(
+      rules->instantiate(symbol_values(params)));
 }
 
 SmAction policy_action(const SmModel& model, const mdp::Policy& policy,

@@ -77,14 +77,16 @@ class SmStateSpace {
 struct SmModel {
   SmStateSpace space;
   mdp::Model model;
-  /// Shared SoA compilation from mdp::ModelCache::global(), populated by
-  /// build_sm_model; the same entry analyze_sm sweeps.
+  /// SoA compilation of `model`, instantiated from the rule set's template
+  /// in mdp::ModelCache::global(); what analyze_sm sweeps.
   std::shared_ptr<const mdp::CompiledModel> compiled;
   SmParams params;
   bu::Utility utility;
 };
 
-/// Canonical ModelCache key for (params, utility).
+/// Canonical key of the cell (params, utility), for journals. The
+/// ModelCache template key drops alpha and gamma_tie but keeps whether
+/// gamma_tie is above 0 and below 1, which decides the tie branches.
 [[nodiscard]] std::string sm_model_cache_key(const SmParams& params,
                                              bu::Utility utility);
 
@@ -97,9 +99,10 @@ struct SmModel {
                                      bu::Utility utility);
 
 /// The compiled model of (params, utility), cache-first: one
-/// ModelCache::global() lookup under sm_model_cache_key, which enumerates
-/// and compiles the model only when both cache tiers miss. What analyze_sm
-/// solves on. Throws on invalid params before touching the cache.
+/// ModelCache::global() lookup of the rule set's template, which
+/// enumerates only on a miss, then one per-call instantiation with the
+/// cell's shares. What analyze_sm solves on. Throws on invalid params
+/// before touching the cache.
 [[nodiscard]] std::shared_ptr<const mdp::CompiledModel> sm_model_compiled(
     const SmParams& params, bu::Utility utility);
 
@@ -127,7 +130,7 @@ struct SmResult : mdp::SolveReport {
                                              unsigned limit = 8);
 
 /// Solves the model to `tolerance` on the utility value, on the cell's
-/// sm_model_compiled() entry (a cached cell is not re-enumerated).
+/// sm_model_compiled() model (a cached rule set is not re-enumerated).
 /// `control` bounds and/or cancels the whole solve (see robust::RunControl).
 [[nodiscard]] SmResult analyze_sm(const SmParams& params, bu::Utility utility,
                                   double tolerance = 1e-5,

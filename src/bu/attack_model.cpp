@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "mdp/model_cache.hpp"
+#include "mdp/model_template.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -86,15 +87,52 @@ void AttackParams::validate() const {
   BVC_REQUIRE(rds >= 0.0, "double-spend value must be non-negative");
 }
 
+namespace {
+
+/// The attack templates' probability symbols: every event probability of a
+/// cell is one of these five numbers (symbol_values).
+enum EventSymbol : mdp::Symbol {
+  kAlphaShare,
+  kBetaShare,
+  kGammaShare,
+  kBetaIdleShare,   ///< Bob's share while Alice waits
+  kGammaIdleShare,  ///< Carol's share while Alice waits
+  kNumEventSymbols,
+};
+
+using SymbolValues = std::array<double, kNumEventSymbols>;
+
+SymbolValues symbol_values(const AttackParams& params) {
+  // Under Wait Alice idles: the next block is Bob's or Carol's, with
+  // probabilities proportional to their power.
+  const double total = params.beta + params.gamma;
+  return {params.alpha, params.beta, params.gamma, params.beta / total,
+          params.gamma / total};
+}
+
+/// The symbol of `event`'s probability under `action`; kNumEventSymbols
+/// when the event cannot happen (Alice finds no block while waiting).
+mdp::Symbol event_symbol(Action action, Event event) {
+  const auto index = static_cast<mdp::Symbol>(event);
+  if (action != Action::kWait) {
+    return index;
+  }
+  return event == Event::kAliceBlock
+             ? mdp::Symbol{kNumEventSymbols}
+             : static_cast<mdp::Symbol>(kBetaIdleShare + index - 1);
+}
+
+}  // namespace
+
 std::array<double, 3> event_probabilities(const AttackParams& params,
                                           Action action) {
-  if (action == Action::kWait) {
-    // Alice idles: the next block is Bob's or Carol's, with probabilities
-    // proportional to their power.
-    const double total = params.beta + params.gamma;
-    return {0.0, params.beta / total, params.gamma / total};
+  const SymbolValues values = symbol_values(params);
+  std::array<double, 3> probs{};
+  for (std::size_t e = 0; e < probs.size(); ++e) {
+    const mdp::Symbol symbol = event_symbol(action, static_cast<Event>(e));
+    probs[e] = symbol < kNumEventSymbols ? values[symbol] : 0.0;
   }
-  return {params.alpha, params.beta, params.gamma};
+  return probs;
 }
 
 std::span<const Action> available_actions(const AttackParams& params,
@@ -237,13 +275,18 @@ StepResult apply_event(const AttackParams& params, const AttackState& state,
   return result;
 }
 
-std::string attack_model_cache_key(const AttackParams& params,
-                                   Utility utility) {
-  const AttackParams effective = effective_params(params, utility);
+namespace {
+
+/// The key of the cell `effective` or, without its shares, of its rule set
+/// (the template key).
+std::string attack_key(const AttackParams& effective, Utility utility,
+                       bool with_shares) {
   std::string key = "bu_attack";
-  mdp::append_key(key, "alpha", effective.alpha);
-  mdp::append_key(key, "beta", effective.beta);
-  mdp::append_key(key, "gamma", effective.gamma);
+  if (with_shares) {
+    mdp::append_key(key, "alpha", effective.alpha);
+    mdp::append_key(key, "beta", effective.beta);
+    mdp::append_key(key, "gamma", effective.gamma);
+  }
   mdp::append_key(key, "ad", static_cast<std::int64_t>(effective.ad));
   mdp::append_key(key, "ad_carol",
                   static_cast<std::int64_t>(effective.ad_carol));
@@ -261,73 +304,70 @@ std::string attack_model_cache_key(const AttackParams& params,
   return key;
 }
 
-namespace {
-
-struct Enumerated {
-  StateSpace space;
-  mdp::Model model;
-};
-
-/// The one builder loop: enumerates the state space of `effective` and
-/// the authoring model of `utility` over it.
-Enumerated enumerate(const AttackParams& effective, Utility utility) {
+/// The one builder loop: hands every (state, action, event) branch of
+/// `effective` under `utility` to `builder` (an mdp::TemplateBuilder or an
+/// mdp::CellModelBuilder) and builds. The shares never enter the loop:
+/// every branch's probability is its event_symbol.
+template <typename Builder>
+auto enumerate(const AttackParams& effective, Utility utility,
+               const StateSpace& space, Builder builder) {
   obs::Span span("bu.build", "bu");
-  StateSpace space(effective.max_ad(), effective.max_r());
-  mdp::ModelBuilder builder(space.size());
-
   for (mdp::StateId id = 0; id < space.size(); ++id) {
     const AttackState& state = space.state(id);
     for (const Action action : available_actions(effective, state)) {
       builder.begin_action(id, static_cast<mdp::ActionLabel>(action));
-      const std::array<double, 3> probs =
-          event_probabilities(effective, action);
       for (const Event event :
            {Event::kAliceBlock, Event::kBobBlock, Event::kCarolBlock}) {
-        const double p = probs[static_cast<std::size_t>(event)];
-        if (p <= 0.0) {
+        const mdp::Symbol symbol = event_symbol(action, event);
+        if (symbol == kNumEventSymbols) {
           continue;
         }
-        const StepResult step =
-            apply_event(effective, state, action, event);
+        const StepResult step = apply_event(effective, state, action, event);
         const auto [num, den] = utility_increments(utility, step.deltas);
-        builder.add_outcome(space.index(step.next), p, num, den);
+        builder.add_outcome(space.index(step.next), symbol, num, den);
       }
     }
   }
-
-  mdp::Model model = builder.build();
-  span.arg("states", static_cast<std::int64_t>(model.num_states()));
-  span.arg("outcomes", static_cast<std::int64_t>(model.num_outcomes()));
-  return Enumerated{std::move(space), std::move(model)};
+  auto built = builder.build();
+  span.arg("states", static_cast<std::int64_t>(built.num_states()));
+  span.arg("outcomes", static_cast<std::int64_t>(built.num_outcomes()));
+  return built;
 }
 
 }  // namespace
 
+std::string attack_model_cache_key(const AttackParams& params,
+                                   Utility utility) {
+  return attack_key(effective_params(params, utility), utility, true);
+}
+
 std::shared_ptr<const mdp::CompiledModel> attack_model_compiled(
     const AttackParams& params, Utility utility) {
   params.validate();
-  // Cache-first: the state space is enumerated only inside the fill, i.e.
-  // when both the memory and the disk tier miss.
-  return mdp::ModelCache::global().get_or_compile(
-      attack_model_cache_key(params, utility), [&] {
-        return mdp::CompiledModel::compile_shared(
-            enumerate(effective_params(params, utility), utility).model);
-      });
+  const AttackParams effective = effective_params(params, utility);
+  // Cache-first: the state space is enumerated only on a template miss.
+  const std::shared_ptr<const mdp::ModelTemplate> rules =
+      mdp::ModelCache::global().get_or_build(
+          attack_key(effective, utility, false), [&] {
+            const StateSpace space(effective.max_ad(), effective.max_r());
+            return enumerate(
+                effective, utility, space,
+                mdp::TemplateBuilder(space.size(), kNumEventSymbols));
+          });
+  return std::make_shared<const mdp::CompiledModel>(
+      rules->instantiate(symbol_values(effective)));
 }
 
 AttackModel build_attack_model(const AttackParams& params, Utility utility) {
-  params.validate();
-  const AttackParams effective = effective_params(params, utility);
-  Enumerated built = enumerate(effective, utility);
-  // The compilation is content-addressed: every build of the same effective
-  // (params, utility) cell shares one immutable SoA model, so batch workers
-  // and repeated table cells never recompile.
   std::shared_ptr<const mdp::CompiledModel> compiled =
-      mdp::ModelCache::global().get_or_compile(
-          attack_model_cache_key(params, utility),
-          [&] { return mdp::CompiledModel::compile_shared(built.model); });
-  return AttackModel{std::move(built.space), std::move(built.model),
-                     std::move(compiled), effective, utility};
+      attack_model_compiled(params, utility);
+  const AttackParams effective = effective_params(params, utility);
+  const SymbolValues values = symbol_values(effective);
+  StateSpace space(effective.max_ad(), effective.max_r());
+  mdp::Model model = enumerate(effective, utility, space,
+                               mdp::CellModelBuilder(space.size(), values));
+  return AttackModel{std::move(space), std::move(model), std::move(compiled),
+                     effective, utility};
 }
 
 }  // namespace bvc::bu

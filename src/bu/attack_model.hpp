@@ -162,35 +162,37 @@ struct StepResult {
 struct AttackModel {
   StateSpace space;
   mdp::Model model;
-  /// Shared SoA compilation of `model`, fetched from
-  /// mdp::ModelCache::global() by build_attack_model — the layout the
-  /// solvers sweep. Identical (params, utility) cells across tables,
-  /// retries, and batch workers share one immutable entry.
+  /// SoA compilation of `model` — the layout the solvers sweep —
+  /// instantiated from the rule set's template in mdp::ModelCache::global(),
+  /// so its index columns are shared with every cell of the rule set.
   std::shared_ptr<const mdp::CompiledModel> compiled;
   AttackParams params;
   Utility utility;
 };
 
-/// Canonical ModelCache key for (params, utility): encodes every input that
-/// shapes the built model, with builder-side normalizations (kOrphaning
-/// forcing allow_wait) already applied, so equivalent parameter structs map
-/// to the same entry.
+/// Canonical key of the cell (params, utility), for journals and job
+/// records: encodes every input that shapes the built model, with
+/// builder-side normalizations (kOrphaning forcing allow_wait) already
+/// applied, so equivalent parameter structs map to the same key. The
+/// ModelCache template key is this key without alpha, beta and gamma.
 [[nodiscard]] std::string attack_model_cache_key(const AttackParams& params,
                                                  Utility utility);
 
 /// Builds the sparse MDP for `params` under `utility`. The model's primary
 /// reward stream is the utility numerator, the secondary stream the
-/// denominator; `compiled` is populated through the global ModelCache.
-/// For callers that need the state space (rollouts, policy dumps,
-/// simulators): it always enumerates, even when the cache holds the cell.
+/// denominator; `compiled` is attack_model_compiled's. For callers that
+/// need the state space or the authoring Model (rollouts, policy dumps,
+/// simulators): it always enumerates the cell's Model, even when the cache
+/// holds the rule set's template.
 [[nodiscard]] AttackModel build_attack_model(const AttackParams& params,
                                              Utility utility);
 
 /// The compiled model of (params, utility), cache-first: one
-/// ModelCache::global() lookup under attack_model_cache_key, which
-/// enumerates and compiles the model only when both cache tiers miss. What
-/// analyze(params, ...) solves on. Throws on invalid params before touching
-/// the cache.
+/// ModelCache::global() lookup of the rule set's template, which
+/// enumerates the state space only on a miss, then one per-call
+/// ModelTemplate::instantiate with the cell's shares (the compiled model
+/// itself is never cached). What analyze(params, ...) solves on. Throws on
+/// invalid params before touching the cache.
 [[nodiscard]] std::shared_ptr<const mdp::CompiledModel> attack_model_compiled(
     const AttackParams& params, Utility utility);
 

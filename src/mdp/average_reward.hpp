@@ -70,8 +70,8 @@ struct GainResult : SolveReport {
 /// The CompiledModel overloads are the real solver (the sweep runs on the
 /// SoA kernel layout); the Model overloads compile on entry and forward,
 /// producing bit-identical results. Callers that solve one model repeatedly
-/// (ratio iterations, batch sweeps) should compile once — or fetch the
-/// compilation from mdp::ModelCache — and call the compiled overloads.
+/// (ratio iterations, batch sweeps) should compile once — or instantiate
+/// it from a cached mdp::ModelTemplate — and call the compiled overloads.
 [[nodiscard]] GainResult maximize_average_reward(
     const CompiledModel& model, std::span<const double> sa_rewards,
     const AverageRewardKnobs& options = {},

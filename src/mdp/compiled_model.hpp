@@ -12,11 +12,20 @@
 // CompiledModel is the same CSR-like structure flattened into parallel
 // scalar arrays (state_begin / outcome_begin index arrays, and next / prob /
 // reward / weight outcome columns), with unchecked inline accessors. All
-// four solvers (average_reward, ratio, discounted, policy_iteration) and
-// rollout_model sweep this layout; the Model overloads compile on entry and
-// forward. Compilation preserves action and outcome ORDER exactly, and the
-// solvers keep the seed's expression order, so every result is bit-identical
-// to sweeping the Model directly.
+// three solvers (average_reward, ratio, policy_iteration) and rollout_model
+// sweep this layout; the Model overloads compile on entry and forward.
+// Compilation preserves action and outcome ORDER exactly, and the solvers
+// keep the seed's expression order, so every result is bit-identical to
+// sweeping the Model directly.
+//
+// The columns come in two kinds. The INDEX columns (state_begin,
+// action_labels, outcome_begin, next and the ELL next mirror, in
+// IndexColumns) say where every branch goes; the VALUE columns (prob,
+// reward, weight, the expectations, the ELL prob mirror and its codes) say
+// how likely and how rewarding it is. An attack model's index depends only
+// on its rule set, so every cell of a rule set shares one IndexColumns
+// through its ModelTemplate (model_template.hpp), and a CompiledModel holds
+// it by shared_ptr next to its own value columns.
 //
 // Since PR 8 the columns are 64-byte-aligned allocations
 // (util::AlignedVector) and, when every action's outcome list is short
@@ -26,11 +35,10 @@
 // action sa, zero-padded past the action's real outcomes. Padding entries
 // have prob == 0.0 and next == 0, so accumulating them adds exactly 0.0
 // and the vector kernel can run fixed-width lanes without masking. The
-// scalar CSR columns remain authoritative; the ELL mirror is rebuilt (not
-// stored) when a model is deserialized from the cache disk tier. On
-// multi-node machines the big columns are interleaved across NUMA nodes
-// at build/load time (util/numa.hpp) — every concurrent solve streams every
-// column, so round-robin pages balance the memory channels.
+// scalar CSR columns remain authoritative. On multi-node machines the big
+// columns are interleaved across NUMA nodes when they are built
+// (util/numa.hpp) — every concurrent solve streams every column, so
+// round-robin pages balance the memory channels.
 //
 // The mirror's probabilities take very few distinct values: an attack
 // model's outcomes happen with probability alpha, beta, gamma, a pairwise
@@ -53,9 +61,10 @@
 // evaluation builds one per solve and sweeps it with
 // kernel::rvi_eval_sweep; it copies its rows' codes from the mirror.
 //
-// CompiledModel is immutable after compile() and safe to share across
-// threads by const reference — mdp::ModelCache (model_cache.hpp) hands out
-// shared_ptr<const CompiledModel> on exactly that basis.
+// CompiledModel is immutable once built (by compile() or
+// ModelTemplate::instantiate) and safe to share across threads by const
+// reference; its IndexColumns are immutable too, which is what lets the
+// cells of one template share them.
 #pragma once
 
 #include <cstddef>
@@ -70,54 +79,79 @@
 
 namespace bvc::mdp {
 
+/// The index columns of a compiled model (see the file comment): which
+/// actions each state offers and where each action's outcomes lead, plus
+/// the ELL layout of those outcomes. Built once per ModelTemplate, or per
+/// compile(), and immutable after finalize().
+struct IndexColumns {
+  // state s owns flat actions [state_begin[s], state_begin[s+1])
+  util::AlignedVector<SaIndex> state_begin;
+  util::AlignedVector<ActionLabel> action_labels;
+  // flat action sa owns outcome rows [outcome_begin[sa], outcome_begin[sa+1])
+  util::AlignedVector<std::size_t> outcome_begin;
+  util::AlignedVector<StateId> next;
+  // derived by finalize(): the common action count (0 if ragged) and the
+  // ELL layout, empty when the policy rejects the model
+  std::size_t uniform_actions = 0;
+  std::size_t ell_width = 0;
+  std::size_t ell_stride = 0;
+  util::AlignedVector<StateId> ell_next;
+
+  /// Derives uniform_actions and the ELL next mirror from the CSR columns,
+  /// then interleaves the big columns across NUMA nodes.
+  void finalize();
+  /// Aligned bytes of the columns (see CompiledModel::bytes_resident).
+  [[nodiscard]] std::size_t bytes_resident() const noexcept;
+};
+
 class CompiledModel {
  public:
-  /// Flattens `model` into the SoA layout.
+  /// Flattens `model` into the SoA layout, with an index of its own.
   [[nodiscard]] static CompiledModel compile(const Model& model);
 
-  /// compile() wrapped in a shared_ptr — the shape ModelCache stores.
-  [[nodiscard]] static std::shared_ptr<const CompiledModel> compile_shared(
-      const Model& model);
-
   [[nodiscard]] StateId num_states() const noexcept {
-    return static_cast<StateId>(state_begin_.size() - 1);
+    return static_cast<StateId>(index_->state_begin.size() - 1);
   }
   [[nodiscard]] std::size_t num_state_actions() const noexcept {
-    return action_labels_.size();
+    return index_->action_labels.size();
   }
   [[nodiscard]] std::size_t num_outcomes() const noexcept {
-    return next_.size();
+    return index_->next.size();
   }
 
   // Unchecked structural accessors (the hot-loop interface). Indices are
   // validated once at the solver entry points, not per access.
   [[nodiscard]] SaIndex state_begin(StateId s) const noexcept {
-    return state_begin_[s];
+    return index_->state_begin[s];
   }
   [[nodiscard]] std::size_t num_actions(StateId s) const noexcept {
-    return state_begin_[s + 1] - state_begin_[s];
+    return index_->state_begin[s + 1] - index_->state_begin[s];
   }
   /// When every state has the same action count, that count; 0 for ragged
   /// models. Lets kernels select fixed-width per-state code (the paper's
   /// attack models are uniform: every state offers the same action menu).
   [[nodiscard]] std::size_t uniform_actions() const noexcept {
-    return uniform_actions_;
+    return index_->uniform_actions;
   }
   [[nodiscard]] SaIndex sa_index(StateId s, std::size_t a) const noexcept {
-    return state_begin_[s] + a;
+    return index_->state_begin[s] + a;
   }
   [[nodiscard]] ActionLabel action_label(SaIndex sa) const noexcept {
-    return action_labels_[sa];
+    return index_->action_labels[sa];
   }
   [[nodiscard]] std::size_t outcome_begin(SaIndex sa) const noexcept {
-    return outcome_begin_[sa];
+    return index_->outcome_begin[sa];
   }
   [[nodiscard]] std::size_t outcome_end(SaIndex sa) const noexcept {
-    return outcome_begin_[sa + 1];
+    return index_->outcome_begin[sa + 1];
   }
+  /// The index columns, shared by every model of one template.
+  [[nodiscard]] const IndexColumns& index() const noexcept { return *index_; }
 
   // Outcome columns, indexed by [outcome_begin(sa), outcome_end(sa)).
-  [[nodiscard]] const StateId* next() const noexcept { return next_.data(); }
+  [[nodiscard]] const StateId* next() const noexcept {
+    return index_->next.data();
+  }
   [[nodiscard]] const double* prob() const noexcept { return prob_.data(); }
   [[nodiscard]] const double* reward() const noexcept {
     return reward_.data();
@@ -150,14 +184,20 @@ class CompiledModel {
   // num_state_actions() up to ell_stride() likewise, so full-width vector
   // loads at any sa < num_state_actions() are in-bounds and padding terms
   // accumulate as exact zeros.
-  [[nodiscard]] bool has_ell() const noexcept { return ell_width_ > 0; }
-  [[nodiscard]] std::size_t ell_width() const noexcept { return ell_width_; }
-  [[nodiscard]] std::size_t ell_stride() const noexcept { return ell_stride_; }
+  [[nodiscard]] bool has_ell() const noexcept {
+    return index_->ell_width > 0;
+  }
+  [[nodiscard]] std::size_t ell_width() const noexcept {
+    return index_->ell_width;
+  }
+  [[nodiscard]] std::size_t ell_stride() const noexcept {
+    return index_->ell_stride;
+  }
   [[nodiscard]] const double* ell_prob() const noexcept {
     return ell_prob_.data();
   }
   [[nodiscard]] const StateId* ell_next() const noexcept {
-    return ell_next_.data();
+    return index_->ell_next.data();
   }
 
   // Palette codes of the ELL mirror (see the file comment), read by the
@@ -195,75 +235,34 @@ class CompiledModel {
   /// column alignment, ELL width).
   [[nodiscard]] std::string summary() const;
 
-  /// Binary round-trip for the ModelCache disk tier. The format is a
-  /// private cache artifact (native endianness, element sizes recorded in
-  /// the header and checked on read), not an interchange format: a file
-  /// written by a different build layout simply fails to load and the
-  /// caller recompiles. serialize() writes this model; deserialize()
-  /// returns the restored model or nullptr when the stream is truncated,
-  /// malformed, or from an incompatible layout.
-  void serialize(std::ostream& out) const;
-  [[nodiscard]] static std::shared_ptr<const CompiledModel> deserialize(
-      std::istream& in);
-
   /// Bytes held by the SoA columns, each rounded up to its 64-byte
   /// allocation granularity (util::kColumnAlignment) — the actual resident
   /// footprint of the aligned allocations, including the ELL mirror, its
-  /// codes and palette. Feeds the cache's bytes_resident accounting so a
-  /// sweep can see how much model memory it keeps live.
-  [[nodiscard]] std::size_t bytes_resident() const noexcept {
-    const auto column = [](std::size_t elements,
-                           std::size_t element_size) noexcept {
-      return util::aligned_footprint(elements * element_size);
-    };
-    return column(state_begin_.size(), sizeof(SaIndex)) +
-           column(action_labels_.size(), sizeof(ActionLabel)) +
-           column(outcome_begin_.size(), sizeof(std::size_t)) +
-           column(next_.size(), sizeof(StateId)) +
-           column(prob_.size(), sizeof(double)) +
-           column(reward_.size(), sizeof(double)) +
-           column(weight_.size(), sizeof(double)) +
-           column(expected_reward_.size(), sizeof(double)) +
-           column(expected_weight_.size(), sizeof(double)) +
-           column(ell_prob_.size(), sizeof(double)) +
-           column(ell_next_.size(), sizeof(StateId)) +
-           column(ell_code_.size(), sizeof(std::uint8_t)) +
-           column(palette_.size(), sizeof(double));
-  }
+  /// codes and palette, and the index columns (shared with the other cells
+  /// of a template, but counted here too).
+  [[nodiscard]] std::size_t bytes_resident() const noexcept;
 
  private:
-  CompiledModel() = default;
+  friend class ModelTemplate;
+  explicit CompiledModel(std::shared_ptr<const IndexColumns> index);
 
-  /// Builds the ELL mirror from the CSR columns (or leaves it absent when
-  /// the width/padding policy says no) and its palette codes, then
-  /// interleaves the big columns across NUMA nodes. Run once at the end of
-  /// compile()/deserialize().
-  void finalize_layout();
+  /// Builds the ELL prob mirror from the prob column (when the index has
+  /// an ELL layout) and its palette codes, then interleaves the value
+  /// columns across NUMA nodes. Run once, after the value columns are set.
+  void finalize_values();
   /// Codes the mirror against its palette, or leaves both empty when it
   /// takes too many values.
   void build_codes();
 
-  // state s owns flat actions [state_begin_[s], state_begin_[s+1])
-  util::AlignedVector<SaIndex> state_begin_;
-  util::AlignedVector<ActionLabel> action_labels_;
-  // flat action sa owns outcome rows [outcome_begin_[sa], outcome_begin_[sa+1])
-  util::AlignedVector<std::size_t> outcome_begin_;
-  // outcome columns (parallel arrays, one row per sparse branch)
-  util::AlignedVector<StateId> next_;
+  std::shared_ptr<const IndexColumns> index_;
+  // value columns: one row per sparse branch, then per (state, action)
   util::AlignedVector<double> prob_;
   util::AlignedVector<double> reward_;
   util::AlignedVector<double> weight_;
-  // per-(state, action) expectations
   util::AlignedVector<double> expected_reward_;
   util::AlignedVector<double> expected_weight_;
-  // derived in finalize_layout (not serialized): common action count, 0 if
-  // ragged
-  std::size_t uniform_actions_ = 0;
-  // ELL mirror (see has_ell); empty when the policy rejects the model
-  std::size_t ell_width_ = 0;
-  std::size_t ell_stride_ = 0;
+  // ELL prob mirror (see has_ell); empty when the index has no ELL layout
   util::AlignedVector<double> ell_prob_;
-  util::AlignedVector<StateId> ell_next_;
   // palette codes of the mirror (see has_codes); empty when uncoded
   util::AlignedVector<std::uint8_t> ell_code_;
   util::AlignedVector<double> palette_;

@@ -10,11 +10,10 @@
 //
 //   * RVI (average_reward):  seed = null, scale = 1     (rewards + tau
 //     transform are applied in the combine);
-//   * discounted VI:         seed = expected_reward, scale = discount;
 //   * policy-iteration greedy pass: seed = sa_rewards, scale = 1.
 //
-// Discounted VI and the policy-iteration greedy pass call backup_expected
-// and finish the combine themselves. RVI runs the primitive fused with its
+// The policy-iteration greedy pass calls backup_expected and finishes the
+// combine itself. RVI runs the primitive fused with its
 // combine: rvi_sweep for the greedy pass over a model's full action menu,
 // rvi_eval_sweep for a fixed policy over the policy's compacted chain
 // (mdp::PolicyChain, one row per state). These kernels are the solvers'

@@ -64,20 +64,10 @@ void ModelBuilder::add_outcome(StateId next, double probability, double reward,
     return;  // zero-probability branches carry no information
   }
   auto& action = per_state_[current_state_][current_index_];
-  // Merge duplicate successors so solvers see one branch per (s,a,s') with
-  // probability-weighted rewards — mirrors the paper's Table 1 note that
-  // "when multiple events lead to the same state ... the reward is weighted
-  // according to the distribution".
+  // Merge duplicate successors so solvers see one branch per (s,a,s').
   for (Outcome& existing : action.outcomes) {
     if (existing.next == next) {
-      const double total = existing.probability + probability;
-      existing.reward = (existing.reward * existing.probability +
-                         reward * probability) /
-                        total;
-      existing.weight = (existing.weight * existing.probability +
-                         weight * probability) /
-                        total;
-      existing.probability = total;
+      merge_outcome(existing, probability, reward, weight);
       return;
     }
   }
@@ -112,20 +102,8 @@ Model ModelBuilder::build() {
     for (auto& action : actions) {
       BVC_REQUIRE(!action.outcomes.empty(),
                   "every action must have at least one outcome");
-      double mass = 0.0;
-      for (const Outcome& o : action.outcomes) {
-        mass += o.probability;
-      }
-      BVC_REQUIRE(std::abs(mass - 1.0) < 1e-9,
-                  "outcome probabilities must sum to 1 (state " +
-                      std::to_string(s) + ")");
-      double expected_reward = 0.0;
-      double expected_weight = 0.0;
-      for (Outcome& o : action.outcomes) {
-        o.probability /= mass;  // exact renormalization
-        expected_reward += o.probability * o.reward;
-        expected_weight += o.probability * o.weight;
-      }
+      const auto [expected_reward, expected_weight] =
+          normalize_outcomes(action.outcomes, s);
       model.action_labels_.push_back(action.label);
       model.expected_reward_.push_back(expected_reward);
       model.expected_weight_.push_back(expected_weight);

@@ -17,10 +17,14 @@
 // through ModelBuilder.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/check.hpp"
 
 namespace bvc::mdp {
 
@@ -91,6 +95,46 @@ class Model {
   std::vector<double> expected_reward_;
   std::vector<double> expected_weight_;
 };
+
+/// Folds a branch (probability, reward, weight) into `into`, a branch of the
+/// same action to the same successor: the probabilities add and the rewards
+/// become their probability-weighted mean (the paper's Table 1 note: "when
+/// multiple events lead to the same state ... the reward is weighted
+/// according to the distribution"). ModelBuilder and
+/// ModelTemplate::instantiate both merge through this one function, so both
+/// round alike. (Inline so the per-cell fill pays no call per branch; the
+/// library is built without floating-point contraction, so every inlined
+/// copy rounds the same.)
+inline void merge_outcome(Outcome& into, double probability, double reward,
+                          double weight) {
+  const double total = into.probability + probability;
+  into.reward = (into.reward * into.probability + reward * probability) / total;
+  into.weight = (into.weight * into.probability + weight * probability) / total;
+  into.probability = total;
+}
+
+/// Checks that one action's merged branches sum to 1 within 1e-9 (`state`
+/// names the action's state in the error), renormalizes them exactly, and
+/// returns the action's expected (reward, weight) increments. Shared by
+/// ModelBuilder::build and ModelTemplate::instantiate, like merge_outcome.
+[[nodiscard]] inline std::pair<double, double> normalize_outcomes(
+    std::span<Outcome> outcomes, StateId state) {
+  double mass = 0.0;
+  for (const Outcome& o : outcomes) {
+    mass += o.probability;
+  }
+  BVC_REQUIRE(std::abs(mass - 1.0) < 1e-9,
+              "outcome probabilities must sum to 1 (state " +
+                  std::to_string(state) + ")");
+  double expected_reward = 0.0;
+  double expected_weight = 0.0;
+  for (Outcome& o : outcomes) {
+    o.probability /= mass;  // exact renormalization
+    expected_reward += o.probability * o.reward;
+    expected_weight += o.probability * o.weight;
+  }
+  return {expected_reward, expected_weight};
+}
 
 /// Incremental Model construction. Usage:
 ///

@@ -3,7 +3,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <exception>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -24,213 +24,65 @@ void note_lookup(bool hit) {
   (hit ? hits : misses).add();
 }
 
-/// FNV-1a, the disk-tier filename hash. Collisions are tolerated (the file
-/// stores the full key and a mismatch reads as a miss), so 64 bits is
-/// plenty for a directory of hundreds of models.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-double elapsed_seconds(std::chrono::steady_clock::time_point begin) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       begin)
-      .count();
-}
-
-/// Disk-tier file layout: "BVCK" magic, u64 key length, the key bytes
-/// (collision verification), then CompiledModel::serialize.
-constexpr std::uint32_t kFileMagic = 0x4b435642;  // "BVCK"
-
-std::shared_ptr<const CompiledModel> load_from_disk(const std::string& path,
-                                                    const std::string& key) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return nullptr;
-  }
-  std::uint32_t magic = 0;
-  std::uint64_t key_size = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&key_size), sizeof(key_size));
-  if (!in.good() || magic != kFileMagic || key_size != key.size() ||
-      key_size > (1u << 20)) {
-    return nullptr;
-  }
-  std::string stored_key(key.size(), '\0');
-  in.read(stored_key.data(), static_cast<std::streamsize>(key.size()));
-  if (!in.good() || stored_key != key) {
-    return nullptr;  // hash collision or stale file: treat as a plain miss
-  }
-  return CompiledModel::deserialize(in);
-}
-
-void store_to_disk(const std::string& path, const std::string& key,
-                   const CompiledModel& model) {
-  // Write-temp-then-rename: a crashed or concurrent writer can never leave
-  // a torn file where a reader expects a model.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return;  // best-effort tier: failure to spill is not an error
-    }
-    const std::uint64_t key_size = key.size();
-    out.write(reinterpret_cast<const char*>(&kFileMagic), sizeof(kFileMagic));
-    out.write(reinterpret_cast<const char*>(&key_size), sizeof(key_size));
-    out.write(key.data(), static_cast<std::streamsize>(key.size()));
-    model.serialize(out);
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-  }
-}
-
 }  // namespace
 
-std::string ModelCache::disk_path(const std::string& directory,
-                                  const std::string& key) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.cm",
-                static_cast<unsigned long long>(fnv1a(key)));
-  return directory + "/bvc-model-" + name;
-}
-
-std::shared_ptr<const CompiledModel> ModelCache::get_or_compile(
-    const std::string& key,
-    const std::function<std::shared_ptr<const CompiledModel>()>& compile) {
-  BVC_REQUIRE(compile != nullptr, "get_or_compile requires a compile callback");
-  std::string disk_directory;
+std::shared_ptr<const ModelTemplate> ModelCache::get_or_build(
+    const std::string& key, const std::function<ModelTemplate()>& build) {
+  BVC_REQUIRE(build != nullptr, "get_or_build requires a build callback");
+  std::promise<std::shared_ptr<const ModelTemplate>> promise;
+  Pending cached;
+  std::uint64_t generation = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = entries_.find(key); it != entries_.end()) {
       ++hits_;
-      // GreedyDual-Size touch: restore the entry's priority relative to
-      // the current clock so recently used entries outlive cold ones.
-      const std::size_t bytes = it->second.model->bytes_resident();
-      it->second.priority =
-          clock_ + it->second.cost_seconds /
-                       static_cast<double>(bytes > 0 ? bytes : 1);
-      note_lookup(true);
-      return it->second.model;
+      cached = it->second;
+    } else {
+      ++misses_;
+      entries_.emplace(key, promise.get_future().share());
+      generation = generation_;
     }
-    ++misses_;
-    disk_directory = disk_directory_;
   }
-  note_lookup(false);
+  note_lookup(cached.valid());
+  if (cached.valid()) {
+    return cached.get();  // waits, outside the lock, if still being built
+  }
 
-  // Disk tier first, then compile — both OUTSIDE the lock: a large model
-  // build (or file read) must not serialize every other lookup behind it.
-  std::shared_ptr<const CompiledModel> built;
-  bool from_disk = false;
-  double cost_seconds = 0.0;
-  if (!disk_directory.empty()) {
-    const auto begin = std::chrono::steady_clock::now();
-    built = load_from_disk(disk_path(disk_directory, key), key);
-    if (built != nullptr) {
-      from_disk = true;
-      cost_seconds = elapsed_seconds(begin);
-    }
-  }
-  if (built == nullptr) {
+  // The build runs OUTSIDE the lock: a large enumeration must not
+  // serialize every other lookup behind it.
+  std::shared_ptr<const ModelTemplate> built;
+  try {
     obs::Span span("cache.compile", "cache");
     span.arg("key", std::string_view(key));
-    const bool timed = obs::metrics_enabled();
     const auto begin = std::chrono::steady_clock::now();
-    built = compile();
-    cost_seconds = elapsed_seconds(begin);
-    if (timed) {
+    built = std::make_shared<const ModelTemplate>(build());
+    if (obs::metrics_enabled()) {
       static constexpr std::array<double, 6> kBounds = {1e-4, 1e-3, 1e-2,
                                                         0.1,  1.0,  10.0};
       static obs::Histogram& compile_seconds =
           obs::MetricsRegistry::global().histogram("mdp.cache.compile_seconds",
                                                    kBounds);
-      compile_seconds.observe(cost_seconds);
+      compile_seconds.observe(std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - begin)
+                                  .count());
     }
-  }
-  BVC_ENSURE(built != nullptr, "model compile callback returned null");
-
-  // A freshly compiled model spills to the disk tier so a later process
-  // (or a post-eviction miss) reloads instead of recompiling. Still
-  // outside the lock; only the counter update below takes it.
-  const bool spilled = !disk_directory.empty() && !from_disk;
-  if (spilled) {
-    store_to_disk(disk_path(disk_directory, key), key, *built);
-  }
-
-  std::vector<std::pair<std::string, std::shared_ptr<const CompiledModel>>>
-      spill;
-  std::shared_ptr<const CompiledModel> result;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (from_disk) {
-      ++disk_hits_;
-    }
-    if (spilled) {
-      ++disk_stores_;
-    }
-    // First insert wins: if another thread filled the key while we
-    // compiled, return its entry so every caller of one key shares one
-    // model.
-    const auto [it, inserted] = entries_.try_emplace(key);
-    if (inserted) {
-      const std::size_t bytes = built->bytes_resident();
-      it->second.model = std::move(built);
-      it->second.cost_seconds = cost_seconds;
-      it->second.priority =
-          clock_ +
-          cost_seconds / static_cast<double>(bytes > 0 ? bytes : 1);
-      bytes_resident_ += bytes;
-      // Snapshot the model BEFORE enforcing the cap: GreedyDual-Size may
-      // pick the entry just inserted as its own victim (cheap to rebuild,
-      // large), which erases `it`.
-      result = it->second.model;
-      evict_to_capacity_locked(&spill);
-    } else {
-      result = it->second.model;
-    }
-    refresh_gauges_locked();
-  }
-  // Deferred spill of eviction victims that never reached the tier.
-  for (const auto& [victim_key, victim_model] : spill) {
-    store_to_disk(disk_path(disk_directory, victim_key), victim_key,
-                  *victim_model);
-  }
-  return result;
-}
-
-void ModelCache::evict_to_capacity_locked(
-    std::vector<std::pair<std::string, std::shared_ptr<const CompiledModel>>>*
-        spill) {
-  if (capacity_bytes_ == 0) {
-    return;
-  }
-  while (bytes_resident_ > capacity_bytes_ && entries_.size() > 1) {
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.priority < victim->second.priority) {
-        victim = it;
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (generation == generation_) {
+        entries_.erase(key);
       }
     }
-    // Advancing the clock to the evicted priority is what turns the
-    // priority formula into aging: long-unused entries decay relative to
-    // everything touched after this point.
-    clock_ = victim->second.priority;
-    bytes_resident_ -= victim->second.model->bytes_resident();
-    ++evictions_;
-    if (!disk_directory_.empty() && spill != nullptr) {
-      spill->emplace_back(victim->first, victim->second.model);
-    }
-    entries_.erase(victim);
+    promise.set_exception(std::current_exception());
+    throw;
   }
+  promise.set_value(built);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (generation == generation_) {  // unless a clear() dropped the entry
+    bytes_resident_ += built->bytes_resident();
+    refresh_gauges_locked();
+  }
+  return built;
 }
 
 void ModelCache::refresh_gauges_locked() const {
@@ -245,11 +97,18 @@ void ModelCache::refresh_gauges_locked() const {
       .set(static_cast<double>(bytes_resident_));
 }
 
-std::shared_ptr<const CompiledModel> ModelCache::find(
+std::shared_ptr<const ModelTemplate> ModelCache::find(
     const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  return it != entries_.end() ? it->second.model : nullptr;
+  Pending pending;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      return nullptr;
+    }
+    pending = it->second;
+  }
+  return pending.get();
 }
 
 ModelCache::Stats ModelCache::stats() const {
@@ -259,33 +118,7 @@ ModelCache::Stats ModelCache::stats() const {
   stats.misses = misses_;
   stats.entries = entries_.size();
   stats.bytes_resident = bytes_resident_;
-  stats.evictions = evictions_;
-  stats.capacity_bytes = capacity_bytes_;
-  stats.disk_hits = disk_hits_;
-  stats.disk_stores = disk_stores_;
   return stats;
-}
-
-void ModelCache::set_capacity_bytes(std::size_t bytes) {
-  std::vector<std::pair<std::string, std::shared_ptr<const CompiledModel>>>
-      spill;
-  std::string disk_directory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    capacity_bytes_ = bytes;
-    evict_to_capacity_locked(&spill);
-    refresh_gauges_locked();
-    disk_directory = disk_directory_;
-  }
-  for (const auto& [victim_key, victim_model] : spill) {
-    store_to_disk(disk_path(disk_directory, victim_key), victim_key,
-                  *victim_model);
-  }
-}
-
-void ModelCache::set_disk_tier(std::string directory) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  disk_directory_ = std::move(directory);
 }
 
 void ModelCache::clear() {
@@ -293,11 +126,8 @@ void ModelCache::clear() {
   entries_.clear();
   hits_ = 0;
   misses_ = 0;
-  evictions_ = 0;
-  disk_hits_ = 0;
-  disk_stores_ = 0;
   bytes_resident_ = 0;
-  clock_ = 0.0;
+  ++generation_;
   refresh_gauges_locked();
 }
 

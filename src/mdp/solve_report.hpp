@@ -1,10 +1,10 @@
 // Common base of every solver result in this library.
 //
-// All four MDP solvers (average_reward, discounted, policy_iteration,
-// ratio) and the analysis layers on top of them (bu::AnalysisResult,
-// btc::SmResult) report how the solve ended through this one shape, so
-// generic consumers — bench_common::require_solved, the batch engine, CSV
-// sinks — work on any solver result without per-type duplication.
+// All three MDP solvers (average_reward, policy_iteration, ratio) and the
+// analysis layers on top of them (bu::AnalysisResult, btc::SmResult) report
+// how the solve ended through this one shape, so generic consumers —
+// bench_common::require_solved, the batch engine, CSV sinks — work on any
+// solver result without per-type duplication.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,7 @@ struct SolveReport {
   /// How the solve ended. Only kConverged certifies the reported values.
   robust::RunStatus status = robust::RunStatus::kToleranceStalled;
   /// Top-level iteration count; what one iteration is depends on the
-  /// solver (RVI / discounted-VI sweeps, Howard improvement rounds, outer
+  /// solver (RVI sweeps, Howard improvement rounds, outer
   /// Dinkelbach/bisection steps). Derived results expose a semantically
   /// named accessor (sweeps(), improvements(), ...) on top.
   int iterations = 0;

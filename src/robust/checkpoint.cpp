@@ -15,6 +15,7 @@
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace bvc::robust {
@@ -336,11 +337,14 @@ bool CheckpointJournal::flush_locked() {
   if (unflushed_ == 0) {
     return !write_failed_;
   }
+  obs::Span span("journal.flush", "robust");
   std::string content;
   for (const CheckpointRecord& record : records_) {
     content += to_jsonl(record);
     content += '\n';
   }
+  span.arg("records", static_cast<std::int64_t>(records_.size()));
+  span.arg("bytes", static_cast<std::int64_t>(content.size()));
   if (!write_file_atomically(path_, content)) {
     if (!write_failed_) {
       obs::log_error("checkpoint",

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "mdp/kernel.hpp"
-#include "mdp/model_cache.hpp"
 #include "obs/event_log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -54,12 +53,6 @@ int main(int argc, char** argv) {
        "cell journal); 0 = keep everything", "0"},
       {"max-wall-clock", util::ArgType::kDouble, "S",
        "cap every job's wall-clock budget at S seconds (default: uncapped)", ""},
-      {"cache-bytes", util::ArgType::kLong, "N",
-       "bound the global compiled-model cache at N bytes (cost-aware LRU "
-       "eviction; 0 = unbounded)", "0"},
-      {"cache-dir", util::ArgType::kString, "PATH",
-       "spill compiled models to PATH so evicted/cold models reload from "
-       "disk instead of recompiling", ""},
       {"manifest-out", util::ArgType::kString, "PATH",
        "write a run manifest (binary, args, endpoints, metrics) to PATH on "
        "shutdown", ""},
@@ -123,23 +116,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     mdp::kernel::set_requested(*kernel_request);
-  }
-
-  const long cache_bytes = args.get_long("cache-bytes", 0);
-  if (cache_bytes > 0) {
-    mdp::ModelCache::global().set_capacity_bytes(
-        static_cast<std::size_t>(cache_bytes));
-  }
-  const std::string cache_dir = args.get_string("cache-dir", "");
-  if (!cache_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(cache_dir, ec);
-    if (ec) {
-      obs::log_error("bvcd", "cannot create --cache-dir",
-                     {{"path", cache_dir}, {"error", ec.message()}});
-      return 1;
-    }
-    mdp::ModelCache::global().set_disk_tier(cache_dir);
   }
 
   svc::ServiceConfig config;

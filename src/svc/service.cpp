@@ -13,6 +13,7 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace bvc::svc {
@@ -171,6 +172,15 @@ std::vector<std::string> SolveService::endpoints() {
 }
 
 HttpResponse SolveService::route(const HttpRequest& request) {
+  obs::Span span("svc.route", "svc");
+  span.arg("method", std::string_view(request.method));
+  span.arg("target", std::string_view(request.target));
+  HttpResponse response = dispatch(request);
+  span.arg("status", static_cast<std::int64_t>(response.status));
+  return response;
+}
+
+HttpResponse SolveService::dispatch(const HttpRequest& request) {
   // Split the query string off the path; only GET /v1/jobs/<id> reads it.
   std::string target = request.target;
   std::string query;
@@ -299,83 +309,92 @@ HttpResponse SolveService::job_status(const std::string& id,
                           "non-negative integers");
   }
 
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return error_response(404, "no such job");
-  }
-  const Job& job = *it->second;
+  // Only copies are made under mutex_: the job's worker takes it to store
+  // every finished cell, so the page's records are turned into Json and
+  // dumped after the lock is released.
   Json out = Json::object();
-  out.set("id", Json::string(job.id));
-  out.set("kind", Json::string(std::string(to_string(job.spec->kind()))));
-  out.set("state", Json::string(std::string(to_string(job.state))));
-  out.set("cells", Json::number(static_cast<double>(job.spec->cells())));
-  out.set("completed", Json::number(static_cast<double>(job.completed)));
-  out.set("resumed", Json::number(static_cast<double>(job.resumed)));
-  if (!job.failure.empty()) {
-    out.set("failure", Json::string(job.failure));
-  }
-  if (job.state != JobState::kQueued) {
-    // Live telemetry: progress rate and an ETA while the worker runs, the
-    // final wall-clock once terminal, plus the process-wide model-cache
-    // stats this job is drawing on. `resumed` cells restored from the
-    // journal in microseconds are excluded from the rate so the ETA
-    // reflects real solve throughput.
-    const bool running = job.state == JobState::kRunning;
-    const double elapsed =
-        running ? std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - job.started_at)
-                      .count()
-                : job.run_seconds;
-    const double solved =
-        static_cast<double>(job.completed) - static_cast<double>(job.resumed);
-    const double rate = elapsed > 0.0 ? solved / elapsed : 0.0;
-    Json telemetry = Json::object();
-    telemetry.set("elapsed_seconds", Json::number(elapsed));
-    telemetry.set("cells_per_second", Json::number(rate));
-    if (running && rate > 0.0) {
-      const double remaining =
-          static_cast<double>(job.spec->cells()) -
-          static_cast<double>(job.completed);
-      telemetry.set("eta_seconds", Json::number(remaining / rate));
+  std::vector<robust::CheckpointRecord> page;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
+      return error_response(404, "no such job");
     }
-    telemetry.set("worker_alive", Json::boolean(running));
-    const mdp::ModelCache::Stats cache = mdp::ModelCache::global().stats();
-    Json cache_json = Json::object();
-    cache_json.set("hits", Json::number(static_cast<double>(cache.hits)));
-    cache_json.set("misses", Json::number(static_cast<double>(cache.misses)));
-    cache_json.set("entries",
-                   Json::number(static_cast<double>(cache.entries)));
-    cache_json.set("bytes_resident",
-                   Json::number(static_cast<double>(cache.bytes_resident)));
-    telemetry.set("cache", std::move(cache_json));
-    out.set("telemetry", std::move(telemetry));
-  }
-  Json records = Json::array();
-  if (offset) {
-    // Paginated: the slice of the append-only completion order starting at
-    // *offset. Positions never shift, so a tailing client resumes exactly
-    // where its last page ended (next_offset).
-    std::size_t end = job.completion_order.size();
-    if (limit && *offset + *limit < end) {
-      end = *offset + *limit;
+    const Job& job = *it->second;
+    out.set("id", Json::string(job.id));
+    out.set("kind", Json::string(std::string(to_string(job.spec->kind()))));
+    out.set("state", Json::string(std::string(to_string(job.state))));
+    out.set("cells", Json::number(static_cast<double>(job.spec->cells())));
+    out.set("completed", Json::number(static_cast<double>(job.completed)));
+    out.set("resumed", Json::number(static_cast<double>(job.resumed)));
+    if (!job.failure.empty()) {
+      out.set("failure", Json::string(job.failure));
     }
-    for (std::size_t pos = *offset;
-         pos < end && pos < job.completion_order.size(); ++pos) {
-      records.push_back(record_json(job.records[job.completion_order[pos]]));
+    if (job.state != JobState::kQueued) {
+      // Live telemetry: progress rate and an ETA while the worker runs, the
+      // final wall-clock once terminal, plus the process-wide model-cache
+      // stats this job is drawing on. `resumed` cells restored from the
+      // journal in microseconds are excluded from the rate so the ETA
+      // reflects real solve throughput.
+      const bool running = job.state == JobState::kRunning;
+      const double elapsed =
+          running ? std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - job.started_at)
+                        .count()
+                  : job.run_seconds;
+      const double solved =
+          static_cast<double>(job.completed) - static_cast<double>(job.resumed);
+      const double rate = elapsed > 0.0 ? solved / elapsed : 0.0;
+      Json telemetry = Json::object();
+      telemetry.set("elapsed_seconds", Json::number(elapsed));
+      telemetry.set("cells_per_second", Json::number(rate));
+      if (running && rate > 0.0) {
+        const double remaining =
+            static_cast<double>(job.spec->cells()) -
+            static_cast<double>(job.completed);
+        telemetry.set("eta_seconds", Json::number(remaining / rate));
+      }
+      telemetry.set("worker_alive", Json::boolean(running));
+      const mdp::ModelCache::Stats cache = mdp::ModelCache::global().stats();
+      Json cache_json = Json::object();
+      cache_json.set("hits", Json::number(static_cast<double>(cache.hits)));
+      cache_json.set("misses", Json::number(static_cast<double>(cache.misses)));
+      cache_json.set("entries",
+                     Json::number(static_cast<double>(cache.entries)));
+      cache_json.set("bytes_resident",
+                     Json::number(static_cast<double>(cache.bytes_resident)));
+      telemetry.set("cache", std::move(cache_json));
+      out.set("telemetry", std::move(telemetry));
     }
-    const std::size_t served = std::min(*offset, job.completion_order.size());
-    out.set("offset", Json::number(static_cast<double>(served)));
-    out.set("next_offset",
-            Json::number(static_cast<double>(std::max(served, end))));
-  } else {
-    // Unpaginated (legacy): every finished cell in input order — a poll
-    // during the run sees a growing subset, i.e. streamed partials.
-    for (std::size_t i = 0; i < job.records.size(); ++i) {
-      if (job.finished[i]) {
-        records.push_back(record_json(job.records[i]));
+    if (offset) {
+      // Paginated: the slice of the append-only completion order starting at
+      // *offset. Positions never shift, so a tailing client resumes exactly
+      // where its last page ended (next_offset).
+      std::size_t end = job.completion_order.size();
+      if (limit && *offset + *limit < end) {
+        end = *offset + *limit;
+      }
+      for (std::size_t pos = *offset;
+           pos < end && pos < job.completion_order.size(); ++pos) {
+        page.push_back(job.records[job.completion_order[pos]]);
+      }
+      const std::size_t served = std::min(*offset, job.completion_order.size());
+      out.set("offset", Json::number(static_cast<double>(served)));
+      out.set("next_offset",
+              Json::number(static_cast<double>(std::max(served, end))));
+    } else {
+      // Unpaginated (legacy): every finished cell in input order — a poll
+      // during the run sees a growing subset, i.e. streamed partials.
+      for (std::size_t i = 0; i < job.records.size(); ++i) {
+        if (job.finished[i]) {
+          page.push_back(job.records[i]);
+        }
       }
     }
+  }
+  Json records = Json::array();
+  for (const robust::CheckpointRecord& record : page) {
+    records.push_back(record_json(record));
   }
   out.set("records", std::move(records));
   return json_response(200, out);
@@ -437,12 +456,6 @@ HttpResponse SolveService::cache_stats() {
   out.set("entries", Json::number(static_cast<double>(stats.entries)));
   out.set("bytes_resident",
           Json::number(static_cast<double>(stats.bytes_resident)));
-  out.set("evictions", Json::number(static_cast<double>(stats.evictions)));
-  out.set("capacity_bytes",
-          Json::number(static_cast<double>(stats.capacity_bytes)));
-  out.set("disk_hits", Json::number(static_cast<double>(stats.disk_hits)));
-  out.set("disk_stores",
-          Json::number(static_cast<double>(stats.disk_stores)));
   return json_response(200, out);
 }
 

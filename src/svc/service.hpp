@@ -140,6 +140,8 @@ class SolveService {
     std::thread worker;
   };
 
+  /// route() without its span: the route table itself.
+  HttpResponse dispatch(const HttpRequest& request);
   // Endpoint handlers (called with mutex_ NOT held).
   HttpResponse submit(const HttpRequest& request);
   HttpResponse list_jobs();

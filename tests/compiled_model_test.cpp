@@ -1,16 +1,18 @@
 // Equivalence of the CompiledModel SoA kernel layer with the Model (AoS)
 // representation it compiles: structural fidelity, the ELL mirror's
 // palette codes (every code decodes to its double, the 16-value rule, the
-// copies a PolicyChain takes, a disk round trip, the resident bytes),
-// bit-identical solver results through both overload families, and the
-// library's scalar RVI sweep bit-identical to an in-test Jacobi replica
-// over the AoS Model.
+// copies a PolicyChain takes, the resident bytes), bit-identical solver
+// results through both overload families, the library's scalar RVI sweep
+// bit-identical to an in-test Jacobi replica over the AoS Model, and
+// ModelTemplate::instantiate bit-identical to compile() of the enumerated
+// Model over the paper's cells.
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
-#include <sstream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,9 +21,10 @@
 #include "bu/attack_model.hpp"
 #include "mdp/average_reward.hpp"
 #include "mdp/compiled_model.hpp"
-#include "mdp/discounted.hpp"
 #include "mdp/kernel.hpp"
 #include "mdp/model.hpp"
+#include "mdp/model_cache.hpp"
+#include "mdp/model_template.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/rollout.hpp"
@@ -242,31 +245,6 @@ TEST(CompiledModel, PolicyChainCopiesTheMirrorCodes) {
                    .has_codes());
 }
 
-TEST(CompiledModel, DiskRoundTripRebuildsCodes) {
-  const bu::AttackModel attack = setting1_model();
-  const btc::SmModel sm = btc_model();
-  for (const mdp::Model* source : {&attack.model, &sm.model}) {
-    const auto original = mdp::CompiledModel::compile_shared(*source);
-    std::stringstream buffer;
-    original->serialize(buffer);
-    const auto restored = mdp::CompiledModel::deserialize(buffer);
-    ASSERT_NE(restored, nullptr);
-    ASSERT_TRUE(restored->has_codes());
-    EXPECT_EQ(restored->palette_size(), original->palette_size());
-    EXPECT_EQ(restored->zero_code(), original->zero_code());
-    EXPECT_EQ(restored->bytes_resident(), original->bytes_resident());
-    for (std::size_t k = 0; k < mdp::CompiledModel::kPaletteSize; ++k) {
-      EXPECT_EQ(bits(restored->palette()[k]), bits(original->palette()[k]));
-    }
-    ASSERT_EQ(restored->ell_width(), original->ell_width());
-    ASSERT_EQ(restored->ell_stride(), original->ell_stride());
-    const std::size_t cells = original->ell_width() * original->ell_stride();
-    for (std::size_t i = 0; i < cells; ++i) {
-      ASSERT_EQ(restored->ell_code()[i], original->ell_code()[i]) << i;
-    }
-  }
-}
-
 TEST(CompiledModel, BytesResidentCountsCodesAndPalette) {
   // Two models of one shape (16 one-action states, two outcomes each): the
   // dyadic one is coded, the other takes 32 values and is not.
@@ -448,24 +426,9 @@ TEST(CompiledModel, RatioResultBitIdenticalBtc) {
   expect_ratio_equivalence(btc_model().model, 1.0);
 }
 
-TEST(CompiledModel, DiscountedAndPolicyIterationBitIdentical) {
+TEST(CompiledModel, PolicyIterationBitIdentical) {
   const mdp::Model& model = setting1_model().model;
   const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-
-  mdp::DiscountedKnobs discounted_config;
-  discounted_config.discount = 0.95;
-  const mdp::DiscountedResult da =
-      mdp::solve_discounted(model, discounted_config);
-  const mdp::DiscountedResult db =
-      mdp::solve_discounted(compiled, discounted_config);
-  EXPECT_EQ(da.status, db.status);
-  EXPECT_EQ(da.iterations, db.iterations);
-  ASSERT_EQ(da.value.size(), db.value.size());
-  for (std::size_t i = 0; i < da.value.size(); ++i) {
-    ASSERT_EQ(da.value[i], db.value[i]);
-  }
-  EXPECT_EQ(da.policy.action, db.policy.action);
-
   const mdp::PolicyIterationKnobs howard;
   const mdp::PolicyIterationResult pa = mdp::policy_iteration(model, howard);
   const mdp::PolicyIterationResult pb =
@@ -493,21 +456,232 @@ TEST(CompiledModel, RolloutDrawsIdenticalTrajectory) {
   EXPECT_EQ(via_model.weight_total, via_compiled.weight_total);
 }
 
-// ---- the cached compilation carried by the analysis layers ----------------
+// ---- the compilation carried by the analysis layers -----------------------
 
 TEST(CompiledModel, AttackModelCarriesCachedCompilation) {
   const bu::AttackModel attack = setting1_model();
   ASSERT_NE(attack.compiled, nullptr);
   EXPECT_EQ(attack.compiled->num_states(), attack.model.num_states());
-  // A rebuild of the same cell shares the same immutable compilation.
+  // A rebuild of the same rule set shares the cached template's index
+  // columns; the value columns are the rebuild's own.
   const bu::AttackModel again = setting1_model();
-  EXPECT_EQ(attack.compiled.get(), again.compiled.get());
+  EXPECT_EQ(&attack.compiled->index(), &again.compiled->index());
+  EXPECT_NE(attack.compiled->prob(), again.compiled->prob());
 }
 
 TEST(CompiledModel, SmModelCarriesCachedCompilation) {
   const btc::SmModel sm = btc_model();
   ASSERT_NE(sm.compiled, nullptr);
   EXPECT_EQ(sm.compiled->num_states(), sm.model.num_states());
+}
+
+// ---- template instantiation against compile() of the enumerated Model -----
+
+/// Compares `count` elements of two columns by their bytes, naming the
+/// first difference.
+template <typename T>
+void expect_same_bytes(const char* column, const T* got, const T* want,
+                       std::size_t count) {
+  if (count == 0 || std::memcmp(got, want, count * sizeof(T)) == 0) {
+    return;
+  }
+  std::size_t i = 0;
+  while (std::memcmp(got + i, want + i, sizeof(T)) == 0) {
+    ++i;
+  }
+  ADD_FAILURE() << column << " differs first at element " << i << " of "
+                << count;
+}
+
+/// Every column of `got` (instantiated from a template) equals `want`
+/// (CompiledModel::compile of the cell's Model) bit for bit: the index and
+/// value columns, the ELL mirror, and its codes and palette.
+void expect_bit_identical(const mdp::CompiledModel& got,
+                          const mdp::CompiledModel& want) {
+  ASSERT_EQ(got.num_states(), want.num_states());
+  ASSERT_EQ(got.num_state_actions(), want.num_state_actions());
+  ASSERT_EQ(got.num_outcomes(), want.num_outcomes());
+  const mdp::IndexColumns& gi = got.index();
+  const mdp::IndexColumns& wi = want.index();
+  expect_same_bytes("state_begin", gi.state_begin.data(),
+                    wi.state_begin.data(), wi.state_begin.size());
+  expect_same_bytes("action_labels", gi.action_labels.data(),
+                    wi.action_labels.data(), wi.action_labels.size());
+  expect_same_bytes("outcome_begin", gi.outcome_begin.data(),
+                    wi.outcome_begin.data(), wi.outcome_begin.size());
+  const std::size_t outcomes = want.num_outcomes();
+  const std::size_t actions = want.num_state_actions();
+  expect_same_bytes("next", got.next(), want.next(), outcomes);
+  expect_same_bytes("prob", got.prob(), want.prob(), outcomes);
+  expect_same_bytes("reward", got.reward(), want.reward(), outcomes);
+  expect_same_bytes("weight", got.weight(), want.weight(), outcomes);
+  expect_same_bytes("expected_reward", got.expected_reward(),
+                    want.expected_reward(), actions);
+  expect_same_bytes("expected_weight", got.expected_weight(),
+                    want.expected_weight(), actions);
+  EXPECT_EQ(got.uniform_actions(), want.uniform_actions());
+  ASSERT_EQ(got.has_ell(), want.has_ell());
+  ASSERT_EQ(got.ell_width(), want.ell_width());
+  ASSERT_EQ(got.ell_stride(), want.ell_stride());
+  const std::size_t cells = want.ell_width() * want.ell_stride();
+  expect_same_bytes("ell_prob", got.ell_prob(), want.ell_prob(), cells);
+  expect_same_bytes("ell_next", got.ell_next(), want.ell_next(), cells);
+  ASSERT_EQ(got.has_codes(), want.has_codes());
+  EXPECT_EQ(got.palette_size(), want.palette_size());
+  EXPECT_EQ(got.zero_code(), want.zero_code());
+  if (want.has_codes()) {
+    expect_same_bytes("palette", got.palette(), want.palette(),
+                      mdp::CompiledModel::kPaletteSize);
+    expect_same_bytes("ell_code", got.ell_code(), want.ell_code(), cells);
+  }
+}
+
+void expect_cell_bit_identical(const bu::AttackParams& params,
+                               bu::Utility utility) {
+  SCOPED_TRACE(bu::attack_model_cache_key(params, utility));
+  const bu::AttackModel attack = bu::build_attack_model(params, utility);
+  expect_bit_identical(*attack.compiled,
+                       mdp::CompiledModel::compile(attack.model));
+}
+
+void expect_cell_bit_identical(const btc::SmParams& params,
+                               bu::Utility utility) {
+  SCOPED_TRACE(btc::sm_model_cache_key(params, utility));
+  const btc::SmModel sm = btc::build_sm_model(params, utility);
+  expect_bit_identical(*sm.compiled, mdp::CompiledModel::compile(sm.model));
+}
+
+/// The bu cells of one table block, as bench_table2/3/4 enumerate them:
+/// beta and gamma split the rest in the ratio b:g, and cells outside
+/// alpha <= min(beta, gamma) are skipped.
+void expect_block_bit_identical(const std::vector<double>& alphas,
+                                const std::vector<std::pair<int, int>>& ratios,
+                                bu::Utility utility) {
+  for (const bu::Setting setting :
+       {bu::Setting::kNoStickyGate, bu::Setting::kStickyGate}) {
+    for (const double alpha : alphas) {
+      for (const auto& [b, g] : ratios) {
+        bu::AttackParams params;
+        params.alpha = alpha;
+        params.beta = (1.0 - alpha) * b / (b + g);
+        params.gamma = (1.0 - alpha) - params.beta;
+        params.setting = setting;
+        if (alpha <= params.beta && alpha <= params.gamma) {
+          expect_cell_bit_identical(params, utility);
+        }
+      }
+    }
+  }
+}
+
+TEST(ModelTemplate, Table2CellsInstantiateBitIdentically) {
+  expect_block_bit_identical({0.10, 0.15, 0.20, 0.25},
+                             {{3, 2}, {1, 1}, {2, 3}, {1, 2}, {1, 3}, {1, 4}},
+                             bu::Utility::kRelativeRevenue);
+}
+
+TEST(ModelTemplate, Table3CellsInstantiateBitIdentically) {
+  expect_block_bit_identical({0.01, 0.025, 0.05, 0.10, 0.15, 0.20, 0.25},
+                             {{4, 1}, {2, 1}, {1, 1}, {1, 2}, {1, 4}},
+                             bu::Utility::kAbsoluteReward);
+}
+
+TEST(ModelTemplate, Table4CellsInstantiateBitIdentically) {
+  expect_block_bit_identical(
+      {0.01},
+      {{4, 1}, {3, 1}, {2, 1}, {3, 2}, {1, 1}, {2, 3}, {1, 2}, {1, 3}, {1, 4}},
+      bu::Utility::kOrphaning);
+}
+
+TEST(ModelTemplate, ServiceShapedCellsInstantiateBitIdentically) {
+  // Setting-1 u1 cells drawn like a bvcd job's: alpha in [0.01, 0.30] in
+  // steps of 1e-4, Bob's share of the rest in [0.2, 0.8].
+  Rng rng(20'171'128);
+  int cells = 0;
+  while (cells < 200) {
+    const long alpha = 100 + static_cast<long>(rng.next_below(2901));
+    const long beta =
+        std::lround((10'000 - alpha) * (0.2 + 0.6 * rng.next_double()));
+    if (alpha > beta || alpha > 10'000 - alpha - beta) {
+      continue;
+    }
+    bu::AttackParams params;
+    params.alpha = static_cast<double>(alpha) * 1e-4;
+    params.beta = static_cast<double>(beta) * 1e-4;
+    params.gamma = 1.0 - params.alpha - params.beta;
+    expect_cell_bit_identical(params, bu::Utility::kRelativeRevenue);
+    ++cells;
+  }
+}
+
+TEST(ModelTemplate, BitcoinCellsInstantiateBitIdentically) {
+  // Table 3's baseline cells, then every utility at the tie shares that
+  // drop a tie branch (0 and 1) and one that keeps both.
+  for (const double tie : {0.5, 1.0}) {
+    for (const double alpha : {0.10, 0.15, 0.20, 0.25}) {
+      btc::SmParams params;
+      params.alpha = alpha;
+      params.gamma_tie = tie;
+      expect_cell_bit_identical(params, bu::Utility::kAbsoluteReward);
+    }
+  }
+  for (const double tie : {0.0, 0.5, 1.0}) {
+    for (const bu::Utility utility :
+         {bu::Utility::kRelativeRevenue, bu::Utility::kAbsoluteReward,
+          bu::Utility::kOrphaning}) {
+      btc::SmParams params;
+      params.alpha = 0.3;
+      params.gamma_tie = tie;
+      params.max_len = 12;
+      expect_cell_bit_identical(params, utility);
+    }
+  }
+}
+
+TEST(ModelTemplate, RuleSetsShareOneTemplatePerKey) {
+  // Cells that differ only in their shares hit one template; the tie shares
+  // that drop a branch get templates of their own.
+  mdp::ModelCache& cache = mdp::ModelCache::global();
+  cache.clear();
+  bu::AttackParams params;
+  for (const double alpha : {0.1, 0.2, 0.3}) {
+    params.alpha = alpha;
+    params.beta = (1.0 - alpha) / 2;
+    params.gamma = 1.0 - alpha - params.beta;
+    (void)bu::attack_model_compiled(params, bu::Utility::kRelativeRevenue);
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  btc::SmParams sm;
+  sm.max_len = 8;
+  for (const double tie : {0.0, 0.25, 0.75, 1.0}) {
+    sm.gamma_tie = tie;
+    (void)btc::sm_model_compiled(sm, bu::Utility::kRelativeRevenue);
+  }
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  cache.clear();
+}
+
+TEST(ModelTemplate, RejectsANonPositiveSymbolItsBranchesUse) {
+  mdp::TemplateBuilder builder(2, 3);
+  builder.begin_action(0, 0);
+  builder.add_outcome(1, 0, 1.0, 1.0);
+  builder.add_outcome(0, 1, 0.0, 1.0);
+  builder.begin_action(1, 0);
+  builder.add_outcome(0, 0, 0.0, 1.0);
+  builder.add_outcome(0, 1, 0.0, 1.0);
+  const mdp::ModelTemplate rules = builder.build();
+  EXPECT_EQ(rules.num_outcomes(), 3u);  // state 1's branches merged
+  const std::vector<double> cell = {0.25, 0.75, 0.0};  // symbol 2 unused
+  const mdp::CompiledModel model = rules.instantiate(cell);
+  EXPECT_EQ(model.prob()[2], 1.0);
+  EXPECT_THROW((void)rules.instantiate(std::vector<double>{0.0, 1.0, 0.5}),
+               std::invalid_argument);
+  EXPECT_THROW((void)rules.instantiate(std::vector<double>{0.25, 0.7, 0.0}),
+               std::invalid_argument);  // state 0 sums to 0.95
+  EXPECT_THROW((void)rules.instantiate(std::vector<double>{0.25, 0.75}),
+               std::invalid_argument);
 }
 
 }  // namespace

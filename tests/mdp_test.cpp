@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "mdp/average_reward.hpp"
-#include "mdp/discounted.hpp"
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "util/check.hpp"
@@ -216,38 +215,6 @@ TEST(PolicyEvaluation, SuboptimalPolicyHasLowerGain) {
   Policy bad;
   bad.action = {0};
   EXPECT_NEAR(evaluate_policy_average(model, bad).reward_rate, 1.0, 1e-8);
-}
-
-// ------------------------------------------------------------- discounted --
-
-TEST(Discounted, GeometricSumSingleState) {
-  ModelBuilder builder(1);
-  builder.begin_action(0, 0);
-  builder.add_outcome(0, 1.0, 1.0, 0.0);
-  const Model model = builder.build();
-  DiscountedKnobs config;
-  config.discount = 0.9;
-  const DiscountedResult result = solve_discounted(model, config);
-  EXPECT_TRUE(result.converged());
-  EXPECT_NEAR(result.value[0], 10.0, 1e-6);
-}
-
-TEST(Discounted, AgreesWithAverageRewardInTheLimit) {
-  const Model model = make_alternator(1.0, 3.0);
-  DiscountedKnobs config;
-  config.discount = 0.9999;
-  const DiscountedResult discounted = solve_discounted(model, config);
-  const GainResult average = maximize_average_reward(model);
-  // (1 - beta) * V_beta -> gain.
-  EXPECT_NEAR((1.0 - config.discount) * discounted.value[0], average.gain,
-              1e-3);
-}
-
-TEST(Discounted, RejectsBadDiscount) {
-  const Model model = make_alternator(0.0, 0.0);
-  DiscountedKnobs config;
-  config.discount = 1.0;
-  EXPECT_THROW((void)solve_discounted(model, config), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ ratio --

@@ -1,54 +1,53 @@
-// ModelCache: content-addressed sharing of compiled models — hit/miss
+// ModelCache: content-addressed sharing of model templates — hit/miss
 // accounting, key canonicalization, and cross-thread sharing (registered
 // under the `parallel` ctest label; the sharing test is the TSan target).
-#include <chrono>
 #include <cstddef>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "btc/selfish_mining.hpp"
 #include "bu/attack_analysis.hpp"
 #include "bu/attack_model.hpp"
-#include "mdp/compiled_model.hpp"
-#include "mdp/model.hpp"
 #include "mdp/model_cache.hpp"
+#include "mdp/model_template.hpp"
 #include "obs/trace.hpp"
 
 namespace {
 
 using namespace bvc;
 
-mdp::Model tiny_model() {
-  mdp::ModelBuilder builder(2);
+/// A two-state cycle with one symbol: the smallest template.
+mdp::ModelTemplate tiny_template() {
+  mdp::TemplateBuilder builder(2, 1);
   builder.begin_action(0, 0);
-  builder.add_outcome(1, 1.0, 1.0, 1.0);
+  builder.add_outcome(1, 0, 1.0, 1.0);
   builder.begin_action(1, 0);
-  builder.add_outcome(0, 1.0, 0.0, 1.0);
-  return std::move(builder).build();
+  builder.add_outcome(0, 0, 0.0, 1.0);
+  return builder.build();
 }
 
 TEST(ModelCache, MissThenHitSharesOneEntry) {
   mdp::ModelCache cache;
   int builds = 0;
-  const auto compile = [&] {
+  const auto build = [&] {
     ++builds;
-    return mdp::CompiledModel::compile_shared(tiny_model());
+    return tiny_template();
   };
 
-  const auto first = cache.get_or_compile("k1", compile);
+  const auto first = cache.get_or_build("k1", build);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(builds, 1);
 
-  const auto second = cache.get_or_compile("k1", compile);
+  const auto second = cache.get_or_build("k1", build);
   EXPECT_EQ(second.get(), first.get());  // same immutable entry
-  EXPECT_EQ(builds, 1);                  // no recompilation on a hit
+  EXPECT_EQ(builds, 1);                  // no rebuild on a hit
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -58,11 +57,8 @@ TEST(ModelCache, MissThenHitSharesOneEntry) {
 
 TEST(ModelCache, DistinctKeysGetDistinctEntries) {
   mdp::ModelCache cache;
-  const auto compile = [] {
-    return mdp::CompiledModel::compile_shared(tiny_model());
-  };
-  const auto a = cache.get_or_compile("a", compile);
-  const auto b = cache.get_or_compile("b", compile);
+  const auto a = cache.get_or_build("a", tiny_template);
+  const auto b = cache.get_or_build("b", tiny_template);
   EXPECT_NE(a.get(), b.get());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -73,10 +69,7 @@ TEST(ModelCache, DistinctKeysGetDistinctEntries) {
 TEST(ModelCache, FindProbesWithoutFillingOrCounting) {
   mdp::ModelCache cache;
   EXPECT_EQ(cache.find("missing"), nullptr);
-  const auto compile = [] {
-    return mdp::CompiledModel::compile_shared(tiny_model());
-  };
-  const auto entry = cache.get_or_compile("k", compile);
+  const auto entry = cache.get_or_build("k", tiny_template);
   EXPECT_EQ(cache.find("k").get(), entry.get());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);  // find() counts neither hits nor misses
@@ -85,38 +78,32 @@ TEST(ModelCache, FindProbesWithoutFillingOrCounting) {
 
 TEST(ModelCache, ClearDropsEntriesButKeepsOutstandingModelsAlive) {
   mdp::ModelCache cache;
-  const auto compile = [] {
-    return mdp::CompiledModel::compile_shared(tiny_model());
-  };
-  const auto held = cache.get_or_compile("k", compile);
+  const auto held = cache.get_or_build("k", tiny_template);
   cache.clear();
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(cache.find("k"), nullptr);
-  // The caller's shared_ptr still owns a live model.
+  // The caller's shared_ptr still owns a live template.
   EXPECT_EQ(held->num_states(), 2u);
+  EXPECT_EQ(held->instantiate(std::vector<double>{1.0}).num_states(), 2u);
 }
 
 TEST(ModelCache, BytesResidentTracksInsertionsAndClear) {
   mdp::ModelCache cache;
   EXPECT_EQ(cache.stats().bytes_resident, 0u);
 
-  const auto model = mdp::CompiledModel::compile_shared(tiny_model());
-  const std::size_t per_model = model->bytes_resident();
-  EXPECT_GT(per_model, 0u);  // the SoA columns of a 2-state model
+  const std::size_t per_template = tiny_template().bytes_resident();
+  EXPECT_GT(per_template, 0u);  // the index and contribution columns
 
-  const auto compile = [] {
-    return mdp::CompiledModel::compile_shared(tiny_model());
-  };
-  (void)cache.get_or_compile("a", compile);
-  EXPECT_EQ(cache.stats().bytes_resident, per_model);
+  (void)cache.get_or_build("a", tiny_template);
+  EXPECT_EQ(cache.stats().bytes_resident, per_template);
   // A hit shares the existing entry: no new resident bytes.
-  (void)cache.get_or_compile("a", compile);
-  EXPECT_EQ(cache.stats().bytes_resident, per_model);
-  (void)cache.get_or_compile("b", compile);
-  EXPECT_EQ(cache.stats().bytes_resident, 2 * per_model);
+  (void)cache.get_or_build("a", tiny_template);
+  EXPECT_EQ(cache.stats().bytes_resident, per_template);
+  (void)cache.get_or_build("b", tiny_template);
+  EXPECT_EQ(cache.stats().bytes_resident, 2 * per_template);
 
   cache.clear();
   EXPECT_EQ(cache.stats().bytes_resident, 0u);
@@ -157,21 +144,47 @@ TEST(ModelCache, BuilderKeyCanonicalizesNormalizedInputs) {
       bu::attack_model_cache_key(without_wait, bu::Utility::kRelativeRevenue));
 }
 
+TEST(ModelCache, CellKeysKeepTheirJournalSpelling) {
+  // Journals and bvcd records are keyed by these strings, so resuming a
+  // journal written by an earlier build needs them byte for byte.
+  bu::AttackParams params;
+  params.alpha = 0.25;
+  params.beta = 0.3;
+  params.gamma = 0.45;
+  params.setting = bu::Setting::kStickyGate;
+  EXPECT_EQ(bu::attack_model_cache_key(params, bu::Utility::kOrphaning),
+            "bu_attack|alpha=0.25|beta=0.29999999999999999|"
+            "gamma=0.45000000000000001|ad=6|ad_carol=0|gate_period=144|"
+            "setting=1|countdown=0|confirmations=4|rds=10|allow_wait=1|"
+            "utility=2");
+  EXPECT_EQ(bu::analysis_job_key({params, bu::Utility::kAbsoluteReward}, {}),
+            "bu_attack|alpha=0.25|beta=0.29999999999999999|"
+            "gamma=0.45000000000000001|ad=6|ad_carol=0|gate_period=144|"
+            "setting=1|countdown=0|confirmations=4|rds=10|allow_wait=0|"
+            "utility=1|tol=1.0000000000000001e-05|"
+            "itol=1.9999999999999999e-07|isweeps=30000|itau=0.999");
+  btc::SmParams sm;
+  sm.alpha = 0.1;
+  sm.gamma_tie = 1.0;
+  EXPECT_EQ(btc::sm_model_cache_key(sm, bu::Utility::kAbsoluteReward),
+            "btc_sm|alpha=0.10000000000000001|gamma_tie=1|max_len=24|"
+            "confirmations=4|rds=10|utility=1");
+}
+
 TEST(ModelCache, CrossThreadLookupsShareOneCompilation) {
   mdp::ModelCache cache;
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kLookupsPerThread = 50;
 
-  std::vector<std::shared_ptr<const mdp::CompiledModel>> seen(
+  std::vector<std::shared_ptr<const mdp::ModelTemplate>> seen(
       kThreads * kLookupsPerThread);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&cache, &seen, t] {
       for (std::size_t i = 0; i < kLookupsPerThread; ++i) {
-        seen[t * kLookupsPerThread + i] = cache.get_or_compile("shared", [] {
-          return mdp::CompiledModel::compile_shared(tiny_model());
-        });
+        seen[t * kLookupsPerThread + i] =
+            cache.get_or_build("shared", tiny_template);
       }
     });
   }
@@ -186,273 +199,23 @@ TEST(ModelCache, CrossThreadLookupsShareOneCompilation) {
   }
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);
-  // Racing fills may each count a miss, but accounting stays consistent:
-  // every lookup is classified exactly once.
+  // One build: lookups that race the first one wait for it and count as
+  // hits, so every lookup is classified exactly once.
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kLookupsPerThread);
-  EXPECT_GE(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 1u);
 }
 
-// ---- capacity cap: deferred cost-aware LRU eviction -----------------------
-
-/// A chain model with `states` states: bytes_resident scales with the
-/// state count, giving the eviction tests models of controlled size.
-mdp::Model chain_model(mdp::StateId states) {
-  mdp::ModelBuilder builder(states);
-  for (mdp::StateId s = 0; s < states; ++s) {
-    builder.begin_action(s, 0);
-    builder.add_outcome((s + 1) % states, 1.0, 1.0, 1.0);
-  }
-  return std::move(builder).build();
-}
-
-TEST(ModelCacheEviction, CapBoundsBytesResidentExactly) {
+TEST(ModelCache, FailedBuildLeavesTheKeyUncached) {
   mdp::ModelCache cache;
-  const std::size_t per_model =
-      mdp::CompiledModel::compile_shared(chain_model(8))->bytes_resident();
-  // Room for exactly two 8-state models.
-  cache.set_capacity_bytes(2 * per_model);
-
-  const auto compile = [] {
-    return mdp::CompiledModel::compile_shared(chain_model(8));
-  };
-  (void)cache.get_or_compile("a", compile);
-  (void)cache.get_or_compile("b", compile);
-  {
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_EQ(stats.evictions, 0u);
-    EXPECT_EQ(stats.bytes_resident, 2 * per_model);
-  }
-  (void)cache.get_or_compile("c", compile);
-  const auto stats = cache.stats();
-  // The accounting must agree with CompiledModel::bytes_resident: two
-  // entries retained, one evicted, residency exactly two models.
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.bytes_resident, 2 * per_model);
-  EXPECT_LE(stats.bytes_resident, stats.capacity_bytes);
-}
-
-/// A compile callback whose measured cost is dominated by a busy-wait, so
-/// the tests can order entry priorities deterministically.
-std::function<std::shared_ptr<const mdp::CompiledModel>()> costing(int ms) {
-  return [ms] {
-    const auto begin = std::chrono::steady_clock::now();
-    while (std::chrono::steady_clock::now() - begin <
-           std::chrono::milliseconds(ms)) {
-    }
-    return mdp::CompiledModel::compile_shared(chain_model(8));
-  };
-}
-
-TEST(ModelCacheEviction, HitRefreshRescuesEntryFromEviction) {
-  // GreedyDual-Size recency: once an eviction advances the clock, touching
-  // an entry re-bases its priority on the new clock. Costs (in ms busy-wait)
-  // are ordered so every victim choice is deterministic:
-  //   insert a=50, b=200, c=100; cap forces one eviction -> a (min H = 50),
-  //   clock becomes 50. Touch c: H_c = 50 + 100 = 150. Insert d=70:
-  //   H_d = 120, the new minimum -> d evicts itself, the touched c
-  //   survives. Without the touch c (H = 100) would have been the victim.
-  //   The gaps are tens of ms so scheduler preemption of the busy-wait
-  //   (the costs are wall-clock-measured) cannot reorder the victims
-  //   when the suite runs under full parallel load.
-  mdp::ModelCache cache;
-  const std::size_t per_model =
-      mdp::CompiledModel::compile_shared(chain_model(8))->bytes_resident();
-  cache.set_capacity_bytes(2 * per_model);
-  (void)cache.get_or_compile("a", costing(50));
-  (void)cache.get_or_compile("b", costing(200));
-  (void)cache.get_or_compile("c", costing(100));
-  EXPECT_EQ(cache.find("a"), nullptr);  // cheapest of the first generation
-  (void)cache.get_or_compile("c", costing(100));  // hit: re-base on the clock
-  (void)cache.get_or_compile("d", costing(70));
-  EXPECT_EQ(cache.find("d"), nullptr);
-  EXPECT_NE(cache.find("b"), nullptr);
-  EXPECT_NE(cache.find("c"), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
-TEST(ModelCacheEviction, SelfEvictingInsertStillReturnsItsModel) {
-  // A large model whose compile is near-instant has the minimum
-  // GreedyDual-Size priority the moment it is inserted, so enforcing the
-  // cap evicts the entry that was just created. The caller must still get
-  // the compiled model back (regression: the post-eviction read of the
-  // erased entry was a use-after-free).
-  mdp::ModelCache cache;
-  const std::size_t per_model =
-      mdp::CompiledModel::compile_shared(chain_model(8))->bytes_resident();
-  cache.set_capacity_bytes(2 * per_model);
-  (void)cache.get_or_compile("a", costing(20));
-  (void)cache.get_or_compile("b", costing(20));
-  const auto huge = cache.get_or_compile(
-      "huge", [] { return mdp::CompiledModel::compile_shared(chain_model(64)); });
-  ASSERT_NE(huge, nullptr);
-  EXPECT_EQ(huge->num_states(), 64);
-  EXPECT_EQ(cache.find("huge"), nullptr);  // the insert was its own victim
-  EXPECT_NE(cache.find("a"), nullptr);
-  EXPECT_NE(cache.find("b"), nullptr);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.bytes_resident, 2 * per_model);
-}
-
-TEST(ModelCacheEviction, EqualRecencyPrefersEvictingCheapEntries) {
-  // Cost-aware tie-break: with every entry equally recent, the one whose
-  // compilation cost the least per byte goes first. The cheap entry's
-  // compile is instant; the expensive one gets a synthetic stall.
-  mdp::ModelCache cache;
-  const std::size_t small_bytes =
-      mdp::CompiledModel::compile_shared(chain_model(8))->bytes_resident();
-  (void)cache.get_or_compile("expensive", [] {
-    // A bigger build stands in for a slow one: its wall clock is what the
-    // cache records as reconstruction cost.
-    const auto begin = std::chrono::steady_clock::now();
-    while (std::chrono::steady_clock::now() - begin <
-           std::chrono::milliseconds(5)) {
-    }
-    return mdp::CompiledModel::compile_shared(chain_model(8));
-  });
-  (void)cache.get_or_compile("cheap", [] {
-    return mdp::CompiledModel::compile_shared(chain_model(8));
-  });
-  // Cap to one model: exactly one of the two must go.
-  cache.set_capacity_bytes(small_bytes);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.find("cheap"), nullptr);
-  EXPECT_NE(cache.find("expensive"), nullptr);
-}
-
-TEST(ModelCacheEviction, SettingCapacityEvictsImmediately) {
-  mdp::ModelCache cache;
-  const auto compile = [] {
-    return mdp::CompiledModel::compile_shared(chain_model(16));
-  };
-  (void)cache.get_or_compile("a", compile);
-  (void)cache.get_or_compile("b", compile);
-  (void)cache.get_or_compile("c", compile);
-  ASSERT_EQ(cache.stats().entries, 3u);
-  cache.set_capacity_bytes(1);  // below one model: keep only the floor of 1
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);  // never evicts the last entry
-  EXPECT_EQ(stats.evictions, 2u);
-  // Returning to unbounded stops evicting but keeps the tallies.
-  cache.set_capacity_bytes(0);
-  (void)cache.get_or_compile("d", compile);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
-// ---- disk tier ------------------------------------------------------------
-
-class ModelCacheDiskTier : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "bvc_cache_tier_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
-};
-
-TEST_F(ModelCacheDiskTier, SpillsOnCompileAndReloadsAfterClear) {
-  mdp::ModelCache cache;
-  cache.set_disk_tier(dir_);
-  int builds = 0;
-  const auto compile = [&] {
-    ++builds;
-    return mdp::CompiledModel::compile_shared(chain_model(8));
-  };
-  const auto first = cache.get_or_compile("k", compile);
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(cache.stats().disk_stores, 1u);
-  EXPECT_TRUE(
-      std::filesystem::exists(mdp::ModelCache::disk_path(dir_, "k")));
-
-  cache.clear();  // memory gone, disk tier survives
-  const auto reloaded = cache.get_or_compile("k", compile);
-  EXPECT_EQ(builds, 1);  // served from disk, not recompiled
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(reloaded->num_states(), first->num_states());
-  EXPECT_EQ(reloaded->bytes_resident(), first->bytes_resident());
-}
-
-TEST_F(ModelCacheDiskTier, KeyMismatchInFileFallsBackToCompile) {
-  mdp::ModelCache cache;
-  cache.set_disk_tier(dir_);
-  // Plant a file for key "other" at the path "victim" hashes to: a forced
-  // filename collision. The stored-key check must reject it.
-  const std::string path = mdp::ModelCache::disk_path(dir_, "victim");
-  {
-    mdp::ModelCache planter;
-    planter.set_disk_tier(dir_);
-    (void)planter.get_or_compile("other", [] {
-      return mdp::CompiledModel::compile_shared(chain_model(8));
-    });
-    std::filesystem::rename(mdp::ModelCache::disk_path(dir_, "other"), path);
-  }
-  int builds = 0;
-  (void)cache.get_or_compile("victim", [&] {
-    ++builds;
-    return mdp::CompiledModel::compile_shared(chain_model(8));
-  });
-  EXPECT_EQ(builds, 1);  // collision detected, recompiled
-  EXPECT_EQ(cache.stats().disk_hits, 0u);
-}
-
-TEST_F(ModelCacheDiskTier, CorruptFileFallsBackToCompile) {
-  mdp::ModelCache cache;
-  cache.set_disk_tier(dir_);
-  const std::string path = mdp::ModelCache::disk_path(dir_, "k");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a model";
-  }
-  int builds = 0;
-  const auto model = cache.get_or_compile("k", [&] {
-    ++builds;
-    return mdp::CompiledModel::compile_shared(chain_model(8));
-  });
-  EXPECT_EQ(builds, 1);
-  ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->num_states(), 8u);
-}
-
-TEST(CompiledModelSerialization, RoundTripIsBitIdentical) {
-  const auto original = mdp::CompiledModel::compile_shared(chain_model(5));
-  std::stringstream buffer;
-  original->serialize(buffer);
-  const auto restored = mdp::CompiledModel::deserialize(buffer);
-  ASSERT_NE(restored, nullptr);
-  ASSERT_EQ(restored->num_states(), original->num_states());
-  ASSERT_EQ(restored->num_state_actions(), original->num_state_actions());
-  ASSERT_EQ(restored->num_outcomes(), original->num_outcomes());
-  EXPECT_EQ(restored->bytes_resident(), original->bytes_resident());
-  for (std::size_t i = 0; i < original->num_outcomes(); ++i) {
-    ASSERT_EQ(restored->next()[i], original->next()[i]);
-    ASSERT_EQ(restored->prob()[i], original->prob()[i]);
-    ASSERT_EQ(restored->reward()[i], original->reward()[i]);
-    ASSERT_EQ(restored->weight()[i], original->weight()[i]);
-  }
-  for (std::size_t sa = 0; sa < original->num_state_actions(); ++sa) {
-    ASSERT_EQ(restored->expected_reward(sa), original->expected_reward(sa));
-    ASSERT_EQ(restored->expected_weight(sa), original->expected_weight(sa));
-  }
-}
-
-TEST(CompiledModelSerialization, TruncatedStreamIsRejected) {
-  const auto original = mdp::CompiledModel::compile_shared(chain_model(5));
-  std::stringstream buffer;
-  original->serialize(buffer);
-  const std::string full = buffer.str();
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{4}, full.size() / 2, full.size() - 1}) {
-    std::stringstream truncated(full.substr(0, keep));
-    EXPECT_EQ(mdp::CompiledModel::deserialize(truncated), nullptr)
-        << "accepted a stream truncated to " << keep << " bytes";
-  }
+  EXPECT_THROW((void)cache.get_or_build(
+                   "k", []() -> mdp::ModelTemplate {
+                     throw std::runtime_error("enumeration failed");
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(cache.find("k"), nullptr);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_NE(cache.get_or_build("k", tiny_template), nullptr);  // retried
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(ModelCache, GlobalCacheServesTheModelBuilders) {
@@ -460,17 +223,29 @@ TEST(ModelCache, GlobalCacheServesTheModelBuilders) {
   params.alpha = 0.31;  // a cell no other test builds
   params.beta = 0.35;
   params.gamma = 0.34;
-  const std::string key =
-      bu::attack_model_cache_key(params, bu::Utility::kRelativeRevenue);
+  mdp::ModelCache& cache = mdp::ModelCache::global();
+  cache.clear();
 
   const bu::AttackModel first =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
   ASSERT_NE(first.compiled, nullptr);
-  EXPECT_EQ(mdp::ModelCache::global().find(key).get(), first.compiled.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  // The cache holds the rule set's template, never a cell's model.
+  EXPECT_EQ(cache.find(bu::attack_model_cache_key(
+                params, bu::Utility::kRelativeRevenue)),
+            nullptr);
 
+  params.alpha = 0.32;  // another cell of the same rule set
+  params.gamma = 0.33;
   const bu::AttackModel second =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-  EXPECT_EQ(second.compiled.get(), first.compiled.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(&second.compiled->index(), &first.compiled->index());
+  // The base state's OnChain1 row pays alpha: the values are the cell's.
+  EXPECT_EQ(second.compiled->expected_reward(0), 0.32);
+  EXPECT_EQ(first.compiled->expected_reward(0), 0.31);
+  cache.clear();
 }
 
 // ---- cache-first lookups: enumerate only on a miss ------------------------
@@ -547,11 +322,20 @@ TEST(CacheFirst, MissEnumeratesInsideTheCompileSpan) {
 
   const std::vector<TracedSpan> builds = named(spans, "bu.build");
   const std::vector<TracedSpan> compiles = named(spans, "cache.compile");
+  const std::vector<TracedSpan> templates = named(spans, "model.template");
+  const std::vector<TracedSpan> fills = named(spans, "model.instantiate");
   ASSERT_EQ(builds.size(), 1u);
   ASSERT_EQ(compiles.size(), 1u);
-  // The enumeration is the fill: its span nests in the miss's compile span.
+  ASSERT_EQ(templates.size(), 1u);
+  ASSERT_EQ(fills.size(), 1u);
+  // The enumeration is the fill: its span nests in the miss's compile span,
+  // and the template's finalization nests in the enumeration. The cell's
+  // instantiation follows, outside the cache.
   EXPECT_GE(builds[0].begin_us, compiles[0].begin_us);
   EXPECT_LE(builds[0].end_us, compiles[0].end_us);
+  EXPECT_GE(templates[0].begin_us, builds[0].begin_us);
+  EXPECT_LE(templates[0].end_us, builds[0].end_us);
+  EXPECT_GE(fills[0].begin_us, compiles[0].end_us);
   EXPECT_NE(builds[0].args.find("\"states\":" +
                                 std::to_string(compiled->num_states())),
             std::string::npos)
@@ -578,34 +362,8 @@ TEST(CacheFirst, WarmRepeatHitsWithoutEnumerating) {
   EXPECT_EQ(warm.misses, cold.misses);
   EXPECT_TRUE(named(spans, "bu.build").empty());
   EXPECT_TRUE(named(spans, "cache.compile").empty());
+  EXPECT_EQ(named(spans, "model.instantiate").size(), 2u);
   EXPECT_EQ(named(spans, "ratio.solve").size(), 2u);  // the solves did run
-}
-
-TEST_F(ModelCacheDiskTier, GlobalReloadAfterClearSkipsTheEnumeration) {
-  mdp::ModelCache& cache = mdp::ModelCache::global();
-  cache.clear();
-  cache.set_disk_tier(dir_);
-  const bu::AttackParams params = cache_first_params();
-  const auto first =
-      bu::attack_model_compiled(params, bu::Utility::kRelativeRevenue);
-  EXPECT_EQ(cache.stats().disk_stores, 1u);
-
-  cache.clear();  // memory gone, disk tier survives
-  std::shared_ptr<const mdp::CompiledModel> reloaded;
-  const std::vector<TracedSpan> spans = trace_of([&] {
-    reloaded =
-        bu::attack_model_compiled(params, bu::Utility::kRelativeRevenue);
-  });
-  const mdp::ModelCache::Stats stats = cache.stats();
-  cache.set_disk_tier("");
-  cache.clear();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.disk_hits, 1u);
-  EXPECT_TRUE(named(spans, "bu.build").empty());
-  EXPECT_TRUE(named(spans, "cache.compile").empty());
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(reloaded->num_states(), first->num_states());
-  EXPECT_EQ(reloaded->num_outcomes(), first->num_outcomes());
 }
 
 }  // namespace

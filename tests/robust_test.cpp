@@ -12,7 +12,6 @@
 
 #include "bu/attack_analysis.hpp"
 #include "mdp/average_reward.hpp"
-#include "mdp/discounted.hpp"
 #include "mdp/model.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
@@ -255,26 +254,6 @@ TEST(AverageRewardControl, UnlimitedControlStillConverges) {
   EXPECT_EQ(result.status, RunStatus::kConverged);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.gain, 2.0, 1e-6);
-}
-
-TEST(DiscountedControl, PreCancelledReturnsWithoutASweep) {
-  const Model model = make_alternator(1.0, 3.0);
-  mdp::DiscountedKnobs config;
-  config.control = cancelled_control();
-  const mdp::DiscountedResult result = mdp::solve_discounted(model, config);
-  EXPECT_EQ(result.status, RunStatus::kCancelled);
-  EXPECT_EQ(result.sweeps(), 0);
-}
-
-TEST(DiscountedControl, TickBudgetCapsSweeps) {
-  const Model model = make_alternator(1.0, 3.0);
-  mdp::DiscountedKnobs config;
-  config.tolerance = 1e-300;
-  config.control.budget = RunBudget::ticks(5);
-  const mdp::DiscountedResult result = mdp::solve_discounted(model, config);
-  EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
-  EXPECT_LE(result.sweeps(), 5);
-  EXPECT_EQ(result.policy.action.size(), model.num_states());
 }
 
 TEST(PolicyIterationControl, PreCancelledReturnsTotalPolicy) {

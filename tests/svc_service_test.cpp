@@ -18,13 +18,17 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
+#include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "btc/selfish_mining.hpp"
 #include "bu/attack_analysis.hpp"
 #include "counter/voting_simulation.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/replicas.hpp"
 #include "svc/http.hpp"
 #include "svc/json.hpp"
@@ -510,6 +514,87 @@ TEST(SvcServicePagination, OffsetPagesThroughCompletionOrder) {
   EXPECT_EQ(paged_keys, full_keys);
 }
 
+TEST(SvcServicePagination, ConcurrentPollsOfARunningJobSeeEveryRecordOnce) {
+  // Two tailers page through a job and a third poller takes full snapshots
+  // while two workers store records: a page is copied under the service
+  // lock and serialized outside it, so each tailer must see every cell
+  // exactly once and each snapshot must agree with itself.
+  ServiceConfig config;
+  config.threads = 2;
+  SolveService service{config};
+  constexpr int kCells = 300;
+  std::string cells;
+  for (int i = 0; i < kCells; ++i) {
+    const double alpha = 0.05 + 0.0005 * i;
+    const double beta = (1.0 - alpha) / 2;
+    char cell[128];
+    std::snprintf(cell, sizeof(cell),
+                  R"(%s{"alpha":%.17g,"beta":%.17g,"gamma":%.17g})",
+                  i == 0 ? "" : ",", alpha, beta, 1.0 - alpha - beta);
+    cells += cell;
+  }
+  const std::string id =
+      submit_job(service, R"({"kind":"bu-attack","cells":[)" + cells + "]}");
+
+  const auto running = [](const Json& body) {
+    const std::string state = body.string_or("state", "");
+    return state == "queued" || state == "running";
+  };
+  const auto tail = [&](std::vector<std::string>& keys) {
+    std::size_t offset = 0;
+    for (;;) {
+      const HttpResponse response = service.route(make_request(
+          "GET", "/v1/jobs/" + id + "?offset=" + std::to_string(offset) +
+                     "&limit=16"));
+      ASSERT_EQ(response.status, 200);
+      const Json body = Json::parse(response.body).value();
+      const Json* records = body.find("records");
+      ASSERT_NE(records, nullptr);
+      for (const Json& record : records->items()) {
+        keys.push_back(record.string_or("key", ""));
+      }
+      const auto next =
+          static_cast<std::size_t>(body.number_or("next_offset", 0));
+      EXPECT_EQ(next - offset, records->size());
+      offset = next;
+      if (!running(body) &&
+          offset == static_cast<std::size_t>(body.number_or("completed", 0))) {
+        return;
+      }
+    }
+  };
+  std::vector<std::string> first;
+  std::vector<std::string> second;
+  std::thread tail_first([&] { tail(first); });
+  std::thread tail_second([&] { tail(second); });
+  std::thread snapshots([&] {
+    for (;;) {
+      const Json body = job_snapshot(service, id);
+      EXPECT_EQ(body.find("records")->size(),
+                static_cast<std::size_t>(body.number_or("completed", -1)));
+      if (!running(body)) {
+        return;
+      }
+    }
+  });
+  tail_first.join();
+  tail_second.join();
+  snapshots.join();
+  service.wait_idle();
+
+  std::vector<std::string> expected;
+  const Json done = job_snapshot(service, id);
+  for (const Json& record : done.find("records")->items()) {
+    expected.push_back(record.string_or("key", ""));
+  }
+  ASSERT_EQ(expected.size(), static_cast<std::size_t>(kCells));
+  std::sort(expected.begin(), expected.end());
+  for (std::vector<std::string>* seen : {&first, &second}) {
+    std::sort(seen->begin(), seen->end());
+    EXPECT_EQ(*seen, expected);
+  }
+}
+
 TEST(SvcServicePagination, MalformedOffsetIs400) {
   SolveService service{ServiceConfig{}};
   const std::string id = submit_job(service, kNetSimJob);
@@ -604,8 +689,39 @@ TEST(SvcServiceEndpoints, HealthMetricsAndCacheAreServed) {
   EXPECT_EQ(cache.status, 200);
   const std::optional<Json> cache_body = Json::parse(cache.body);
   ASSERT_TRUE(cache_body.has_value());
-  EXPECT_NE(cache_body->find("bytes_resident"), nullptr);
-  EXPECT_NE(cache_body->find("evictions"), nullptr);
+  for (const char* field : {"hits", "misses", "entries", "bytes_resident"}) {
+    EXPECT_NE(cache_body->find(field), nullptr) << field;
+  }
+  // The template cache has no eviction, capacity or disk tier to report.
+  EXPECT_EQ(cache_body->find("evictions"), nullptr);
+  EXPECT_EQ(cache_body->find("disk_hits"), nullptr);
+}
+
+TEST(SvcServiceEndpoints, RoutesAndJournalFlushesAreTraced) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.reset();
+  tracer.enable();
+  {
+    ServiceConfig config;
+    config.state_dir = fresh_dir("traced");
+    SolveService service{config};
+    const std::string id = submit_job(
+        service, R"({"kind":"bu-attack","cells":[{"alpha":0.2,"beta":0.4,)"
+                 R"("gamma":0.4,"ad":2}]})");
+    service.wait_idle();
+    EXPECT_EQ(service.route(make_request("GET", "/v1/healthz")).status, 200);
+  }
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_jsonl(out);
+  tracer.reset();
+  const std::string trace = out.str();
+  // One svc.route span per route() call, carrying its status; the job's
+  // journal writes its finished cell through at least one journal.flush.
+  EXPECT_NE(trace.find(R"("name":"svc.route")"), std::string::npos);
+  EXPECT_NE(trace.find(R"("target":"/v1/healthz")"), std::string::npos);
+  EXPECT_NE(trace.find(R"("status":202)"), std::string::npos);
+  EXPECT_NE(trace.find(R"("name":"journal.flush")"), std::string::npos);
 }
 
 TEST(SvcServiceEndpoints, MetricsExposePrometheusFormatOnRequest) {
