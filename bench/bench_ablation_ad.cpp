@@ -17,7 +17,6 @@
 #include "bu/attack_analysis.hpp"
 #include "sim/attack_scenario.hpp"
 #include "sweep_session.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -34,8 +33,8 @@ int main(int argc, char** argv) {
       {"beta", util::ArgType::kDouble, "X", "Bob group hash-rate share", "0.30"},
       {"gamma", util::ArgType::kDouble, "X", "Carol group hash-rate share", "0.45"},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_ablation_ad");
   const double alpha = args.get_double("alpha", 0.25);
   const double beta = args.get_double("beta", 0.30);

@@ -10,7 +10,6 @@
 #include "btc/selfish_mining.hpp"
 #include "bu/attack_analysis.hpp"
 #include "sweep_session.hpp"
-#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -24,8 +23,8 @@ int main(int argc, char** argv) {
   parser.add({
       {"alpha", util::ArgType::kDouble, "X", "attacker hash-rate share", "0.10"},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_ablation_ds");
   const double alpha = args.get_double("alpha", 0.10);
   const mdp::BatchConfig batch = bench::batch_config_from_args(args);

@@ -12,7 +12,6 @@
 #include "bench_common.hpp"
 #include "bu/attack_analysis.hpp"
 #include "sim/attack_scenario.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -28,8 +27,8 @@ int main(int argc, char** argv) {
       {"beta", util::ArgType::kDouble, "X", "Bob group hash-rate share", "0.30"},
       {"gamma", util::ArgType::kDouble, "X", "Carol group hash-rate share", "0.45"},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   const double alpha = args.get_double("alpha", 0.25);
   const double beta = args.get_double("beta", 0.30);
   const double gamma = args.get_double("gamma", 0.45);

@@ -8,6 +8,8 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mdp/batch.hpp"
 #include "mdp/kernel.hpp"
@@ -16,11 +18,9 @@
 #include "obs/event_log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "robust/run_control.hpp"
 #include "util/arg_spec.hpp"
-#include "util/cli.hpp"
 #include "util/csv.hpp"
 
 namespace bvc::bench {
@@ -66,16 +66,8 @@ inline void add_csv_args(util::ArgParser& parser) {
 
 inline void add_obs_args(util::ArgParser& parser) {
   parser.add({
-      {"trace-out", util::ArgType::kString, "FILE",
-       "write a Chrome trace-event JSON span trace", ""},
       {"trace-jsonl", util::ArgType::kString, "FILE",
        "write the same trace events as JSON Lines", ""},
-      {"metrics-out", util::ArgType::kString, "FILE",
-       "write the final metrics snapshot as JSON", ""},
-      {"metrics-prom-out", util::ArgType::kString, "FILE",
-       "write the final metrics snapshot in Prometheus text exposition "
-       "format",
-       ""},
       {"manifest-out", util::ArgType::kString, "FILE",
        "write the run manifest (git SHA, args, metrics)", ""},
       {"log-out", util::ArgType::kString, "FILE",
@@ -161,7 +153,7 @@ inline bool require_solved(const mdp::SolveReport& report,
 /// every bench binary: the returned control bounds the bench's whole solve
 /// or simulation loop (partial tables warn through require_solved instead
 /// of running forever). Defaults are unlimited.
-inline robust::RunControl run_control_from_args(const CliArgs& args) {
+inline robust::RunControl run_control_from_args(const util::ParsedArgs& args) {
   robust::RunControl control;
   const long wall_ms = args.get_long("wall-clock-ms", -1);
   if (wall_ms >= 0) {
@@ -178,7 +170,7 @@ inline robust::RunControl run_control_from_args(const CliArgs& args) {
 /// uses every hardware thread, 1 solves serially on the calling thread. The
 /// batch-wide budget comes from run_control_from_args, so every bench
 /// accepts the same three flags.
-inline mdp::BatchConfig batch_config_from_args(const CliArgs& args) {
+inline mdp::BatchConfig batch_config_from_args(const util::ParsedArgs& args) {
   mdp::BatchConfig config;
   config.threads = static_cast<int>(args.get_long("threads", 0));
   config.control = run_control_from_args(args);
@@ -199,7 +191,7 @@ struct CsvSink {
   }
 };
 
-inline CsvSink open_csv(const CliArgs& args,
+inline CsvSink open_csv(const util::ParsedArgs& args,
                         const std::vector<std::string>& header) {
   CsvSink sink;
   const auto path = args.value("csv");
@@ -216,8 +208,8 @@ inline CsvSink open_csv(const CliArgs& args,
 }
 
 /// One-line model-cache efficacy summary on stderr (stdout carries the
-/// reproduced table and must stay byte-stable). Works without --metrics-out:
-/// the cache keeps its own tally.
+/// reproduced table and must stay byte-stable). Works without
+/// --manifest-out: the cache keeps its own tally.
 inline void print_cache_stats(const char* bench_name) {
   const mdp::ModelCache::Stats stats = mdp::ModelCache::global().stats();
   const std::uint64_t lookups = stats.hits + stats.misses;
@@ -235,11 +227,11 @@ inline void print_cache_stats(const char* bench_name) {
 
 /// Shared observability front door for every bench binary: the flags
 ///
-///   --trace-out=FILE         span/instant trace, Chrome trace-event JSON
-///   --trace-jsonl=FILE       the same events as JSON Lines
-///   --metrics-out=FILE       final MetricsRegistry snapshot as JSON
-///   --metrics-prom-out=FILE  the same snapshot, Prometheus exposition text
-///   --manifest-out=FILE      run manifest (git SHA, args, metrics) as JSON
+///   --trace-jsonl=FILE       span/instant trace, one JSON event per line
+///                            (`bvc-cli merge DIR --trace-out` turns a
+///                            directory of them into one Chrome trace)
+///   --manifest-out=FILE      run manifest (git SHA, args, outputs, final
+///                            metrics snapshot) as JSON
 ///   --log-out/--log-level    obs::EventLog sink and threshold
 ///
 /// Construct one ObsSession at the top of main (before any solve) and let
@@ -250,20 +242,24 @@ inline void print_cache_stats(const char* bench_name) {
 /// atomic load — bench output is bit-identical to an uninstrumented build.
 class ObsSession {
  public:
-  ObsSession(int argc, const char* const* argv)
-      : manifest_(obs::make_run_manifest(argc, argv)) {
-    const CliArgs args(argc, argv);
-    trace_path_ = args.get_string("trace-out", "");
-    jsonl_path_ = args.get_string("trace-jsonl", "");
-    metrics_path_ = args.get_string("metrics-out", "");
-    prom_path_ = args.get_string("metrics-prom-out", "");
-    manifest_path_ = args.get_string("manifest-out", "");
-    if (!trace_path_.empty() || !jsonl_path_.empty()) {
+  explicit ObsSession(const util::ParsedArgs& args)
+      : manifest_(manifest_of(args)),
+        jsonl_path_(args.get_string("trace-jsonl", "")),
+        manifest_path_(args.get_string("manifest-out", "")) {
+    if (!jsonl_path_.empty()) {
       obs::Tracer::global().enable();
     }
-    if (!metrics_path_.empty() || !manifest_path_.empty() ||
-        !prom_path_.empty()) {
+    if (!manifest_path_.empty()) {
       obs::set_metrics_enabled(true);
+    }
+    // Every artifact the run writes, so the manifest links each number
+    // to the file holding it.
+    for (const auto& [flag, kind] : {std::pair{"csv", "csv"},
+                                     {"trace-jsonl", "trace"},
+                                     {"timeline-out", "timeline"}}) {
+      if (const auto path = args.value(flag)) {
+        manifest_.outputs.emplace_back(kind, *path);
+      }
     }
     const std::string log_out = args.get_string("log-out", "");
     const std::string log_level = args.get_string("log-level", "");
@@ -311,12 +307,6 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  /// Registers an output artifact (kind, path) for the run manifest, e.g.
-  /// ("csv", "table2.csv").
-  void note_output(std::string kind, std::string path) {
-    manifest_.outputs.emplace_back(std::move(kind), std::move(path));
-  }
-
   /// Stamps a free-form provenance note (key, value) into the manifest —
   /// the sweep layer records its resume tallies here so a recovered run is
   /// distinguishable from a straight-through one.
@@ -327,9 +317,6 @@ class ObsSession {
   ~ObsSession() {
     const auto write_file = [](const std::string& path, const char* what,
                                const auto& writer) {
-      if (path.empty()) {
-        return;
-      }
       std::ofstream out(path);
       if (!out) {
         std::fprintf(stderr, "*** cannot open %s output file: %s\n", what,
@@ -340,10 +327,8 @@ class ObsSession {
       std::fprintf(stderr, "[obs] wrote %s: %s\n", what, path.c_str());
     };
 
-    if (!trace_path_.empty() || !jsonl_path_.empty()) {
+    if (!jsonl_path_.empty()) {
       obs::Tracer& tracer = obs::Tracer::global();
-      write_file(trace_path_, "trace",
-                 [&](std::ostream& out) { tracer.write_chrome_trace(out); });
       write_file(jsonl_path_, "trace-jsonl",
                  [&](std::ostream& out) { tracer.write_jsonl(out); });
       if (tracer.dropped_events() > 0) {
@@ -351,41 +336,30 @@ class ObsSession {
                       {{"dropped", tracer.dropped_events()}});
       }
     }
-    if (!metrics_path_.empty() || !manifest_path_.empty() ||
-        !prom_path_.empty()) {
-      const obs::MetricsSnapshot snapshot =
-          obs::MetricsRegistry::global().snapshot();
-      write_file(metrics_path_, "metrics", [&](std::ostream& out) {
-        obs::write_metrics_json(out, snapshot);
-      });
-      write_file(prom_path_, "prometheus metrics", [&](std::ostream& out) {
-        obs::write_prometheus(out, snapshot);
-      });
-      if (!trace_path_.empty()) {
-        manifest_.outputs.emplace_back("trace", trace_path_);
-      }
-      if (!metrics_path_.empty()) {
-        manifest_.outputs.emplace_back("metrics", metrics_path_);
-      }
-      if (!prom_path_.empty()) {
-        manifest_.outputs.emplace_back("metrics-prometheus", prom_path_);
-      }
+    if (!manifest_path_.empty()) {
       manifest_.elapsed_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started_)
               .count();
       write_file(manifest_path_, "manifest", [&](std::ostream& out) {
-        obs::write_manifest_json(out, manifest_, snapshot);
+        obs::write_manifest_json(out, manifest_,
+                                 obs::MetricsRegistry::global().snapshot());
       });
     }
   }
 
  private:
+  /// The manifest's argv is the command line parse() accepted.
+  static obs::RunManifest manifest_of(const util::ParsedArgs& args) {
+    std::vector<const char*> argv;
+    for (const std::string& token : args.argv()) {
+      argv.push_back(token.c_str());
+    }
+    return obs::make_run_manifest(static_cast<int>(argv.size()), argv.data());
+  }
+
   obs::RunManifest manifest_;
-  std::string trace_path_;
   std::string jsonl_path_;
-  std::string metrics_path_;
-  std::string prom_path_;
   std::string manifest_path_;
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();

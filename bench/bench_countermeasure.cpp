@@ -20,7 +20,6 @@
 #include "counter/dynamic_limit.hpp"
 #include "counter/voting_simulation.hpp"
 #include "sweep_session.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -33,8 +32,8 @@ int main(int argc, char** argv) {
   util::ArgParser parser("bench_countermeasure", "Block-size-increase voting countermeasure study (Sect. 6.3)");
   bench::add_standard_bench_args(parser);
   bench::add_sweep_args(parser);
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_countermeasure");
   const mdp::BatchConfig batch = bench::batch_config_from_args(args);
 

@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "bu/attack_analysis.hpp"
 #include "sim/attack_scenario.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -19,8 +18,8 @@ using namespace bvc;
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_crossval", "MDP optima vs chain-semantics simulator cross-validation");
   bench::add_standard_bench_args(parser);
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   const mdp::BatchConfig batch = bench::batch_config_from_args(args);
   std::printf(
       "MDP <-> chain-semantics cross-validation (every step checked: any\n"

@@ -30,7 +30,6 @@
 #include "sim/replicas.hpp"
 #include "sim/topology.hpp"
 #include "sweep_session.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -108,30 +107,18 @@ int main(int argc, char** argv) {
        "most 500 blocks) with a sim-clock recorder and write a per-node "
        "Chrome trace to FILE", ""},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_degraded_network");
-  const long blocks_arg = args.get_long("blocks", 20'000);
-  if (blocks_arg <= 0) {
-    std::fprintf(stderr, "error: --blocks must be positive (got %ld)\n",
-                 blocks_arg);
-    return 1;
+  // parse() rejects negative values; zero is the one usage error left.
+  const auto blocks =
+      static_cast<std::uint64_t>(args.get_long("blocks", 20'000));
+  const auto replicas = static_cast<std::size_t>(args.get_long("replicas", 1));
+  if (blocks == 0 || replicas == 0) {
+    std::fprintf(stderr, "error: --blocks and --replicas must be positive\n");
+    return 2;
   }
-  const long replicas_arg = args.get_long("replicas", 1);
-  if (replicas_arg <= 0) {
-    std::fprintf(stderr, "error: --replicas must be positive (got %ld)\n",
-                 replicas_arg);
-    return 1;
-  }
-  const long nodes_arg = args.get_long("nodes", 0);
-  if (nodes_arg < 0) {
-    std::fprintf(stderr, "error: --nodes must be non-negative (got %ld)\n",
-                 nodes_arg);
-    return 1;
-  }
-  const auto blocks = static_cast<std::uint64_t>(blocks_arg);
-  const auto replicas = static_cast<std::size_t>(replicas_arg);
-  const auto nodes = static_cast<std::size_t>(nodes_arg);
+  const auto nodes = static_cast<std::size_t>(args.get_long("nodes", 0));
   const auto fault_seed =
       static_cast<std::uint64_t>(args.get_long("seed", 20170406));
 
@@ -255,7 +242,6 @@ int main(int argc, char** argv) {
     std::ofstream out(timeline_out, std::ios::trunc);
     if (out) {
       timeline.write_chrome_trace(out);
-      obs.note_output("timeline", timeline_out);
     } else {
       std::fprintf(stderr, "error: cannot write --timeline-out %s\n",
                    timeline_out.c_str());

@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "chain/block_tree.hpp"
 #include "chain/bu_validity.hpp"
-#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -39,8 +38,8 @@ int main(int argc, char** argv) {
   // this trace replay has no iterative loop for the budget to bound.
   bvc::util::ArgParser parser("bench_fig1_validity", "Regenerate Figure 1: BU parent-block choice (AD = 3)");
   bvc::bench::add_standard_bench_args(parser);
-  const bvc::CliArgs args = parser.parse(argc, argv);
-  bvc::bench::ObsSession obs(argc, argv);
+  const bvc::util::ParsedArgs args = parser.parse(argc, argv);
+  bvc::bench::ObsSession obs(args);
   (void)bvc::bench::run_control_from_args(args);
   (void)bvc::bench::batch_config_from_args(args);
 

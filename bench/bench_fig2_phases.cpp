@@ -39,8 +39,8 @@ const char* verdict_name(ChainVerdict verdict) {
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_fig2_phases", "Regenerate Figure 2: the two fork phases of the attack");
   bench::add_standard_bench_args(parser);
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   constexpr ByteSize kEbBob = 1 * kMegabyte;
   constexpr ByteSize kEbCarol = 8 * kMegabyte;
   BuParams bob_params;

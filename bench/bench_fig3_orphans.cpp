@@ -19,8 +19,8 @@ using namespace bvc;
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_fig3_orphans", "Regenerate Figure 3: one Alice block orphaning two blocks");
   bench::add_standard_bench_args(parser);
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   // ---- The scripted Figure 3 trace, via the abstract step semantics ------
   bu::AttackParams params;
   params.alpha = 0.01;

@@ -6,14 +6,13 @@
 
 #include "bench_common.hpp"
 #include "games/block_size_game.hpp"
-#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace bvc::games;
   bvc::util::ArgParser parser("bench_fig4_bsig", "Regenerate Figure 4: the block size increasing game");
   bvc::bench::add_standard_bench_args(parser);
-  const bvc::CliArgs args = parser.parse(argc, argv);
-  bvc::bench::ObsSession obs(argc, argv);
+  const bvc::util::ParsedArgs args = parser.parse(argc, argv);
+  bvc::bench::ObsSession obs(args);
 
   const std::vector<MinerGroup> groups = {
       {0.10, 1.0}, {0.20, 2.0}, {0.30, 4.0}, {0.40, 8.0}};

@@ -21,7 +21,6 @@
 
 #include "bench_common.hpp"
 #include "games/game_batch.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -55,8 +54,8 @@ std::vector<double> random_powers(Rng& rng, std::size_t n, double cap) {
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_games", "EB-choosing and block-size-increasing games at scale");
   bench::add_standard_bench_args(parser);
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   const mdp::BatchConfig batch = bench::batch_config_from_args(args);
   Rng rng(20171213);
 

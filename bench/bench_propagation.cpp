@@ -9,7 +9,6 @@
 #include "bench_common.hpp"
 #include "games/fee_market.hpp"
 #include "sim/network_sim.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -34,8 +33,8 @@ sim::NetMiner make_miner(std::string name, double power,
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_propagation", "Orphan rate vs block size and network capacity (Sect. 6.4)");
   bench::add_standard_bench_args(parser);
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   // Bounds each simulated cell (one guard tick per simulated block).
   const robust::RunControl control = bench::run_control_from_args(args);
   std::printf(

@@ -16,7 +16,8 @@
 //    budget, demonstrating that thousand-node relay runs fit the budget.
 //
 // Exit code 1 if any prediction deviates by more than the tolerance or the
-// scale run misses its budget, so scripts can gate on it.
+// scale run misses its budget, so scripts can gate on it; 2 on a usage
+// error.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -28,7 +29,6 @@
 #include "sim/network_sim.hpp"
 #include "sim/replicas.hpp"
 #include "sim/topology.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -64,15 +64,15 @@ int main(int argc, char** argv) {
       {"scale-wall-clock-ms", util::ArgType::kLong, "MS",
        "wall-clock budget of the scale probe", "30000"},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   const auto blocks = static_cast<std::uint64_t>(args.get_long("blocks", 4000));
   const auto replicas =
       static_cast<std::size_t>(args.get_long("replicas", 8));
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 2026));
   if (blocks == 0 || replicas == 0) {
     std::fprintf(stderr, "error: --blocks and --replicas must be positive\n");
-    return 1;
+    return 2;
   }
 
   const auto run_set = [&](const sim::NetworkConfig& config) {

@@ -118,12 +118,7 @@ void BM_BatchSolveTable3(benchmark::State& state) {
   std::vector<bu::AnalysisJob> jobs;
   for (const Grid& grid : grids) {
     for (const double alpha : alphas) {
-      bu::AttackParams params;
-      const double rest = 1.0 - alpha;
-      params.alpha = alpha;
-      params.beta = rest * grid.b / (grid.b + grid.g);
-      params.gamma = rest - params.beta;
-      params.setting = bu::Setting::kNoStickyGate;
+      const bu::AttackParams params = bu::grid_cell(alpha, grid.b, grid.g);
       jobs.push_back({params, bu::Utility::kAbsoluteReward});
       (void)bu::attack_model_compiled(params, bu::Utility::kAbsoluteReward);
     }
@@ -410,7 +405,7 @@ void time_rows(std::vector<TimedRow>& rows, std::vector<double>& bias,
   }
 }
 
-int run_kernel_mode(const CliArgs& args) {
+int run_kernel_mode(const util::ParsedArgs& args) {
   const std::string out_path = args.get_string("out", "BENCH_kernel.json");
   // 100-sweep reps: short enough that a rep fits inside one quiet clock
   // window on shared/virtualized hosts (a 200-sweep rep spans several and
@@ -693,15 +688,12 @@ int main(int argc, char** argv) {
        "kernel mode: sweeps per repetition", "100"},
   });
   // Everything else belongs to google-benchmark (--benchmark_filter etc.).
-  constexpr std::string_view kBenchmarkPrefixes[] = {"benchmark_", "v"};
-  for (const std::string_view prefix : kBenchmarkPrefixes) {
-    parser.allow_prefix(std::string(prefix));
-  }
-  const bvc::CliArgs args = parser.parse(argc, argv);
+  parser.allow_prefix("benchmark_");
+  parser.allow_prefix("v");
+  const bvc::util::ParsedArgs args = parser.parse(argc, argv);
 
-  // The session must outlive the benchmark run; constructed from the full
-  // argv so the manifest records every flag.
-  bvc::bench::ObsSession obs(argc, argv);
+  // The session must outlive the benchmark run.
+  bvc::bench::ObsSession obs(args);
   const std::string mode = args.get_string("mode", "");
   if (mode == "kernel") {
     return run_kernel_mode(args);
@@ -712,33 +704,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   // google-benchmark rejects arguments it does not recognize, so it gets
-  // only its own flags: parse() accepted every other flag as declared, and
-  // those are dropped here with their value token (split the way CliArgs
-  // splits `--name value`). Positional arguments pass through.
-  const auto is_benchmark_flag = [&](std::string_view name) {
-    for (const std::string_view prefix : kBenchmarkPrefixes) {
-      if (name.substr(0, prefix.size()) == prefix) {
-        return true;
-      }
-    }
-    return false;
-  };
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.size() < 3 || arg.substr(0, 2) != "--" ||
-        is_benchmark_flag(arg.substr(2))) {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    if (arg.find('=') == std::string_view::npos && i + 1 < argc &&
-        std::string_view(argv[i + 1]).substr(0, 2) != "--") {
-      ++i;
-    }
+  // only what parse() passed through, plus the positionals.
+  std::vector<std::string> forwarded = {args.argv().front()};
+  forwarded.insert(forwarded.end(), args.passthrough().begin(),
+                   args.passthrough().end());
+  forwarded.insert(forwarded.end(), args.positional().begin(),
+                   args.positional().end());
+  std::vector<char*> bench_argv;
+  for (std::string& token : forwarded) {
+    bench_argv.push_back(token.data());
   }
-  argc = kept;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  int bench_argc = static_cast<int>(bench_argv.size());
+  benchmark::Initialize(&bench_argc, bench_argv.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();

@@ -21,7 +21,6 @@
 #include "bench_common.hpp"
 #include "bu/attack_analysis.hpp"
 #include "sweep_session.hpp"
-#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -76,8 +75,8 @@ int main(int argc, char** argv) {
       {"quick", util::ArgType::kFlag, "", "solve setting 1 only", ""},
       {"ad", util::ArgType::kLong, "N", "attack duration (excessive-block depth)", "6"},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_table2");
   const bool quick = args.get_bool("quick", false);
   const unsigned ad = static_cast<unsigned>(args.get_long("ad", 6));
@@ -129,20 +128,14 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < ratios.size(); ++r) {
       const Ratio& ratio = ratios[r];
       for (const double alpha : alphas) {
-        const double rest = 1.0 - alpha;
-        const double beta = rest * ratio.b / (ratio.b + ratio.g);
-        const double gamma = rest - beta;
-        if (alpha > beta || alpha > gamma) {
-          continue;  // outside the paper's alpha <= min(beta,gamma)
+        bu::AttackParams params = bu::grid_cell(alpha, ratio.b, ratio.g);
+        if (!bu::in_paper_region(params)) {
+          continue;
         }
-        bu::AttackParams params;
-        params.alpha = alpha;
-        params.beta = beta;
-        params.gamma = gamma;
         params.setting = setting;
         params.ad = ad;
         jobs.push_back({params, bu::Utility::kRelativeRevenue});
-        cells.push_back({r, alpha, beta, gamma});
+        cells.push_back({r, alpha, params.beta, params.gamma});
       }
     }
     const std::vector<bu::AnalysisResult> results =

@@ -21,7 +21,6 @@
 #include "btc/selfish_mining.hpp"
 #include "bu/attack_analysis.hpp"
 #include "sweep_session.hpp"
-#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -66,8 +65,8 @@ int main(int argc, char** argv) {
   parser.add({
       {"quick", util::ArgType::kFlag, "", "solve the reduced grid only", ""},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_table3");
   const bool quick = args.get_bool("quick", false);
   const mdp::BatchConfig batch = bench::batch_config_from_args(args);
@@ -112,19 +111,13 @@ int main(int argc, char** argv) {
       const double alpha = kAlphas[ai];
       for (std::size_t ri = 0; ri < kRatios.size(); ++ri) {
         const Ratio& ratio = kRatios[ri];
-        const double rest = 1.0 - alpha;
-        const double beta = rest * ratio.b / (ratio.b + ratio.g);
-        const double gamma = rest - beta;
-        if (alpha > beta || alpha > gamma) {
+        bu::AttackParams params = bu::grid_cell(alpha, ratio.b, ratio.g);
+        if (!bu::in_paper_region(params)) {
           continue;
         }
-        bu::AttackParams params;
-        params.alpha = alpha;
-        params.beta = beta;
-        params.gamma = gamma;
         params.setting = setting;
         jobs.push_back({params, bu::Utility::kAbsoluteReward});
-        cells.push_back({ai, ri, beta, gamma});
+        cells.push_back({ai, ri, params.beta, params.gamma});
       }
     }
     const std::vector<bu::AnalysisResult> results =

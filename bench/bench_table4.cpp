@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "bu/attack_analysis.hpp"
 #include "sweep_session.hpp"
-#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -33,8 +32,8 @@ int main(int argc, char** argv) {
       {"quick", util::ArgType::kFlag, "", "solve the reduced grid only", ""},
       {"alpha", util::ArgType::kDouble, "X", "attacker hash-rate share", "0.01"},
   });
-  const CliArgs args = parser.parse(argc, argv);
-  bench::ObsSession obs(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
+  bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_table4");
   const bool quick = args.get_bool("quick", false);
   const double alpha = args.get_double("alpha", 0.01);
@@ -59,14 +58,7 @@ int main(int argc, char** argv) {
   // for each paper row).
   std::vector<bu::AnalysisJob> jobs;
   for (const Row& row : rows) {
-    const double rest = 1.0 - alpha;
-    const double beta = rest * row.b / (row.b + row.g);
-    const double gamma = rest - beta;
-    bu::AttackParams params;
-    params.alpha = alpha;
-    params.beta = beta;
-    params.gamma = gamma;
-    params.setting = bu::Setting::kNoStickyGate;
+    bu::AttackParams params = bu::grid_cell(alpha, row.b, row.g);
     jobs.push_back({params, bu::Utility::kOrphaning});
     if (!quick) {
       params.setting = bu::Setting::kStickyGate;
@@ -79,9 +71,8 @@ int main(int argc, char** argv) {
   TextTable table({"beta:gamma", "Setting 1", "Setting 2"});
   std::size_t next_job = 0;
   for (const Row& row : rows) {
-    const double rest = 1.0 - alpha;
-    const double beta = rest * row.b / (row.b + row.g);
-    const double gamma = rest - beta;
+    const double beta = jobs[next_job].params.beta;
+    const double gamma = jobs[next_job].params.gamma;
     const bu::AnalysisResult& analysis_s1 = results[next_job++];
     bench::require_solved(
         analysis_s1, "u3 setting 1 " +

@@ -17,7 +17,6 @@
 
 #include "bench_common.hpp"
 #include "robust/checkpoint.hpp"
-#include "util/cli.hpp"
 
 namespace bvc::bench {
 
@@ -35,7 +34,8 @@ class SweepSession {
  public:
   /// Construct before any sweep runs and after the ObsSession, so
   /// ~SweepSession's annotations land in the obs manifest.
-  SweepSession(const CliArgs& args, ObsSession& obs, const char* bench_name)
+  SweepSession(const util::ParsedArgs& args, ObsSession& obs,
+               const char* bench_name)
       : obs_(obs), bench_name_(bench_name) {
     const std::string path = args.get_string("checkpoint", "");
     if (path.empty()) {

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
        "60"},
       {"seed", util::ArgType::kLong, "N", "RNG seed", "1"},
   });
-  const CliArgs args = parser.parse(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
 
   VotingSimConfig config;
   config.rule.epoch_length = 2016;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       {"show-policy", util::ArgType::kFlag, "",
        "also print the Bitcoin attacker's optimal action grids", ""},
   });
-  const CliArgs args = parser.parse(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
   const double alpha = args.get_double("alpha", 0.05);
   const double beta_share = parse_split(args.get_string("split", "1:1"));
   const double rds = args.get_double("rds", 10.0);

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
        "miner groups as power%:max_profitable_mb pairs",
        "10:1,20:2,30:4,40:8"},
   });
-  const CliArgs args = parser.parse(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
   const std::vector<games::MinerGroup> groups =
       parse_groups(args.get_string("groups", "10:1,20:2,30:4,40:8"));
 

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       {"signals", util::ArgType::kString, "P:MB,...",
        "compliant cohorts as power%:eb_mb pairs", "35:1,25:2,20:8,20:16"},
   });
-  const CliArgs args = parser.parse(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
   const double alpha = args.get_double("alpha", 0.10);
   const std::vector<bu::EbGroup> groups =
       parse_signals(args.get_string("signals", "35:1,25:2,20:8,20:16"),

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       {"setting", util::ArgType::kLong, "1|2",
        "1 = no sticky gate, 2 = sticky gate", "1"},
   });
-  const CliArgs args = parser.parse(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
 
   bu::AttackParams params;
   params.alpha = args.get_double("alpha", 0.25);

@@ -11,8 +11,7 @@
 #      the same counter values) and `--format=bogus` exits 4 (HTTP 400);
 #   3. after a graceful daemon shutdown, `bvc-cli merge` folds the
 #      daemon's flushed telemetry dir into one metrics snapshot (JSON and
-#      Prometheus, both linted) and one merged Chrome trace;
-#   4. bench_table2 --metrics-prom-out writes a lint-clean exposition too.
+#      Prometheus, both linted) and one merged Chrome trace.
 #
 # Usage: scripts/check_prometheus.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -20,10 +19,9 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-ci}"
 [[ -d "$build" ]] || build="$repo/$1"
-bench="$build/bench/bench_table2"
 bvcd="$build/src/svc/bvcd"
 cli="$build/src/svc/bvc-cli"
-for bin in "$bench" "$bvcd" "$cli"; do
+for bin in "$bvcd" "$cli"; do
   [[ -x "$bin" ]] || {
     echo "check_prometheus.sh: $bin not built" >&2
     exit 1
@@ -171,10 +169,5 @@ names = {e["args"]["name"] for e in events if e.get("name") == "process_name"}
 assert any("bvcd" in n for n in names), f"no bvcd lane label in {names}"
 print(f"merge ok: {len(events)} trace events from pids {sorted(pids)}")
 EOF
-
-# 4. The bench writes the same exposition directly.
-"$bench" --quick --threads 2 --metrics-prom-out="$out/bench.prom" \
-  >/dev/null
-lint "$out/bench.prom" "mdp_cache_"
 
 echo "check_prometheus.sh: OK"

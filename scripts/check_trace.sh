@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
 # Observability smoke test (also registered as the `obs`-labeled ctest case
-# check_trace): runs one quick multithreaded bench with every obs sink
-# enabled and validates the artifacts:
+# check_trace): runs one quick multithreaded bench with its trace and
+# manifest sinks enabled and validates the artifacts:
 #
-#   * --trace-out is well-formed Chrome trace-event JSON (loadable in
-#     chrome://tracing / https://ui.perfetto.dev) with "ph":"X" spans from
-#     at least three instrumented subsystems (solver, batch/pool, cache);
-#   * --trace-jsonl is one JSON object per line, same event count;
-#   * --metrics-out parses and carries the mdp.cache.* counters;
-#   * --manifest-out parses and embeds git SHA, argv, and the metrics;
-#   * a run with every sink enabled prints byte-identical stdout to a
+#   * --trace-jsonl is one JSON object per line; `bvc-cli merge DIR
+#     --trace-out` turns it into well-formed Chrome trace-event JSON
+#     (loadable in chrome://tracing / https://ui.perfetto.dev) with one
+#     event per line and "ph":"X" spans from at least three instrumented
+#     subsystems (solver, batch/pool, cache);
+#   * --manifest-out parses, embeds git SHA and argv, lists the trace
+#     among its outputs, and its metrics carry the mdp.cache.* counters;
+#   * a run with the sinks enabled prints byte-identical stdout to a
 #     plain run (all obs chatter goes to artifacts or stderr).
 #
-# The telemetry dir and its offline merge (bvcd --telemetry-dir, bvc-cli
-# merge) are exercised by scripts/check_prometheus.sh.
+# The daemon's telemetry dir and its offline merge (bvcd --telemetry-dir,
+# bvc-cli merge) are exercised by scripts/check_prometheus.sh.
 #
 # Usage: scripts/check_trace.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -22,24 +23,28 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-ci}"
 [[ -d "$build" ]] || build="$repo/$1"
 bench="$build/bench/bench_table2"
-[[ -x "$bench" ]] || {
-  echo "check_trace.sh: $bench not built" >&2
-  exit 1
-}
+cli="$build/src/svc/bvc-cli"
+for bin in "$bench" "$cli"; do
+  [[ -x "$bin" ]] || {
+    echo "check_trace.sh: $bin not built" >&2
+    exit 1
+  }
+done
 
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+mkdir "$out/traces"
 
-"$bench" --quick --threads 2 \
-  --trace-out="$out/trace.json" \
-  --trace-jsonl="$out/trace.jsonl" \
-  --metrics-out="$out/metrics.json" \
+jsonl="$out/traces/table2.trace.jsonl"
+"$bench" --quick --threads 2 --trace-jsonl="$jsonl" \
   --manifest-out="$out/manifest.json" >"$out/stdout.txt"
+"$cli" merge "$out/traces" --trace-out "$out/trace.json"
 
-python3 - "$out" <<'EOF'
+python3 - "$out" "$jsonl" <<'EOF'
 import json, sys, pathlib
 
 out = pathlib.Path(sys.argv[1])
+jsonl = sys.argv[2]
 
 trace = json.loads((out / "trace.json").read_text())
 events = trace["traceEvents"]
@@ -55,28 +60,34 @@ for event in events:
     for key in ("name", "cat", "ts", "pid", "tid"):
         assert key in event, f"event missing {key}: {event}"
 
-lines = (out / "trace.jsonl").read_text().splitlines()
+lines = pathlib.Path(jsonl).read_text().splitlines()
 assert len(lines) == len(events), (len(lines), len(events))
 for line in lines:
     json.loads(line)
 
-metrics = json.loads((out / "metrics.json").read_text())
+manifest = json.loads((out / "manifest.json").read_text())
+for key in ("binary", "args", "git_sha", "metrics", "hardware_threads",
+            "outputs"):
+    assert key in manifest, f"manifest missing {key}"
+assert manifest["git_sha"], "manifest git_sha is empty"
+assert manifest["args"] == ["--quick", "--threads", "2",
+                            f"--trace-jsonl={jsonl}",
+                            f"--manifest-out={sys.argv[1]}/manifest.json"], \
+    manifest["args"]
+assert manifest["outputs"].get("trace") == jsonl, manifest["outputs"]
+
+metrics = manifest["metrics"]
 for section in ("counters", "gauges", "histograms"):
-    assert section in metrics, f"metrics missing {section}"
+    assert section in metrics, f"manifest metrics missing {section}"
 lookups = metrics["counters"].get("mdp.cache.hits", 0) + \
           metrics["counters"].get("mdp.cache.misses", 0)
 assert lookups > 0, "cache instrumentation recorded no lookups"
-
-manifest = json.loads((out / "manifest.json").read_text())
-for key in ("binary", "args", "git_sha", "metrics", "hardware_threads"):
-    assert key in manifest, f"manifest missing {key}"
-assert manifest["git_sha"], "manifest git_sha is empty"
 
 print(f"check_trace: {len(events)} events, categories {sorted(cats)}, "
       f"{lookups} cache lookups")
 EOF
 
-# The obs sinks must be invisible on stdout: a plain run and the fully
+# The obs sinks must be invisible on stdout: a plain run and the
 # instrumented run above print byte-identical tables.
 "$bench" --quick --threads 2 >"$out/plain.txt"
 cmp "$out/plain.txt" "$out/stdout.txt" || {

@@ -2,9 +2,9 @@
 # Tier-1 CI entry point: configure, build everything (libraries, tests,
 # bench binaries), run the full ctest suite, then smoke-test the
 # observability layer end to end — a real multithreaded bench run with
-# --trace-out/--metrics-out/--manifest-out, validated by
-# scripts/check_trace.sh (JSON well-formedness + spans from the solver,
-# batch/pool, and cache subsystems).
+# --trace-jsonl/--manifest-out, validated by scripts/check_trace.sh (JSON
+# well-formedness + spans from the solver, batch/pool, and cache
+# subsystems).
 #
 #   scripts/ci.sh                # everything, default build dir build-ci
 #   scripts/ci.sh -R Ratio       # forward extra args to ctest
@@ -22,8 +22,9 @@ cmake --build "$repo/$build" -j "$(nproc)"
 
 ctest --test-dir "$repo/$build" --output-on-failure "$@"
 
-# Observability smoke: one quick two-threaded table run with every obs sink
-# enabled must produce loadable artifacts with spans from >= 3 subsystems.
+# Observability smoke: one quick two-threaded table run with its trace and
+# manifest sinks enabled must produce loadable artifacts with spans from
+# >= 3 subsystems.
 "$repo/scripts/check_trace.sh" "$repo/$build"
 
 # Telemetry-plane gate, surfaced as its own named step: the obs-labeled

@@ -87,6 +87,19 @@ void AttackParams::validate() const {
   BVC_REQUIRE(rds >= 0.0, "double-spend value must be non-negative");
 }
 
+AttackParams grid_cell(double alpha, double b, double g, AttackParams base) {
+  const double rest = 1.0 - alpha;
+  base.alpha = alpha;
+  base.beta = rest * b / (b + g);
+  base.gamma = rest - base.beta;
+  return base;
+}
+
+bool in_paper_region(const AttackParams& cell) noexcept {
+  // The negated skip test keeps a NaN split, which validate() then rejects.
+  return !(cell.alpha > cell.beta || cell.alpha > cell.gamma);
+}
+
 namespace {
 
 /// The attack templates' probability symbols: every event probability of a

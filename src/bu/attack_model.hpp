@@ -103,6 +103,19 @@ struct AttackParams {
   }
 };
 
+/// One cell of the paper's (alpha, beta:gamma) grids: `base` with Alice at
+/// `alpha` and the rest of the power split b:g between Bob and Carol,
+/// beta = (1 - alpha) * b / (b + g) and gamma = (1 - alpha) - beta. Tables
+/// 2-4 and bvcd's grid jobs all split here, so a cell gets the same
+/// powers, bit for bit, and so the same key, whichever of them sweeps it.
+[[nodiscard]] AttackParams grid_cell(double alpha, double b, double g,
+                                     AttackParams base = {});
+
+/// Whether a grid cell lies in the region the paper tabulates,
+/// alpha <= min(beta, gamma); Tables 2 and 3 and bvcd's grid jobs skip the
+/// other cells.
+[[nodiscard]] bool in_paper_region(const AttackParams& cell) noexcept;
+
 /// Reward-relevant quantities produced by one event.
 struct Deltas {
   double alice_locked = 0.0;    ///< Alice's blocks added to the blockchain

@@ -15,7 +15,7 @@ namespace {
 
 /// Mirrors the cache's own hit/miss tally into the metrics registry (the
 /// cache counters exist regardless so bench summaries work without
-/// --metrics-out; these only feed the JSON sink).
+/// --manifest-out; these only feed the metrics snapshot).
 void note_lookup(bool hit) {
   static obs::Counter& hits =
       obs::MetricsRegistry::global().counter("mdp.cache.hits");

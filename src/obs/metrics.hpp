@@ -43,8 +43,7 @@ inline std::atomic<bool> g_metrics_enabled{false};
 }  // namespace detail
 
 /// The one relaxed check every metric mutation performs. Off by default;
-/// bench binaries flip it on when `--metrics-out` (or `--manifest-out`) is
-/// passed.
+/// bench binaries flip it on when `--manifest-out` is passed.
 [[nodiscard]] inline bool metrics_enabled() noexcept {
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
 }

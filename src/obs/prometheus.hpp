@@ -8,8 +8,8 @@
 // accumulates — ending in an `+Inf` bucket equal to `_count`, plus `_sum`
 // and `_count` samples.
 //
-// Consumed by `GET /v1/metrics?format=prometheus` on bvcd and by the
-// benches' `--metrics-prom-out` flag; linted by scripts/check_prometheus.sh.
+// Consumed by `GET /v1/metrics?format=prometheus` on bvcd and by
+// `bvc-cli merge --prom-out`; linted by scripts/check_prometheus.sh.
 #pragma once
 
 #include <iosfwd>

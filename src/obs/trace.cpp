@@ -20,7 +20,7 @@ Clock::time_point trace_epoch() noexcept {
 }
 
 void write_event_json(std::ostream& out, const TraceEvent& event,
-                      std::uint32_t tid, std::uint32_t pid = 0) {
+                      std::uint32_t tid, std::uint32_t pid) {
   char buffer[64];
   out << "{\"name\":" << json_quoted(event.name != nullptr ? event.name : "?")
       << ",\"cat\":"
@@ -114,23 +114,6 @@ void Tracer::record(const TraceEvent& event) noexcept {
   // Publish: the slot write above happens-before any reader that acquires
   // the new size.
   ring.size.store(size + 1, std::memory_order_release);
-}
-
-void Tracer::write_chrome_trace(std::ostream& out) const {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& ring : rings_) {
-      const std::size_t n = ring->size.load(std::memory_order_acquire);
-      for (std::size_t i = 0; i < n; ++i) {
-        out << (first ? "\n" : ",\n");
-        write_event_json(out, ring->slots[i], ring->tid, /*pid=*/0);
-        first = false;
-      }
-    }
-  }
-  out << (first ? "" : "\n") << "]}\n";
 }
 
 void Tracer::write_jsonl(std::ostream& out, std::uint32_t pid) const {

@@ -1,5 +1,5 @@
-// Span-based tracing with per-thread ring buffers and Chrome trace-event
-// JSON export (chrome://tracing, https://ui.perfetto.dev).
+// Span-based tracing with per-thread ring buffers and a JSON Lines export
+// of Chrome trace events.
 //
 // Recording discipline:
 //
@@ -19,10 +19,12 @@
 //     context goes into args (Span::arg), which formats into a small
 //     fixed-size buffer inside the event.
 //
-// Export: write_chrome_trace emits {"traceEvents":[...]} with "ph":"X"
-// complete events (instants as "ph":"i"), timestamps in microseconds since
-// the process trace epoch; write_jsonl emits the same events one JSON
-// object per line for log-pipeline consumption.
+// Export: write_jsonl emits one Chrome trace-event object per line —
+// "ph":"X" complete events (instants as "ph":"i"), timestamps in
+// microseconds since the process trace epoch. obs::write_merged_chrome_trace
+// (obs/telemetry.hpp, behind `bvc-cli merge DIR --trace-out`) wraps a
+// directory of such files into one trace for chrome://tracing or
+// https://ui.perfetto.dev.
 #pragma once
 
 #include <atomic>
@@ -74,14 +76,10 @@ class Tracer {
   /// Callers must have checked trace_enabled() — Span does.
   void record(const TraceEvent& event) noexcept;
 
-  /// {"traceEvents":[...],"displayTimeUnit":"ms"} — loadable by Perfetto
-  /// and chrome://tracing. Safe to call while other threads record; it
-  /// exports the events published so far.
-  void write_chrome_trace(std::ostream& out) const;
-
-  /// The same events as newline-delimited JSON objects, stamped with `pid`
-  /// (0 for a standalone process; telemetry flushers pass the real pid so
-  /// merged traces get one lane per process).
+  /// The recorded events as newline-delimited JSON objects, stamped with
+  /// `pid` (0 for a standalone process; telemetry flushers pass the real
+  /// pid so merged traces get one lane per process). Safe to call while
+  /// other threads record; it exports the events published so far.
   void write_jsonl(std::ostream& out, std::uint32_t pid = 0) const;
 
   /// Incremental JSONL export: writes only events published since the last

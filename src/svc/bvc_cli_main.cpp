@@ -23,11 +23,12 @@
 //   bvc-cli health  --port N                      GET /v1/healthz
 //   bvc-cli cache   --port N                      GET /v1/cache
 //   bvc-cli merge   <dir> --metrics-out PATH      offline: merge a
-//                   [--prom-out PATH]             telemetry directory (as
-//                   [--trace-out PATH]            written by --telemetry-dir
-//                                                 workers) into one metrics
-//                                                 snapshot / Chrome trace —
-//                                                 no daemon needed
+//                   [--prom-out PATH]             directory (bvcd's
+//                   [--trace-out PATH]            --telemetry-dir, or one
+//                                                 holding a bench's
+//                                                 *.trace.jsonl) into one
+//                                                 metrics snapshot / Chrome
+//                                                 trace — no daemon needed
 //
 // Every verb prints the response body (JSON) on stdout. Exit codes:
 // 0 = 2xx, 1 = HTTP error / job did not finish, 3 = cannot reach bvcd,
@@ -52,7 +53,7 @@ namespace {
 using namespace bvc;
 
 /// --port, or the number stored in --port-file (bvcd writes it atomically).
-long resolve_port(const CliArgs& args) {
+long resolve_port(const util::ParsedArgs& args) {
   const long port = args.get_long("port", 0);
   if (port > 0) {
     return port;
@@ -80,7 +81,7 @@ int print_response(const std::optional<svc::HttpResponse>& response) {
   return response->status < 300 ? 0 : 1;
 }
 
-std::string read_spec(const CliArgs& args) {
+std::string read_spec(const util::ParsedArgs& args) {
   const std::string file = args.get_string("file", "");
   if (file.empty() || file == "-") {
     std::ostringstream body;
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
        "`merge`: write the merged Chrome trace (one pid lane per worker) "
        "to PATH", ""},
   });
-  const CliArgs args = parser.parse(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
 
   const std::vector<std::string>& positional = args.positional();
   if (positional.empty()) {

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       {"telemetry-interval-ms", util::ArgType::kLong, "MS",
        "telemetry flush cadence in milliseconds", "500"},
   });
-  const CliArgs args = parser.parse(argc, argv);
+  const util::ParsedArgs args = parser.parse(argc, argv);
 
   // Event log first: every later failure (and the service's own warnings)
   // goes through it.
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   obs::set_metrics_enabled(true);
 
   const long port = args.get_long("port", 0);
-  if (port < 0 || port > 65535) {
+  if (port > 65535) {
     std::fprintf(stderr, "bvcd: --port must be in [0, 65535]\n");
     return 2;
   }
@@ -125,12 +125,8 @@ int main(int argc, char** argv) {
       static_cast<int>(args.get_long("concurrent-cells", 0));
   config.limits.max_cells =
       static_cast<std::size_t>(args.get_long("max-cells", 4096));
-  const long job_retention = args.get_long("job-retention", 0);
-  if (job_retention < 0) {
-    std::fprintf(stderr, "bvcd: --job-retention must be >= 0\n");
-    return 2;
-  }
-  config.job_retention = static_cast<std::size_t>(job_retention);
+  config.job_retention =
+      static_cast<std::size_t>(args.get_long("job-retention", 0));
   config.limits.max_wall_clock_seconds = args.get_double(
       "max-wall-clock", std::numeric_limits<double>::infinity());
   if (!config.state_dir.empty()) {

@@ -131,10 +131,9 @@ bool parse_attack_cell(const Json& cell, bu::AttackParams& params,
 }
 
 /// bench_table2-style grid: {"alphas":[...], "ratios":[[b,g],...],
-/// "setting":1|2, "ad":N, ...defaults...}. Expansion mirrors the bench
-/// exactly — beta = (1-alpha)*b/(b+g), gamma = rest-beta, cells outside
-/// alpha <= min(beta, gamma) skipped — so a grid job's cell keys equal the
-/// bench sweep's.
+/// "setting":1|2, "ad":N, ...defaults...}. Cells are split and filtered by
+/// bu::grid_cell and bu::in_paper_region, as in the benches, so a grid
+/// job's cell keys equal the bench sweep's.
 bool expand_attack_grid(const Json& grid, bu::Utility job_utility,
                         std::vector<bu::AnalysisJob>& jobs,
                         std::string& error) {
@@ -177,17 +176,11 @@ bool expand_attack_grid(const Json& grid, bu::Utility job_utility,
         error = "grid alphas must be finite numbers";
         return false;
       }
-      const double alpha = alpha_value.as_number();
-      const double rest = 1.0 - alpha;
-      const double beta = rest * b / (b + g);
-      const double gamma = rest - beta;
-      if (alpha > beta || alpha > gamma) {
-        continue;  // outside the paper's alpha <= min(beta, gamma) region
+      bu::AttackParams params =
+          bu::grid_cell(alpha_value.as_number(), b, g, defaults);
+      if (!bu::in_paper_region(params)) {
+        continue;
       }
-      bu::AttackParams params = defaults;
-      params.alpha = alpha;
-      params.beta = beta;
-      params.gamma = gamma;
       try {
         params.validate();
       } catch (const std::invalid_argument& e) {

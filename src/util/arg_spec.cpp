@@ -1,6 +1,7 @@
 #include "util/arg_spec.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -46,7 +47,92 @@ const char* type_placeholder(const ArgSpec& spec) {
   return "VALUE";
 }
 
+// The typed value readers behind the getters and parse()'s eager check.
+// Each throws std::invalid_argument saying what is wrong with `text`.
+
+double to_double(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0') {
+    throw std::invalid_argument("not a number");
+  }
+  if (errno == ERANGE) {
+    throw std::invalid_argument("out of range");
+  }
+  return parsed;
+}
+
+long to_long(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0') {
+    throw std::invalid_argument("not an integer");
+  }
+  if (errno == ERANGE) {
+    throw std::invalid_argument("out of range");
+  }
+  return parsed;
+}
+
+bool to_bool(const std::string& text) {
+  if (text == "true" || text == "1" || text == "yes" || text == "on") {
+    return true;
+  }
+  if (text == "false" || text == "0" || text == "no" || text == "off") {
+    return false;
+  }
+  throw std::invalid_argument("not true or false");
+}
+
 }  // namespace
+
+// -------------------------------------------------------------- ParsedArgs
+
+const ParsedArgs::Flag* ParsedArgs::find(std::string_view name) const {
+  for (const Flag& flag : flags_) {
+    if (flag.name == name) {
+      return &flag;
+    }
+  }
+  return nullptr;
+}
+
+bool ParsedArgs::has(std::string_view name) const {
+  return find(name) != nullptr;
+}
+
+std::optional<std::string> ParsedArgs::value(std::string_view name) const {
+  const Flag* flag = find(name);
+  return flag != nullptr ? flag->value : std::nullopt;
+}
+
+std::string ParsedArgs::get_string(std::string_view name,
+                                   std::string fallback) const {
+  auto v = value(name);
+  return v ? std::move(*v) : std::move(fallback);
+}
+
+double ParsedArgs::get_double(std::string_view name, double fallback) const {
+  const auto v = value(name);
+  return v ? to_double(*v) : fallback;
+}
+
+long ParsedArgs::get_long(std::string_view name, long fallback) const {
+  const auto v = value(name);
+  return v ? to_long(*v) : fallback;
+}
+
+bool ParsedArgs::get_bool(std::string_view name, bool fallback) const {
+  const Flag* flag = find(name);
+  if (flag == nullptr) {
+    return fallback;
+  }
+  return flag->value ? to_bool(*flag->value) : true;  // bare switch
+}
+
+// --------------------------------------------------------------- ArgParser
 
 ArgParser::ArgParser(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
@@ -77,6 +163,15 @@ const ArgSpec* ArgParser::find(std::string_view name) const {
     }
   }
   return nullptr;
+}
+
+bool ArgParser::passes_through(std::string_view name) const {
+  for (const std::string& prefix : pass_prefixes_) {
+    if (name.substr(0, prefix.size()) == prefix) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string ArgParser::suggestion(std::string_view unknown) const {
@@ -122,8 +217,34 @@ void ArgParser::print_help(std::ostream& out) const {
   out << "  --help                  show this message and exit\n";
 }
 
-CliArgs ArgParser::parse(int argc, const char* const* argv) const {
-  const CliArgs args(argc, argv);
+ParsedArgs ArgParser::parse(int argc, const char* const* argv) const {
+  ParsedArgs args;
+  args.argv_.assign(argv, argv + argc);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.size() < 3 || arg.substr(0, 2) != "--") {
+      args.positional_.emplace_back(arg);
+      continue;
+    }
+    const std::string_view body = arg.substr(2);
+    const std::size_t eq = body.find('=');
+    ParsedArgs::Flag flag{std::string(body.substr(0, eq)), std::nullopt};
+    const int first = i;
+    if (eq != std::string_view::npos) {
+      flag.value = std::string(body.substr(eq + 1));
+    } else if (i + 1 < argc &&
+               std::string_view(argv[i + 1]).substr(0, 2) != "--") {
+      // `--name value` form: the next token is the value unless it looks
+      // like another flag.
+      flag.value = argv[++i];
+    }
+    if (passes_through(flag.name)) {
+      args.passthrough_.insert(args.passthrough_.end(), argv + first,
+                               argv + i + 1);
+    } else {
+      args.flags_.push_back(std::move(flag));
+    }
+  }
 
   if (args.has("help")) {
     std::string page;
@@ -144,18 +265,9 @@ CliArgs ArgParser::parse(int argc, const char* const* argv) const {
     std::exit(2);
   };
 
-  for (const std::string& name : args.flag_names()) {
-    bool passed_through = false;
-    for (const std::string& prefix : pass_prefixes_) {
-      if (name.size() >= prefix.size() &&
-          name.compare(0, prefix.size(), prefix) == 0) {
-        passed_through = true;
-        break;
-      }
-    }
-    if (passed_through) {
-      continue;
-    }
+  for (auto flag = args.flags_.begin(); flag != args.flags_.end(); ++flag) {
+    const std::string& name = flag->name;
+    const std::optional<std::string>& value = flag->value;
     const ArgSpec* spec = find(name);
     if (spec == nullptr) {
       std::string message = "unknown flag --" + name;
@@ -165,35 +277,41 @@ CliArgs ArgParser::parse(int argc, const char* const* argv) const {
       }
       fail(message);
     }
-    // Eager type validation: reuse the CliArgs accessors, which throw
-    // std::invalid_argument on malformed values.
+    const auto same_name = [&](const ParsedArgs::Flag& other) {
+      return other.name == name;
+    };
+    if (std::any_of(args.flags_.begin(), flag, same_name)) {
+      fail("flag --" + name + " given more than once");
+    }
     try {
       switch (spec->type) {
         case ArgType::kFlag:
-          (void)args.get_bool(name, false);
+          if (value) {
+            (void)to_bool(*value);
+          }
           break;
         case ArgType::kLong:
-          if (!args.value(name).has_value()) {
+          if (!value) {
             fail("flag --" + name + " requires an integer value");
           }
           // Every integer flag is a count, duration, port, cursor or seed.
-          if (args.get_long(name, 0) < 0) {
+          if (to_long(*value) < 0) {
             fail("invalid value for --" + name + ": must not be negative");
           }
           break;
         case ArgType::kDouble:
-          if (!args.value(name).has_value()) {
+          if (!value) {
             fail("flag --" + name + " requires a numeric value");
           }
-          (void)args.get_double(name, 0.0);
+          (void)to_double(*value);
           break;
         case ArgType::kString:
-          if (!args.value(name).has_value()) {
+          if (!value) {
             fail("flag --" + name + " requires a value");
           }
           break;
       }
-    } catch (const std::exception& error) {
+    } catch (const std::invalid_argument& error) {
       fail("invalid value for --" + name + ": " + error.what());
     }
   }

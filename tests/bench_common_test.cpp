@@ -8,8 +8,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -44,10 +46,28 @@ TEST(DescribeCell, ValuesUseCompactFloatFormat) {
   EXPECT_EQ(bench::describe_cell({{"n", 3}}), "n=3");
 }
 
+/// A bench command line as ObsSession receives it: parsed against the
+/// shared flag groups plus the output flags the manifest lists.
+util::ParsedArgs bench_args(std::vector<const char*> flags) {
+  util::ArgParser parser("bench_fake", "ObsSession tests");
+  bench::add_standard_bench_args(parser);
+  bench::add_csv_args(parser);
+  parser.add({{"quick", util::ArgType::kFlag, "", "", ""},
+              {"timeline-out", util::ArgType::kString, "FILE", "", ""}});
+  flags.insert(flags.begin(), "bench_fake");
+  return parser.parse(static_cast<int>(flags.size()), flags.data());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 TEST(ObsSession, NoFlagsLeavesInstrumentationDisabled) {
-  const char* argv[] = {"bench_fake", "--threads", "2"};
   {
-    bench::ObsSession session(3, argv);
+    bench::ObsSession session(bench_args({"--threads", "2"}));
     EXPECT_FALSE(obs::metrics_enabled());
     EXPECT_FALSE(obs::trace_enabled());
   }
@@ -57,26 +77,23 @@ TEST(ObsSession, NoFlagsLeavesInstrumentationDisabled) {
 
 TEST(ObsSession, TraceFlagEnablesTracerAndWritesChromeTraceOnExit) {
   const std::string path =
-      testing::TempDir() + "bvc_obs_session_trace_test.json";
-  const std::string flag = "--trace-out=" + path;
-  const char* argv[] = {"bench_fake", flag.c_str()};
+      testing::TempDir() + "bvc_obs_session_trace_test.trace.jsonl";
+  const std::string flag = "--trace-jsonl=" + path;
   obs::Tracer::global().reset();
   {
-    bench::ObsSession session(2, argv);
+    bench::ObsSession session(bench_args({flag.c_str()}));
     ASSERT_TRUE(obs::trace_enabled());
     obs::Span span("bench_common_test.work", "test");
   }
   obs::Tracer::global().disable();
   obs::Tracer::global().reset();
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "ObsSession did not write " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"bench_common_test.work\""),
-            std::string::npos);
+  ASSERT_TRUE(std::ifstream(path).is_open())
+      << "ObsSession did not write " << path;
+  const std::string json = read_file(path);
+  // One Chrome trace event per line.
+  EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 1);
+  EXPECT_EQ(json.rfind("{\"name\":\"bench_common_test.work\"", 0), 0u);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
 }
@@ -84,10 +101,9 @@ TEST(ObsSession, TraceFlagEnablesTracerAndWritesChromeTraceOnExit) {
 TEST(ObsSession, MetricsFlagEnablesMetricsAndWritesSnapshotOnExit) {
   const std::string path =
       testing::TempDir() + "bvc_obs_session_metrics_test.json";
-  const std::string flag = "--metrics-out=" + path;
-  const char* argv[] = {"bench_fake", flag.c_str()};
+  const std::string flag = "--manifest-out=" + path;
   {
-    bench::ObsSession session(2, argv);
+    bench::ObsSession session(bench_args({flag.c_str()}));
     ASSERT_TRUE(obs::metrics_enabled());
     obs::MetricsRegistry::global()
         .counter("bench_common_test.sessions")
@@ -95,34 +111,43 @@ TEST(ObsSession, MetricsFlagEnablesMetricsAndWritesSnapshotOnExit) {
   }
   obs::set_metrics_enabled(false);
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "ObsSession did not write " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"bench_common_test.sessions\""), std::string::npos);
+  ASSERT_TRUE(std::ifstream(path).is_open())
+      << "ObsSession did not write " << path;
+  const std::string json = read_file(path);
+  const std::size_t metrics = json.find("\"metrics\"");
+  ASSERT_NE(metrics, std::string::npos);
+  EXPECT_NE(json.find("\"counters\"", metrics), std::string::npos);
+  EXPECT_NE(json.find("\"bench_common_test.sessions\"", metrics),
+            std::string::npos);
 }
 
 TEST(ObsSession, ManifestRecordsNotedOutputs) {
   const std::string path =
       testing::TempDir() + "bvc_obs_session_manifest_test.json";
-  const std::string flag = "--manifest-out=" + path;
-  const char* argv[] = {"bench_fake", flag.c_str(), "--quick"};
+  const std::string trace =
+      testing::TempDir() + "bvc_obs_session_manifest_test.trace.jsonl";
+  const std::string manifest_flag = "--manifest-out=" + path;
+  const std::string trace_flag = "--trace-jsonl=" + trace;
   {
-    bench::ObsSession session(3, argv);
-    session.note_output("csv", "out/table.csv");
+    // The session lists every output flag on the command line itself.
+    bench::ObsSession session(bench_args(
+        {manifest_flag.c_str(), "--quick", "--csv=out/table.csv",
+         trace_flag.c_str(), "--timeline-out", "out/timeline.json"}));
   }
   obs::set_metrics_enabled(false);
+  obs::Tracer::global().disable();
+  obs::Tracer::global().reset();
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "ObsSession did not write " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
+  ASSERT_TRUE(std::ifstream(path).is_open())
+      << "ObsSession did not write " << path;
+  const std::string json = read_file(path);
   EXPECT_NE(json.find("\"binary\""), std::string::npos);
   EXPECT_NE(json.find("--quick"), std::string::npos);
-  EXPECT_NE(json.find("out/table.csv"), std::string::npos);
+  EXPECT_NE(json.find("\"csv\": \"out/table.csv\""), std::string::npos);
+  EXPECT_NE(json.find("\"trace\": " + obs::json_quoted(trace)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"timeline\": \"out/timeline.json\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
 }
 

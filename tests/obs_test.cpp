@@ -186,10 +186,9 @@ TEST(Trace, SpansAndInstantsExportAsChromeTraceEvents) {
   tracer.disable();
   ASSERT_EQ(tracer.recorded_events(), 2u);
 
-  std::ostringstream chrome;
-  tracer.write_chrome_trace(chrome);
-  const std::string json = chrome.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  std::ostringstream jsonl;
+  tracer.write_jsonl(jsonl);
+  const std::string json = jsonl.str();
   EXPECT_NE(json.find("\"name\":\"obs_test.span\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"test\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // complete span
@@ -199,12 +198,8 @@ TEST(Trace, SpansAndInstantsExportAsChromeTraceEvents) {
   EXPECT_NE(json.find("\"status\":\"converged\""), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
-
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
   // JSONL: exactly one line per recorded event.
-  const std::string lines = jsonl.str();
-  EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), 2);
+  EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 2);
 
   tracer.reset();
   EXPECT_EQ(tracer.recorded_events(), 0u);

@@ -8,7 +8,6 @@
 
 #include "util/arg_spec.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -328,10 +327,25 @@ TEST(Csv, WritesRows) {
 
 // ------------------------------------------------------------------ cli ---
 
+/// Declares the Cli tests' flags as plain strings (and the switches as
+/// flags), so parse() passes every value through and what these tests
+/// exercise is the getters' own conversion.
+util::ParsedArgs parse_cli(int argc, const char* const* argv) {
+  util::ArgParser parser("prog", "getter tests");
+  for (const char* name :
+       {"alpha", "setting", "name", "count", "rate", "huge", "overflow"}) {
+    parser.add({name, util::ArgType::kString, "", "", ""});
+  }
+  for (const char* name : {"verbose", "quiet", "on", "off"}) {
+    parser.add({name, util::ArgType::kFlag, "", "", ""});
+  }
+  return parser.parse(argc, argv);
+}
+
 TEST(Cli, ParsesFlagsAndPositionals) {
   const char* argv[] = {"prog", "--alpha", "0.25", "--setting=2", "input.txt",
                         "--verbose"};
-  CliArgs args(6, argv);
+  const util::ParsedArgs args = parse_cli(6, argv);
   EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 0.25);
   EXPECT_EQ(args.get_long("setting", 0), 2);
   EXPECT_TRUE(args.get_bool("verbose", false));
@@ -342,28 +356,28 @@ TEST(Cli, ParsesFlagsAndPositionals) {
 
 TEST(Cli, FallbacksWhenAbsent) {
   const char* argv[] = {"prog"};
-  CliArgs args(1, argv);
+  const util::ParsedArgs args = parse_cli(1, argv);
   EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.125), 0.125);
   EXPECT_EQ(args.get_string("name", "default"), "default");
 }
 
 TEST(Cli, BooleanValueForms) {
   const char* argv[] = {"prog", "--on=true", "--off=false"};
-  CliArgs args(3, argv);
+  const util::ParsedArgs args = parse_cli(3, argv);
   EXPECT_TRUE(args.get_bool("on", false));
   EXPECT_FALSE(args.get_bool("off", true));
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--alpha", "abc"};
-  CliArgs args(3, argv);
+  const util::ParsedArgs args = parse_cli(3, argv);
   EXPECT_THROW((void)args.get_double("alpha", 0.0), std::invalid_argument);
 }
 
 TEST(Cli, RejectsEmptyAndOutOfRangeNumbers) {
   const char* argv[] = {"prog", "--count=", "--rate=", "--huge",
                         "99999999999999999999", "--overflow=1e999"};
-  CliArgs args(6, argv);
+  const util::ParsedArgs args = parse_cli(6, argv);
   EXPECT_THROW((void)args.get_long("count", 1), std::invalid_argument);
   EXPECT_THROW((void)args.get_double("rate", 1.0), std::invalid_argument);
   EXPECT_THROW((void)args.get_long("huge", 1), std::invalid_argument);
@@ -381,40 +395,82 @@ util::ArgParser numeric_parser() {
 
 TEST(ArgParser, AcceptsWellFormedNumbers) {
   const char* argv[] = {"prog", "--count", "0", "--rate=-0.5"};
-  const CliArgs args = numeric_parser().parse(4, argv);
+  const util::ParsedArgs args = numeric_parser().parse(4, argv);
   EXPECT_EQ(args.get_long("count", 7), 0);
   EXPECT_EQ(args.get_double("rate", 0.0), -0.5);
+}
+
+TEST(ArgParser, SetsPassThroughTokensAside) {
+  util::ArgParser parser = numeric_parser();
+  parser.allow_prefix("benchmark_");
+  const char* argv[] = {"prog",
+                        "--benchmark_filter=x",
+                        "--count",
+                        "3",
+                        "--benchmark_repetitions",
+                        "2",
+                        "--benchmark_filter=y",
+                        "input.txt"};
+  const util::ParsedArgs args = parser.parse(8, argv);
+  EXPECT_EQ(args.get_long("count", 0), 3);
+  EXPECT_FALSE(args.has("benchmark_filter"));
+  // Verbatim and in order; a pass-through flag may repeat.
+  EXPECT_EQ(args.passthrough(),
+            (std::vector<std::string>{"--benchmark_filter=x",
+                                      "--benchmark_repetitions", "2",
+                                      "--benchmark_filter=y"}));
+  EXPECT_EQ(args.positional(), std::vector<std::string>{"input.txt"});
+  EXPECT_EQ(args.argv(), std::vector<std::string>(argv, argv + 8));
 }
 
 // Each malformed value exits 2 with the parser's diagnostic on stderr. The
 // threadsafe style re-runs the test binary instead of forking it, which
 // the sanitizer builds' runtime threads tolerate.
-void expect_rejected(const char* flag, const char* message) {
+void expect_rejected(std::vector<const char*> flags, const char* message) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const char* argv[] = {"prog", flag};
-  EXPECT_EXIT((void)numeric_parser().parse(2, argv),
+  flags.insert(flags.begin(), "prog");
+  EXPECT_EXIT((void)numeric_parser().parse(static_cast<int>(flags.size()),
+                                           flags.data()),
               testing::ExitedWithCode(2), message)
-      << flag;
+      << flags[1];
 }
 
 TEST(ArgParserDeathTest, RejectsEmptyInteger) {
-  expect_rejected("--count=", "invalid value for --count");
+  expect_rejected({"--count="}, "invalid value for --count");
 }
 
 TEST(ArgParserDeathTest, RejectsOutOfRangeInteger) {
-  expect_rejected("--count=99999999999999999999", "invalid value for --count");
+  expect_rejected({"--count=99999999999999999999"},
+                  "invalid value for --count");
 }
 
 TEST(ArgParserDeathTest, RejectsNegativeInteger) {
-  expect_rejected("--count=-1", "--count: must not be negative");
+  expect_rejected({"--count=-1"}, "--count: must not be negative");
 }
 
 TEST(ArgParserDeathTest, RejectsEmptyDouble) {
-  expect_rejected("--rate=", "invalid value for --rate");
+  expect_rejected({"--rate="}, "invalid value for --rate");
 }
 
 TEST(ArgParserDeathTest, RejectsOutOfRangeDouble) {
-  expect_rejected("--rate=1e999", "invalid value for --rate");
+  expect_rejected({"--rate=1e999"}, "invalid value for --rate");
+}
+
+TEST(ArgParserDeathTest, NamesWhatIsWrongWithAValue) {
+  expect_rejected({"--rate=abc"}, "invalid value for --rate: not a number\n");
+  expect_rejected({"--count=1.5"},
+                  "invalid value for --count: not an integer\n");
+  expect_rejected({"--count=99999999999999999999"},
+                  "invalid value for --count: out of range\n");
+}
+
+TEST(ArgParserDeathTest, RejectsRepeatedFlag) {
+  // The getters read the first occurrence: a second one, valid or not,
+  // would otherwise be silently ignored.
+  expect_rejected({"--rate", "0.25", "--rate=abc"},
+                  "flag --rate given more than once");
+  expect_rejected({"--count=1", "--count=2"},
+                  "flag --count given more than once");
 }
 
 }  // namespace
