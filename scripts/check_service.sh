@@ -7,11 +7,13 @@
 #      baseline CSV (setting 1, 21 grid cells);
 #   2. bvcd is started on an ephemeral port, the same grid is submitted as
 #      one job through bvc-cli, and the polled result's utility values must
-#      match the baseline CSV cell for cell; warm leg: the same grid goes
-#      to the same daemon a second time, its records must equal the first
-#      job's (wall_clock_ns aside), and GET /v1/cache must show every cell
-#      of it served from the model cache (misses unchanged, hits up by the
-#      cell count);
+#      match the baseline CSV cell for cell; repeat leg: the same grid goes
+#      to the same daemon a second time and every cell must be shared from
+#      the first job (reused == 21, records equal wall_clock_ns included,
+#      GET /v1/cache hits and misses unchanged: nothing was looked up);
+#      warm-cache leg: the grid again at another tolerance has new cell
+#      keys, so nothing is reused and every cell is solved from the warm
+#      model cache (misses unchanged, hits up by the cell count);
 #   3. a second daemon is crash-injected via BVC_CRASH_AFTER_CELLS: it is
 #      SIGKILLed by the journal hook mid-grid, leaving exactly N journaled
 #      cells; a restarted daemon on the same state dir RESUMES the job, and
@@ -61,6 +63,14 @@ cat >"$out/job.json" <<'EOF'
           "ad": 3, "setting": 1}}
 EOF
 
+# The grid at another solver tolerance: new cell keys, same model templates.
+python3 - "$out/job.json" "$out/job-tol.json" <<'EOF'
+import json, sys
+job = json.load(open(sys.argv[1]))
+job["tolerance"] = 2e-5
+json.dump(job, open(sys.argv[2], "w"))
+EOF
+
 # 1. Baseline: the in-process bench with the identical grid.
 "$bench" --quick --ad 3 --threads 2 --csv "$out/baseline.csv" \
   >"$out/baseline.txt" 2>/dev/null
@@ -88,7 +98,7 @@ stop_daemon() {
 }
 
 # 2. Serve the grid and diff against the baseline CSV; then serve it again
-# from the warm cache.
+# (every cell repeated) and once more at another tolerance (warm cache).
 start_daemon "$out/state1"
 "$cli" submit --port-file "$out/port.txt" --file "$out/job.json" \
   >"$out/submit1.json"
@@ -96,10 +106,15 @@ start_daemon "$out/state1"
   >"$out/result1.json"
 "$cli" cache --port-file "$out/port.txt" >"$out/cache-cold.json"
 "$cli" submit --port-file "$out/port.txt" --file "$out/job.json" \
-  >"$out/submit1-warm.json"
+  >"$out/submit1-repeat.json"
 "$cli" result j2 --port-file "$out/port.txt" --timeout 600 \
-  >"$out/result1-warm.json"
-"$cli" cache --port-file "$out/port.txt" >"$out/cache-warm.json"
+  >"$out/result1-repeat.json"
+"$cli" cache --port-file "$out/port.txt" >"$out/cache-repeat.json"
+"$cli" submit --port-file "$out/port.txt" --file "$out/job-tol.json" \
+  >"$out/submit1-tol.json"
+"$cli" result j3 --port-file "$out/port.txt" --timeout 600 \
+  >"$out/result1-tol.json"
+"$cli" cache --port-file "$out/port.txt" >"$out/cache-tol.json"
 stop_daemon
 
 python3 - "$out/baseline.csv" "$out/result1.json" <<'EOF'
@@ -128,29 +143,40 @@ print(f"check_service: {len(result['records'])} service cells match the "
       "bench CSV")
 EOF
 
-python3 - "$out/result1.json" "$out/result1-warm.json" \
-  "$out/cache-cold.json" "$out/cache-warm.json" <<'EOF'
+python3 - "$out/result1.json" "$out/result1-repeat.json" \
+  "$out/result1-tol.json" "$out/cache-cold.json" "$out/cache-repeat.json" \
+  "$out/cache-tol.json" <<'EOF'
 import json, sys
 
-def cells(path):
+def load(path):
     result = json.load(open(path))
     assert result["state"] == "done", (path, result["state"])
-    return {r["key"]: (r["status"],
-                       [(n, v) for n, v in r["values"]
-                        if n != "wall_clock_ns"])
-            for r in result["records"]}
+    assert result["completed"] == 21, (path, result["completed"])
+    return result, {r["key"]: r for r in result["records"]}
 
-cold, warm = cells(sys.argv[1]), cells(sys.argv[2])
-assert len(warm) == 21, f"warm job has {len(warm)} cells, expected 21"
-assert warm == cold, "warm-cache records differ from the cold job's"
-before, after = json.load(open(sys.argv[3])), json.load(open(sys.argv[4]))
-assert after["misses"] == before["misses"], \
-    f"warm job missed the model cache: {before} -> {after}"
-assert after["hits"] == before["hits"] + len(warm), \
-    f"warm job hit the cache {after['hits'] - before['hits']} times, " \
-    f"expected {len(warm)}"
-print(f"check_service: warm resubmission served all {len(warm)} cells from "
-      "the model cache with identical records")
+(_, cold), (repeat, shared), (tol, tolerant) = map(load, sys.argv[1:4])
+cache_cold, cache_repeat, cache_tol = (json.load(open(p))
+                                       for p in sys.argv[4:7])
+
+# Repeat leg: every cell is the first job's record, wall_clock_ns included,
+# and the model cache was never consulted.
+assert repeat["reused"] == 21, f"repeat job reused {repeat['reused']} cells"
+assert shared == cold, "repeated records differ from the cold job's"
+assert (cache_repeat["hits"], cache_repeat["misses"]) == \
+    (cache_cold["hits"], cache_cold["misses"]), \
+    f"repeat job looked the model cache up: {cache_cold} -> {cache_repeat}"
+
+# Warm-cache leg: new keys, so every cell is solved, each from a cached
+# template.
+assert tol["reused"] == 0, f"tolerance job reused {tol['reused']} cells"
+assert not set(tolerant) & set(cold), "a tolerance changed no cell key"
+assert cache_tol["misses"] == cache_repeat["misses"], \
+    f"tolerance job missed the model cache: {cache_repeat} -> {cache_tol}"
+assert cache_tol["hits"] == cache_repeat["hits"] + 21, \
+    f"tolerance job hit the cache " \
+    f"{cache_tol['hits'] - cache_repeat['hits']} times, expected 21"
+print("check_service: a repeated grid shared all 21 records; at another "
+      "tolerance all 21 cells solved from the warm model cache")
 EOF
 
 # 3. Crash leg: the journal hook SIGKILLs the daemon after 5 journaled

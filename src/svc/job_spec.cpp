@@ -1,5 +1,6 @@
 #include "svc/job_spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -41,9 +42,15 @@ bool read_unsigned(const Json& object, std::string_view key, unsigned& out,
   return true;
 }
 
+/// Absent leaves `out` untouched and succeeds without range-checking it: a
+/// default may lie beyond the 9e15 bound (the topology seeds are ~8.1e18)
+/// and would not survive a round trip through double.
 bool read_u64(const Json& object, std::string_view key, std::uint64_t& out,
               std::string& error) {
-  double value = static_cast<double>(out);
+  if (object.find(key) == nullptr) {
+    return true;
+  }
+  double value = 0.0;
   if (!read_number(object, key, value, error)) {
     return false;
   }
@@ -52,6 +59,30 @@ bool read_u64(const Json& object, std::string_view key, std::uint64_t& out,
     return false;
   }
   out = static_cast<std::uint64_t>(value);
+  return true;
+}
+
+/// Bounds on the edges one submit may make a topology build beyond its
+/// ring or spokes (one per node): at most 2e6 random chord draws (nodes x
+/// extra_degree; the default degree 2 at the 1e6-node cap), and at most
+/// 2000 hubs, whose full mesh (hubs x (hubs - 1) / 2 edges) stays under
+/// 2e6.
+constexpr double kMaxChordDraws = 2e6;
+constexpr double kMaxHubs = 2000.0;
+
+/// Reads topology member `key` as an integer in [lo, hi]; absent keeps
+/// `out` and succeeds. The message names the field.
+bool read_topology_count(const Json& topology, std::string_view key, double lo,
+                         double hi, std::string_view range, double& out,
+                         std::string& error) {
+  if (!read_number(topology, key, out, error)) {
+    return false;
+  }
+  if (out < lo || out != std::floor(out) || out > hi) {
+    error = "topology '" + std::string(key) + "' must be an integer in " +
+            std::string(range);
+    return false;
+  }
   return true;
 }
 
@@ -362,40 +393,45 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
       return false;
     }
     const std::string type = topology->string_or("type", "random");
-    if (type == "random") {
-      sim::RandomTopologyConfig graph;
-      double nodes = 0.0;
-      double extra_degree = static_cast<double>(graph.extra_degree);
-      if (!read_number(*topology, "nodes", nodes, error) ||
-          !read_number(*topology, "extra_degree", extra_degree, error) ||
-          !read_u64(*topology, "seed", graph.seed, error)) {
-        return false;
-      }
-      if (nodes < 2.0 || nodes != std::floor(nodes) || nodes > 1e6) {
-        error = "topology 'nodes' must be an integer in [2, 1e6]";
-        return false;
-      }
-      graph.nodes = static_cast<std::size_t>(nodes);
-      graph.extra_degree = static_cast<std::size_t>(extra_degree);
-      config.topology = sim::random_topology(graph);
-    } else if (type == "hub-spoke") {
-      sim::HubSpokeConfig graph;
-      double nodes = 0.0;
-      double hubs = static_cast<double>(graph.hubs);
-      if (!read_number(*topology, "nodes", nodes, error) ||
-          !read_number(*topology, "hubs", hubs, error) ||
-          !read_u64(*topology, "seed", graph.seed, error)) {
-        return false;
-      }
-      if (nodes < 2.0 || nodes != std::floor(nodes) || nodes > 1e6) {
-        error = "topology 'nodes' must be an integer in [2, 1e6]";
-        return false;
-      }
-      graph.nodes = static_cast<std::size_t>(nodes);
-      graph.hubs = static_cast<std::size_t>(hubs);
-      config.topology = sim::hub_spoke_topology(graph);
-    } else {
+    if (type != "random" && type != "hub-spoke") {
       error = "unknown topology type '" + type + "' (want random|hub-spoke)";
+      return false;
+    }
+    // Every count is range-checked before anything is built; a builder's
+    // own precondition failure is still the client's 400, never a 500.
+    double nodes = 0.0;
+    if (!read_topology_count(*topology, "nodes", 2.0, 1e6, "[2, 1e6]", nodes,
+                             error)) {
+      return false;
+    }
+    try {
+      if (type == "random") {
+        sim::RandomTopologyConfig graph;
+        double extra_degree = static_cast<double>(graph.extra_degree);
+        if (!read_topology_count(*topology, "extra_degree", 0.0,
+                                 std::floor(kMaxChordDraws / nodes),
+                                 "[0, 2e6 / nodes]", extra_degree, error) ||
+            !read_u64(*topology, "seed", graph.seed, error)) {
+          return false;
+        }
+        graph.nodes = static_cast<std::size_t>(nodes);
+        graph.extra_degree = static_cast<std::size_t>(extra_degree);
+        config.topology = sim::random_topology(graph);
+      } else {
+        sim::HubSpokeConfig graph;
+        double hubs = static_cast<double>(graph.hubs);
+        if (!read_topology_count(*topology, "hubs", 1.0,
+                                 std::min(nodes, kMaxHubs),
+                                 "[1, min(nodes, 2000)]", hubs, error) ||
+            !read_u64(*topology, "seed", graph.seed, error)) {
+          return false;
+        }
+        graph.nodes = static_cast<std::size_t>(nodes);
+        graph.hubs = static_cast<std::size_t>(hubs);
+        config.topology = sim::hub_spoke_topology(graph);
+      }
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
       return false;
     }
     if (!parse_bu_rule(*topology, config.relay_rule, error)) {

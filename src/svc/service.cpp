@@ -238,6 +238,13 @@ HttpResponse SolveService::submit(const HttpRequest& request) {
   if (spec == nullptr) {
     return error_response(status, error);
   }
+  // Only the persisted index reads the normalized body, and dumping a
+  // large grid takes milliseconds: do it before taking mutex_, which every
+  // poll and every finished cell waits on.
+  std::string spec_body;
+  if (!config_.state_dir.empty()) {
+    spec_body = body->dump();
+  }
 
   Job* job = nullptr;
   std::size_t active = 0;
@@ -245,10 +252,9 @@ HttpResponse SolveService::submit(const HttpRequest& request) {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto owned = std::make_unique<Job>();
     owned->id = "j" + std::to_string(next_job_number_++);
-    owned->spec_body = body->dump();
+    owned->spec_body = std::move(spec_body);
     owned->spec = std::move(spec);
-    owned->records.resize(owned->spec->cells());
-    owned->finished.assign(owned->spec->cells(), false);
+    owned->cells.resize(owned->spec->cells());
     job = owned.get();
     order_.push_back(owned->id);
     jobs_.emplace(owned->id, std::move(owned));
@@ -258,6 +264,7 @@ HttpResponse SolveService::submit(const HttpRequest& request) {
     // No deadlock: run_job takes mutex_ itself, so the worker just blocks
     // until this section releases it.
     job->worker = std::thread([this, job] { run_job(job); });
+    ++workers_running_;
     for (const auto& [jid, entry] : jobs_) {
       if (!is_terminal(entry->state)) {
         ++active;
@@ -309,11 +316,11 @@ HttpResponse SolveService::job_status(const std::string& id,
                           "non-negative integers");
   }
 
-  // Only copies are made under mutex_: the job's worker takes it to store
-  // every finished cell, so the page's records are turned into Json and
-  // dumped after the lock is released.
+  // Only shared pointers are copied under mutex_ (the job's worker takes
+  // it to store every finished cell); the body is written after the lock
+  // is released, from each cell's pre-encoded record.
   Json out = Json::object();
-  std::vector<robust::CheckpointRecord> page;
+  std::vector<CellPtr> page;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -327,6 +334,7 @@ HttpResponse SolveService::job_status(const std::string& id,
     out.set("cells", Json::number(static_cast<double>(job.spec->cells())));
     out.set("completed", Json::number(static_cast<double>(job.completed)));
     out.set("resumed", Json::number(static_cast<double>(job.resumed)));
+    out.set("reused", Json::number(static_cast<double>(job.reused)));
     if (!job.failure.empty()) {
       out.set("failure", Json::string(job.failure));
     }
@@ -334,7 +342,8 @@ HttpResponse SolveService::job_status(const std::string& id,
       // Live telemetry: progress rate and an ETA while the worker runs, the
       // final wall-clock once terminal, plus the process-wide model-cache
       // stats this job is drawing on. `resumed` cells restored from the
-      // journal in microseconds are excluded from the rate so the ETA
+      // journal and `reused` cells shared from another job take
+      // microseconds, so they are excluded from the rate and the ETA
       // reflects real solve throughput.
       const bool running = job.state == JobState::kRunning;
       const double elapsed =
@@ -342,8 +351,8 @@ HttpResponse SolveService::job_status(const std::string& id,
                         std::chrono::steady_clock::now() - job.started_at)
                         .count()
                   : job.run_seconds;
-      const double solved =
-          static_cast<double>(job.completed) - static_cast<double>(job.resumed);
+      const double solved = static_cast<double>(
+          job.completed - job.resumed - job.reused);
       const double rate = elapsed > 0.0 ? solved / elapsed : 0.0;
       Json telemetry = Json::object();
       telemetry.set("elapsed_seconds", Json::number(elapsed));
@@ -376,7 +385,7 @@ HttpResponse SolveService::job_status(const std::string& id,
       }
       for (std::size_t pos = *offset;
            pos < end && pos < job.completion_order.size(); ++pos) {
-        page.push_back(job.records[job.completion_order[pos]]);
+        page.push_back(job.cells[job.completion_order[pos]]);
       }
       const std::size_t served = std::min(*offset, job.completion_order.size());
       out.set("offset", Json::number(static_cast<double>(served)));
@@ -385,19 +394,34 @@ HttpResponse SolveService::job_status(const std::string& id,
     } else {
       // Unpaginated (legacy): every finished cell in input order — a poll
       // during the run sees a growing subset, i.e. streamed partials.
-      for (std::size_t i = 0; i < job.records.size(); ++i) {
-        if (job.finished[i]) {
-          page.push_back(job.records[i]);
+      for (const CellPtr& cell : job.cells) {
+        if (cell != nullptr) {
+          page.push_back(cell);
         }
       }
     }
   }
-  Json records = Json::array();
-  for (const robust::CheckpointRecord& record : page) {
-    records.push_back(record_json(record));
+  // `records` is the object's last member: drop the closing brace of the
+  // rest and append the array as Json::dump would spell it.
+  HttpResponse response;
+  response.status = 200;
+  std::string& body = response.body;
+  body = out.dump();
+  std::size_t bytes = body.size() + 16;
+  for (const CellPtr& cell : page) {
+    bytes += cell->json.size() + 1;
   }
-  out.set("records", std::move(records));
-  return json_response(200, out);
+  body.reserve(bytes);
+  body.pop_back();
+  body += ",\"records\":[";
+  for (std::size_t k = 0; k < page.size(); ++k) {
+    if (k > 0) {
+      body += ',';
+    }
+    body += page[k]->json;
+  }
+  body += "]}";
+  return response;
 }
 
 HttpResponse SolveService::cancel_job(const std::string& id) {
@@ -470,20 +494,62 @@ std::size_t SolveService::active_jobs() const {
   return active;
 }
 
-void SolveService::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] {
-    for (const auto& [id, job] : jobs_) {
-      if (!is_terminal(job->state)) {
-        return false;
-      }
+std::size_t SolveService::indexed_cells() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t live = 0;
+  for (const auto& [key, cell] : index_) {
+    if (!cell.expired()) {
+      ++live;
     }
-    return true;
-  });
+  }
+  return live;
+}
+
+void SolveService::wait_idle() {
+  // Every non-terminal job has a running worker, and a worker counts until
+  // its retention epilogue is done, so no evicted job is still listed.
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_cv_.wait(lock, [this] { return workers_running_ == 0; });
 }
 
 std::string SolveService::journal_path(const std::string& id) const {
   return config_.state_dir + "/job-" + id + ".cells.jsonl";
+}
+
+SolveService::CellPtr SolveService::make_cell(
+    robust::CheckpointRecord record) {
+  std::string json = record_json(record).dump();
+  return std::make_shared<const FinishedCell>(
+      FinishedCell{std::move(record), std::move(json)});
+}
+
+SolveService::CellPtr SolveService::find_cell_locked(const std::string& key) {
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : it->second.lock();
+}
+
+void SolveService::finish_cell_locked(Job& job, std::size_t i, CellPtr cell,
+                                      CellOrigin origin) {
+  // A skipped, cancelled, budget-stopped or failed cell is never indexed:
+  // the next job that asks for its key solves it again.
+  if (robust::is_success(cell->record.status)) {
+    std::weak_ptr<const FinishedCell>& slot = index_[cell->record.key];
+    if (const CellPtr indexed = slot.lock()) {
+      if (indexed->json == cell->json) {
+        cell = indexed;
+      }
+    } else {
+      slot = cell;
+    }
+  }
+  job.cells[i] = std::move(cell);
+  job.completion_order.push_back(i);
+  ++job.completed;
+  if (origin == CellOrigin::kResumed) {
+    ++job.resumed;
+  } else if (origin == CellOrigin::kReused) {
+    ++job.reused;
+  }
 }
 
 void SolveService::run_job(Job* job) {
@@ -520,17 +586,14 @@ void SolveService::run_job(Job* job) {
         if (!job->spec->validate_record(record)) {
           return false;  // schema drift: recompute instead of trusting it
         }
+        CellPtr cell = make_cell(record);
         const std::lock_guard<std::mutex> lock(mutex_);
-        job->records[i] = record;
-        job->finished[i] = true;
-        job->completion_order.push_back(i);
-        ++job->completed;
-        ++job->resumed;
+        finish_cell_locked(*job, i, std::move(cell), CellOrigin::kResumed);
         return true;
       };
       checkpoint.snapshot = [this, job](std::size_t i) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        return job->records[i];
+        return job->cells[i]->record;
       };
     }
 
@@ -539,9 +602,26 @@ void SolveService::run_job(Job* job) {
     batch.control.budget = job->spec->budget();
     batch.control.cancel = job->cancel;
 
+    // A key some retained job already solved is shared, not solved: no
+    // cell slot, no model-cache lookup, no copy. It still returns success
+    // here, so the checkpoint layer journals it for this job as well.
     const auto run_item = [this, job, &keys](
                               std::size_t i,
                               const robust::RunControl& control) {
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (CellPtr cell = find_cell_locked(keys[i])) {
+          const robust::RunStatus status = cell->record.status;
+          finish_cell_locked(*job, i, std::move(cell), CellOrigin::kReused);
+          lock.unlock();
+          if (obs::metrics_enabled()) {
+            static obs::Counter& reused =
+                obs::MetricsRegistry::global().counter("svc.cells.reused");
+            reused.add();
+          }
+          return status;
+        }
+      }
       acquire_cell_slot();
       robust::CheckpointRecord record;
       try {
@@ -552,19 +632,13 @@ void SolveService::run_job(Job* job) {
       }
       release_cell_slot();
       const robust::RunStatus status = record.status;
+      CellPtr cell = make_cell(std::move(record));
       const std::lock_guard<std::mutex> lock(mutex_);
-      job->records[i] = std::move(record);
-      job->finished[i] = true;
-      job->completion_order.push_back(i);
-      ++job->completed;
+      finish_cell_locked(*job, i, std::move(cell), CellOrigin::kSolved);
       return status;
     };
-    const auto skip_item = [this, job, &keys](std::size_t i,
-                                              robust::RunStatus status) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      job->records[i].key = keys[i];
-      job->records[i].status = status;
-    };
+    // A skipped cell stays unfinished: it is neither served nor indexed.
+    const auto skip_item = [](std::size_t, robust::RunStatus) {};
 
     (void)mdp::run_batch(count, batch, checkpoint, run_item, skip_item);
     if (journal != nullptr) {
@@ -587,6 +661,7 @@ void SolveService::run_job(Job* job) {
     JobState terminal_state = JobState::kDone;
     double run_seconds = 0.0;
     std::size_t completed = 0;
+    std::size_t reused = 0;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       job->run_seconds = std::chrono::duration<double>(
@@ -595,6 +670,7 @@ void SolveService::run_job(Job* job) {
       run_seconds = job->run_seconds;
       terminal_state = job->state;
       completed = job->completed;
+      reused = job->reused;
       for (const auto& [jid, entry] : jobs_) {
         if (!is_terminal(entry->state)) {
           ++active;
@@ -610,12 +686,17 @@ void SolveService::run_job(Job* job) {
                   {{"id", job->id},
                    {"state", to_string(terminal_state)},
                    {"completed", completed},
+                   {"reused", reused},
                    {"run_seconds", run_seconds}});
   }
   // This job just went terminal: trim older terminal jobs beyond the
   // retention cap. `job` itself is protected (the newest terminal job must
   // survive, and a worker cannot join itself).
   enforce_retention(job->id);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --workers_running_;
+  }
   idle_cv_.notify_all();
 }
 
@@ -666,6 +747,13 @@ void SolveService::enforce_retention(const std::string& protect_id) {
     }
   }
   evicted.clear();
+  {
+    // The evicted jobs' cells died with them unless a retained job shares
+    // them: drop their index entries.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(index_,
+                  [](const auto& entry) { return entry.second.expired(); });
+  }
   for (const std::string& path : journals) {
     std::error_code ec;
     std::filesystem::remove(path, ec);
@@ -737,8 +825,7 @@ void SolveService::restore_jobs() {
       owned->spec_body = spec_body->dump();
       owned->spec = std::move(spec);
       const std::size_t count = owned->spec->cells();
-      owned->records.resize(count);
-      owned->finished.assign(count, false);
+      owned->cells.resize(count);
 
       // Replay the journal into the record slots so terminal jobs serve
       // results immediately and incomplete jobs know what's left.
@@ -748,11 +835,8 @@ void SolveService::restore_jobs() {
         const robust::CheckpointRecord* record =
             journal.find(owned->spec->cell_key(i));
         if (record != nullptr && owned->spec->validate_record(*record)) {
-          owned->records[i] = *record;
-          owned->finished[i] = true;
-          owned->completion_order.push_back(i);
-          ++owned->completed;
-          ++owned->resumed;
+          finish_cell_locked(*owned, i, make_cell(*record),
+                             CellOrigin::kResumed);
         }
       }
 
@@ -791,13 +875,11 @@ void SolveService::restore_jobs() {
       const std::lock_guard<std::mutex> lock(mutex_);
       job->completed = 0;
       job->resumed = 0;
-      job->finished.assign(job->spec->cells(), false);
+      job->cells.assign(job->spec->cells(), nullptr);
       job->completion_order.clear();
-      for (robust::CheckpointRecord& record : job->records) {
-        record = robust::CheckpointRecord{};
-      }
       // Same rule as submit(): job->worker is guarded by mutex_.
       job->worker = std::thread([this, job] { run_job(job); });
+      ++workers_running_;
     }
   }
   // A restarted daemon may load more terminal jobs than its own retention

@@ -49,6 +49,16 @@
 // rejected at submit, and a global concurrent-cell gate bounds how many
 // cells solve at once ACROSS jobs (each job's batch pool still schedules
 // its own cells; the gate is the cross-job backpressure).
+//
+// Repeated cells: a finished cell is one immutable FinishedCell (its
+// record plus its wire JSON, encoded once) that every job holding it
+// shares. A service-wide index maps each cell key to the converged cell a
+// retained job holds, so a job whose key is already indexed shares that
+// cell instead of solving it, and a status poll only appends pre-encoded
+// records. The key names every input that shapes a record (the journal's
+// contract), so a shared cell is the record the job would have solved.
+// Only successes are indexed; the index holds weak references, so it
+// never keeps an evicted job's cells alive.
 #pragma once
 
 #include <chrono>
@@ -113,24 +123,39 @@ class SolveService {
 
   /// Jobs currently in a non-terminal state (for tests and healthz).
   [[nodiscard]] std::size_t active_jobs() const;
-  /// Blocks until every submitted job reaches a terminal state.
+  /// Live entries of the repeated-cell index (for tests).
+  [[nodiscard]] std::size_t indexed_cells() const;
+  /// Blocks until every submitted job reaches a terminal state and its
+  /// worker has finished, retention included.
   void wait_idle();
 
  private:
+  /// One finished cell, shared by every job that holds it: the record and
+  /// its wire JSON (record_json(record).dump()), encoded once.
+  struct FinishedCell {
+    robust::CheckpointRecord record;
+    std::string json;
+  };
+  using CellPtr = std::shared_ptr<const FinishedCell>;
+  /// How a cell reached a job, for its progress counters.
+  enum class CellOrigin { kSolved, kResumed, kReused };
+
   struct Job {
     std::string id;
-    std::string spec_body;  ///< verbatim JSON, persisted in the index
+    /// Normalized JSON of the submit body, persisted in the index; set
+    /// only with a state dir.
+    std::string spec_body;
     std::unique_ptr<JobSpec> spec;
     robust::CancelToken cancel = robust::CancelToken::make();
     JobState state = JobState::kQueued;
-    /// Input-ordered finished-cell records; empty slots = not finished.
-    std::vector<robust::CheckpointRecord> records;
-    std::vector<bool> finished;
+    /// Input-ordered finished cells; null = not finished.
+    std::vector<CellPtr> cells;
     /// Cell indices in the order they finished — append-only, so
     /// ?offset=K pagination positions stay stable across polls.
     std::vector<std::size_t> completion_order;
     std::size_t completed = 0;
-    std::size_t resumed = 0;
+    std::size_t resumed = 0;  ///< restored from the job's journal
+    std::size_t reused = 0;   ///< shared from another job's solve
     std::string failure;  ///< what() of the exception that failed the job
     /// When the worker started solving (valid once state left kQueued);
     /// feeds the live telemetry block in job_status.
@@ -152,8 +177,22 @@ class SolveService {
   HttpResponse cache_stats();
 
   void run_job(Job* job);
+  /// Every solved or journal-restored record becomes a cell here, its wire
+  /// JSON encoded once and outside mutex_; finish_cell_locked then stores
+  /// and indexes it. A reused cell is shared, never rebuilt.
+  [[nodiscard]] static CellPtr make_cell(robust::CheckpointRecord record);
+  /// The converged cell indexed under `key`, or null. Caller holds mutex_.
+  [[nodiscard]] CellPtr find_cell_locked(const std::string& key);
+  /// Stores `cell` as cell `i` of `job` and indexes it when it converged
+  /// and no live cell holds its key yet (the first to publish wins). A
+  /// cell byte-identical to the indexed one shares it, so a restart that
+  /// replays one record from several journals keeps one copy. Caller
+  /// holds mutex_.
+  void finish_cell_locked(Job& job, std::size_t i, CellPtr cell,
+                          CellOrigin origin);
   /// Retention GC: evicts the oldest terminal jobs beyond
-  /// config_.job_retention (index entry + journal file). The evicted
+  /// config_.job_retention (index entry + journal file), then erases the
+  /// repeated-cell index entries no retained job holds any more. The evicted
   /// workers' threads are joined OUTSIDE the lock (a worker epilogue takes
   /// mutex_, so joining under it would deadlock), and `protect_id` — the
   /// job whose own worker is calling — is never evicted (self-join).
@@ -172,9 +211,15 @@ class SolveService {
   ServiceConfig config_;
   mutable std::mutex mutex_;
   std::condition_variable idle_cv_;
+  /// Workers spawned and not yet past their retention epilogue.
+  std::size_t workers_running_ = 0;
   std::vector<std::string> order_;  ///< submission order of job ids
   std::unordered_map<std::string, std::unique_ptr<Job>> jobs_;
   std::size_t next_job_number_ = 1;
+  /// Repeated-cell index: cell key -> the converged cell a retained job
+  /// holds. Guarded by mutex_; entries expire with their last holder and
+  /// are erased after retention evicts jobs.
+  std::unordered_map<std::string, std::weak_ptr<const FinishedCell>> index_;
 
   std::mutex gate_mutex_;
   std::condition_variable gate_cv_;

@@ -1,8 +1,13 @@
 // ModelCache: content-addressed sharing of model templates — hit/miss
 // accounting, key canonicalization, and cross-thread sharing (registered
 // under the `parallel` ctest label; the sharing test is the TSan target).
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +23,7 @@
 #include "mdp/model_cache.hpp"
 #include "mdp/model_template.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -169,6 +175,73 @@ TEST(ModelCache, CellKeysKeepTheirJournalSpelling) {
   EXPECT_EQ(btc::sm_model_cache_key(sm, bu::Utility::kAbsoluteReward),
             "btc_sm|alpha=0.10000000000000001|gamma_tie=1|max_len=24|"
             "confirmations=4|rds=10|utility=1");
+}
+
+TEST(ModelCache, AppendKeySpellsNumbersAsPrintfDoes) {
+  // append_key formats with std::to_chars; every key a journal holds was
+  // written with snprintf("|%s=%.17g") and "|%s=%lld", so the two must
+  // agree byte for byte. Seeded: random bit patterns (subnormals and
+  // extremes included), integers, grid-style shares and fixed edge cases.
+  std::vector<double> values = {0.0,     -0.0,    1.0,     -1.0,
+                                1e300,   -1e300,  1e-300,  -1e-300,
+                                5e-324,  -5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308,    0.1,
+                                0.375,   1e-5,    2e-7,    0.999,
+                                1e16,    9007199254740993.0, 123456789.0};
+  Rng rng(20251019);
+  while (values.size() < 100'000) {
+    switch (values.size() % 4) {
+      case 0: {  // any finite bit pattern
+        const std::uint64_t bits = rng.next_u64();
+        double value = 0.0;
+        std::memcpy(&value, &bits, sizeof(value));
+        if (std::isfinite(value)) {
+          values.push_back(value);
+        }
+        break;
+      }
+      case 1:  // integers, as counts and sizes appear in keys
+        values.push_back(static_cast<double>(
+            static_cast<std::int64_t>(rng.next_below(1ULL << 53)) -
+            (1LL << 52)));
+        break;
+      case 2: {  // grid alpha, and the beta/gamma split of the rest
+        const double alpha = 0.01 * static_cast<double>(rng.next_below(50));
+        const double b = static_cast<double>(1 + rng.next_below(4));
+        const double g = static_cast<double>(1 + rng.next_below(4));
+        values.push_back(alpha);
+        values.push_back((1.0 - alpha) * b / (b + g));
+        values.push_back((1.0 - alpha) * g / (b + g));
+        break;
+      }
+      default:  // subnormals
+        values.push_back(std::ldexp(rng.next_double(), -1060));
+        break;
+    }
+  }
+  char expected[64];
+  for (const double value : values) {
+    std::string key = "k";
+    mdp::append_key(key, "x", value);
+    std::snprintf(expected, sizeof(expected), "k|x=%.17g", value);
+    ASSERT_EQ(key, expected) << "bits of " << value;
+
+    const auto integer = static_cast<std::int64_t>(
+        std::isfinite(value) && std::abs(value) < 9e18 ? value : 0.0);
+    key = "k";
+    mdp::append_key(key, "n", integer);
+    std::snprintf(expected, sizeof(expected), "k|n=%lld",
+                  static_cast<long long>(integer));
+    ASSERT_EQ(key, expected);
+  }
+  for (const std::int64_t extreme : {std::numeric_limits<std::int64_t>::min(),
+                                     std::numeric_limits<std::int64_t>::max()}) {
+    std::string key;
+    mdp::append_key(key, "n", extreme);
+    std::snprintf(expected, sizeof(expected), "|n=%lld",
+                  static_cast<long long>(extreme));
+    EXPECT_EQ(key, expected);
+  }
 }
 
 TEST(ModelCache, CrossThreadLookupsShareOneCompilation) {

@@ -2,8 +2,9 @@
 // in-process through SolveService::route(), plus one real-socket pass
 // through HttpServer/http_fetch. Covers the rejection paths (malformed
 // bodies, unknown kinds, oversized grids), result parity with the direct
-// in-process solvers, cancellation mid-solve, budget admission, and the
-// persist -> restart -> resume lifecycle.
+// in-process solvers, cancellation mid-solve, budget admission, the
+// persist -> restart -> resume lifecycle, and repeated cells shared
+// between jobs.
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
@@ -101,6 +102,20 @@ std::string record_key(const Json& snapshot, std::size_t index) {
     return {};
   }
   return records->at(index).string_or("key", "");
+}
+
+/// The records array of a status snapshot, as its wire bytes.
+std::string records_dump(const Json& snapshot) {
+  const Json* records = snapshot.find("records");
+  EXPECT_NE(records, nullptr) << snapshot.dump();
+  return records != nullptr ? records->dump() : std::string();
+}
+
+/// GET /v1/cache as {hits, misses}.
+std::pair<double, double> cache_counts(SolveService& service) {
+  const HttpResponse response = service.route(make_request("GET", "/v1/cache"));
+  const Json body = Json::parse(response.body).value_or(Json());
+  return {body.number_or("hits", -1), body.number_or("misses", -1)};
 }
 
 std::string fresh_dir(const std::string& name) {
@@ -376,9 +391,8 @@ constexpr const char* kNetSimJob =
     R"({"name":"b","power":0.4,"block_size":8000000,"bandwidth":200000,)"
     R"("latency":2.0,"eb":32000000,"mg":32000000,"ad":6}]}})";
 
-TEST(SvcServiceNetSim, ReplicasMatchDirectRunReplicas) {
-  // The service cells must be bit-identical to sim::run_replicas on the
-  // same config: same replica keys, same record values.
+/// kNetSimJob's `net` object as the library config it parses to.
+sim::NetworkConfig net_sim_job_config() {
   sim::NetworkConfig config;
   config.miners.push_back({"a", 0.6, {}, 1'000'000, 1e6, 0.5});
   config.miners.push_back({"b", 0.4, {}, 8'000'000, 2e5, 2.0});
@@ -387,6 +401,13 @@ TEST(SvcServiceNetSim, ReplicasMatchDirectRunReplicas) {
     m.rule.mg = 32'000'000;
     m.rule.ad = 6;
   }
+  return config;
+}
+
+TEST(SvcServiceNetSim, ReplicasMatchDirectRunReplicas) {
+  // The service cells must be bit-identical to sim::run_replicas on the
+  // same config: same replica keys, same record values.
+  const sim::NetworkConfig config = net_sim_job_config();
   sim::ReplicaOptions options;
   options.replicas = 3;
   options.blocks = 400;
@@ -437,6 +458,73 @@ TEST(SvcServiceNetSim, NetSimRejectsCellsArray) {
       "POST", "/v1/jobs", R"({"kind":"net-sim","cells":[{}]})"));
   EXPECT_EQ(response.status, 400);
   EXPECT_NE(response.body.find("'net' object"), std::string::npos);
+}
+
+/// kNetSimJob's network with `topology` spliced into its net object.
+std::string net_sim_job_with_topology(const std::string& topology) {
+  std::string body = kNetSimJob;
+  const std::string tail = "]}}";
+  body.replace(body.size() - tail.size(), tail.size(),
+               "],\"topology\":" + topology + "}}");
+  return body;
+}
+
+TEST(SvcServiceNetSim, TopologyWithoutSeedBuildsTheLibraryDefault) {
+  // The topology seeds default to ~8.1e18, beyond the 9e15 a JSON number
+  // can carry exactly: an absent seed must keep the library default.
+  sim::NetworkConfig config = net_sim_job_config();
+  sim::RandomTopologyConfig random;
+  random.nodes = 6;
+  sim::HubSpokeConfig hub_spoke;
+  hub_spoke.nodes = 6;
+  const std::vector<std::pair<std::string, sim::Topology>> cases = {
+      {R"({"type":"random","nodes":6})", sim::random_topology(random)},
+      {R"({"type":"hub-spoke","nodes":6})",
+       sim::hub_spoke_topology(hub_spoke)},
+  };
+  SolveService service{ServiceConfig{}};
+  for (const auto& [topology, expected] : cases) {
+    const std::string id =
+        submit_job(service, net_sim_job_with_topology(topology));
+    service.wait_idle();
+    const Json snapshot = job_snapshot(service, id);
+    EXPECT_EQ(snapshot.string_or("state", ""), "done") << topology;
+    config.topology = expected;
+    // The replica key digests every link of the topology.
+    EXPECT_EQ(record_key(snapshot, 0), sim::replica_key(config, 400, 99, 0))
+        << topology;
+  }
+}
+
+TEST(SvcServiceNetSim, OutOfRangeTopologyCountsAre400NamingTheField) {
+  SolveService service{ServiceConfig{}};
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"type":"hub-spoke","nodes":4,"hubs":0})", "'hubs'"},
+      {R"({"type":"hub-spoke","nodes":4,"hubs":-1})", "'hubs'"},
+      {R"({"type":"hub-spoke","nodes":4,"hubs":1.5})", "'hubs'"},
+      {R"({"type":"hub-spoke","nodes":4,"hubs":5})", "'hubs'"},
+      {R"({"type":"hub-spoke","nodes":5000,"hubs":2001})", "'hubs'"},
+      {R"({"type":"random","nodes":4,"extra_degree":-1})", "'extra_degree'"},
+      {R"({"type":"random","nodes":1000,"extra_degree":2001})",
+       "'extra_degree'"},
+      {R"({"type":"random","nodes":1})", "'nodes'"},
+  };
+  for (const auto& [topology, field] : cases) {
+    const HttpResponse response = service.route(make_request(
+        "POST", "/v1/jobs", net_sim_job_with_topology(topology)));
+    EXPECT_EQ(response.status, 400) << topology << " -> " << response.body;
+    EXPECT_NE(response.body.find(field), std::string::npos)
+        << topology << " -> " << response.body;
+  }
+  // The caps themselves are admitted.
+  EXPECT_EQ(service
+                .route(make_request(
+                    "POST", "/v1/jobs",
+                    net_sim_job_with_topology(
+                        R"({"type":"hub-spoke","nodes":4,"hubs":4})")))
+                .status,
+            202);
+  service.wait_idle();
 }
 
 TEST(SvcServiceNetSim, RestartRestoresNetSimRecords) {
@@ -668,6 +756,218 @@ TEST(SvcServiceRetention, RestartHonorsRetention) {
     EXPECT_EQ(snapshot.string_or("state", ""), "done");
     // The survivor still serves its journaled records after the restart.
     EXPECT_EQ(snapshot.find("records")->size(), 1u);
+  }
+}
+
+// ------------------------------------------------------- repeated cells ---
+
+constexpr const char* kBuCells =
+    R"({"kind":"bu-attack","cells":[{"alpha":0.2,"beta":0.4,"gamma":0.4,)"
+    R"("ad":2},{"alpha":0.25,"beta":0.375,"gamma":0.375,"ad":2}]})";
+constexpr const char* kSmCells =
+    R"({"kind":"btc-sm","cells":[{"alpha":0.25,"max_len":6},)"
+    R"({"alpha":0.30,"max_len":6}]})";
+
+TEST(SvcServiceReuse, RepeatedCellsShareTheFirstJobsRecords) {
+  SolveService service{ServiceConfig{}};
+  for (const char* body : {kBuCells, kSmCells}) {
+    const std::string first = submit_job(service, body);
+    service.wait_idle();
+    const Json solved = job_snapshot(service, first);
+    ASSERT_EQ(solved.string_or("state", ""), "done");
+    EXPECT_EQ(solved.number_or("reused", -1), 0.0);
+    const std::pair<double, double> cache_before = cache_counts(service);
+
+    const std::string second = submit_job(service, body);
+    service.wait_idle();
+    const Json shared = job_snapshot(service, second);
+    EXPECT_EQ(shared.string_or("state", ""), "done");
+    EXPECT_EQ(shared.number_or("completed", 0), 2.0);
+    EXPECT_EQ(shared.number_or("reused", 0), 2.0) << body;
+    EXPECT_EQ(shared.number_or("resumed", -1), 0.0);
+    // The first solve's records, wall_clock_ns and iterations included.
+    EXPECT_EQ(records_dump(shared), records_dump(solved));
+    // A shared cell never looks the model cache up.
+    EXPECT_EQ(cache_counts(service), cache_before) << body;
+    // Reused cells are not solve throughput.
+    EXPECT_EQ(shared.find("telemetry")->number_or("cells_per_second", -1),
+              0.0);
+  }
+  EXPECT_EQ(service.indexed_cells(), 4u);
+}
+
+TEST(SvcServiceReuse, AnotherToleranceIsAnotherCell) {
+  SolveService service{ServiceConfig{}};
+  const std::string first = submit_job(
+      service, R"({"kind":"bu-attack","cells":[{"alpha":0.2,"beta":0.4,)"
+               R"("gamma":0.4,"ad":2}]})");
+  service.wait_idle();
+  const std::string second = submit_job(
+      service, R"({"kind":"bu-attack","tolerance":2e-5,"cells":[)"
+               R"({"alpha":0.2,"beta":0.4,"gamma":0.4,"ad":2}]})");
+  service.wait_idle();
+  const Json tolerant = job_snapshot(service, second);
+  EXPECT_EQ(tolerant.string_or("state", ""), "done");
+  EXPECT_EQ(tolerant.number_or("reused", -1), 0.0);
+  EXPECT_NE(record_key(tolerant, 0),
+            record_key(job_snapshot(service, first), 0));
+}
+
+TEST(SvcServiceReuse, SkippedCellsAreNotIndexed) {
+  SolveService service{ServiceConfig{}};
+  // max_ticks 1 starts one of the three cells; the other two are skipped.
+  const std::string capped = submit_job(
+      service,
+      R"({"kind":"btc-sm","budget":{"max_ticks":1},"cells":)"
+      R"([{"alpha":0.25,"max_len":6},{"alpha":0.30,"max_len":6},)"
+      R"({"alpha":0.35,"max_len":6}]})");
+  service.wait_idle();
+  ASSERT_EQ(job_snapshot(service, capped).number_or("completed", -1), 1.0);
+  EXPECT_EQ(service.indexed_cells(), 1u);
+
+  const std::string full = submit_job(
+      service,
+      R"({"kind":"btc-sm","cells":[{"alpha":0.25,"max_len":6},)"
+      R"({"alpha":0.30,"max_len":6},{"alpha":0.35,"max_len":6}]})");
+  service.wait_idle();
+  const Json snapshot = job_snapshot(service, full);
+  EXPECT_EQ(snapshot.number_or("completed", -1), 3.0);
+  EXPECT_EQ(snapshot.number_or("reused", -1), 1.0);
+  EXPECT_EQ(service.indexed_cells(), 3u);
+}
+
+TEST(SvcServiceReuse, ReusedCellsAreJournaledAndSeedReuseAfterRestart) {
+  const std::string state_dir = fresh_dir("reuse_restart");
+  ServiceConfig config;
+  config.state_dir = state_dir;
+  std::string solved_records;
+  std::string shared_id;
+  {
+    SolveService service{config};
+    const std::string first = submit_job(service, kSmCells);
+    service.wait_idle();
+    shared_id = submit_job(service, kSmCells);
+    service.wait_idle();
+    const Json shared = job_snapshot(service, shared_id);
+    ASSERT_EQ(shared.number_or("reused", 0), 2.0);
+    solved_records = records_dump(job_snapshot(service, first));
+  }
+  // The reusing job's own journal holds both cells.
+  std::ifstream journal(state_dir + "/job-" + shared_id + ".cells.jsonl");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(journal, line);) {
+    lines += line.empty() ? 0 : 1;
+  }
+  EXPECT_EQ(lines, 2u);
+
+  SolveService restarted{config};
+  const Json replayed = job_snapshot(restarted, shared_id);
+  EXPECT_EQ(replayed.string_or("state", ""), "done");
+  EXPECT_EQ(replayed.number_or("resumed", 0), 2.0);
+  EXPECT_EQ(records_dump(replayed), solved_records);
+  // Two journals replay the same two records: one copy each is indexed.
+  EXPECT_EQ(restarted.indexed_cells(), 2u);
+
+  const std::pair<double, double> cache_before = cache_counts(restarted);
+  const std::string fresh = submit_job(restarted, kSmCells);
+  restarted.wait_idle();
+  const Json seeded = job_snapshot(restarted, fresh);
+  EXPECT_EQ(seeded.number_or("reused", 0), 2.0);
+  EXPECT_EQ(records_dump(seeded), solved_records);
+  EXPECT_EQ(cache_counts(restarted), cache_before);
+}
+
+TEST(SvcServiceReuse, EvictedJobsLeaveNothingIndexed) {
+  ServiceConfig config;
+  config.job_retention = 1;
+  SolveService service{config};
+  const char* cell_a = R"({"kind":"btc-sm","cells":[{"alpha":0.25,"max_len":6}]})";
+  const char* cell_b = R"({"kind":"btc-sm","cells":[{"alpha":0.30,"max_len":6}]})";
+
+  const std::string first = submit_job(service, cell_a);
+  service.wait_idle();
+  const std::string first_records = records_dump(job_snapshot(service, first));
+  // The first job is retained until the second ends, so A is shared.
+  const std::string second = submit_job(service, cell_a);
+  service.wait_idle();
+  const Json shared = job_snapshot(service, second);
+  EXPECT_EQ(shared.number_or("reused", 0), 1.0);
+  EXPECT_EQ(records_dump(shared), first_records);
+  EXPECT_EQ(service.route(make_request("GET", "/v1/jobs/" + first)).status,
+            404);
+  EXPECT_EQ(service.indexed_cells(), 1u);
+
+  // B's job evicts the last holder of A: only B stays indexed.
+  (void)submit_job(service, cell_b);
+  service.wait_idle();
+  EXPECT_EQ(service.indexed_cells(), 1u);
+
+  // So A is solved again.
+  const std::string again = submit_job(service, cell_a);
+  service.wait_idle();
+  const Json resolved = job_snapshot(service, again);
+  EXPECT_EQ(resolved.string_or("state", ""), "done");
+  EXPECT_EQ(resolved.number_or("reused", -1), 0.0);
+  EXPECT_EQ(resolved.number_or("completed", 0), 1.0);
+  EXPECT_EQ(service.indexed_cells(), 1u);
+}
+
+TEST(SvcServiceReuse, StatusBodiesMatchAJsonTreeEncoding) {
+  // net-sim records carry no wall clock, so the test can encode the
+  // expected records itself, from a direct sim::run_replicas, as a Json
+  // tree; the header members are copied from the parsed body.
+  const sim::NetworkConfig config = net_sim_job_config();
+  sim::ReplicaOptions options;
+  options.replicas = 3;
+  options.blocks = 400;
+  options.seed = 99;
+  options.batch.threads = 1;
+  const sim::ReplicaSetResult direct = sim::run_replicas(config, options);
+  std::vector<Json> expected_records;
+  for (std::size_t i = 0; i < direct.replicas.size(); ++i) {
+    const robust::CheckpointRecord record = sim::sim_record(
+        sim::replica_key(config, 400, 99, i), direct.replicas[i]);
+    Json values = Json::array();
+    for (const auto& [name, value] : record.values) {
+      Json pair = Json::array();
+      pair.push_back(Json::string(name));
+      pair.push_back(Json::number(value));
+      values.push_back(std::move(pair));
+    }
+    Json json = Json::object();
+    json.set("key", Json::string(record.key));
+    json.set("status", Json::string("converged"));
+    json.set("values", std::move(values));
+    expected_records.push_back(std::move(json));
+  }
+
+  SolveService service{ServiceConfig{}};
+  const std::string id = submit_job(service, kNetSimJob);
+  service.wait_idle();
+  // One worker thread: completion order is input order.
+  const std::vector<std::pair<std::string, std::vector<std::size_t>>> views =
+      {{"", {0, 1, 2}},
+       {"?offset=1&limit=1", {1}},
+       {"?offset=0", {0, 1, 2}},
+       {"?offset=3", {}}};
+  for (const auto& [query, cells] : views) {
+    const HttpResponse response =
+        service.route(make_request("GET", "/v1/jobs/" + id + query));
+    ASSERT_EQ(response.status, 200);
+    const Json parsed = Json::parse(response.body).value();
+    Json expected = Json::object();
+    for (const auto& [name, member] : parsed.members()) {
+      if (name != "records") {
+        expected.set(name, member);
+      }
+    }
+    Json records = Json::array();
+    for (const std::size_t cell : cells) {
+      records.push_back(expected_records[cell]);
+    }
+    expected.set("records", std::move(records));
+    EXPECT_EQ(response.body, expected.dump()) << query;
+    EXPECT_EQ(parsed.number_or("reused", -1), 0.0);
   }
 }
 
