@@ -136,7 +136,7 @@ inline bool require_solved(robust::RunStatus status, const std::string& context,
 }
 
 /// Overload for any solver result deriving from mdp::SolveReport (ratio,
-/// gain, discounted, policy-iteration, bu/btc analysis results alike). Adds
+/// gain, policy-iteration, bu/btc analysis results alike). Adds
 /// the report's iteration count and wall clock to the diagnostic.
 inline bool require_solved(const mdp::SolveReport& report,
                            const std::string& context, bool fatal = true) {

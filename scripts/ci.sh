@@ -50,6 +50,13 @@ ctest --test-dir "$repo/$build" --output-on-failure -L shard
 # isolation, not just inside the full suite above.
 ctest --test-dir "$repo/$build" --output-on-failure -L sim
 
+# Counts gate, surfaced as its own named step: the paper-table benches and
+# the default fault-injection campaign must report exactly the counts of
+# work committed in BENCH_counts.json (scripts/check_counts.sh). Counts do
+# not drift with the host, so this is where a change's work reduction, or
+# an unintended extra sweep, shows up.
+ctest --test-dir "$repo/$build" --output-on-failure -L counts
+
 # Kernel dispatch gate: the kernel-labeled suite (ISA equivalence, fused
 # sweep and chain-sweep bit-identity, the CompiledModel layout and its
 # palette codes, NUMA smoke) must hold

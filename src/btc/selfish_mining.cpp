@@ -417,18 +417,4 @@ std::vector<SmResult> analyze_sm_batch(std::span<const SmJob> jobs,
       .results;
 }
 
-double max_sm_double_spend_reward(double alpha, double gamma_tie) {
-  SmParams params;
-  params.alpha = alpha;
-  params.gamma_tie = gamma_tie;
-  return analyze_sm(params, bu::Utility::kAbsoluteReward).utility_value;
-}
-
-double max_selfish_mining_revenue(double alpha, double gamma_tie) {
-  SmParams params;
-  params.alpha = alpha;
-  params.gamma_tie = gamma_tie;
-  return analyze_sm(params, bu::Utility::kRelativeRevenue).utility_value;
-}
-
 }  // namespace bvc::btc

@@ -162,13 +162,4 @@ struct SmJob {
 [[nodiscard]] bool sm_restore(const robust::CheckpointRecord& record,
                               SmResult& result);
 
-/// Convenience: Table 3's "Selfish Mining + Double-Spending on Bitcoin" cell.
-[[nodiscard]] double max_sm_double_spend_reward(double alpha,
-                                                double gamma_tie);
-
-/// Convenience: optimal selfish-mining relative revenue (for validation
-/// against published values).
-[[nodiscard]] double max_selfish_mining_revenue(double alpha,
-                                                double gamma_tie);
-
 }  // namespace bvc::btc

@@ -232,14 +232,6 @@ GainResult evaluate_policy_stream(const CompiledModel& model,
   return rvi_core(model, sa_rewards, &policy, options, warm_start_bias);
 }
 
-GainResult evaluate_policy_stream(const Model& model, const Policy& policy,
-                                  std::span<const double> sa_rewards,
-                                  const AverageRewardKnobs& options,
-                                  const std::vector<double>* warm_start_bias) {
-  return rvi_core(CompiledModel::compile(model), sa_rewards, &policy, options,
-                  warm_start_bias);
-}
-
 PolicyGains evaluate_policy_average(const CompiledModel& model,
                                     const Policy& policy,
                                     const AverageRewardKnobs& options,

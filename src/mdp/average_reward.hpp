@@ -110,11 +110,6 @@ struct PolicyGains {
     std::span<const double> sa_rewards,
     const AverageRewardKnobs& options = {},
     const std::vector<double>* warm_start_bias = nullptr);
-[[nodiscard]] GainResult evaluate_policy_stream(
-    const Model& model, const Policy& policy,
-    std::span<const double> sa_rewards,
-    const AverageRewardKnobs& options = {},
-    const std::vector<double>* warm_start_bias = nullptr);
 
 /// Evaluates a fixed deterministic policy (both streams simultaneously).
 /// `reward_bias`/`weight_bias`, when non-null, are used as warm starts and

@@ -13,7 +13,8 @@
 // scalar arrays (state_begin / outcome_begin index arrays, and next / prob /
 // reward / weight outcome columns), with unchecked inline accessors. All
 // three solvers (average_reward, ratio, policy_iteration) and rollout_model
-// sweep this layout; the Model overloads compile on entry and forward.
+// read this layout; the Model overloads of the RVI solvers and the rollout
+// compile on entry and forward.
 // Compilation preserves action and outcome ORDER exactly, and the solvers
 // keep the seed's expression order, so every result is bit-identical to
 // sweeping the Model directly.

@@ -197,23 +197,6 @@ Isa resolve() noexcept { return resolve(requested()); }
 
 namespace detail {
 
-void backup_scalar(const CompiledModel& model, const double* seed,
-                   double scale, const double* bias, SaIndex sa_begin,
-                   SaIndex sa_end, double* q_out) noexcept {
-  const double* prob = model.prob();
-  const StateId* next = model.next();
-  for (SaIndex sa = sa_begin; sa < sa_end; ++sa) {
-    double q = seed != nullptr ? seed[sa] : 0.0;
-    const std::size_t end = model.outcome_end(sa);
-    for (std::size_t k = model.outcome_begin(sa); k < end; ++k) {
-      // Separate multiply steps (never fused): fl(fl(scale * p) * b),
-      // matching every scalar solver loop bit-for-bit.
-      q += (scale * prob[k]) * bias[next[k]];
-    }
-    q_out[sa] = q;
-  }
-}
-
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
                       double reference_residual, StateId s_begin,
@@ -235,8 +218,6 @@ void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
       double expected_next = 0.0;
       const std::size_t end = model.outcome_end(sa);
       for (std::size_t k = model.outcome_begin(sa); k < end; ++k) {
-        // backup_scalar at scale 1: fl(1.0 * p) == p exactly, so plain
-        // p * b reproduces its fl(fl(scale * p) * b) terms bit-for-bit.
         expected_next += prob[k] * bias_in[next[k]];
       }
       const double q = tau * (rewards[sa] + expected_next) + damped;
@@ -297,23 +278,6 @@ Isa coded_isa(Isa isa, bool has_codes) noexcept {
 }
 
 }  // namespace
-
-void backup_expected(const CompiledModel& model, const double* seed,
-                     double scale, const double* bias, SaIndex sa_begin,
-                     SaIndex sa_end, double* q_out, Isa isa) noexcept {
-  isa = model.has_ell() ? coded_isa(isa, model.has_codes()) : Isa::kScalar;
-  switch (isa) {
-    case Isa::kAvx512:
-      detail::backup_avx512(model, seed, scale, bias, sa_begin, sa_end, q_out);
-      return;
-    case Isa::kAvx2:
-      detail::backup_avx2(model, seed, scale, bias, sa_begin, sa_end, q_out);
-      return;
-    case Isa::kScalar:
-      break;
-  }
-  detail::backup_scalar(model, seed, scale, bias, sa_begin, sa_end, q_out);
-}
 
 Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept {
   // The in-register backup needs the ELL mirror, and the vector combine

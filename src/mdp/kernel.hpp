@@ -1,24 +1,17 @@
-// Vectorized expected-value backup kernels with runtime ISA dispatch.
+// Vectorized RVI sweep kernels with runtime ISA dispatch.
 //
-// The one primitive every solver sweep reduces to is, per flat action sa,
+// Every RVI sweep reduces, per flat action sa, to the expected-next sum
 //
-//   q_out[sa] = (seed ? seed[sa] : 0.0)
-//             + sum_j fl( fl(scale * p_j) * bias[next_j] )      (j in row order)
+//   q[sa] = sum_j fl( p_j * bias[next_j] )      (j in row order, from +0.0)
 //
 // where (p_j, next_j) are action sa's outcome rows and fl() is one double
-// rounding. Each solver is that primitive plus a cheap per-state combine:
-//
-//   * RVI (average_reward):  seed = null, scale = 1     (rewards + tau
-//     transform are applied in the combine);
-//   * policy-iteration greedy pass: seed = sa_rewards, scale = 1.
-//
-// The policy-iteration greedy pass calls backup_expected and finishes the
-// combine itself. RVI runs the primitive fused with its
-// combine: rvi_sweep for the greedy pass over a model's full action menu,
-// rvi_eval_sweep for a fixed policy over the policy's compacted chain
-// (mdp::PolicyChain, one row per state). These kernels are the solvers'
-// only sweep code, on every ISA: the scalar bodies are the reference
-// expression trees, not a separate solver path.
+// rounding, plus a cheap per-state combine (rewards and the tau transform).
+// The kernels fuse the two: rvi_sweep for the greedy pass over a model's
+// full action menu, rvi_eval_sweep for a fixed policy over the policy's
+// compacted chain (mdp::PolicyChain, one row per state). These kernels are
+// the RVI solvers' only sweep code, on every ISA: the scalar bodies are the
+// reference expression trees, not a separate solver path. (The exact
+// policy iteration in policy_iteration.hpp walks the CSR columns itself.)
 //
 // Which probability column each ISA reads: the scalar and AVX2 bodies read
 // the ELL mirror's doubles; the AVX-512 bodies read its one-byte palette
@@ -37,11 +30,11 @@
 // the rounding), and each SIMD lane owns one whole row (the ELL mirror is
 // column-major, so lane l of a vector step is outcome j of row sa+l).
 // Vectorization therefore reorders nothing within a row and sums nothing
-// across rows, and q_out is bit-identical to the scalar kernel for every
-// ISA. The one exception is the sign of zero: ELL padding accumulates
-// exact +/-0.0 terms, which can flip a zero result's sign (+0.0 == -0.0,
-// so compare with ==, not memcmp). A solve therefore returns the same
-// result whichever ISA the dispatcher picks.
+// across rows, and every sweep output is bit-identical to the scalar
+// kernel's for every ISA. The one exception is the sign of zero: ELL
+// padding accumulates exact +/-0.0 terms, which can flip a zero result's
+// sign (+0.0 == -0.0, so compare with ==, not memcmp). A solve therefore
+// returns the same result whichever ISA the dispatcher picks.
 //
 // Dispatch: the process-wide request (BVC_KERNEL env var, overridden by
 // the --kernel flag via set_requested) is clamped to what the build
@@ -63,7 +56,7 @@
 
 namespace bvc::mdp::kernel {
 
-/// An ISA the backup primitive can execute with. Values are stable (the
+/// An ISA the sweep kernels can execute with. Values are stable (the
 /// mdp.kernel.isa gauge exports them): 0 scalar, 1 avx2, 2 avx512.
 enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
@@ -94,19 +87,8 @@ void set_requested(Request request) noexcept;
 [[nodiscard]] Isa resolve(Request request) noexcept;
 [[nodiscard]] Isa resolve() noexcept;
 
-/// The backup primitive (file comment) over flat actions
-/// [sa_begin, sa_end). `seed` is null or num_state_actions() doubles;
-/// `bias` has num_states() doubles; `q_out` has capacity for indices
-/// [sa_begin, sa_end). The vector bodies read the ELL mirror, so a model
-/// without one runs the scalar body whatever the request, and avx512 runs
-/// avx2 on a model without palette codes. Thread-safe for disjoint
-/// [sa_begin, sa_end) ranges over shared inputs.
-void backup_expected(const CompiledModel& model, const double* seed,
-                     double scale, const double* bias, SaIndex sa_begin,
-                     SaIndex sa_end, double* q_out, Isa isa) noexcept;
-
 /// The fused greedy RVI Jacobi sweep over states [s_begin, s_end). Per
-/// state s, with q_all[sa] the backup primitive at seed null, scale 1:
+/// state s, with q_all[sa] the expected-next sum of the file comment:
 ///
 ///   value(a)    = fl( fl(tau * fl(rewards[sa] + q_all[sa]))
 ///                     + fl((1 - tau) * bias_in[s]) )          sa = base + a
@@ -171,15 +153,6 @@ namespace detail {
 // isa_available() keeps resolve() away from them. The vector greedy sweeps
 // handle only the uniform-2-action shape (the dispatcher routes everything
 // else to scalar).
-void backup_scalar(const CompiledModel& model, const double* seed,
-                   double scale, const double* bias, SaIndex sa_begin,
-                   SaIndex sa_end, double* q_out) noexcept;
-void backup_avx2(const CompiledModel& model, const double* seed, double scale,
-                 const double* bias, SaIndex sa_begin, SaIndex sa_end,
-                 double* q_out) noexcept;
-void backup_avx512(const CompiledModel& model, const double* seed,
-                   double scale, const double* bias, SaIndex sa_begin,
-                   SaIndex sa_end, double* q_out) noexcept;
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
                       double reference_residual, StateId s_begin,

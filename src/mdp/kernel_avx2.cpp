@@ -1,4 +1,4 @@
-// AVX2 backup kernel: 4 rows per vector step over the ELL mirror.
+// AVX2 sweep kernels: 4 lanes per vector step over the ELL mirror.
 //
 // This translation unit is compiled with -mavx2 when the toolchain accepts
 // it (see src/mdp/CMakeLists.txt); resolve() only routes here when the
@@ -15,71 +15,6 @@
 namespace bvc::mdp::kernel::detail {
 
 bool avx2_compiled() noexcept { return true; }
-
-void backup_avx2(const CompiledModel& model, const double* seed, double scale,
-                 const double* bias, SaIndex sa_begin, SaIndex sa_end,
-                 double* q_out) noexcept {
-  constexpr SaIndex kLanes = 4;
-  const std::size_t width = model.ell_width();
-  const std::size_t stride = model.ell_stride();
-  const double* ell_prob = model.ell_prob();
-  const StateId* ell_next = model.ell_next();
-  const __m256d vscale = _mm256_set1_pd(scale);
-
-  SaIndex sa = sa_begin;
-  // Two independent 4-row blocks per iteration: a single block's running
-  // sum is a serial gather->mul->add chain that leaves the gather unit
-  // idle; interleaving two chains keeps it fed without changing any
-  // lane's accumulation order.
-  for (; sa + 2 * kLanes <= sa_end; sa += 2 * kLanes) {
-    __m256d q0 = seed != nullptr ? _mm256_loadu_pd(seed + sa)
-                                 : _mm256_setzero_pd();
-    __m256d q1 = seed != nullptr ? _mm256_loadu_pd(seed + sa + kLanes)
-                                 : _mm256_setzero_pd();
-    for (std::size_t j = 0; j < width; ++j) {
-      const StateId* row_next = ell_next + j * stride + sa;
-      const double* row_prob = ell_prob + j * stride + sa;
-      const __m128i idx0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_next));
-      const __m128i idx1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_next + kLanes));
-      const __m256d b0 = _mm256_i32gather_pd(bias, idx0, 8);
-      const __m256d b1 = _mm256_i32gather_pd(bias, idx1, 8);
-      const __m256d p0 = _mm256_mul_pd(vscale, _mm256_loadu_pd(row_prob));
-      const __m256d p1 =
-          _mm256_mul_pd(vscale, _mm256_loadu_pd(row_prob + kLanes));
-      // mul then add, never FMA: each term must round exactly like the
-      // scalar (scale * p) * b before joining the lane's running sum.
-      q0 = _mm256_add_pd(q0, _mm256_mul_pd(p0, b0));
-      q1 = _mm256_add_pd(q1, _mm256_mul_pd(p1, b1));
-    }
-    _mm256_storeu_pd(q_out + sa, q0);
-    _mm256_storeu_pd(q_out + sa + kLanes, q1);
-  }
-  // Single full blocks, then the scalar remainder. Full 4-row blocks only
-  // while the whole block fits in [sa_begin, sa_end): chunked callers own
-  // disjoint sa ranges, so no vector store may cross sa_end. Loads are
-  // safe at any sa < sa_end because the ELL stride is padded to 8
-  // elements.
-  for (; sa + kLanes <= sa_end; sa += kLanes) {
-    __m256d q = seed != nullptr ? _mm256_loadu_pd(seed + sa)
-                                : _mm256_setzero_pd();
-    for (std::size_t j = 0; j < width; ++j) {
-      const __m128i idx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(ell_next + j * stride + sa));
-      const __m256d b = _mm256_i32gather_pd(bias, idx, 8);
-      const __m256d p =
-          _mm256_mul_pd(vscale, _mm256_loadu_pd(ell_prob + j * stride + sa));
-      // mul then add, never FMA: each term must round exactly like the
-      // scalar (scale * p) * b before joining the lane's running sum.
-      q = _mm256_add_pd(q, _mm256_mul_pd(p, b));
-    }
-    _mm256_storeu_pd(q_out + sa, q);
-  }
-  if (sa < sa_end) {
-    backup_scalar(model, seed, scale, bias, sa, sa_end, q_out);
-  }
-}
 
 namespace {
 
@@ -136,8 +71,7 @@ void rvi_sweep_avx2_impl(const CompiledModel& model, const double* rewards,
           bias_in,
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_next + 12)),
           8);
-      // At scale 1 the backup term is fl(p * b) (fl(1.0 * p) == p), with
-      // mul and add kept separate exactly like backup_avx2.
+      // Each term is fl(p * b), mul and add kept separate, never FMA.
       q0 = _mm256_add_pd(q0, _mm256_mul_pd(_mm256_loadu_pd(row_prob), b0));
       q1 = _mm256_add_pd(q1,
                          _mm256_mul_pd(_mm256_loadu_pd(row_prob + 4), b1));
@@ -357,12 +291,6 @@ void rvi_eval_sweep_avx2(const PolicyChain& chain, double tau,
 namespace bvc::mdp::kernel::detail {
 
 bool avx2_compiled() noexcept { return false; }
-
-void backup_avx2(const CompiledModel& model, const double* seed, double scale,
-                 const double* bias, SaIndex sa_begin, SaIndex sa_end,
-                 double* q_out) noexcept {
-  backup_scalar(model, seed, scale, bias, sa_begin, sa_end, q_out);
-}
 
 void rvi_sweep_avx2(const CompiledModel& model, const double* rewards,
                     double tau, const double* bias_in,

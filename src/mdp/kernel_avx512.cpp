@@ -1,4 +1,4 @@
-// AVX-512F backup kernel: 8 rows per vector step over the ELL mirror.
+// AVX-512F sweep kernels: 8 lanes per vector step over the ELL mirror.
 //
 // Probabilities come from the mirror's one-byte palette codes, not its
 // double column (CompiledModel::has_codes; the dispatcher sends uncoded
@@ -38,73 +38,6 @@ inline __m512d decode(const std::uint8_t* codes, __m512d lo,
 }  // namespace
 
 bool avx512_compiled() noexcept { return true; }
-
-void backup_avx512(const CompiledModel& model, const double* seed,
-                   double scale, const double* bias, SaIndex sa_begin,
-                   SaIndex sa_end, double* q_out) noexcept {
-  constexpr SaIndex kLanes = 8;
-  const std::size_t width = model.ell_width();
-  const std::size_t stride = model.ell_stride();
-  const std::uint8_t* ell_code = model.ell_code();
-  const StateId* ell_next = model.ell_next();
-  // fl(scale * p) depends on p alone, so scaling the sixteen palette
-  // entries once gives every lane the product a per-term multiply would.
-  const __m512d vscale = _mm512_set1_pd(scale);
-  const __m512d pal_lo =
-      _mm512_mul_pd(vscale, _mm512_loadu_pd(model.palette()));
-  const __m512d pal_hi =
-      _mm512_mul_pd(vscale, _mm512_loadu_pd(model.palette() + 8));
-
-  SaIndex sa = sa_begin;
-  // Two independent 8-row blocks per iteration: each lane's running sum is
-  // a serial gather->mul->add dependency chain, so a single block leaves
-  // the gather unit idle most of the time. Interleaving two blocks' chains
-  // roughly doubles the gathers in flight without touching any lane's
-  // accumulation order (each row still sums its outcomes in j order).
-  for (; sa + 2 * kLanes <= sa_end; sa += 2 * kLanes) {
-    __m512d q0 = seed != nullptr ? _mm512_loadu_pd(seed + sa)
-                                 : _mm512_setzero_pd();
-    __m512d q1 = seed != nullptr ? _mm512_loadu_pd(seed + sa + kLanes)
-                                 : _mm512_setzero_pd();
-    for (std::size_t j = 0; j < width; ++j) {
-      const StateId* row_next = ell_next + j * stride + sa;
-      const std::uint8_t* row_code = ell_code + j * stride + sa;
-      const __m256i idx0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row_next));
-      const __m256i idx1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(row_next + kLanes));
-      const __m512d b0 = _mm512_i32gather_pd(idx0, bias, 8);
-      const __m512d b1 = _mm512_i32gather_pd(idx1, bias, 8);
-      const __m512d p0 = decode(row_code, pal_lo, pal_hi);
-      const __m512d p1 = decode(row_code + kLanes, pal_lo, pal_hi);
-      // mul then add, never FMA: each term must round exactly like the
-      // scalar (scale * p) * b before joining the lane's running sum.
-      q0 = _mm512_add_pd(q0, _mm512_mul_pd(p0, b0));
-      q1 = _mm512_add_pd(q1, _mm512_mul_pd(p1, b1));
-    }
-    _mm512_storeu_pd(q_out + sa, q0);
-    _mm512_storeu_pd(q_out + sa + kLanes, q1);
-  }
-  // Single full blocks, then the scalar remainder. Blocks never extend
-  // past sa_end — see the AVX2 kernel for the chunk-boundary rationale.
-  // The ELL stride is padded to 8 elements, so these loads are in-bounds
-  // for any sa < sa_end.
-  for (; sa + kLanes <= sa_end; sa += kLanes) {
-    __m512d q = seed != nullptr ? _mm512_loadu_pd(seed + sa)
-                                : _mm512_setzero_pd();
-    for (std::size_t j = 0; j < width; ++j) {
-      const __m256i idx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(ell_next + j * stride + sa));
-      const __m512d b = _mm512_i32gather_pd(idx, bias, 8);
-      const __m512d p = decode(ell_code + j * stride + sa, pal_lo, pal_hi);
-      q = _mm512_add_pd(q, _mm512_mul_pd(p, b));
-    }
-    _mm512_storeu_pd(q_out + sa, q);
-  }
-  if (sa < sa_end) {
-    backup_scalar(model, seed, scale, bias, sa, sa_end, q_out);
-  }
-}
 
 namespace {
 
@@ -173,8 +106,7 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
       const __m512d b3 = _mm512_i32gather_pd(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row_next + 24)),
           bias_in, 8);
-      // At scale 1 the backup term is fl(p * b) (fl(1.0 * p) == p), with
-      // mul and add kept separate exactly like backup_avx512.
+      // Each term is fl(p * b), mul and add kept separate, never FMA.
       q0 = _mm512_add_pd(
           q0, _mm512_mul_pd(decode(row_code, pal_lo, pal_hi), b0));
       q1 = _mm512_add_pd(
@@ -390,12 +322,6 @@ void rvi_eval_sweep_avx512(const PolicyChain& chain, double tau,
 namespace bvc::mdp::kernel::detail {
 
 bool avx512_compiled() noexcept { return false; }
-
-void backup_avx512(const CompiledModel& model, const double* seed,
-                   double scale, const double* bias, SaIndex sa_begin,
-                   SaIndex sa_end, double* q_out) noexcept {
-  backup_scalar(model, seed, scale, bias, sa_begin, sa_end, q_out);
-}
 
 void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,

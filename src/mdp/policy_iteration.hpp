@@ -1,71 +1,67 @@
-// Howard's policy iteration for unichain average-reward MDPs, with *exact*
-// policy evaluation by dense Gaussian elimination.
+// Exact ratio policy iteration with renewal-cycle policy evaluation (the
+// theory, the cut and the stopping certificate: docs/THEORY.md).
 //
-// Complementary to relative value iteration (average_reward.hpp): RVI
-// scales to the large setting-2 models but converges geometrically; policy
-// iteration is O(n^3) per evaluation yet terminates in a handful of
-// improvement steps with machine-precision gains. We use it as an
-// independent oracle in tests (same optimum from a structurally different
-// algorithm) and for small models where exactness is worth the cubic cost.
+// Maximizes num_rate(pi) / den_rate(pi) over the stationary policies of a
+// unichain model; a unit denominator makes it the average reward. Once
+// state 0 is removed, the union of the actions' transition graphs is
+// acyclic on every bu model, so one pass in reverse topological order
+// evaluates a policy exactly: each state's totals until state 0, whose
+// cycle ratio is the policy's value (the renewal-reward theorem). Where
+// cycles remain (the selfish-mining baseline, whose state 0 is transient),
+// a depth-first search cuts them at a set C, and a dense solve over C and
+// state 0 finishes the evaluation. Improvement keeps each state's action
+// unless another is better by a relative 1e-10, and the solve stops when
+// no state changes. The order and the cut are derived on every call. RVI
+// (average_reward.hpp, ratio.hpp) remains the solver of every default
+// path; this is the library's exact oracle.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "mdp/average_reward.hpp"
-#include "mdp/model.hpp"
+#include "mdp/compiled_model.hpp"
+#include "mdp/solve_report.hpp"
+#include "robust/run_control.hpp"
 
 namespace bvc::mdp {
 
-/// The Howard policy-iteration knob block.
-struct PolicyIterationKnobs {
-  int max_improvements = 1000;
-  /// Keep the incumbent action unless a challenger beats it by this margin
-  /// (guards against cycling on numerically tied actions).
-  double improvement_tolerance = 1e-10;
-  /// Practical size guard: dense evaluation is O(n^3).
-  StateId max_states = 5000;
-  /// Budget/cancellation; one guard tick per improvement round. On
-  /// exhaustion the most recently evaluated policy is returned.
-  robust::RunControl control;
-};
+/// The largest cut an evaluation may take. Its working set is
+/// n x (|C| + 3) doubles for the pass plus (|C| + 1)^2 for the dense solve,
+/// so a model above either bound is rejected before either is allocated.
+inline constexpr std::size_t kMaxCutStates = 2000;
+inline constexpr std::size_t kMaxEvaluationCells = std::size_t{1} << 27;
 
 struct PolicyIterationResult : SolveReport {
-  double gain = 0.0;
-  std::vector<double> bias;  ///< h with h[0] = 0
+  /// u, the ratio of `policy`'s numerator and denominator rates: once
+  /// converged the optimal ratio, or with a unit denominator the optimal
+  /// average reward.
+  double value = 0.0;
+  /// Per state, the numerator stream's bias minus u times the
+  /// denominator's, both normalized to 0 at state 0.
+  std::vector<double> bias;
   Policy policy;
+  /// |C|: the states whose values the dense solve finds; 0 on every bu
+  /// model.
+  std::size_t cut_states = 0;
 
-  /// Howard improvement rounds (the base report's iteration count).
+  /// Rounds that changed the policy (the base report's iteration count).
   [[nodiscard]] int improvements() const noexcept { return iterations; }
 };
 
-/// Exact evaluation of one stationary policy: solves
-///   g + h(s) = r(s, pi(s)) + sum_s' P(s' | s, pi(s)) h(s'),  h(0) = 0,
-/// which has a unique solution for unichain policies (state 0 recurrent).
-/// `sa_rewards` indexes rewards by Model::sa_index. As with the other
-/// solvers, the CompiledModel overloads are the real implementation and the
-/// Model overloads compile on entry (policy_iteration compiles ONCE for all
-/// improvement rounds), bit-identically.
-[[nodiscard]] PolicyIterationResult evaluate_policy_exact(
-    const CompiledModel& model, const Policy& policy,
-    std::span<const double> sa_rewards,
-    const PolicyIterationKnobs& options = {});
-[[nodiscard]] PolicyIterationResult evaluate_policy_exact(
-    const Model& model, const Policy& policy,
-    std::span<const double> sa_rewards,
-    const PolicyIterationKnobs& options = {});
-
-/// Maximizes the average of `sa_rewards` by Howard's policy iteration.
+/// Maximizes the ratio of the `numerator` and `denominator` streams, both
+/// indexed by (state, action) pair (CompiledModel::sa_index), starting from
+/// every state's first action. The denominator must be non-negative: a
+/// policy that accrues none keeps the previous ratio (0 at the start), and
+/// one that accrues numerator without it ends kDegenerateModel. One guard
+/// tick per evaluation; on budget exhaustion or cancellation the last
+/// evaluated policy (or the initial one) is returned. Throws
+/// std::invalid_argument when a stream does not cover every pair, the cut
+/// exceeds the bounds above, or a policy has more than one recurrent class.
 [[nodiscard]] PolicyIterationResult policy_iteration(
-    const CompiledModel& model, std::span<const double> sa_rewards,
-    const PolicyIterationKnobs& options = {});
-[[nodiscard]] PolicyIterationResult policy_iteration(
-    const Model& model, std::span<const double> sa_rewards,
-    const PolicyIterationKnobs& options = {});
-
-/// Convenience overloads on the model's primary reward stream.
-[[nodiscard]] PolicyIterationResult policy_iteration(
-    const CompiledModel& model, const PolicyIterationKnobs& options = {});
-[[nodiscard]] PolicyIterationResult policy_iteration(
-    const Model& model, const PolicyIterationKnobs& options = {});
+    const CompiledModel& model, std::span<const double> numerator,
+    std::span<const double> denominator,
+    const robust::RunControl& control = {});
 
 }  // namespace bvc::mdp

@@ -17,7 +17,7 @@ struct SolveReport {
   /// How the solve ended. Only kConverged certifies the reported values.
   robust::RunStatus status = robust::RunStatus::kToleranceStalled;
   /// Top-level iteration count; what one iteration is depends on the
-  /// solver (RVI sweeps, Howard improvement rounds, outer
+  /// solver (RVI sweeps, policy-iteration improvement rounds, outer
   /// Dinkelbach/bisection steps). Derived results expose a semantically
   /// named accessor (sweeps(), improvements(), ...) on top.
   int iterations = 0;

@@ -31,14 +31,6 @@ void add_edge(Topology& topology, std::size_t u, std::size_t v,
 
 }  // namespace
 
-std::size_t Topology::num_links() const noexcept {
-  std::size_t total = 0;
-  for (const std::vector<Link>& links : adjacency) {
-    total += links.size();
-  }
-  return total;
-}
-
 void Topology::validate() const {
   for (std::size_t u = 0; u < adjacency.size(); ++u) {
     for (const Link& link : adjacency[u]) {

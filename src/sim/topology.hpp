@@ -43,7 +43,6 @@ struct Topology {
     return adjacency.size();
   }
   [[nodiscard]] bool empty() const noexcept { return adjacency.empty(); }
-  [[nodiscard]] std::size_t num_links() const noexcept;
 
   /// BVC_REQUIREs well-formedness: in-range endpoints, no self-links, and
   /// positive latency/bandwidth on every link (per-field messages).

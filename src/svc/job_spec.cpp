@@ -70,17 +70,25 @@ bool read_u64(const Json& object, std::string_view key, std::uint64_t& out,
 constexpr double kMaxChordDraws = 2e6;
 constexpr double kMaxHubs = 2000.0;
 
-/// Reads topology member `key` as an integer in [lo, hi]; absent keeps
-/// `out` and succeeds. The message names the field.
-bool read_topology_count(const Json& topology, std::string_view key, double lo,
-                         double hi, std::string_view range, double& out,
-                         std::string& error) {
-  if (!read_number(topology, key, out, error)) {
+/// The largest value a uint32 field (a block height, a node id) can hold.
+constexpr double kMaxUint32 = 4294967295.0;
+
+/// Bound on the blocks one voting cell simulates (epochs x epoch_length):
+/// the limit tracker keeps 8 bytes of history per block, so 1e7 blocks
+/// hold 80 MB.
+constexpr double kMaxVotingBlocks = 1e7;
+
+/// Reads member `key` of `object` as an integer in [lo, hi]; absent keeps
+/// `out` and succeeds. The message names the field within `scope`.
+bool read_count(const Json& object, std::string_view scope,
+                std::string_view key, double lo, double hi,
+                std::string_view range, double& out, std::string& error) {
+  if (!read_number(object, key, out, error)) {
     return false;
   }
   if (out < lo || out != std::floor(out) || out > hi) {
-    error = "topology '" + std::string(key) + "' must be an integer in " +
-            std::string(range);
+    error = std::string(scope) + " '" + std::string(key) +
+            "' must be an integer in " + std::string(range);
     return false;
   }
   return true;
@@ -282,10 +290,12 @@ bool parse_voting_cell(const Json& cell, counter::VotingJob& job,
     counter::VoteRuleConfig& r = job.config.rule;
     double epoch_length = static_cast<double>(r.epoch_length);
     double activation_delay = static_cast<double>(r.activation_delay);
-    if (!read_number(*rule, "epoch_length", epoch_length, error) ||
+    if (!read_count(*rule, "rule", "epoch_length", 1.0, kMaxUint32,
+                    "[1, 2^32 - 1]", epoch_length, error) ||
         !read_number(*rule, "adjust_threshold", r.adjust_threshold, error) ||
         !read_number(*rule, "veto_threshold", r.veto_threshold, error) ||
-        !read_number(*rule, "activation_delay", activation_delay, error) ||
+        !read_count(*rule, "rule", "activation_delay", 0.0, kMaxUint32,
+                    "[0, 2^32 - 1]", activation_delay, error) ||
         !read_u64(*rule, "step", r.step, error) ||
         !read_u64(*rule, "initial_limit", r.initial_limit, error) ||
         !read_u64(*rule, "min_limit", r.min_limit, error) ||
@@ -294,6 +304,13 @@ bool parse_voting_cell(const Json& cell, counter::VotingJob& job,
     }
     r.epoch_length = static_cast<counter::Height>(epoch_length);
     r.activation_delay = static_cast<counter::Height>(activation_delay);
+  }
+  if (static_cast<double>(job.epochs) *
+          static_cast<double>(job.config.rule.epoch_length) >
+      kMaxVotingBlocks) {
+    error =
+        "field 'epochs' times rule 'epoch_length' must be at most 1e7 blocks";
+    return false;
   }
   const Json* cohorts = cell.find("cohorts");
   if (cohorts == nullptr || !cohorts->is_array() || cohorts->size() == 0) {
@@ -400,17 +417,17 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
     // Every count is range-checked before anything is built; a builder's
     // own precondition failure is still the client's 400, never a 500.
     double nodes = 0.0;
-    if (!read_topology_count(*topology, "nodes", 2.0, 1e6, "[2, 1e6]", nodes,
-                             error)) {
+    if (!read_count(*topology, "topology", "nodes", 2.0, 1e6, "[2, 1e6]",
+                    nodes, error)) {
       return false;
     }
     try {
       if (type == "random") {
         sim::RandomTopologyConfig graph;
         double extra_degree = static_cast<double>(graph.extra_degree);
-        if (!read_topology_count(*topology, "extra_degree", 0.0,
-                                 std::floor(kMaxChordDraws / nodes),
-                                 "[0, 2e6 / nodes]", extra_degree, error) ||
+        if (!read_count(*topology, "topology", "extra_degree", 0.0,
+                        std::floor(kMaxChordDraws / nodes),
+                        "[0, 2e6 / nodes]", extra_degree, error) ||
             !read_u64(*topology, "seed", graph.seed, error)) {
           return false;
         }
@@ -420,9 +437,9 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
       } else {
         sim::HubSpokeConfig graph;
         double hubs = static_cast<double>(graph.hubs);
-        if (!read_topology_count(*topology, "hubs", 1.0,
-                                 std::min(nodes, kMaxHubs),
-                                 "[1, min(nodes, 2000)]", hubs, error) ||
+        if (!read_count(*topology, "topology", "hubs", 1.0,
+                        std::min(nodes, kMaxHubs), "[1, min(nodes, 2000)]",
+                        hubs, error) ||
             !read_u64(*topology, "seed", graph.seed, error)) {
           return false;
         }
@@ -446,8 +463,9 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
     }
     for (const Json& node : placements->items()) {
       if (!node.is_number() || node.as_number() < 0.0 ||
-          node.as_number() != std::floor(node.as_number())) {
-        error = "miner_nodes entries must be non-negative integers";
+          node.as_number() != std::floor(node.as_number()) ||
+          node.as_number() > kMaxUint32) {
+        error = "miner_nodes entries must be integers in [0, 2^32 - 1]";
         return false;
       }
       config.miner_nodes.push_back(

@@ -35,10 +35,6 @@ double RunningStats::stderr_mean() const noexcept {
   return stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-double RunningStats::ci95_halfwidth() const noexcept {
-  return 1.96 * stderr_mean();
-}
-
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.count_ == 0) {
     return;

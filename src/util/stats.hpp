@@ -18,8 +18,6 @@ class RunningStats {
   [[nodiscard]] double stddev() const noexcept;
   /// Standard error of the mean; 0 when fewer than two samples.
   [[nodiscard]] double stderr_mean() const noexcept;
-  /// Half-width of an approximate 95% confidence interval for the mean.
-  [[nodiscard]] double ci95_halfwidth() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 

@@ -2,7 +2,8 @@
 // representation it compiles: structural fidelity, the ELL mirror's
 // palette codes (every code decodes to its double, the 16-value rule, the
 // copies a PolicyChain takes, the resident bytes), bit-identical solver
-// results through both overload families, the library's scalar RVI sweep
+// results through both overload families (the exact solver's on a template
+// instantiation and on compile()), the library's scalar RVI sweep
 // bit-identical to an in-test Jacobi replica over the AoS Model, and
 // ModelTemplate::instantiate bit-identical to compile() of the enumerated
 // Model over the paper's cells.
@@ -426,16 +427,24 @@ TEST(CompiledModel, RatioResultBitIdenticalBtc) {
   expect_ratio_equivalence(btc_model().model, 1.0);
 }
 
+/// Exact ratio policy iteration on the model's two streams.
+mdp::PolicyIterationResult exact_ratio(const mdp::CompiledModel& model) {
+  const std::size_t actions = model.num_state_actions();
+  return mdp::policy_iteration(model, {model.expected_reward(), actions},
+                               {model.expected_weight(), actions});
+}
+
 TEST(CompiledModel, PolicyIterationBitIdentical) {
-  const mdp::Model& model = setting1_model().model;
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-  const mdp::PolicyIterationKnobs howard;
-  const mdp::PolicyIterationResult pa = mdp::policy_iteration(model, howard);
+  // The cached template's instantiation and compile() of the enumerated
+  // Model give the exact solver the same bits.
+  const bu::AttackModel attack = setting1_model();
+  const mdp::PolicyIterationResult pa = exact_ratio(*attack.compiled);
   const mdp::PolicyIterationResult pb =
-      mdp::policy_iteration(compiled, howard);
+      exact_ratio(mdp::CompiledModel::compile(attack.model));
   EXPECT_EQ(pa.status, pb.status);
   EXPECT_EQ(pa.iterations, pb.iterations);
-  EXPECT_EQ(pa.gain, pb.gain);
+  EXPECT_EQ(pa.value, pb.value);
+  EXPECT_EQ(pa.bias, pb.bias);
   EXPECT_EQ(pa.policy.action, pb.policy.action);
 }
 

@@ -1,7 +1,7 @@
-// The vectorized backup kernel layer (mdp/kernel.hpp): dispatch
-// vocabulary, bit-identical scalar/AVX2/AVX-512 equivalence (including
-// remainder lanes, odd outcome widths, and a damped scale), the
-// fixed-policy chain sweep against a greedy sweep of the policy's
+// The vectorized sweep kernel layer (mdp/kernel.hpp): dispatch
+// vocabulary, bit-identical scalar/AVX2/AVX-512 fused sweeps (including
+// remainder lanes, split ranges and ragged menus), the fixed-policy chain
+// sweep against a greedy sweep of the policy's
 // one-action model, the palette-coded AVX-512 bodies on palettes of 1, 9
 // and 16 values, the paper's models all taking the coded path,
 // solver-level bit-identity of every vector ISA against the scalar
@@ -142,103 +142,12 @@ const Rows kSixteenValueRows = {
     {0.015625, 0.984375},               {0.375, 0.625},
     {0.1875, 0.0625, 0.75}};
 
-/// ragged_model's menus and widths (1..3 actions, 1..5 outcomes) with
-/// probabilities from five halving values (plus 0.0 padding): its coded
-/// twin.
-mdp::Model coded_ragged_model(mdp::StateId num_states) {
-  return palette_model(
-      num_states, [](mdp::StateId s) -> std::size_t { return 1 + s % 3; },
-      [](mdp::StateId s, std::size_t a) -> std::size_t { return s + a; },
-      {{1.0},
-       {0.5, 0.5},
-       {0.5, 0.25, 0.25},
-       {0.5, 0.25, 0.125, 0.125},
-       {0.5, 0.25, 0.125, 0.0625, 0.0625}});
-}
-
 std::vector<double> ramp_bias(std::size_t num_states) {
   std::vector<double> bias(num_states);
   for (std::size_t s = 0; s < num_states; ++s) {
     bias[s] = 0.25 * static_cast<double>(s) - 3.0;
   }
   return bias;
-}
-
-/// Runs scalar and `isa` over the same inputs and demands bit-equality
-/// (EXPECT_EQ on doubles is ==, so +0.0 vs -0.0 from ELL padding passes).
-void expect_backup_equivalence(const mdp::CompiledModel& compiled, Isa isa,
-                               const double* seed, double scale) {
-  const std::size_t num_sa = compiled.num_state_actions();
-  const std::vector<double> bias = ramp_bias(compiled.num_states());
-  std::vector<double> q_scalar(num_sa, -1.0);
-  std::vector<double> q_vector(num_sa, -2.0);
-  mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), 0, num_sa,
-                               q_scalar.data(), Isa::kScalar);
-  mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), 0, num_sa,
-                               q_vector.data(), isa);
-  for (std::size_t sa = 0; sa < num_sa; ++sa) {
-    EXPECT_EQ(q_scalar[sa], q_vector[sa]) << "sa=" << sa;
-  }
-
-  // Split ranges (chunk boundaries at non-lane-multiples): same answer.
-  for (const std::size_t cut : {std::size_t{1}, std::size_t{5},
-                                num_sa / 3 + 1, num_sa - 3}) {
-    std::vector<double> q_split(num_sa, -3.0);
-    mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), 0, cut,
-                                 q_split.data(), isa);
-    mdp::kernel::backup_expected(compiled, seed, scale, bias.data(), cut,
-                                 num_sa, q_split.data(), isa);
-    for (std::size_t sa = 0; sa < num_sa; ++sa) {
-      EXPECT_EQ(q_scalar[sa], q_split[sa]) << "cut=" << cut << " sa=" << sa;
-    }
-  }
-}
-
-/// backup_expected's four solver variants under `isa` against scalar.
-void expect_backup_variants(const mdp::CompiledModel& compiled, Isa isa) {
-  const std::size_t num_sa = compiled.num_state_actions();
-  // Variant A (RVI): no seed, unit scale.
-  expect_backup_equivalence(compiled, isa, nullptr, 1.0);
-  // Variant B (discounted VI / PI greedy): seeded, scaled.
-  std::vector<double> seed(num_sa);
-  for (std::size_t sa = 0; sa < num_sa; ++sa) {
-    seed[sa] = 0.125 * static_cast<double>(sa % 11) - 0.5;
-  }
-  expect_backup_equivalence(compiled, isa, seed.data(), 0.95);
-  expect_backup_equivalence(compiled, isa, seed.data(), 1.0);
-  // Damped variant: scale = an aperiodicity tau.
-  expect_backup_equivalence(compiled, isa, nullptr, 0.999);
-}
-
-void run_equivalence_suite(Isa isa) {
-  if (!mdp::kernel::isa_available(isa)) {
-    GTEST_SKIP() << mdp::kernel::to_string(isa)
-                 << " not available on this build/CPU";
-  }
-  // 37 states -> a state-action count that is not a multiple of 4 or 8,
-  // so both vector widths exercise their scalar remainder. The random
-  // probabilities take more than 16 values: no palette codes, so avx512
-  // runs the AVX2 bodies. The coded twin takes the AVX-512 code path.
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(ragged_model(37));
-  ASSERT_TRUE(compiled.has_ell());
-  ASSERT_FALSE(compiled.has_codes());
-  expect_backup_variants(compiled, isa);
-  const mdp::CompiledModel coded =
-      mdp::CompiledModel::compile(coded_ragged_model(37));
-  ASSERT_TRUE(coded.has_codes());
-  ASSERT_EQ(coded.num_state_actions(), compiled.num_state_actions());
-  expect_backup_variants(coded, isa);
-
-  // Empty range: touches nothing.
-  const std::size_t num_sa = compiled.num_state_actions();
-  std::vector<double> q(num_sa, 7.0);
-  const std::vector<double> bias = ramp_bias(compiled.num_states());
-  mdp::kernel::backup_expected(compiled, nullptr, 1.0, bias.data(), 5, 5,
-                               q.data(), isa);
-  for (const double value : q) {
-    EXPECT_EQ(value, 7.0);
-  }
 }
 
 TEST(Kernel, ParseRequestVocabulary) {
@@ -282,43 +191,6 @@ TEST(Kernel, ResolveClampsToAvailability) {
     const ScopedKernelRequest scoped(Request::kScalar);
     EXPECT_EQ(mdp::kernel::requested(), Request::kScalar);
     EXPECT_EQ(mdp::kernel::resolve(), Isa::kScalar);
-  }
-}
-
-TEST(Kernel, Avx2MatchesScalarBitExact) { run_equivalence_suite(Isa::kAvx2); }
-
-TEST(Kernel, Avx512MatchesScalarBitExact) {
-  run_equivalence_suite(Isa::kAvx512);
-}
-
-TEST(Kernel, NonEllModelFallsBackToScalar) {
-  // One action wider than kMaxEllWidth disables the ELL mirror; vector
-  // requests must still produce the scalar answer (silent fallback).
-  const mdp::StateId num_states = 40;
-  mdp::ModelBuilder builder(num_states);
-  for (mdp::StateId s = 0; s < num_states; ++s) {
-    builder.begin_action(s, 0);
-    const std::size_t width =
-        s == 0 ? mdp::CompiledModel::kMaxEllWidth + 4 : 2;
-    for (std::size_t j = 0; j < width; ++j) {
-      builder.add_outcome(static_cast<mdp::StateId>((s + j + 1) % num_states),
-                          1.0 / static_cast<double>(width));
-    }
-  }
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(builder.build());
-  ASSERT_FALSE(compiled.has_ell());
-
-  const std::size_t num_sa = compiled.num_state_actions();
-  const std::vector<double> bias = ramp_bias(compiled.num_states());
-  std::vector<double> q_scalar(num_sa);
-  std::vector<double> q_vector(num_sa);
-  mdp::kernel::backup_expected(compiled, nullptr, 1.0, bias.data(), 0, num_sa,
-                               q_scalar.data(), Isa::kScalar);
-  mdp::kernel::backup_expected(compiled, nullptr, 1.0, bias.data(), 0, num_sa,
-                               q_vector.data(), Isa::kAvx2);
-  for (std::size_t sa = 0; sa < num_sa; ++sa) {
-    EXPECT_EQ(q_scalar[sa], q_vector[sa]);
   }
 }
 
@@ -693,7 +565,6 @@ TEST(Kernel, CodedAvx512BodiesMatchScalarBitExact) {
     ASSERT_EQ(compiled.palette_size(), c.values);
     ASSERT_EQ(mdp::kernel::rvi_sweep_isa(compiled, Isa::kAvx512),
               Isa::kAvx512);
-    expect_backup_variants(compiled, Isa::kAvx512);
     expect_rvi_sweep_equivalence(compiled, Isa::kAvx512);
 
     std::vector<std::uint32_t> policy(compiled.num_states());

@@ -1,8 +1,8 @@
 // Property tests for the MDP solvers: on randomly generated small models,
-// the optimal gain / ratio returned by the iterative solvers must match a
-// brute-force enumeration of every deterministic stationary policy (whose
-// long-run rates we compute independently by power iteration on the policy
-// chain).
+// the optimal gain / ratio returned by the iterative solvers, and to 1e-9
+// by the exact policy iteration, must match a brute-force enumeration of
+// every deterministic stationary policy (whose long-run rates we compute
+// independently by power iteration on the policy chain).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 
 #include "mdp/average_reward.hpp"
 #include "mdp/model.hpp"
+#include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "util/rng.hpp"
 
@@ -115,6 +116,14 @@ TEST_P(SolverVsBruteForce, AverageRewardMatchesEnumeration) {
   const GainResult solved = maximize_average_reward(model);
   EXPECT_TRUE(solved.converged());
   EXPECT_NEAR(solved.gain, best_gain, 1e-6);
+
+  const CompiledModel compiled = CompiledModel::compile(model);
+  const std::vector<double> unit(compiled.num_state_actions(), 1.0);
+  const PolicyIterationResult exact = policy_iteration(
+      compiled, {compiled.expected_reward(), compiled.num_state_actions()},
+      unit);
+  EXPECT_TRUE(exact.converged());
+  EXPECT_NEAR(exact.value, best_gain, 1e-9);
 }
 
 TEST_P(SolverVsBruteForce, RatioMatchesEnumeration) {
@@ -136,6 +145,14 @@ TEST_P(SolverVsBruteForce, RatioMatchesEnumeration) {
   const RatioResult solved = maximize_ratio(model, config);
   EXPECT_TRUE(solved.converged());
   EXPECT_NEAR(solved.ratio, best_ratio, 1e-5);
+
+  const CompiledModel compiled = CompiledModel::compile(model);
+  const std::size_t pairs = compiled.num_state_actions();
+  const PolicyIterationResult exact =
+      policy_iteration(compiled, {compiled.expected_reward(), pairs},
+                       {compiled.expected_weight(), pairs});
+  EXPECT_TRUE(exact.converged());
+  EXPECT_NEAR(exact.value, best_ratio, 1e-9);
 }
 
 TEST_P(SolverVsBruteForce, PolicyEvaluationMatchesPowerIteration) {

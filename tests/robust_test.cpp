@@ -256,23 +256,51 @@ TEST(AverageRewardControl, UnlimitedControlStillConverges) {
   EXPECT_NEAR(result.gain, 2.0, 1e-6);
 }
 
+/// Exact average-reward policy iteration (a unit denominator).
+mdp::PolicyIterationResult exact_gain(const Model& model,
+                                      const RunControl& control = {}) {
+  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
+  const std::vector<double> unit(compiled.num_state_actions(), 1.0);
+  return mdp::policy_iteration(
+      compiled, {compiled.expected_reward(), compiled.num_state_actions()},
+      unit, control);
+}
+
 TEST(PolicyIterationControl, PreCancelledReturnsTotalPolicy) {
   const Model model = make_alternator(1.0, 3.0);
-  mdp::PolicyIterationKnobs config;
-  config.control = cancelled_control();
   const mdp::PolicyIterationResult result =
-      mdp::policy_iteration(model, config);
+      exact_gain(model, cancelled_control());
   EXPECT_EQ(result.status, RunStatus::kCancelled);
   EXPECT_EQ(result.improvements(), 0);
   // Even without a single evaluation the returned policy covers all states.
   EXPECT_EQ(result.policy.action.size(), model.num_states());
 }
 
+TEST(PolicyIterationControl, TickBudgetReturnsTheLastEvaluatedPolicy) {
+  // State 0's first action stays put for nothing; its second starts a
+  // two-step cycle worth 3. One tick evaluates only the first policy.
+  ModelBuilder builder(2);
+  builder.begin_action(0, 0);
+  builder.add_outcome(0, 1.0, 0.0, 1.0);
+  builder.begin_action(0, 1);
+  builder.add_outcome(1, 1.0, 1.0, 1.0);
+  builder.begin_action(1, 0);
+  builder.add_outcome(0, 1.0, 2.0, 1.0);
+  const Model model = builder.build();
+  RunControl control;
+  control.budget = RunBudget::ticks(1);
+  const mdp::PolicyIterationResult partial = exact_gain(model, control);
+  EXPECT_EQ(partial.status, RunStatus::kBudgetExhausted);
+  EXPECT_EQ(partial.policy.action[0], 0u);
+  EXPECT_EQ(partial.value, 0.0);
+  EXPECT_EQ(exact_gain(model).value, 1.5);
+}
+
 TEST(PolicyIterationControl, UnlimitedControlStillConverges) {
   const Model model = make_alternator(1.0, 3.0);
-  const mdp::PolicyIterationResult result = mdp::policy_iteration(model);
+  const mdp::PolicyIterationResult result = exact_gain(model);
   EXPECT_EQ(result.status, RunStatus::kConverged);
-  EXPECT_NEAR(result.gain, 2.0, 1e-9);
+  EXPECT_NEAR(result.value, 2.0, 1e-9);
 }
 
 // --------------------------------------------------------- ratio solver ---

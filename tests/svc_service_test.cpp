@@ -32,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "sim/replicas.hpp"
 #include "svc/http.hpp"
+#include "svc/job_spec.hpp"
 #include "svc/json.hpp"
 #include "util/rng.hpp"
 
@@ -276,21 +277,41 @@ TEST(SvcServiceControl, CancelDuringSolveEndsCancelled) {
   ServiceConfig config;
   config.threads = 1;  // sequential cells -> the cancel lands mid-grid
   SolveService service{config};
-  // ad=6 sticky-gate cells are second-scale solves; the DELETE below fires
-  // while the first cell is still running.
+  // The RVI sweeps counter rises only when an inner solve finishes, so
+  // once it moves a ratio solve is provably running. The first cell is a
+  // setting-2 near-tie (1:2 at alpha = 25%), a multi-second solve of many
+  // inner solves: the DELETE lands inside it.
+  obs::set_metrics_enabled(true);
+  const obs::Counter& sweeps =
+      obs::MetricsRegistry::global().counter("mdp.rvi.sweeps");
+  const std::uint64_t sweeps_before = sweeps.value();
   const std::string id = submit_job(
       service,
-      R"({"kind":"bu-attack","grid":{"alphas":[0.10,0.15,0.20,0.25],)"
-      R"("ratios":[[1,1],[1,2]],"ad":6,"setting":2}})");
+      R"({"kind":"bu-attack","grid":{"alphas":[0.25,0.10,0.15,0.20],)"
+      R"("ratios":[[1,2],[1,1]],"ad":6,"setting":2}})");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (sweeps.value() == sweeps_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(sweeps.value(), sweeps_before);
   const HttpResponse cancel =
       service.route(make_request("DELETE", "/v1/jobs/" + id));
   EXPECT_EQ(cancel.status, 202);
   service.wait_idle();
+  obs::set_metrics_enabled(false);
 
   const Json snapshot = job_snapshot(service, id);
   EXPECT_EQ(snapshot.string_or("state", ""), "cancelled");
   EXPECT_LT(snapshot.number_or("completed", 99),
             snapshot.number_or("cells", 0));
+  // The solve in flight saw the job's cancel through its linked token and
+  // ended with a cancelled record, not a skip.
+  const Json* records = snapshot.find("records");
+  ASSERT_NE(records, nullptr);
+  ASSERT_EQ(records->size(), 1u) << snapshot.dump();
+  EXPECT_EQ(records->at(0).string_or("status", ""), "cancelled");
 }
 
 TEST(SvcServicePersistence, RestartServesTerminalJobsAndKeepsIdSequence) {
@@ -525,6 +546,59 @@ TEST(SvcServiceNetSim, OutOfRangeTopologyCountsAre400NamingTheField) {
                 .status,
             202);
   service.wait_idle();
+}
+
+/// Parses `body` as a job without a daemon: the status and, on a
+/// rejection, the message.
+std::pair<int, std::string> parse_job(const std::string& body) {
+  const std::optional<Json> json = Json::parse(body);
+  EXPECT_TRUE(json.has_value()) << body;
+  int status = 0;
+  std::string error;
+  (void)svc::JobSpec::parse(json.value_or(Json()), svc::JobLimits{}, status,
+                            error);
+  return {status, error};
+}
+
+TEST(SvcServiceRejects, OutOfRangeVotingAndPlacementFieldsAre400) {
+  // Each of these was cast unchecked to a uint32, or made one cell
+  // simulate more than 1e7 blocks: a voting cell keeps one history entry
+  // per simulated block.
+  const std::string voting_head =
+      R"({"kind":"counter-voting","cells":[{"seed":7,"cohorts":)"
+      R"([{"power":1.0,"preferred_limit":2000000}],)";
+  const std::vector<std::pair<std::string, std::string>> voting = {
+      {R"("epochs":3,"rule":{"epoch_length":-1}}]})", "'epoch_length'"},
+      {R"("epochs":3,"rule":{"epoch_length":20.5}}]})", "'epoch_length'"},
+      {R"("epochs":1,"rule":{"epoch_length":4294967296}}]})",
+       "'epoch_length'"},
+      {R"("epochs":3,"rule":{"activation_delay":-1}}]})",
+       "'activation_delay'"},
+      {R"("epochs":3,"rule":{"activation_delay":0.5}}]})",
+       "'activation_delay'"},
+      {R"("epochs":3,"rule":{"activation_delay":4294967296}}]})",
+       "'activation_delay'"},
+      {R"("epochs":1000000}]})", "'epochs'"},
+      {R"("epochs":4961}]})", "'epochs'"},
+      {R"("epochs":2,"rule":{"epoch_length":5000001}}]})", "'epochs'"},
+  };
+  for (const auto& [tail, field] : voting) {
+    const auto [status, error] = parse_job(voting_head + tail);
+    EXPECT_EQ(status, 400) << tail;
+    EXPECT_NE(error.find(field), std::string::npos) << tail << " -> " << error;
+  }
+  // The bound itself is admitted: 4,960 epochs of 2,016 blocks.
+  EXPECT_EQ(parse_job(voting_head + R"("epochs":4960}]})").first, 200);
+
+  // 2^32 would wrap to node 0, a valid placement on this topology.
+  for (const std::string placement : {"-1", "0.5", "4294967296"}) {
+    const auto [status, error] = parse_job(net_sim_job_with_topology(
+        R"({"type":"random","nodes":4},"miner_nodes":[1,)" + placement +
+        "]"));
+    EXPECT_EQ(status, 400) << placement;
+    EXPECT_NE(error.find("miner_nodes entries"), std::string::npos)
+        << placement << " -> " << error;
+  }
 }
 
 TEST(SvcServiceNetSim, RestartRestoresNetSimRecords) {
