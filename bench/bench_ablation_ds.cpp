@@ -18,7 +18,8 @@ using namespace bvc;
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_ablation_ds", "Ablation: double-spend confirmations and reward (Sect. 4.3)");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_sweep_args(parser);
   parser.add({
       {"alpha", util::ArgType::kDouble, "X", "attacker hash-rate share", "0.10"},

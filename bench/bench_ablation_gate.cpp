@@ -21,7 +21,7 @@ using namespace bvc;
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_ablation_gate", "Ablation: sticky-gate period vs utility (Sect. 6.2)");
-  bench::add_standard_bench_args(parser);
+  bench::add_obs_args(parser);
   parser.add({
       {"alpha", util::ArgType::kDouble, "X", "attacker hash-rate share", "0.25"},
       {"beta", util::ArgType::kDouble, "X", "Bob group hash-rate share", "0.30"},
@@ -32,8 +32,6 @@ int main(int argc, char** argv) {
   const double alpha = args.get_double("alpha", 0.25);
   const double beta = args.get_double("beta", 0.30);
   const double gamma = args.get_double("gamma", 0.45);
-  bu::AnalysisOptions analysis_options;
-  analysis_options.control = bench::run_control_from_args(args);
 
   std::printf(
       "Ablation — sticky-gate period (setting 2; alpha=%.2f, beta=%.2f,\n"
@@ -53,7 +51,7 @@ int main(int argc, char** argv) {
 
     const bu::AttackModel model =
         bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-    const bu::AnalysisResult analysis = bu::analyze(model, analysis_options);
+    const bu::AnalysisResult analysis = bu::analyze(model);
     bench::require_solved(
         analysis,
         "u1 gate period=" + std::to_string(period) + " " +

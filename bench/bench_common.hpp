@@ -25,32 +25,17 @@
 
 namespace bvc::bench {
 
-/// The flag vocabulary every bench binary shares, declared once for
-/// util::ArgParser. Split into the groups the helpers below consume:
-/// budget (run_control_from_args), batch (batch_config_from_args), csv
-/// (open_csv), and obs (ObsSession). add_standard_bench_args is the union
-/// of all but csv: only the benches that call open_csv declare --csv, so
-/// the others reject it instead of ignoring it. Benches that wrap a
-/// SweepSession also call add_sweep_args (bench/sweep_session.hpp).
-/// Per-bench flags are add()ed at each main.
+/// The flag vocabulary the bench binaries share, declared once for
+/// util::ArgParser. Every bench declares the obs group (ObsSession); the
+/// benches that fan cells out through the batch engine add --threads
+/// (batch_config_from_args), and those that export a table add --csv
+/// (open_csv). A bench declares only what its main reads, so any other
+/// flag exits 2 instead of being ignored. Benches that wrap a SweepSession
+/// also call add_sweep_args (bench/sweep_session.hpp). Per-bench flags are
+/// add()ed at each main. The sweep kernel's ISA is chosen by the
+/// BVC_KERNEL environment variable (mdp/kernel.hpp), not by a flag.
 
-inline void add_budget_args(util::ArgParser& parser) {
-  parser.add({
-      {"wall-clock-ms", util::ArgType::kLong, "MS",
-       "abort solving after this wall-clock budget", "unlimited"},
-      {"max-ticks", util::ArgType::kLong, "N",
-       "abort solving after N solver iterations", "unlimited"},
-      // Declared with the budget group because every bench accepts it (the
-      // sweep kernel underlies each of them); consumed by ObsSession, which
-      // also stamps the resolved ISA into the run manifest.
-      {"kernel", util::ArgType::kString, "ISA",
-       "sweep kernel ISA: auto|scalar|avx2|avx512 (overrides BVC_KERNEL)",
-       "auto"},
-  });
-}
-
-inline void add_batch_args(util::ArgParser& parser) {
-  add_budget_args(parser);
+inline void add_threads_arg(util::ArgParser& parser) {
   parser.add({
       {"threads", util::ArgType::kLong, "N",
        "batch solver threads; 0 = all hardware threads", "0"},
@@ -77,11 +62,6 @@ inline void add_obs_args(util::ArgParser& parser) {
       {"log-level", util::ArgType::kString, "LEVEL",
        "event-log threshold: debug|info|warn|error", "info"},
   });
-}
-
-inline void add_standard_bench_args(util::ArgParser& parser) {
-  add_batch_args(parser);
-  add_obs_args(parser);
 }
 
 /// One named parameter of a table/figure cell, for diagnostics.
@@ -149,31 +129,11 @@ inline bool require_solved(const mdp::SolveReport& report,
   return require_solved(report.status, context + detail, fatal);
 }
 
-/// Shared `--wall-clock-ms N` / `--max-ticks N` budget flags, accepted by
-/// every bench binary: the returned control bounds the bench's whole solve
-/// or simulation loop (partial tables warn through require_solved instead
-/// of running forever). Defaults are unlimited.
-inline robust::RunControl run_control_from_args(const util::ParsedArgs& args) {
-  robust::RunControl control;
-  const long wall_ms = args.get_long("wall-clock-ms", -1);
-  if (wall_ms >= 0) {
-    control.budget.wall_clock_seconds = static_cast<double>(wall_ms) * 1e-3;
-  }
-  const long max_ticks = args.get_long("max-ticks", -1);
-  if (max_ticks >= 0) {
-    control.budget.max_ticks = max_ticks;
-  }
-  return control;
-}
-
 /// Shared `--threads N` flag for the batch-solving benches: 0 (the default)
-/// uses every hardware thread, 1 solves serially on the calling thread. The
-/// batch-wide budget comes from run_control_from_args, so every bench
-/// accepts the same three flags.
+/// uses every hardware thread, 1 solves serially on the calling thread.
 inline mdp::BatchConfig batch_config_from_args(const util::ParsedArgs& args) {
   mdp::BatchConfig config;
   config.threads = static_cast<int>(args.get_long("threads", 0));
-  config.control = run_control_from_args(args);
   return config;
 }
 
@@ -283,21 +243,8 @@ class ObsSession {
         std::exit(2);
       }
     }
-    // Kernel ISA selection (--kernel flag, over the BVC_KERNEL env
-    // default) lives here so every bench picks it up by constructing its
-    // ObsSession — and so the manifest records which ISA actually ran.
-    const std::string kernel_name = args.get_string("kernel", "");
-    if (!kernel_name.empty()) {
-      const auto request = mdp::kernel::parse_request(kernel_name);
-      if (!request) {
-        std::fprintf(stderr,
-                     "*** invalid --kernel value '%s' "
-                     "(expected auto|scalar|avx2|avx512)\n",
-                     kernel_name.c_str());
-        std::exit(2);
-      }
-      mdp::kernel::set_requested(*request);
-    }
+    // The manifest records which sweep kernel ISA BVC_KERNEL asked for and
+    // which one ran.
     annotate("kernel_requested",
              std::string(mdp::kernel::to_string(mdp::kernel::requested())));
     annotate("kernel_isa",

@@ -11,8 +11,8 @@
 //     independent replayers agree on the limit at every height.
 //
 // The scenarios run through counter::run_voting_batch (each with a private
-// RNG seed) under the shared --threads / --wall-clock-ms / --max-ticks
-// flags, so the table is identical for every thread count.
+// RNG seed) under the shared --threads flag, so the table is identical for
+// every thread count.
 #include <cstdio>
 #include <vector>
 
@@ -30,7 +30,8 @@ using namespace bvc::counter;
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_countermeasure", "Block-size-increase voting countermeasure study (Sect. 6.3)");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_sweep_args(parser);
   const util::ParsedArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(args);

@@ -17,7 +17,8 @@ using namespace bvc;
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_crossval", "MDP optima vs chain-semantics simulator cross-validation");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   const util::ParsedArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(args);
   const mdp::BatchConfig batch = bench::batch_config_from_args(args);

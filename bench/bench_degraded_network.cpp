@@ -15,8 +15,8 @@
 // for byte.
 //
 // Flags: --blocks N (default 20000), --seed S (fault-plan seed),
-// --replicas N (default 1), plus the shared budget/batch flags
-// (--wall-clock-ms / --max-ticks / --threads) and the sweep-session family.
+// --replicas N (default 1), plus the shared --threads flag and the
+// sweep-session family.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -91,7 +91,8 @@ double mean_counter(const sim::ReplicaSetResult& set,
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_degraded_network", "Consensus damage under message loss/delay/duplication");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_csv_args(parser);
   bench::add_sweep_args(parser);
   parser.add({

@@ -34,14 +34,10 @@ const char* verdict_name(ChainVerdict verdict) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The shared bench flags are accepted (and validated) for CLI uniformity;
-  // this trace replay has no iterative loop for the budget to bound.
   bvc::util::ArgParser parser("bench_fig1_validity", "Regenerate Figure 1: BU parent-block choice (AD = 3)");
-  bvc::bench::add_standard_bench_args(parser);
+  bvc::bench::add_obs_args(parser);
   const bvc::util::ParsedArgs args = parser.parse(argc, argv);
   bvc::bench::ObsSession obs(args);
-  (void)bvc::bench::run_control_from_args(args);
-  (void)bvc::bench::batch_config_from_args(args);
 
   BuParams params;
   params.eb = 1 * kMegabyte;

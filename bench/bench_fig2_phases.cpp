@@ -38,7 +38,7 @@ const char* verdict_name(ChainVerdict verdict) {
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_fig2_phases", "Regenerate Figure 2: the two fork phases of the attack");
-  bench::add_standard_bench_args(parser);
+  bench::add_obs_args(parser);
   const util::ParsedArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(args);
   constexpr ByteSize kEbBob = 1 * kMegabyte;
@@ -98,9 +98,7 @@ int main(int argc, char** argv) {
   params.setting = bu::Setting::kStickyGate;
   const bu::AttackModel model =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-  bu::AnalysisOptions analysis_options;
-  analysis_options.control = bench::run_control_from_args(args);
-  const bu::AnalysisResult analysis = bu::analyze(model, analysis_options);
+  const bu::AnalysisResult analysis = bu::analyze(model);
   bench::require_solved(
       analysis,
       "u1 phase-replay solve " +

@@ -18,7 +18,7 @@ using namespace bvc;
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_fig3_orphans", "Regenerate Figure 3: one Alice block orphaning two blocks");
-  bench::add_standard_bench_args(parser);
+  bench::add_obs_args(parser);
   const util::ParsedArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(args);
   // ---- The scripted Figure 3 trace, via the abstract step semantics ------
@@ -66,9 +66,7 @@ int main(int argc, char** argv) {
   opt.gamma = 0.594;
   const bu::AttackModel model =
       bu::build_attack_model(opt, bu::Utility::kOrphaning);
-  bu::AnalysisOptions analysis_options;
-  analysis_options.control = bench::run_control_from_args(args);
-  const bu::AnalysisResult analysis = bu::analyze(model, analysis_options);
+  const bu::AnalysisResult analysis = bu::analyze(model);
   bench::require_solved(
       analysis,
       "u3 worst-case solve " +

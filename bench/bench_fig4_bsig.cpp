@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace bvc::games;
   bvc::util::ArgParser parser("bench_fig4_bsig", "Regenerate Figure 4: the block size increasing game");
-  bvc::bench::add_standard_bench_args(parser);
+  bvc::bench::add_obs_args(parser);
   const bvc::util::ParsedArgs args = parser.parse(argc, argv);
   bvc::bench::ObsSession obs(args);
 
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   std::printf(
       "Figure 4 — block size increasing game, m = (10, 20, 30, 40)%%\n"
       "MPBs = (1, 2, 4, 8) MB\n\n");
-  const auto outcome = game.play(bvc::bench::run_control_from_args(args));
+  const auto outcome = game.play();
   bvc::bench::require_solved(outcome, "block size increasing game playout",
                              /*fatal=*/false);
   std::printf("%s\n", game.describe(outcome).c_str());

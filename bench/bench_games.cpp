@@ -13,16 +13,16 @@
 //    large space of mining power and block size preference distributions".
 //
 // Both sweeps fan out through games/game_batch.hpp under the shared
-// --threads / --wall-clock-ms / --max-ticks flags: job lists (including
-// per-trial RNG seeds) are generated serially, so the reported statistics
-// are independent of the thread count.
+// --threads flag: job lists (including per-trial RNG seeds) are generated
+// serially, so the reported statistics are independent of the thread
+// count.
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "games/game_batch.hpp"
+#include "sim/replicas.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -53,7 +53,8 @@ std::vector<double> random_powers(Rng& rng, std::size_t n, double cap) {
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_games", "EB-choosing and block-size-increasing games at scale");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   const util::ParsedArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(args);
   const mdp::BatchConfig batch = bench::batch_config_from_args(args);
@@ -106,8 +107,8 @@ int main(int argc, char** argv) {
       "  %zu/%zu random starts: best-response dynamics reach EB consensus\n",
       equilibria_checked, kTrials, dynamics_converged, kTrials);
   if (dynamics_skipped > 0) {
-    std::printf("  (%zu trials stopped early by the run budget)\n",
-                dynamics_skipped);
+    std::printf("  (%zu trials reached no fixed point in %zu rounds)\n",
+                dynamics_skipped, dynamics_jobs.front().max_rounds);
   }
   std::printf("\n");
 
@@ -131,30 +132,30 @@ int main(int argc, char** argv) {
     }
     std::size_t holds = 0;
     std::size_t played = 0;
-    RunningStats squeezed_groups;
-    RunningStats squeezed_power;
+    std::vector<double> squeezed_groups;
+    std::vector<double> squeezed_power;
     const auto outcomes = play_block_size_batch(game_jobs, batch);
     for (std::size_t idx = 0; idx < outcomes.size(); ++idx) {
       const auto& outcome = outcomes[idx];
       if (!outcome.converged()) {
-        continue;  // stopped by the run budget; excluded from the stats
+        continue;  // not played out; excluded from the stats
       }
       ++played;
       const std::size_t t = outcome.surviving_from;
       holds += t == 0 ? 1 : 0;
-      squeezed_groups.add(static_cast<double>(t));
+      squeezed_groups.push_back(static_cast<double>(t));
       double power_out = 0.0;
       for (std::size_t i = 0; i < t; ++i) {
         power_out += game_jobs[idx].groups[i].power;
       }
-      squeezed_power.add(power_out);
+      squeezed_power.push_back(power_out);
     }
     table.add_row({std::to_string(n),
                    format_percent(static_cast<double>(holds) /
                                   static_cast<double>(
                                       played > 0 ? played : std::size_t{1})),
-                   format_fixed(squeezed_groups.mean(), 2),
-                   format_percent(squeezed_power.mean())});
+                   format_fixed(sim::summarize(squeezed_groups).mean, 2),
+                   format_percent(sim::summarize(squeezed_power).mean)});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(

@@ -32,11 +32,9 @@ sim::NetMiner make_miner(std::string name, double power,
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_propagation", "Orphan rate vs block size and network capacity (Sect. 6.4)");
-  bench::add_standard_bench_args(parser);
+  bench::add_obs_args(parser);
   const util::ParsedArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(args);
-  // Bounds each simulated cell (one guard tick per simulated block).
-  const robust::RunControl control = bench::run_control_from_args(args);
   std::printf(
       "Propagation study — orphan rate vs block size and bandwidth\n"
       "(5 equal miners, 600 s interval, 2 s latency, 30k blocks per "
@@ -58,7 +56,7 @@ int main(int argc, char** argv) {
       }
       sim::NetworkSimulation simulation(config);
       Rng rng(size + static_cast<std::uint64_t>(bandwidth));
-      const sim::NetworkResult result = simulation.run(30'000, rng, control);
+      const sim::NetworkResult result = simulation.run(30'000, rng);
       row.push_back(format_percent(result.orphan_rate()));
       std::printf(".");
       std::fflush(stdout);

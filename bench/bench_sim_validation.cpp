@@ -50,7 +50,8 @@ std::string verdict(bool ok) { return ok ? "ok" : "DEVIATES"; }
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_sim_validation",
                          "Event-driven simulator vs closed-form predictions");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_csv_args(parser);
   parser.add({
       {"blocks", util::ArgType::kLong, "N", "blocks per replica", "4000"},

@@ -97,7 +97,7 @@ void BM_RviSweepSetting2(benchmark::State& state) {
   knobs.tolerance = 1e-30;  // force exactly max_sweeps sweeps
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        mdp::maximize_average_reward(model.model, knobs));
+        mdp::maximize_average_reward(*model.compiled, knobs));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           model.model.num_states());
@@ -380,10 +380,9 @@ struct TimedRow {
 /// transitions) sequential phases can see different effective frequencies,
 /// which corrupts cross-row ratios; interleaving gives every row samples
 /// from the same clock windows, so each row's best-of comes from a fast
-/// window available to all. Honors the shared --wall-clock-ms /
-/// --max-ticks budget (one tick per row-rep).
+/// window available to all.
 void time_rows(std::vector<TimedRow>& rows, std::vector<double>& bias,
-               int sweeps, int reps, robust::RunGuard& guard) {
+               int sweeps, int reps) {
   using Clock = std::chrono::steady_clock;
   for (int rep = 0; rep < reps; ++rep) {
     for (TimedRow& row : rows) {
@@ -398,9 +397,6 @@ void time_rows(std::vector<TimedRow>& rows, std::vector<double>& bias,
       if (rep == 0) {
         row.result = bias;
       }
-      if (guard.tick().has_value()) {
-        return;  // budget exhausted: report what we have
-      }
     }
   }
 }
@@ -411,13 +407,7 @@ int run_kernel_mode(const util::ParsedArgs& args) {
   // window on shared/virtualized hosts (a 200-sweep rep spans several and
   // lets the row that happens to sustain boost clocks longest — not the
   // faster kernel — win), long enough to amortize the scratch swap.
-  int sweeps = static_cast<int>(args.get_long("sweeps", 100));
-  const robust::RunControl control = bench::run_control_from_args(args);
-  if (control.budget.max_ticks != std::numeric_limits<std::int64_t>::max()) {
-    sweeps = static_cast<int>(std::min<std::int64_t>(
-        sweeps, std::max<std::int64_t>(1, control.budget.max_ticks)));
-  }
-  robust::RunGuard guard(control);
+  const int sweeps = static_cast<int>(args.get_long("sweeps", 100));
 
   // The setting-2 grid cell: the largest model the table benches sweep.
   const bu::AttackModel attack = bu::build_attack_model(
@@ -506,7 +496,7 @@ int run_kernel_mode(const util::ParsedArgs& args) {
     });
   }
   constexpr int kReps = 7;
-  time_rows(rows, bias, sweeps, kReps, guard);
+  time_rows(rows, bias, sweeps, kReps);
 
   const auto row_rate = [&](const char* kind) {
     for (const TimedRow& row : rows) {
@@ -676,7 +666,6 @@ int main(int argc, char** argv) {
   bvc::util::ArgParser parser(
       "bench_solver_micro",
       "google-benchmark microbenchmarks of the numerical core");
-  bvc::bench::add_budget_args(parser);
   bvc::bench::add_obs_args(parser);
   parser.add({
       {"mode", bvc::util::ArgType::kString, "kernel",

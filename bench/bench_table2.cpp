@@ -68,7 +68,8 @@ std::optional<double> paper_value(const std::string& ratio, double alpha,
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_table2", "Reproduce Table 2: relative revenue u1, settings 1+2");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_csv_args(parser);
   bench::add_sweep_args(parser);
   parser.add({

@@ -59,7 +59,8 @@ const double kPaperSetting2[5][7] = {
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_table3", "Reproduce Table 3: absolute revenue u2 with double-spending");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_csv_args(parser);
   bench::add_sweep_args(parser);
   parser.add({

@@ -25,7 +25,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   util::ArgParser parser("bench_table4", "Reproduce Table 4: orphaned blocks per Alice block (u3)");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_csv_args(parser);
   bench::add_sweep_args(parser);
   parser.add({

@@ -101,8 +101,7 @@ EOF
 # 1. Live daemon scrape.
 rm -f "$out/port.txt"
 "$bvcd" --port-file "$out/port.txt" --state-dir "$out/state" \
-  --telemetry-dir "$out/telemetry" --telemetry-interval-ms 100 \
-  --threads 2 >"$out/bvcd.log" 2>&1 &
+  --telemetry-dir "$out/telemetry" --threads 2 >"$out/bvcd.log" 2>&1 &
 daemon_pid=$!
 for _ in $(seq 1 100); do
   [[ -s "$out/port.txt" ]] && break

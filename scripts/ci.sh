@@ -59,8 +59,7 @@ ctest --test-dir "$repo/$build" --output-on-failure -L counts
 
 # Kernel dispatch gate: the kernel-labeled suite (ISA equivalence, fused
 # sweep and chain-sweep bit-identity, the CompiledModel layout and its
-# palette codes, NUMA smoke) must hold
-# with the vector kernels forced off, under each vector ISA, and under auto
+# palette codes) must hold with the vector kernels forced off, under each vector ISA, and under auto
 # dispatch — the explicit avx2/avx512 passes run the solver-level greedy
 # and fixed-policy evaluation paths on each vector ISA, not only on the
 # one calibration picks. Requests clamp to what the CPU has and vector-ISA

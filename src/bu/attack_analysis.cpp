@@ -39,8 +39,8 @@ AnalysisResult solve(const mdp::CompiledModel& compiled,
   ratio_options.upper_bound = utility_upper_bound(params, utility);
   ratio_options.control = options.control;
 
-  mdp::RatioResult ratio = mdp::maximize_ratio_with_retry(
-      compiled, ratio_options, options.retry);
+  mdp::RatioResult ratio =
+      mdp::maximize_ratio_with_retry(compiled, ratio_options);
 
   AnalysisResult result;
   result.utility_value = ratio.ratio;
@@ -62,13 +62,9 @@ AnalysisResult solve(const mdp::CompiledModel& compiled,
 
 AnalysisResult analyze(const AttackModel& model,
                        const AnalysisOptions& options) {
-  // Prefer the shared cached compilation; compile here for hand-assembled
-  // AttackModels that never went through the cache.
-  if (model.compiled != nullptr) {
-    return solve(*model.compiled, model.params, model.utility, options);
-  }
-  return solve(mdp::CompiledModel::compile(model.model), model.params,
-               model.utility, options);
+  BVC_REQUIRE(model.compiled != nullptr,
+              "analyze needs the AttackModel's compiled model");
+  return solve(*model.compiled, model.params, model.utility, options);
 }
 
 AnalysisResult analyze(const AttackParams& params, Utility utility,

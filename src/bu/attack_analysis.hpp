@@ -9,7 +9,6 @@
 #include "bu/attack_model.hpp"
 #include "mdp/batch.hpp"
 #include "mdp/ratio.hpp"
-#include "robust/retry.hpp"
 #include "robust/run_control.hpp"
 #include "util/rng.hpp"
 
@@ -27,10 +26,8 @@ struct AnalysisOptions {
     return o;
   }();
   /// Wall-clock/iteration budget and cancellation for the whole analysis
-  /// (all retry attempts included).
+  /// (all attempts of mdp::maximize_ratio_with_retry included).
   robust::RunControl control;
-  /// Escalation for stalled solves; set max_retries = 0 to disable.
-  robust::RetryPolicy retry;
   /// analyze_batch only: journal each cell's optimal policy too, so resumed
   /// consumers can replay it (the ablation scenario simulations need this;
   /// the plain tables do not — policies dominate journal size). Not part
@@ -66,7 +63,9 @@ struct AnalysisResult : mdp::SolveReport {
                                      const AnalysisOptions& options = {});
 
 /// As analyze(), on an already-built model, for callers that also need its
-/// state space (rollouts, policy dumps, cross-validation). Bit-identical to
+/// state space (rollouts, policy dumps, cross-validation). Solves on
+/// `model.compiled`, the cell's template instance, which must be set (as
+/// build_attack_model sets it). Bit-identical to
 /// analyze(model.params, model.utility, options).
 [[nodiscard]] AnalysisResult analyze(const AttackModel& model,
                                      const AnalysisOptions& options = {});

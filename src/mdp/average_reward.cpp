@@ -204,24 +204,11 @@ GainResult maximize_average_reward(const CompiledModel& model,
   return rvi_core(model, sa_rewards, nullptr, options, warm_start_bias);
 }
 
-GainResult maximize_average_reward(const Model& model,
-                                   std::span<const double> sa_rewards,
-                                   const AverageRewardKnobs& options,
-                                   const std::vector<double>* warm_start_bias) {
-  return rvi_core(CompiledModel::compile(model), sa_rewards, nullptr, options,
-                  warm_start_bias);
-}
-
 GainResult maximize_average_reward(const CompiledModel& model,
                                    const AverageRewardKnobs& options) {
   const std::span<const double> rewards{model.expected_reward(),
                                         model.num_state_actions()};
   return rvi_core(model, rewards, nullptr, options, nullptr);
-}
-
-GainResult maximize_average_reward(const Model& model,
-                                   const AverageRewardKnobs& options) {
-  return maximize_average_reward(CompiledModel::compile(model), options);
 }
 
 GainResult evaluate_policy_stream(const CompiledModel& model,
@@ -256,14 +243,6 @@ PolicyGains evaluate_policy_average(const CompiledModel& model,
     *weight_bias = std::move(weight_run.bias);
   }
   return gains;
-}
-
-PolicyGains evaluate_policy_average(const Model& model, const Policy& policy,
-                                    const AverageRewardKnobs& options,
-                                    std::vector<double>* reward_bias,
-                                    std::vector<double>* weight_bias) {
-  return evaluate_policy_average(CompiledModel::compile(model), policy,
-                                 options, reward_bias, weight_bias);
 }
 
 }  // namespace bvc::mdp

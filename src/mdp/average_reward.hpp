@@ -67,25 +67,17 @@ struct GainResult : SolveReport {
 /// provided and correctly sized, seeds the value vector — this makes families
 /// of solves (e.g. Dinkelbach iterations) much cheaper.
 ///
-/// The CompiledModel overloads are the real solver (the sweep runs on the
-/// SoA kernel layout); the Model overloads compile on entry and forward,
-/// producing bit-identical results. Callers that solve one model repeatedly
-/// (ratio iterations, batch sweeps) should compile once — or instantiate
-/// it from a cached mdp::ModelTemplate — and call the compiled overloads.
+/// The solvers sweep the SoA kernel layout: compile a Model once
+/// (CompiledModel::compile), or instantiate it from a cached
+/// mdp::ModelTemplate, and solve on that.
 [[nodiscard]] GainResult maximize_average_reward(
     const CompiledModel& model, std::span<const double> sa_rewards,
     const AverageRewardKnobs& options = {},
     const std::vector<double>* warm_start_bias = nullptr);
-[[nodiscard]] GainResult maximize_average_reward(
-    const Model& model, std::span<const double> sa_rewards,
-    const AverageRewardKnobs& options = {},
-    const std::vector<double>* warm_start_bias = nullptr);
 
-/// Convenience overloads using the model's primary reward stream.
+/// Convenience overload using the model's primary reward stream.
 [[nodiscard]] GainResult maximize_average_reward(
     const CompiledModel& model, const AverageRewardKnobs& options = {});
-[[nodiscard]] GainResult maximize_average_reward(
-    const Model& model, const AverageRewardKnobs& options = {});
 
 /// Long-run rates of both reward streams under a fixed policy.
 struct PolicyGains {
@@ -117,11 +109,6 @@ struct PolicyGains {
 /// evaluations of slowly-changing policies (Dinkelbach iterations) cheap.
 [[nodiscard]] PolicyGains evaluate_policy_average(
     const CompiledModel& model, const Policy& policy,
-    const AverageRewardKnobs& options = {},
-    std::vector<double>* reward_bias = nullptr,
-    std::vector<double>* weight_bias = nullptr);
-[[nodiscard]] PolicyGains evaluate_policy_average(
-    const Model& model, const Policy& policy,
     const AverageRewardKnobs& options = {},
     std::vector<double>* reward_bias = nullptr,
     std::vector<double>* weight_bias = nullptr);

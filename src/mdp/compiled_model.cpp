@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/numa.hpp"
 
 namespace bvc::mdp {
 
@@ -37,18 +36,6 @@ std::size_t fill_ell(const IndexColumns& index, std::size_t rows,
 }
 
 constexpr auto kEveryAction = [](std::size_t sa) { return sa; };
-
-/// Interleaves `columns` across NUMA nodes. No-op on single-node machines;
-/// small models are not worth a syscall per column.
-template <typename... Columns>
-void spread_pages(std::size_t bytes, Columns&... columns) {
-  constexpr std::size_t kMinSpreadBytes = 1u << 20;
-  if (util::numa::multi_node() && bytes >= kMinSpreadBytes) {
-    (..., (void)util::numa::interleave_pages(
-              columns.data(),
-              columns.size() * sizeof(typename Columns::value_type)));
-  }
-}
 
 std::size_t footprint(const auto& column) {
   return util::aligned_footprint(column.size() *
@@ -84,7 +71,6 @@ void IndexColumns::finalize() {
     ell_stride =
         fill_ell(*this, num_sa, kEveryAction, width, next.data(), ell_next);
   }
-  spread_pages(bytes_resident(), next, ell_next);
 }
 
 std::size_t IndexColumns::bytes_resident() const noexcept {
@@ -144,8 +130,6 @@ void CompiledModel::finalize_values() {
              prob_.data(), ell_prob_);
   }
   build_codes();
-  spread_pages(bytes_resident(), prob_, reward_, weight_, expected_reward_,
-               expected_weight_, ell_prob_, ell_code_);
 }
 
 std::size_t CompiledModel::bytes_resident() const noexcept {

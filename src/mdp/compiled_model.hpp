@@ -36,10 +36,7 @@
 // action sa, zero-padded past the action's real outcomes. Padding entries
 // have prob == 0.0 and next == 0, so accumulating them adds exactly 0.0
 // and the vector kernel can run fixed-width lanes without masking. The
-// scalar CSR columns remain authoritative. On multi-node machines the big
-// columns are interleaved across NUMA nodes when they are built
-// (util/numa.hpp) — every concurrent solve streams every column, so
-// round-robin pages balance the memory channels.
+// scalar CSR columns remain authoritative.
 //
 // The mirror's probabilities take very few distinct values: an attack
 // model's outcomes happen with probability alpha, beta, gamma, a pairwise
@@ -98,8 +95,7 @@ struct IndexColumns {
   std::size_t ell_stride = 0;
   util::AlignedVector<StateId> ell_next;
 
-  /// Derives uniform_actions and the ELL next mirror from the CSR columns,
-  /// then interleaves the big columns across NUMA nodes.
+  /// Derives uniform_actions and the ELL next mirror from the CSR columns.
   void finalize();
   /// Aligned bytes of the columns (see CompiledModel::bytes_resident).
   [[nodiscard]] std::size_t bytes_resident() const noexcept;
@@ -248,8 +244,8 @@ class CompiledModel {
   explicit CompiledModel(std::shared_ptr<const IndexColumns> index);
 
   /// Builds the ELL prob mirror from the prob column (when the index has
-  /// an ELL layout) and its palette codes, then interleaves the value
-  /// columns across NUMA nodes. Run once, after the value columns are set.
+  /// an ELL layout) and its palette codes. Run once, after the value
+  /// columns are set.
   void finalize_values();
   /// Codes the mirror against its palette, or leaves both empty when it
   /// takes too many values.

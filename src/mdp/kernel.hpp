@@ -36,8 +36,9 @@
 // sign (+0.0 == -0.0, so compare with ==, not memcmp). A solve therefore
 // returns the same result whichever ISA the dispatcher picks.
 //
-// Dispatch: the process-wide request (BVC_KERNEL env var, overridden by
-// the --kernel flag via set_requested) is clamped to what the build
+// Dispatch: the process-wide request (the BVC_KERNEL env var, the only
+// ISA setting of the binaries; set_requested overrides it in-process, as
+// the tests and the benchmark harness do) is clamped to what the build
 // carries AND the CPU supports (util::cpu_features) — avx512 degrades to
 // avx2 degrades to scalar. When the request is auto and both vector ISAs
 // are usable, resolve() picks between them by a one-shot per-process
@@ -63,7 +64,7 @@ enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// What the user asked for; kAuto picks the best available ISA.
 enum class Request : int { kAuto = -1, kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// Parses "auto" | "scalar" | "avx2" | "avx512" (the --kernel / BVC_KERNEL
+/// Parses "auto" | "scalar" | "avx2" | "avx512" (the BVC_KERNEL
 /// vocabulary); nullopt on anything else.
 [[nodiscard]] std::optional<Request> parse_request(
     std::string_view name) noexcept;
@@ -73,7 +74,7 @@ enum class Request : int { kAuto = -1, kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// The process-wide kernel request. Initialized once from the BVC_KERNEL
 /// environment variable (unset or invalid -> kAuto, invalid warns on
-/// stderr); set_requested overrides it (the --kernel flag plumbing).
+/// stderr); set_requested overrides it for the rest of the process.
 [[nodiscard]] Request requested() noexcept;
 void set_requested(Request request) noexcept;
 

@@ -11,6 +11,11 @@ namespace bvc::mdp {
 
 namespace {
 
+// Escalation per retry of maximize_ratio_with_retry.
+constexpr double kBracketWidenFactor = 2.0;
+constexpr double kInnerToleranceFactor = 0.1;
+constexpr double kIterationGrowthFactor = 2.0;
+
 /// Re-fills `scratch` in place with the expected linearized reward
 /// (num - rho * den) of every (state, action) pair, streaming the compiled
 /// model's contiguous expectation columns — the only per-iteration work a
@@ -254,13 +259,8 @@ RatioResult maximize_ratio(const CompiledModel& model,
   return finalize(robust::RunStatus::kToleranceStalled);
 }
 
-RatioResult maximize_ratio(const Model& model, const RatioKnobs& options) {
-  return maximize_ratio(CompiledModel::compile(model), options);
-}
-
 RatioResult maximize_ratio_with_retry(const CompiledModel& model,
-                                      const RatioKnobs& options,
-                                      const robust::RetryPolicy& retry) {
+                                      const RatioKnobs& options) {
   robust::RunGuard guard(options.control);
 
   RatioKnobs attempt = options;
@@ -271,7 +271,7 @@ RatioResult maximize_ratio_with_retry(const CompiledModel& model,
 
   int retries = 0;
   while (best.status == robust::RunStatus::kToleranceStalled &&
-         retries < retry.max_retries) {
+         retries < kRatioRetries) {
     ++retries;
     // Escalate: wider bracket (in case upper_bound was not a genuine upper
     // bound), tighter inner solves (in case the bracket jittered on inner
@@ -280,11 +280,11 @@ RatioResult maximize_ratio_with_retry(const CompiledModel& model,
     attempt.lower_bound = std::max(attempt.lower_bound, best.ratio);
     attempt.upper_bound =
         attempt.lower_bound + (attempt.upper_bound - attempt.lower_bound) *
-                                  retry.bracket_widen_factor;
-    attempt.inner.tolerance *= retry.inner_tolerance_factor;
+                                  kBracketWidenFactor;
+    attempt.inner.tolerance *= kInnerToleranceFactor;
     attempt.max_iterations = static_cast<int>(
         static_cast<double>(attempt.max_iterations) *
-        retry.iteration_growth_factor);
+        kIterationGrowthFactor);
     attempt.control.budget = guard.remaining();
 
     RatioResult next = maximize_ratio(model, attempt);
@@ -310,13 +310,6 @@ RatioResult maximize_ratio_with_retry(const CompiledModel& model,
   best.diagnostics.elapsed_seconds = guard.elapsed_seconds();
   best.wall_clock_ns = guard.elapsed_ns();
   return best;
-}
-
-RatioResult maximize_ratio_with_retry(const Model& model,
-                                      const RatioKnobs& options,
-                                      const robust::RetryPolicy& retry) {
-  return maximize_ratio_with_retry(CompiledModel::compile(model), options,
-                                   retry);
 }
 
 }  // namespace bvc::mdp

@@ -14,8 +14,6 @@
 
 #include "mdp/average_reward.hpp"
 #include "mdp/compiled_model.hpp"
-#include "mdp/model.hpp"
-#include "robust/retry.hpp"
 #include "robust/run_control.hpp"
 
 namespace bvc::mdp {
@@ -55,27 +53,26 @@ struct RatioResult : SolveReport {
   bool used_bisection = false;
 };
 
-/// The CompiledModel overload is the real solver: every Dinkelbach /
-/// bisection iteration re-linearizes the reward stream in place on the
-/// compiled expected-value arrays and sweeps the SoA kernel, so nothing is
-/// rebuilt between iterations. The Model overload compiles once on entry
-/// (all inner solves share that one compilation) and is bit-identical.
+/// Every Dinkelbach / bisection iteration re-linearizes the reward stream
+/// in place on the compiled expected-value arrays and sweeps the SoA
+/// kernel, so nothing is rebuilt between iterations.
 [[nodiscard]] RatioResult maximize_ratio(const CompiledModel& model,
                                          const RatioKnobs& options);
-[[nodiscard]] RatioResult maximize_ratio(const Model& model,
-                                         const RatioKnobs& options);
 
-/// maximize_ratio with bounded retry-with-escalation: a solve that ends
-/// kToleranceStalled is reattempted with a widened bracket, a tighter inner
-/// tolerance, and a larger outer iteration cap (see robust::RetryPolicy).
-/// Budget exhaustion, cancellation and degeneracy are not retried. The
+/// Attempts maximize_ratio_with_retry makes after the first solve.
+inline constexpr int kRatioRetries = 2;
+
+/// maximize_ratio with bounded retry-with-escalation. A ratio solve can
+/// stall for two curable reasons: the bracket's upper bound was not a
+/// genuine upper bound (the Dinkelbach iterates escape it), or the inner
+/// solves were too loose for the outer tolerance (the bracket jitters
+/// instead of contracting). So a solve that ends kToleranceStalled is
+/// re-attempted, up to kRatioRetries times, from its certified ratio with
+/// the bracket's width doubled, the inner tolerance divided by 10 and the
+/// outer iteration cap doubled. Budget exhaustion, cancellation and
+/// degeneracy are not retried: more effort cannot cure those. The
 /// wall-clock budget in `options.control` spans all attempts combined.
-/// The Model overload compiles once; every attempt shares the compilation.
 [[nodiscard]] RatioResult maximize_ratio_with_retry(
-    const CompiledModel& model, const RatioKnobs& options,
-    const robust::RetryPolicy& retry = {});
-[[nodiscard]] RatioResult maximize_ratio_with_retry(
-    const Model& model, const RatioKnobs& options,
-    const robust::RetryPolicy& retry = {});
+    const CompiledModel& model, const RatioKnobs& options);
 
 }  // namespace bvc::mdp

@@ -45,11 +45,4 @@ ModelRolloutResult rollout_model(const CompiledModel& model,
   return result;
 }
 
-ModelRolloutResult rollout_model(const Model& model, const Policy& policy,
-                                 StateId start, std::uint64_t steps, Rng& rng,
-                                 const robust::RunControl& control) {
-  return rollout_model(CompiledModel::compile(model), policy, start, steps,
-                       rng, control);
-}
-
 }  // namespace bvc::mdp

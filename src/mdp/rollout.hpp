@@ -34,14 +34,10 @@ struct ModelRolloutResult {
 
 /// Simulates `steps` transitions from `start` under `policy`. One guard
 /// tick per step; the wall clock is only sampled every ~1k steps, so an
-/// unlimited budget costs nothing in this hot loop. The CompiledModel
-/// overload samples the SoA outcome columns directly; the Model overload
-/// compiles on entry and draws an identical trajectory for the same rng.
+/// unlimited budget costs nothing in this hot loop. Samples the SoA outcome
+/// columns directly.
 [[nodiscard]] ModelRolloutResult rollout_model(
     const CompiledModel& model, const Policy& policy, StateId start,
-    std::uint64_t steps, Rng& rng, const robust::RunControl& control = {});
-[[nodiscard]] ModelRolloutResult rollout_model(
-    const Model& model, const Policy& policy, StateId start,
     std::uint64_t steps, Rng& rng, const robust::RunControl& control = {});
 
 }  // namespace bvc::mdp

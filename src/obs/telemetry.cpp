@@ -92,6 +92,8 @@ long pid_from_filename(const std::string& stem_name, std::string& label) {
   return std::strtol(digits.c_str(), nullptr, 10);
 }
 
+/// Cadence of the background flushes.
+constexpr std::chrono::milliseconds kFlushInterval{500};
 constexpr std::string_view kMetricsSuffix = ".metrics.json";
 constexpr std::string_view kTraceSuffix = ".trace.jsonl";
 
@@ -125,9 +127,7 @@ TelemetryFlusher::TelemetryFlusher(TelemetryConfig config)
   thread_ = std::thread([this] {
     std::unique_lock<std::mutex> lock(mutex_);
     while (!stop_) {
-      cv_.wait_for(lock,
-                   std::chrono::duration<double>(config_.interval_seconds),
-                   [this] { return stop_; });
+      cv_.wait_for(lock, kFlushInterval, [this] { return stop_; });
       if (stop_) break;
       lock.unlock();
       flush();
@@ -149,6 +149,7 @@ TelemetryFlusher::~TelemetryFlusher() {
 }
 
 void TelemetryFlusher::flush() {
+  const std::lock_guard<std::mutex> lock(flush_mutex_);
   // Metrics: full snapshot, atomically published via tmp + rename so a
   // merging parent never reads a half-written file.
   {

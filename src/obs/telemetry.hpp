@@ -2,7 +2,7 @@
 // process's metrics and trace, and their offline merge.
 //
 // bvcd `--telemetry-dir` runs a TelemetryFlusher: a background thread that
-// every `interval_seconds` (a) atomically rewrites
+// every 500 ms (a) atomically rewrites
 // `<label>.<pid>.metrics.json` with a full MetricsSnapshot and (b) appends
 // the tracer's newly published events to `<label>.<pid>.trace.jsonl`, each
 // event stamped with the real pid. `bvc-cli merge` folds the directory —
@@ -39,7 +39,6 @@ namespace bvc::obs {
 struct TelemetryConfig {
   std::string dir;              ///< created if missing
   std::string label = "worker"; ///< lane label, e.g. "bvcd"
-  double interval_seconds = 0.5;
 };
 
 /// Background flusher owned by a long-running process. Construction creates
@@ -53,7 +52,8 @@ class TelemetryFlusher {
   TelemetryFlusher(const TelemetryFlusher&) = delete;
   TelemetryFlusher& operator=(const TelemetryFlusher&) = delete;
 
-  /// Synchronous flush (also what the background thread calls).
+  /// Synchronous flush (also what the background thread calls; the two
+  /// serialize).
   void flush();
 
   [[nodiscard]] const std::string& metrics_path() const noexcept {
@@ -67,6 +67,7 @@ class TelemetryFlusher {
   TelemetryConfig config_;
   std::string metrics_path_;
   std::string trace_path_;
+  std::mutex flush_mutex_;  ///< guards trace_cursor_ and the two files
   std::vector<std::size_t> trace_cursor_;
   std::uint32_t pid_ = 0;
   std::mutex mutex_;

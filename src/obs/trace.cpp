@@ -275,8 +275,24 @@ void Span::arg(const char* key, std::string_view value) noexcept {
 
 // ---------------------------------------------------------------- Instants
 
+namespace {
+
+TraceEvent instant_event(const char* name, const char* category) noexcept {
+  TraceEvent event;
+  event.name = name;
+  event.category = category;
+  event.start_ns = trace_now_ns();
+  event.duration_ns = -1;  // rendered as "ph":"i"
+  event.args_len = 0;
+  return event;
+}
+
+}  // namespace
+
 void trace_instant(const char* name, const char* category) noexcept {
-  trace_instant(name, category, nullptr, {});
+  if (trace_enabled()) {
+    Tracer::global().record(instant_event(name, category));
+  }
 }
 
 void trace_instant(const char* name, const char* category, const char* key,
@@ -284,15 +300,8 @@ void trace_instant(const char* name, const char* category, const char* key,
   if (!trace_enabled()) {
     return;
   }
-  TraceEvent event;
-  event.name = name;
-  event.category = category;
-  event.start_ns = trace_now_ns();
-  event.duration_ns = -1;  // rendered as "ph":"i"
-  event.args_len = 0;
-  if (key != nullptr) {
-    append_string_arg(event, key, value);
-  }
+  TraceEvent event = instant_event(name, category);
+  append_string_arg(event, key, value);
   Tracer::global().record(event);
 }
 
@@ -301,12 +310,7 @@ void trace_instant(const char* name, const char* category, const char* key,
   if (!trace_enabled()) {
     return;
   }
-  TraceEvent event;
-  event.name = name;
-  event.category = category;
-  event.start_ns = trace_now_ns();
-  event.duration_ns = -1;
-  event.args_len = 0;
+  TraceEvent event = instant_event(name, category);
   char formatted[32];
   std::snprintf(formatted, sizeof(formatted), "%.6g", value);
   append_arg(event, key, formatted);

@@ -213,9 +213,6 @@ CrashPlan crash_plan_from_env() {
 CheckpointJournal::CheckpointJournal(std::string path, Options options)
     : path_(std::move(path)), options_(options) {
   BVC_REQUIRE(!path_.empty(), "CheckpointJournal needs a non-empty path");
-  if (options_.fsync_batch == 0) {
-    options_.fsync_batch = 1;
-  }
 }
 
 CheckpointJournal::~CheckpointJournal() { flush(); }
@@ -301,17 +298,15 @@ void CheckpointJournal::append(CheckpointRecord record) {
   }
   ++appended_;
   ++unflushed_;
-  if (unflushed_ >= options_.fsync_batch) {
-    flush_locked();
-  }
+  flush_locked();
   if (options_.crash.crash_after_appends > 0 &&
       appended_ >= options_.crash.crash_after_appends) {
-    flush_locked();  // the journal the next run resumes from is complete
-    // Die while still holding the journal lock: releasing it first would
-    // let a concurrent worker append cell N+1 before the signal lands,
-    // making "exactly N journaled cells" nondeterministic (the resume
-    // tests assert the exact count, and TSan's slowdown makes the
-    // unlocked window wide enough to hit in practice).
+    // The append's flush left the journal the next run resumes from
+    // complete. Die while still holding the journal lock: releasing it
+    // first would let a concurrent worker append cell N+1 before the
+    // signal lands, making "exactly N journaled cells" nondeterministic
+    // (the resume tests assert the exact count, and TSan's slowdown makes
+    // the unlocked window wide enough to hit in practice).
     // EventLog flushes per record, so this survives the raise below.
     obs::log_warn("checkpoint", "crash injection: SIGKILL",
                   {{"cells_appended", appended_}});

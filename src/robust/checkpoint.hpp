@@ -10,9 +10,8 @@
 //
 // Durability protocol (docs/ROBUSTNESS.md §6):
 //
-//   * Appends are buffered in memory and flushed every `fsync_batch`
-//     records (default 1: every cell is durable the moment its append
-//     returns). A flush rewrites the ENTIRE journal through
+//   * Every append flushes before it returns, so a cell is durable once
+//     its append returns. A flush rewrites the ENTIRE journal through
 //     write_file_atomically — `<path>.tmp`, fsync, rename over `<path>`,
 //     fsync of the parent directory — so readers never observe a torn
 //     line, and a crash or power cut at any instant leaves either the
@@ -91,12 +90,8 @@ struct CrashPlan {
 /// Journal knobs (namespace-scope so `= {}` default arguments work — a
 /// nested class's member initializers are late-parsed).
 struct JournalOptions {
-  /// Flush (serialize + fsync + rename) every N appends. 1 = every cell
-  /// durable immediately; larger values batch the fsync cost at the price
-  /// of recomputing up to N-1 cells after a crash.
-  std::size_t fsync_batch = 1;
-  /// Crash injection, applied at append time (after the flush the append
-  /// triggered, so the journal the next run resumes from is well-formed).
+  /// Crash injection, applied at append time (after the append's flush, so
+  /// the journal the next run resumes from is well-formed).
   CrashPlan crash;
 };
 
@@ -133,8 +128,8 @@ class CheckpointJournal {
       const std::string& key) const;
 
   /// Records a completed cell (thread-safe; batch workers call this
-  /// concurrently). The record joins the in-memory index immediately and
-  /// becomes durable at the next flush (every fsync_batch appends).
+  /// concurrently). The record joins the in-memory index and is flushed
+  /// before the call returns.
   void append(CheckpointRecord record);
 
   /// Serialize and write_file_atomically now (no-op when nothing is

@@ -56,19 +56,14 @@ int main(int argc, char** argv) {
       {"manifest-out", util::ArgType::kString, "PATH",
        "write a run manifest (binary, args, endpoints, metrics) to PATH on "
        "shutdown", ""},
-      {"kernel", util::ArgType::kString, "ISA",
-       "sweep kernel ISA: auto|scalar|avx2|avx512 (overrides BVC_KERNEL)",
-       "auto"},
       {"log-out", util::ArgType::kString, "PATH",
        "write structured JSONL event-log records to PATH instead of "
        "human-readable stderr", ""},
       {"log-level", util::ArgType::kString, "LEVEL",
        "minimum event-log level: debug|info|warn|error", "info"},
       {"telemetry-dir", util::ArgType::kString, "PATH",
-       "periodically flush metrics + trace deltas into PATH (one "
+       "flush metrics + trace deltas into PATH every 500 ms (one "
        "bvcd.<pid>.* file pair per incarnation) for `bvc-cli merge`", ""},
-      {"telemetry-interval-ms", util::ArgType::kLong, "MS",
-       "telemetry flush cadence in milliseconds", "500"},
   });
   const util::ParsedArgs args = parser.parse(argc, argv);
 
@@ -105,19 +100,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string kernel_name = args.get_string("kernel", "");
-  if (!kernel_name.empty()) {
-    const auto kernel_request = mdp::kernel::parse_request(kernel_name);
-    if (!kernel_request) {
-      std::fprintf(stderr,
-                   "bvcd: invalid --kernel value '%s' "
-                   "(expected auto|scalar|avx2|avx512)\n",
-                   kernel_name.c_str());
-      return 2;
-    }
-    mdp::kernel::set_requested(*kernel_request);
-  }
-
   svc::ServiceConfig config;
   config.state_dir = args.get_string("state-dir", "");
   config.threads = static_cast<int>(args.get_long("threads", 1));
@@ -148,9 +130,6 @@ int main(int argc, char** argv) {
     obs::TelemetryConfig telemetry;
     telemetry.dir = telemetry_dir;
     telemetry.label = "bvcd";
-    telemetry.interval_seconds =
-        static_cast<double>(args.get_long("telemetry-interval-ms", 500)) /
-        1000.0;
     flusher.emplace(telemetry);
   }
 

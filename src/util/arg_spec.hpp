@@ -17,12 +17,13 @@
 // parse() is the only way to obtain a ParsedArgs, so every flag a binary
 // reads was declared and validated first.
 //
-// Shared flag groups (budget/batch/csv/obs/sweep) live next to the
-// subsystems that consume them — see bench/bench_common.hpp — so a bench
-// main is typically:
+// Shared flag groups (threads/csv/obs/sweep) live next to the subsystems
+// that consume them — see bench/bench_common.hpp — so a bench main is
+// typically:
 //
 //   util::ArgParser parser("bench_table2", "Reproduce Table 2 ...");
-//   bench::add_standard_bench_args(parser);       // threads/budget/obs
+//   bench::add_threads_arg(parser);
+//   bench::add_obs_args(parser);
 //   parser.add({"quick", util::ArgType::kFlag, "", "setting 1 only"});
 //   const util::ParsedArgs args = parser.parse(argc, argv);
 #pragma once

@@ -50,7 +50,8 @@ TEST(DescribeCell, ValuesUseCompactFloatFormat) {
 /// shared flag groups plus the output flags the manifest lists.
 util::ParsedArgs bench_args(std::vector<const char*> flags) {
   util::ArgParser parser("bench_fake", "ObsSession tests");
-  bench::add_standard_bench_args(parser);
+  bench::add_threads_arg(parser);
+  bench::add_obs_args(parser);
   bench::add_csv_args(parser);
   parser.add({{"quick", util::ArgType::kFlag, "", "", ""},
               {"timeline-out", util::ArgType::kString, "FILE", "", ""}});

@@ -285,7 +285,7 @@ TEST(SmRollout, OptimalPolicyRatioMatchesSolver) {
   const SmModel model = build_sm_model(params, Utility::kRelativeRevenue);
   bvc::Rng rng(31337);
   const bvc::mdp::ModelRolloutResult rollout = bvc::mdp::rollout_model(
-      model.model, solved.policy,
+      *model.compiled, solved.policy,
       model.space.index(SmState{0, 0, Fork::kIrrelevant}), 2'000'000, rng);
   EXPECT_NEAR(rollout.ratio(), solved.utility_value, 5e-3);
 }
@@ -296,7 +296,7 @@ TEST(SmRollout, DoubleSpendRevenueMatchesSolver) {
   const SmModel model = build_sm_model(params, Utility::kAbsoluteReward);
   bvc::Rng rng(424242);
   const bvc::mdp::ModelRolloutResult rollout = bvc::mdp::rollout_model(
-      model.model, solved.policy,
+      *model.compiled, solved.policy,
       model.space.index(SmState{0, 0, Fork::kIrrelevant}), 2'000'000, rng);
   EXPECT_NEAR(rollout.ratio(), solved.utility_value, 0.02);
 }

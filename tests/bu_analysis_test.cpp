@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "bu/attack_analysis.hpp"
+#include "mdp/compiled_model.hpp"
 #include "mdp/model_cache.hpp"
 #include "util/rng.hpp"
 
@@ -236,7 +238,8 @@ TEST(CacheFirstAnalysis, MatchesAnalyzeOfTheBuiltModel) {
       cache.clear();
       const AnalysisResult built = analyze(build_attack_model(params, utility));
       AttackModel uncached = build_attack_model(params, utility);
-      uncached.compiled = nullptr;  // compiled outside the cache
+      uncached.compiled = std::make_shared<const bvc::mdp::CompiledModel>(
+          bvc::mdp::CompiledModel::compile(uncached.model));  // no template
 
       ASSERT_TRUE(built.converged());
       expect_same_solve(cold, built);

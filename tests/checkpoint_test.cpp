@@ -200,21 +200,17 @@ TEST(CheckpointJournal, DisabledJournalIsInert) {
   EXPECT_FALSE(journal.contains("a"));
 }
 
-TEST(CheckpointJournal, FsyncBatchBuffersUntilThreshold) {
-  const std::string path = temp_path("fsync_batch.jsonl");
-  robust::JournalOptions options;
-  options.fsync_batch = 3;
-  CheckpointJournal journal(path, options);
-  journal.append(make_record("a", 1.0));
-  journal.append(make_record("b", 2.0));
-  // Two appends < fsync_batch: nothing durable yet.
-  EXPECT_FALSE(std::ifstream(path).good());
-  // The in-memory index still serves resumes immediately.
-  EXPECT_TRUE(journal.contains("b"));
-
-  journal.append(make_record("c", 3.0));  // third append triggers the flush
-  CheckpointJournal reader(path);
-  EXPECT_EQ(reader.load(), 3u);
+TEST(CheckpointJournal, EveryAppendIsDurable) {
+  const std::string path = temp_path("every_append.jsonl");
+  CheckpointJournal journal(path);
+  const std::vector<std::string> keys = {"a", "b", "c"};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    journal.append(make_record(keys[i], 1.0));
+    // On disk when append() returns, without an explicit flush.
+    CheckpointJournal reader(path);
+    EXPECT_EQ(reader.load(), i + 1) << keys[i];
+    EXPECT_TRUE(reader.contains(keys[i]));
+  }
 }
 
 TEST(CheckpointJournal, LoadLastWinsOnDuplicateKeys) {
@@ -253,10 +249,8 @@ TEST(CheckpointJournal, FlushIntoMissingDirectoryFails) {
   const std::string dir = temp_path("missing_dir");
   std::filesystem::remove_all(dir);
   const std::string path = dir + "/journal.jsonl";
-  robust::JournalOptions options;
-  options.fsync_batch = 10;  // only the explicit flushes below write
-  CheckpointJournal journal(path, options);
-  journal.append(make_record("a", 1.0));
+  CheckpointJournal journal(path);
+  journal.append(make_record("a", 1.0));  // its flush fails
   EXPECT_FALSE(journal.flush());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_FALSE(std::filesystem::exists(dir));

@@ -2,8 +2,8 @@
 // representation it compiles: structural fidelity, the ELL mirror's
 // palette codes (every code decodes to its double, the 16-value rule, the
 // copies a PolicyChain takes, the resident bytes), bit-identical solver
-// results through both overload families (the exact solver's on a template
-// instantiation and on compile()), the library's scalar RVI sweep
+// and rollout results on a template instance and on compile(), the
+// library's scalar RVI sweep
 // bit-identical to an in-test Jacobi replica over the AoS Model, and
 // ModelTemplate::instantiate bit-identical to compile() of the enumerated
 // Model over the paper's cells.
@@ -362,7 +362,12 @@ TEST(CompiledModel, SweepBitIdenticalToAosReferenceBtc) {
   expect_sweeps_bit_identical(btc_model().model);
 }
 
-// ---- full-solver equivalence: Model vs CompiledModel overloads ------------
+// ---- full-solver equivalence: template instance vs compile() -------------
+//
+// bu::analyze and btc::analyze_sm solve on the cell's template instance
+// (AttackModel::compiled, SmModel::compiled); the RVI solvers and the
+// rollout must return the same bits there as on CompiledModel::compile of
+// the enumerated Model.
 
 void expect_gain_results_identical(const mdp::GainResult& a,
                                    const mdp::GainResult& b) {
@@ -376,55 +381,61 @@ void expect_gain_results_identical(const mdp::GainResult& a,
   EXPECT_EQ(a.policy.action, b.policy.action);
 }
 
-void expect_gain_equivalence(const mdp::Model& model) {
+void expect_gain_equivalence(const mdp::CompiledModel& instance,
+                             const mdp::Model& model) {
   mdp::AverageRewardKnobs config;
   config.tolerance = 1e-8;
-  const mdp::GainResult via_model = mdp::maximize_average_reward(model, config);
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-  const mdp::GainResult via_compiled =
-      mdp::maximize_average_reward(compiled, config);
-  expect_gain_results_identical(via_model, via_compiled);
+  expect_gain_results_identical(
+      mdp::maximize_average_reward(instance, config),
+      mdp::maximize_average_reward(mdp::CompiledModel::compile(model),
+                                   config));
 }
 
 TEST(CompiledModel, GainResultBitIdenticalSetting1) {
-  expect_gain_equivalence(setting1_model().model);
+  const bu::AttackModel attack = setting1_model();
+  expect_gain_equivalence(*attack.compiled, attack.model);
 }
 
 TEST(CompiledModel, GainResultBitIdenticalSetting2) {
-  expect_gain_equivalence(setting2_model().model);
+  const bu::AttackModel attack = setting2_model();
+  expect_gain_equivalence(*attack.compiled, attack.model);
 }
 
 TEST(CompiledModel, GainResultBitIdenticalBtc) {
-  expect_gain_equivalence(btc_model().model);
+  const btc::SmModel sm = btc_model();
+  expect_gain_equivalence(*sm.compiled, sm.model);
 }
 
-void expect_ratio_equivalence(const mdp::Model& model, double upper_bound) {
+void expect_ratio_equivalence(const mdp::CompiledModel& instance,
+                              const mdp::Model& model) {
   mdp::RatioKnobs config;
   config.tolerance = 1e-6;
-  config.upper_bound = upper_bound;
-  const mdp::RatioResult via_model = mdp::maximize_ratio(model, config);
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-  const mdp::RatioResult via_compiled =
-      mdp::maximize_ratio(compiled, config);
-  EXPECT_EQ(via_model.status, via_compiled.status);
-  EXPECT_EQ(via_model.iterations, via_compiled.iterations);
-  EXPECT_EQ(via_model.ratio, via_compiled.ratio);
-  EXPECT_EQ(via_model.reward_rate, via_compiled.reward_rate);
-  EXPECT_EQ(via_model.weight_rate, via_compiled.weight_rate);
-  EXPECT_EQ(via_model.used_bisection, via_compiled.used_bisection);
-  EXPECT_EQ(via_model.policy.action, via_compiled.policy.action);
+  config.upper_bound = 1.0;
+  const mdp::RatioResult via_instance = mdp::maximize_ratio(instance, config);
+  const mdp::RatioResult via_compile =
+      mdp::maximize_ratio(mdp::CompiledModel::compile(model), config);
+  EXPECT_EQ(via_instance.status, via_compile.status);
+  EXPECT_EQ(via_instance.iterations, via_compile.iterations);
+  EXPECT_EQ(via_instance.ratio, via_compile.ratio);
+  EXPECT_EQ(via_instance.reward_rate, via_compile.reward_rate);
+  EXPECT_EQ(via_instance.weight_rate, via_compile.weight_rate);
+  EXPECT_EQ(via_instance.used_bisection, via_compile.used_bisection);
+  EXPECT_EQ(via_instance.policy.action, via_compile.policy.action);
 }
 
 TEST(CompiledModel, RatioResultBitIdenticalSetting1) {
-  expect_ratio_equivalence(setting1_model().model, 1.0);
+  const bu::AttackModel attack = setting1_model();
+  expect_ratio_equivalence(*attack.compiled, attack.model);
 }
 
 TEST(CompiledModel, RatioResultBitIdenticalSetting2) {
-  expect_ratio_equivalence(setting2_model().model, 1.0);
+  const bu::AttackModel attack = setting2_model();
+  expect_ratio_equivalence(*attack.compiled, attack.model);
 }
 
 TEST(CompiledModel, RatioResultBitIdenticalBtc) {
-  expect_ratio_equivalence(btc_model().model, 1.0);
+  const btc::SmModel sm = btc_model();
+  expect_ratio_equivalence(*sm.compiled, sm.model);
 }
 
 /// Exact ratio policy iteration on the model's two streams.
@@ -449,20 +460,20 @@ TEST(CompiledModel, PolicyIterationBitIdentical) {
 }
 
 TEST(CompiledModel, RolloutDrawsIdenticalTrajectory) {
-  const mdp::Model& model = setting1_model().model;
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-  const mdp::GainResult gain =
-      mdp::maximize_average_reward(model, mdp::AverageRewardKnobs{});
+  const bu::AttackModel attack = setting1_model();
+  const mdp::CompiledModel compiled =
+      mdp::CompiledModel::compile(attack.model);
+  const mdp::GainResult gain = mdp::maximize_average_reward(compiled);
 
   Rng rng_a(99);
   Rng rng_b(99);
-  const mdp::ModelRolloutResult via_model =
-      mdp::rollout_model(model, gain.policy, /*start=*/0, 20'000, rng_a);
-  const mdp::ModelRolloutResult via_compiled =
+  const mdp::ModelRolloutResult via_instance = mdp::rollout_model(
+      *attack.compiled, gain.policy, /*start=*/0, 20'000, rng_a);
+  const mdp::ModelRolloutResult via_compile =
       mdp::rollout_model(compiled, gain.policy, /*start=*/0, 20'000, rng_b);
-  EXPECT_EQ(via_model.steps, via_compiled.steps);
-  EXPECT_EQ(via_model.reward_total, via_compiled.reward_total);
-  EXPECT_EQ(via_model.weight_total, via_compiled.weight_total);
+  EXPECT_EQ(via_instance.steps, via_compile.steps);
+  EXPECT_EQ(via_instance.reward_total, via_compile.reward_total);
+  EXPECT_EQ(via_instance.weight_total, via_compile.weight_total);
 }
 
 // ---- the compilation carried by the analysis layers -----------------------

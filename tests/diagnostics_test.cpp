@@ -10,27 +10,27 @@
 #include <cstdint>
 #include <vector>
 
+#include "mdp/compiled_model.hpp"
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "obs/metrics.hpp"
-#include "robust/retry.hpp"
 #include "robust/run_control.hpp"
 
 namespace {
 
 using namespace bvc;
-using mdp::Model;
+using mdp::CompiledModel;
 using mdp::ModelBuilder;
 
 /// Two-state alternator: reward rate (r0 + r1)/2, weight rate 1 per step,
 /// so the optimal ratio equals the gain (r0 + r1)/2.
-Model make_alternator(double r0, double r1) {
+CompiledModel make_alternator(double r0, double r1) {
   ModelBuilder builder(2);
   builder.begin_action(0, 0);
   builder.add_outcome(1, 1.0, r0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, r1, 1.0);
-  return builder.build();
+  return CompiledModel::compile(builder.build());
 }
 
 /// One state, two self-loops. Action 0 carries weight below the
@@ -39,13 +39,13 @@ Model make_alternator(double r0, double r1) {
 /// bracket starting below -1, Dinkelbach first certifies action 1, then
 /// the degenerate action wins the linearized problem and forces the solver
 /// into its bisection fallback.
-Model make_thin_denominator() {
+CompiledModel make_thin_denominator() {
   ModelBuilder builder(1);
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 0.0, 0.1);
   builder.begin_action(0, 1);
   builder.add_outcome(0, 1.0, -1.0, 1.0);
-  return builder.build();
+  return CompiledModel::compile(builder.build());
 }
 
 void expect_trajectories_consistent(const robust::SolveDiagnostics& d) {
@@ -66,7 +66,7 @@ void expect_trajectories_consistent(const robust::SolveDiagnostics& d) {
 }
 
 TEST(SolveDiagnostics, TrajectoryLengthsMatchOuterIterationsWhenConverged) {
-  const Model model = make_alternator(1.0, 3.0);  // ratio 2
+  const CompiledModel model = make_alternator(1.0, 3.0);  // ratio 2
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
   const mdp::RatioResult result = mdp::maximize_ratio(model, config);
@@ -81,7 +81,7 @@ TEST(SolveDiagnostics, TrajectoryLengthsMatchOuterIterationsWhenConverged) {
 }
 
 TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
-  const Model model = make_thin_denominator();
+  const CompiledModel model = make_thin_denominator();
   mdp::RatioKnobs config;
   config.lower_bound = -5.0;
   config.upper_bound = 0.0;
@@ -121,12 +121,12 @@ TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
 }
 
 TEST(SolveDiagnostics, RetryPathAccumulatesAcrossAttempts) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
   const mdp::RatioResult plain = mdp::maximize_ratio(model, config);
   const mdp::RatioResult retried =
-      mdp::maximize_ratio_with_retry(model, config, robust::RetryPolicy{});
+      mdp::maximize_ratio_with_retry(model, config);
   // A first-try convergence must not fabricate retries, and the aggregated
   // diagnostics still describe exactly one attempt.
   EXPECT_EQ(retried.diagnostics.retries, 0);

@@ -5,9 +5,8 @@
 // one-action model, the palette-coded AVX-512 bodies on palettes of 1, 9
 // and 16 values, the paper's models all taking the coded path,
 // solver-level bit-identity of every vector ISA against the scalar
-// request (optimizing and evaluating), the sweep path the rvi.solve span
-// names (uncoded models run avx2 under an avx512 request), and the NUMA
-// placement helper's smoke behaviour.
+// request (optimizing and evaluating), and the sweep path the rvi.solve
+// span names (uncoded models run avx2 under an avx512 request).
 //
 // Vector-ISA cases GTEST_SKIP when the build or CPU lacks the ISA, so the
 // suite is green (not red) on machines without AVX2/AVX-512.
@@ -35,7 +34,6 @@
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "obs/trace.hpp"
-#include "util/numa.hpp"
 
 namespace {
 
@@ -872,22 +870,6 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
     EXPECT_EQ(traced_kernel_arg(ragged, true), uncoded);
     EXPECT_EQ(traced_kernel_arg(no_ell, false), "scalar");
     EXPECT_EQ(traced_kernel_arg(no_ell, true), uncoded);
-  }
-}
-
-// ---- NUMA smoke ----------------------------------------------------------
-
-TEST(Numa, SmokeOnAnyTopology) {
-  EXPECT_GE(util::numa::node_count(), 1);
-  EXPECT_EQ(util::numa::multi_node(), util::numa::node_count() > 1);
-
-  // interleave_pages never throws; on single-node machines it reports
-  // false (placement is an optimization, not a requirement).
-  std::vector<double> pages(4096, 0.0);
-  const bool moved =
-      util::numa::interleave_pages(pages.data(), pages.size() * 8);
-  if (!util::numa::multi_node()) {
-    EXPECT_FALSE(moved);
   }
 }
 

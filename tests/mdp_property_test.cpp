@@ -113,11 +113,11 @@ TEST_P(SolverVsBruteForce, AverageRewardMatchesEnumeration) {
         best_gain, policy_rates_by_power_iteration(model, policy).first);
   }
 
-  const GainResult solved = maximize_average_reward(model);
+  const CompiledModel compiled = CompiledModel::compile(model);
+  const GainResult solved = maximize_average_reward(compiled);
   EXPECT_TRUE(solved.converged());
   EXPECT_NEAR(solved.gain, best_gain, 1e-6);
 
-  const CompiledModel compiled = CompiledModel::compile(model);
   const std::vector<double> unit(compiled.num_state_actions(), 1.0);
   const PolicyIterationResult exact = policy_iteration(
       compiled, {compiled.expected_reward(), compiled.num_state_actions()},
@@ -142,11 +142,11 @@ TEST_P(SolverVsBruteForce, RatioMatchesEnumeration) {
   RatioKnobs config;
   config.lower_bound = -100.0;
   config.upper_bound = 100.0;
-  const RatioResult solved = maximize_ratio(model, config);
+  const CompiledModel compiled = CompiledModel::compile(model);
+  const RatioResult solved = maximize_ratio(compiled, config);
   EXPECT_TRUE(solved.converged());
   EXPECT_NEAR(solved.ratio, best_ratio, 1e-5);
 
-  const CompiledModel compiled = CompiledModel::compile(model);
   const std::size_t pairs = compiled.num_state_actions();
   const PolicyIterationResult exact =
       policy_iteration(compiled, {compiled.expected_reward(), pairs},
@@ -169,7 +169,8 @@ TEST_P(SolverVsBruteForce, PolicyEvaluationMatchesPowerIteration) {
   }
   const auto [reward, weight] =
       policy_rates_by_power_iteration(model, policy);
-  const PolicyGains gains = evaluate_policy_average(model, policy);
+  const PolicyGains gains =
+      evaluate_policy_average(CompiledModel::compile(model), policy);
   EXPECT_NEAR(gains.reward_rate, reward, 1e-6);
   EXPECT_NEAR(gains.weight_rate, weight, 1e-6);
 }
@@ -223,7 +224,8 @@ TEST_P(SolverVsBruteForce, DiscountedLimitApproachesGain) {
   for (const Policy& policy : all_policies(3, 2)) {
     best = std::max(best, discounted_value(model, policy, kDiscount)[0]);
   }
-  const GainResult average = maximize_average_reward(model);
+  const GainResult average =
+      maximize_average_reward(CompiledModel::compile(model));
   EXPECT_NEAR((1.0 - kDiscount) * best, average.gain, 2e-3);
 }
 

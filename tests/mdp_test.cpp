@@ -4,7 +4,9 @@
 #include <vector>
 
 #include "mdp/average_reward.hpp"
+#include "mdp/compiled_model.hpp"
 #include "mdp/model.hpp"
+#include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "util/check.hpp"
 
@@ -105,7 +107,8 @@ Model make_alternator(double r0, double r1) {
 
 TEST(AverageReward, AlternatorGain) {
   const Model model = make_alternator(1.0, 3.0);
-  const GainResult result = maximize_average_reward(model);
+  const GainResult result =
+      maximize_average_reward(CompiledModel::compile(model));
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.gain, 2.0, 1e-6);
 }
@@ -116,7 +119,8 @@ TEST(AverageReward, PeriodicChainConvergesViaAperiodicityTransform) {
   const Model model = make_alternator(0.0, 1.0);
   AverageRewardKnobs config;
   config.aperiodicity_tau = 0.9;
-  const GainResult result = maximize_average_reward(model, config);
+  const GainResult result =
+      maximize_average_reward(CompiledModel::compile(model), config);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.gain, 0.5, 1e-6);
 }
@@ -129,7 +133,8 @@ TEST(AverageReward, PicksBetterAction) {
   builder.begin_action(0, 20);
   builder.add_outcome(0, 1.0, 2.0, 1.0);
   const Model model = builder.build();
-  const GainResult result = maximize_average_reward(model);
+  const GainResult result =
+      maximize_average_reward(CompiledModel::compile(model));
   EXPECT_NEAR(result.gain, 2.0, 1e-8);
   EXPECT_EQ(model.action_label(0, result.policy.action[0]), 20);
 }
@@ -149,7 +154,8 @@ TEST(AverageReward, TradesImmediateRewardForBetterState) {
   const Model model = builder.build();
   // Note: this model is multichain (the sink is absorbing), but every state
   // reaches some recurrent class and the maximal gain from state 0 is 5.
-  const GainResult result = maximize_average_reward(model);
+  const GainResult result =
+      maximize_average_reward(CompiledModel::compile(model));
   EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
 }
 
@@ -167,7 +173,8 @@ TEST(AverageReward, RandomWalkGainMatchesStationaryAverage) {
   builder.add_outcome(1, 0.5, 2.0, 0.0);
   builder.add_outcome(2, 0.5, 2.0, 0.0);
   const Model model = builder.build();
-  const GainResult result = maximize_average_reward(model);
+  const GainResult result =
+      maximize_average_reward(CompiledModel::compile(model));
   EXPECT_NEAR(result.gain, 0.25 * 0.0 + 0.5 * 1.0 + 0.25 * 2.0, 1e-6);
 }
 
@@ -177,15 +184,17 @@ TEST(AverageReward, WarmStartReachesSameGain) {
   for (SaIndex sa = 0; sa < rewards.size(); ++sa) {
     rewards[sa] = model.expected_reward(sa);
   }
-  const GainResult cold = maximize_average_reward(model, rewards);
-  const GainResult warm =
-      maximize_average_reward(model, rewards, AverageRewardKnobs{}, &cold.bias);
+  const CompiledModel compiled = CompiledModel::compile(model);
+  const GainResult cold = maximize_average_reward(compiled, rewards);
+  const GainResult warm = maximize_average_reward(
+      compiled, rewards, AverageRewardKnobs{}, &cold.bias);
   EXPECT_NEAR(cold.gain, warm.gain, 1e-9);
   EXPECT_LE(warm.sweeps(), cold.sweeps());
 }
 
 TEST(AverageReward, RejectsWrongRewardVectorSize) {
-  const Model model = make_alternator(1.0, 1.0);
+  const CompiledModel model =
+      CompiledModel::compile(make_alternator(1.0, 1.0));
   const std::vector<double> rewards = {1.0};
   EXPECT_THROW((void)maximize_average_reward(model, rewards),
                std::invalid_argument);
@@ -199,7 +208,8 @@ TEST(PolicyEvaluation, EvaluatesBothStreams) {
   const Model model = builder.build();
   Policy policy;
   policy.action = {0};
-  const PolicyGains gains = evaluate_policy_average(model, policy);
+  const PolicyGains gains =
+      evaluate_policy_average(CompiledModel::compile(model), policy);
   EXPECT_TRUE(gains.converged());
   EXPECT_NEAR(gains.reward_rate, 2.0, 1e-8);
   EXPECT_NEAR(gains.weight_rate, 0.5, 1e-8);
@@ -214,7 +224,9 @@ TEST(PolicyEvaluation, SuboptimalPolicyHasLowerGain) {
   const Model model = builder.build();
   Policy bad;
   bad.action = {0};
-  EXPECT_NEAR(evaluate_policy_average(model, bad).reward_rate, 1.0, 1e-8);
+  EXPECT_NEAR(
+      evaluate_policy_average(CompiledModel::compile(model), bad).reward_rate,
+      1.0, 1e-8);
 }
 
 // ------------------------------------------------------------------ ratio --
@@ -226,7 +238,8 @@ TEST(Ratio, SingleStateRatioOfStreams) {
   const Model model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result = maximize_ratio(model, config);
+  const RatioResult result =
+      maximize_ratio(CompiledModel::compile(model), config);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.ratio, 0.75, 1e-6);
 }
@@ -242,7 +255,8 @@ TEST(Ratio, PrefersHigherRatioNotHigherReward) {
   const Model model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result = maximize_ratio(model, config);
+  const RatioResult result =
+      maximize_ratio(CompiledModel::compile(model), config);
   EXPECT_NEAR(result.ratio, 2.0, 1e-6);
   EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
 }
@@ -258,7 +272,8 @@ TEST(Ratio, HandlesDegenerateZeroWeightAction) {
   const Model model = builder.build();
   RatioKnobs config;
   config.upper_bound = 5.0;
-  const RatioResult result = maximize_ratio(model, config);
+  const RatioResult result =
+      maximize_ratio(CompiledModel::compile(model), config);
   EXPECT_NEAR(result.ratio, 0.5, 1e-5);
 }
 
@@ -273,7 +288,8 @@ TEST(Ratio, TwoStateMixedRatio) {
   const Model model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result = maximize_ratio(model, config);
+  const RatioResult result =
+      maximize_ratio(CompiledModel::compile(model), config);
   EXPECT_NEAR(result.ratio, 1.0, 1e-6);
 }
 
@@ -291,7 +307,8 @@ TEST(Ratio, StatefulTradeoff) {
   const Model model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result = maximize_ratio(model, config);
+  const RatioResult result =
+      maximize_ratio(CompiledModel::compile(model), config);
   EXPECT_NEAR(result.ratio, 2.0, 1e-6);
   EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
 }
@@ -303,7 +320,8 @@ TEST(Ratio, ReportsPolicyRates) {
   const Model model = builder.build();
   RatioKnobs config;
   config.upper_bound = 2.0;
-  const RatioResult result = maximize_ratio(model, config);
+  const RatioResult result =
+      maximize_ratio(CompiledModel::compile(model), config);
   EXPECT_NEAR(result.reward_rate, 3.0, 1e-6);
   EXPECT_NEAR(result.weight_rate, 6.0, 1e-6);
 }
@@ -313,7 +331,54 @@ TEST(Ratio, RejectsEmptyBracket) {
   RatioKnobs config;
   config.lower_bound = 1.0;
   config.upper_bound = 1.0;
-  EXPECT_THROW((void)maximize_ratio(model, config), std::invalid_argument);
+  EXPECT_THROW((void)maximize_ratio(CompiledModel::compile(model), config),
+               std::invalid_argument);
+}
+
+TEST(Ratio, BisectionRecordsThePolicyItFinds) {
+  // State 0 stays on A (ratio -1) or D (a self-loop whose denominator rate,
+  // 0.05, is below min_weight_rate), or starts G, a six-step cycle of
+  // ratio -1/6. The inner solves are capped at 15 sweeps. With exact inner
+  // solves bisection never records a policy: a degenerate maximizer at
+  // rho = lo stays the maximizer above it. Capped ones get there: the
+  // first Dinkelbach step finds G but evaluates it 2e-5 off, the next
+  // capped solve returns D, and bisection takes over. Its warm-started
+  // evaluations of G are sharper, and it must record them so that the
+  // reported policy's rates give exactly the reported ratio.
+  constexpr StateId kCycle = 6;
+  ModelBuilder builder(kCycle);
+  builder.begin_action(0, 0);  // A
+  builder.add_outcome(0, 1.0, -1.0, 1.0);
+  builder.begin_action(0, 1);  // D
+  builder.add_outcome(0, 1.0, -0.01, 0.05);
+  builder.begin_action(0, 2);  // G
+  builder.add_outcome(1, 1.0, 0.0, 1.0);
+  for (StateId s = 1; s + 1 < kCycle; ++s) {
+    builder.begin_action(s, 0);
+    builder.add_outcome(s + 1, 1.0, 0.0, 1.0);
+  }
+  builder.begin_action(kCycle - 1, 0);
+  builder.add_outcome(0, 1.0, -1.0, 1.0);
+  const CompiledModel model = CompiledModel::compile(builder.build());
+  RatioKnobs config;
+  config.lower_bound = -5.0;
+  config.upper_bound = 0.0;
+  config.min_weight_rate = 0.1;
+  config.inner.max_sweeps = 15;
+  config.inner.aperiodicity_tau = 0.5;
+  config.inner.tolerance = 1e-10;
+  const RatioResult result = maximize_ratio(model, config);
+  ASSERT_TRUE(result.used_bisection);
+  EXPECT_TRUE(result.converged());
+  EXPECT_EQ(result.policy.action[0], 2u);  // G
+  EXPECT_EQ(result.ratio, result.reward_rate / result.weight_rate);
+
+  const std::size_t pairs = model.num_state_actions();
+  const PolicyIterationResult exact =
+      policy_iteration(model, {model.expected_reward(), pairs},
+                       {model.expected_weight(), pairs});
+  ASSERT_TRUE(exact.converged());
+  EXPECT_NEAR(result.ratio, exact.value, config.tolerance);
 }
 
 TEST(Ratio, ThrowsOnUnboundedObjective) {
@@ -325,7 +390,8 @@ TEST(Ratio, ThrowsOnUnboundedObjective) {
   const Model model = builder.build();
   RatioKnobs config;
   config.upper_bound = 100.0;
-  EXPECT_THROW((void)maximize_ratio(model, config), bvc::InternalError);
+  EXPECT_THROW((void)maximize_ratio(CompiledModel::compile(model), config),
+               bvc::InternalError);
 }
 
 }  // namespace
@@ -348,10 +414,11 @@ TEST(Rollout, MatchesAnalyticGainOnAlternator) {
   Policy policy;
   policy.action = {0, 0};
 
-  const PolicyGains gains = evaluate_policy_average(model, policy);
+  const CompiledModel compiled = CompiledModel::compile(model);
+  const PolicyGains gains = evaluate_policy_average(compiled, policy);
   bvc::Rng rng(77);
   const ModelRolloutResult rollout =
-      rollout_model(model, policy, 0, 500'000, rng);
+      rollout_model(compiled, policy, 0, 500'000, rng);
   EXPECT_NEAR(rollout.reward_rate(), gains.reward_rate, 5e-3);
   EXPECT_NEAR(rollout.ratio(), gains.reward_rate / gains.weight_rate, 5e-3);
 }
@@ -362,7 +429,7 @@ TEST(Rollout, RejectsIncompletePolicy) {
   builder.add_outcome(1, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = CompiledModel::compile(builder.build());
   Policy policy;
   policy.action = {0};
   bvc::Rng rng(1);

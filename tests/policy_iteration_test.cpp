@@ -84,9 +84,9 @@ TEST(PolicyIteration, AgreesWithRviOnRandomModels) {
     const std::size_t actions = 1 + rng.next_below(4);
     const Model model = random_model(rng, states, actions);
 
-    const PolicyIterationResult exact =
-        exact_gain(CompiledModel::compile(model));
-    const GainResult iterative = maximize_average_reward(model);
+    const CompiledModel compiled = CompiledModel::compile(model);
+    const PolicyIterationResult exact = exact_gain(compiled);
+    const GainResult iterative = maximize_average_reward(compiled);
     EXPECT_TRUE(exact.converged());
     EXPECT_NEAR(exact.value, iterative.gain, 1e-6) << "trial " << trial;
   }

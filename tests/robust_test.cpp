@@ -23,7 +23,7 @@
 namespace {
 
 using namespace bvc;
-using mdp::Model;
+using mdp::CompiledModel;
 using mdp::ModelBuilder;
 using robust::CancelToken;
 using robust::RunBudget;
@@ -208,13 +208,13 @@ TEST(RunGuard, RemainingNeverGoesNegative) {
 // ---------------------------------------------------------- MDP solvers ---
 
 /// Two-state alternator: num stream rates (r0 + r1)/2, den stream 1/step.
-Model make_alternator(double r0, double r1) {
+CompiledModel make_alternator(double r0, double r1) {
   ModelBuilder builder(2);
   builder.begin_action(0, 0);
   builder.add_outcome(1, 1.0, r0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, r1, 1.0);
-  return builder.build();
+  return CompiledModel::compile(builder.build());
 }
 
 RunControl cancelled_control() {
@@ -225,7 +225,7 @@ RunControl cancelled_control() {
 }
 
 TEST(AverageRewardControl, PreCancelledReturnsWithoutASweep) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::AverageRewardKnobs config;
   config.control = cancelled_control();
   const mdp::GainResult result = mdp::maximize_average_reward(model, config);
@@ -235,7 +235,7 @@ TEST(AverageRewardControl, PreCancelledReturnsWithoutASweep) {
 }
 
 TEST(AverageRewardControl, TickBudgetCapsSweeps) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::AverageRewardKnobs config;
   config.tolerance = 1e-300;  // unreachable: only the budget can stop it
   config.control.budget = RunBudget::ticks(3);
@@ -249,7 +249,7 @@ TEST(AverageRewardControl, TickBudgetCapsSweeps) {
 }
 
 TEST(AverageRewardControl, UnlimitedControlStillConverges) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   const mdp::GainResult result = mdp::maximize_average_reward(model);
   EXPECT_EQ(result.status, RunStatus::kConverged);
   EXPECT_TRUE(result.converged());
@@ -257,17 +257,16 @@ TEST(AverageRewardControl, UnlimitedControlStillConverges) {
 }
 
 /// Exact average-reward policy iteration (a unit denominator).
-mdp::PolicyIterationResult exact_gain(const Model& model,
+mdp::PolicyIterationResult exact_gain(const CompiledModel& model,
                                       const RunControl& control = {}) {
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-  const std::vector<double> unit(compiled.num_state_actions(), 1.0);
+  const std::vector<double> unit(model.num_state_actions(), 1.0);
   return mdp::policy_iteration(
-      compiled, {compiled.expected_reward(), compiled.num_state_actions()},
-      unit, control);
+      model, {model.expected_reward(), model.num_state_actions()}, unit,
+      control);
 }
 
 TEST(PolicyIterationControl, PreCancelledReturnsTotalPolicy) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   const mdp::PolicyIterationResult result =
       exact_gain(model, cancelled_control());
   EXPECT_EQ(result.status, RunStatus::kCancelled);
@@ -286,7 +285,7 @@ TEST(PolicyIterationControl, TickBudgetReturnsTheLastEvaluatedPolicy) {
   builder.add_outcome(1, 1.0, 1.0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 2.0, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = CompiledModel::compile(builder.build());
   RunControl control;
   control.budget = RunBudget::ticks(1);
   const mdp::PolicyIterationResult partial = exact_gain(model, control);
@@ -297,7 +296,7 @@ TEST(PolicyIterationControl, TickBudgetReturnsTheLastEvaluatedPolicy) {
 }
 
 TEST(PolicyIterationControl, UnlimitedControlStillConverges) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   const mdp::PolicyIterationResult result = exact_gain(model);
   EXPECT_EQ(result.status, RunStatus::kConverged);
   EXPECT_NEAR(result.value, 2.0, 1e-9);
@@ -306,7 +305,7 @@ TEST(PolicyIterationControl, UnlimitedControlStillConverges) {
 // --------------------------------------------------------- ratio solver ---
 
 TEST(RatioControl, ConvergedSolveCarriesDiagnostics) {
-  const Model model = make_alternator(1.0, 3.0);  // ratio = gain = 2
+  const CompiledModel model = make_alternator(1.0, 3.0);  // ratio = gain = 2
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
   const mdp::RatioResult result = mdp::maximize_ratio(model, config);
@@ -325,7 +324,7 @@ TEST(RatioControl, ConvergedSolveCarriesDiagnostics) {
 }
 
 TEST(RatioControl, PreCancelledReturnsCancelled) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
   config.control = cancelled_control();
@@ -340,7 +339,7 @@ TEST(RatioControl, OuterGuardOwnsTheBudget) {
   // The outer guard owns the budget: one tick is one outer iteration, and
   // each inner solve gets only the outer cancel token and the wall clock
   // remaining, never a copy of the tick cap.
-  const Model model = make_alternator(1.0, 3.0);  // ratio = gain = 2
+  const CompiledModel model = make_alternator(1.0, 3.0);  // ratio = gain = 2
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
   config.control.budget = RunBudget::ticks(1);
@@ -382,7 +381,7 @@ TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
   config.inner.tolerance = 1e-14;
   config.control.budget = RunBudget::deadline(0.1);
   const mdp::RatioResult result =
-      mdp::maximize_ratio(attack.model, config);
+      mdp::maximize_ratio(*attack.compiled, config);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
   EXPECT_FALSE(result.converged());
   EXPECT_EQ(result.policy.action.size(), attack.model.num_states());
@@ -392,7 +391,7 @@ TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
 }
 
 TEST(RatioControl, RetryEscalatesAStalledSolve) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
   config.max_iterations = 1;  // guaranteed to stall on the first attempt
@@ -408,17 +407,14 @@ TEST(RatioControl, RetryEscalatesAStalledSolve) {
 }
 
 TEST(RatioControl, RetryRespectsTheRetryCap) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
-  config.max_iterations = 1;
-  robust::RetryPolicy retry;
-  retry.max_retries = 0;
-  retry.iteration_growth_factor = 1.0;
+  config.max_iterations = 0;  // every attempt, escalated or not, stalls
   const mdp::RatioResult result =
-      mdp::maximize_ratio_with_retry(model, config, retry);
+      mdp::maximize_ratio_with_retry(model, config);
   EXPECT_EQ(result.status, RunStatus::kToleranceStalled);
-  EXPECT_EQ(result.diagnostics.retries, 0);
+  EXPECT_EQ(result.diagnostics.retries, mdp::kRatioRetries);
 }
 
 TEST(RatioControl, RetryDoesNotRetryExhaustedBudgets) {
@@ -434,13 +430,13 @@ TEST(RatioControl, RetryDoesNotRetryExhaustedBudgets) {
   config.inner.tolerance = 1e-14;
   config.control.budget = RunBudget::deadline(0.05);
   const mdp::RatioResult result =
-      mdp::maximize_ratio_with_retry(attack.model, config);
+      mdp::maximize_ratio_with_retry(*attack.compiled, config);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
   EXPECT_EQ(result.diagnostics.retries, 0);
 }
 
 TEST(RatioControl, RetryDoesNotRetryCancellation) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::RatioKnobs config;
   config.upper_bound = 10.0;
   config.control = cancelled_control();
@@ -453,7 +449,7 @@ TEST(RatioControl, RetryDoesNotRetryCancellation) {
 // -------------------------------------------------------------- rollout ---
 
 TEST(RolloutControl, TickBudgetStopsEarlyWithPartialTotals) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::Policy policy;
   policy.action.assign(2, 0);
   Rng rng(1);
@@ -467,7 +463,7 @@ TEST(RolloutControl, TickBudgetStopsEarlyWithPartialTotals) {
 }
 
 TEST(RolloutControl, PreCancelledRunsNoSteps) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::Policy policy;
   policy.action.assign(2, 0);
   Rng rng(1);
@@ -478,7 +474,7 @@ TEST(RolloutControl, PreCancelledRunsNoSteps) {
 }
 
 TEST(RolloutControl, FullRunIsConverged) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::Policy policy;
   policy.action.assign(2, 0);
   Rng rng(1);

@@ -314,6 +314,56 @@ TEST(SvcServiceControl, CancelDuringSolveEndsCancelled) {
   EXPECT_EQ(records->at(0).string_or("status", ""), "cancelled");
 }
 
+TEST(SvcServiceControl, ConcurrentCellCapSerializesSolvesAcrossJobs) {
+  // Two jobs of distinct cells, each fanned over two batch threads, under
+  // a global cap of one cell in flight: both finish, and no two cells'
+  // ratio solves ever overlap in time.
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.reset();
+  tracer.enable();
+  {
+    ServiceConfig config;
+    config.threads = 2;
+    config.max_concurrent_cells = 1;
+    SolveService service{config};
+    const std::string first = submit_job(
+        service, R"({"kind":"bu-attack","grid":{"alphas":[0.10,0.15,0.20,)"
+                 R"(0.25],"ratios":[[1,1]],"ad":6,"setting":1}})");
+    const std::string second = submit_job(
+        service, R"({"kind":"bu-attack","grid":{"alphas":[0.10,0.15,0.20,)"
+                 R"(0.25],"ratios":[[2,1]],"ad":6,"setting":1}})");
+    service.wait_idle();
+    for (const std::string& id : {first, second}) {
+      const Json snapshot = job_snapshot(service, id);
+      EXPECT_EQ(snapshot.string_or("state", ""), "done");
+      EXPECT_EQ(snapshot.number_or("completed", -1), 4.0) << id;
+    }
+  }
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_jsonl(out);
+  tracer.reset();
+
+  std::vector<std::pair<double, double>> solves;  // (ts, dur) in us
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    const std::optional<Json> event = Json::parse(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    if (event->string_or("name", "") == "ratio.solve") {
+      solves.emplace_back(event->number_or("ts", 0.0),
+                          event->number_or("dur", 0.0));
+    }
+  }
+  ASSERT_GE(solves.size(), 8u);
+  std::sort(solves.begin(), solves.end());
+  for (std::size_t i = 1; i < solves.size(); ++i) {
+    // ts and dur are printed to the nanosecond; allow that rounding.
+    EXPECT_GE(solves[i].first, solves[i - 1].first + solves[i - 1].second -
+                                   1e-3)
+        << "solve " << i << " starts before solve " << i - 1 << " ends";
+  }
+}
+
 TEST(SvcServicePersistence, RestartServesTerminalJobsAndKeepsIdSequence) {
   const std::string state_dir = fresh_dir("restart");
   std::string id;

@@ -181,7 +181,6 @@ TEST(Telemetry, FlusherWritesPidStampedFilesAndMergeFindsThem) {
     obs::TelemetryConfig config;
     config.dir = dir.str();
     config.label = "unit";
-    config.interval_seconds = 3600.0;  // only the explicit/final flushes
     obs::TelemetryFlusher flusher(config);
     EXPECT_TRUE(obs::metrics_enabled());
     obs::MetricsRegistry::global().counter("test.flush.cells").add(3);

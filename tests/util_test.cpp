@@ -10,7 +10,6 @@
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -109,11 +108,12 @@ TEST(Rng, DoubleInUnitInterval) {
 
 TEST(Rng, DoubleMeanIsHalf) {
   Rng rng(11);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) {
-    stats.add(rng.next_double());
+  const int draws = 100000;
+  double sum = 0.0;
+  for (int i = 0; i < draws; ++i) {
+    sum += rng.next_double();
   }
-  EXPECT_NEAR(stats.mean(), 0.5, 0.01);
+  EXPECT_NEAR(sum / draws, 0.5, 0.01);
 }
 
 TEST(Rng, NextBelowRespectsBound) {
@@ -157,11 +157,12 @@ TEST(Rng, BernoulliFrequency) {
 
 TEST(Rng, ExponentialMeanMatchesRate) {
   Rng rng(8);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) {
-    stats.add(rng.next_exponential(2.0));
+  const int draws = 100000;
+  double sum = 0.0;
+  for (int i = 0; i < draws; ++i) {
+    sum += rng.next_exponential(2.0);
   }
-  EXPECT_NEAR(stats.mean(), 0.5, 0.02);
+  EXPECT_NEAR(sum / draws, 0.5, 0.02);
 }
 
 TEST(Rng, CategoricalMatchesWeights) {
@@ -221,58 +222,6 @@ TEST(CategoricalSampler, MatchesWeights) {
 TEST(CategoricalSampler, RejectsAllZero) {
   EXPECT_THROW(CategoricalSampler(std::vector<double>{0.0, 0.0}),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- stats ---
-
-TEST(RunningStats, MeanAndVariance) {
-  RunningStats stats;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    stats.add(x);
-  }
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSampleHasZeroVariance) {
-  RunningStats stats;
-  stats.add(3.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.stderr_mean(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(21);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_double() * 10.0;
-    whole.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RatioAccumulator, BasicRatio) {
-  RatioAccumulator acc;
-  acc.add(1.0, 4.0);
-  acc.add(1.0, 4.0);
-  EXPECT_DOUBLE_EQ(acc.ratio(), 0.25);
-  EXPECT_EQ(acc.count(), 2u);
-}
-
-TEST(RatioAccumulator, FallbackWhenDenominatorZero) {
-  RatioAccumulator acc;
-  EXPECT_DOUBLE_EQ(acc.ratio(-1.0), -1.0);
 }
 
 // ---------------------------------------------------------------- table ---
