@@ -46,7 +46,7 @@ sim::NetworkConfig make_network(std::size_t nodes) {
   sim::NetworkConfig config;
   for (int i = 0; i < 5; ++i) {
     sim::NetMiner miner;
-    miner.name = "m" + std::to_string(i);
+    miner.name = std::string("m").append(std::to_string(i));
     miner.power = 0.2;
     miner.rule.eb = 32 * kMegabyte;
     miner.rule.mg = 32 * kMegabyte;

@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
     for (const double bandwidth : bandwidths) {
       sim::NetworkConfig config;
       for (int i = 0; i < 5; ++i) {
-        config.miners.push_back(make_miner("m" + std::to_string(i), 0.2,
-                                           size, bandwidth));
+        config.miners.push_back(make_miner(
+            std::string("m").append(std::to_string(i)), 0.2, size, bandwidth));
       }
       sim::NetworkSimulation simulation(config);
       Rng rng(size + static_cast<std::uint64_t>(bandwidth));

@@ -225,6 +225,11 @@ BENCHMARK(BM_PolicyRollout)->Unit(benchmark::kMillisecond);
 // model's CSR columns (restricted to the policy's action per state) against
 // kernel::rvi_eval_sweep over the policy's compacted chain, once per ISA.
 // All of them must agree bit-for-bit.
+//
+// Three-action rows time the same dispatched greedy sweep on a Table 4
+// setting-2 model (u3, whose menu adds Wait), once per ISA, among
+// themselves; they too must agree bit-for-bit, and the dispatched vector
+// sweep must run at least 2x the scalar one.
 
 namespace {
 
@@ -294,8 +299,8 @@ void soa_sweep(const mdp::CompiledModel& model,
 /// (mdp/kernel.hpp), mirroring rvi_core's vector discipline: the state-0
 /// reference residual from a one-state pass, then the fused
 /// kernel::rvi_sweep over every state (backup + rewards + tau transform +
-/// max in one register-resident pass, vectorized over states on this
-/// model's uniform 2-action menu). Both passes store the greedy policy in
+/// max in one register-resident pass, vectorized over states on a uniform
+/// two- or three-action menu). Both passes store the greedy policy in
 /// `policy`, as rvi_core's do on every sweep. Reads `bias_in`, writes
 /// `bias_out` (Jacobi, unlike the in-place aos/soa rows, so the two
 /// groups are compared only within themselves).
@@ -366,7 +371,7 @@ void chain_eval_sweep(const mdp::PolicyChain& chain,
 /// vector it converges to (captured on the first rep; every rep starts
 /// from the same zero bias, so reps are deterministic replicas).
 struct TimedRow {
-  /// "aos" | "soa" | "kernel" | "eval_csr" | "eval"
+  /// "aos" | "soa" | "kernel" | "eval_csr" | "eval" | "kernel3"
   const char* kind;
   mdp::kernel::Isa isa = mdp::kernel::Isa::kScalar;  ///< kernel, eval rows
   std::function<void(std::vector<double>&)> sweep;
@@ -424,17 +429,18 @@ int run_kernel_mode(const util::ParsedArgs& args) {
   std::deque<std::vector<std::uint32_t>> policies;
 
   std::vector<TimedRow> rows;
-  const auto push_row = [&rows](const char* kind, mdp::kernel::Isa isa,
-                                std::function<void(std::vector<double>&)> fn) {
+  const auto push_row = [](std::vector<TimedRow>& group, const char* kind,
+                           mdp::kernel::Isa isa,
+                           std::function<void(std::vector<double>&)> fn) {
     TimedRow row;
     row.kind = kind;
     row.isa = isa;
     row.sweep = std::move(fn);
-    rows.push_back(std::move(row));
+    group.push_back(std::move(row));
   };
-  push_row("aos", mdp::kernel::Isa::kScalar,
+  push_row(rows, "aos", mdp::kernel::Isa::kScalar,
            [&](std::vector<double>& b) { aos_sweep(model, rewards, b); });
-  push_row("soa", mdp::kernel::Isa::kScalar,
+  push_row(rows, "soa", mdp::kernel::Isa::kScalar,
            [&](std::vector<double>& b) { soa_sweep(compiled, rewards, b); });
   // Dispatched-kernel rows: the same greedy sweep lowered onto the backup
   // kernel (Jacobi discipline), once per ISA this build+CPU carries. All
@@ -451,7 +457,7 @@ int run_kernel_mode(const util::ParsedArgs& args) {
     std::vector<double>* scratch = &scratches.back();
     policies.emplace_back(model.num_states(), 0u);
     std::vector<std::uint32_t>* greedy = &policies.back();
-    push_row("kernel", isa,
+    push_row(rows, "kernel", isa,
              [&, scratch, greedy, isa](std::vector<double>& b) {
                kernel_jacobi_sweep(compiled, rewards, b, *scratch, *greedy,
                                    isa);
@@ -477,7 +483,7 @@ int run_kernel_mode(const util::ParsedArgs& args) {
   const mdp::PolicyChain chain(compiled, policy, rewards);
   scratches.emplace_back(model.num_states(), 0.0);
   std::vector<double>* csr_scratch = &scratches.back();
-  push_row("eval_csr", mdp::kernel::Isa::kScalar,
+  push_row(rows, "eval_csr", mdp::kernel::Isa::kScalar,
            [&, csr_scratch](std::vector<double>& b) {
              csr_eval_sweep(compiled, rewards, policy, b, *csr_scratch);
              b.swap(*csr_scratch);
@@ -490,13 +496,43 @@ int run_kernel_mode(const util::ParsedArgs& args) {
     }
     scratches.emplace_back(model.num_states(), 0.0);
     std::vector<double>* scratch = &scratches.back();
-    push_row("eval", isa, [&, scratch, isa](std::vector<double>& b) {
+    push_row(rows, "eval", isa, [&, scratch, isa](std::vector<double>& b) {
       chain_eval_sweep(chain, b, *scratch, isa);
       b.swap(*scratch);
     });
   }
   constexpr int kReps = 7;
   time_rows(rows, bias, sweeps, kReps);
+
+  // Three-action rows: Table 4's setting-2 cell at alpha = 1%, b:g = 1:1.
+  bu::AttackParams wait_params = bu::grid_cell(0.01, 1, 1);
+  wait_params.setting = bu::Setting::kStickyGate;
+  const bu::AttackModel wait_attack =
+      bu::build_attack_model(wait_params, bu::Utility::kOrphaning);
+  const mdp::CompiledModel& wait_model = *wait_attack.compiled;
+  const std::span<const double> wait_rewards{wait_model.expected_reward(),
+                                             wait_model.num_state_actions()};
+  std::vector<TimedRow> wait_rows;
+  std::deque<std::vector<std::uint32_t>> wait_policies;
+  for (const mdp::kernel::Isa isa :
+       {mdp::kernel::Isa::kScalar, mdp::kernel::Isa::kAvx2,
+        mdp::kernel::Isa::kAvx512}) {
+    if (!mdp::kernel::isa_available(isa)) {
+      continue;
+    }
+    scratches.emplace_back(wait_model.num_states(), 0.0);
+    std::vector<double>* scratch = &scratches.back();
+    wait_policies.emplace_back(wait_model.num_states(), 0u);
+    std::vector<std::uint32_t>* greedy = &wait_policies.back();
+    push_row(wait_rows, "kernel3", isa,
+             [&, scratch, greedy, isa](std::vector<double>& b) {
+               kernel_jacobi_sweep(wait_model, wait_rewards, b, *scratch,
+                                   *greedy, isa);
+               b.swap(*scratch);
+             });
+  }
+  std::vector<double> wait_bias(wait_model.num_states(), 0.0);
+  time_rows(wait_rows, wait_bias, sweeps, kReps);
 
   const auto row_rate = [&](const char* kind) {
     for (const TimedRow& row : rows) {
@@ -544,6 +580,16 @@ int run_kernel_mode(const util::ParsedArgs& args) {
                    }));
   const std::vector<double>& csr_eval = rows_of("eval_csr").front()->result;
   const bool eval_bit_identical = all_equal(eval_rows, csr_eval);
+  std::vector<const TimedRow*> wait_kernel_rows;
+  for (const TimedRow& row : wait_rows) {
+    wait_kernel_rows.push_back(&row);
+  }
+  const bool wait_bit_identical =
+      all_equal(wait_kernel_rows, wait_rows.front().result) &&
+      std::all_of(wait_policies.begin(), wait_policies.end(),
+                  [&](const std::vector<std::uint32_t>& greedy) {
+                    return greedy == wait_policies.front();
+                  });
 
   const double aos_rate = row_rate("aos");
   const double soa_rate = row_rate("soa");
@@ -569,6 +615,21 @@ int run_kernel_mode(const util::ParsedArgs& args) {
   // machine trivially "dispatches" scalar at ~1.0x.
   const bool vector_pass = dispatched == mdp::kernel::Isa::kScalar ||
                            vector_speedup >= vector_threshold;
+  // The three-action gate: the dispatched sweep against the scalar
+  // three-action sweep (the loop Table 4 ran before its menus vectorized).
+  const auto wait_rate = [&](mdp::kernel::Isa isa) {
+    for (const TimedRow& row : wait_rows) {
+      if (row.isa == isa) {
+        return static_cast<double>(sweeps) / row.best_seconds;
+      }
+    }
+    return 0.0;
+  };
+  const double wait_scalar_rate = wait_rate(mdp::kernel::Isa::kScalar);
+  const double wait_speedup = wait_rate(dispatched) / wait_scalar_rate;
+  const double wait_threshold = 2.0;
+  const bool wait_pass = dispatched == mdp::kernel::Isa::kScalar ||
+                         wait_speedup >= wait_threshold;
 
   std::ofstream json(out_path);
   json << "{\n"
@@ -613,7 +674,26 @@ int run_kernel_mode(const util::ParsedArgs& args) {
        << "\",\n"
        << "  \"speedup_vector_vs_soa\": " << vector_speedup << ",\n"
        << "  \"vector_threshold\": " << vector_threshold << ",\n"
-       << "  \"vector_pass\": " << (vector_pass ? "true" : "false")
+       << "  \"vector_pass\": " << (vector_pass ? "true" : "false") << ",\n"
+       << "  \"three_action_model\": \"bu setting-2 u3 alpha=0.01 "
+          "b:g=1:1\",\n"
+       << "  \"three_action_states\": " << wait_model.num_states() << ",\n"
+       << "  \"three_action_rows\": [";
+  for (std::size_t i = 0; i < wait_rows.size(); ++i) {
+    const double rate =
+        static_cast<double>(sweeps) / wait_rows[i].best_seconds;
+    json << (i == 0 ? "\n" : ",\n") << "    {\"isa\": \""
+         << mdp::kernel::to_string(wait_rows[i].isa)
+         << "\", \"sweeps_per_sec\": " << rate
+         << ", \"speedup_vs_scalar\": " << rate / wait_scalar_rate << "}";
+  }
+  json << "\n  ],\n"
+       << "  \"three_action_bit_identical\": "
+       << (wait_bit_identical ? "true" : "false") << ",\n"
+       << "  \"three_action_speedup_vector_vs_scalar\": " << wait_speedup
+       << ",\n"
+       << "  \"three_action_threshold\": " << wait_threshold << ",\n"
+       << "  \"three_action_pass\": " << (wait_pass ? "true" : "false")
        << "\n}\n";
   json.close();
 
@@ -654,8 +734,25 @@ int run_kernel_mode(const util::ParsedArgs& args) {
                          : ", >= 1.3x target")
                   : ", BELOW 1.3x target",
       out_path.c_str());
+  std::printf("  three-action model (Table 4 u3 setting 2): %u states\n",
+              wait_model.num_states());
+  for (const TimedRow& row : wait_rows) {
+    const double rate = static_cast<double>(sweeps) / row.best_seconds;
+    std::printf("  kernel3 %-7s (Jacobi):   %10.1f sweeps/s  (%.2fx vs "
+                "scalar)\n",
+                std::string(mdp::kernel::to_string(row.isa)).c_str(), rate,
+                rate / wait_scalar_rate);
+  }
+  std::printf(
+      "  kernel3 rows bit-identical: %s\n"
+      "  dispatched three-action sweep: %.2fx vs scalar%s\n",
+      wait_bit_identical ? "yes" : "NO (BUG)", wait_speedup,
+      wait_pass ? (dispatched == mdp::kernel::Isa::kScalar
+                       ? ""
+                       : ", >= 2x target")
+                : ", BELOW 2x target");
   return bit_identical && kernel_bit_identical && eval_bit_identical &&
-                 vector_pass
+                 vector_pass && wait_bit_identical && wait_pass
              ? 0
              : 1;
 }

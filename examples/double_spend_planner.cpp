@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
   const auto add = [&](const char* name, double value) {
     table.add_row({name, format_fixed(value, 4),
                    value > alpha + 1e-4
-                       ? "+" + format_percent((value - alpha) / alpha, 0)
+                       ? std::string("+") +
+                             format_percent((value - alpha) / alpha, 0)
                        : "no gain"});
   };
 

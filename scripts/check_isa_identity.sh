@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # ISA-independence end-to-end test (registered as the ctest case
 # check_isa_identity): the paper's tables must not depend on which sweep
-# kernel the host dispatches to. bench_table3 and bench_table4 run twice,
-# once with the vector kernels forced off (BVC_KERNEL=scalar, the path
-# every CPU without AVX2 takes) and once under default dispatch; stdout and
-# the --csv output must be byte-identical between the two runs. The
+# kernel the host dispatches to. bench_table3 and bench_table4 run three
+# times: with the vector kernels forced off (BVC_KERNEL=scalar, the path
+# every CPU without AVX2 takes), with the AVX2 bodies forced
+# (BVC_KERNEL=avx2, so an AVX-512 host checks them end to end too), and
+# under default dispatch; stdout and the --csv output of the avx2 and
+# default runs must be byte-identical to the scalar run's. The
 # default-dispatch CSV must also equal the reproduced values the benchmark
 # checks against (perfbench/reference/table3.txt and table4.txt, read only).
 #
-# On a host without AVX2 both runs take the scalar path and the check
-# passes trivially. Takes about 10 s on 4 cores.
+# On a host without AVX2 every run takes the scalar path and the check
+# passes trivially (an avx2 request degrades to scalar). Takes about 12 s
+# on 4 cores.
 #
 # Usage: scripts/check_isa_identity.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -28,11 +31,11 @@ for table in table3 table4; do
     echo "check_isa_identity.sh: $bench not built" >&2
     exit 1
   }
-  for isa in scalar default; do
-    if [[ "$isa" == scalar ]]; then
-      run=(env BVC_KERNEL=scalar)
-    else
+  for isa in scalar avx2 default; do
+    if [[ "$isa" == default ]]; then
       run=(env -u BVC_KERNEL)
+    else
+      run=(env BVC_KERNEL="$isa")
     fi
     "${run[@]}" "$bench" --threads 4 --csv "$out/$table.$isa.csv" \
       >"$out/$table.$isa.txt" 2>"$out/$table.$isa.err" || {
@@ -41,13 +44,15 @@ for table in table3 table4; do
       exit 1
     }
   done
-  for kind in txt csv; do
-    if ! cmp -s "$out/$table.scalar.$kind" "$out/$table.default.$kind"; then
-      echo "check_isa_identity.sh: bench_$table $kind differs between" \
-        "scalar and default dispatch:" >&2
-      diff "$out/$table.scalar.$kind" "$out/$table.default.$kind" >&2 || true
-      status=1
-    fi
+  for isa in avx2 default; do
+    for kind in txt csv; do
+      if ! cmp -s "$out/$table.scalar.$kind" "$out/$table.$isa.$kind"; then
+        echo "check_isa_identity.sh: bench_$table $kind differs between" \
+          "scalar and $isa dispatch:" >&2
+        diff "$out/$table.scalar.$kind" "$out/$table.$isa.$kind" >&2 || true
+        status=1
+      fi
+    done
   done
   reference="$repo/perfbench/reference/$table.txt"
   if ! cmp -s "$reference" "$out/$table.default.csv"; then
@@ -60,6 +65,7 @@ done
 
 if [[ "$status" -eq 0 ]]; then
   echo "check_isa_identity.sh: bench_table3/4 stdout and CSV identical" \
-    "under scalar and default dispatch, CSV equal to perfbench/reference"
+    "under scalar, avx2 and default dispatch, CSV equal to" \
+    "perfbench/reference"
 fi
 exit "$status"

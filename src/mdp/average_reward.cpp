@@ -24,8 +24,8 @@ namespace {
 /// Every sweep runs on the kernel layer (mdp/kernel.hpp), on the ISA
 /// kernel::resolve() returns, scalar included. Optimizing solves run
 /// kernel::rvi_sweep over the full action menu (vectorized over states when
-/// the menu is a uniform two actions; kernel::rvi_sweep_isa names the
-/// path). Policy evaluation first compacts the policy's rows into a
+/// the menu is a uniform two or three actions, as on every paper table's
+/// model; kernel::rvi_sweep_isa names the path). Policy evaluation first compacts the policy's rows into a
 /// PolicyChain — one row per state, built once per solve — and runs
 /// kernel::rvi_eval_sweep over it, vectorized for every model. The vector
 /// bodies evaluate the scalar bodies' exact expression trees, so a solve's

@@ -281,8 +281,9 @@ Isa coded_isa(Isa isa, bool has_codes) noexcept {
 
 Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept {
   // The in-register backup needs the ELL mirror, and the vector combine
-  // the fixed-width uniform 2-action menu.
-  return model.has_ell() && model.uniform_actions() == 2
+  // a fixed-width uniform menu of two or three actions.
+  const std::size_t menu = model.uniform_actions();
+  return model.has_ell() && (menu == 2 || menu == 3)
              ? coded_isa(isa, model.has_codes())
              : Isa::kScalar;
 }

@@ -30,7 +30,10 @@
 // the rounding), and each SIMD lane owns one whole row (the ELL mirror is
 // column-major, so lane l of a vector step is outcome j of row sa+l).
 // Vectorization therefore reorders nothing within a row and sums nothing
-// across rows, and every sweep output is bit-identical to the scalar
+// across rows. The greedy combine deinterleaves a uniform menu's action
+// columns with permutes and blends, which move bits without rounding, and
+// takes the argmax in action order with the scalar strict greater-than.
+// Every sweep output is therefore bit-identical to the scalar
 // kernel's for every ISA. The one exception is the sign of zero: ELL
 // padding accumulates exact +/-0.0 terms, which can flip a zero result's
 // sign (+0.0 == -0.0, so compare with ==, not memcmp). A solve therefore
@@ -116,9 +119,10 @@ void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
 
 /// The ISA rvi_sweep actually runs for `model` when asked for `isa` — the
 /// dispatcher's own gate: the vector bodies need an ELL mirror and a
-/// uniform 2-action menu; every other model (ragged menus, 3-action
-/// menus, no ELL mirror) takes the scalar loop. An avx512 request on a
-/// model without palette codes runs avx2.
+/// uniform menu of two actions (Tables 2 and 3) or three (Table 4's, with
+/// Wait); every other model (ragged menus, wider menus, no ELL mirror)
+/// takes the scalar loop. An avx512 request on a model without palette
+/// codes runs avx2.
 [[nodiscard]] Isa rvi_sweep_isa(const CompiledModel& model, Isa isa) noexcept;
 
 /// The ISA rvi_eval_sweep actually runs for `chain` when asked for `isa`:
@@ -152,8 +156,8 @@ namespace detail {
 // when their translation unit was compiled without the ISA (non-x86
 // toolchain) they forward to scalar and *_compiled() reports false, so
 // isa_available() keeps resolve() away from them. The vector greedy sweeps
-// handle only the uniform-2-action shape (the dispatcher routes everything
-// else to scalar).
+// handle only uniform two- and three-action menus (the dispatcher routes
+// everything else to scalar).
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
                       double reference_residual, StateId s_begin,

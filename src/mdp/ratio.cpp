@@ -57,6 +57,10 @@ RatioResult maximize_ratio(const CompiledModel& model,
   std::vector<double> eval_weight_bias;
   bool policy_recorded = false;
   bool degenerate_seen = false;
+  // The ratio the recorded policy achieves (the bracket's floor until one
+  // is recorded). `lo` can climb past it in bisection, where a winner below
+  // min_weight_rate raises the bracket without a policy to show for it.
+  double certified = lo;
   // The most recent inner policy: adopted as the best-effort answer when the
   // budget expires before any policy's true ratio could be certified.
   Policy last_inner_policy;
@@ -66,6 +70,7 @@ RatioResult maximize_ratio(const CompiledModel& model,
     result.policy = policy;
     result.reward_rate = num_rate;
     result.weight_rate = den_rate;
+    certified = num_rate / den_rate;
     policy_recorded = true;
   };
 
@@ -236,11 +241,13 @@ RatioResult maximize_ratio(const CompiledModel& model,
       result.diagnostics.inner_sweeps += gains.sweeps;
       if (gains.weight_rate > options.min_weight_rate) {
         const double achieved = gains.reward_rate / gains.weight_rate;
-        if (achieved > lo) {
+        if (achieved > certified) {
           record_policy(run.policy, gains.reward_rate, gains.weight_rate);
         }
         lo = std::max(lo, std::max(mid, achieved));
       } else {
+        // Only a below-floor policy beats mid: the bracket closes on its
+        // ratio, which no admissible policy is known to reach.
         degenerate_seen = true;
         lo = mid;
       }
@@ -250,12 +257,20 @@ RatioResult maximize_ratio(const CompiledModel& model,
     note_outer(mid);
   }
 
-  result.ratio = lo;
-  if (hi - lo <= options.tolerance * (1.0 + std::abs(lo))) {
-    return finalize(policy_recorded || !degenerate_seen
-                        ? robust::RunStatus::kConverged
-                        : robust::RunStatus::kDegenerateModel);
+  const double closed = options.tolerance * (1.0 + std::abs(lo));
+  if (hi - lo <= closed) {
+    // A closed bracket is the answer only if the recorded policy reaches
+    // it. When below-floor winners closed it above every admissible
+    // policy, the model is degenerate at this floor, and the result reports
+    // the certified ratio: its recorded policy's, or the floor if none.
+    if (!degenerate_seen || (policy_recorded && lo - certified <= closed)) {
+      result.ratio = lo;
+      return finalize(robust::RunStatus::kConverged);
+    }
+    result.ratio = certified;
+    return finalize(robust::RunStatus::kDegenerateModel);
   }
+  result.ratio = lo;
   return finalize(robust::RunStatus::kToleranceStalled);
 }
 

@@ -120,6 +120,29 @@ TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
             sweeps_run);
 }
 
+TEST(SolveDiagnostics, BracketClosedByBelowFloorPoliciesIsDegenerate) {
+  // The model and knobs of ResidualsMonotoneNonIncreasingUnderBisection.
+  // Past rho = -1 only the below-floor action 0 beats the linearized
+  // problem, so bisection closes the bracket near action 0's ratio of 0,
+  // which no admissible policy reaches. The result must not claim that
+  // ratio: it is degenerate, and it reports the ratio of the policy it
+  // returns, action 1's -1.
+  const CompiledModel model = make_thin_denominator();
+  mdp::RatioKnobs config;
+  config.lower_bound = -5.0;
+  config.upper_bound = 0.0;
+  config.min_weight_rate = 0.2;
+  const mdp::RatioResult result = mdp::maximize_ratio(model, config);
+  ASSERT_TRUE(result.used_bisection);
+  EXPECT_EQ(result.status, robust::RunStatus::kDegenerateModel)
+      << robust::to_string(result.status) << ", ratio " << result.ratio;
+  ASSERT_EQ(result.policy.action.size(), 1u);
+  EXPECT_EQ(result.policy.action[0], 1u);
+  EXPECT_NEAR(result.reward_rate, -1.0, 1e-6);
+  EXPECT_NEAR(result.weight_rate, 1.0, 1e-6);
+  EXPECT_EQ(result.ratio, result.reward_rate / result.weight_rate);
+}
+
 TEST(SolveDiagnostics, RetryPathAccumulatesAcrossAttempts) {
   const CompiledModel model = make_alternator(1.0, 3.0);
   mdp::RatioKnobs config;

@@ -24,7 +24,7 @@ sim::NetworkConfig two_miner_config() {
   sim::NetworkConfig config;
   for (int i = 0; i < 2; ++i) {
     sim::NetMiner m;
-    m.name = "m" + std::to_string(i);
+    m.name = std::string("m").append(std::to_string(i));
     m.power = 0.5;
     m.rule.eb = 32 * kMegabyte;
     m.rule.mg = 32 * kMegabyte;

@@ -104,7 +104,7 @@ TEST_P(RandomInvariants, NetworkSimConservation) {
   }
   for (std::size_t i = 0; i < n; ++i) {
     sim::NetMiner miner;
-    miner.name = "m" + std::to_string(i);
+    miner.name = std::string("m").append(std::to_string(i));
     miner.power = powers[i] / total;
     miner.rule.eb = chain::kMegabyte * (1 + rng.next_below(8));
     miner.rule.mg = miner.rule.eb;

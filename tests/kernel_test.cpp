@@ -1,6 +1,7 @@
 // The vectorized sweep kernel layer (mdp/kernel.hpp): dispatch
-// vocabulary, bit-identical scalar/AVX2/AVX-512 fused sweeps (including
-// remainder lanes, split ranges and ragged menus), the fixed-policy chain
+// vocabulary, bit-identical scalar/AVX2/AVX-512 fused sweeps over two- and
+// three-action menus (including remainder lanes, split ranges, forced
+// argmax ties and ragged menus), the fixed-policy chain
 // sweep against a greedy sweep of the policy's
 // one-action model, the palette-coded AVX-512 bodies on palettes of 1, 9
 // and 16 values, the paper's models all taking the coded path,
@@ -91,18 +92,17 @@ mdp::Model ragged_model(mdp::StateId num_states) {
 /// takes exactly their distinct values (plus 0.0 where rows are padded).
 using Rows = std::vector<std::vector<double>>;
 
-/// A model of palette-bounded probabilities: state s offers menu(s)
-/// actions, and action a takes row pick(s, a) % rows.size() of `rows`, with
+/// A model of palette-bounded probabilities in the attack-model shapes: a
+/// uniform menu of `actions` (two, or three with Table 4's Wait), where
+/// action a of state s takes row (5s + 3a) % rows.size() of `rows`, with
 /// scattered next states and dyadic rewards/weights.
-mdp::Model palette_model(mdp::StateId num_states,
-                         std::size_t (*menu)(mdp::StateId),
-                         std::size_t (*pick)(mdp::StateId, std::size_t),
-                         const Rows& rows) {
+mdp::Model palette_uniform_model(mdp::StateId num_states, std::size_t actions,
+                                 const Rows& rows) {
   mdp::ModelBuilder builder(num_states);
   for (mdp::StateId s = 0; s < num_states; ++s) {
-    for (std::size_t a = 0; a < menu(s); ++a) {
+    for (std::size_t a = 0; a < actions; ++a) {
       builder.begin_action(s, static_cast<mdp::ActionLabel>(a));
-      const std::vector<double>& row = rows[pick(s, a) % rows.size()];
+      const std::vector<double>& row = rows[(s * 5 + a * 3) % rows.size()];
       for (std::size_t j = 0; j < row.size(); ++j) {
         builder.add_outcome(
             static_cast<mdp::StateId>((s * 13 + a * 7 + j * 3 + 1) %
@@ -113,17 +113,6 @@ mdp::Model palette_model(mdp::StateId num_states,
     }
   }
   return builder.build();
-}
-
-/// The attack-model shape (a uniform two-action menu) over `rows`.
-mdp::Model palette_two_action_model(mdp::StateId num_states,
-                                    const Rows& rows) {
-  return palette_model(
-      num_states, [](mdp::StateId) -> std::size_t { return 2; },
-      [](mdp::StateId s, std::size_t a) -> std::size_t {
-        return s * 5 + a * 3;
-      },
-      rows);
 }
 
 /// One value: every action moves deterministically (probability 1.0).
@@ -222,6 +211,58 @@ mdp::Model uniform_two_action_model(mdp::StateId num_states) {
   return builder.build();
 }
 
+/// A uniform three-action model (Table 4's menu shape) whose states cycle
+/// through forced argmax ties. Actions are built from dyadic rows, so the
+/// mirror is coded and both vector ISAs run their own bodies. By s % 5:
+/// 0 — actions 0 and 1 are copies and action 2 is worse; 1 — actions 1
+/// and 2 tie above action 0; 2 — actions 0 and 2 tie above action 1;
+/// 3 — three distinct actions; 4 — three copies. A copy repeats the
+/// outcome rows and rewards of the action it copies, so the tied values
+/// are bit-identical, and the worse action's rewards are 64 lower, more
+/// than any spread of ramp_bias over fewer than 200 states.
+mdp::Model three_action_tie_model(mdp::StateId num_states) {
+  mdp::ModelBuilder builder(num_states);
+  for (mdp::StateId s = 0; s < num_states; ++s) {
+    // source[a]: the action whose row action a repeats; worse: the
+    // penalized action (3 for none).
+    std::size_t source[3] = {0, 1, 2};
+    std::size_t worse = 3;
+    switch (s % 5) {
+      case 0:
+        source[1] = 0;
+        worse = 2;
+        break;
+      case 1:
+        source[2] = 1;
+        worse = 0;
+        break;
+      case 2:
+        source[2] = 0;
+        worse = 1;
+        break;
+      case 4:
+        source[1] = source[2] = 0;
+        break;
+      default:
+        break;
+    }
+    for (std::size_t a = 0; a < 3; ++a) {
+      builder.begin_action(s, static_cast<mdp::ActionLabel>(a));
+      const std::size_t k = source[a];
+      const std::vector<double>& row =
+          kNineValueRows[(s * 5 + k * 3) % kNineValueRows.size()];
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        const double reward = 0.125 * static_cast<double>((s * 3 + k + j) % 9);
+        builder.add_outcome(
+            static_cast<mdp::StateId>((s * 13 + k * 7 + j * 3 + 1) %
+                                      num_states),
+            row[j], a == worse ? reward - 64.0 : reward);
+      }
+    }
+  }
+  return builder.build();
+}
+
 /// Full-range and split-range fused sweeps under `isa` against the scalar
 /// reference: bias, policy, and span must agree bit-for-bit (== on doubles).
 void expect_rvi_sweep_equivalence(const mdp::CompiledModel& compiled,
@@ -292,6 +333,33 @@ void run_rvi_sweep_suite(Isa isa) {
     ASSERT_FALSE(compiled.has_codes());
     ASSERT_EQ(compiled.uniform_actions(), 2u);
     expect_rvi_sweep_equivalence(compiled, isa);
+  }
+  // Uniform three actions with forced ties: 139 states, a multiple of
+  // neither 8 nor 16, so the split at 5 sweeps a range that starts and
+  // ends mid-vector. Coded, so each ISA runs its own three-action body.
+  {
+    const mdp::CompiledModel compiled =
+        mdp::CompiledModel::compile(three_action_tie_model(139));
+    ASSERT_TRUE(compiled.has_codes());
+    ASSERT_EQ(compiled.uniform_actions(), 3u);
+    ASSERT_EQ(mdp::kernel::rvi_sweep_isa(compiled, isa), isa);
+    expect_rvi_sweep_equivalence(compiled, isa);
+    // The ties are real: every tie state keeps the lower tied action.
+    const mdp::StateId n = compiled.num_states();
+    const std::vector<double> bias = ramp_bias(n);
+    std::vector<double> out(n);
+    std::vector<std::uint32_t> policy(n, 99u);
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
+                           bias.data(), 0.0, 0, n, out.data(), policy.data(),
+                           &lo, &hi, isa);
+    constexpr std::uint32_t kKept[5] = {0, 1, 0, 99, 0};
+    for (mdp::StateId s = 0; s < n; ++s) {
+      if (s % 5 != 3) {
+        EXPECT_EQ(policy[s], kKept[s % 5]) << "state=" << s;
+      }
+    }
   }
   // Ragged action menus: the dispatcher must fall back to scalar and the
   // answer is (trivially) bit-identical. This guards the gate condition.
@@ -536,9 +604,9 @@ TEST(Kernel, PolicyChainRejectsOutOfRangeActions) {
 // ---- palette-coded AVX-512 bodies ----------------------------------------
 
 /// Palettes of 1, 9 and 16 values (the 16th entry sits in the second
-/// palette register). 140 states gives the one-value model a padding-free
-/// mirror (280 rows, a multiple of 8); 139 leaves every vector body a
-/// scalar remainder.
+/// palette register). 136 states gives the one-value model a padding-free
+/// mirror under both menus (272 and 408 rows, multiples of 8); 139 leaves
+/// every vector body a scalar remainder.
 struct PaletteCase {
   const char* name;
   mdp::StateId states;
@@ -546,7 +614,7 @@ struct PaletteCase {
   std::size_t values;
 };
 const PaletteCase kPaletteCases[] = {
-    {"1 value", 140, &kOneValueRows, 1},
+    {"1 value", 136, &kOneValueRows, 1},
     {"9 values", 139, &kNineValueRows, 9},
     {"16 values", 139, &kSixteenValueRows, 16},
 };
@@ -556,41 +624,46 @@ TEST(Kernel, CodedAvx512BodiesMatchScalarBitExact) {
     GTEST_SKIP() << "avx512 not available on this build/CPU";
   }
   for (const PaletteCase& c : kPaletteCases) {
-    SCOPED_TRACE(c.name);
-    const mdp::CompiledModel compiled = mdp::CompiledModel::compile(
-        palette_two_action_model(c.states, *c.rows));
-    ASSERT_TRUE(compiled.has_codes());
-    ASSERT_EQ(compiled.palette_size(), c.values);
-    ASSERT_EQ(mdp::kernel::rvi_sweep_isa(compiled, Isa::kAvx512),
-              Isa::kAvx512);
-    expect_rvi_sweep_equivalence(compiled, Isa::kAvx512);
+    for (const std::size_t actions : {2u, 3u}) {
+      SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(actions) +
+                   " actions");
+      const mdp::CompiledModel compiled = mdp::CompiledModel::compile(
+          palette_uniform_model(c.states, actions, *c.rows));
+      ASSERT_TRUE(compiled.has_codes());
+      ASSERT_EQ(compiled.palette_size(), c.values);
+      ASSERT_EQ(compiled.uniform_actions(), actions);
+      ASSERT_EQ(mdp::kernel::rvi_sweep_isa(compiled, Isa::kAvx512),
+                Isa::kAvx512);
+      expect_rvi_sweep_equivalence(compiled, Isa::kAvx512);
 
-    std::vector<std::uint32_t> policy(compiled.num_states());
-    for (mdp::StateId s = 0; s < compiled.num_states(); ++s) {
-      policy[s] = (s * 7 / 3) % 2;
+      std::vector<std::uint32_t> policy(compiled.num_states());
+      for (mdp::StateId s = 0; s < compiled.num_states(); ++s) {
+        policy[s] = static_cast<std::uint32_t>((s * 7 / 3) % actions);
+      }
+      const mdp::PolicyChain chain(
+          compiled, policy,
+          {compiled.expected_reward(), compiled.num_state_actions()});
+      ASSERT_TRUE(chain.has_codes());
+      ASSERT_EQ(mdp::kernel::rvi_sweep_isa(chain, Isa::kAvx512),
+                Isa::kAvx512);
+      expect_chain_sweep_equivalence(compiled, policy);
     }
-    const mdp::PolicyChain chain(
-        compiled, policy,
-        {compiled.expected_reward(), compiled.num_state_actions()});
-    ASSERT_TRUE(chain.has_codes());
-    ASSERT_EQ(mdp::kernel::rvi_sweep_isa(chain, Isa::kAvx512), Isa::kAvx512);
-    expect_chain_sweep_equivalence(compiled, policy);
   }
 }
 
 /// Every model the paper's tables solve takes the coded AVX-512 path: the
 /// Table 2/3/4 grids at setting 1 (setting 2 shares their value counts),
 /// one setting-2 cell per utility, and the Bitcoin selfish-mining
-/// baseline. The greedy sweep vectorizes the uniform two-action menus
-/// (Tables 2 and 3); Table 4's three-action Wait menus and the baseline's
-/// ragged menus keep the scalar greedy loop, and their policy chains run
+/// baseline. The greedy sweep vectorizes the uniform menus: two actions
+/// (Tables 2 and 3) and three with Wait (Table 4). Only the baseline's
+/// ragged menus keep the scalar greedy loop, and its policy chains run
 /// avx512. Guards against a palette rule that silently leaves cells on
 /// the AVX2 bodies: every result would still pass, only slower.
 TEST(Kernel, PaperModelsTakeTheCodedPath) {
   struct Cell {
     std::string name;
     std::shared_ptr<const mdp::CompiledModel> model;
-    bool two_actions;  ///< the menu the greedy sweep vectorizes
+    std::size_t menu;  ///< uniform action count, 0 for ragged menus
   };
   std::vector<Cell> cells;
   const auto add_bu = [&](double alpha, int b, int g, bu::Setting setting,
@@ -607,12 +680,13 @@ TEST(Kernel, PaperModelsTakeTheCodedPath) {
     params.gamma = gamma;
     params.setting = setting;
     cells.push_back(
-        {"u" + std::to_string(static_cast<int>(utility) + 1) + " setting " +
+        {std::string("u") + std::to_string(static_cast<int>(utility) + 1) +
+             " setting " +
              (setting == bu::Setting::kNoStickyGate ? "1" : "2") +
              " alpha=" + std::to_string(alpha) + " b:g=" +
              std::to_string(b) + ":" + std::to_string(g),
          bu::attack_model_compiled(params, utility),
-         utility != bu::Utility::kOrphaning});
+         utility == bu::Utility::kOrphaning ? 3u : 2u});
   };
   const bu::Setting one = bu::Setting::kNoStickyGate;
   for (const auto& [b, g] : std::vector<std::pair<int, int>>{
@@ -647,16 +721,16 @@ TEST(Kernel, PaperModelsTakeTheCodedPath) {
           {"bitcoin-sm tie=" + std::to_string(tie) +
                " alpha=" + std::to_string(alpha),
            btc::sm_model_compiled(params, bu::Utility::kAbsoluteReward),
-           false});
+           0u});
     }
   }
 
   for (const Cell& cell : cells) {
     const mdp::CompiledModel& model = *cell.model;
     ASSERT_TRUE(model.has_codes()) << cell.name;
-    EXPECT_EQ(model.uniform_actions() == 2, cell.two_actions) << cell.name;
+    EXPECT_EQ(model.uniform_actions(), cell.menu) << cell.name;
     EXPECT_EQ(mdp::kernel::rvi_sweep_isa(model, Isa::kAvx512),
-              cell.two_actions ? Isa::kAvx512 : Isa::kScalar)
+              cell.menu == 0 ? Isa::kScalar : Isa::kAvx512)
         << cell.name;
     const std::vector<std::uint32_t> policy(model.num_states(), 0);
     const mdp::PolicyChain chain(
@@ -814,16 +888,17 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
   // Two uniform actions with coded probabilities: both the greedy and the
   // chain sweep run the requested ISA.
   const mdp::CompiledModel two = mdp::CompiledModel::compile(
-      palette_two_action_model(64, kNineValueRows));
+      palette_uniform_model(64, 2, kNineValueRows));
   ASSERT_TRUE(two.has_codes());
   // Its random-probability twin carries no codes: an avx512 request runs
   // the AVX2 bodies for both sweeps.
   const mdp::CompiledModel random_two =
       mdp::CompiledModel::compile(uniform_two_action_model(64));
   ASSERT_FALSE(random_two.has_codes());
-  // Three actions and ragged menus: the greedy sweep takes the scalar
-  // loop; the chain of a fixed policy has one row per state and does not.
-  // The ragged model's random probabilities carry no codes either.
+  // Three coded actions: both sweeps run the requested ISA, as for two.
+  // Ragged menus: the greedy sweep takes the scalar loop; the chain of a
+  // fixed policy has one row per state and does not. The ragged model's
+  // random probabilities carry no codes.
   const mdp::CompiledModel three =
       mdp::CompiledModel::compile(uniform_three_action_model(64));
   ASSERT_EQ(three.uniform_actions(), 3u);
@@ -864,7 +939,7 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
     EXPECT_EQ(traced_kernel_arg(two, true), asked);
     EXPECT_EQ(traced_kernel_arg(random_two, false), uncoded);
     EXPECT_EQ(traced_kernel_arg(random_two, true), uncoded);
-    EXPECT_EQ(traced_kernel_arg(three, false), "scalar");
+    EXPECT_EQ(traced_kernel_arg(three, false), asked);
     EXPECT_EQ(traced_kernel_arg(three, true), asked);
     EXPECT_EQ(traced_kernel_arg(ragged, false), "scalar");
     EXPECT_EQ(traced_kernel_arg(ragged, true), uncoded);

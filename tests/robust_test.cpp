@@ -491,7 +491,7 @@ TEST(NetworkSimControl, PreCancelledMinesNothing) {
   sim::NetworkConfig config;
   for (int i = 0; i < 2; ++i) {
     sim::NetMiner m;
-    m.name = "m" + std::to_string(i);
+    m.name = std::string("m").append(std::to_string(i));
     m.power = 0.5;
     config.miners.push_back(m);
   }
@@ -507,7 +507,7 @@ TEST(NetworkSimControl, TickBudgetStopsEarlyWithConsistentAccounting) {
   sim::NetworkConfig config;
   for (int i = 0; i < 2; ++i) {
     sim::NetMiner m;
-    m.name = "m" + std::to_string(i);
+    m.name = std::string("m").append(std::to_string(i));
     m.power = 0.5;
     config.miners.push_back(m);
   }
@@ -530,7 +530,7 @@ TEST(ForkSimControl, PreCancelledMinesNothing) {
   sim::ForkSimConfig config;
   for (int i = 0; i < 2; ++i) {
     sim::SimMiner m;
-    m.name = "m" + std::to_string(i);
+    m.name = std::string("m").append(std::to_string(i));
     m.power = 0.5;
     m.block_size = m.rule.mg;
     config.miners.push_back(m);
@@ -547,7 +547,7 @@ TEST(ForkSimControl, TickBudgetStopsEarly) {
   sim::ForkSimConfig config;
   for (int i = 0; i < 2; ++i) {
     sim::SimMiner m;
-    m.name = "m" + std::to_string(i);
+    m.name = std::string("m").append(std::to_string(i));
     m.power = 0.5;
     m.block_size = m.rule.mg;
     config.miners.push_back(m);

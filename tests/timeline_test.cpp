@@ -24,7 +24,7 @@ sim::NetworkConfig tiny_network() {
   sim::NetworkConfig config;
   for (int i = 0; i < 3; ++i) {
     sim::NetMiner miner;
-    miner.name = "m" + std::to_string(i);
+    miner.name = std::string("m").append(std::to_string(i));
     miner.power = i == 0 ? 0.5 : 0.25;
     miner.rule.eb = 8 * kMegabyte;
     miner.rule.mg = 8 * kMegabyte;
