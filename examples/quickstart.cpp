@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // 2. Build the model; 3. solve it.
   const bu::AttackModel model =
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-  std::printf("model: %s\n\n", model.model.summary().c_str());
+  std::printf("model: %s\n\n", model.compiled->summary().c_str());
 
   const bu::AnalysisResult result = bu::analyze(model);
   std::printf("solve: %s in %.2fs (%d Dinkelbach iterations, %d sweeps)\n",

@@ -62,7 +62,7 @@ ctest --test-dir "$repo/$build" --output-on-failure -L counts
 # palette codes) must hold with the vector kernels forced off, under each vector ISA, and under auto
 # dispatch — the explicit avx2/avx512 passes run the solver-level greedy
 # and fixed-policy evaluation paths on each vector ISA, not only on the
-# one calibration picks. Requests clamp to what the CPU has and vector-ISA
+# one auto picks. Requests clamp to what the CPU has and vector-ISA
 # cases GTEST_SKIP on machines without AVX2/AVX-512, so every pass stays
 # green (not red) on any hardware; the env var additionally proves the
 # override path end to end.

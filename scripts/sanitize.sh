@@ -14,9 +14,10 @@
 # forwarded to ctest. BVC_SANITIZE=thread on the cmake line selects TSan
 # (see the top-level CMakeLists.txt).
 #
-# Every tier runs the FULL ctest suite, so the CompiledModel/Model
-# equivalence tests (test_compiled_model) run under each sanitizer, and the
-# thread tier additionally exercises the shared ModelCache under concurrent
+# Every tier runs the FULL ctest suite, so the CompiledModel tests
+# (test_compiled_model: each cell's template instance against
+# ModelBuilder's model of it) run under each sanitizer, and the thread
+# tier additionally exercises the shared ModelCache under concurrent
 # lookups via the parallel-labeled test_model_cache. The address tier also
 # covers the shard-labeled crash-safety suite (test_checkpoint, including
 # the journal's failed-write branch, + check_resume): the kill-mid-sweep ->
@@ -25,10 +26,10 @@
 # metrics export, bvcd's telemetry dir and its merge). The address
 # tier then re-runs the kernel-labeled suite with BVC_KERNEL=avx512, so
 # the AVX-512 bodies' palette-code loads (8 bytes per 8 lanes) run under
-# ASan/UBSan whichever ISA auto calibration picks. The thread tier
-# additionally re-runs the sim-labeled suite in isolation so
-# sim::run_replicas' multi-threaded replica fan-out (test_sim_replicas
-# drives it at --threads 8) is explicitly TSan-covered.
+# ASan/UBSan on any host that has AVX-512, whatever BVC_KERNEL the caller
+# set. The thread tier additionally re-runs the sim-labeled suite in
+# isolation so sim::run_replicas' multi-threaded replica fan-out
+# (test_sim_replicas drives it at --threads 8) is explicitly TSan-covered.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

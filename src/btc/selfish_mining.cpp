@@ -256,14 +256,12 @@ std::string sm_model_cache_key(const SmParams& params, bu::Utility utility) {
 }
 
 SmModel build_sm_model(const SmParams& params, bu::Utility utility) {
-  std::shared_ptr<const mdp::CompiledModel> compiled =
-      sm_model_compiled(params, utility);
+  params.validate();
   const SmStateSpace space(params.max_len);
   const auto values = symbol_values(params);
-  mdp::Model model = enumerate(params, utility,
-                               mdp::CellModelBuilder(space.size(), values));
-  return SmModel{space, std::move(model), std::move(compiled), params,
-                 utility};
+  auto model = std::make_shared<const mdp::CompiledModel>(enumerate(
+      params, utility, mdp::CellModelBuilder(space.size(), values)));
+  return SmModel{space, std::move(model), params, utility};
 }
 
 std::shared_ptr<const mdp::CompiledModel> sm_model_compiled(
@@ -288,8 +286,12 @@ SmAction policy_action(const SmModel& model, const mdp::Policy& policy,
   const mdp::StateId id = model.space.index(state);
   BVC_REQUIRE(id < policy.action.size(),
               "policy does not cover this state space");
+  const mdp::CompiledModel& compiled = *model.compiled;
+  const std::uint32_t local = policy.action[id];
+  BVC_REQUIRE(local < compiled.num_actions(id),
+              "action out of range for state");
   return static_cast<SmAction>(
-      model.model.action_label(id, policy.action[id]));
+      compiled.action_label(compiled.sa_index(id, local)));
 }
 
 std::string describe_sm_policy(const SmModel& model,

@@ -76,9 +76,7 @@ class SmStateSpace {
 /// The model plus its space, mirroring bu::AttackModel.
 struct SmModel {
   SmStateSpace space;
-  mdp::Model model;
-  /// SoA compilation of `model`, instantiated from the rule set's template
-  /// in mdp::ModelCache::global(); what analyze_sm sweeps.
+  /// The cell's model, indexed by `space`.
   std::shared_ptr<const mdp::CompiledModel> compiled;
   SmParams params;
   bu::Utility utility;
@@ -95,6 +93,8 @@ struct SmModel {
 ///   kRelativeRevenue — classic optimal selfish mining (Sapirshtein et al.);
 ///   kAbsoluteReward  — selfish mining + double-spending (Table 3 baseline);
 ///   kOrphaning       — honest blocks orphaned per attacker block.
+/// Enumerates the cell through mdp::CellModelBuilder without touching the
+/// cache; the model is bit-identical to sm_model_compiled's.
 [[nodiscard]] SmModel build_sm_model(const SmParams& params,
                                      bu::Utility utility);
 

@@ -193,8 +193,12 @@ Action policy_action(const AttackModel& model, const mdp::Policy& policy,
   const mdp::StateId id = model.space.index(state);
   BVC_REQUIRE(id < policy.action.size(),
               "policy does not cover this state space");
+  const mdp::CompiledModel& compiled = *model.compiled;
   const std::uint32_t local = policy.action[id];
-  return static_cast<Action>(model.model.action_label(id, local));
+  BVC_REQUIRE(local < compiled.num_actions(id),
+              "action out of range for state");
+  return static_cast<Action>(
+      compiled.action_label(compiled.sa_index(id, local)));
 }
 
 std::string describe_policy(const AttackModel& model,
@@ -227,9 +231,7 @@ RolloutResult rollout_policy(const AttackModel& model,
   double num = 0.0;
   double den = 0.0;
   for (std::uint64_t i = 0; i < steps; ++i) {
-    const mdp::StateId id = model.space.index(state);
-    const auto action =
-        static_cast<Action>(model.model.action_label(id, policy.action[id]));
+    const Action action = policy_action(model, policy, state);
     const std::array<double, 3> probs =
         event_probabilities(model.params, action);
     const std::size_t which = rng.next_categorical(probs);

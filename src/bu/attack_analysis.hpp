@@ -64,9 +64,9 @@ struct AnalysisResult : mdp::SolveReport {
 
 /// As analyze(), on an already-built model, for callers that also need its
 /// state space (rollouts, policy dumps, cross-validation). Solves on
-/// `model.compiled`, the cell's template instance, which must be set (as
-/// build_attack_model sets it). Bit-identical to
-/// analyze(model.params, model.utility, options).
+/// `model.compiled`, which must be set (as build_attack_model sets it).
+/// Bit-identical to analyze(model.params, model.utility, options), which
+/// solves the cell's template instance.
 [[nodiscard]] AnalysisResult analyze(const AttackModel& model,
                                      const AnalysisOptions& options = {});
 

@@ -372,15 +372,14 @@ std::shared_ptr<const mdp::CompiledModel> attack_model_compiled(
 }
 
 AttackModel build_attack_model(const AttackParams& params, Utility utility) {
-  std::shared_ptr<const mdp::CompiledModel> compiled =
-      attack_model_compiled(params, utility);
+  params.validate();
   const AttackParams effective = effective_params(params, utility);
   const SymbolValues values = symbol_values(effective);
   StateSpace space(effective.max_ad(), effective.max_r());
-  mdp::Model model = enumerate(effective, utility, space,
-                               mdp::CellModelBuilder(space.size(), values));
-  return AttackModel{std::move(space), std::move(model), std::move(compiled),
-                     effective, utility};
+  auto model = std::make_shared<const mdp::CompiledModel>(
+      enumerate(effective, utility, space,
+                mdp::CellModelBuilder(space.size(), values)));
+  return AttackModel{std::move(space), std::move(model), effective, utility};
 }
 
 }  // namespace bvc::bu

@@ -1,5 +1,5 @@
 // The fork-attack MDP of Sect. 4: transition semantics, reward streams, and
-// construction of a solvable bvc::mdp::Model.
+// construction of a solvable bvc::mdp::CompiledModel.
 //
 // Scenario (Sect. 4.1.1): three miners — strategic Alice (power alpha) and
 // two compliant groups Bob (beta, small EB_B) and Carol (gamma, large EB_C).
@@ -23,7 +23,6 @@
 
 #include "bu/attack_state.hpp"
 #include "mdp/compiled_model.hpp"
-#include "mdp/model.hpp"
 
 namespace bvc::bu {
 
@@ -174,10 +173,8 @@ struct StepResult {
 /// A fully built model plus its state space, ready for the solvers.
 struct AttackModel {
   StateSpace space;
-  mdp::Model model;
-  /// SoA compilation of `model` — the layout the solvers sweep —
-  /// instantiated from the rule set's template in mdp::ModelCache::global(),
-  /// so its index columns are shared with every cell of the rule set.
+  /// The cell's model: state `space.index(s)`'s actions are
+  /// available_actions(params, s), in that order.
   std::shared_ptr<const mdp::CompiledModel> compiled;
   AttackParams params;
   Utility utility;
@@ -193,10 +190,10 @@ struct AttackModel {
 
 /// Builds the sparse MDP for `params` under `utility`. The model's primary
 /// reward stream is the utility numerator, the secondary stream the
-/// denominator; `compiled` is attack_model_compiled's. For callers that
-/// need the state space or the authoring Model (rollouts, policy dumps,
-/// simulators): it always enumerates the cell's Model, even when the cache
-/// holds the rule set's template.
+/// denominator. For callers that need the state space (rollouts, policy
+/// dumps, simulators): it enumerates the cell through
+/// mdp::CellModelBuilder and never touches the cache. Its model is
+/// bit-identical to attack_model_compiled's.
 [[nodiscard]] AttackModel build_attack_model(const AttackParams& params,
                                              Utility utility);
 

@@ -19,14 +19,14 @@
 #include <vector>
 
 #include "mdp/compiled_model.hpp"
-#include "mdp/model.hpp"
 #include "mdp/solve_report.hpp"
 #include "robust/run_control.hpp"
 
 namespace bvc::mdp {
 
 /// A deterministic stationary policy: for each state, the *local* index of
-/// the chosen action (see Model::action_label for the external label).
+/// the chosen action (CompiledModel::action_label of its sa_index gives the
+/// external label).
 struct Policy {
   std::vector<std::uint32_t> action;
 
@@ -63,13 +63,12 @@ struct GainResult : SolveReport {
 };
 
 /// Maximizes the long-run average of the per-(state,action) rewards
-/// `sa_rewards` (indexed by Model::sa_index). `warm_start_bias`, when
+/// `sa_rewards` (indexed by CompiledModel::sa_index). `warm_start_bias`, when
 /// provided and correctly sized, seeds the value vector — this makes families
 /// of solves (e.g. Dinkelbach iterations) much cheaper.
 ///
-/// The solvers sweep the SoA kernel layout: compile a Model once
-/// (CompiledModel::compile), or instantiate it from a cached
-/// mdp::ModelTemplate, and solve on that.
+/// The solvers sweep the model's SoA columns, whether ModelBuilder built it
+/// or a cached mdp::ModelTemplate instantiated it.
 [[nodiscard]] GainResult maximize_average_reward(
     const CompiledModel& model, std::span<const double> sa_rewards,
     const AverageRewardKnobs& options = {},

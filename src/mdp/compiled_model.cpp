@@ -81,48 +81,6 @@ std::size_t IndexColumns::bytes_resident() const noexcept {
 CompiledModel::CompiledModel(std::shared_ptr<const IndexColumns> index)
     : index_(std::move(index)) {}
 
-CompiledModel CompiledModel::compile(const Model& model) {
-  const StateId n = model.num_states();
-  const std::size_t actions = model.num_state_actions();
-
-  auto index = std::make_shared<IndexColumns>();
-  index->state_begin.reserve(n + 1);
-  index->action_labels.reserve(actions);
-  index->outcome_begin.reserve(actions + 1);
-  CompiledModel compiled(index);
-  compiled.expected_reward_.reserve(actions);
-  compiled.expected_weight_.reserve(actions);
-
-  index->state_begin.push_back(0);
-  index->outcome_begin.push_back(0);
-  for (StateId s = 0; s < n; ++s) {
-    const std::size_t state_actions = model.num_actions(s);
-    for (std::size_t a = 0; a < state_actions; ++a) {
-      const SaIndex sa = model.sa_index(s, a);
-      index->action_labels.push_back(model.action_label(s, a));
-      compiled.expected_reward_.push_back(model.expected_reward(sa));
-      compiled.expected_weight_.push_back(model.expected_weight(sa));
-      // Outcome order is preserved verbatim: solvers accumulate expected
-      // values in this order, so any reordering would change the
-      // floating-point sums and break bit-compatibility with the Model path.
-      for (const Outcome& o : model.outcomes(sa)) {
-        index->next.push_back(o.next);
-        compiled.prob_.push_back(o.probability);
-        compiled.reward_.push_back(o.reward);
-        compiled.weight_.push_back(o.weight);
-      }
-      index->outcome_begin.push_back(index->next.size());
-    }
-    index->state_begin.push_back(index->action_labels.size());
-  }
-
-  BVC_ENSURE(index->action_labels.size() == actions,
-             "compiled action count must match the source model");
-  index->finalize();
-  compiled.finalize_values();
-  return compiled;
-}
-
 void CompiledModel::finalize_values() {
   ell_prob_.clear();
   if (has_ell()) {
@@ -229,6 +187,92 @@ PolicyChain::PolicyChain(const CompiledModel& model,
     palette_.assign(model.palette(),
                     model.palette() + CompiledModel::kPaletteSize);
   }
+}
+
+ModelBuilder::ModelBuilder(StateId num_states) : num_states_(num_states) {
+  BVC_REQUIRE(num_states > 0, "model needs at least one state");
+  per_state_.resize(num_states);
+}
+
+void ModelBuilder::begin_action(StateId state, ActionLabel label) {
+  BVC_REQUIRE(state < num_states_, "state out of range");
+  per_state_[state].push_back(PendingAction{label, {}});
+  has_current_ = true;
+  current_state_ = state;
+  current_index_ = per_state_[state].size() - 1;
+}
+
+void ModelBuilder::add_outcome(StateId next, double probability, double reward,
+                               double weight) {
+  BVC_REQUIRE(has_current_, "add_outcome before begin_action");
+  BVC_REQUIRE(next < num_states_, "successor state out of range");
+  BVC_REQUIRE(probability >= 0.0, "outcome probability must be >= 0");
+  if (probability == 0.0) {
+    return;  // zero-probability branches carry no information
+  }
+  auto& action = per_state_[current_state_][current_index_];
+  // Merge duplicate successors so solvers see one branch per (s,a,s').
+  for (Outcome& existing : action.outcomes) {
+    if (existing.next == next) {
+      merge_outcome(existing, probability, reward, weight);
+      return;
+    }
+  }
+  action.outcomes.push_back(Outcome{next, probability, reward, weight});
+}
+
+CompiledModel ModelBuilder::build() {
+  std::size_t total_actions = 0;
+  std::size_t total_outcomes = 0;
+  for (const auto& actions : per_state_) {
+    total_actions += actions.size();
+    for (const auto& action : actions) {
+      total_outcomes += action.outcomes.size();
+    }
+  }
+  auto index = std::make_shared<IndexColumns>();
+  index->state_begin.reserve(num_states_ + 1);
+  index->action_labels.reserve(total_actions);
+  index->outcome_begin.reserve(total_actions + 1);
+  index->next.reserve(total_outcomes);
+  CompiledModel model(index);
+  model.prob_.reserve(total_outcomes);
+  model.reward_.reserve(total_outcomes);
+  model.weight_.reserve(total_outcomes);
+  model.expected_reward_.reserve(total_actions);
+  model.expected_weight_.reserve(total_actions);
+
+  index->state_begin.push_back(0);
+  index->outcome_begin.push_back(0);
+  for (StateId s = 0; s < num_states_; ++s) {
+    auto& actions = per_state_[s];
+    BVC_REQUIRE(!actions.empty(),
+                "every state must have at least one action (state " +
+                    std::to_string(s) + ")");
+    for (auto& action : actions) {
+      BVC_REQUIRE(!action.outcomes.empty(),
+                  "every action must have at least one outcome");
+      const auto [expected_reward, expected_weight] =
+          normalize_outcomes(action.outcomes, s);
+      index->action_labels.push_back(action.label);
+      model.expected_reward_.push_back(expected_reward);
+      model.expected_weight_.push_back(expected_weight);
+      for (const Outcome& o : action.outcomes) {
+        index->next.push_back(o.next);
+        model.prob_.push_back(o.probability);
+        model.reward_.push_back(o.reward);
+        model.weight_.push_back(o.weight);
+      }
+      index->outcome_begin.push_back(index->next.size());
+    }
+    index->state_begin.push_back(index->action_labels.size());
+  }
+
+  per_state_.assign(num_states_, {});
+  has_current_ = false;
+  index->finalize();
+  model.finalize_values();
+  return model;
 }
 
 std::string CompiledModel::summary() const {

@@ -1,23 +1,22 @@
-// Structure-of-arrays compilation of a sparse Model — the solver kernel
-// layout.
+// The library's one model representation: a sparse MDP (model.hpp) in
+// structure-of-arrays columns, the layout the solver kernels sweep.
 //
-// Model (model.hpp) is the *authoring* representation: convenient to build
-// incrementally, validated, and addressed through bounds-checked accessors.
-// Sweeping it from the solvers' hot loops pays for that convenience twice
-// per access: every num_actions/sa_index/outcomes call re-validates its
-// arguments, and the 32-byte Outcome structs interleave the probability a
-// backup multiplies with the reward/weight fields it never touches, wasting
-// half of every cache line the expected-value loop streams through.
+// A CompiledModel stores the CSR-like structure as parallel scalar arrays
+// (state_begin / outcome_begin index arrays, and next / prob / reward /
+// weight outcome columns), with unchecked inline accessors; the hot loops
+// stream only the columns they use. Every solver (average_reward, ratio,
+// policy_iteration) and rollout_model reads this layout. A model is built
+// in one of two ways, which fill the same columns by the same arithmetic
+// (merge_outcome, then normalize_outcomes):
 //
-// CompiledModel is the same CSR-like structure flattened into parallel
-// scalar arrays (state_begin / outcome_begin index arrays, and next / prob /
-// reward / weight outcome columns), with unchecked inline accessors. All
-// three solvers (average_reward, ratio, policy_iteration) and rollout_model
-// read this layout; the Model overloads of the RVI solvers and the rollout
-// compile on entry and forward.
-// Compilation preserves action and outcome ORDER exactly, and the solvers
-// keep the seed's expression order, so every result is bit-identical to
-// sweeping the Model directly.
+//   * ModelBuilder (below): validated incremental construction of one
+//     model, action by action and branch by branch;
+//   * ModelTemplate::instantiate (model_template.hpp): one cell of a rule
+//     set whose index columns are already built.
+//
+// Both keep the author's action and outcome ORDER exactly (the solvers
+// accumulate expected values in that order), so a cell's template
+// instance is bit-identical to ModelBuilder's model of the same cell.
 //
 // The columns come in two kinds. The INDEX columns (state_begin,
 // action_labels, outcome_begin, next and the ELL next mirror, in
@@ -28,12 +27,12 @@
 // through its ModelTemplate (model_template.hpp), and a CompiledModel holds
 // it by shared_ptr next to its own value columns.
 //
-// Since PR 8 the columns are 64-byte-aligned allocations
-// (util::AlignedVector) and, when every action's outcome list is short
-// enough, a padded column-major ELL mirror of the next/prob columns is
-// built alongside the CSR layout for the vectorized sweep kernels
-// (mdp/kernel.hpp): ell_prob()[j * ell_stride() + sa] is outcome j of flat
-// action sa, zero-padded past the action's real outcomes. Padding entries
+// The columns are 64-byte-aligned allocations (util::AlignedVector) and,
+// when every action's outcome list is short enough, a padded column-major
+// ELL mirror of the next/prob columns is built alongside the CSR layout
+// for the vectorized sweep kernels (mdp/kernel.hpp):
+// ell_prob()[j * ell_stride() + sa] is outcome j of flat action sa,
+// zero-padded past the action's real outcomes. Padding entries
 // have prob == 0.0 and next == 0, so accumulating them adds exactly 0.0
 // and the vector kernel can run fixed-width lanes without masking. The
 // scalar CSR columns remain authoritative.
@@ -59,7 +58,7 @@
 // evaluation builds one per solve and sweeps it with
 // kernel::rvi_eval_sweep; it copies its rows' codes from the mirror.
 //
-// CompiledModel is immutable once built (by compile() or
+// CompiledModel is immutable once built (by ModelBuilder::build or
 // ModelTemplate::instantiate) and safe to share across threads by const
 // reference; its IndexColumns are immutable too, which is what lets the
 // cells of one template share them.
@@ -80,7 +79,7 @@ namespace bvc::mdp {
 /// The index columns of a compiled model (see the file comment): which
 /// actions each state offers and where each action's outcomes lead, plus
 /// the ELL layout of those outcomes. Built once per ModelTemplate, or per
-/// compile(), and immutable after finalize().
+/// ModelBuilder::build(), and immutable after finalize().
 struct IndexColumns {
   // state s owns flat actions [state_begin[s], state_begin[s+1])
   util::AlignedVector<SaIndex> state_begin;
@@ -103,9 +102,6 @@ struct IndexColumns {
 
 class CompiledModel {
  public:
-  /// Flattens `model` into the SoA layout, with an index of its own.
-  [[nodiscard]] static CompiledModel compile(const Model& model);
-
   [[nodiscard]] StateId num_states() const noexcept {
     return static_cast<StateId>(index_->state_begin.size() - 1);
   }
@@ -219,7 +215,7 @@ class CompiledModel {
   /// The code of +0.0: the padding cells' code.
   [[nodiscard]] std::uint8_t zero_code() const noexcept { return zero_code_; }
 
-  /// Widest ELL row the compiler will pad to; wider models simply carry no
+  /// Widest ELL row the builders will pad to; wider models simply carry no
   /// ELL mirror and sweep through the scalar CSR kernel.
   static constexpr std::size_t kMaxEllWidth = 16;
   /// Cap on (padded cells) / (real outcomes); protects skewed models where
@@ -240,6 +236,7 @@ class CompiledModel {
   [[nodiscard]] std::size_t bytes_resident() const noexcept;
 
  private:
+  friend class ModelBuilder;
   friend class ModelTemplate;
   explicit CompiledModel(std::shared_ptr<const IndexColumns> index);
 
@@ -265,6 +262,50 @@ class CompiledModel {
   util::AlignedVector<double> palette_;
   std::size_t palette_size_ = 0;
   std::uint8_t zero_code_ = 0;
+};
+
+/// Incremental construction of one model. Usage:
+///
+///   ModelBuilder b(num_states);
+///   b.begin_action(s, kOnChain2);
+///   b.add_outcome(next, prob, reward, weight);
+///   ...
+///   CompiledModel m = b.build();
+///
+/// Branches of one action to the same successor merge (merge_outcome), and
+/// zero-probability branches are dropped. build() validates the structure:
+/// every state has at least one action, every action has outcomes whose
+/// probabilities are non-negative and sum to one within 1e-9 (they are then
+/// renormalized exactly, by normalize_outcomes). It keeps each state's
+/// actions in declaration order and each action's merged outcomes in the
+/// order their successors first appeared.
+class ModelBuilder {
+ public:
+  explicit ModelBuilder(StateId num_states);
+
+  /// Starts a new action for `state`. States' actions may be declared in any
+  /// state order, but the actions of one state must be contiguous calls.
+  void begin_action(StateId state, ActionLabel label);
+
+  /// Adds a branch to the action most recently begun.
+  void add_outcome(StateId next, double probability, double reward = 0.0,
+                   double weight = 0.0);
+
+  /// Finalizes and validates the model. The builder is left empty, as if
+  /// just constructed.
+  [[nodiscard]] CompiledModel build();
+
+ private:
+  struct PendingAction {
+    ActionLabel label = 0;
+    std::vector<Outcome> outcomes;
+  };
+
+  StateId num_states_;
+  std::vector<std::vector<PendingAction>> per_state_;
+  bool has_current_ = false;
+  StateId current_state_ = 0;
+  std::size_t current_index_ = 0;
 };
 
 /// One fixed policy's transition chain in the ELL layout: per state s, the

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <vector>
 
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
@@ -100,90 +97,15 @@ bool isa_available(Isa isa) noexcept {
   return false;
 }
 
-namespace {
-
-/// One-shot micro-calibration for kAuto when BOTH vector ISAs are usable.
-/// "Wider is faster" is false on real parts — Skylake-class Xeons execute
-/// 4-lane ymm gathers at better per-lane throughput than 8-lane zmm ones,
-/// and the sweep kernels are gather- and bandwidth-bound — so auto
-/// dispatch measures once per process instead of assuming. The probe runs
-/// the fused rvi_sweep (the primitive production solves spend their time
-/// in) over a synthetic uniform 2-action / 3-outcome model sized so the
-/// bias vector spills into L2 and the next indices scatter, matching the
-/// real attack models' access pattern. Either answer is safe: every ISA
-/// produces bit-identical results, so calibration affects speed only.
-/// Explicit --kernel requests bypass this entirely.
-Isa calibrated_vector_isa() noexcept {
-  static const Isa choice = []() noexcept -> Isa {
-    try {
-      constexpr StateId kStates = 16384;
-      ModelBuilder builder(kStates);
-      for (StateId s = 0; s < kStates; ++s) {
-        for (std::uint32_t a = 0; a < 2; ++a) {
-          builder.begin_action(s, static_cast<ActionLabel>(a));
-          std::uint32_t hash = (s * 2u + a) * 2654435761u;
-          for (int j = 0; j < 3; ++j) {
-            hash = hash * 747796405u + 2891336453u;
-            builder.add_outcome(static_cast<StateId>(hash % kStates),
-                                j < 2 ? 0.375 : 0.25, 0.0, 1.0);
-          }
-        }
-      }
-      const CompiledModel compiled = CompiledModel::compile(builder.build());
-      if (!compiled.has_ell()) {
-        return Isa::kAvx512;
-      }
-      std::vector<double> bias(kStates);
-      for (StateId s = 0; s < kStates; ++s) {
-        bias[s] = 0.25 * static_cast<double>(s % 97) - 3.0;
-      }
-      std::vector<double> next(kStates, 0.0);
-      const double* rewards = compiled.expected_reward();
-      using Clock = std::chrono::steady_clock;
-      const auto best_sweep_seconds = [&](Isa isa) {
-        double best = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < 3; ++rep) {
-          const Clock::time_point start = Clock::now();
-          for (int i = 0; i < 8; ++i) {
-            double span_min = std::numeric_limits<double>::infinity();
-            double span_max = -std::numeric_limits<double>::infinity();
-            rvi_sweep(compiled, rewards, 0.999, bias.data(), 0.0, 0, kStates,
-                      next.data(), nullptr, &span_min, &span_max, isa);
-          }
-          best = std::min(
-              best, std::chrono::duration<double>(Clock::now() - start)
-                        .count());
-        }
-        return best;
-      };
-      return best_sweep_seconds(Isa::kAvx512) <= best_sweep_seconds(Isa::kAvx2)
-                 ? Isa::kAvx512
-                 : Isa::kAvx2;
-    } catch (...) {
-      // Calibration is best-effort; fall back to the wider ISA.
-      return Isa::kAvx512;
-    }
-  }();
-  return choice;
-}
-
-}  // namespace
-
 Isa resolve(Request request) noexcept {
+  const bool want_512 =
+      request == Request::kAvx512 || request == Request::kAuto;
+  const bool want_2 = want_512 || request == Request::kAvx2;
   Isa isa = Isa::kScalar;
-  const bool avail_512 = isa_available(Isa::kAvx512);
-  const bool avail_2 = isa_available(Isa::kAvx2);
-  if (request == Request::kAuto && avail_512 && avail_2) {
-    isa = calibrated_vector_isa();
-  } else {
-    const bool want_512 =
-        request == Request::kAvx512 || request == Request::kAuto;
-    const bool want_2 = want_512 || request == Request::kAvx2;
-    if (want_512 && avail_512) {
-      isa = Isa::kAvx512;
-    } else if (want_2 && avail_2) {
-      isa = Isa::kAvx2;
-    }
+  if (want_512 && isa_available(Isa::kAvx512)) {
+    isa = Isa::kAvx512;
+  } else if (want_2 && isa_available(Isa::kAvx2)) {
+    isa = Isa::kAvx2;
   }
   if (obs::metrics_enabled()) {
     static obs::Gauge& isa_gauge =

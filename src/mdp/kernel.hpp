@@ -43,12 +43,11 @@
 // ISA setting of the binaries; set_requested overrides it in-process, as
 // the tests and the benchmark harness do) is clamped to what the build
 // carries AND the CPU supports (util::cpu_features) — avx512 degrades to
-// avx2 degrades to scalar. When the request is auto and both vector ISAs
-// are usable, resolve() picks between them by a one-shot per-process
-// micro-calibration (gather throughput decides this kernel, and 8-lane
-// zmm gathers are slower per lane than 4-lane ymm ones on Skylake-class
-// parts, so "widest available" is the wrong rule); explicit requests are
-// honored as given. resolve() records the chosen ISA in the
+// avx2 degrades to scalar. Auto asks for the widest: it resolves by build
+// and CPUID alone, with no timing, so it cannot change from run to run.
+// (The AVX-512 bodies read one-byte palette codes, which made them the
+// fastest greedy and three-action sweeps on the hosts measured; see
+// BENCH_kernel.json.) resolve() records the chosen ISA in the
 // mdp.kernel.isa gauge; benches also stamp it into the run manifest.
 #pragma once
 
@@ -64,7 +63,7 @@ namespace bvc::mdp::kernel {
 /// mdp.kernel.isa gauge exports them): 0 scalar, 1 avx2, 2 avx512.
 enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// What the user asked for; kAuto picks the best available ISA.
+/// What the user asked for; kAuto picks the widest available ISA.
 enum class Request : int { kAuto = -1, kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Parses "auto" | "scalar" | "avx2" | "avx512" (the BVC_KERNEL

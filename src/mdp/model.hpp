@@ -1,6 +1,6 @@
-// Sparse finite Markov decision process representation.
+// The vocabulary of a sparse finite Markov decision process.
 //
-// A Model stores, for every state, a set of actions; for every (state,
+// A model has, for every state, a set of actions; for every (state,
 // action), a sparse list of outcomes (successor, probability, and two reward
 // streams). Two streams are carried because every utility function in Zhang &
 // Preneel's analysis is a ratio of two accumulated quantities:
@@ -12,17 +12,18 @@
 // The primary stream is the numerator ("reward"), the secondary stream the
 // denominator ("weight"). Plain average-reward problems simply use weight 1.
 //
-// Storage is CSR-like: states index into a flat action array, actions index
-// into a flat outcome array. Models are immutable once built; construct them
-// through ModelBuilder.
+// The model itself is mdp::CompiledModel (compiled_model.hpp), built by
+// ModelBuilder or instantiated from a ModelTemplate (model_template.hpp).
+// This header holds the id types, the Outcome branch both builders collect,
+// and the two functions that give both builders the same arithmetic.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -42,59 +43,8 @@ struct Outcome {
   double weight = 0.0;  ///< denominator stream increment
 };
 
-/// Flat index of a (state, action) pair inside a Model.
+/// Flat index of a (state, action) pair inside a model.
 using SaIndex = std::size_t;
-
-class Model {
- public:
-  [[nodiscard]] StateId num_states() const noexcept {
-    return static_cast<StateId>(state_begin_.size() - 1);
-  }
-  [[nodiscard]] std::size_t num_state_actions() const noexcept {
-    return action_labels_.size();
-  }
-  [[nodiscard]] std::size_t num_outcomes() const noexcept {
-    return outcomes_.size();
-  }
-
-  /// Number of actions available in `state` (always >= 1).
-  [[nodiscard]] std::size_t num_actions(StateId state) const;
-
-  /// Flat (state, action) index for the local action `a` of `state`.
-  [[nodiscard]] SaIndex sa_index(StateId state, std::size_t a) const;
-
-  /// External label of local action `a` of `state`.
-  [[nodiscard]] ActionLabel action_label(StateId state, std::size_t a) const;
-
-  /// Sparse outcome list of the (state, action) pair.
-  [[nodiscard]] std::span<const Outcome> outcomes(StateId state,
-                                                  std::size_t a) const;
-  [[nodiscard]] std::span<const Outcome> outcomes(SaIndex sa) const;
-
-  /// Expected per-step numerator / denominator increments of the pair.
-  [[nodiscard]] double expected_reward(SaIndex sa) const {
-    return expected_reward_[sa];
-  }
-  [[nodiscard]] double expected_weight(SaIndex sa) const {
-    return expected_weight_[sa];
-  }
-
-  /// Human-readable structural summary (state/action/outcome counts).
-  [[nodiscard]] std::string summary() const;
-
- private:
-  friend class ModelBuilder;
-  Model() = default;
-
-  // state s owns flat actions [state_begin_[s], state_begin_[s+1])
-  std::vector<SaIndex> state_begin_;
-  // flat action i owns outcomes [action_begin_[i], action_begin_[i+1])
-  std::vector<std::size_t> action_begin_;
-  std::vector<ActionLabel> action_labels_;
-  std::vector<Outcome> outcomes_;
-  std::vector<double> expected_reward_;
-  std::vector<double> expected_weight_;
-};
 
 /// Folds a branch (probability, reward, weight) into `into`, a branch of the
 /// same action to the same successor: the probabilities add and the rewards
@@ -135,45 +85,5 @@ inline void merge_outcome(Outcome& into, double probability, double reward,
   }
   return {expected_reward, expected_weight};
 }
-
-/// Incremental Model construction. Usage:
-///
-///   ModelBuilder b(num_states);
-///   b.begin_action(s, kOnChain2);
-///   b.add_outcome(next, prob, reward, weight);
-///   ...
-///   Model m = b.build();
-///
-/// build() validates the structure: every state has at least one action,
-/// every action has outcomes whose probabilities are non-negative and sum to
-/// one within 1e-9 (they are then renormalized exactly).
-class ModelBuilder {
- public:
-  explicit ModelBuilder(StateId num_states);
-
-  /// Starts a new action for `state`. States' actions may be declared in any
-  /// state order, but the actions of one state must be contiguous calls.
-  void begin_action(StateId state, ActionLabel label);
-
-  /// Adds a branch to the action most recently begun.
-  void add_outcome(StateId next, double probability, double reward = 0.0,
-                   double weight = 0.0);
-
-  /// Finalizes and validates the model. The builder is left empty.
-  [[nodiscard]] Model build();
-
- private:
-  struct PendingAction {
-    StateId state = 0;
-    ActionLabel label = 0;
-    std::vector<Outcome> outcomes;
-  };
-
-  StateId num_states_;
-  std::vector<std::vector<PendingAction>> per_state_;
-  bool has_current_ = false;
-  StateId current_state_ = 0;
-  std::size_t current_index_ = 0;
-};
 
 }  // namespace bvc::mdp

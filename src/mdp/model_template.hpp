@@ -9,8 +9,8 @@
 // shares renormalized without Alice). It holds
 //
 //   * the index columns (IndexColumns: state_begin, action labels,
-//     outcome_begin, next, the ELL next mirror), exactly as
-//     CompiledModel::compile would lay them out, and
+//     outcome_begin, next, the ELL next mirror), exactly as ModelBuilder
+//     lays them out, and
 //   * each action's VALUE CLASS: its merged outcomes — one per successor,
 //     as ModelBuilder merges them — each with its ordered contributions
 //     (the symbol, reward and weight of every branch that landed on that
@@ -23,13 +23,13 @@
 // normalize_outcomes, both from model.hpp), copies them into the rows of
 // the class's actions, builds the ELL prob mirror and its palette codes,
 // and returns a CompiledModel that shares the template's index. Every
-// column is bit-identical to CompiledModel::compile of the Model the same
-// loop authors with the cell's probabilities (CellModelBuilder);
-// test_compiled_model checks this over the paper's cells.
+// column is bit-identical to the model the same loop builds with the
+// cell's probabilities through CellModelBuilder; test_compiled_model
+// checks this over the paper's cells.
 //
 // A model author writes its enumeration loop once, against symbols, and
 // runs it with either builder: TemplateBuilder for the template,
-// CellModelBuilder for one cell's authoring Model. ModelBuilder drops a
+// CellModelBuilder for one cell's model. ModelBuilder drops a
 // zero-probability branch, so a branch whose symbol can be zero in some
 // cells must be left out by the loop in those cells, and the template key
 // (mdp::ModelCache holds one template per key) must name every input that
@@ -140,7 +140,8 @@ class TemplateBuilder {
 
 /// ModelBuilder behind TemplateBuilder's interface: each branch's symbol
 /// resolves to its value in `symbols` (which must outlive the builder), so
-/// a loop written once against symbols also authors one cell's plain Model.
+/// a loop written once against symbols also builds one cell's model
+/// without a template.
 class CellModelBuilder {
  public:
   CellModelBuilder(StateId num_states, std::span<const double> symbols)
@@ -153,7 +154,7 @@ class CellModelBuilder {
                    double weight) {
     builder_.add_outcome(next, symbols_[symbol], reward, weight);
   }
-  [[nodiscard]] Model build() { return builder_.build(); }
+  [[nodiscard]] CompiledModel build() { return builder_.build(); }
 
  private:
   ModelBuilder builder_;

@@ -160,9 +160,30 @@ RatioResult maximize_ratio(const CompiledModel& model,
       note_outer(rho);
       if (hi - lo <= options.tolerance) {
         result.ratio = lo;
-        return finalize(policy_recorded || !degenerate_seen
-                            ? robust::RunStatus::kConverged
-                            : robust::RunStatus::kDegenerateModel);
+        if (policy_recorded) {
+          return finalize(robust::RunStatus::kConverged);
+        }
+        // The first solve shows no policy beats the floor. The optimizer's
+        // policy is the answer only if it reaches the floor; otherwise the
+        // model is degenerate at this bracket, and the result reports what
+        // that policy achieves, as the bisection exit does.
+        const PolicyGains gains =
+            evaluate_policy_average(model, run.policy, inner_options(),
+                                    &eval_reward_bias, &eval_weight_bias);
+        result.diagnostics.inner_solves += 2;
+        result.diagnostics.inner_sweeps += gains.sweeps;
+        const bool weighted = gains.weight_rate > options.min_weight_rate;
+        const double achieved =
+            weighted ? gains.reward_rate / gains.weight_rate : lo;
+        const double closed = options.tolerance * (1.0 + std::abs(lo));
+        if (weighted && lo - achieved <= closed) {
+          record_policy(run.policy, gains.reward_rate, gains.weight_rate);
+          return finalize(robust::RunStatus::kConverged);
+        }
+        result.reward_rate = gains.reward_rate;
+        result.weight_rate = gains.weight_rate;
+        result.ratio = achieved;
+        return finalize(robust::RunStatus::kDegenerateModel);
       }
       break;  // degenerate/stalled: refine by bisection below
     }

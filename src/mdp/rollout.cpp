@@ -25,9 +25,9 @@ ModelRolloutResult rollout_model(const CompiledModel& model,
     const SaIndex sa = model.sa_index(state, policy.action[state]);
     const std::size_t begin = model.outcome_begin(sa);
     const std::size_t end = model.outcome_end(sa);
-    // Sample a branch by probability mass, in stored order (the same order
-    // the Model path iterates, so identical rng draws pick identical
-    // branches).
+    // Sample a branch by probability mass, in stored order (the author's
+    // order, so identical rng draws pick identical branches on a template
+    // instance and on ModelBuilder's model of the same cell).
     double u = rng.next_double();
     std::size_t chosen = end - 1;
     for (std::size_t k = begin; k < end; ++k) {

@@ -1,4 +1,4 @@
-// Monte-Carlo rollout of a fixed policy on a sparse Model: samples
+// Monte-Carlo rollout of a fixed policy on a sparse model: samples
 // successor states from the outcome distributions and accumulates both
 // reward streams. An independent check of the analytic gain/ratio solvers
 // (the solvers iterate expectations; the rollout samples trajectories).
@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "mdp/average_reward.hpp"
-#include "mdp/model.hpp"
 #include "robust/run_control.hpp"
 #include "util/rng.hpp"
 

@@ -442,11 +442,6 @@ double Json::number_or(std::string_view key, double fallback) const noexcept {
   return value != nullptr && value->is_number() ? value->as_number() : fallback;
 }
 
-bool Json::bool_or(std::string_view key, bool fallback) const noexcept {
-  const Json* value = find(key);
-  return value != nullptr && value->is_bool() ? value->as_bool() : fallback;
-}
-
 std::string Json::string_or(std::string_view key,
                             std::string_view fallback) const {
   const Json* value = find(key);

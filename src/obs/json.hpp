@@ -89,8 +89,6 @@ class Json {
   // Convenience typed lookups on objects.
   [[nodiscard]] double number_or(std::string_view key,
                                  double fallback) const noexcept;
-  [[nodiscard]] bool bool_or(std::string_view key,
-                             bool fallback) const noexcept;
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string_view fallback) const;
 

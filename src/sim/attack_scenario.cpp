@@ -225,9 +225,7 @@ ScenarioResult AttackScenarioSim::run(const mdp::Policy& policy,
     }
     ++result.steps;
     const bu::AttackState abstract = derive_state();
-    const mdp::StateId state_id = model_->space.index(abstract);
-    const auto action = static_cast<bu::Action>(
-        model_->model.action_label(state_id, policy.action[state_id]));
+    const bu::Action action = bu::policy_action(*model_, policy, abstract);
 
     const std::array<double, 3> probs =
         bu::event_probabilities(params_, action);

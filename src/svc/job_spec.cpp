@@ -28,6 +28,37 @@ bool read_number(const Json& object, std::string_view key, double& out,
   return true;
 }
 
+/// Reads a boolean member, as read_number reads a number: present with
+/// another type fails naming the field, absent leaves `out` untouched.
+bool read_bool(const Json& object, std::string_view key, bool& out,
+               std::string& error) {
+  const Json* value = object.find(key);
+  if (value == nullptr) {
+    return true;
+  }
+  if (!value->is_bool()) {
+    error = "field '" + std::string(key) + "' must be a boolean";
+    return false;
+  }
+  out = value->as_bool();
+  return true;
+}
+
+/// Reads a string member, as read_bool reads a boolean.
+bool read_string(const Json& object, std::string_view key, std::string& out,
+                 std::string& error) {
+  const Json* value = object.find(key);
+  if (value == nullptr) {
+    return true;
+  }
+  if (!value->is_string()) {
+    error = "field '" + std::string(key) + "' must be a string";
+    return false;
+  }
+  out = value->as_string();
+  return true;
+}
+
 bool read_unsigned(const Json& object, std::string_view key, unsigned& out,
                    std::string& error) {
   double value = static_cast<double>(out);
@@ -95,11 +126,13 @@ bool read_count(const Json& object, std::string_view scope,
 }
 
 bool parse_utility(const Json& object, bu::Utility& out, std::string& error) {
-  const Json* value = object.find("utility");
-  if (value == nullptr) {
+  if (object.find("utility") == nullptr) {
     return true;
   }
-  const std::string& name = value->as_string();
+  std::string name;
+  if (!read_string(object, "utility", name, error)) {
+    return false;
+  }
   if (name == "relative-revenue" || name == "u1") {
     out = bu::Utility::kRelativeRevenue;
   } else if (name == "absolute-reward" || name == "u2") {
@@ -156,10 +189,10 @@ bool parse_attack_cell(const Json& cell, bu::AttackParams& params,
       !read_unsigned(cell, "confirmations", params.confirmations, error) ||
       !read_number(cell, "rds", params.rds, error) ||
       !parse_setting(cell, params.setting, error) ||
-      !parse_utility(cell, utility, error)) {
+      !parse_utility(cell, utility, error) ||
+      !read_bool(cell, "allow_wait", params.allow_wait, error)) {
     return false;
   }
-  params.allow_wait = cell.bool_or("allow_wait", params.allow_wait);
   try {
     params.validate();
   } catch (const std::invalid_argument& e) {
@@ -195,10 +228,10 @@ bool expand_attack_grid(const Json& grid, bu::Utility job_utility,
       !read_unsigned(grid, "confirmations", defaults.confirmations, error) ||
       !read_number(grid, "rds", defaults.rds, error) ||
       !parse_setting(grid, defaults.setting, error) ||
-      !parse_utility(grid, utility, error)) {
+      !parse_utility(grid, utility, error) ||
+      !read_bool(grid, "allow_wait", defaults.allow_wait, error)) {
     return false;
   }
-  defaults.allow_wait = grid.bool_or("allow_wait", defaults.allow_wait);
 
   for (const Json& ratio : ratios->items()) {
     if (!ratio.is_array() || ratio.size() != 2 || !ratio.at(0).is_number() ||
@@ -324,10 +357,10 @@ bool parse_voting_cell(const Json& cell, counter::VotingJob& job,
     }
     counter::VoterCohort cohort;
     if (!read_number(member, "power", cohort.power, error) ||
-        !read_u64(member, "preferred_limit", cohort.preferred_limit, error)) {
+        !read_u64(member, "preferred_limit", cohort.preferred_limit, error) ||
+        !read_bool(member, "adversarial", cohort.adversarial, error)) {
       return false;
     }
-    cohort.adversarial = member.bool_or("adversarial", false);
     job.config.cohorts.push_back(cohort);
   }
   double total_power = 0.0;
@@ -357,14 +390,14 @@ bool parse_bu_rule(const Json& object, chain::BuParams& rule,
   if (!read_u64(object, "eb", eb, error) ||
       !read_u64(object, "mg", mg, error) ||
       !read_unsigned(object, "ad", ad, error) ||
-      !read_unsigned(object, "gate_period", gate_period, error)) {
+      !read_unsigned(object, "gate_period", gate_period, error) ||
+      !read_bool(object, "sticky_gate", rule.sticky_gate, error)) {
     return false;
   }
   rule.eb = static_cast<chain::ByteSize>(eb);
   rule.mg = static_cast<chain::ByteSize>(mg);
   rule.ad = ad;
   rule.gate_period = gate_period;
-  rule.sticky_gate = object.bool_or("sticky_gate", rule.sticky_gate);
   return true;
 }
 
@@ -392,9 +425,9 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
       return false;
     }
     sim::NetMiner miner;
-    miner.name = member.string_or("name", "");
     std::uint64_t block_size = miner.block_size;
-    if (!read_number(member, "power", miner.power, error) ||
+    if (!read_string(member, "name", miner.name, error) ||
+        !read_number(member, "power", miner.power, error) ||
         !read_u64(member, "block_size", block_size, error) ||
         !read_number(member, "bandwidth", miner.bandwidth, error) ||
         !read_number(member, "latency", miner.latency, error) ||
@@ -409,7 +442,10 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
       error = "field 'topology' must be an object";
       return false;
     }
-    const std::string type = topology->string_or("type", "random");
+    std::string type = "random";
+    if (!read_string(*topology, "type", type, error)) {
+      return false;
+    }
     if (type != "random" && type != "hub-spoke") {
       error = "unknown topology type '" + type + "' (want random|hub-spoke)";
       return false;
@@ -472,8 +508,8 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
           static_cast<std::uint32_t>(node.as_number()));
     }
   }
-  config.relay.compact = net.bool_or("compact", false);
-  if (!read_number(net, "compact_overhead_bytes",
+  if (!read_bool(net, "compact", config.relay.compact, error) ||
+      !read_number(net, "compact_overhead_bytes",
                    config.relay.overhead_bytes, error) ||
       !read_number(net, "compact_fraction", config.relay.fraction, error)) {
     return false;

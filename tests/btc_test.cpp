@@ -59,9 +59,9 @@ SmParams small_params(double alpha, double gamma_tie) {
 TEST(SmModel, BuildsWellFormedModel) {
   const SmModel model = build_sm_model(small_params(0.3, 0.5),
                                        Utility::kRelativeRevenue);
-  EXPECT_EQ(model.model.num_states(), model.space.size());
-  for (bvc::mdp::StateId id = 0; id < model.model.num_states(); ++id) {
-    EXPECT_GE(model.model.num_actions(id), 1u);
+  EXPECT_EQ(model.compiled->num_states(), model.space.size());
+  for (bvc::mdp::StateId id = 0; id < model.compiled->num_states(); ++id) {
+    EXPECT_GE(model.compiled->num_actions(id), 1u);
   }
 }
 
@@ -86,8 +86,8 @@ TEST(SmCacheFirst, FillCompilesTheModelBuildSmModelBuilds) {
     const SmParams params = small_params(0.3, 0.5);
     cache.clear();
     const auto filled = sm_model_compiled(params, utility);
-    const bvc::mdp::CompiledModel reference =
-        bvc::mdp::CompiledModel::compile(build_sm_model(params, utility).model);
+    const SmModel built = build_sm_model(params, utility);
+    const bvc::mdp::CompiledModel& reference = *built.compiled;
     ASSERT_EQ(filled->num_states(), reference.num_states());
     ASSERT_EQ(filled->num_state_actions(), reference.num_state_actions());
     ASSERT_EQ(filled->num_outcomes(), reference.num_outcomes());
@@ -107,26 +107,19 @@ TEST(SmCacheFirst, AnalyzeSmMatchesOnColdAndWarmCache) {
         Utility::kOrphaning}) {
     SCOPED_TRACE(std::string(bvc::bu::to_string(utility)));
     const SmParams params = small_params(0.3, 0.5);
-    // Reference: the entry build_sm_model's own builder loop filled.
-    cache.clear();
-    (void)build_sm_model(params, utility);
-    const SmResult built = analyze_sm(params, utility);
-    // Cache-first: a cold lookup fills through the fill, a warm one hits.
+    // Cache-first: a cold lookup fills the template, a warm one hits it.
     cache.clear();
     const SmResult cold = analyze_sm(params, utility);
     const SmResult warm = analyze_sm(params, utility);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
 
-    ASSERT_TRUE(built.converged());
-    for (const SmResult* result : {&cold, &warm}) {
-      EXPECT_EQ(result->status, built.status);
-      EXPECT_EQ(result->utility_value, built.utility_value);
-      EXPECT_EQ(result->policy, built.policy);
-      EXPECT_EQ(result->iterations, built.iterations);
-      EXPECT_EQ(result->diagnostics.inner_sweeps,
-                built.diagnostics.inner_sweeps);
-    }
+    ASSERT_TRUE(cold.converged());
+    EXPECT_EQ(warm.status, cold.status);
+    EXPECT_EQ(warm.utility_value, cold.utility_value);
+    EXPECT_EQ(warm.policy, cold.policy);
+    EXPECT_EQ(warm.iterations, cold.iterations);
+    EXPECT_EQ(warm.diagnostics.inner_sweeps, cold.diagnostics.inner_sweeps);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "bu/attack_model.hpp"
@@ -328,6 +329,39 @@ TEST(ApplyEvent, Phase2Chain2WinCollapsesToPhase1Base) {
   EXPECT_DOUBLE_EQ(step.deltas.others_locked, 4.0);
 }
 
+TEST(ApplyEvent, AdOneForkInPhase2CollapsesToPhase1Base) {
+  // At AD 1 Alice's excessive block is accepted on sight. At a phase-2 base
+  // state that is a phase-2 Chain-2 win: her block is locked and the model
+  // returns to the phase-1 base (r = 0), whether AD 1 is both sides' depth
+  // or only Carol's, who rejects Chain 2 in phase 2.
+  AttackParams both = default_params(Setting::kStickyGate);
+  both.ad = 1;
+  AttackParams carol_only = default_params(Setting::kStickyGate);
+  carol_only.ad_carol = 1;
+  for (const AttackParams& params : {both, carol_only}) {
+    SCOPED_TRACE("ad " + std::to_string(params.ad) + ", ad_carol " +
+                 std::to_string(params.ad_carol));
+    const StepResult step =
+        apply_event(params, AttackState{0, 0, 0, 0, 77}, Action::kOnChain2,
+                    Event::kAliceBlock);
+    EXPECT_EQ(step.next, AttackState{});
+    EXPECT_DOUBLE_EQ(step.deltas.alice_locked, 1.0);
+    EXPECT_DOUBLE_EQ(step.deltas.others_locked, 0.0);
+  }
+}
+
+TEST(ApplyEvent, AdOneForkInPhase1OpensTheGate) {
+  // The same instant win in phase 1 is a phase-1 Chain-2 win: Bob's gate
+  // opens with the full countdown (AD - 1 = 0 fork blocks already count).
+  AttackParams params = default_params(Setting::kStickyGate);
+  params.ad = 1;
+  const StepResult step = apply_event(params, AttackState{}, Action::kOnChain2,
+                                      Event::kAliceBlock);
+  EXPECT_TRUE(step.next.is_base());
+  EXPECT_EQ(step.next.r, 144);
+  EXPECT_DOUBLE_EQ(step.deltas.alice_locked, 1.0);
+}
+
 // ---------------------------------------------------------- double spend ---
 
 TEST(DoubleSpend, RevenueFormula) {
@@ -425,10 +459,12 @@ TEST(BuildModel, ProbabilitiesMatchPowers) {
   const AttackModel model = build_attack_model(params,
                                                Utility::kRelativeRevenue);
   // At the base state, OnChain1 keeps the system at base with prob 1.
-  const auto outcomes = model.model.outcomes(model.space.base(), 0);
+  const bvc::mdp::CompiledModel& compiled = *model.compiled;
+  const bvc::mdp::SaIndex sa = compiled.sa_index(model.space.base(), 0);
   double mass = 0.0;
-  for (const auto& o : outcomes) {
-    mass += o.probability;
+  for (std::size_t k = compiled.outcome_begin(sa);
+       k < compiled.outcome_end(sa); ++k) {
+    mass += compiled.prob()[k];
   }
   EXPECT_NEAR(mass, 1.0, 1e-12);
 }
@@ -438,18 +474,19 @@ TEST(BuildModel, WaitOnlyForOrphaningUtility) {
   const AttackModel u1 = build_attack_model(params,
                                             Utility::kRelativeRevenue);
   const AttackModel u3 = build_attack_model(params, Utility::kOrphaning);
-  EXPECT_EQ(u1.model.num_actions(u1.space.base()), 2u);
-  EXPECT_EQ(u3.model.num_actions(u3.space.base()), 3u);
+  EXPECT_EQ(u1.compiled->num_actions(u1.space.base()), 2u);
+  EXPECT_EQ(u3.compiled->num_actions(u3.space.base()), 3u);
 }
 
 TEST(BuildModel, AbsoluteRewardWeightIsOnePerStep) {
   const AttackParams params = default_params();
   const AttackModel model = build_attack_model(params,
                                                Utility::kAbsoluteReward);
+  const bvc::mdp::CompiledModel& compiled = *model.compiled;
   for (StateId id = 0; id < model.space.size(); ++id) {
-    for (std::size_t a = 0; a < model.model.num_actions(id); ++a) {
-      EXPECT_DOUBLE_EQ(
-          model.model.expected_weight(model.model.sa_index(id, a)), 1.0);
+    for (std::size_t a = 0; a < compiled.num_actions(id); ++a) {
+      EXPECT_DOUBLE_EQ(compiled.expected_weight(compiled.sa_index(id, a)),
+                       1.0);
     }
   }
 }

@@ -1,17 +1,20 @@
-// Equivalence of the CompiledModel SoA kernel layer with the Model (AoS)
-// representation it compiles: structural fidelity, the ELL mirror's
-// palette codes (every code decodes to its double, the 16-value rule, the
-// copies a PolicyChain takes, the resident bytes), bit-identical solver
-// and rollout results on a template instance and on compile(), the
-// library's scalar RVI sweep
-// bit-identical to an in-test Jacobi replica over the AoS Model, and
-// ModelTemplate::instantiate bit-identical to compile() of the enumerated
-// Model over the paper's cells.
+// The CompiledModel, the library's one model: structural fidelity to the
+// attack semantics it is built from, the ELL mirror's palette codes (every
+// code decodes to its double, the 16-value rule, the copies a PolicyChain
+// takes, the resident bytes), the library's scalar RVI sweep bit-identical
+// to an in-test Jacobi replica over an array-of-structs copy, and the two
+// ways a cell's model is built — ModelTemplate::instantiate of the cached
+// rule set and ModelBuilder through CellModelBuilder — bit-identical
+// column for column over the paper's cells, and in every solver's and the
+// rollout's results.
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -23,7 +26,6 @@
 #include "mdp/average_reward.hpp"
 #include "mdp/compiled_model.hpp"
 #include "mdp/kernel.hpp"
-#include "mdp/model.hpp"
 #include "mdp/model_cache.hpp"
 #include "mdp/model_template.hpp"
 #include "mdp/policy_iteration.hpp"
@@ -63,40 +65,68 @@ btc::SmModel btc_model() {
   return btc::build_sm_model(params, bu::Utility::kRelativeRevenue);
 }
 
+/// The cell's template instance: what bu::analyze and btc::analyze_sm
+/// solve.
+std::shared_ptr<const mdp::CompiledModel> instance_of(
+    const bu::AttackModel& attack) {
+  return bu::attack_model_compiled(attack.params, attack.utility);
+}
+
+std::shared_ptr<const mdp::CompiledModel> instance_of(const btc::SmModel& sm) {
+  return btc::sm_model_compiled(sm.params, sm.utility);
+}
+
 // ---- structural fidelity --------------------------------------------------
 
 TEST(CompiledModel, MirrorsModelStructure) {
+  // Every column, read back through the accessors, against the attack
+  // semantics the model was built from: each state's menu, and each
+  // action's successors (branches to one successor merged), probabilities
+  // and expected increments.
   const bu::AttackModel attack = setting1_model();
-  const mdp::Model& model = attack.model;
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-
-  ASSERT_EQ(compiled.num_states(), model.num_states());
-  ASSERT_EQ(compiled.num_state_actions(), model.num_state_actions());
+  const mdp::CompiledModel& model = *attack.compiled;
+  ASSERT_EQ(model.num_states(), attack.space.size());
 
   std::size_t total_outcomes = 0;
   for (mdp::StateId s = 0; s < model.num_states(); ++s) {
-    ASSERT_EQ(compiled.num_actions(s), model.num_actions(s));
-    for (std::size_t a = 0; a < model.num_actions(s); ++a) {
+    const bu::AttackState& state = attack.space.state(s);
+    const std::span<const bu::Action> menu =
+        bu::available_actions(attack.params, state);
+    ASSERT_EQ(model.num_actions(s), menu.size());
+    for (std::size_t a = 0; a < menu.size(); ++a) {
       const mdp::SaIndex sa = model.sa_index(s, a);
-      ASSERT_EQ(compiled.sa_index(s, a), sa);
-      EXPECT_EQ(compiled.action_label(sa), model.action_label(s, a));
-      EXPECT_EQ(compiled.expected_reward(sa), model.expected_reward(sa));
-      EXPECT_EQ(compiled.expected_weight(sa), model.expected_weight(sa));
-      const std::span<const mdp::Outcome> outcomes = model.outcomes(sa);
-      ASSERT_EQ(compiled.outcome_end(sa) - compiled.outcome_begin(sa),
-                outcomes.size());
-      std::size_t k = compiled.outcome_begin(sa);
-      for (const mdp::Outcome& outcome : outcomes) {
-        EXPECT_EQ(compiled.next()[k], outcome.next);
-        EXPECT_EQ(compiled.prob()[k], outcome.probability);
-        EXPECT_EQ(compiled.reward()[k], outcome.reward);
-        EXPECT_EQ(compiled.weight()[k], outcome.weight);
-        ++k;
+      EXPECT_EQ(model.action_label(sa),
+                static_cast<mdp::ActionLabel>(menu[a]));
+      const std::array<double, 3> probs =
+          bu::event_probabilities(attack.params, menu[a]);
+      std::map<mdp::StateId, double> successors;
+      double expected_reward = 0.0;
+      double expected_weight = 0.0;
+      for (std::size_t e = 0; e < probs.size(); ++e) {
+        if (probs[e] == 0.0) {
+          continue;
+        }
+        const bu::StepResult step = bu::apply_event(
+            attack.params, state, menu[a], static_cast<bu::Event>(e));
+        const auto [num, den] =
+            bu::utility_increments(attack.utility, step.deltas);
+        successors[attack.space.index(step.next)] += probs[e];
+        expected_reward += probs[e] * num;
+        expected_weight += probs[e] * den;
       }
-      total_outcomes += outcomes.size();
+      ASSERT_EQ(model.outcome_end(sa) - model.outcome_begin(sa),
+                successors.size());
+      for (std::size_t k = model.outcome_begin(sa); k < model.outcome_end(sa);
+           ++k) {
+        ASSERT_EQ(successors.count(model.next()[k]), 1u);
+        EXPECT_NEAR(model.prob()[k], successors[model.next()[k]], 1e-15);
+      }
+      EXPECT_NEAR(model.expected_reward(sa), expected_reward, 1e-12);
+      EXPECT_NEAR(model.expected_weight(sa), expected_weight, 1e-12);
+      total_outcomes += successors.size();
     }
   }
-  EXPECT_EQ(compiled.num_outcomes(), total_outcomes);
+  EXPECT_EQ(model.num_outcomes(), total_outcomes);
 }
 
 // ---- palette codes of the ELL mirror ---------------------------------------
@@ -141,15 +171,15 @@ void expect_codes_decode(const mdp::CompiledModel& model) {
 }
 
 TEST(CompiledModel, CodesDecodeToTheDoubleColumn) {
-  expect_codes_decode(mdp::CompiledModel::compile(setting1_model().model));
-  expect_codes_decode(mdp::CompiledModel::compile(setting2_model().model));
-  expect_codes_decode(mdp::CompiledModel::compile(btc_model().model));
+  expect_codes_decode(*setting1_model().compiled);
+  expect_codes_decode(*setting2_model().compiled);
+  expect_codes_decode(*btc_model().compiled);
 }
 
 /// One action per state; state s takes row s % rows.size(). Dyadic rows
 /// that sum to exactly 1 keep their bits through the builder.
-mdp::Model rows_model(mdp::StateId num_states,
-                      const std::vector<std::vector<double>>& rows) {
+mdp::CompiledModel rows_model(mdp::StateId num_states,
+                              const std::vector<std::vector<double>>& rows) {
   mdp::ModelBuilder builder(num_states);
   for (mdp::StateId s = 0; s < num_states; ++s) {
     builder.begin_action(s, 0);
@@ -175,8 +205,7 @@ std::vector<std::vector<double>> pair_rows(int pairs) {
 TEST(CompiledModel, PaletteHoldsAtMostSixteenValuesCountingZero) {
   // 14 values and no padding (16 rows, a multiple of 8): coded, and +0.0
   // takes the first unused slot.
-  const mdp::CompiledModel fourteen =
-      mdp::CompiledModel::compile(rows_model(16, pair_rows(7)));
+  const mdp::CompiledModel fourteen = rows_model(16, pair_rows(7));
   ASSERT_TRUE(fourteen.has_codes());
   EXPECT_EQ(fourteen.palette_size(), 14u);
   EXPECT_EQ(fourteen.zero_code(), 14u);
@@ -185,29 +214,26 @@ TEST(CompiledModel, PaletteHoldsAtMostSixteenValuesCountingZero) {
   // 15 values plus the 0.0 that pads the width-1 row: a full palette.
   std::vector<std::vector<double>> rows = pair_rows(7);
   rows.push_back({1.0});
-  const mdp::CompiledModel sixteen =
-      mdp::CompiledModel::compile(rows_model(16, rows));
+  const mdp::CompiledModel sixteen = rows_model(16, rows);
   ASSERT_TRUE(sixteen.has_codes());
   EXPECT_EQ(sixteen.palette_size(), 16u);
   expect_codes_decode(sixteen);
 
   // 16 nonzero values without padding: +0.0 would need a 17th slot.
-  const mdp::CompiledModel full =
-      mdp::CompiledModel::compile(rows_model(16, pair_rows(8)));
+  const mdp::CompiledModel full = rows_model(16, pair_rows(8));
   ASSERT_TRUE(full.has_ell());
   EXPECT_FALSE(full.has_codes());
   EXPECT_EQ(full.palette_size(), 0u);
 
   // 16 values plus the stride padding's 0.0 (17 rows): 17 values.
-  const mdp::CompiledModel seventeen =
-      mdp::CompiledModel::compile(rows_model(17, pair_rows(8)));
+  const mdp::CompiledModel seventeen = rows_model(17, pair_rows(8));
   ASSERT_TRUE(seventeen.has_ell());
   EXPECT_FALSE(seventeen.has_codes());
 }
 
 TEST(CompiledModel, PolicyChainCopiesTheMirrorCodes) {
   const bu::AttackModel attack = setting1_model();
-  const mdp::CompiledModel model = mdp::CompiledModel::compile(attack.model);
+  const mdp::CompiledModel& model = *attack.compiled;
   ASSERT_TRUE(model.has_codes());
   const mdp::StateId n = model.num_states();
   std::vector<std::uint32_t> policy(n);
@@ -237,8 +263,7 @@ TEST(CompiledModel, PolicyChainCopiesTheMirrorCodes) {
   }
 
   // A mirror without codes gives chains without codes.
-  const mdp::CompiledModel uncoded =
-      mdp::CompiledModel::compile(rows_model(16, pair_rows(8)));
+  const mdp::CompiledModel uncoded = rows_model(16, pair_rows(8));
   const std::vector<std::uint32_t> zeros(uncoded.num_states(), 0);
   EXPECT_FALSE(mdp::PolicyChain(uncoded, zeros,
                                 {uncoded.expected_reward(),
@@ -249,14 +274,12 @@ TEST(CompiledModel, PolicyChainCopiesTheMirrorCodes) {
 TEST(CompiledModel, BytesResidentCountsCodesAndPalette) {
   // Two models of one shape (16 one-action states, two outcomes each): the
   // dyadic one is coded, the other takes 32 values and is not.
-  const mdp::CompiledModel coded =
-      mdp::CompiledModel::compile(rows_model(16, pair_rows(7)));
+  const mdp::CompiledModel coded = rows_model(16, pair_rows(7));
   std::vector<std::vector<double>> thirds;
   for (int k = 1; k <= 16; ++k) {
     thirds.push_back({1.0 / (3.0 * k), 1.0 - 1.0 / (3.0 * k)});
   }
-  const mdp::CompiledModel uncoded =
-      mdp::CompiledModel::compile(rows_model(16, thirds));
+  const mdp::CompiledModel uncoded = rows_model(16, thirds);
   ASSERT_TRUE(coded.has_codes());
   ASSERT_FALSE(uncoded.has_codes());
   ASSERT_EQ(coded.ell_width() * coded.ell_stride(),
@@ -269,12 +292,29 @@ TEST(CompiledModel, BytesResidentCountsCodesAndPalette) {
 
 // ---- raw sweep equivalence vs an AoS reference replica --------------------
 
-// One greedy Jacobi RVI sweep written against the AoS Model, independent of
+/// The model's branches as Outcome structs, one list per flat action: the
+/// array-of-structs layout the reference sweep reads, so that it shares no
+/// column indexing with the kernels.
+std::vector<std::vector<mdp::Outcome>> aos_rows(
+    const mdp::CompiledModel& model) {
+  std::vector<std::vector<mdp::Outcome>> rows(model.num_state_actions());
+  for (mdp::SaIndex sa = 0; sa < rows.size(); ++sa) {
+    for (std::size_t k = model.outcome_begin(sa); k < model.outcome_end(sa);
+         ++k) {
+      rows[sa].push_back(mdp::Outcome{model.next()[k], model.prob()[k],
+                                      model.reward()[k], model.weight()[k]});
+    }
+  }
+  return rows;
+}
+
+// One greedy Jacobi RVI sweep written against the AoS rows, independent of
 // the library's sweep code: every state is backed up against the previous
 // sweep's bias `bias_in` into `bias_out`, and the reference residual (state
 // 0's backup minus its bias) is taken first and subtracted from every
 // update. Ties keep the lower action.
-void reference_aos_sweep(const mdp::Model& model,
+void reference_aos_sweep(const mdp::CompiledModel& model,
+                         const std::vector<std::vector<mdp::Outcome>>& rows,
                          std::span<const double> rewards, double tau,
                          const std::vector<double>& bias_in,
                          std::vector<double>& bias_out,
@@ -284,7 +324,7 @@ void reference_aos_sweep(const mdp::Model& model,
     for (std::size_t a = 0; a < model.num_actions(s); ++a) {
       const mdp::SaIndex sa = model.sa_index(s, a);
       double expected_next = 0.0;
-      for (const mdp::Outcome& outcome : model.outcomes(sa)) {
+      for (const mdp::Outcome& outcome : rows[sa]) {
         expected_next += outcome.probability * bias_in[outcome.next];
       }
       const double q =
@@ -324,12 +364,12 @@ void library_scalar_sweep(const mdp::CompiledModel& model,
                          &span_max, Isa::kScalar);
 }
 
-void expect_sweeps_bit_identical(const mdp::Model& model) {
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
+void expect_sweeps_bit_identical(const mdp::CompiledModel& compiled) {
+  const std::vector<std::vector<mdp::Outcome>> rows = aos_rows(compiled);
   const std::span<const double> rewards{compiled.expected_reward(),
                                         compiled.num_state_actions()};
   constexpr double kTau = 0.999;
-  const std::size_t n = model.num_states();
+  const std::size_t n = compiled.num_states();
   std::vector<double> aos_bias(n, 0.0);
   std::vector<double> aos_next(n, 0.0);
   std::vector<double> lib_bias(n, 0.0);
@@ -337,7 +377,8 @@ void expect_sweeps_bit_identical(const mdp::Model& model) {
   std::vector<std::uint32_t> aos_policy(n, 0);
   std::vector<std::uint32_t> lib_policy(n, 0);
   for (int sweep = 0; sweep < 25; ++sweep) {
-    reference_aos_sweep(model, rewards, kTau, aos_bias, aos_next, aos_policy);
+    reference_aos_sweep(compiled, rows, rewards, kTau, aos_bias, aos_next,
+                        aos_policy);
     library_scalar_sweep(compiled, rewards, kTau, lib_bias, lib_next,
                          lib_policy);
     aos_bias.swap(aos_next);
@@ -351,23 +392,23 @@ void expect_sweeps_bit_identical(const mdp::Model& model) {
 }
 
 TEST(CompiledModel, SweepBitIdenticalToAosReferenceSetting1) {
-  expect_sweeps_bit_identical(setting1_model().model);
+  expect_sweeps_bit_identical(*setting1_model().compiled);
 }
 
 TEST(CompiledModel, SweepBitIdenticalToAosReferenceSetting2) {
-  expect_sweeps_bit_identical(setting2_model().model);
+  expect_sweeps_bit_identical(*setting2_model().compiled);
 }
 
 TEST(CompiledModel, SweepBitIdenticalToAosReferenceBtc) {
-  expect_sweeps_bit_identical(btc_model().model);
+  expect_sweeps_bit_identical(*btc_model().compiled);
 }
 
-// ---- full-solver equivalence: template instance vs compile() -------------
+// ---- full-solver equivalence: template instance vs ModelBuilder ------------
 //
 // bu::analyze and btc::analyze_sm solve on the cell's template instance
-// (AttackModel::compiled, SmModel::compiled); the RVI solvers and the
-// rollout must return the same bits there as on CompiledModel::compile of
-// the enumerated Model.
+// (attack_model_compiled, sm_model_compiled); the solvers and the rollout
+// must return the same bits there as on the model build_attack_model and
+// build_sm_model build through CellModelBuilder.
 
 void expect_gain_results_identical(const mdp::GainResult& a,
                                    const mdp::GainResult& b) {
@@ -382,60 +423,57 @@ void expect_gain_results_identical(const mdp::GainResult& a,
 }
 
 void expect_gain_equivalence(const mdp::CompiledModel& instance,
-                             const mdp::Model& model) {
+                             const mdp::CompiledModel& built) {
   mdp::AverageRewardKnobs config;
   config.tolerance = 1e-8;
-  expect_gain_results_identical(
-      mdp::maximize_average_reward(instance, config),
-      mdp::maximize_average_reward(mdp::CompiledModel::compile(model),
-                                   config));
+  expect_gain_results_identical(mdp::maximize_average_reward(instance, config),
+                                mdp::maximize_average_reward(built, config));
 }
 
 TEST(CompiledModel, GainResultBitIdenticalSetting1) {
   const bu::AttackModel attack = setting1_model();
-  expect_gain_equivalence(*attack.compiled, attack.model);
+  expect_gain_equivalence(*instance_of(attack), *attack.compiled);
 }
 
 TEST(CompiledModel, GainResultBitIdenticalSetting2) {
   const bu::AttackModel attack = setting2_model();
-  expect_gain_equivalence(*attack.compiled, attack.model);
+  expect_gain_equivalence(*instance_of(attack), *attack.compiled);
 }
 
 TEST(CompiledModel, GainResultBitIdenticalBtc) {
   const btc::SmModel sm = btc_model();
-  expect_gain_equivalence(*sm.compiled, sm.model);
+  expect_gain_equivalence(*instance_of(sm), *sm.compiled);
 }
 
 void expect_ratio_equivalence(const mdp::CompiledModel& instance,
-                              const mdp::Model& model) {
+                              const mdp::CompiledModel& built) {
   mdp::RatioKnobs config;
   config.tolerance = 1e-6;
   config.upper_bound = 1.0;
   const mdp::RatioResult via_instance = mdp::maximize_ratio(instance, config);
-  const mdp::RatioResult via_compile =
-      mdp::maximize_ratio(mdp::CompiledModel::compile(model), config);
-  EXPECT_EQ(via_instance.status, via_compile.status);
-  EXPECT_EQ(via_instance.iterations, via_compile.iterations);
-  EXPECT_EQ(via_instance.ratio, via_compile.ratio);
-  EXPECT_EQ(via_instance.reward_rate, via_compile.reward_rate);
-  EXPECT_EQ(via_instance.weight_rate, via_compile.weight_rate);
-  EXPECT_EQ(via_instance.used_bisection, via_compile.used_bisection);
-  EXPECT_EQ(via_instance.policy.action, via_compile.policy.action);
+  const mdp::RatioResult via_builder = mdp::maximize_ratio(built, config);
+  EXPECT_EQ(via_instance.status, via_builder.status);
+  EXPECT_EQ(via_instance.iterations, via_builder.iterations);
+  EXPECT_EQ(via_instance.ratio, via_builder.ratio);
+  EXPECT_EQ(via_instance.reward_rate, via_builder.reward_rate);
+  EXPECT_EQ(via_instance.weight_rate, via_builder.weight_rate);
+  EXPECT_EQ(via_instance.used_bisection, via_builder.used_bisection);
+  EXPECT_EQ(via_instance.policy.action, via_builder.policy.action);
 }
 
 TEST(CompiledModel, RatioResultBitIdenticalSetting1) {
   const bu::AttackModel attack = setting1_model();
-  expect_ratio_equivalence(*attack.compiled, attack.model);
+  expect_ratio_equivalence(*instance_of(attack), *attack.compiled);
 }
 
 TEST(CompiledModel, RatioResultBitIdenticalSetting2) {
   const bu::AttackModel attack = setting2_model();
-  expect_ratio_equivalence(*attack.compiled, attack.model);
+  expect_ratio_equivalence(*instance_of(attack), *attack.compiled);
 }
 
 TEST(CompiledModel, RatioResultBitIdenticalBtc) {
   const btc::SmModel sm = btc_model();
-  expect_ratio_equivalence(*sm.compiled, sm.model);
+  expect_ratio_equivalence(*instance_of(sm), *sm.compiled);
 }
 
 /// Exact ratio policy iteration on the model's two streams.
@@ -446,12 +484,11 @@ mdp::PolicyIterationResult exact_ratio(const mdp::CompiledModel& model) {
 }
 
 TEST(CompiledModel, PolicyIterationBitIdentical) {
-  // The cached template's instantiation and compile() of the enumerated
-  // Model give the exact solver the same bits.
+  // The cached template's instantiation and ModelBuilder's model of the
+  // same cell give the exact solver the same bits.
   const bu::AttackModel attack = setting1_model();
-  const mdp::PolicyIterationResult pa = exact_ratio(*attack.compiled);
-  const mdp::PolicyIterationResult pb =
-      exact_ratio(mdp::CompiledModel::compile(attack.model));
+  const mdp::PolicyIterationResult pa = exact_ratio(*instance_of(attack));
+  const mdp::PolicyIterationResult pb = exact_ratio(*attack.compiled);
   EXPECT_EQ(pa.status, pb.status);
   EXPECT_EQ(pa.iterations, pb.iterations);
   EXPECT_EQ(pa.value, pb.value);
@@ -461,41 +498,41 @@ TEST(CompiledModel, PolicyIterationBitIdentical) {
 
 TEST(CompiledModel, RolloutDrawsIdenticalTrajectory) {
   const bu::AttackModel attack = setting1_model();
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(attack.model);
-  const mdp::GainResult gain = mdp::maximize_average_reward(compiled);
+  const mdp::CompiledModel& built = *attack.compiled;
+  const mdp::GainResult gain = mdp::maximize_average_reward(built);
 
   Rng rng_a(99);
   Rng rng_b(99);
   const mdp::ModelRolloutResult via_instance = mdp::rollout_model(
-      *attack.compiled, gain.policy, /*start=*/0, 20'000, rng_a);
-  const mdp::ModelRolloutResult via_compile =
-      mdp::rollout_model(compiled, gain.policy, /*start=*/0, 20'000, rng_b);
-  EXPECT_EQ(via_instance.steps, via_compile.steps);
-  EXPECT_EQ(via_instance.reward_total, via_compile.reward_total);
-  EXPECT_EQ(via_instance.weight_total, via_compile.weight_total);
+      *instance_of(attack), gain.policy, /*start=*/0, 20'000, rng_a);
+  const mdp::ModelRolloutResult via_builder =
+      mdp::rollout_model(built, gain.policy, /*start=*/0, 20'000, rng_b);
+  EXPECT_EQ(via_instance.steps, via_builder.steps);
+  EXPECT_EQ(via_instance.reward_total, via_builder.reward_total);
+  EXPECT_EQ(via_instance.weight_total, via_builder.weight_total);
 }
 
-// ---- the compilation carried by the analysis layers -----------------------
+// ---- the model carried by the analysis layers -----------------------------
 
-TEST(CompiledModel, AttackModelCarriesCachedCompilation) {
+TEST(CompiledModel, BuildersAuthorTheirCellWithoutTheCache) {
+  // build_attack_model and build_sm_model enumerate the cell through
+  // CellModelBuilder: no cache lookup, and a model with an index of its
+  // own, sized to the state space they return with it.
+  mdp::ModelCache& cache = mdp::ModelCache::global();
+  cache.clear();
   const bu::AttackModel attack = setting1_model();
-  ASSERT_NE(attack.compiled, nullptr);
-  EXPECT_EQ(attack.compiled->num_states(), attack.model.num_states());
-  // A rebuild of the same rule set shares the cached template's index
-  // columns; the value columns are the rebuild's own.
   const bu::AttackModel again = setting1_model();
-  EXPECT_EQ(&attack.compiled->index(), &again.compiled->index());
-  EXPECT_NE(attack.compiled->prob(), again.compiled->prob());
-}
-
-TEST(CompiledModel, SmModelCarriesCachedCompilation) {
   const btc::SmModel sm = btc_model();
+  EXPECT_EQ(cache.stats().misses + cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  ASSERT_NE(attack.compiled, nullptr);
+  EXPECT_EQ(attack.compiled->num_states(), attack.space.size());
+  EXPECT_NE(&attack.compiled->index(), &again.compiled->index());
   ASSERT_NE(sm.compiled, nullptr);
-  EXPECT_EQ(sm.compiled->num_states(), sm.model.num_states());
+  EXPECT_EQ(sm.compiled->num_states(), sm.space.size());
 }
 
-// ---- template instantiation against compile() of the enumerated Model -----
+// ---- template instantiation against ModelBuilder's model of the cell -------
 
 /// Compares `count` elements of two columns by their bytes, naming the
 /// first difference.
@@ -514,7 +551,7 @@ void expect_same_bytes(const char* column, const T* got, const T* want,
 }
 
 /// Every column of `got` (instantiated from a template) equals `want`
-/// (CompiledModel::compile of the cell's Model) bit for bit: the index and
+/// (ModelBuilder's model of the same cell) bit for bit: the index and
 /// value columns, the ELL mirror, and its codes and palette.
 void expect_bit_identical(const mdp::CompiledModel& got,
                           const mdp::CompiledModel& want) {
@@ -559,16 +596,15 @@ void expect_bit_identical(const mdp::CompiledModel& got,
 void expect_cell_bit_identical(const bu::AttackParams& params,
                                bu::Utility utility) {
   SCOPED_TRACE(bu::attack_model_cache_key(params, utility));
-  const bu::AttackModel attack = bu::build_attack_model(params, utility);
-  expect_bit_identical(*attack.compiled,
-                       mdp::CompiledModel::compile(attack.model));
+  expect_bit_identical(*bu::attack_model_compiled(params, utility),
+                       *bu::build_attack_model(params, utility).compiled);
 }
 
 void expect_cell_bit_identical(const btc::SmParams& params,
                                bu::Utility utility) {
   SCOPED_TRACE(btc::sm_model_cache_key(params, utility));
-  const btc::SmModel sm = btc::build_sm_model(params, utility);
-  expect_bit_identical(*sm.compiled, mdp::CompiledModel::compile(sm.model));
+  expect_bit_identical(*btc::sm_model_compiled(params, utility),
+                       *btc::build_sm_model(params, utility).compiled);
 }
 
 /// The bu cells of one table block, as bench_table2/3/4 enumerate them:

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "mdp/compiled_model.hpp"
-#include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "obs/metrics.hpp"
 #include "robust/run_control.hpp"
@@ -30,7 +29,7 @@ CompiledModel make_alternator(double r0, double r1) {
   builder.add_outcome(1, 1.0, r0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, r1, 1.0);
-  return CompiledModel::compile(builder.build());
+  return builder.build();
 }
 
 /// One state, two self-loops. Action 0 carries weight below the
@@ -45,7 +44,7 @@ CompiledModel make_thin_denominator() {
   builder.add_outcome(0, 1.0, 0.0, 0.1);
   builder.begin_action(0, 1);
   builder.add_outcome(0, 1.0, -1.0, 1.0);
-  return CompiledModel::compile(builder.build());
+  return builder.build();
 }
 
 void expect_trajectories_consistent(const robust::SolveDiagnostics& d) {
@@ -141,6 +140,48 @@ TEST(SolveDiagnostics, BracketClosedByBelowFloorPoliciesIsDegenerate) {
   EXPECT_NEAR(result.reward_rate, -1.0, 1e-6);
   EXPECT_NEAR(result.weight_rate, 1.0, 1e-6);
   EXPECT_EQ(result.ratio, result.reward_rate / result.weight_rate);
+}
+
+TEST(SolveDiagnostics, FloorAbovePoliciesIsDegenerate) {
+  // One self-loop of ratio -1 under the bracket [0, 10]: the first
+  // linearized solve already shows no policy reaches the floor. The result
+  // must not claim the floor: it is degenerate, and it reports the ratio
+  // and rates of the policy it returns.
+  ModelBuilder builder(1);
+  builder.begin_action(0, 0);
+  builder.add_outcome(0, 1.0, -1.0, 1.0);
+  const CompiledModel model = builder.build();
+  mdp::RatioKnobs config;
+  config.lower_bound = 0.0;
+  config.upper_bound = 10.0;
+  const mdp::RatioResult result = mdp::maximize_ratio(model, config);
+  EXPECT_FALSE(result.used_bisection);
+  EXPECT_EQ(result.status, robust::RunStatus::kDegenerateModel)
+      << robust::to_string(result.status) << ", ratio " << result.ratio;
+  ASSERT_EQ(result.policy.action.size(), 1u);
+  EXPECT_EQ(result.policy.action[0], 0u);
+  EXPECT_NEAR(result.reward_rate, -1.0, 1e-6);
+  EXPECT_NEAR(result.weight_rate, 1.0, 1e-6);
+  EXPECT_EQ(result.ratio, result.reward_rate / result.weight_rate);
+  EXPECT_EQ(result.diagnostics.inner_solves, 3);
+  expect_trajectories_consistent(result.diagnostics);
+}
+
+TEST(SolveDiagnostics, FloorReachedExactlyStaysConverged) {
+  // The same exit with a policy that reaches the floor: the ratio stays
+  // the floor, and the reported rates are that policy's.
+  ModelBuilder builder(1);
+  builder.begin_action(0, 0);
+  builder.add_outcome(0, 1.0, 0.0, 2.0);
+  const CompiledModel model = builder.build();
+  mdp::RatioKnobs config;
+  config.lower_bound = 0.0;
+  config.upper_bound = 10.0;
+  const mdp::RatioResult result = mdp::maximize_ratio(model, config);
+  EXPECT_EQ(result.status, robust::RunStatus::kConverged);
+  EXPECT_EQ(result.ratio, 0.0);
+  EXPECT_NEAR(result.reward_rate, 0.0, 1e-9);
+  EXPECT_NEAR(result.weight_rate, 2.0, 1e-6);
 }
 
 TEST(SolveDiagnostics, RetryPathAccumulatesAcrossAttempts) {

@@ -58,7 +58,7 @@ TEST_P(RandomInvariants, RandomPolicyRolloutsConserveBlocks) {
   policy.action.resize(model.space.size());
   for (mdp::StateId id = 0; id < model.space.size(); ++id) {
     policy.action[id] = static_cast<std::uint32_t>(
-        rng.next_below(model.model.num_actions(id)));
+        rng.next_below(model.compiled->num_actions(id)));
   }
   const std::uint64_t steps = 20'000;
   const bu::RolloutResult rollout =
@@ -83,7 +83,7 @@ TEST_P(RandomInvariants, ScenarioSimMatchesModelForRandomConfigs) {
   policy.action.resize(model.space.size());
   for (mdp::StateId id = 0; id < model.space.size(); ++id) {
     policy.action[id] = static_cast<std::uint32_t>(
-        rng.next_below(model.model.num_actions(id)));
+        rng.next_below(model.compiled->num_actions(id)));
   }
   sim::ScenarioOptions options;
   options.check_against_model = true;  // throws on any divergence

@@ -32,7 +32,6 @@
 #include "mdp/average_reward.hpp"
 #include "mdp/batch.hpp"
 #include "mdp/compiled_model.hpp"
-#include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "obs/trace.hpp"
 
@@ -61,7 +60,7 @@ class ScopedKernelRequest {
 /// A deterministic model with deliberately ragged action widths (1..5
 /// outcomes) and a state-action count chosen to exercise both full vector
 /// blocks and the scalar remainder for 4- and 8-lane kernels.
-mdp::Model ragged_model(mdp::StateId num_states) {
+mdp::CompiledModel ragged_model(mdp::StateId num_states) {
   mdp::ModelBuilder builder(num_states);
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
   const auto next_unit = [&seed] {
@@ -96,8 +95,9 @@ using Rows = std::vector<std::vector<double>>;
 /// uniform menu of `actions` (two, or three with Table 4's Wait), where
 /// action a of state s takes row (5s + 3a) % rows.size() of `rows`, with
 /// scattered next states and dyadic rewards/weights.
-mdp::Model palette_uniform_model(mdp::StateId num_states, std::size_t actions,
-                                 const Rows& rows) {
+mdp::CompiledModel palette_uniform_model(mdp::StateId num_states,
+                                         std::size_t actions,
+                                         const Rows& rows) {
   mdp::ModelBuilder builder(num_states);
   for (mdp::StateId s = 0; s < num_states; ++s) {
     for (std::size_t a = 0; a < actions; ++a) {
@@ -159,11 +159,11 @@ TEST(Kernel, ResolveClampsToAvailability) {
   const Isa best = mdp::kernel::resolve(Request::kAuto);
   EXPECT_TRUE(mdp::kernel::isa_available(best));
   if (mdp::kernel::isa_available(Isa::kAvx512)) {
-    // Auto calibrates between the vector ISAs (either is bit-identical);
-    // it must still never fall back to scalar when vectors are usable,
-    // and an explicit request is honored as given.
-    EXPECT_NE(best, Isa::kScalar);
+    // Auto takes the widest ISA the build and CPU offer, and an explicit
+    // request is honored as given.
+    EXPECT_EQ(best, Isa::kAvx512);
     EXPECT_EQ(mdp::kernel::resolve(Request::kAvx512), Isa::kAvx512);
+    EXPECT_EQ(mdp::kernel::resolve(Request::kAvx2), Isa::kAvx2);
   } else if (mdp::kernel::isa_available(Isa::kAvx2)) {
     EXPECT_EQ(best, Isa::kAvx2);
     // An unavailable avx512 request degrades to the best available.
@@ -186,7 +186,7 @@ TEST(Kernel, ResolveClampsToAvailability) {
 /// A deterministic uniform two-action model (the greedy attack-model shape
 /// the vector fused sweep specializes for), with three outcomes per action
 /// and a state count that is not a multiple of either vector block size.
-mdp::Model uniform_two_action_model(mdp::StateId num_states) {
+mdp::CompiledModel uniform_two_action_model(mdp::StateId num_states) {
   mdp::ModelBuilder builder(num_states);
   std::uint64_t seed = 0xda942042e4dd58b5ULL;
   const auto next_unit = [&seed] {
@@ -220,7 +220,7 @@ mdp::Model uniform_two_action_model(mdp::StateId num_states) {
 /// outcome rows and rewards of the action it copies, so the tied values
 /// are bit-identical, and the worse action's rewards are 64 lower, more
 /// than any spread of ramp_bias over fewer than 200 states.
-mdp::Model three_action_tie_model(mdp::StateId num_states) {
+mdp::CompiledModel three_action_tie_model(mdp::StateId num_states) {
   mdp::ModelBuilder builder(num_states);
   for (mdp::StateId s = 0; s < num_states; ++s) {
     // source[a]: the action whose row action a repeats; worse: the
@@ -327,8 +327,7 @@ void run_rvi_sweep_suite(Isa isa) {
   // probabilities carry no codes, so avx512 runs avx2 here; the coded
   // bodies are Kernel.CodedAvx512BodiesMatchScalarBitExact's.
   {
-    const mdp::CompiledModel compiled =
-        mdp::CompiledModel::compile(uniform_two_action_model(137));
+    const mdp::CompiledModel compiled = uniform_two_action_model(137);
     ASSERT_TRUE(compiled.has_ell());
     ASSERT_FALSE(compiled.has_codes());
     ASSERT_EQ(compiled.uniform_actions(), 2u);
@@ -338,8 +337,7 @@ void run_rvi_sweep_suite(Isa isa) {
   // neither 8 nor 16, so the split at 5 sweeps a range that starts and
   // ends mid-vector. Coded, so each ISA runs its own three-action body.
   {
-    const mdp::CompiledModel compiled =
-        mdp::CompiledModel::compile(three_action_tie_model(139));
+    const mdp::CompiledModel compiled = three_action_tie_model(139);
     ASSERT_TRUE(compiled.has_codes());
     ASSERT_EQ(compiled.uniform_actions(), 3u);
     ASSERT_EQ(mdp::kernel::rvi_sweep_isa(compiled, isa), isa);
@@ -364,8 +362,7 @@ void run_rvi_sweep_suite(Isa isa) {
   // Ragged action menus: the dispatcher must fall back to scalar and the
   // answer is (trivially) bit-identical. This guards the gate condition.
   {
-    const mdp::CompiledModel compiled =
-        mdp::CompiledModel::compile(ragged_model(53));
+    const mdp::CompiledModel compiled = ragged_model(53);
     ASSERT_NE(compiled.uniform_actions(), 2u);
     expect_rvi_sweep_equivalence(compiled, isa);
   }
@@ -382,9 +379,7 @@ void run_rvi_sweep_suite(Isa isa) {
     }();
     const bu::AttackModel attack =
         bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-    const mdp::CompiledModel compiled =
-        mdp::CompiledModel::compile(attack.model);
-    expect_rvi_sweep_equivalence(compiled, isa);
+    expect_rvi_sweep_equivalence(*attack.compiled, isa);
   }
 }
 
@@ -402,9 +397,9 @@ TEST(Kernel, RviSweepAvx512MatchesScalarBitExact) {
 /// action, whose probabilities are multiples of 1/64. Their sums are
 /// exact, so ModelBuilder's renormalization leaves them unchanged and a row
 /// rebuilt from the compiled columns keeps its bits.
-mdp::Model dyadic_model(mdp::StateId num_states,
-                        std::size_t (*menu)(mdp::StateId),
-                        std::size_t (*width)(mdp::StateId, std::size_t)) {
+mdp::CompiledModel dyadic_model(
+    mdp::StateId num_states, std::size_t (*menu)(mdp::StateId),
+    std::size_t (*width)(mdp::StateId, std::size_t)) {
   mdp::ModelBuilder builder(num_states);
   for (mdp::StateId s = 0; s < num_states; ++s) {
     for (std::size_t a = 0; a < menu(s); ++a) {
@@ -430,8 +425,8 @@ mdp::Model dyadic_model(mdp::StateId num_states,
 
 /// The one-action model whose state s has exactly the outcome rows of
 /// `policy[s]` in `model` — what a fixed-policy sweep must agree with.
-mdp::Model one_action_model(const mdp::CompiledModel& model,
-                            const std::vector<std::uint32_t>& policy) {
+mdp::CompiledModel one_action_model(const mdp::CompiledModel& model,
+                                    const std::vector<std::uint32_t>& policy) {
   mdp::ModelBuilder builder(model.num_states());
   for (mdp::StateId s = 0; s < model.num_states(); ++s) {
     const mdp::SaIndex sa = model.sa_index(s, policy[s]);
@@ -458,8 +453,7 @@ void expect_chain_sweep_equivalence(const mdp::CompiledModel& compiled,
   const double ref = 0.03125;
   const double inf = std::numeric_limits<double>::infinity();
 
-  const mdp::CompiledModel single =
-      mdp::CompiledModel::compile(one_action_model(compiled, policy));
+  const mdp::CompiledModel single = one_action_model(compiled, policy);
   std::vector<double> single_rewards(n);
   for (mdp::StateId s = 0; s < n; ++s) {
     single_rewards[s] = sa_rewards[compiled.sa_index(s, policy[s])];
@@ -510,9 +504,9 @@ TEST(Kernel, RviEvalSweepMatchesOneActionGreedySweep) {
   // 139 states: a multiple of neither 4, 8, 16 nor 32, so every vector body
   // ends in a scalar remainder. A mixed policy on the attack-model shape
   // (uniform two actions, three outcomes each).
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(dyadic_model(
+  const mdp::CompiledModel compiled = dyadic_model(
       139, [](mdp::StateId) -> std::size_t { return 2; },
-      [](mdp::StateId, std::size_t) -> std::size_t { return 3; }));
+      [](mdp::StateId, std::size_t) -> std::size_t { return 3; });
   ASSERT_TRUE(compiled.has_ell());
   std::vector<std::uint32_t> policy(compiled.num_states());
   for (mdp::StateId s = 0; s < compiled.num_states(); ++s) {
@@ -551,8 +545,7 @@ TEST(Kernel, RviEvalSweepOnNarrowChosenRows) {
     builder.add_outcome((s * 3 + 2) % n, 0.375, 0.25);
     builder.add_outcome((s * 11 + 5) % n, 0.125, 0.5);
   }
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(builder.build());
+  const mdp::CompiledModel compiled = builder.build();
   ASSERT_EQ(compiled.ell_width(), 3u);
   const std::span<const double> rewards{compiled.expected_reward(),
                                         compiled.num_state_actions()};
@@ -570,11 +563,11 @@ TEST(Kernel, RviEvalSweepOnNarrowChosenRows) {
 TEST(Kernel, RviEvalSweepOnRaggedModel) {
   // Ragged menus (1..3 actions) and rows (1..5 outcomes): the chain width
   // of 5 runs the runtime-width vector body.
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(dyadic_model(
+  const mdp::CompiledModel compiled = dyadic_model(
       101, [](mdp::StateId s) -> std::size_t { return 1 + s % 3; },
       [](mdp::StateId s, std::size_t a) -> std::size_t {
         return 1 + (s + a) % 5;
-      }));
+      });
   ASSERT_TRUE(compiled.has_ell());
   std::vector<std::uint32_t> policy(compiled.num_states());
   for (mdp::StateId s = 0; s < compiled.num_states(); ++s) {
@@ -589,8 +582,7 @@ TEST(Kernel, RviEvalSweepOnRaggedModel) {
 }
 
 TEST(Kernel, PolicyChainRejectsOutOfRangeActions) {
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(uniform_two_action_model(9));
+  const mdp::CompiledModel compiled = uniform_two_action_model(9);
   std::vector<std::uint32_t> policy(compiled.num_states(), 0);
   policy[4] = 2;
   const std::span<const double> rewards{compiled.expected_reward(),
@@ -627,8 +619,8 @@ TEST(Kernel, CodedAvx512BodiesMatchScalarBitExact) {
     for (const std::size_t actions : {2u, 3u}) {
       SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(actions) +
                    " actions");
-      const mdp::CompiledModel compiled = mdp::CompiledModel::compile(
-          palette_uniform_model(c.states, actions, *c.rows));
+      const mdp::CompiledModel compiled =
+          palette_uniform_model(c.states, actions, *c.rows);
       ASSERT_TRUE(compiled.has_codes());
       ASSERT_EQ(compiled.palette_size(), c.values);
       ASSERT_EQ(compiled.uniform_actions(), actions);
@@ -758,7 +750,7 @@ TEST(Kernel, SolverJacobiBitIdenticalToScalarJacobi) {
     GTEST_SKIP() << "no vector ISA available";
   }
   const bu::AttackModel attack = small_attack_model();
-  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(attack.model);
+  const mdp::CompiledModel& compiled = *attack.compiled;
   ASSERT_TRUE(compiled.has_ell());
 
   mdp::AverageRewardKnobs knobs;
@@ -839,7 +831,7 @@ TEST(Kernel, ChainEvaluationSolvesBitIdenticalAcrossIsasAndThreads) {
 
 /// A uniform three-action model (the shape of Table 4's models with the
 /// Wait action).
-mdp::Model uniform_three_action_model(mdp::StateId num_states) {
+mdp::CompiledModel uniform_three_action_model(mdp::StateId num_states) {
   mdp::ModelBuilder builder(num_states);
   for (mdp::StateId s = 0; s < num_states; ++s) {
     for (std::uint32_t a = 0; a < 3; ++a) {
@@ -887,24 +879,20 @@ std::string traced_kernel_arg(const mdp::CompiledModel& model,
 TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
   // Two uniform actions with coded probabilities: both the greedy and the
   // chain sweep run the requested ISA.
-  const mdp::CompiledModel two = mdp::CompiledModel::compile(
-      palette_uniform_model(64, 2, kNineValueRows));
+  const mdp::CompiledModel two = palette_uniform_model(64, 2, kNineValueRows);
   ASSERT_TRUE(two.has_codes());
   // Its random-probability twin carries no codes: an avx512 request runs
   // the AVX2 bodies for both sweeps.
-  const mdp::CompiledModel random_two =
-      mdp::CompiledModel::compile(uniform_two_action_model(64));
+  const mdp::CompiledModel random_two = uniform_two_action_model(64);
   ASSERT_FALSE(random_two.has_codes());
   // Three coded actions: both sweeps run the requested ISA, as for two.
   // Ragged menus: the greedy sweep takes the scalar loop; the chain of a
   // fixed policy has one row per state and does not. The ragged model's
   // random probabilities carry no codes.
-  const mdp::CompiledModel three =
-      mdp::CompiledModel::compile(uniform_three_action_model(64));
+  const mdp::CompiledModel three = uniform_three_action_model(64);
   ASSERT_EQ(three.uniform_actions(), 3u);
   ASSERT_TRUE(three.has_codes());
-  const mdp::CompiledModel ragged =
-      mdp::CompiledModel::compile(ragged_model(53));
+  const mdp::CompiledModel ragged = ragged_model(53);
   ASSERT_TRUE(ragged.has_ell());
   ASSERT_FALSE(ragged.has_codes());
   // No ELL mirror (one row wider than kMaxEllWidth): the greedy sweep
@@ -922,8 +910,7 @@ TEST(Kernel, SolveSpanNamesTheSweepPathThatRan) {
                           1.0 / static_cast<double>(width));
     }
   }
-  const mdp::CompiledModel no_ell =
-      mdp::CompiledModel::compile(builder.build());
+  const mdp::CompiledModel no_ell = builder.build();
   ASSERT_FALSE(no_ell.has_ell());
 
   for (const Request request :

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "mdp/average_reward.hpp"
-#include "mdp/model.hpp"
+#include "mdp/compiled_model.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "util/rng.hpp"
@@ -24,7 +24,7 @@ using namespace bvc::mdp;
 /// A random model where every action can reach every state with positive
 /// probability — guarantees irreducibility (hence unichain) under every
 /// policy.
-Model random_model(Rng& rng, StateId states, std::size_t actions) {
+CompiledModel random_model(Rng& rng, StateId states, std::size_t actions) {
   ModelBuilder builder(states);
   for (StateId s = 0; s < states; ++s) {
     for (std::size_t a = 0; a < actions; ++a) {
@@ -49,7 +49,7 @@ Model random_model(Rng& rng, StateId states, std::size_t actions) {
 /// iteration on its stationary distribution — an implementation completely
 /// independent of the RVI solver.
 std::pair<double, double> policy_rates_by_power_iteration(
-    const Model& model, const Policy& policy) {
+    const CompiledModel& model, const Policy& policy) {
   const StateId n = model.num_states();
   std::vector<double> dist(n, 1.0 / n);
   std::vector<double> next(n);
@@ -57,8 +57,9 @@ std::pair<double, double> policy_rates_by_power_iteration(
     std::fill(next.begin(), next.end(), 0.0);
     for (StateId s = 0; s < n; ++s) {
       const SaIndex sa = model.sa_index(s, policy.action[s]);
-      for (const Outcome& o : model.outcomes(sa)) {
-        next[o.next] += dist[s] * o.probability;
+      for (std::size_t k = model.outcome_begin(sa); k < model.outcome_end(sa);
+           ++k) {
+        next[model.next()[k]] += dist[s] * model.prob()[k];
       }
     }
     double delta = 0.0;
@@ -105,7 +106,7 @@ TEST_P(SolverVsBruteForce, AverageRewardMatchesEnumeration) {
   Rng rng(GetParam());
   const StateId states = 2 + static_cast<StateId>(rng.next_below(3));
   const std::size_t actions = 2 + rng.next_below(2);
-  const Model model = random_model(rng, states, actions);
+  const CompiledModel model = random_model(rng, states, actions);
 
   double best_gain = -1e100;
   for (const Policy& policy : all_policies(states, actions)) {
@@ -113,15 +114,13 @@ TEST_P(SolverVsBruteForce, AverageRewardMatchesEnumeration) {
         best_gain, policy_rates_by_power_iteration(model, policy).first);
   }
 
-  const CompiledModel compiled = CompiledModel::compile(model);
-  const GainResult solved = maximize_average_reward(compiled);
+  const GainResult solved = maximize_average_reward(model);
   EXPECT_TRUE(solved.converged());
   EXPECT_NEAR(solved.gain, best_gain, 1e-6);
 
-  const std::vector<double> unit(compiled.num_state_actions(), 1.0);
+  const std::vector<double> unit(model.num_state_actions(), 1.0);
   const PolicyIterationResult exact = policy_iteration(
-      compiled, {compiled.expected_reward(), compiled.num_state_actions()},
-      unit);
+      model, {model.expected_reward(), model.num_state_actions()}, unit);
   EXPECT_TRUE(exact.converged());
   EXPECT_NEAR(exact.value, best_gain, 1e-9);
 }
@@ -130,7 +129,7 @@ TEST_P(SolverVsBruteForce, RatioMatchesEnumeration) {
   Rng rng(GetParam() ^ 0x5EED);
   const StateId states = 2 + static_cast<StateId>(rng.next_below(3));
   const std::size_t actions = 2 + rng.next_below(2);
-  const Model model = random_model(rng, states, actions);
+  const CompiledModel model = random_model(rng, states, actions);
 
   double best_ratio = -1e100;
   for (const Policy& policy : all_policies(states, actions)) {
@@ -142,15 +141,14 @@ TEST_P(SolverVsBruteForce, RatioMatchesEnumeration) {
   RatioKnobs config;
   config.lower_bound = -100.0;
   config.upper_bound = 100.0;
-  const CompiledModel compiled = CompiledModel::compile(model);
-  const RatioResult solved = maximize_ratio(compiled, config);
+  const RatioResult solved = maximize_ratio(model, config);
   EXPECT_TRUE(solved.converged());
   EXPECT_NEAR(solved.ratio, best_ratio, 1e-5);
 
-  const std::size_t pairs = compiled.num_state_actions();
+  const std::size_t pairs = model.num_state_actions();
   const PolicyIterationResult exact =
-      policy_iteration(compiled, {compiled.expected_reward(), pairs},
-                       {compiled.expected_weight(), pairs});
+      policy_iteration(model, {model.expected_reward(), pairs},
+                       {model.expected_weight(), pairs});
   EXPECT_TRUE(exact.converged());
   EXPECT_NEAR(exact.value, best_ratio, 1e-9);
 }
@@ -159,7 +157,7 @@ TEST_P(SolverVsBruteForce, PolicyEvaluationMatchesPowerIteration) {
   Rng rng(GetParam() ^ 0xABCD);
   const StateId states = 2 + static_cast<StateId>(rng.next_below(4));
   const std::size_t actions = 1 + rng.next_below(3);
-  const Model model = random_model(rng, states, actions);
+  const CompiledModel model = random_model(rng, states, actions);
 
   Policy policy;
   policy.action.resize(states);
@@ -169,23 +167,23 @@ TEST_P(SolverVsBruteForce, PolicyEvaluationMatchesPowerIteration) {
   }
   const auto [reward, weight] =
       policy_rates_by_power_iteration(model, policy);
-  const PolicyGains gains =
-      evaluate_policy_average(CompiledModel::compile(model), policy);
+  const PolicyGains gains = evaluate_policy_average(model, policy);
   EXPECT_NEAR(gains.reward_rate, reward, 1e-6);
   EXPECT_NEAR(gains.weight_rate, weight, 1e-6);
 }
 
 /// Expected discounted reward of a fixed policy from every state: solves
 /// (I - discount * P) v = r by Gaussian elimination with partial pivoting.
-std::vector<double> discounted_value(const Model& model, const Policy& policy,
-                                     double discount) {
+std::vector<double> discounted_value(const CompiledModel& model,
+                                     const Policy& policy, double discount) {
   const StateId n = model.num_states();
   std::vector<std::vector<double>> a(n, std::vector<double>(n + 1, 0.0));
   for (StateId s = 0; s < n; ++s) {
     const SaIndex sa = model.sa_index(s, policy.action[s]);
     a[s][s] = 1.0;
-    for (const Outcome& o : model.outcomes(sa)) {
-      a[s][o.next] -= discount * o.probability;
+    for (std::size_t k = model.outcome_begin(sa); k < model.outcome_end(sa);
+         ++k) {
+      a[s][model.next()[k]] -= discount * model.prob()[k];
     }
     a[s][n] = model.expected_reward(sa);
   }
@@ -218,14 +216,13 @@ std::vector<double> discounted_value(const Model& model, const Policy& policy,
 // tends to 1 — an oracle for the RVI gain independent of every solver.
 TEST_P(SolverVsBruteForce, DiscountedLimitApproachesGain) {
   Rng rng(GetParam() ^ 0xD15C);
-  const Model model = random_model(rng, 3, 2);
+  const CompiledModel model = random_model(rng, 3, 2);
   constexpr double kDiscount = 0.99995;
   double best = -1e100;
   for (const Policy& policy : all_policies(3, 2)) {
     best = std::max(best, discounted_value(model, policy, kDiscount)[0]);
   }
-  const GainResult average =
-      maximize_average_reward(CompiledModel::compile(model));
+  const GainResult average = maximize_average_reward(model);
   EXPECT_NEAR((1.0 - kDiscount) * best, average.gain, 2e-3);
 }
 

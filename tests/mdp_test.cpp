@@ -5,7 +5,6 @@
 
 #include "mdp/average_reward.hpp"
 #include "mdp/compiled_model.hpp"
-#include "mdp/model.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "util/check.hpp"
@@ -23,13 +22,13 @@ TEST(ModelBuilder, BuildsSimpleModel) {
   builder.begin_action(1, 9);
   builder.add_outcome(0, 0.5, 1.0, 0.0);
   builder.add_outcome(1, 0.5, 0.0, 0.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
 
   EXPECT_EQ(model.num_states(), 2u);
   EXPECT_EQ(model.num_state_actions(), 2u);
   EXPECT_EQ(model.num_actions(0), 1u);
-  EXPECT_EQ(model.action_label(0, 0), 7);
-  EXPECT_EQ(model.action_label(1, 0), 9);
+  EXPECT_EQ(model.action_label(model.sa_index(0, 0)), 7);
+  EXPECT_EQ(model.action_label(model.sa_index(1, 0)), 9);
   EXPECT_DOUBLE_EQ(model.expected_reward(model.sa_index(0, 0)), 2.0);
   EXPECT_DOUBLE_EQ(model.expected_reward(model.sa_index(1, 0)), 0.5);
   EXPECT_DOUBLE_EQ(model.expected_weight(model.sa_index(0, 0)), 1.0);
@@ -42,13 +41,14 @@ TEST(ModelBuilder, MergesDuplicateSuccessors) {
   builder.add_outcome(1, 0.75, 0.0, 0.0);
   builder.begin_action(1, 0);
   builder.add_outcome(1, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
 
-  const auto outcomes = model.outcomes(0, 0);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_DOUBLE_EQ(outcomes[0].probability, 1.0);
+  const SaIndex sa = model.sa_index(0, 0);
+  ASSERT_EQ(model.outcome_end(sa) - model.outcome_begin(sa), 1u);
+  const std::size_t k = model.outcome_begin(sa);
+  EXPECT_DOUBLE_EQ(model.prob()[k], 1.0);
   // Probability-weighted reward: 0.25 * 4 + 0.75 * 0 = 1.
-  EXPECT_DOUBLE_EQ(outcomes[0].reward, 1.0);
+  EXPECT_DOUBLE_EQ(model.reward()[k], 1.0);
 }
 
 TEST(ModelBuilder, DropsZeroProbabilityBranches) {
@@ -58,8 +58,25 @@ TEST(ModelBuilder, DropsZeroProbabilityBranches) {
   builder.add_outcome(0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(1, 1.0);
-  const Model model = builder.build();
-  EXPECT_EQ(model.outcomes(0, 0).size(), 1u);
+  const CompiledModel model = builder.build();
+  const SaIndex sa = model.sa_index(0, 0);
+  EXPECT_EQ(model.outcome_end(sa) - model.outcome_begin(sa), 1u);
+}
+
+TEST(ModelBuilder, IsEmptyAgainAfterBuild) {
+  ModelBuilder builder(1);
+  builder.begin_action(0, 3);
+  builder.add_outcome(0, 1.0, 1.0, 0.0);
+  const CompiledModel first = builder.build();
+  builder.begin_action(0, 5);
+  builder.add_outcome(0, 1.0, 2.0, 0.0);
+  const CompiledModel second = builder.build();
+  EXPECT_EQ(second.num_state_actions(), 1u);
+  EXPECT_EQ(second.action_label(0), 5);
+  EXPECT_DOUBLE_EQ(second.expected_reward(0), 2.0);
+  EXPECT_EQ(first.action_label(0), 3);
+  // Built and left empty, it rejects a build with an uncovered state.
+  EXPECT_THROW((void)builder.build(), std::invalid_argument);
 }
 
 TEST(ModelBuilder, RejectsUncoveredState) {
@@ -96,7 +113,7 @@ TEST(ModelBuilder, RejectsOutOfRangeSuccessor) {
 // ---------------------------------------------------------- average reward --
 
 /// Two-state alternator with distinct rewards: gain = (r0 + r1) / 2.
-Model make_alternator(double r0, double r1) {
+CompiledModel make_alternator(double r0, double r1) {
   ModelBuilder builder(2);
   builder.begin_action(0, 0);
   builder.add_outcome(1, 1.0, r0, 1.0);
@@ -106,9 +123,8 @@ Model make_alternator(double r0, double r1) {
 }
 
 TEST(AverageReward, AlternatorGain) {
-  const Model model = make_alternator(1.0, 3.0);
-  const GainResult result =
-      maximize_average_reward(CompiledModel::compile(model));
+  const CompiledModel model = make_alternator(1.0, 3.0);
+  const GainResult result = maximize_average_reward(model);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.gain, 2.0, 1e-6);
 }
@@ -116,11 +132,10 @@ TEST(AverageReward, AlternatorGain) {
 TEST(AverageReward, PeriodicChainConvergesViaAperiodicityTransform) {
   // A strictly periodic two-cycle: without the transform, plain value
   // iteration oscillates.
-  const Model model = make_alternator(0.0, 1.0);
+  const CompiledModel model = make_alternator(0.0, 1.0);
   AverageRewardKnobs config;
   config.aperiodicity_tau = 0.9;
-  const GainResult result =
-      maximize_average_reward(CompiledModel::compile(model), config);
+  const GainResult result = maximize_average_reward(model, config);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.gain, 0.5, 1e-6);
 }
@@ -132,11 +147,11 @@ TEST(AverageReward, PicksBetterAction) {
   builder.add_outcome(0, 1.0, 1.0, 1.0);
   builder.begin_action(0, 20);
   builder.add_outcome(0, 1.0, 2.0, 1.0);
-  const Model model = builder.build();
-  const GainResult result =
-      maximize_average_reward(CompiledModel::compile(model));
+  const CompiledModel model = builder.build();
+  const GainResult result = maximize_average_reward(model);
   EXPECT_NEAR(result.gain, 2.0, 1e-8);
-  EXPECT_EQ(model.action_label(0, result.policy.action[0]), 20);
+  EXPECT_EQ(model.action_label(model.sa_index(0, result.policy.action[0])),
+            20);
 }
 
 TEST(AverageReward, TradesImmediateRewardForBetterState) {
@@ -151,12 +166,11 @@ TEST(AverageReward, TradesImmediateRewardForBetterState) {
   builder.add_outcome(1, 1.0, 0.0, 1.0);
   builder.begin_action(2, 0);  // good state, 5 forever
   builder.add_outcome(2, 1.0, 5.0, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   // Note: this model is multichain (the sink is absorbing), but every state
   // reaches some recurrent class and the maximal gain from state 0 is 5.
-  const GainResult result =
-      maximize_average_reward(CompiledModel::compile(model));
-  EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
+  const GainResult result = maximize_average_reward(model);
+  EXPECT_EQ(model.action_label(model.sa_index(0, result.policy.action[0])), 1);
 }
 
 TEST(AverageReward, RandomWalkGainMatchesStationaryAverage) {
@@ -172,29 +186,26 @@ TEST(AverageReward, RandomWalkGainMatchesStationaryAverage) {
   builder.begin_action(2, 0);
   builder.add_outcome(1, 0.5, 2.0, 0.0);
   builder.add_outcome(2, 0.5, 2.0, 0.0);
-  const Model model = builder.build();
-  const GainResult result =
-      maximize_average_reward(CompiledModel::compile(model));
+  const CompiledModel model = builder.build();
+  const GainResult result = maximize_average_reward(model);
   EXPECT_NEAR(result.gain, 0.25 * 0.0 + 0.5 * 1.0 + 0.25 * 2.0, 1e-6);
 }
 
 TEST(AverageReward, WarmStartReachesSameGain) {
-  const Model model = make_alternator(1.0, 3.0);
+  const CompiledModel model = make_alternator(1.0, 3.0);
   std::vector<double> rewards(model.num_state_actions());
   for (SaIndex sa = 0; sa < rewards.size(); ++sa) {
     rewards[sa] = model.expected_reward(sa);
   }
-  const CompiledModel compiled = CompiledModel::compile(model);
-  const GainResult cold = maximize_average_reward(compiled, rewards);
+  const GainResult cold = maximize_average_reward(model, rewards);
   const GainResult warm = maximize_average_reward(
-      compiled, rewards, AverageRewardKnobs{}, &cold.bias);
+      model, rewards, AverageRewardKnobs{}, &cold.bias);
   EXPECT_NEAR(cold.gain, warm.gain, 1e-9);
   EXPECT_LE(warm.sweeps(), cold.sweeps());
 }
 
 TEST(AverageReward, RejectsWrongRewardVectorSize) {
-  const CompiledModel model =
-      CompiledModel::compile(make_alternator(1.0, 1.0));
+  const CompiledModel model = make_alternator(1.0, 1.0);
   const std::vector<double> rewards = {1.0};
   EXPECT_THROW((void)maximize_average_reward(model, rewards),
                std::invalid_argument);
@@ -205,11 +216,10 @@ TEST(PolicyEvaluation, EvaluatesBothStreams) {
   ModelBuilder builder(1);
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 2.0, 0.5);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   Policy policy;
   policy.action = {0};
-  const PolicyGains gains =
-      evaluate_policy_average(CompiledModel::compile(model), policy);
+  const PolicyGains gains = evaluate_policy_average(model, policy);
   EXPECT_TRUE(gains.converged());
   EXPECT_NEAR(gains.reward_rate, 2.0, 1e-8);
   EXPECT_NEAR(gains.weight_rate, 0.5, 1e-8);
@@ -221,11 +231,10 @@ TEST(PolicyEvaluation, SuboptimalPolicyHasLowerGain) {
   builder.add_outcome(0, 1.0, 1.0, 1.0);
   builder.begin_action(0, 1);
   builder.add_outcome(0, 1.0, 5.0, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   Policy bad;
   bad.action = {0};
-  EXPECT_NEAR(
-      evaluate_policy_average(CompiledModel::compile(model), bad).reward_rate,
+  EXPECT_NEAR(evaluate_policy_average(model, bad).reward_rate,
       1.0, 1e-8);
 }
 
@@ -235,11 +244,10 @@ TEST(Ratio, SingleStateRatioOfStreams) {
   ModelBuilder builder(1);
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 3.0, 4.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result =
-      maximize_ratio(CompiledModel::compile(model), config);
+  const RatioResult result = maximize_ratio(model, config);
   EXPECT_TRUE(result.converged());
   EXPECT_NEAR(result.ratio, 0.75, 1e-6);
 }
@@ -252,13 +260,12 @@ TEST(Ratio, PrefersHigherRatioNotHigherReward) {
   builder.add_outcome(0, 1.0, 10.0, 10.0);
   builder.begin_action(0, 1);
   builder.add_outcome(0, 1.0, 2.0, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result =
-      maximize_ratio(CompiledModel::compile(model), config);
+  const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 2.0, 1e-6);
-  EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
+  EXPECT_EQ(model.action_label(model.sa_index(0, result.policy.action[0])), 1);
 }
 
 TEST(Ratio, HandlesDegenerateZeroWeightAction) {
@@ -269,11 +276,10 @@ TEST(Ratio, HandlesDegenerateZeroWeightAction) {
   builder.add_outcome(0, 1.0, 0.0, 0.0);
   builder.begin_action(0, 1);
   builder.add_outcome(0, 1.0, 1.0, 2.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.upper_bound = 5.0;
-  const RatioResult result =
-      maximize_ratio(CompiledModel::compile(model), config);
+  const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 0.5, 1e-5);
 }
 
@@ -285,11 +291,10 @@ TEST(Ratio, TwoStateMixedRatio) {
   builder.add_outcome(1, 1.0, 1.0, 2.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 3.0, 2.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result =
-      maximize_ratio(CompiledModel::compile(model), config);
+  const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 1.0, 1e-6);
 }
 
@@ -304,34 +309,32 @@ TEST(Ratio, StatefulTradeoff) {
   builder.add_outcome(1, 1.0, 0.0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 4.0, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.upper_bound = 10.0;
-  const RatioResult result =
-      maximize_ratio(CompiledModel::compile(model), config);
+  const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.ratio, 2.0, 1e-6);
-  EXPECT_EQ(model.action_label(0, result.policy.action[0]), 1);
+  EXPECT_EQ(model.action_label(model.sa_index(0, result.policy.action[0])), 1);
 }
 
 TEST(Ratio, ReportsPolicyRates) {
   ModelBuilder builder(1);
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 3.0, 6.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.upper_bound = 2.0;
-  const RatioResult result =
-      maximize_ratio(CompiledModel::compile(model), config);
+  const RatioResult result = maximize_ratio(model, config);
   EXPECT_NEAR(result.reward_rate, 3.0, 1e-6);
   EXPECT_NEAR(result.weight_rate, 6.0, 1e-6);
 }
 
 TEST(Ratio, RejectsEmptyBracket) {
-  const Model model = make_alternator(1.0, 1.0);
+  const CompiledModel model = make_alternator(1.0, 1.0);
   RatioKnobs config;
   config.lower_bound = 1.0;
   config.upper_bound = 1.0;
-  EXPECT_THROW((void)maximize_ratio(CompiledModel::compile(model), config),
+  EXPECT_THROW((void)maximize_ratio(model, config),
                std::invalid_argument);
 }
 
@@ -359,7 +362,7 @@ TEST(Ratio, BisectionRecordsThePolicyItFinds) {
   }
   builder.begin_action(kCycle - 1, 0);
   builder.add_outcome(0, 1.0, -1.0, 1.0);
-  const CompiledModel model = CompiledModel::compile(builder.build());
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.lower_bound = -5.0;
   config.upper_bound = 0.0;
@@ -387,10 +390,10 @@ TEST(Ratio, ThrowsOnUnboundedObjective) {
   ModelBuilder builder(1);
   builder.begin_action(0, 0);
   builder.add_outcome(0, 1.0, 1.0, 0.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   RatioKnobs config;
   config.upper_bound = 100.0;
-  EXPECT_THROW((void)maximize_ratio(CompiledModel::compile(model), config),
+  EXPECT_THROW((void)maximize_ratio(model, config),
                bvc::InternalError);
 }
 
@@ -410,11 +413,11 @@ TEST(Rollout, MatchesAnalyticGainOnAlternator) {
   builder.begin_action(1, 0);
   builder.add_outcome(0, 0.5, 3.0, 1.0);
   builder.add_outcome(1, 0.5, 0.0, 1.0);
-  const Model model = builder.build();
+  const CompiledModel model = builder.build();
   Policy policy;
   policy.action = {0, 0};
 
-  const CompiledModel compiled = CompiledModel::compile(model);
+  const CompiledModel compiled = model;
   const PolicyGains gains = evaluate_policy_average(compiled, policy);
   bvc::Rng rng(77);
   const ModelRolloutResult rollout =
@@ -429,7 +432,7 @@ TEST(Rollout, RejectsIncompletePolicy) {
   builder.add_outcome(1, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0);
-  const CompiledModel model = CompiledModel::compile(builder.build());
+  const CompiledModel model = builder.build();
   Policy policy;
   policy.action = {0};
   bvc::Rng rng(1);

@@ -299,9 +299,9 @@ TEST(ModelCache, GlobalCacheServesTheModelBuilders) {
   mdp::ModelCache& cache = mdp::ModelCache::global();
   cache.clear();
 
-  const bu::AttackModel first =
-      bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
-  ASSERT_NE(first.compiled, nullptr);
+  const std::shared_ptr<const mdp::CompiledModel> first =
+      bu::attack_model_compiled(params, bu::Utility::kRelativeRevenue);
+  ASSERT_NE(first, nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
   // The cache holds the rule set's template, never a cell's model.
   EXPECT_EQ(cache.find(bu::attack_model_cache_key(
@@ -310,14 +310,14 @@ TEST(ModelCache, GlobalCacheServesTheModelBuilders) {
 
   params.alpha = 0.32;  // another cell of the same rule set
   params.gamma = 0.33;
-  const bu::AttackModel second =
-      bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
+  const std::shared_ptr<const mdp::CompiledModel> second =
+      bu::attack_model_compiled(params, bu::Utility::kRelativeRevenue);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(&second.compiled->index(), &first.compiled->index());
+  EXPECT_EQ(&second->index(), &first->index());
   // The base state's OnChain1 row pays alpha: the values are the cell's.
-  EXPECT_EQ(second.compiled->expected_reward(0), 0.32);
-  EXPECT_EQ(first.compiled->expected_reward(0), 0.31);
+  EXPECT_EQ(second->expected_reward(0), 0.32);
+  EXPECT_EQ(first->expected_reward(0), 0.31);
   cache.clear();
 }
 

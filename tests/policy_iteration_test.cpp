@@ -27,7 +27,7 @@ namespace {
 using namespace bvc;
 using namespace bvc::mdp;
 
-Model random_model(Rng& rng, StateId states, std::size_t actions) {
+CompiledModel random_model(Rng& rng, StateId states, std::size_t actions) {
   ModelBuilder builder(states);
   for (StateId s = 0; s < states; ++s) {
     for (std::size_t a = 0; a < actions; ++a) {
@@ -69,8 +69,7 @@ TEST(PolicyIteration, ExactEvaluationOnTwoStateChain) {
   builder.add_outcome(1, 1.0, 1.0, 0.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 3.0, 0.0);
-  const PolicyIterationResult result =
-      exact_gain(CompiledModel::compile(builder.build()));
+  const PolicyIterationResult result = exact_gain(builder.build());
   EXPECT_TRUE(result.converged());
   EXPECT_EQ(result.value, 2.0);
   EXPECT_EQ(result.bias[0], 0.0);
@@ -82,11 +81,10 @@ TEST(PolicyIteration, AgreesWithRviOnRandomModels) {
   for (int trial = 0; trial < 30; ++trial) {
     const StateId states = 2 + static_cast<StateId>(rng.next_below(8));
     const std::size_t actions = 1 + rng.next_below(4);
-    const Model model = random_model(rng, states, actions);
+    const CompiledModel model = random_model(rng, states, actions);
 
-    const CompiledModel compiled = CompiledModel::compile(model);
-    const PolicyIterationResult exact = exact_gain(compiled);
-    const GainResult iterative = maximize_average_reward(compiled);
+    const PolicyIterationResult exact = exact_gain(model);
+    const GainResult iterative = maximize_average_reward(model);
     EXPECT_TRUE(exact.converged());
     EXPECT_NEAR(exact.value, iterative.gain, 1e-6) << "trial " << trial;
   }
@@ -94,8 +92,7 @@ TEST(PolicyIteration, AgreesWithRviOnRandomModels) {
 
 TEST(PolicyIteration, ConvergesInFewImprovements) {
   Rng rng(7);
-  const PolicyIterationResult result =
-      exact_gain(CompiledModel::compile(random_model(rng, 10, 3)));
+  const PolicyIterationResult result = exact_gain(random_model(rng, 10, 3));
   EXPECT_TRUE(result.converged());
   EXPECT_LE(result.improvements(), 20);
 }
@@ -132,8 +129,7 @@ TEST(PolicyIteration, ZeroDenominatorCycleIsNotDivided) {
   builder.add_outcome(1, 1.0, 0.25, 0.5);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 0.75, 1.5);
-  const PolicyIterationResult result =
-      exact_ratio(CompiledModel::compile(builder.build()));
+  const PolicyIterationResult result = exact_ratio(builder.build());
   EXPECT_TRUE(result.converged());
   EXPECT_EQ(result.value, 0.5);
   EXPECT_EQ(result.policy.action[0], 1u);
@@ -147,8 +143,7 @@ TEST(PolicyIteration, NumeratorWithoutDenominatorIsDegenerate) {
   builder.add_outcome(1, 1.0, 1.0, 0.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 1.0, 0.0);
-  const PolicyIterationResult result =
-      exact_ratio(CompiledModel::compile(builder.build()));
+  const PolicyIterationResult result = exact_ratio(builder.build());
   EXPECT_EQ(result.status, robust::RunStatus::kDegenerateModel);
 }
 
@@ -162,14 +157,13 @@ TEST(PolicyIteration, RejectsOversizedModels) {
     builder.add_outcome((s + 1) % states, 0.5, 1.0, 1.0);
     builder.add_outcome(s == 0 ? 0 : s - 1, 0.5, 0.0, 1.0);
   }
-  EXPECT_THROW((void)exact_gain(CompiledModel::compile(builder.build())),
+  EXPECT_THROW((void)exact_gain(builder.build()),
                std::invalid_argument);
 }
 
 TEST(PolicyIteration, RejectsMismatchedStreams) {
   Rng rng(4);
-  const CompiledModel model =
-      CompiledModel::compile(random_model(rng, 4, 2));
+  const CompiledModel model = random_model(rng, 4, 2);
   const std::vector<double> full(model.num_state_actions(), 1.0);
   const std::vector<double> short_stream(2, 1.0);
   EXPECT_THROW((void)policy_iteration(model, short_stream, full),

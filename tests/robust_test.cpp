@@ -12,7 +12,7 @@
 
 #include "bu/attack_analysis.hpp"
 #include "mdp/average_reward.hpp"
-#include "mdp/model.hpp"
+#include "mdp/compiled_model.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/rollout.hpp"
@@ -214,7 +214,7 @@ CompiledModel make_alternator(double r0, double r1) {
   builder.add_outcome(1, 1.0, r0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, r1, 1.0);
-  return CompiledModel::compile(builder.build());
+  return builder.build();
 }
 
 RunControl cancelled_control() {
@@ -285,7 +285,7 @@ TEST(PolicyIterationControl, TickBudgetReturnsTheLastEvaluatedPolicy) {
   builder.add_outcome(1, 1.0, 1.0, 1.0);
   builder.begin_action(1, 0);
   builder.add_outcome(0, 1.0, 2.0, 1.0);
-  const CompiledModel model = CompiledModel::compile(builder.build());
+  const CompiledModel model = builder.build();
   RunControl control;
   control.budget = RunBudget::ticks(1);
   const mdp::PolicyIterationResult partial = exact_gain(model, control);
@@ -384,7 +384,7 @@ TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
       mdp::maximize_ratio(*attack.compiled, config);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
   EXPECT_FALSE(result.converged());
-  EXPECT_EQ(result.policy.action.size(), attack.model.num_states());
+  EXPECT_EQ(result.policy.action.size(), attack.compiled->num_states());
   // The deadline binds the nested solves too, not just the outer loop: the
   // whole thing must end well before an unbudgeted solve would (seconds).
   EXPECT_LT(result.diagnostics.elapsed_seconds, 2.0);

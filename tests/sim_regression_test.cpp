@@ -379,7 +379,7 @@ TEST(SimRegression, AttackScenarioRandomPolicy) {
   Rng prng(5);
   for (mdp::StateId id = 0; id < model.space.size(); ++id) {
     policy.action[id] = static_cast<std::uint32_t>(
-        prng.next_below(model.model.num_actions(id)));
+        prng.next_below(model.compiled->num_actions(id)));
   }
   ScenarioOptions options;
   options.check_against_model = true;

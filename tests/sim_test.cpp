@@ -43,7 +43,7 @@ mdp::Policy pseudo_random_policy(const bu::AttackModel& model,
   Rng rng(seed);
   for (mdp::StateId id = 0; id < model.space.size(); ++id) {
     policy.action[id] = static_cast<std::uint32_t>(
-        rng.next_below(model.model.num_actions(id)));
+        rng.next_below(model.compiled->num_actions(id)));
   }
   return policy;
 }

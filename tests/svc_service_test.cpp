@@ -651,6 +651,53 @@ TEST(SvcServiceRejects, OutOfRangeVotingAndPlacementFieldsAre400) {
   }
 }
 
+TEST(SvcServiceRejects, WrongTypedFieldsAre400NamingTheField) {
+  // A field present with the wrong type is rejected naming the field; it
+  // must not fall back to the field's default.
+  const auto with = [](std::string body, const std::string& from,
+                       const std::string& to) {
+    const std::size_t at = body.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return body.replace(at, from.size(), to);
+  };
+  const std::string cell =
+      R"({"kind":"bu-attack","cells":[{"alpha":0.2,"beta":0.4,"gamma":0.4}]})";
+  const std::string grid =
+      R"({"kind":"bu-attack","grid":{"alphas":[0.1],"ratios":[[1,1]]}})";
+  const std::string voting =
+      R"({"kind":"counter-voting","cells":[{"seed":7,"epochs":3,)"
+      R"("cohorts":[{"power":1.0,"preferred_limit":2000000}]}]})";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {with(cell, R"("gamma":0.4)", R"("gamma":0.4,"allow_wait":1)"),
+       "'allow_wait'"},
+      {with(grid, R"([[1,1]])", R"([[1,1]],"allow_wait":"true")"),
+       "'allow_wait'"},
+      {with(kNetSimJob, R"("ad":6},)", R"("ad":6,"sticky_gate":1},)"),
+       "'sticky_gate'"},
+      {with(kNetSimJob, R"("block_interval":600,)",
+            R"("block_interval":600,"compact":"yes",)"),
+       "'compact'"},
+      {with(voting, "2000000}", R"(2000000,"adversarial":0})"),
+       "'adversarial'"},
+      {with(kNetSimJob, R"({"name":"a",)", R"({"name":7,)"), "'name'"},
+      {net_sim_job_with_topology(R"({"type":7,"nodes":4})"), "'type'"},
+      {with(cell, R"("gamma":0.4)", R"("gamma":0.4,"utility":3)"),
+       "'utility'"},
+  };
+  for (const auto& [body, field] : cases) {
+    const auto [status, error] = parse_job(body);
+    EXPECT_EQ(status, 400) << body;
+    EXPECT_NE(error.find(field), std::string::npos) << body << " -> " << error;
+  }
+  // The same fields with their own types are admitted.
+  for (const std::string& body :
+       {with(cell, R"("gamma":0.4)", R"("gamma":0.4,"allow_wait":true)"),
+        with(kNetSimJob, R"("ad":6},)", R"("ad":6,"sticky_gate":false},)"),
+        with(voting, "2000000}", R"(2000000,"adversarial":true})")}) {
+    EXPECT_EQ(parse_job(body).first, 200) << body;
+  }
+}
+
 TEST(SvcServiceNetSim, RestartRestoresNetSimRecords) {
   const std::string state_dir = fresh_dir("netsim_restart");
   std::string id;
