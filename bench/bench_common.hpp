@@ -137,6 +137,19 @@ inline mdp::BatchConfig batch_config_from_args(const util::ParsedArgs& args) {
   return config;
 }
 
+/// Opens the file a bench output flag (`--csv`, `--trace-jsonl`, ...)
+/// names, at startup: a path that cannot be opened exits 2 before any
+/// solve, with the same message for every flag.
+inline std::ofstream open_output(const char* flag, const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "*** cannot open --%s file: %s\n", flag,
+                 path.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
 /// Optional machine-readable output: when `--csv <path>` is passed, returns
 /// an open stream + writer pair; callers emit one row per measured cell.
 struct CsvSink {
@@ -158,10 +171,7 @@ inline CsvSink open_csv(const util::ParsedArgs& args,
   if (!path) {
     return sink;
   }
-  sink.file.open(*path);
-  if (!sink.file) {
-    throw std::invalid_argument("cannot open CSV output file: " + *path);
-  }
+  sink.file = open_output("csv", *path);
   sink.writer = std::make_unique<CsvWriter>(sink.file);
   sink.row(header);
   return sink;
@@ -195,11 +205,13 @@ inline void print_cache_stats(const char* bench_name) {
 ///   --log-out/--log-level    obs::EventLog sink and threshold
 ///
 /// Construct one ObsSession at the top of main (before any solve) and let
-/// it run out of scope last: construction enables the tracer/metrics layer
-/// exactly when a sink was requested, destruction writes every requested
-/// file. With none of the flags present the instrumentation layer stays
-/// disabled and every obs call in the hot paths reduces to one relaxed
-/// atomic load — bench output is bit-identical to an uninstrumented build.
+/// it run out of scope last: construction opens every requested file (a
+/// path that cannot be opened exits 2, see open_output) and enables the
+/// tracer/metrics layer exactly when a sink was requested; destruction
+/// writes the files. With none of the flags present the instrumentation
+/// layer stays disabled and every obs call in the hot paths reduces to one
+/// relaxed atomic load — bench output is bit-identical to an
+/// uninstrumented build.
 class ObsSession {
  public:
   explicit ObsSession(const util::ParsedArgs& args)
@@ -207,9 +219,11 @@ class ObsSession {
         jsonl_path_(args.get_string("trace-jsonl", "")),
         manifest_path_(args.get_string("manifest-out", "")) {
     if (!jsonl_path_.empty()) {
+      jsonl_out_ = open_output("trace-jsonl", jsonl_path_);
       obs::Tracer::global().enable();
     }
     if (!manifest_path_.empty()) {
+      manifest_out_ = open_output("manifest-out", manifest_path_);
       obs::set_metrics_enabled(true);
     }
     // Every artifact the run writes, so the manifest links each number
@@ -262,22 +276,11 @@ class ObsSession {
   }
 
   ~ObsSession() {
-    const auto write_file = [](const std::string& path, const char* what,
-                               const auto& writer) {
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "*** cannot open %s output file: %s\n", what,
-                     path.c_str());
-        return;
-      }
-      writer(out);
-      std::fprintf(stderr, "[obs] wrote %s: %s\n", what, path.c_str());
-    };
-
     if (!jsonl_path_.empty()) {
       obs::Tracer& tracer = obs::Tracer::global();
-      write_file(jsonl_path_, "trace-jsonl",
-                 [&](std::ostream& out) { tracer.write_jsonl(out); });
+      tracer.write_jsonl(jsonl_out_);
+      std::fprintf(stderr, "[obs] wrote trace-jsonl: %s\n",
+                   jsonl_path_.c_str());
       if (tracer.dropped_events() > 0) {
         obs::log_warn("obs", "trace events dropped (ring full)",
                       {{"dropped", tracer.dropped_events()}});
@@ -288,10 +291,10 @@ class ObsSession {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started_)
               .count();
-      write_file(manifest_path_, "manifest", [&](std::ostream& out) {
-        obs::write_manifest_json(out, manifest_,
-                                 obs::MetricsRegistry::global().snapshot());
-      });
+      obs::write_manifest_json(manifest_out_, manifest_,
+                               obs::MetricsRegistry::global().snapshot());
+      std::fprintf(stderr, "[obs] wrote manifest: %s\n",
+                   manifest_path_.c_str());
     }
   }
 
@@ -308,6 +311,8 @@ class ObsSession {
   obs::RunManifest manifest_;
   std::string jsonl_path_;
   std::string manifest_path_;
+  std::ofstream jsonl_out_;
+  std::ofstream manifest_out_;
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };

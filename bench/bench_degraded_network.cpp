@@ -111,6 +111,10 @@ int main(int argc, char** argv) {
   const util::ParsedArgs args = parser.parse(argc, argv);
   bench::ObsSession obs(args);
   bench::SweepSession sweep(args, obs, "bench_degraded_network");
+  std::ofstream timeline_file;
+  if (const auto path = args.value("timeline-out")) {
+    timeline_file = bench::open_output("timeline-out", *path);
+  }
   // parse() rejects negative values; zero is the one usage error left.
   const auto blocks =
       static_cast<std::uint64_t>(args.get_long("blocks", 20'000));
@@ -233,20 +237,13 @@ int main(int argc, char** argv) {
   // Sim-clock timeline: one dedicated fault-free run with the recorder
   // attached (identical config and seed as the baseline cell, capped at
   // 500 blocks so the trace stays viewer-sized).
-  const std::string timeline_out = args.get_string("timeline-out", "");
-  if (!timeline_out.empty()) {
+  if (timeline_file.is_open()) {
     sim::Timeline timeline;
     sim::NetworkSimulation simulation(make_network(nodes));
     Rng timeline_rng(42);
     (void)simulation.run(std::min<std::uint64_t>(blocks, 500), timeline_rng,
                          {}, &timeline);
-    std::ofstream out(timeline_out, std::ios::trunc);
-    if (out) {
-      timeline.write_chrome_trace(out);
-    } else {
-      std::fprintf(stderr, "error: cannot write --timeline-out %s\n",
-                   timeline_out.c_str());
-    }
+    timeline.write_chrome_trace(timeline_file);
   }
 
   std::printf(

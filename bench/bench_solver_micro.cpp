@@ -1,14 +1,25 @@
-// google-benchmark microbenchmarks of the numerical core: model builds,
-// warm-cache cell solves, relative value iteration, ratio (Dinkelbach)
-// solves, and simulator throughput. These guard the performance
-// assumptions behind the table benches (a setting-2 Dinkelbach solve must
-// stay ~1 s or the full grids become impractical).
+// Sweep kernel microbenchmark: times the raw Bellman-backup sweep — the
+// inner loop every solver and every table cell spends its time in — per
+// sweep variant and ISA, checks that the rows agree bit-for-bit and that
+// the dispatched ISA clears its speedup gates, and writes the results to
+// BENCH_kernel.json (scripts/bench_record.sh re-records the committed one).
+// Exits 1 when a check or gate fails.
 //
-// `--mode=kernel` bypasses google-benchmark and runs the sweep kernel
-// comparison instead, writing BENCH_kernel.json (see run_kernel_mode
-// below).
-#include <benchmark/benchmark.h>
-
+// The baseline row ("soa") is a plain serial Gauss-Seidel greedy sweep
+// over the CompiledModel's CSR next/prob columns; the dispatched kernel
+// rows run the greedy Jacobi sweep once per ISA, must agree bit-for-bit
+// among themselves, and the dispatched one must run at least 1.3x the
+// baseline.
+//
+// Policy evaluation gets its own rows: a fixed-policy Jacobi sweep over the
+// model's CSR columns (restricted to the policy's action per state) against
+// kernel::rvi_eval_sweep over the policy's compacted chain, once per ISA.
+// All of them must agree bit-for-bit.
+//
+// Three-action rows time the same dispatched greedy sweep on a Table 4
+// setting-2 model (u3, whose menu adds Wait), once per ISA, among
+// themselves; they too must agree bit-for-bit, and the dispatched vector
+// sweep must run at least 2x the scalar one.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -23,209 +34,13 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bu/attack_analysis.hpp"
-#include "btc/selfish_mining.hpp"
-#include "mdp/average_reward.hpp"
-#include "mdp/batch.hpp"
+#include "bu/attack_model.hpp"
 #include "mdp/compiled_model.hpp"
 #include "mdp/kernel.hpp"
-#include "sim/attack_scenario.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace bvc;
-
-bu::AttackParams grid_params(bu::Setting setting) {
-  bu::AttackParams params;
-  params.alpha = 0.25;
-  params.beta = 0.30;
-  params.gamma = 0.45;
-  params.setting = setting;
-  return params;
-}
-
-/// State-space enumeration + model build for one cell (Arg: the setting,
-/// 1 or 2), through CellModelBuilder and never the ModelCache: the
-/// enumeration a warm analyze() skips (it pays only the template's per-cell
-/// instantiation).
-void BM_BuildAttackModel(benchmark::State& state) {
-  const bu::AttackParams params = grid_params(
-      state.range(0) == 2 ? bu::Setting::kStickyGate
-                          : bu::Setting::kNoStickyGate);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bu::build_attack_model(params, bu::Utility::kRelativeRevenue));
-  }
-}
-BENCHMARK(BM_BuildAttackModel)->Arg(1)->Arg(2);
-
-/// The per-cell cost of a bvcd grid job on a warm cache, without the
-/// daemon: analyze() over 20 setting-1 u1 cells (alpha x Bob/Carol split)
-/// whose compiled models the cache already holds — key format, lookup and
-/// the ratio solve. Reports per-cell time via items_per_second.
-void BM_WarmCellAnalyze(benchmark::State& state) {
-  std::vector<bu::AttackParams> cells;
-  for (const double alpha : {0.10, 0.15, 0.20, 0.25}) {
-    for (const double bob_share : {0.2, 0.4, 0.5, 0.6, 0.8}) {
-      bu::AttackParams params;
-      params.alpha = alpha;
-      params.beta = (1.0 - alpha) * bob_share;
-      params.gamma = 1.0 - alpha - params.beta;
-      cells.push_back(params);
-    }
-  }
-  for (const bu::AttackParams& params : cells) {
-    (void)bu::analyze(params, bu::Utility::kRelativeRevenue);  // warm up
-  }
-  for (auto _ : state) {
-    for (const bu::AttackParams& params : cells) {
-      benchmark::DoNotOptimize(
-          bu::analyze(params, bu::Utility::kRelativeRevenue));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cells.size()));
-}
-BENCHMARK(BM_WarmCellAnalyze)->Unit(benchmark::kMicrosecond);
-
-void BM_RviSweepSetting2(benchmark::State& state) {
-  const bu::AttackModel model = bu::build_attack_model(
-      grid_params(bu::Setting::kStickyGate), bu::Utility::kRelativeRevenue);
-  mdp::AverageRewardKnobs knobs;
-  knobs.max_sweeps = static_cast<int>(state.range(0));
-  knobs.tolerance = 1e-30;  // force exactly max_sweeps sweeps
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mdp::maximize_average_reward(*model.compiled, knobs));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          model.compiled->num_states());
-}
-BENCHMARK(BM_RviSweepSetting2)->Arg(10);
-
-// Batch of eight Table-3-style setting-1 cells through bu::analyze_batch;
-// Arg is BatchConfig::threads (1 = serial baseline for the speedup ratio).
-// The models are compiled into the cache up front, so every Arg times the
-// solves alone. UseRealTime because the work happens on pool threads.
-void BM_BatchSolveTable3(benchmark::State& state) {
-  struct Grid {
-    int b;
-    int g;
-  };
-  const std::vector<Grid> grids = {{2, 1}, {1, 1}};
-  const std::vector<double> alphas = {0.05, 0.10, 0.15, 0.20};
-  std::vector<bu::AnalysisJob> jobs;
-  for (const Grid& grid : grids) {
-    for (const double alpha : alphas) {
-      const bu::AttackParams params = bu::grid_cell(alpha, grid.b, grid.g);
-      jobs.push_back({params, bu::Utility::kAbsoluteReward});
-      (void)bu::attack_model_compiled(params, bu::Utility::kAbsoluteReward);
-    }
-  }
-  mdp::BatchConfig config;
-  config.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    mdp::BatchReport report;
-    (void)bu::analyze_batch(jobs, {}, config, {}, &report);
-    benchmark::DoNotOptimize(report.items_converged);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(jobs.size()));
-}
-BENCHMARK(BM_BatchSolveTable3)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->UseRealTime();
-
-void BM_SolveRelativeRevenueSetting1(benchmark::State& state) {
-  const bu::AttackParams params = grid_params(bu::Setting::kNoStickyGate);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bu::analyze(params, bu::Utility::kRelativeRevenue));
-  }
-}
-BENCHMARK(BM_SolveRelativeRevenueSetting1);
-
-void BM_SolveRelativeRevenueSetting2(benchmark::State& state) {
-  const bu::AttackParams params = grid_params(bu::Setting::kStickyGate);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bu::analyze(params, bu::Utility::kRelativeRevenue));
-  }
-}
-BENCHMARK(BM_SolveRelativeRevenueSetting2)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_SolveSelfishMining(benchmark::State& state) {
-  btc::SmParams params;
-  params.alpha = 0.35;
-  params.gamma_tie = 0.5;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        btc::analyze_sm(params, bu::Utility::kRelativeRevenue));
-  }
-}
-BENCHMARK(BM_SolveSelfishMining);
-
-void BM_ScenarioSimThroughput(benchmark::State& state) {
-  const bu::AttackModel model = bu::build_attack_model(
-      grid_params(bu::Setting::kNoStickyGate), bu::Utility::kRelativeRevenue);
-  const bu::AnalysisResult analysis = bu::analyze(model);
-  bench::require_solved(analysis.status, "scenario-sim setup solve",
-                        /*fatal=*/false);
-  sim::AttackScenarioSim simulator(model, sim::ScenarioOptions{});
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simulator.run(analysis.policy, 100'000, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_ScenarioSimThroughput)->Unit(benchmark::kMillisecond);
-
-void BM_PolicyRollout(benchmark::State& state) {
-  const bu::AttackModel model = bu::build_attack_model(
-      grid_params(bu::Setting::kNoStickyGate), bu::Utility::kRelativeRevenue);
-  const bu::AnalysisResult analysis = bu::analyze(model);
-  bench::require_solved(analysis.status, "rollout setup solve",
-                        /*fatal=*/false);
-  Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bu::rollout_policy(model, analysis.policy, 100'000, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_PolicyRollout)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-// ---- --mode=kernel: sweep throughput per kernel ---------------------------
-//
-// Measures the raw Bellman-backup sweep — the inner loop every solver and
-// every table cell spends its time in. The baseline row ("soa") is a plain
-// serial Gauss-Seidel greedy sweep over the CompiledModel's CSR next/prob
-// columns; the dispatched kernel rows run the greedy Jacobi sweep once per
-// ISA, must agree bit-for-bit among themselves, and the dispatched one must
-// run at least 1.3x the baseline.
-//
-// Policy evaluation gets its own rows: a fixed-policy Jacobi sweep over the
-// model's CSR columns (restricted to the policy's action per state) against
-// kernel::rvi_eval_sweep over the policy's compacted chain, once per ISA.
-// All of them must agree bit-for-bit.
-//
-// Three-action rows time the same dispatched greedy sweep on a Table 4
-// setting-2 model (u3, whose menu adds Wait), once per ISA, among
-// themselves; they too must agree bit-for-bit, and the dispatched vector
-// sweep must run at least 2x the scalar one.
-
-namespace {
 
 constexpr double kKernelTau = 0.999;
 
@@ -374,8 +189,9 @@ void time_rows(std::vector<TimedRow>& rows, std::vector<double>& bias,
   }
 }
 
-int run_kernel_mode(const util::ParsedArgs& args) {
+int run_comparison(const util::ParsedArgs& args) {
   const std::string out_path = args.get_string("out", "BENCH_kernel.json");
+  std::ofstream json = bench::open_output("out", out_path);
   // 100-sweep reps: short enough that a rep fits inside one quiet clock
   // window on shared/virtualized hosts (a 200-sweep rep spans several and
   // lets the row that happens to sustain boost clocks longest — not the
@@ -383,8 +199,13 @@ int run_kernel_mode(const util::ParsedArgs& args) {
   const int sweeps = static_cast<int>(args.get_long("sweeps", 100));
 
   // The setting-2 grid cell: the largest model the table benches sweep.
-  const bu::AttackModel attack = bu::build_attack_model(
-      grid_params(bu::Setting::kStickyGate), bu::Utility::kRelativeRevenue);
+  bu::AttackParams params;
+  params.alpha = 0.25;
+  params.beta = 0.30;
+  params.gamma = 0.45;
+  params.setting = bu::Setting::kStickyGate;
+  const bu::AttackModel attack =
+      bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
   const mdp::CompiledModel& compiled = *attack.compiled;
   const std::span<const double> rewards{compiled.expected_reward(),
                                         compiled.num_state_actions()};
@@ -590,7 +411,6 @@ int run_kernel_mode(const util::ParsedArgs& args) {
   const bool wait_pass = dispatched == mdp::kernel::Isa::kScalar ||
                          wait_speedup >= wait_threshold;
 
-  std::ofstream json(out_path);
   json << "{\n"
        << "  \"mode\": \"kernel\",\n"
        << "  \"model\": \"bu setting-2 alpha=0.25 beta=0.30 gamma=0.45\",\n"
@@ -712,50 +532,15 @@ int run_kernel_mode(const util::ParsedArgs& args) {
 int main(int argc, char** argv) {
   bvc::util::ArgParser parser(
       "bench_solver_micro",
-      "google-benchmark microbenchmarks of the numerical core");
+      "time the sweep kernels per ISA and write BENCH_kernel.json");
   bvc::bench::add_obs_args(parser);
   parser.add({
-      {"mode", bvc::util::ArgType::kString, "kernel",
-       "run the standalone kernel-sweep comparison instead of "
-       "google-benchmark", ""},
-      {"out", bvc::util::ArgType::kString, "FILE",
-       "kernel mode: JSON results path", "BENCH_kernel.json"},
-      {"sweeps", bvc::util::ArgType::kLong, "N",
-       "kernel mode: sweeps per repetition", "100"},
+      {"out", bvc::util::ArgType::kString, "FILE", "JSON results path",
+       "BENCH_kernel.json"},
+      {"sweeps", bvc::util::ArgType::kLong, "N", "sweeps per repetition",
+       "100"},
   });
-  // Everything else belongs to google-benchmark (--benchmark_filter etc.).
-  parser.allow_prefix("benchmark_");
-  parser.allow_prefix("v");
   const bvc::util::ParsedArgs args = parser.parse(argc, argv);
-
-  // The session must outlive the benchmark run.
   bvc::bench::ObsSession obs(args);
-  const std::string mode = args.get_string("mode", "");
-  if (mode == "kernel") {
-    return run_kernel_mode(args);
-  }
-  if (!mode.empty()) {
-    std::fprintf(stderr, "bench_solver_micro: unknown --mode '%s'\n",
-                 mode.c_str());
-    return 2;
-  }
-  // google-benchmark rejects arguments it does not recognize, so it gets
-  // only what parse() passed through, plus the positionals.
-  std::vector<std::string> forwarded = {args.argv().front()};
-  forwarded.insert(forwarded.end(), args.passthrough().begin(),
-                   args.passthrough().end());
-  forwarded.insert(forwarded.end(), args.positional().begin(),
-                   args.positional().end());
-  std::vector<char*> bench_argv;
-  for (std::string& token : forwarded) {
-    bench_argv.push_back(token.data());
-  }
-  int bench_argc = static_cast<int>(bench_argv.size());
-  benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_comparison(args);
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Re-records the committed kernel microbenchmark baseline: builds
-# bench_solver_micro, runs its --mode=kernel comparison (the scalar CSR
+# bench_solver_micro, runs its kernel comparison (the scalar CSR
 # sweep vs the fused vector sweep, one row per ISA the machine can run;
 # then a fixed-policy evaluation sweep, the restricted CSR loop vs the
 # policy-chain sweep per ISA), and rewrites BENCH_kernel.json at the repo
@@ -21,7 +21,6 @@ build="${BVC_BUILD_DIR:-build-ci}"
 cmake -S "$repo" -B "$repo/$build" >/dev/null
 cmake --build "$repo/$build" -j "$(nproc)" --target bench_solver_micro
 
-"$repo/$build/bench/bench_solver_micro" --mode=kernel \
-  --out="$repo/BENCH_kernel.json"
+"$repo/$build/bench/bench_solver_micro" --out="$repo/BENCH_kernel.json"
 
 echo "bench_record.sh: wrote $repo/BENCH_kernel.json"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Crash-safe sweep end-to-end test (registered as the `shard`-labeled ctest
+# Crash-safe sweep end-to-end test (registered as the `resume`-labeled ctest
 # case check_resume): the kill-and-resume scenario on real bench binaries —
 #
 #   1. an uninterrupted bench_table2 run is the baseline stdout;

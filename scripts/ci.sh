@@ -35,12 +35,12 @@ ctest --test-dir "$repo/$build" --output-on-failure "$@"
 # full suite above.
 ctest --test-dir "$repo/$build" --output-on-failure -L obs
 
-# Crash-safety gate, surfaced as its own named step: the shard-labeled
+# Crash-safety gate, surfaced as its own named step: the resume-labeled
 # tests (checkpoint journal and checkpointed batch unit tests +
 # scripts/check_resume.sh, which SIGKILLs bench_table2, bench_table3 and
 # bench_countermeasure mid-sweep and demands byte-identical resumes) must
 # pass in isolation, not just inside the full suite above.
-ctest --test-dir "$repo/$build" --output-on-failure -L shard
+ctest --test-dir "$repo/$build" --output-on-failure -L resume
 
 # Simulation gate: the sim-labeled suite (event engine, fixed-seed
 # regression vectors, replica determinism incl. threads-1-vs-8 and
@@ -59,14 +59,16 @@ ctest --test-dir "$repo/$build" --output-on-failure -L counts
 
 # Kernel dispatch gate: the kernel-labeled suite (ISA equivalence, fused
 # sweep and chain-sweep bit-identity, the CompiledModel layout and its
-# palette codes) must hold with the vector kernels forced off, under each vector ISA, and under auto
-# dispatch — the explicit avx2/avx512 passes run the solver-level greedy
-# and fixed-policy evaluation paths on each vector ISA, not only on the
-# one auto picks. Requests clamp to what the CPU has and vector-ISA
-# cases GTEST_SKIP on machines without AVX2/AVX-512, so every pass stays
-# green (not red) on any hardware; the env var additionally proves the
-# override path end to end.
-for isa in scalar avx2 avx512 auto; do
+# palette codes) must hold under each vector ISA, so the solver-level
+# greedy and fixed-policy evaluation paths run on AVX2 as well as on the
+# ISA auto dispatch picks. There is no auto leg: kernel::resolve takes the
+# same branch for auto and avx512 on every host, so it would repeat the
+# avx512 leg. There is no scalar leg: the scalar full-suite pass below
+# runs the kernel label too. Requests clamp to what the CPU has and
+# vector-ISA cases GTEST_SKIP on machines without AVX2/AVX-512, so every
+# pass stays green (not red) on any hardware; the env var additionally
+# proves the override path end to end.
+for isa in avx2 avx512; do
   BVC_KERNEL=$isa ctest --test-dir "$repo/$build" --output-on-failure -L kernel
 done
 

@@ -5,7 +5,7 @@
 #
 #   scripts/sanitize.sh                  # ASan+UBSan: configure+build+ctest
 #   scripts/sanitize.sh address -R Fault # same, forwarding args to ctest
-#   scripts/sanitize.sh address -L shard # journal + kill/resume suites only
+#   scripts/sanitize.sh address -L resume # journal + kill/resume suites only
 #   scripts/sanitize.sh thread           # TSan over the full suite
 #   scripts/sanitize.sh thread -L parallel   # TSan, parallel-labeled only
 #
@@ -19,7 +19,7 @@
 # ModelBuilder's model of it) run under each sanitizer, and the thread
 # tier additionally exercises the shared ModelCache under concurrent
 # lookups via the parallel-labeled test_model_cache. The address tier also
-# covers the shard-labeled crash-safety suite (test_checkpoint, including
+# covers the resume-labeled crash-safety suite (test_checkpoint, including
 # the journal's failed-write branch, + check_resume): the kill-mid-sweep ->
 # resume scenario runs once under ASan/UBSan here, on top of the
 # plain-build run in ci.sh, and so does the obs-labeled suite (trace and

@@ -100,6 +100,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Opened before the port is bound, so a path that cannot be opened
+  // fails at startup; the manifest is written on shutdown.
+  const std::string manifest_out = args.get_string("manifest-out", "");
+  std::ofstream manifest_file;
+  if (!manifest_out.empty()) {
+    manifest_file.open(manifest_out, std::ios::trunc);
+    if (!manifest_file) {
+      std::fprintf(stderr, "bvcd: cannot open --manifest-out file: %s\n",
+                   manifest_out.c_str());
+      return 2;
+    }
+  }
+
   svc::ServiceConfig config;
   config.state_dir = args.get_string("state-dir", "");
   config.threads = static_cast<int>(args.get_long("threads", 1));
@@ -177,18 +190,11 @@ int main(int argc, char** argv) {
   // Stop accepting first, then cancel + join the jobs (service dtor).
   server.stop();
 
-  const std::string manifest_out = args.get_string("manifest-out", "");
-  if (!manifest_out.empty()) {
+  if (manifest_file.is_open()) {
     manifest.annotations.emplace_back("active_jobs_at_shutdown",
                                       std::to_string(service.active_jobs()));
-    std::ofstream out(manifest_out, std::ios::trunc);
-    if (out) {
-      obs::write_manifest_json(out, manifest,
-                               obs::MetricsRegistry::global().snapshot());
-    } else {
-      obs::log_error("bvcd", "cannot write --manifest-out",
-                     {{"path", manifest_out}});
-    }
+    obs::write_manifest_json(manifest_file, manifest,
+                             obs::MetricsRegistry::global().snapshot());
   }
   return 0;
 }

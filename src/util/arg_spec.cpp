@@ -151,11 +151,6 @@ ArgParser& ArgParser::add(std::initializer_list<ArgSpec> specs) {
   return *this;
 }
 
-ArgParser& ArgParser::allow_prefix(std::string prefix) {
-  pass_prefixes_.push_back(std::move(prefix));
-  return *this;
-}
-
 const ArgSpec* ArgParser::find(std::string_view name) const {
   for (const ArgSpec& spec : specs_) {
     if (spec.name == name) {
@@ -163,15 +158,6 @@ const ArgSpec* ArgParser::find(std::string_view name) const {
     }
   }
   return nullptr;
-}
-
-bool ArgParser::passes_through(std::string_view name) const {
-  for (const std::string& prefix : pass_prefixes_) {
-    if (name.substr(0, prefix.size()) == prefix) {
-      return true;
-    }
-  }
-  return false;
 }
 
 std::string ArgParser::suggestion(std::string_view unknown) const {
@@ -229,7 +215,6 @@ ParsedArgs ArgParser::parse(int argc, const char* const* argv) const {
     const std::string_view body = arg.substr(2);
     const std::size_t eq = body.find('=');
     ParsedArgs::Flag flag{std::string(body.substr(0, eq)), std::nullopt};
-    const int first = i;
     if (eq != std::string_view::npos) {
       flag.value = std::string(body.substr(eq + 1));
     } else if (i + 1 < argc &&
@@ -238,12 +223,7 @@ ParsedArgs ArgParser::parse(int argc, const char* const* argv) const {
       // like another flag.
       flag.value = argv[++i];
     }
-    if (passes_through(flag.name)) {
-      args.passthrough_.insert(args.passthrough_.end(), argv + first,
-                               argv + i + 1);
-    } else {
-      args.flags_.push_back(std::move(flag));
-    }
+    args.flags_.push_back(std::move(flag));
   }
 
   if (args.has("help")) {

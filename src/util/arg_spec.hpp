@@ -82,12 +82,6 @@ class ParsedArgs {
     return positional_;
   }
 
-  /// The tokens of flags under an ArgParser::allow_prefix() prefix,
-  /// verbatim and in order (a `--name value` pair gives both tokens).
-  [[nodiscard]] const std::vector<std::string>& passthrough() const noexcept {
-    return passthrough_;
-  }
-
   /// The whole command line, argv[0] first.
   [[nodiscard]] const std::vector<std::string>& argv() const noexcept {
     return argv_;
@@ -105,7 +99,6 @@ class ParsedArgs {
 
   std::vector<Flag> flags_;
   std::vector<std::string> positional_;
-  std::vector<std::string> passthrough_;
   std::vector<std::string> argv_;
 };
 
@@ -119,11 +112,6 @@ class ArgParser {
   /// wins) so shared groups can overlap without coordination.
   ArgParser& add(ArgSpec spec);
   ArgParser& add(std::initializer_list<ArgSpec> specs);
-
-  /// Flags whose name starts with `prefix` pass through unvalidated, into
-  /// ParsedArgs::passthrough() — bench_solver_micro forwards `--benchmark_*`
-  /// to google-benchmark.
-  ArgParser& allow_prefix(std::string prefix);
 
   /// Tokenizes argv, handles `--help`, and validates every flag against
   /// the declared specs. On an unknown or repeated flag or a type-invalid
@@ -141,12 +129,10 @@ class ArgParser {
 
  private:
   [[nodiscard]] const ArgSpec* find(std::string_view name) const;
-  [[nodiscard]] bool passes_through(std::string_view name) const;
 
   std::string program_;
   std::string summary_;
   std::vector<ArgSpec> specs_;
-  std::vector<std::string> pass_prefixes_;
 };
 
 }  // namespace bvc::util

@@ -1,10 +1,12 @@
 // Tests for the shared bench helpers (bench/bench_common.hpp): the
 // describe_cell formatter (regression: long parameter names used to be
-// silently truncated by a fixed 64-byte intermediate buffer) and the
-// ObsSession flag-driven observability front door every bench binary uses.
+// silently truncated by a fixed 64-byte intermediate buffer), the
+// ObsSession flag-driven observability front door every bench binary uses,
+// and the startup failure of an output file that cannot be opened.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -150,6 +152,64 @@ TEST(ObsSession, ManifestRecordsNotedOutputs) {
   EXPECT_NE(json.find("\"timeline\": \"out/timeline.json\""),
             std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+}
+
+TEST(ObsSession, OpensRequestedFilesAtConstruction) {
+  const std::string trace =
+      testing::TempDir() + "bvc_obs_session_open_test.trace.jsonl";
+  const std::string manifest =
+      testing::TempDir() + "bvc_obs_session_open_test.json";
+  std::remove(trace.c_str());
+  std::remove(manifest.c_str());
+  const std::string trace_flag = "--trace-jsonl=" + trace;
+  const std::string manifest_flag = "--manifest-out=" + manifest;
+  {
+    bench::ObsSession session(
+        bench_args({trace_flag.c_str(), manifest_flag.c_str()}));
+    // Created before any solve would run, written when the session ends.
+    EXPECT_TRUE(std::ifstream(trace).is_open());
+    EXPECT_TRUE(std::ifstream(manifest).is_open());
+    EXPECT_EQ(read_file(manifest), "");
+  }
+  obs::set_metrics_enabled(false);
+  obs::Tracer::global().disable();
+  obs::Tracer::global().reset();
+  EXPECT_NE(read_file(manifest).find("\"metrics\""), std::string::npos);
+}
+
+// An output file that cannot be opened ends the run at startup with exit
+// code 2, naming the flag as --log-out's failure does. The threadsafe
+// style re-runs the test binary instead of forking it, which the sanitizer
+// builds' runtime threads tolerate.
+constexpr const char* kUnopenable = "/nonexistent-dir/out";
+
+TEST(BenchOutputDeathTest, UnopenableCsvExitsTwo) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT((void)bench::open_csv(bench_args({"--csv", kUnopenable}),
+                                    {"alpha"}),
+              testing::ExitedWithCode(2),
+              "cannot open --csv file: /nonexistent-dir/out");
+}
+
+TEST(BenchOutputDeathTest, UnopenableManifestExitsTwo) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        bench::ObsSession session(
+            bench_args({"--manifest-out", kUnopenable}));
+      },
+      testing::ExitedWithCode(2),
+      "cannot open --manifest-out file: /nonexistent-dir/out");
+}
+
+TEST(BenchOutputDeathTest, UnopenableTraceExitsTwo) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        bench::ObsSession session(bench_args({"--trace-jsonl", kUnopenable}));
+      },
+      testing::ExitedWithCode(2),
+      "cannot open --trace-jsonl file: /nonexistent-dir/out");
 }
 
 }  // namespace

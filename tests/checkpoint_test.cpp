@@ -1,7 +1,7 @@
 // Crash-safe sweep checkpointing (robust/checkpoint.hpp), the checkpointed
 // batch engine (mdp::run_batch + BatchCheckpoint), and every domain
 // batch's journal rule through mdp::run_cells. Registered under the
-// `shard` ctest label together with the end-to-end kill-and-resume script
+// `resume` ctest label together with the end-to-end kill-and-resume script
 // test (scripts/check_resume.sh).
 #include <atomic>
 #include <cmath>

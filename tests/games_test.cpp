@@ -6,6 +6,9 @@
 
 #include "games/block_size_game.hpp"
 #include "games/eb_choosing.hpp"
+#include "games/game_batch.hpp"
+#include "mdp/batch.hpp"
+#include "robust/run_control.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -246,6 +249,153 @@ TEST(BlockSizeGame, DescribeMentionsRoundsAndSurvivors) {
 TEST(BlockSizeGame, RejectsNonIncreasingMpb) {
   std::vector<MinerGroup> groups = {{0.5, 2.0}, {0.5, 1.0}};
   EXPECT_THROW(BlockSizeIncreasingGame{groups}, std::invalid_argument);
+}
+
+// ------------------------------------------------------------ GameBatch ---
+
+/// Random block size games: 2-7 groups with normalized powers.
+std::vector<BlockSizeGameJob> block_size_jobs(std::size_t count) {
+  Rng rng(31);
+  std::vector<BlockSizeGameJob> jobs(count);
+  for (BlockSizeGameJob& job : jobs) {
+    std::vector<double> powers(2 + rng.next_below(6));
+    double total = 0.0;
+    for (double& p : powers) {
+      p = 0.05 + rng.next_double();
+      total += p;
+    }
+    for (double& p : powers) {
+      p /= total;
+    }
+    job.groups = make_groups(powers);
+  }
+  return jobs;
+}
+
+/// Random EB games (3-6 miners, each under half the power) from random
+/// starts, each with its own seed.
+std::vector<EbDynamicsJob> eb_dynamics_jobs(std::size_t count) {
+  Rng rng(57);
+  std::vector<EbDynamicsJob> jobs;
+  while (jobs.size() < count) {
+    EbDynamicsJob job;
+    job.power.resize(3 + rng.next_below(4));
+    double total = 0.0;
+    for (double& p : job.power) {
+      p = 0.1 + rng.next_double();
+      total += p;
+    }
+    bool valid = true;
+    for (double& p : job.power) {
+      p /= total;
+      valid = valid && p < 0.5;
+    }
+    if (!valid) {
+      continue;
+    }
+    job.num_values = 2 + rng.next_below(3);
+    for (std::size_t i = 0; i < job.power.size(); ++i) {
+      job.start.push_back(rng.next_below(job.num_values));
+    }
+    job.seed = 1000 + jobs.size();
+    job.max_rounds = 200;
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+void expect_same_outcome(const BlockSizeIncreasingGame::Outcome& batch,
+                         const BlockSizeIncreasingGame::Outcome& serial) {
+  EXPECT_EQ(batch.status, serial.status);
+  EXPECT_EQ(batch.iterations, serial.iterations);
+  EXPECT_EQ(batch.surviving_from, serial.surviving_from);
+  EXPECT_EQ(batch.final_block_size, serial.final_block_size);
+  EXPECT_EQ(batch.utilities, serial.utilities);
+  ASSERT_EQ(batch.rounds.size(), serial.rounds.size());
+  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
+    EXPECT_EQ(batch.rounds[r].leaving_group, serial.rounds[r].leaving_group);
+    EXPECT_EQ(batch.rounds[r].votes_yes, serial.rounds[r].votes_yes);
+    EXPECT_EQ(batch.rounds[r].yes_power, serial.rounds[r].yes_power);
+    EXPECT_EQ(batch.rounds[r].no_power, serial.rounds[r].no_power);
+    EXPECT_EQ(batch.rounds[r].passed, serial.rounds[r].passed);
+    EXPECT_EQ(batch.rounds[r].new_block_size,
+              serial.rounds[r].new_block_size);
+  }
+}
+
+EbChoosingGame::DynamicsResult serial_dynamics(const EbDynamicsJob& job) {
+  const EbChoosingGame game(job.power, job.num_values);
+  Rng rng(job.seed);
+  return game.best_response_dynamics(job.start, rng, {}, job.max_rounds);
+}
+
+TEST(GameBatch, BlockSizeBatchMatchesSerialPlay) {
+  const std::vector<BlockSizeGameJob> jobs = block_size_jobs(24);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    bvc::mdp::BatchConfig config;
+    config.threads = threads;
+    const std::vector<BlockSizeIncreasingGame::Outcome> outcomes =
+        play_block_size_batch(jobs, config);
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_TRUE(outcomes[i].converged());
+      expect_same_outcome(outcomes[i],
+                          BlockSizeIncreasingGame(jobs[i].groups).play());
+    }
+  }
+}
+
+TEST(GameBatch, DynamicsBatchMatchesSerialDynamics) {
+  const std::vector<EbDynamicsJob> jobs = eb_dynamics_jobs(24);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    bvc::mdp::BatchConfig config;
+    config.threads = threads;
+    const std::vector<EbChoosingGame::DynamicsResult> results =
+        best_response_dynamics_batch(jobs, config);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      SCOPED_TRACE(i);
+      const EbChoosingGame::DynamicsResult serial = serial_dynamics(jobs[i]);
+      EXPECT_TRUE(results[i].converged());
+      EXPECT_EQ(results[i].status, serial.status);
+      EXPECT_EQ(results[i].iterations, serial.iterations);
+      EXPECT_EQ(results[i].profile, serial.profile);
+    }
+  }
+}
+
+TEST(GameBatch, OneTickBudgetStartsOnlyTheFirstJob) {
+  const std::vector<BlockSizeGameJob> games = block_size_jobs(6);
+  const std::vector<EbDynamicsJob> dynamics = eb_dynamics_jobs(6);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    bvc::mdp::BatchConfig config;
+    config.threads = threads;
+    config.control.budget = bvc::robust::RunBudget::ticks(1);
+    // Pickup is index-ordered, so the first job runs to completion and
+    // every later one is skipped with an empty result.
+    const std::vector<BlockSizeIncreasingGame::Outcome> outcomes =
+        play_block_size_batch(games, config);
+    ASSERT_EQ(outcomes.size(), games.size());
+    expect_same_outcome(outcomes[0],
+                        BlockSizeIncreasingGame(games[0].groups).play());
+    for (std::size_t i = 1; i < outcomes.size(); ++i) {
+      EXPECT_EQ(outcomes[i].status, bvc::robust::RunStatus::kBudgetExhausted);
+      EXPECT_TRUE(outcomes[i].rounds.empty());
+    }
+    const std::vector<EbChoosingGame::DynamicsResult> results =
+        best_response_dynamics_batch(dynamics, config);
+    ASSERT_EQ(results.size(), dynamics.size());
+    EXPECT_EQ(results[0].profile, serial_dynamics(dynamics[0]).profile);
+    EXPECT_TRUE(results[0].converged());
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].status, bvc::robust::RunStatus::kBudgetExhausted);
+      EXPECT_TRUE(results[i].profile.empty());
+    }
+  }
 }
 
 }  // namespace

@@ -349,27 +349,13 @@ TEST(ArgParser, AcceptsWellFormedNumbers) {
   EXPECT_EQ(args.get_double("rate", 0.0), -0.5);
 }
 
-TEST(ArgParser, SetsPassThroughTokensAside) {
-  util::ArgParser parser = numeric_parser();
-  parser.allow_prefix("benchmark_");
-  const char* argv[] = {"prog",
-                        "--benchmark_filter=x",
-                        "--count",
-                        "3",
-                        "--benchmark_repetitions",
-                        "2",
-                        "--benchmark_filter=y",
-                        "input.txt"};
-  const util::ParsedArgs args = parser.parse(8, argv);
+TEST(ArgParser, KeepsPositionalsAndTheWholeCommandLine) {
+  const char* argv[] = {"prog", "input.txt", "--count", "3", "output.txt"};
+  const util::ParsedArgs args = numeric_parser().parse(5, argv);
   EXPECT_EQ(args.get_long("count", 0), 3);
-  EXPECT_FALSE(args.has("benchmark_filter"));
-  // Verbatim and in order; a pass-through flag may repeat.
-  EXPECT_EQ(args.passthrough(),
-            (std::vector<std::string>{"--benchmark_filter=x",
-                                      "--benchmark_repetitions", "2",
-                                      "--benchmark_filter=y"}));
-  EXPECT_EQ(args.positional(), std::vector<std::string>{"input.txt"});
-  EXPECT_EQ(args.argv(), std::vector<std::string>(argv, argv + 8));
+  EXPECT_EQ(args.positional(),
+            (std::vector<std::string>{"input.txt", "output.txt"}));
+  EXPECT_EQ(args.argv(), std::vector<std::string>(argv, argv + 5));
 }
 
 // Each malformed value exits 2 with the parser's diagnostic on stderr. The
