@@ -13,13 +13,16 @@
 #      GET /v1/cache hits and misses unchanged: nothing was looked up);
 #      warm-cache leg: the grid again at another tolerance has new cell
 #      keys, so nothing is reused and every cell is solved from the warm
-#      model cache (misses unchanged, hits up by the cell count);
+#      model cache (misses unchanged, hits up by the cell count); after
+#      the three jobs, `bvc-cli metrics` reads 3 jobs submitted and done;
 #   3. a second daemon is crash-injected via BVC_CRASH_AFTER_CELLS: it is
 #      SIGKILLed by the journal hook mid-grid, leaving exactly N journaled
 #      cells; a restarted daemon on the same state dir RESUMES the job, and
 #      the final records must be identical to the uninterrupted service
 #      run's (wall_clock_ns aside — replayed cells keep their original
-#      timings, resumed-then-solved cells measure their own);
+#      timings, resumed-then-solved cells measure their own); the two
+#      daemons share a --telemetry-dir, and `bvc-cli merge` of it must
+#      show two `bvcd (pid N)` lanes, with every span in one of them;
 #   4. net-sim leg: a replica campaign journaled by bench_degraded_network
 #      is re-run as a `net-sim` job; the records streamed by `bvc-cli tail`
 #      must match the bench journal cell for cell (sim records carry no
@@ -75,11 +78,14 @@ EOF
 "$bench" --quick --ad 3 --threads 2 --csv "$out/baseline.csv" \
   >"$out/baseline.txt" 2>/dev/null
 
+# Extra bvcd flags for the daemons a leg starts (leg 3 sets them).
+daemon_flags=()
+
 start_daemon() {  # start_daemon <state-dir> [env VAR=...]
   local state="$1"; shift
   rm -f "$out/port.txt"
   env "$@" "$bvcd" --port-file "$out/port.txt" --state-dir "$state" \
-    --threads 2 >>"$out/bvcd.log" 2>&1 &
+    --threads 2 "${daemon_flags[@]}" >>"$out/bvcd.log" 2>&1 &
   daemon_pid=$!
   for _ in $(seq 1 100); do
     [[ -s "$out/port.txt" ]] && return 0
@@ -115,6 +121,7 @@ start_daemon "$out/state1"
 "$cli" result j3 --port-file "$out/port.txt" --timeout 600 \
   >"$out/result1-tol.json"
 "$cli" cache --port-file "$out/port.txt" >"$out/cache-tol.json"
+"$cli" metrics --port-file "$out/port.txt" >"$out/metrics.json"
 stop_daemon
 
 python3 - "$out/baseline.csv" "$out/result1.json" <<'EOF'
@@ -179,8 +186,18 @@ print("check_service: a repeated grid shared all 21 records; at another "
       "tolerance all 21 cells solved from the warm model cache")
 EOF
 
+python3 - "$out/metrics.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+for name in ("svc.jobs.submitted", "svc.jobs.done"):
+    assert counters.get(name) == 3, f"{name} = {counters.get(name)}, expected 3"
+print("check_service: bvc-cli metrics counts 3 jobs submitted and done")
+EOF
+
 # 3. Crash leg: the journal hook SIGKILLs the daemon after 5 journaled
-# cells; the job is mid-grid when the process dies.
+# cells; the job is mid-grid when the process dies. The daemon and its
+# restart write their trace spans into one telemetry dir.
+daemon_flags=(--telemetry-dir "$out/telemetry")
 start_daemon "$out/state2" BVC_CRASH_AFTER_CELLS=5
 "$cli" submit --port-file "$out/port.txt" --file "$out/job.json" \
   >"$out/submit2.json"
@@ -206,6 +223,8 @@ start_daemon "$out/state2"
 "$cli" result j1 --port-file "$out/port.txt" --timeout 600 \
   >"$out/result2.json"
 stop_daemon
+daemon_flags=()
+"$cli" merge "$out/telemetry" --trace-out "$out/restart.trace.json"
 
 python3 - "$out/result1.json" "$out/result2.json" <<'EOF'
 import json, sys
@@ -226,6 +245,30 @@ assert second["resumed"] >= 5, \
 assert first_cells == second_cells, "post-crash results differ"
 print(f"check_service: kill/restart reproduced all {len(second_cells)} "
       f"cells ({second['resumed']} resumed from the journal)")
+EOF
+
+python3 - "$out/telemetry" "$out/restart.trace.json" <<'EOF'
+import json, os, re, sys
+
+# The telemetry dir holds one trace file per incarnation and nothing else.
+files = sorted(os.listdir(sys.argv[1]))
+assert len(files) == 2 and all(re.fullmatch(r"bvcd\.\d+\.trace\.jsonl", f)
+                               for f in files), files
+
+events = json.load(open(sys.argv[2]))["traceEvents"]
+lanes = {}
+for event in events:
+    if event.get("name") == "process_name":
+        label = event["args"]["name"]
+        assert label == f"bvcd (pid {event['pid']})", label
+        lanes[event["pid"]] = label
+assert len(lanes) == 2, f"expected two bvcd lanes, got {lanes}"
+spans = [e for e in events if e.get("ph") == "X"]
+assert spans, "the merged trace holds no span"
+stray = {e["pid"] for e in spans} - set(lanes)
+assert not stray, f"spans outside the bvcd lanes: pids {stray}"
+print(f"check_service: the killed daemon and its restart merged into "
+      f"{len(lanes)} lanes holding {len(spans)} spans")
 EOF
 
 # 4. net-sim leg. The bench journals a replica campaign; the same campaign

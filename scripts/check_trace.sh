@@ -13,8 +13,8 @@
 #   * a run with the sinks enabled prints byte-identical stdout to a
 #     plain run (all obs chatter goes to artifacts or stderr).
 #
-# The daemon's telemetry dir and its offline merge (bvcd --telemetry-dir,
-# bvc-cli merge) are exercised by scripts/check_prometheus.sh.
+# The daemon's telemetry dir and its merge across a restart (bvcd
+# --telemetry-dir, bvc-cli merge) are exercised by scripts/check_service.sh.
 #
 # Usage: scripts/check_trace.sh [build-dir]   (default: build-ci)
 set -euo pipefail

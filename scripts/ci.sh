@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI entry point: configure, build everything (libraries, tests,
-# bench binaries), run the full ctest suite, then smoke-test the
-# observability layer end to end — a real multithreaded bench run with
-# --trace-jsonl/--manifest-out, validated by scripts/check_trace.sh (JSON
-# well-formedness + spans from the solver, batch/pool, and cache
-# subsystems).
+# bench binaries), then run the ctest suite once: the unlabeled tests and
+# the parallel, kernel and svc labels in one pass, then the obs, resume,
+# sim and counts labels each as its own named step (the obs step includes
+# scripts/check_trace.sh, the observability smoke). The kernel legs and
+# the scalar pass at the end re-run tests under other ISAs on purpose.
 #
 #   scripts/ci.sh                # everything, default build dir build-ci
 #   scripts/ci.sh -R Ratio       # forward extra args to ctest
@@ -20,26 +20,24 @@ build="${BVC_BUILD_DIR:-build-ci}"
 cmake -S "$repo" -B "$repo/$build" >/dev/null
 cmake --build "$repo/$build" -j "$(nproc)"
 
-ctest --test-dir "$repo/$build" --output-on-failure "$@"
-
-# Observability smoke: one quick two-threaded table run with its trace and
-# manifest sinks enabled must produce loadable artifacts with spans from
-# >= 3 subsystems.
-"$repo/scripts/check_trace.sh" "$repo/$build"
+# Every test runs once: the labels below get their own named steps, so the
+# full pass leaves them out.
+ctest --test-dir "$repo/$build" --output-on-failure \
+  -LE '^(obs|resume|sim|counts)$' "$@"
 
 # Telemetry-plane gate, surfaced as its own named step: the obs-labeled
-# suite (event log, Prometheus exposition, the telemetry dir's flush and
-# merge, plus the check_trace and check_prometheus end-to-end scripts —
-# live bvcd scrape, bvcd --telemetry-dir merged by bvc-cli merge,
-# byte-stable bench stdout) must pass in isolation, not just inside the
-# full suite above.
+# suite (metrics and trace export, event log, the telemetry dir's flush
+# and trace merge, plus the check_trace observability smoke — one quick
+# two-threaded table run with its trace and manifest sinks, loadable
+# artifacts with spans from >= 3 subsystems, byte-stable bench stdout)
+# must pass in isolation.
 ctest --test-dir "$repo/$build" --output-on-failure -L obs
 
 # Crash-safety gate, surfaced as its own named step: the resume-labeled
 # tests (checkpoint journal and checkpointed batch unit tests +
 # scripts/check_resume.sh, which SIGKILLs bench_table2, bench_table3 and
 # bench_countermeasure mid-sweep and demands byte-identical resumes) must
-# pass in isolation, not just inside the full suite above.
+# pass in isolation.
 ctest --test-dir "$repo/$build" --output-on-failure -L resume
 
 # Simulation gate: the sim-labeled suite (event engine, fixed-seed
@@ -47,7 +45,7 @@ ctest --test-dir "$repo/$build" --output-on-failure -L resume
 # journal resume, network sim + relay topologies,
 # scripts/check_sim_resume.sh's SIGKILL -> byte-identical resume, and
 # bench_sim_validation's closed-form checks and scale probe) must pass in
-# isolation, not just inside the full suite above.
+# isolation.
 ctest --test-dir "$repo/$build" --output-on-failure -L sim
 
 # Counts gate, surfaced as its own named step: the paper-table benches and

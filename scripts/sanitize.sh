@@ -23,7 +23,7 @@
 # the journal's failed-write branch, + check_resume): the kill-mid-sweep ->
 # resume scenario runs once under ASan/UBSan here, on top of the
 # plain-build run in ci.sh, and so does the obs-labeled suite (trace and
-# metrics export, bvcd's telemetry dir and its merge). The address
+# metrics export, bvcd's telemetry dir and its trace merge). The address
 # tier then re-runs the kernel-labeled suite with BVC_KERNEL=avx512, so
 # the AVX-512 bodies' palette-code loads (8 bytes per 8 lanes) run under
 # ASan/UBSan on any host that has AVX-512, whatever BVC_KERNEL the caller
@@ -65,7 +65,7 @@ ctest --test-dir "$build" --output-on-failure -j"$(nproc)" "$@"
 # suite follows for the same reason: test_event_log hammers the global
 # EventLog from concurrent writers, and the telemetry/trace tests exercise
 # the flusher's background thread (bvcd --telemetry-dir) against the
-# metrics registry.
+# tracer's rings.
 if [ "$tier" = "thread" ]; then
   ctest --test-dir "$build" --output-on-failure -L sim
   ctest --test-dir "$build" --output-on-failure -L obs

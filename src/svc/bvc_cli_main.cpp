@@ -14,25 +14,21 @@
 //                                                 the job is terminal
 //   bvc-cli cancel  <id> --port N                 DELETE /v1/jobs/<id>
 //   bvc-cli list    --port N                      GET /v1/jobs
-//   bvc-cli metrics --port N [--format=prometheus]
-//                                                 GET /v1/metrics; with
-//                                                 --format the body is
-//                                                 printed VERBATIM (the
-//                                                 exposition text is not
-//                                                 JSON)
+//   bvc-cli metrics --port N                      GET /v1/metrics
 //   bvc-cli health  --port N                      GET /v1/healthz
 //   bvc-cli cache   --port N                      GET /v1/cache
-//   bvc-cli merge   <dir> --metrics-out PATH      offline: merge a
-//                   [--prom-out PATH]             directory (bvcd's
-//                   [--trace-out PATH]            --telemetry-dir, or one
-//                                                 holding a bench's
-//                                                 *.trace.jsonl) into one
-//                                                 metrics snapshot / Chrome
-//                                                 trace — no daemon needed
+//   bvc-cli merge   <dir> --trace-out PATH        offline: merge the
+//                                                 *.trace.jsonl files of a
+//                                                 directory (bvcd's
+//                                                 --telemetry-dir, or one
+//                                                 holding a bench's trace)
+//                                                 into one Chrome trace —
+//                                                 no daemon needed
 //
-// Every verb prints the response body (JSON) on stdout. Exit codes:
-// 0 = 2xx, 1 = HTTP error / job did not finish, 3 = cannot reach bvcd,
-// 4 = the server answered a --format metrics request with a non-200.
+// Every verb but merge prints the response body (JSON) on stdout; a verb
+// given more operands than it reads exits 2. Exit codes: 0 = 2xx, 1 =
+// HTTP error / job did not finish / nothing to merge, 2 = usage error,
+// 3 = cannot reach bvcd.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -41,8 +37,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/telemetry.hpp"
 #include "svc/http.hpp"
 #include "svc/json.hpp"
@@ -122,18 +116,11 @@ int main(int argc, char** argv) {
        "`status`: return records from completion position K onward", ""},
       {"limit", util::ArgType::kLong, "M",
        "`status`: page size when --offset is given", ""},
-      {"format", util::ArgType::kString, "FMT",
-       "`metrics`: ask the server for FMT (json|prometheus) and print the "
-       "body verbatim", ""},
-      {"metrics-out", util::ArgType::kString, "PATH",
-       "`merge`: write the merged metrics snapshot (JSON) to PATH", ""},
-      {"prom-out", util::ArgType::kString, "PATH",
-       "`merge`: write the merged snapshot in Prometheus exposition format "
-       "to PATH", ""},
       {"trace-out", util::ArgType::kString, "PATH",
        "`merge`: write the merged Chrome trace (one pid lane per worker) "
        "to PATH", ""},
   });
+  parser.allow_positionals(2);  // the verb and its job id or directory
   const util::ParsedArgs args = parser.parse(argc, argv);
 
   const std::vector<std::string>& positional = args.positional();
@@ -144,6 +131,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string& verb = positional[0];
+  // The verbs that address the whole service read no operand.
+  if ((verb == "submit" || verb == "list" || verb == "metrics" ||
+       verb == "health" || verb == "cache") &&
+      positional.size() > 1) {
+    std::fprintf(stderr, "bvc-cli: %s takes no operand, got '%s'\n",
+                 verb.c_str(), positional[1].c_str());
+    return 2;
+  }
 
   // `merge` is the one offline verb: it reads a telemetry directory
   // directly, so it must not demand a port.
@@ -153,52 +148,26 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string& dir = positional[1];
-    const std::string metrics_out = args.get_string("metrics-out", "");
-    const std::string prom_out = args.get_string("prom-out", "");
     const std::string trace_out = args.get_string("trace-out", "");
-    if (metrics_out.empty() && prom_out.empty() && trace_out.empty()) {
-      std::fprintf(stderr,
-                   "bvc-cli: merge needs at least one of --metrics-out, "
-                   "--prom-out, --trace-out\n");
+    if (trace_out.empty()) {
+      std::fprintf(stderr, "bvc-cli: merge needs --trace-out\n");
       return 2;
     }
-    const obs::TelemetryMergeReport report = obs::merge_telemetry_dir(dir);
-    for (const std::string& error : report.errors) {
-      std::fprintf(stderr, "bvc-cli: %s\n", error.c_str());
-    }
-    if (report.metrics_files == 0 && report.trace_files.empty()) {
-      std::fprintf(stderr, "bvc-cli: no telemetry files under %s\n",
-                   dir.c_str());
+    // Merged in memory first, so a directory with nothing to merge leaves
+    // no output file behind.
+    std::ostringstream trace;
+    const obs::MergedTrace merged = obs::write_merged_chrome_trace(trace, dir);
+    if (merged.files == 0) {
+      std::fprintf(stderr, "bvc-cli: %s\n", merged.error.c_str());
       return 1;
     }
-    bool ok = true;
-    const auto write_file = [&ok](const std::string& path,
-                                  const auto& writer) {
-      std::ofstream out(path, std::ios::trunc);
-      if (out) {
-        writer(out);
-      }
-      if (!out) {
-        std::fprintf(stderr, "bvc-cli: cannot write %s\n", path.c_str());
-        ok = false;
-      }
-    };
-    if (!metrics_out.empty()) {
-      write_file(metrics_out, [&report](std::ostream& out) {
-        obs::write_metrics_json(out, report.metrics);
-      });
+    std::ofstream out(trace_out, std::ios::trunc);
+    out << trace.str();
+    if (!out) {
+      std::fprintf(stderr, "bvc-cli: cannot write %s\n", trace_out.c_str());
+      return 1;
     }
-    if (!prom_out.empty()) {
-      write_file(prom_out, [&report](std::ostream& out) {
-        obs::write_prometheus(out, report.metrics);
-      });
-    }
-    if (!trace_out.empty()) {
-      write_file(trace_out, [&dir](std::ostream& out) {
-        (void)obs::write_merged_chrome_trace(out, dir);
-      });
-    }
-    return ok ? 0 : 1;
+    return 0;
   }
 
   const long port = resolve_port(args);
@@ -224,20 +193,7 @@ int main(int argc, char** argv) {
     return print_response(fetch("GET", "/v1/jobs"));
   }
   if (verb == "metrics") {
-    const std::string format = args.get_string("format", "");
-    if (format.empty()) {
-      return print_response(fetch("GET", "/v1/metrics"));
-    }
-    const std::optional<svc::HttpResponse> response =
-        fetch("GET", "/v1/metrics?format=" + format);
-    if (!response) {
-      std::fprintf(stderr, "bvc-cli: cannot reach bvcd\n");
-      return 3;
-    }
-    // Verbatim: the Prometheus exposition text is newline-terminated
-    // already, and a scrape relay must not alter the body.
-    std::fputs(response->body.c_str(), stdout);
-    return response->status == 200 ? 0 : 4;
+    return print_response(fetch("GET", "/v1/metrics"));
   }
   if (verb == "health") {
     return print_response(fetch("GET", "/v1/healthz"));

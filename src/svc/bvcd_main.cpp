@@ -62,8 +62,9 @@ int main(int argc, char** argv) {
       {"log-level", util::ArgType::kString, "LEVEL",
        "minimum event-log level: debug|info|warn|error", "info"},
       {"telemetry-dir", util::ArgType::kString, "PATH",
-       "flush metrics + trace deltas into PATH every 500 ms (one "
-       "bvcd.<pid>.* file pair per incarnation) for `bvc-cli merge`", ""},
+       "append trace spans to PATH/bvcd.<pid>.trace.jsonl every 500 ms "
+       "(one file per incarnation; created if missing) for `bvc-cli "
+       "merge`", ""},
   });
   const util::ParsedArgs args = parser.parse(argc, argv);
 
@@ -100,8 +101,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Opened before the port is bound, so a path that cannot be opened
-  // fails at startup; the manifest is written on shutdown.
+  // Outputs are opened before the port is bound, so a path that cannot be
+  // opened fails at startup; the manifest is written on shutdown.
   const std::string manifest_out = args.get_string("manifest-out", "");
   std::ofstream manifest_file;
   if (!manifest_out.empty()) {
@@ -109,6 +110,16 @@ int main(int argc, char** argv) {
     if (!manifest_file) {
       std::fprintf(stderr, "bvcd: cannot open --manifest-out file: %s\n",
                    manifest_out.c_str());
+      return 2;
+    }
+  }
+  const std::string telemetry_dir = args.get_string("telemetry-dir", "");
+  if (!telemetry_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(telemetry_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "bvcd: cannot open --telemetry-dir: %s\n",
+                   telemetry_dir.c_str());
       return 2;
     }
   }
@@ -134,11 +145,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Periodic metrics/trace flushes into a directory that `bvc-cli merge`
-  // folds into one snapshot and one trace (one lane per daemon
-  // incarnation).
+  // Periodic trace flushes into a directory that `bvc-cli merge` folds into
+  // one trace (one lane per daemon incarnation).
   std::optional<obs::TelemetryFlusher> flusher;
-  const std::string telemetry_dir = args.get_string("telemetry-dir", "");
   if (!telemetry_dir.empty()) {
     obs::TelemetryConfig telemetry;
     telemetry.dir = telemetry_dir;

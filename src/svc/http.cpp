@@ -69,7 +69,8 @@ bool send_all(int fd, const char* data, std::size_t size) {
 void write_response(int fd, const HttpResponse& response) {
   std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
                      reason_phrase(response.status) + kCrlf;
-  head += "Content-Type: " + response.content_type + kCrlf;
+  head += "Content-Type: application/json";
+  head += kCrlf;
   head += "Content-Length: " + std::to_string(response.body.size()) + kCrlf;
   head += "Connection: close";
   head += kCrlf;

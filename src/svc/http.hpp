@@ -34,14 +34,13 @@ namespace bvc::svc {
 
 struct HttpRequest {
   std::string method;  ///< "GET", "POST", "DELETE", ...
-  std::string target;  ///< path only, e.g. "/v1/jobs/j1" (no query parsing)
+  std::string target;  ///< path and query, e.g. "/v1/jobs/j1?offset=3"
   std::string body;
 };
 
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "application/json";
-  std::string body;
+  std::string body;  ///< JSON, sent as application/json
 };
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;

@@ -12,7 +12,6 @@
 #include "mdp/model_cache.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -216,7 +215,7 @@ HttpResponse SolveService::dispatch(const HttpRequest& request) {
                                    : error_response(405, "method not allowed");
   }
   if (target == "/v1/metrics") {
-    return request.method == "GET" ? metrics(query)
+    return request.method == "GET" ? metrics()
                                    : error_response(405, "method not allowed");
   }
   if (target == "/v1/cache") {
@@ -455,19 +454,10 @@ HttpResponse SolveService::healthz() {
   return json_response(200, out);
 }
 
-HttpResponse SolveService::metrics(const std::string& query) {
-  const std::string format = query_value(query, "format").value_or("json");
+HttpResponse SolveService::metrics() {
   std::ostringstream out;
+  obs::MetricsRegistry::global().write_json(out);
   HttpResponse response;
-  if (format == "prometheus") {
-    obs::write_prometheus(out, obs::MetricsRegistry::global().snapshot());
-    response.content_type = std::string(obs::kPrometheusContentType);
-  } else if (format == "json") {
-    obs::MetricsRegistry::global().write_json(out);
-  } else {
-    return error_response(
-        400, "unknown metrics format (expected json or prometheus)");
-  }
   response.body = out.str();
   return response;
 }

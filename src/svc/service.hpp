@@ -19,17 +19,14 @@
 //                         completion positions [K, K+limit) plus a
 //                         "next_offset" cursor. Completion positions are
 //                         append-only and stable across polls, so a client
-//                         can TAIL a running job (bvc-cli result --follow)
+//                         can TAIL a running job (bvc-cli tail)
 //                         without re-downloading earlier records. An
 //                         optional &limit=N bounds the page size.
 //   DELETE /v1/jobs/<id>  cancel: fires the job's root CancelToken; the
 //                         batch engine stops picking up cells and
 //                         in-flight solves observe the linked token
 //   GET    /v1/healthz    liveness + job counts
-//   GET    /v1/metrics    the obs::MetricsRegistry snapshot (JSON by
-//                         default; ?format=prometheus returns the
-//                         Prometheus text exposition, content type
-//                         text/plain; version=0.0.4)
+//   GET    /v1/metrics    the obs::MetricsRegistry snapshot
 //   GET    /v1/cache      mdp::ModelCache::global() stats snapshot
 //
 // Persistence (state_dir != ""): the job index (`jobs.jsonl`, one line per
@@ -173,7 +170,7 @@ class SolveService {
   HttpResponse job_status(const std::string& id, const std::string& query);
   HttpResponse cancel_job(const std::string& id);
   HttpResponse healthz();
-  HttpResponse metrics(const std::string& query);
+  HttpResponse metrics();
   HttpResponse cache_stats();
 
   void run_job(Job* job);

@@ -151,6 +151,11 @@ ArgParser& ArgParser::add(std::initializer_list<ArgSpec> specs) {
   return *this;
 }
 
+ArgParser& ArgParser::allow_positionals(std::size_t count) {
+  max_positionals_ = count;
+  return *this;
+}
+
 const ArgSpec* ArgParser::find(std::string_view name) const {
   for (const ArgSpec& spec : specs_) {
     if (spec.name == name) {
@@ -294,6 +299,9 @@ ParsedArgs ArgParser::parse(int argc, const char* const* argv) const {
     } catch (const std::invalid_argument& error) {
       fail("invalid value for --" + name + ": " + error.what());
     }
+  }
+  if (args.positional_.size() > max_positionals_) {
+    fail("unexpected argument '" + args.positional_[max_positionals_] + "'");
   }
   return args;
 }

@@ -7,6 +7,9 @@
 //     positionals);
 //   * rejects unknown flags loudly, with a did-you-mean suggestion
 //     computed by edit distance over the declared names;
+//   * rejects positionals beyond the number the binary declared it reads
+//     (none unless allow_positionals() says otherwise), so a stray `2`
+//     after `--threads 4` is not silently dropped;
 //   * rejects a flag given more than once (the getters would read only
 //     the first occurrence, so a later one would go unchecked or unused);
 //   * eagerly validates the value of every typed flag (a malformed
@@ -28,6 +31,7 @@
 //   const util::ParsedArgs args = parser.parse(argc, argv);
 #pragma once
 
+#include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
 #include <optional>
@@ -113,11 +117,14 @@ class ArgParser {
   ArgParser& add(ArgSpec spec);
   ArgParser& add(std::initializer_list<ArgSpec> specs);
 
+  /// Declares that the binary reads up to `count` positionals (default 0).
+  ArgParser& allow_positionals(std::size_t count);
+
   /// Tokenizes argv, handles `--help`, and validates every flag against
-  /// the declared specs. On an unknown or repeated flag or a type-invalid
-  /// value: diagnostic (plus suggestion) on stderr, std::exit(2). On
-  /// --help: usage on stdout, std::exit(0). Otherwise returns the parsed
-  /// args.
+  /// the declared specs. On an unknown or repeated flag, a type-invalid
+  /// value or an undeclared positional: diagnostic (plus suggestion) on
+  /// stderr, std::exit(2). On --help: usage on stdout, std::exit(0).
+  /// Otherwise returns the parsed args.
   [[nodiscard]] ParsedArgs parse(int argc, const char* const* argv) const;
 
   /// The --help page (also used by the error path's "run --help" hint).
@@ -133,6 +140,7 @@ class ArgParser {
   std::string program_;
   std::string summary_;
   std::vector<ArgSpec> specs_;
+  std::size_t max_positionals_ = 0;
 };
 
 }  // namespace bvc::util

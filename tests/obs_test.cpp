@@ -11,12 +11,14 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -116,22 +118,38 @@ TEST(Metrics, WriteJsonEmitsEverySection) {
   ObsQuiescer quiesce;
   obs::set_metrics_enabled(true);
   obs::MetricsRegistry registry;
+  // A name with a quote and a backslash must come back out escaped.
+  const std::string odd = "quote\" back\\slash";
   registry.counter("a.counter").add(5);
+  registry.counter(odd).add(3);
   registry.gauge("b.gauge").set(0.5);
+  registry.gauge(odd).set(-2.0);
   const std::array<double, 1> bounds{1.0};
   registry.histogram("c.hist", bounds).observe(0.25);
+  registry.histogram(odd, bounds).observe(4.0);
   std::ostringstream out;
   registry.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"a.counter\": 5"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"b.gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"c.hist\""), std::string::npos);
-  // Braces balance — cheap structural sanity without a JSON parser.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+  const std::optional<obs::Json> json = obs::Json::parse(out.str());
+  ASSERT_TRUE(json.has_value()) << out.str();
+  const obs::Json* counters = json->find("counters");
+  const obs::Json* gauges = json->find("gauges");
+  const obs::Json* histograms = json->find("histograms");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(gauges, nullptr);
+  ASSERT_NE(histograms, nullptr);
+  EXPECT_EQ(counters->number_or("a.counter", 0.0), 5.0);
+  EXPECT_EQ(counters->number_or(odd, 0.0), 3.0);
+  EXPECT_EQ(gauges->number_or("b.gauge", 0.0), 0.5);
+  EXPECT_EQ(gauges->number_or(odd, 0.0), -2.0);
+  for (const std::string& name : {std::string("c.hist"), odd}) {
+    const obs::Json* histogram = histograms->find(name);
+    ASSERT_NE(histogram, nullptr) << name;
+    EXPECT_EQ(histogram->number_or("count", 0.0), 1.0) << name;
+    const obs::Json* counts = histogram->find("counts");
+    ASSERT_NE(counts, nullptr) << name;
+    EXPECT_EQ(counts->size(), 2u) << name;
+  }
+  EXPECT_EQ(histograms->find(odd)->number_or("sum", 0.0), 4.0);
 }
 
 TEST(Metrics, ConcurrentCountingLosesNothing) {

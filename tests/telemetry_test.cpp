@@ -1,22 +1,17 @@
-// Tests of the telemetry directory (src/obs/telemetry.cpp): metrics-JSON
-// roundtrip through the codec-based reader, the merge rules (counters sum,
-// gauges max, histograms bucket-sum on matching bounds), the
-// TelemetryFlusher's on-disk files, and the merged Chrome trace with one
-// pid lane per writing process.
+// Tests of the telemetry directory (src/obs/telemetry.cpp): the
+// TelemetryFlusher's on-disk trace file, and the merged Chrome trace with
+// one pid lane per writing process.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -24,11 +19,8 @@ namespace {
 
 using namespace bvc;
 
-struct ObsQuiescer {
-  ~ObsQuiescer() {
-    obs::set_metrics_enabled(false);
-    obs::Tracer::global().disable();
-  }
+struct TraceQuiescer {
+  ~TraceQuiescer() { obs::Tracer::global().disable(); }
 };
 
 /// A fresh scratch directory, removed on destruction.
@@ -50,159 +42,55 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
   out << text;
 }
 
-TEST(Telemetry, MetricsJsonRoundTripsThroughTheReader) {
-  TempDir dir("roundtrip");
-  obs::MetricsSnapshot snapshot;
-  snapshot.counters["a.hits"] = 7;
-  snapshot.gauges["b.level"] = 2.5;
-  obs::Histogram::Snapshot histogram;
-  histogram.bounds = {1.0, 2.0};
-  histogram.counts = {1, 2, 3};
-  histogram.sum = 4.5;
-  histogram.count = 6;
-  snapshot.histograms["c.lat"] = histogram;
-
-  const std::filesystem::path file = dir.path / "w.1.metrics.json";
-  {
-    std::ofstream out(file);
-    obs::write_metrics_json(out, snapshot);
-  }
-  const std::optional<obs::MetricsSnapshot> read =
-      obs::read_metrics_json(file.string());
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->counters.at("a.hits"), 7u);
-  EXPECT_EQ(read->gauges.at("b.level"), 2.5);
-  const obs::Histogram::Snapshot& h = read->histograms.at("c.lat");
-  EXPECT_EQ(h.bounds, (std::vector<double>{1.0, 2.0}));
-  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(h.sum, 4.5);
-  EXPECT_EQ(h.count, 6u);
-}
-
-TEST(Telemetry, ReaderRejectsGarbage) {
-  TempDir dir("garbage");
-  const std::filesystem::path file = dir.path / "w.1.metrics.json";
-  for (const char* bad : {
-           R"({"counters":{"x": })",     // torn
-           R"({"timers": {}})",           // unknown section
-           R"({"histograms": {"h": {"bounds": [], "p99": 1}}})",
-           R"({"gauges": {"g": inf}})",  // bare token, not JSON
-           R"({"gauges": {"g": "fast"}})",  // string, not non-finite
-           R"({"counters": {"c": -1}})",  // negative count
-           R"({"counters": {"c": 1.5}})",  // fractional count
-           R"({"counters": {"c": 1e30}})",  // beyond uint64
-       }) {
-    write_file(file, bad);
-    EXPECT_FALSE(obs::read_metrics_json(file.string()).has_value()) << bad;
-  }
-  EXPECT_FALSE(obs::read_metrics_json((dir.path / "nope.json").string())
-                   .has_value());
-}
-
-TEST(Telemetry, MetricsJsonRoundTripsEscapedNamesAndEdgeValues) {
-  TempDir dir("edges");
-  const std::string odd = "quote\" back\\slash";
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  obs::MetricsSnapshot snapshot;
-  snapshot.counters[odd] = 3;
-  snapshot.gauges[odd] = -0.0;
-  snapshot.gauges["inf"] = -kInf;
-  snapshot.gauges["nan"] = std::numeric_limits<double>::quiet_NaN();
-  snapshot.gauges["tiny"] = 4.9406564584124654e-324;
-  obs::Histogram::Snapshot histogram;
-  histogram.bounds = {0.5};
-  histogram.counts = {1, 1};
-  histogram.sum = kInf;
-  histogram.count = 2;
-  snapshot.histograms[odd] = histogram;
-
-  const std::filesystem::path file = dir.path / "w.1.metrics.json";
-  {
-    std::ofstream out(file);
-    obs::write_metrics_json(out, snapshot);
-  }
-  const std::optional<obs::MetricsSnapshot> read =
-      obs::read_metrics_json(file.string());
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->counters.at(odd), 3u);
-  EXPECT_EQ(read->gauges.at(odd), 0.0);
-  EXPECT_TRUE(std::signbit(read->gauges.at(odd)));
-  EXPECT_EQ(read->gauges.at("inf"), -kInf);
-  EXPECT_TRUE(std::isnan(read->gauges.at("nan")));
-  EXPECT_EQ(read->gauges.at("tiny"), 4.9406564584124654e-324);
-  EXPECT_EQ(read->histograms.at(odd).sum, kInf);
-  EXPECT_EQ(read->histograms.at(odd).counts, histogram.counts);
-}
-
-TEST(Telemetry, MergeSumsCountersMaxesGaugesSumsMatchingHistograms) {
-  obs::MetricsSnapshot into;
-  into.counters["cells"] = 10;
-  into.gauges["rss"] = 5.0;
-  obs::Histogram::Snapshot h1;
-  h1.bounds = {1.0};
-  h1.counts = {2, 3};
-  h1.sum = 1.0;
-  h1.count = 5;
-  into.histograms["lat"] = h1;
-
-  obs::MetricsSnapshot from;
-  from.counters["cells"] = 4;
-  from.counters["other"] = 1;
-  from.gauges["rss"] = 9.0;
-  obs::Histogram::Snapshot h2 = h1;
-  h2.counts = {1, 1};
-  h2.sum = 0.5;
-  h2.count = 2;
-  from.histograms["lat"] = h2;
-  // Mismatched bounds keep `into`'s data.
-  obs::Histogram::Snapshot clash;
-  clash.bounds = {9.0};
-  clash.counts = {1, 0};
-  clash.count = 1;
-  into.histograms["clash"] = h1;
-  from.histograms["clash"] = clash;
-
-  obs::merge_metrics(into, from);
-  EXPECT_EQ(into.counters["cells"], 14u);
-  EXPECT_EQ(into.counters["other"], 1u);
-  EXPECT_EQ(into.gauges["rss"], 9.0);
-  EXPECT_EQ(into.histograms["lat"].counts,
-            (std::vector<std::uint64_t>{3, 4}));
-  EXPECT_EQ(into.histograms["lat"].sum, 1.5);
-  EXPECT_EQ(into.histograms["lat"].count, 7u);
-  EXPECT_EQ(into.histograms["clash"].counts, h1.counts);
-}
-
 TEST(Telemetry, FlusherWritesPidStampedFilesAndMergeFindsThem) {
-  ObsQuiescer quiesce;
+  TraceQuiescer quiesce;
   TempDir dir("flusher");
-  obs::MetricsRegistry::global().reset();
+  obs::Tracer::global().reset();
   {
     obs::TelemetryConfig config;
     config.dir = dir.str();
     config.label = "unit";
     obs::TelemetryFlusher flusher(config);
-    EXPECT_TRUE(obs::metrics_enabled());
-    obs::MetricsRegistry::global().counter("test.flush.cells").add(3);
+    EXPECT_TRUE(obs::trace_enabled());
     {
       obs::Span span("test.flush.span", "test");
     }
     flusher.flush();
-    EXPECT_TRUE(std::filesystem::exists(flusher.metrics_path()));
-    EXPECT_TRUE(std::filesystem::exists(flusher.trace_path()));
-    const std::string expected_stem =
-        "unit." + std::to_string(::getpid());
-    EXPECT_NE(flusher.metrics_path().find(expected_stem), std::string::npos);
   }
 
-  // Merge sees the flushed files.
-  const obs::TelemetryMergeReport report =
-      obs::merge_telemetry_dir(dir.str());
-  EXPECT_TRUE(report.errors.empty());
-  EXPECT_EQ(report.metrics_files, 1u);
-  ASSERT_EQ(report.trace_files.size(), 1u);
-  EXPECT_EQ(report.metrics.counters.at("test.flush.cells"), 3u);
-  obs::MetricsRegistry::global().reset();
+  // The pid-stamped trace is the only file the flusher leaves behind.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::vector<std::string>{
+                       "unit." + std::to_string(::getpid()) +
+                       ".trace.jsonl"}));
+
+  // Merge reads it: one lane holding the span.
+  std::ostringstream out;
+  const obs::MergedTrace merged = obs::write_merged_chrome_trace(out, dir.str());
+  EXPECT_EQ(merged.files, 1u);
+  EXPECT_TRUE(merged.error.empty()) << merged.error;
+  EXPECT_TRUE(obs::Json::parse(out.str()).has_value()) << out.str();
+  EXPECT_NE(out.str().find("\"test.flush.span\""), std::string::npos);
+  EXPECT_NE(out.str().find("unit (pid " + std::to_string(::getpid()) + ")"),
+            std::string::npos);
+  obs::Tracer::global().reset();
+}
+
+TEST(Telemetry, MergeOfAMissingOrEmptyDirectoryWritesNothing) {
+  TempDir dir("empty");
+  // A file that is not a trace does not count.
+  write_file(dir.path / "notes.txt", "not a trace\n");
+  for (const std::string& path :
+       {dir.str(), (dir.path / "missing").string()}) {
+    std::ostringstream out;
+    const obs::MergedTrace merged = obs::write_merged_chrome_trace(out, path);
+    EXPECT_EQ(merged.files, 0u) << path;
+    EXPECT_NE(merged.error.find(path), std::string::npos) << merged.error;
+    EXPECT_TRUE(out.str().empty()) << out.str();
+  }
 }
 
 TEST(Telemetry, MergedChromeTraceHasOnePidLanePerWorker) {
@@ -218,7 +106,7 @@ TEST(Telemetry, MergedChromeTraceHasOnePidLanePerWorker) {
              "\"dur\":2.5,\"pid\":222,\"tid\":1}\n");
 
   std::ostringstream out;
-  ASSERT_TRUE(obs::write_merged_chrome_trace(out, dir.str()));
+  ASSERT_EQ(obs::write_merged_chrome_trace(out, dir.str()).files, 2u);
   const std::string text = out.str();
   const std::optional<obs::Json> parsed = obs::Json::parse(text);
   ASSERT_TRUE(parsed.has_value()) << text;
@@ -250,7 +138,7 @@ TEST(Telemetry, MergedChromeTraceEscapesProcessLabels) {
              "{\"name\":\"solve\",\"cat\":\"mdp\",\"ph\":\"X\",\"ts\":1.0,"
              "\"dur\":2.0,\"pid\":4000000000,\"tid\":1}\n");
   std::ostringstream out;
-  ASSERT_TRUE(obs::write_merged_chrome_trace(out, dir.str()));
+  ASSERT_EQ(obs::write_merged_chrome_trace(out, dir.str()).files, 1u);
   const std::optional<obs::Json> parsed = obs::Json::parse(out.str());
   ASSERT_TRUE(parsed.has_value()) << out.str();
   std::vector<std::string> labels;

@@ -278,9 +278,10 @@ TEST(Csv, WritesRows) {
 
 /// Declares the Cli tests' flags as plain strings (and the switches as
 /// flags), so parse() passes every value through and what these tests
-/// exercise is the getters' own conversion.
+/// exercise is the getters' own conversion. One positional is allowed.
 util::ParsedArgs parse_cli(int argc, const char* const* argv) {
   util::ArgParser parser("prog", "getter tests");
+  parser.allow_positionals(1);
   for (const char* name :
        {"alpha", "setting", "name", "count", "rate", "huge", "overflow"}) {
     parser.add({name, util::ArgType::kString, "", "", ""});
@@ -351,7 +352,8 @@ TEST(ArgParser, AcceptsWellFormedNumbers) {
 
 TEST(ArgParser, KeepsPositionalsAndTheWholeCommandLine) {
   const char* argv[] = {"prog", "input.txt", "--count", "3", "output.txt"};
-  const util::ParsedArgs args = numeric_parser().parse(5, argv);
+  const util::ParsedArgs args =
+      numeric_parser().allow_positionals(2).parse(5, argv);
   EXPECT_EQ(args.get_long("count", 0), 3);
   EXPECT_EQ(args.positional(),
             (std::vector<std::string>{"input.txt", "output.txt"}));
@@ -397,6 +399,16 @@ TEST(ArgParserDeathTest, NamesWhatIsWrongWithAValue) {
                   "invalid value for --count: not an integer\n");
   expect_rejected({"--count=99999999999999999999"},
                   "invalid value for --count: out of range\n");
+}
+
+TEST(ArgParserDeathTest, RejectsUndeclaredPositional) {
+  // A binary reads no positional unless it declares one: a stray `2` after
+  // a flag's value is an error, not silently dropped.
+  expect_rejected({"--count", "4", "2"}, "unexpected argument '2'");
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* argv[] = {"prog", "in", "out", "extra"};
+  EXPECT_EXIT((void)numeric_parser().allow_positionals(2).parse(4, argv),
+              testing::ExitedWithCode(2), "unexpected argument 'extra'");
 }
 
 TEST(ArgParserDeathTest, RejectsRepeatedFlag) {
