@@ -7,8 +7,8 @@
 //
 // where each `power:mpb` pair is a group (power in %, MPB in MB).
 // It reports the EB-choosing equilibrium, plays the block size increasing
-// game round by round, and cross-checks the outcome with a fork-rate
-// simulation of the surviving network.
+// game round by round, and cross-checks the outcome with a zero-delay
+// network simulation of the surviving network.
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -16,7 +16,7 @@
 
 #include "games/block_size_game.hpp"
 #include "games/eb_choosing.hpp"
-#include "sim/fork_simulation.hpp"
+#include "sim/network_sim.hpp"
 #include "util/arg_spec.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -114,10 +114,12 @@ int main(int argc, char** argv) {
   // ---- What the surviving network looks like on the wire ------------------
   // The squeezed-out groups' nodes cannot handle the new block size: model
   // them as still-running small-EB nodes and measure the forks they see.
-  sim::ForkSimConfig config;
+  // Links of 1 us and 1e15 B/s deliver every block about 1 us after it is
+  // found, against a 600 s block interval: effectively zero delay.
+  sim::NetworkConfig config;
   const double final_mg = outcome.final_block_size;
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    sim::SimMiner miner;
+    sim::NetMiner miner;
     miner.name = "group" + std::to_string(i + 1);
     miner.power = groups[i].power;
     miner.rule.eb = static_cast<chain::ByteSize>(groups[i].mpb *
@@ -126,23 +128,24 @@ int main(int argc, char** argv) {
     const double mg = i >= outcome.surviving_from ? final_mg : groups[i].mpb;
     miner.rule.mg = static_cast<chain::ByteSize>(mg * chain::kMegabyte);
     miner.block_size = miner.rule.mg;
+    miner.latency = 1e-6;
+    miner.bandwidth = 1e15;
     config.miners.push_back(miner);
   }
-  sim::ForkSimulation simulation(config);
+  const sim::NetworkSimulation simulation(config);
   Rng rng(99);
-  const sim::ForkSimResult forks = simulation.run(20'000, rng);
+  const sim::NetworkResult result = simulation.run(20'000, rng);
   std::printf(
-      "Fork simulation of that end state (20k blocks, zero delay):\n"
-      "  fork episodes: %llu, orphaned blocks: %llu (%.2f%%), deepest "
-      "fork: %u\n",
-      static_cast<unsigned long long>(forks.fork_episodes),
-      static_cast<unsigned long long>(forks.orphaned_blocks),
-      100.0 * forks.orphan_rate(), forks.max_fork_depth);
+      "Network simulation of that end state (20k blocks, zero delay):\n"
+      "  orphaned blocks: %llu (%.2f%%), canonical length: %llu\n",
+      static_cast<unsigned long long>(result.orphaned_blocks),
+      100.0 * result.orphan_rate(),
+      static_cast<unsigned long long>(result.canonical_length));
   for (std::size_t i = 0; i < groups.size(); ++i) {
     std::printf("  group %zu: locked %llu, orphaned %llu\n", i + 1,
-                static_cast<unsigned long long>(forks.locked_per_miner[i]),
+                static_cast<unsigned long long>(result.locked_per_miner[i]),
                 static_cast<unsigned long long>(
-                    forks.orphaned_per_miner[i]));
+                    result.orphaned_per_miner[i]));
   }
   return 0;
 }

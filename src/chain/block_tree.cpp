@@ -31,16 +31,6 @@ std::span<const BlockId> BlockTree::children(BlockId id) const {
   return children_[id];
 }
 
-std::vector<BlockId> BlockTree::tips() const {
-  std::vector<BlockId> result;
-  for (BlockId id = 0; id < blocks_.size(); ++id) {
-    if (children_[id].empty()) {
-      result.push_back(id);
-    }
-  }
-  return result;
-}
-
 BlockId BlockTree::ancestor_at_height(BlockId id, Height height) const {
   BVC_REQUIRE(id < blocks_.size(), "block does not exist");
   BVC_REQUIRE(height <= blocks_[id].height,
@@ -50,28 +40,6 @@ BlockId BlockTree::ancestor_at_height(BlockId id, Height height) const {
     cursor = blocks_[cursor].parent;
   }
   return cursor;
-}
-
-bool BlockTree::is_ancestor(BlockId ancestor, BlockId descendant) const {
-  BVC_REQUIRE(ancestor < blocks_.size() && descendant < blocks_.size(),
-              "block does not exist");
-  if (blocks_[ancestor].height > blocks_[descendant].height) {
-    return false;
-  }
-  return ancestor_at_height(descendant, blocks_[ancestor].height) == ancestor;
-}
-
-BlockId BlockTree::common_ancestor(BlockId a, BlockId b) const {
-  BVC_REQUIRE(a < blocks_.size() && b < blocks_.size(),
-              "block does not exist");
-  const Height floor = std::min(blocks_[a].height, blocks_[b].height);
-  BlockId ca = ancestor_at_height(a, floor);
-  BlockId cb = ancestor_at_height(b, floor);
-  while (ca != cb) {
-    ca = blocks_[ca].parent;
-    cb = blocks_[cb].parent;
-  }
-  return ca;
 }
 
 std::vector<BlockId> BlockTree::path_from_genesis(BlockId id) const {

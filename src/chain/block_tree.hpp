@@ -28,19 +28,9 @@ class BlockTree {
   /// Children of `id`, in arrival order.
   [[nodiscard]] std::span<const BlockId> children(BlockId id) const;
 
-  /// All blocks with no children, in arrival order.
-  [[nodiscard]] std::vector<BlockId> tips() const;
-
   /// The ancestor of `id` at `height` (walks parent links).
   /// Requires height <= block(id).height.
   [[nodiscard]] BlockId ancestor_at_height(BlockId id, Height height) const;
-
-  /// Whether `ancestor` lies on the path from genesis to `descendant`
-  /// (a block is an ancestor of itself).
-  [[nodiscard]] bool is_ancestor(BlockId ancestor, BlockId descendant) const;
-
-  /// The deepest common ancestor of two blocks.
-  [[nodiscard]] BlockId common_ancestor(BlockId a, BlockId b) const;
 
   /// The path from genesis (inclusive) to `id` (inclusive), in height order.
   [[nodiscard]] std::vector<BlockId> path_from_genesis(BlockId id) const;

@@ -3,8 +3,8 @@
 // taxonomy replacing the bare `bool converged` idiom.
 //
 // Every iterative component in this library (the four MDP solvers, the
-// event-driven network simulation, the fork simulation, and the Monte-Carlo
-// rollouts) accepts a RunControl through its options and reports a RunStatus
+// event-driven network simulation, the attack-scenario replay and the
+// Monte-Carlo rollouts) accepts a RunControl and reports a RunStatus
 // on its result. On budget exhaustion or cancellation the component returns
 // the best partial result it has instead of spinning to its iteration cap —
 // the caller can inspect the status and decide whether the partial answer is

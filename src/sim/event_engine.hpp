@@ -1,8 +1,8 @@
 // The shared discrete-event core of src/sim: a monotone radix event queue
 // with a simulated clock and deterministic tie-breaking.
 //
-// All three simulators (network_sim, fork_simulation, attack_scenario)
-// lower their hand-rolled loops onto this engine. Events are ordered by
+// Both simulators (network_sim and attack_scenario) lower their
+// hand-rolled loops onto this engine. Events are ordered by
 // (time, klass, seq): `klass` ranks simultaneous events of different kinds
 // (e.g. a block find beats a block delivery scheduled for the same instant,
 // reproducing the legacy `next_find <= top.time` rule), and `seq` — the

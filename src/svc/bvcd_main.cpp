@@ -139,9 +139,9 @@ int main(int argc, char** argv) {
     std::error_code ec;
     std::filesystem::create_directories(config.state_dir, ec);
     if (ec) {
-      obs::log_error("bvcd", "cannot create --state-dir",
-                     {{"path", config.state_dir}, {"error", ec.message()}});
-      return 1;
+      std::fprintf(stderr, "bvcd: cannot open --state-dir: %s\n",
+                   config.state_dir.c_str());
+      return 2;
     }
   }
 

@@ -6,7 +6,6 @@
 #include "chain/block_tree.hpp"
 #include "chain/bu_validity.hpp"
 #include "chain/bitcoin_validity.hpp"
-#include "chain/selection.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -202,21 +201,6 @@ TEST_P(ChainProperties, GateCarryMatchesFullEvaluation) {
         EXPECT_EQ(carried.blocks_until_gate_close,
                   full.blocks_until_gate_close);
       }
-    }
-  }
-}
-
-TEST_P(ChainProperties, SelectionPrefersDepthAndRespectsValidity) {
-  Rng rng(GetParam() ^ 0x5E1);
-  RandomChainCase c = random_tree(rng, 40);
-  const BuNodeRule rule(random_params(rng));
-  const BlockId best = select_best_block(c.tree, rule);
-  // The selected block heads an acceptable chain...
-  EXPECT_TRUE(rule.chain_acceptable(c.tree, best));
-  // ...and no acceptable block is strictly deeper.
-  for (const BlockId id : c.blocks) {
-    if (rule.chain_acceptable(c.tree, id)) {
-      EXPECT_LE(c.tree.block(id).height, c.tree.block(best).height);
     }
   }
 }

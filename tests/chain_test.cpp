@@ -5,7 +5,6 @@
 #include "chain/bitcoin_validity.hpp"
 #include "chain/block_tree.hpp"
 #include "chain/bu_validity.hpp"
-#include "chain/selection.hpp"
 
 namespace {
 
@@ -53,8 +52,10 @@ TEST(BlockTree, ChildrenAndTips) {
   const BlockId b = tree.add_block(tree.genesis(), kMB, 1);
   const BlockId c = tree.add_block(a, kMB, 0);
   EXPECT_EQ(tree.children(tree.genesis()).size(), 2u);
-  const std::vector<BlockId> tips = tree.tips();
-  EXPECT_EQ(tips, (std::vector<BlockId>{b, c}));
+  EXPECT_EQ(tree.children(a).size(), 1u);
+  // Tips are the blocks without children.
+  EXPECT_TRUE(tree.children(b).empty());
+  EXPECT_TRUE(tree.children(c).empty());
 }
 
 TEST(BlockTree, AncestorAtHeight) {
@@ -65,28 +66,6 @@ TEST(BlockTree, AncestorAtHeight) {
   EXPECT_EQ(tree.ancestor_at_height(tip, 4), tip);
   EXPECT_THROW((void)tree.ancestor_at_height(tree.genesis(), 1),
                std::invalid_argument);
-}
-
-TEST(BlockTree, IsAncestor) {
-  BlockTree tree;
-  const BlockId a = tree.add_block(tree.genesis(), kMB, 0);
-  const BlockId b = tree.add_block(a, kMB, 0);
-  const BlockId side = tree.add_block(tree.genesis(), kMB, 1);
-  EXPECT_TRUE(tree.is_ancestor(a, b));
-  EXPECT_TRUE(tree.is_ancestor(b, b));
-  EXPECT_FALSE(tree.is_ancestor(b, a));
-  EXPECT_FALSE(tree.is_ancestor(side, b));
-  EXPECT_TRUE(tree.is_ancestor(tree.genesis(), side));
-}
-
-TEST(BlockTree, CommonAncestor) {
-  BlockTree tree;
-  const BlockId fork = extend(tree, tree.genesis(), {kMB, kMB});
-  const BlockId left = extend(tree, fork, {kMB, kMB, kMB});
-  const BlockId right = extend(tree, fork, {kMB});
-  EXPECT_EQ(tree.common_ancestor(left, right), fork);
-  EXPECT_EQ(tree.common_ancestor(left, left), left);
-  EXPECT_EQ(tree.common_ancestor(left, fork), fork);
 }
 
 TEST(BlockTree, PathFromGenesis) {
@@ -367,45 +346,6 @@ TEST(BuSourceCodeRule, DisagreesWithRizunDescription) {
   EXPECT_EQ(rizun.evaluate(tree, tip).verdict, ChainVerdict::kPendingDepth);
   EXPECT_EQ(rizun.evaluate(tree, extended).verdict,
             ChainVerdict::kPendingDepth);
-}
-
-// -------------------------------------------------------------- selection --
-
-TEST(Selection, PicksLongestAcceptable) {
-  BitcoinValidity rule(kMB);
-  BlockTree tree;
-  const BlockId shorter = extend(tree, tree.genesis(), {kMB, kMB});
-  const BlockId longer = extend(tree, tree.genesis(), {kMB, kMB, kMB});
-  EXPECT_EQ(select_best_block(tree, rule), longer);
-  (void)shorter;
-}
-
-TEST(Selection, SkipsUnacceptableChains) {
-  BitcoinValidity rule(kMB);
-  BlockTree tree;
-  const BlockId valid = extend(tree, tree.genesis(), {kMB});
-  const BlockId invalid = extend(tree, tree.genesis(), {2 * kMB, kMB, kMB});
-  EXPECT_EQ(select_best_block(tree, rule), valid);
-  (void)invalid;
-}
-
-TEST(Selection, FirstSeenBreaksTies) {
-  BitcoinValidity rule(kMB);
-  BlockTree tree;
-  const BlockId first = extend(tree, tree.genesis(), {kMB, kMB});
-  const BlockId second = extend(tree, tree.genesis(), {kMB, kMB});
-  EXPECT_EQ(select_best_block(tree, rule), first);
-  (void)second;
-}
-
-TEST(Selection, CountsMinerBlocks) {
-  BlockTree tree;
-  const BlockId a = tree.add_block(tree.genesis(), kMB, 0);
-  const BlockId b = tree.add_block(a, kMB, 1);
-  const BlockId c = tree.add_block(b, kMB, 0);
-  EXPECT_EQ(count_miner_blocks(tree, c, 0), 2u);
-  EXPECT_EQ(count_miner_blocks(tree, c, 1), 1u);
-  EXPECT_EQ(rewardable_blocks(tree, c).size(), 3u);
 }
 
 }  // namespace

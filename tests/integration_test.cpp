@@ -6,7 +6,7 @@
 #include "bu/attack_analysis.hpp"
 #include "counter/dynamic_limit.hpp"
 #include "sim/attack_scenario.hpp"
-#include "sim/fork_simulation.hpp"
+#include "sim/network_sim.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -124,9 +124,9 @@ TEST(PaperClaims, StickyGateRedistributesButKeepsAttackProfitable) {
 TEST(Countermeasure, NetworkFollowingVotedLimitNeverForks) {
   // All nodes derive the same limit from the chain (prescribed BVC); miners
   // mine at the limit. Model: every node's EB equals the voted limit at
-  // each moment. Since validity is uniform, the fork simulator must observe
-  // zero fork episodes — contrast with the heterogeneous-EB runs in
-  // sim_test.cpp.
+  // each moment. Since validity is uniform, a network at effectively zero
+  // delay must orphan nothing — contrast with the heterogeneous-EB runs in
+  // network_sim_test.cpp.
   counter::VoteRuleConfig rule;
   rule.epoch_length = 100;
   rule.activation_delay = 10;
@@ -137,21 +137,23 @@ TEST(Countermeasure, NetworkFollowingVotedLimitNeverForks) {
   }
   const chain::ByteSize limit = tracker.current_limit();
 
-  sim::ForkSimConfig config;
+  sim::NetworkConfig config;
   for (int i = 0; i < 4; ++i) {
-    sim::SimMiner miner;
+    sim::NetMiner miner;
     miner.name = "node" + std::to_string(i);
     miner.power = 0.25;
     miner.rule.eb = limit;
     miner.rule.mg = limit;
     miner.block_size = limit;
+    miner.latency = 1e-6;  // every block arrives ~1 us after its find
+    miner.bandwidth = 1e15;
     config.miners.push_back(miner);
   }
-  sim::ForkSimulation simulation(config);
+  const sim::NetworkSimulation simulation(config);
   Rng rng(17);
-  const sim::ForkSimResult result = simulation.run(10'000, rng);
-  EXPECT_EQ(result.fork_episodes, 0u);
+  const sim::NetworkResult result = simulation.run(10'000, rng);
   EXPECT_EQ(result.orphaned_blocks, 0u);
+  EXPECT_EQ(result.canonical_length, 10'000u);
 }
 
 // ---- Model options stay coherent end to end --------------------------------

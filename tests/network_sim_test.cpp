@@ -125,6 +125,69 @@ TEST(NetworkSim, ValidityForksFromEbDisagreement) {
   EXPECT_GT(result.orphaned_per_miner[1], result.orphaned_per_miner[0]);
 }
 
+// A compliant BU miner whose links deliver a block about 1 us after its
+// find, against a 600 s block interval: effectively zero delay.
+NetMiner instant_miner(std::string name, double power, chain::ByteSize eb,
+                       chain::ByteSize mg) {
+  NetMiner m = miner(std::move(name), power, mg, 1e15, 1e-6);
+  m.rule.eb = eb;
+  m.rule.mg = mg;
+  m.rule.ad = 6;
+  return m;
+}
+
+// Stone's observation, reproduced: miners with identical parameters who
+// never adapt their block size orphan nothing at zero delay, so each locks
+// blocks in proportion to its power.
+void expect_no_forks_and_proportional_rewards(
+    const std::vector<double>& powers, std::uint64_t seed,
+    std::uint64_t blocks) {
+  NetworkConfig config;
+  for (const double power : powers) {
+    config.miners.push_back(instant_miner("m", power, kMegabyte, kMegabyte));
+  }
+  const NetworkSimulation simulation(config);
+  Rng rng(seed);
+  const NetworkResult result = simulation.run(blocks, rng);
+  EXPECT_EQ(result.orphaned_blocks, 0u);
+  EXPECT_EQ(result.canonical_length, blocks);
+  for (std::size_t i = 0; i < powers.size(); ++i) {
+    EXPECT_NEAR(static_cast<double>(result.locked_per_miner[i]) /
+                    static_cast<double>(blocks),
+                powers[i], 0.01)
+        << "miner " << i;
+  }
+}
+
+TEST(NetworkSim, HomogeneousNetworkNeverForksAtZeroDelay) {
+  expect_no_forks_and_proportional_rewards({0.3, 0.3, 0.4}, 1, 20'000);
+}
+
+TEST(NetworkSim, RewardsProportionalToPowerAtZeroDelay) {
+  expect_no_forks_and_proportional_rewards({0.25, 0.75}, 2, 40'000);
+}
+
+TEST(NetworkSim, SplitWithoutStickyGateOrphansTheSmallEbMiner) {
+  // Setting 1 (no sticky gate): every 8 MB block is excessive to the 1 MB
+  // node until it is AD deep, so the small miner mines about AD - 1 blocks
+  // behind the majority's tip and its blocks almost never make the chain.
+  NetworkConfig config;
+  config.miners = {
+      instant_miner("big", 0.7, 8 * kMegabyte, 8 * kMegabyte),
+      instant_miner("small", 0.3, kMegabyte, kMegabyte)};
+  for (NetMiner& m : config.miners) {
+    m.rule.sticky_gate = false;
+  }
+  const NetworkSimulation simulation(config);
+  Rng rng(1);
+  const NetworkResult result = simulation.run(20'000, rng);
+  EXPECT_EQ(result.canonical_length + result.orphaned_blocks,
+            result.blocks_mined);
+  EXPECT_EQ(result.orphaned_per_miner[0], 0u);
+  EXPECT_GT(static_cast<double>(result.orphaned_per_miner[1]),
+            0.9 * static_cast<double>(result.mined_per_miner[1]));
+}
+
 TEST(NetworkSim, ValidatesConfig) {
   NetworkConfig config;
   EXPECT_THROW(NetworkSimulation{config}, std::invalid_argument);

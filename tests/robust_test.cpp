@@ -1,7 +1,7 @@
 // Tests of the run-control subsystem: RunStatus / RunBudget / CancelToken /
 // RunGuard primitives, and the budget/cancellation behaviour threaded
 // through every iterative component (the four MDP solvers, the model
-// rollout, and both simulators).
+// rollout, and the network simulator).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,7 +16,6 @@
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/rollout.hpp"
-#include "sim/fork_simulation.hpp"
 #include "sim/network_sim.hpp"
 #include "util/rng.hpp"
 
@@ -524,41 +523,6 @@ TEST(NetworkSimControl, TickBudgetStopsEarlyWithConsistentAccounting) {
     settled += result.locked_per_miner[i] + result.orphaned_per_miner[i];
   }
   EXPECT_EQ(settled, result.blocks_mined);
-}
-
-TEST(ForkSimControl, PreCancelledMinesNothing) {
-  sim::ForkSimConfig config;
-  for (int i = 0; i < 2; ++i) {
-    sim::SimMiner m;
-    m.name = std::string("m").append(std::to_string(i));
-    m.power = 0.5;
-    m.block_size = m.rule.mg;
-    config.miners.push_back(m);
-  }
-  sim::ForkSimulation simulation(config);
-  Rng rng(1);
-  const sim::ForkSimResult result =
-      simulation.run(1000, rng, cancelled_control());
-  EXPECT_EQ(result.status, RunStatus::kCancelled);
-  EXPECT_EQ(result.blocks_mined, 0u);
-}
-
-TEST(ForkSimControl, TickBudgetStopsEarly) {
-  sim::ForkSimConfig config;
-  for (int i = 0; i < 2; ++i) {
-    sim::SimMiner m;
-    m.name = std::string("m").append(std::to_string(i));
-    m.power = 0.5;
-    m.block_size = m.rule.mg;
-    config.miners.push_back(m);
-  }
-  sim::ForkSimulation simulation(config);
-  Rng rng(1);
-  robust::RunControl control;
-  control.budget = RunBudget::ticks(25);
-  const sim::ForkSimResult result = simulation.run(1000, rng, control);
-  EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
-  EXPECT_EQ(result.blocks_mined, 25u);
 }
 
 // ------------------------------------------------------- analysis layer ---

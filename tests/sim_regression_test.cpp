@@ -19,7 +19,6 @@
 #include "bu/attack_analysis.hpp"
 #include "obs/metrics.hpp"
 #include "sim/attack_scenario.hpp"
-#include "sim/fork_simulation.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/timeline.hpp"
 #include "sim/topology.hpp"
@@ -332,36 +331,6 @@ TEST(SimRegression, RelayMixedRulesValidityFork) {
   EXPECT_EQ(fork_switches, 705u);
   EXPECT_EQ(engine.dispatched, 83126u);
   EXPECT_EQ(engine.peak_queue_depth, 292.0);
-}
-
-TEST(SimRegression, ForkSimulation) {
-  ForkSimConfig config;
-  const auto add = [&](double power, chain::ByteSize eb,
-                       chain::ByteSize size) {
-    SimMiner m;
-    m.power = power;
-    m.rule.eb = eb;
-    m.rule.mg = 8 * chain::kMegabyte;
-    m.rule.ad = 3;
-    m.block_size = size;
-    config.miners.push_back(m);
-  };
-  add(0.4, 1 * chain::kMegabyte, 1 * chain::kMegabyte);
-  add(0.3, 1 * chain::kMegabyte, 1 * chain::kMegabyte);
-  add(0.2, 8 * chain::kMegabyte, 8 * chain::kMegabyte);
-  add(0.1, 8 * chain::kMegabyte, 8 * chain::kMegabyte);
-  ForkSimulation fork(config);
-  Rng rng(11);
-  const ForkSimResult r = fork.run(20'000, rng);
-  EXPECT_EQ(r.blocks_mined, 20000u);
-  EXPECT_EQ(r.fork_episodes, 1u);
-  EXPECT_EQ(r.steps_disagreeing, 2u);
-  EXPECT_EQ(r.max_fork_depth, 2u);
-  EXPECT_EQ(r.orphaned_blocks, 0u);
-  EXPECT_EQ(r.status, robust::RunStatus::kConverged);
-  const std::vector<std::uint64_t> locked = {7979, 6020, 4006, 1995};
-  EXPECT_EQ(r.locked_per_miner, locked);
-  EXPECT_EQ(rng.next_u64(), 7770806051643308127ull);
 }
 
 TEST(SimRegression, AttackScenarioRandomPolicy) {

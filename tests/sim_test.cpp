@@ -9,7 +9,6 @@
 
 #include "bu/attack_analysis.hpp"
 #include "sim/attack_scenario.hpp"
-#include "sim/fork_simulation.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -154,97 +153,6 @@ TEST(ScenarioSim, HonestPolicyNeverForks) {
   EXPECT_EQ(result.forks_started, 0u);
   EXPECT_DOUBLE_EQ(result.totals.total_orphaned(), 0.0);
   EXPECT_NEAR(result.utility_estimate, 0.2, 0.01);
-}
-
-// --------------------------------------------------------- ForkSimulation --
-
-sim::SimMiner compliant_miner(std::string name, double power,
-                              chain::ByteSize eb, chain::ByteSize mg,
-                              unsigned ad = 6) {
-  sim::SimMiner miner;
-  miner.name = std::move(name);
-  miner.power = power;
-  miner.rule.eb = eb;
-  miner.rule.mg = mg;
-  miner.rule.ad = ad;
-  miner.block_size = mg;
-  return miner;
-}
-
-TEST(ForkSimulation, HomogeneousNetworkNeverForks) {
-  // Stone's observation, reproduced: miners with identical parameters who
-  // never adapt their block size produce zero forks at zero delay.
-  sim::ForkSimConfig config;
-  config.miners = {
-      compliant_miner("a", 0.3, chain::kMegabyte, chain::kMegabyte),
-      compliant_miner("b", 0.3, chain::kMegabyte, chain::kMegabyte),
-      compliant_miner("c", 0.4, chain::kMegabyte, chain::kMegabyte),
-  };
-  sim::ForkSimulation simulation(config);
-  Rng rng(1);
-  const sim::ForkSimResult result = simulation.run(20'000, rng);
-  EXPECT_EQ(result.fork_episodes, 0u);
-  EXPECT_EQ(result.orphaned_blocks, 0u);
-  EXPECT_EQ(result.blocks_mined, 20'000u);
-}
-
-TEST(ForkSimulation, RewardsProportionalToPowerWithoutForks) {
-  sim::ForkSimConfig config;
-  config.miners = {
-      compliant_miner("a", 0.25, chain::kMegabyte, chain::kMegabyte),
-      compliant_miner("b", 0.75, chain::kMegabyte, chain::kMegabyte),
-  };
-  sim::ForkSimulation simulation(config);
-  Rng rng(2);
-  const sim::ForkSimResult result = simulation.run(40'000, rng);
-  const double share_a = static_cast<double>(result.locked_per_miner[0]) /
-                         static_cast<double>(result.blocks_mined);
-  EXPECT_NEAR(share_a, 0.25, 0.01);
-}
-
-TEST(ForkSimulation, HeterogeneousEbsForkWhenBigBlocksAppear) {
-  // A large-MG majority vs a small-EB minority: the minority keeps
-  // rejecting big blocks until AD depth, so forks occur organically.
-  sim::ForkSimConfig config;
-  config.miners = {
-      compliant_miner("big", 0.7, 8 * chain::kMegabyte,
-                      8 * chain::kMegabyte),
-      compliant_miner("small", 0.3, chain::kMegabyte, chain::kMegabyte),
-  };
-  sim::ForkSimulation simulation(config);
-  Rng rng(3);
-  const sim::ForkSimResult result = simulation.run(20'000, rng);
-  EXPECT_GT(result.fork_episodes, 0u);
-  EXPECT_GT(result.orphaned_blocks, 0u);
-  // The small-EB miner loses disproportionally many blocks.
-  const double small_orphan_share =
-      static_cast<double>(result.orphaned_per_miner[1]) /
-      static_cast<double>(result.orphaned_blocks + 1);
-  EXPECT_GT(small_orphan_share, 0.5);
-}
-
-TEST(ForkSimulation, DisagreementResolvesWithinAcceptanceDepth) {
-  sim::ForkSimConfig config;
-  config.miners = {
-      compliant_miner("big", 0.7, 8 * chain::kMegabyte, 8 * chain::kMegabyte,
-                      4),
-      compliant_miner("small", 0.3, chain::kMegabyte, chain::kMegabyte, 4),
-  };
-  sim::ForkSimulation simulation(config);
-  Rng rng(4);
-  const sim::ForkSimResult result = simulation.run(20'000, rng);
-  // With AD = 4 the small miner adopts after at most 4 blocks, so the
-  // divergence depth stays small.
-  EXPECT_LE(result.max_fork_depth, 8u);
-}
-
-TEST(ForkSimulation, RejectsMinerAboveOwnMg) {
-  sim::ForkSimConfig config;
-  config.miners = {
-      compliant_miner("a", 1.0, chain::kMegabyte, chain::kMegabyte),
-  };
-  config.miners[0].block_size = 2 * chain::kMegabyte;  // above its MG
-  EXPECT_THROW(sim::ForkSimulation{config}, std::invalid_argument);
 }
 
 }  // namespace
