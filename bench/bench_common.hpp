@@ -55,12 +55,6 @@ inline void add_obs_args(util::ArgParser& parser) {
        "write the same trace events as JSON Lines", ""},
       {"manifest-out", util::ArgType::kString, "FILE",
        "write the run manifest (git SHA, args, metrics)", ""},
-      {"log-out", util::ArgType::kString, "FILE",
-       "write structured JSONL event-log records to FILE "
-       "(default: human-readable stderr)",
-       ""},
-      {"log-level", util::ArgType::kString, "LEVEL",
-       "event-log threshold: debug|info|warn|error", "info"},
   });
 }
 
@@ -202,7 +196,6 @@ inline void print_cache_stats(const char* bench_name) {
 ///                            directory of them into one Chrome trace)
 ///   --manifest-out=FILE      run manifest (git SHA, args, outputs, final
 ///                            metrics snapshot) as JSON
-///   --log-out/--log-level    obs::EventLog sink and threshold
 ///
 /// Construct one ObsSession at the top of main (before any solve) and let
 /// it run out of scope last: construction opens every requested file (a
@@ -235,28 +228,6 @@ class ObsSession {
         manifest_.outputs.emplace_back(kind, *path);
       }
     }
-    const std::string log_out = args.get_string("log-out", "");
-    const std::string log_level = args.get_string("log-level", "");
-    if (!log_out.empty() || !log_level.empty()) {
-      obs::LogConfig log_config;
-      if (!log_level.empty()) {
-        const auto level = obs::parse_log_level(log_level);
-        if (!level) {
-          std::fprintf(stderr,
-                       "*** invalid --log-level value '%s' "
-                       "(expected debug|info|warn|error)\n",
-                       log_level.c_str());
-          std::exit(2);
-        }
-        log_config.min_level = *level;
-      }
-      log_config.path = log_out;
-      if (!obs::EventLog::global().configure(log_config)) {
-        std::fprintf(stderr, "*** cannot open --log-out file: %s\n",
-                     log_out.c_str());
-        std::exit(2);
-      }
-    }
     // The manifest records which sweep kernel ISA BVC_KERNEL asked for and
     // which one ran.
     annotate("kernel_requested",
@@ -282,8 +253,8 @@ class ObsSession {
       std::fprintf(stderr, "[obs] wrote trace-jsonl: %s\n",
                    jsonl_path_.c_str());
       if (tracer.dropped_events() > 0) {
-        obs::log_warn("obs", "trace events dropped (ring full)",
-                      {{"dropped", tracer.dropped_events()}});
+        obs::log_event("obs", "trace events dropped (ring full)",
+                       {{"dropped", tracer.dropped_events()}});
       }
     }
     if (!manifest_path_.empty()) {

@@ -9,7 +9,10 @@
 #     event per line and "ph":"X" spans from at least three instrumented
 #     subsystems (solver, batch/pool, cache);
 #   * --manifest-out parses, embeds git SHA and argv, lists the trace
-#     among its outputs, and its metrics carry the mdp.cache.* counters;
+#     among its outputs, and its metrics are exactly the counters and
+#     gauges sections, carrying the mdp.cache.* counters;
+#   * the trace holds one keyed cache.compile span, the one timer of a
+#     template build, per mdp.cache.misses in the manifest;
 #   * a run with the sinks enabled prints byte-identical stdout to a
 #     plain run (all obs chatter goes to artifacts or stderr).
 #
@@ -77,14 +80,20 @@ assert manifest["args"] == ["--quick", "--threads", "2",
 assert manifest["outputs"].get("trace") == jsonl, manifest["outputs"]
 
 metrics = manifest["metrics"]
-for section in ("counters", "gauges", "histograms"):
-    assert section in metrics, f"manifest metrics missing {section}"
-lookups = metrics["counters"].get("mdp.cache.hits", 0) + \
-          metrics["counters"].get("mdp.cache.misses", 0)
+assert sorted(metrics) == ["counters", "gauges"], sorted(metrics)
+misses = metrics["counters"].get("mdp.cache.misses", 0)
+lookups = metrics["counters"].get("mdp.cache.hits", 0) + misses
 assert lookups > 0, "cache instrumentation recorded no lookups"
 
+# Every template build is timed by one cache.compile span naming its key.
+compiles = [e for e in spans if e["name"] == "cache.compile"]
+assert len(compiles) == misses, \
+    f"{len(compiles)} cache.compile spans for {misses} cache misses"
+for event in compiles:
+    assert event.get("args", {}).get("key"), f"compile span without key: {event}"
+
 print(f"check_trace: {len(events)} events, categories {sorted(cats)}, "
-      f"{lookups} cache lookups")
+      f"{lookups} cache lookups, {len(compiles)} compile spans")
 EOF
 
 # The obs sinks must be invisible on stdout: a plain run and the

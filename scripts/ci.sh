@@ -26,10 +26,11 @@ ctest --test-dir "$repo/$build" --output-on-failure \
   -LE '^(obs|resume|sim|counts)$' "$@"
 
 # Telemetry-plane gate, surfaced as its own named step: the obs-labeled
-# suite (metrics and trace export, event log, the telemetry dir's flush
-# and trace merge, plus the check_trace observability smoke — one quick
-# two-threaded table run with its trace and manifest sinks, loadable
-# artifacts with spans from >= 3 subsystems, byte-stable bench stdout)
+# suite (metrics and trace export, the event log's stderr lines and rate
+# limit, the telemetry dir's flush and trace merge, plus the check_trace
+# observability smoke — one quick two-threaded table run with its trace
+# and manifest sinks, loadable artifacts with spans from >= 3 subsystems,
+# one cache.compile span per template built, byte-stable bench stdout)
 # must pass in isolation.
 ctest --test-dir "$repo/$build" --output-on-failure -L obs
 

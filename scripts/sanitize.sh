@@ -62,8 +62,8 @@ ctest --test-dir "$build" --output-on-failure -j"$(nproc)" "$@"
 # Thread tier: re-run the sim-labeled suite in isolation so the replica
 # fan-out (sim::run_replicas at --threads 8 in test_sim_replicas) and the
 # event-engine tests get an explicit, named TSan pass. The obs-labeled
-# suite follows for the same reason: test_event_log hammers the global
-# EventLog from concurrent writers, and the telemetry/trace tests exercise
+# suite follows for the same reason: test_event_log hammers the event
+# log's one lock from four threads, and the telemetry/trace tests exercise
 # the flusher's background thread (bvcd --telemetry-dir) against the
 # tracer's rings.
 if [ "$tier" = "thread" ]; then

@@ -8,7 +8,6 @@ namespace bvc::chain {
 
 BlockTree::BlockTree() {
   blocks_.push_back(Block{0, kNoBlock, 0, 0, kNoMiner});
-  children_.emplace_back();
 }
 
 BlockId BlockTree::add_block(BlockId parent, ByteSize size, MinerId miner) {
@@ -16,19 +15,12 @@ BlockId BlockTree::add_block(BlockId parent, ByteSize size, MinerId miner) {
   const auto id = static_cast<BlockId>(blocks_.size());
   blocks_.push_back(
       Block{id, parent, blocks_[parent].height + 1, size, miner});
-  children_.emplace_back();
-  children_[parent].push_back(id);
   return id;
 }
 
 const Block& BlockTree::block(BlockId id) const {
   BVC_REQUIRE(id < blocks_.size(), "block does not exist");
   return blocks_[id];
-}
-
-std::span<const BlockId> BlockTree::children(BlockId id) const {
-  BVC_REQUIRE(id < blocks_.size(), "block does not exist");
-  return children_[id];
 }
 
 BlockId BlockTree::ancestor_at_height(BlockId id, Height height) const {

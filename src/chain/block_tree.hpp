@@ -5,7 +5,6 @@
 // (BitcoinValidity, BuNodeRule) that are evaluated against this shared tree.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "chain/types.hpp"
@@ -25,9 +24,6 @@ class BlockTree {
   [[nodiscard]] BlockId genesis() const noexcept { return 0; }
   [[nodiscard]] std::size_t size() const noexcept { return blocks_.size(); }
 
-  /// Children of `id`, in arrival order.
-  [[nodiscard]] std::span<const BlockId> children(BlockId id) const;
-
   /// The ancestor of `id` at `height` (walks parent links).
   /// Requires height <= block(id).height.
   [[nodiscard]] BlockId ancestor_at_height(BlockId id, Height height) const;
@@ -37,7 +33,6 @@ class BlockTree {
 
  private:
   std::vector<Block> blocks_;
-  std::vector<std::vector<BlockId>> children_;
 };
 
 }  // namespace bvc::chain

@@ -63,10 +63,10 @@ Request request_from_env() noexcept {
   if (const auto parsed = parse_request(env)) {
     return *parsed;
   }
-  obs::log_warn("kernel",
-                "ignoring BVC_KERNEL (expected auto|scalar|avx2|avx512); "
-                "using auto",
-                {{"value", env}});
+  obs::log_event("kernel",
+                 "ignoring BVC_KERNEL (expected auto|scalar|avx2|avx512); "
+                 "using auto",
+                 {{"value", env}});
   return Request::kAuto;
 }
 

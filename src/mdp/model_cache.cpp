@@ -1,8 +1,6 @@
 #include "mdp/model_cache.hpp"
 
-#include <array>
 #include <charconv>
-#include <chrono>
 #include <exception>
 
 #include "obs/metrics.hpp"
@@ -54,18 +52,7 @@ std::shared_ptr<const ModelTemplate> ModelCache::get_or_build(
   try {
     obs::Span span("cache.compile", "cache");
     span.arg("key", std::string_view(key));
-    const auto begin = std::chrono::steady_clock::now();
     built = std::make_shared<const ModelTemplate>(build());
-    if (obs::metrics_enabled()) {
-      static constexpr std::array<double, 6> kBounds = {1e-4, 1e-3, 1e-2,
-                                                        0.1,  1.0,  10.0};
-      static obs::Histogram& compile_seconds =
-          obs::MetricsRegistry::global().histogram("mdp.cache.compile_seconds",
-                                                   kBounds);
-      compile_seconds.observe(std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - begin)
-                                  .count());
-    }
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);

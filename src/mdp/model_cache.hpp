@@ -18,8 +18,8 @@
 // are probabilities. Because the key needs only the parameters, the solve
 // paths look up first: their `build` callback enumerates the rule set's
 // state space into a template, so it runs only on a miss, and a hit costs
-// one key format plus one hash probe. The `cache.compile` span and the
-// `mdp.cache.compile_seconds` histogram time that whole build.
+// one key format plus one hash probe. The `cache.compile` span times that
+// whole build.
 //
 // The cache is unbounded and lives in memory only. A template costs about
 // what one compiled model of its rule set costs (the setting-2 attack model

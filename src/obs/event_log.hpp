@@ -1,51 +1,38 @@
-// Structured, leveled, rate-limited event logging — the one front door for
-// everything the process used to fprintf(stderr) ad hoc.
+// The event log: every operational event a subsystem reports (a job
+// submitted, a journal it cannot write, a handler that threw) is one
+// human-readable line on stderr,
 //
-// Two sink modes:
+//   [subsystem] message key=value ...
 //
-//   * Default (unconfigured, or LogConfig.path empty): human-readable lines
-//     on stderr, `[subsystem] message key=value ...` — the same shape the
-//     legacy call sites printed, so operators lose nothing.
-//   * Structured (LogConfig.path set, e.g. via `--log-out FILE`): one JSON
-//     object per line — {"ts_ms":...,"level":...,"subsystem":...,
-//     "msg":...,"fields":{...}} — for log pipelines.
+// and a deployment that wants the log in a file redirects stderr.
 //
 // Discipline:
 //
-//   * Levels gate cheaply: write() returns after one relaxed atomic load
-//     when the record's level is below the configured threshold
-//     (`--log-level`), so debug-level sites cost a predictable branch.
-//   * Rate limiting is per subsystem: at most LogConfig.rate_limit_per_sec
-//     records per subsystem per one-second window; excess records are
-//     dropped and summarized once when the window rolls, so a crash loop
-//     cannot flood the sink.
-//   * write() never throws and never touches stdout — bench tables stay
-//     byte-stable whatever the logging configuration.
+//   * Each record is formatted, written and flushed under one lock, so
+//     concurrent writers never interleave their lines, and a record written
+//     right before a crash survives it (the checkpoint layer logs right
+//     before a deliberate SIGKILL).
+//   * Rate limiting is per subsystem: at most kLogRateLimitPerSec records
+//     per subsystem per one-second window; excess records are dropped and
+//     summarized in one line when the window rolls, so a failure loop (an
+//     HTTP handler that throws on every request) cannot flood stderr.
+//   * log_event() never throws and never touches stdout — bench tables stay
+//     byte-stable.
 //
-// docs/OBSERVABILITY.md §"Event log" documents the schema.
+// docs/OBSERVABILITY.md §"Event log".
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <initializer_list>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
 
 namespace bvc::obs {
 
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-[[nodiscard]] std::string_view to_string(LogLevel level) noexcept;
-/// Parses "debug" | "info" | "warn" | "error" (also "warning").
-[[nodiscard]] std::optional<LogLevel> parse_log_level(
-    std::string_view text) noexcept;
-
 /// One key=value attachment. The key must be a string literal (or otherwise
-/// outlive the write() call); values are copied.
+/// outlive the log_event() call); values are copied.
 class LogField {
  public:
   LogField(const char* key, std::string_view value)
@@ -71,8 +58,11 @@ class LogField {
     }
   }
 
+  /// Writes ` key=value`: strings verbatim, doubles as %g, bools as
+  /// true/false.
+  void print(std::FILE* out) const;
+
  private:
-  friend class EventLog;
   enum class Kind { kString, kDouble, kInt, kUint, kBool };
 
   const char* key_;
@@ -84,79 +74,12 @@ class LogField {
   bool flag_ = false;
 };
 
-struct LogConfig {
-  LogLevel min_level = LogLevel::kInfo;
-  /// "" = human-readable stderr; otherwise a JSONL file (truncated).
-  std::string path;
-  /// Max records per subsystem per one-second window; overflow is dropped
-  /// and summarized when the window rolls. 0 = unlimited.
-  std::uint32_t rate_limit_per_sec = 200;
-};
+/// Records one subsystem may emit per one-second window.
+inline constexpr std::uint32_t kLogRateLimitPerSec = 200;
 
-class EventLog {
- public:
-  /// Installs a new configuration (sink, threshold, rate limit) and resets
-  /// the rate-limit windows and counters. Returns false — keeping the
-  /// previous sink — when the file cannot be opened.
-  bool configure(LogConfig config);
-
-  [[nodiscard]] bool enabled(LogLevel level) const noexcept {
-    return static_cast<int>(level) >= min_level_.load(std::memory_order_relaxed);
-  }
-
-  /// Emits one record (or drops it: below threshold / over the subsystem's
-  /// rate limit). Never throws; sink errors are swallowed.
-  void write(LogLevel level, const char* subsystem, std::string_view message,
-             std::initializer_list<LogField> fields = {}) noexcept;
-
-  /// Records emitted to the sink (rate-limit summaries excluded).
-  [[nodiscard]] std::uint64_t emitted() const noexcept {
-    return emitted_.load(std::memory_order_relaxed);
-  }
-  /// Records dropped by the per-subsystem rate limiter.
-  [[nodiscard]] std::uint64_t suppressed() const noexcept {
-    return suppressed_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] static EventLog& global();
-
- private:
-  struct Window {
-    double start = 0.0;
-    std::uint32_t count = 0;
-    std::uint64_t suppressed = 0;
-  };
-
-  void emit_locked(LogLevel level, const char* subsystem,
-                   std::string_view message,
-                   std::initializer_list<LogField> fields);
-
-  std::atomic<int> min_level_{static_cast<int>(LogLevel::kInfo)};
-  mutable std::mutex mutex_;
-  LogConfig config_;
-  void* sink_ = nullptr;  ///< FILE*; stderr when no path is configured
-  bool owns_sink_ = false;
-  std::map<std::string, Window, std::less<>> windows_;
-  std::atomic<std::uint64_t> emitted_{0};
-  std::atomic<std::uint64_t> suppressed_{0};
-};
-
-// Convenience fronts over EventLog::global().
-inline void log_debug(const char* subsystem, std::string_view message,
-                      std::initializer_list<LogField> fields = {}) noexcept {
-  EventLog::global().write(LogLevel::kDebug, subsystem, message, fields);
-}
-inline void log_info(const char* subsystem, std::string_view message,
-                     std::initializer_list<LogField> fields = {}) noexcept {
-  EventLog::global().write(LogLevel::kInfo, subsystem, message, fields);
-}
-inline void log_warn(const char* subsystem, std::string_view message,
-                     std::initializer_list<LogField> fields = {}) noexcept {
-  EventLog::global().write(LogLevel::kWarn, subsystem, message, fields);
-}
-inline void log_error(const char* subsystem, std::string_view message,
-                      std::initializer_list<LogField> fields = {}) noexcept {
-  EventLog::global().write(LogLevel::kError, subsystem, message, fields);
-}
+/// Writes one record to stderr, or drops it when `subsystem` is over its
+/// rate limit. Never throws; write errors are swallowed.
+void log_event(const char* subsystem, std::string_view message,
+               std::initializer_list<LogField> fields = {}) noexcept;
 
 }  // namespace bvc::obs

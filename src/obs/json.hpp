@@ -1,7 +1,7 @@
 // The repo's one JSON codec: a small value type with a strict parser and a
 // deterministic writer, plus the two writer primitives every other JSON
-// emitter in the tree (journal lines, metrics, manifests, event logs,
-// traces, timelines, the bvcd wire format) builds its output from.
+// emitter in the tree (journal lines, metrics, manifests, traces,
+// timelines, the bvcd wire format) builds its output from.
 //
 // parse() either returns a fully validated document or nullopt: a
 // malformed body is rejected before any field is read, which is the

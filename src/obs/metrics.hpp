@@ -1,14 +1,15 @@
-// Process-wide metrics: named counters, gauges, and fixed-bucket histograms.
+// Process-wide metrics: named counters and gauges. Durations are not
+// metrics: the obs spans (trace.hpp) time each layer, and a distribution
+// over solves or builds is a fold of those spans.
 //
 // Design goals, in order:
 //
-//   1. Hot paths stay hot. Every mutation (Counter::add, Gauge::set,
-//      Histogram::observe) first performs ONE relaxed atomic load of the
-//      global enable flag and returns immediately when metrics are off —
-//      instrumented code compiled into the solvers' sweep loops costs a
-//      single predictable branch per call. When enabled, mutations are
-//      lock-free relaxed atomic read-modify-writes; no mutation ever takes
-//      a lock.
+//   1. Hot paths stay hot. Every mutation (Counter::add, Gauge::set) first
+//      performs ONE relaxed atomic load of the global enable flag and
+//      returns immediately when metrics are off — instrumented code
+//      compiled into the solvers' sweep loops costs a single predictable
+//      branch per call. When enabled, mutations are lock-free relaxed
+//      atomic stores or read-modify-writes; no mutation ever takes a lock.
 //   2. Registration is rare and may lock. Instrumentation sites hold a
 //      function-local static reference obtained once from
 //      MetricsRegistry::global() (one mutex acquisition per site per
@@ -31,10 +32,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace bvc::obs {
 
@@ -83,18 +82,6 @@ class Gauge {
                 std::memory_order_relaxed);
   }
 
-  void add(double delta) noexcept {
-    if (!metrics_enabled()) {
-      return;
-    }
-    std::uint64_t seen = bits_.load(std::memory_order_relaxed);
-    std::uint64_t want;
-    do {
-      want = std::bit_cast<std::uint64_t>(std::bit_cast<double>(seen) + delta);
-    } while (!bits_.compare_exchange_weak(seen, want,
-                                          std::memory_order_relaxed));
-  }
-
   [[nodiscard]] double value() const noexcept {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
@@ -109,47 +96,11 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
 };
 
-/// Fixed-bucket histogram: bucket i counts observations <= bounds[i], plus
-/// one implicit overflow bucket. Bounds are fixed at registration, so
-/// observe() is a short scan over at most a few dozen bounds followed by
-/// one relaxed fetch_add — no allocation, no locking, ever.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double value) noexcept;
-
-  struct Snapshot {
-    std::vector<double> bounds;          ///< upper bound per finite bucket
-    std::vector<std::uint64_t> counts;   ///< bounds.size() + 1 (overflow last)
-    double sum = 0.0;
-    std::uint64_t count = 0;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept {
-    return bounds_;
-  }
-
-  void reset() noexcept;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> sum_bits_{std::bit_cast<std::uint64_t>(0.0)};
-  std::atomic<std::uint64_t> count_{0};
-};
-
 /// Everything the registry knew at one instant, detached from the live
 /// atomics; what write_json and the run manifest embed.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, Histogram::Snapshot> histograms;
-
-  [[nodiscard]] bool empty() const noexcept {
-    return counters.empty() && gauges.empty() && histograms.empty();
-  }
 };
 
 class MetricsRegistry {
@@ -158,16 +109,10 @@ class MetricsRegistry {
   /// lifetime; the global registry is never destroyed before exit.
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  /// The bounds are consulted only on first registration of `name`; a
-  /// re-registration with different bounds keeps the original histogram,
-  /// bumps the `obs.metrics.histogram_bound_conflicts` counter, and warns
-  /// through obs::EventLog so the clash is never silent.
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::span<const double> upper_bounds);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// One JSON object: {"counters":{...},"gauges":{...}}.
   void write_json(std::ostream& out) const;
 
   /// Zeroes every registered metric (entries stay registered). Intended for
@@ -181,7 +126,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 /// Serializes a snapshot as the same JSON object write_json emits.

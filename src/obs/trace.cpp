@@ -41,7 +41,7 @@ void write_event_json(std::ostream& out, const TraceEvent& event,
 
 /// Satellite: ring-buffer drops must never be silent. Bumps the
 /// `obs.trace.dropped_spans` counter and warns ONCE per process through
-/// the EventLog. Called from record(), which is noexcept — everything that
+/// the event log. Called from record(), which is noexcept — everything that
 /// can throw (first-time counter registration) is contained here.
 void note_drop() noexcept {
   try {
@@ -52,9 +52,9 @@ void note_drop() noexcept {
     }
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true, std::memory_order_relaxed)) {
-      log_warn("obs",
-               "trace ring buffer full; further spans on this thread are "
-               "being dropped — the exported trace is truncated");
+      log_event("obs",
+                "trace ring buffer full; further spans on this thread are "
+                "being dropped — the exported trace is truncated");
     }
   } catch (...) {
     // Never let accounting for a dropped span take down a recording thread.
@@ -288,12 +288,6 @@ TraceEvent instant_event(const char* name, const char* category) noexcept {
 }
 
 }  // namespace
-
-void trace_instant(const char* name, const char* category) noexcept {
-  if (trace_enabled()) {
-    Tracer::global().record(instant_event(name, category));
-  }
-}
 
 void trace_instant(const char* name, const char* category, const char* key,
                    std::string_view value) noexcept {

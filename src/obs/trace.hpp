@@ -145,8 +145,8 @@ class Span {
   bool active_ = false;
 };
 
-/// Records a zero-duration instant event (e.g. "deadline expired").
-void trace_instant(const char* name, const char* category) noexcept;
+/// Records a zero-duration instant event (e.g. "deadline expired") with one
+/// `"key":value` arg.
 void trace_instant(const char* name, const char* category, const char* key,
                    std::string_view value) noexcept;
 void trace_instant(const char* name, const char* category, const char* key,

@@ -247,8 +247,8 @@ std::size_t CheckpointJournal::load() {
     ++loaded;
   }
   if (skipped_lines_ > 0) {
-    obs::log_warn("checkpoint", "skipped malformed journal line(s)",
-                  {{"lines", skipped_lines_}, {"path", path_}});
+    obs::log_event("checkpoint", "skipped malformed journal line(s)",
+                   {{"lines", skipped_lines_}, {"path", path_}});
   }
   if (obs::metrics_enabled()) {
     obs::MetricsRegistry::global()
@@ -307,9 +307,9 @@ void CheckpointJournal::append(CheckpointRecord record) {
     // signal lands, making "exactly N journaled cells" nondeterministic
     // (the resume tests assert the exact count, and TSan's slowdown makes
     // the unlocked window wide enough to hit in practice).
-    // EventLog flushes per record, so this survives the raise below.
-    obs::log_warn("checkpoint", "crash injection: SIGKILL",
-                  {{"cells_appended", appended_}});
+    // The event log flushes per record, so this survives the raise below.
+    obs::log_event("checkpoint", "crash injection: SIGKILL",
+                   {{"cells_appended", appended_}});
     ::raise(SIGKILL);  // simulate an external hard kill (OOM killer)
   }
   if (obs::metrics_enabled()) {
@@ -342,7 +342,7 @@ bool CheckpointJournal::flush_locked() {
   span.arg("bytes", static_cast<std::int64_t>(content.size()));
   if (!write_file_atomically(path_, content)) {
     if (!write_failed_) {
-      obs::log_error("checkpoint",
+      obs::log_event("checkpoint",
                      "cannot write journal; continuing without durability",
                      {{"path", path_}, {"error", std::strerror(errno)}});
       write_failed_ = true;

@@ -56,40 +56,12 @@ int main(int argc, char** argv) {
       {"manifest-out", util::ArgType::kString, "PATH",
        "write a run manifest (binary, args, endpoints, metrics) to PATH on "
        "shutdown", ""},
-      {"log-out", util::ArgType::kString, "PATH",
-       "write structured JSONL event-log records to PATH instead of "
-       "human-readable stderr", ""},
-      {"log-level", util::ArgType::kString, "LEVEL",
-       "minimum event-log level: debug|info|warn|error", "info"},
       {"telemetry-dir", util::ArgType::kString, "PATH",
        "append trace spans to PATH/bvcd.<pid>.trace.jsonl every 500 ms "
        "(one file per incarnation; created if missing) for `bvc-cli "
        "merge`", ""},
   });
   const util::ParsedArgs args = parser.parse(argc, argv);
-
-  // Event log first: every later failure (and the service's own warnings)
-  // goes through it.
-  {
-    obs::LogConfig log_config;
-    const std::string level_name = args.get_string("log-level", "info");
-    const std::optional<obs::LogLevel> level =
-        obs::parse_log_level(level_name);
-    if (!level) {
-      std::fprintf(stderr,
-                   "bvcd: invalid --log-level value '%s' "
-                   "(expected debug|info|warn|error)\n",
-                   level_name.c_str());
-      return 2;
-    }
-    log_config.min_level = *level;
-    log_config.path = args.get_string("log-out", "");
-    if (!obs::EventLog::global().configure(log_config)) {
-      std::fprintf(stderr, "bvcd: cannot open --log-out file: %s\n",
-                   log_config.path.c_str());
-      return 2;
-    }
-  }
 
   // A daemon is always observable: /v1/metrics must serve live counters
   // without a restart-with-flags round trip.
@@ -112,6 +84,18 @@ int main(int argc, char** argv) {
                    manifest_out.c_str());
       return 2;
     }
+  }
+  // The port file itself appears only once the port is bound (pollers wait
+  // for it), so probe with the temp file write_file_atomically writes first.
+  const std::string port_file = args.get_string("port-file", "");
+  if (!port_file.empty()) {
+    const std::string probe = port_file + ".tmp";
+    if (!std::ofstream(probe)) {
+      std::fprintf(stderr, "bvcd: cannot open --port-file: %s\n",
+                   port_file.c_str());
+      return 2;
+    }
+    std::remove(probe.c_str());
   }
   const std::string telemetry_dir = args.get_string("telemetry-dir", "");
   if (!telemetry_dir.empty()) {
@@ -178,12 +162,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned>(server.port()));
   std::fflush(stdout);
 
-  const std::string port_file = args.get_string("port-file", "");
   // Atomic publish, so a poller never reads a partial file.
   if (!port_file.empty() &&
       !robust::write_file_atomically(port_file,
                                      std::to_string(server.port()) + "\n")) {
-    obs::log_error("bvcd", "cannot write --port-file", {{"path", port_file}});
+    obs::log_event("bvcd", "cannot write --port-file", {{"path", port_file}});
     server.stop();
     return 1;
   }

@@ -252,7 +252,7 @@ void HttpServer::spawn_connection(int fd) {
     // Out of threads: serve this one connection inline instead of
     // dropping it. The accept loop stalls for its duration — acceptable
     // in an rlimit-starved corner the cap normally prevents.
-    obs::log_error("svc", "connection thread spawn failed; serving inline",
+    obs::log_event("svc", "connection thread spawn failed; serving inline",
                    {{"error", e.what()}});
     handle_connection(fd);
     ::close(fd);
@@ -279,8 +279,7 @@ void HttpServer::handle_connection(int fd) {
   } catch (const std::exception& e) {
     response.status = 500;
     response.body = "{\"error\":\"internal\"}";
-    obs::log_error("svc", "request handler threw",
-                   {{"error", e.what()}});
+    obs::log_event("svc", "request handler threw", {{"error", e.what()}});
   }
   write_response(fd, response);
 }

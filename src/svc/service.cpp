@@ -272,10 +272,10 @@ HttpResponse SolveService::submit(const HttpRequest& request) {
   }
   count_job_event("svc.jobs.submitted");
   gauge_active_jobs(active);
-  obs::log_info("svc", "job submitted",
-                {{"id", job->id},
-                 {"kind", to_string(job->spec->kind())},
-                 {"cells", job->spec->cells()}});
+  obs::log_event("svc", "job submitted",
+                 {{"id", job->id},
+                  {"kind", to_string(job->spec->kind())},
+                  {"cells", job->spec->cells()}});
 
   Json response = Json::object();
   response.set("id", Json::string(job->id));
@@ -672,12 +672,12 @@ void SolveService::run_job(Job* job) {
                         ? "svc.jobs.cancelled"
                         : "svc.jobs.failed");
     gauge_active_jobs(active);
-    obs::log_info("svc", "job finished",
-                  {{"id", job->id},
-                   {"state", to_string(terminal_state)},
-                   {"completed", completed},
-                   {"reused", reused},
-                   {"run_seconds", run_seconds}});
+    obs::log_event("svc", "job finished",
+                   {{"id", job->id},
+                    {"state", to_string(terminal_state)},
+                    {"completed", completed},
+                    {"reused", reused},
+                    {"run_seconds", run_seconds}});
   }
   // This job just went terminal: trim older terminal jobs beyond the
   // retention cap. `job` itself is protected (the newest terminal job must
@@ -773,7 +773,7 @@ void SolveService::persist_index_locked() {
   // previous index or the new one, never a truncated one.
   const std::string path = config_.state_dir + "/jobs.jsonl";
   if (!robust::write_file_atomically(path, content)) {
-    obs::log_error("svc", "cannot write job index",
+    obs::log_event("svc", "cannot write job index",
                    {{"path", path}, {"error", std::strerror(errno)}});
   }
 }
@@ -793,7 +793,7 @@ void SolveService::restore_jobs() {
       }
       const std::optional<Json> entry = Json::parse(line);
       if (!entry || !entry->is_object()) {
-        obs::log_warn("svc", "skipping malformed job index line", {});
+        obs::log_event("svc", "skipping malformed job index line", {});
         continue;
       }
       const std::string id = entry->string_or("id", "");
@@ -806,8 +806,8 @@ void SolveService::restore_jobs() {
       std::unique_ptr<JobSpec> spec =
           JobSpec::parse(*spec_body, config_.limits, status, error);
       if (spec == nullptr) {
-        obs::log_warn("svc", "dropping job from index",
-                      {{"id", id}, {"error", error}});
+        obs::log_event("svc", "dropping job from index",
+                       {{"id", id}, {"error", error}});
         continue;
       }
       auto owned = std::make_unique<Job>();

@@ -178,9 +178,9 @@ TEST(ObsSession, OpensRequestedFilesAtConstruction) {
 }
 
 // An output file that cannot be opened ends the run at startup with exit
-// code 2, naming the flag as --log-out's failure does. The threadsafe
-// style re-runs the test binary instead of forking it, which the sanitizer
-// builds' runtime threads tolerate.
+// code 2, naming the flag. The threadsafe style re-runs the test binary
+// instead of forking it, which the sanitizer builds' runtime threads
+// tolerate.
 constexpr const char* kUnopenable = "/nonexistent-dir/out";
 
 TEST(BenchOutputDeathTest, UnopenableCsvExitsTwo) {

@@ -46,18 +46,6 @@ TEST(BlockTree, RejectsUnknownParent) {
   EXPECT_THROW((void)tree.add_block(42, kMB, 0), std::invalid_argument);
 }
 
-TEST(BlockTree, ChildrenAndTips) {
-  BlockTree tree;
-  const BlockId a = tree.add_block(tree.genesis(), kMB, 0);
-  const BlockId b = tree.add_block(tree.genesis(), kMB, 1);
-  const BlockId c = tree.add_block(a, kMB, 0);
-  EXPECT_EQ(tree.children(tree.genesis()).size(), 2u);
-  EXPECT_EQ(tree.children(a).size(), 1u);
-  // Tips are the blocks without children.
-  EXPECT_TRUE(tree.children(b).empty());
-  EXPECT_TRUE(tree.children(c).empty());
-}
-
 TEST(BlockTree, AncestorAtHeight) {
   BlockTree tree;
   const BlockId tip = extend(tree, tree.genesis(), {kMB, kMB, kMB, kMB});

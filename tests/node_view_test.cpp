@@ -76,6 +76,12 @@ TEST_P(NodeViewProperties, SharedMemoMatchesPrivateMemos) {
     tree.add_block(parent, kSizes[rng.next_below(6)], 0);
   }
 
+  // Each block's children from the parent links, in id (arrival) order.
+  std::vector<std::vector<BlockId>> children(tree.size());
+  for (BlockId id = 1; id < tree.size(); ++id) {
+    children[tree.block(id).parent].push_back(id);
+  }
+
   constexpr std::size_t kNodes = 3;
   sim::BuPrefixMemo shared(tree, params);
   std::vector<sim::BuPrefixMemo> own(kNodes, sim::BuPrefixMemo(tree, params));
@@ -84,8 +90,7 @@ TEST_P(NodeViewProperties, SharedMemoMatchesPrivateMemos) {
   // Per node, the blocks whose parent it knows and which it has not learned.
   std::vector<std::vector<BlockId>> frontier(kNodes);
   for (auto& blocks : frontier) {
-    const auto children = tree.children(tree.genesis());
-    blocks.assign(children.begin(), children.end());
+    blocks = children[tree.genesis()];
   }
   std::size_t learned = 0;
   while (learned < kNodes * (tree.size() - 1)) {
@@ -98,8 +103,7 @@ TEST_P(NodeViewProperties, SharedMemoMatchesPrivateMemos) {
     const BlockId id = blocks[pick];
     blocks[pick] = blocks.back();
     blocks.pop_back();
-    const auto children = tree.children(id);
-    blocks.insert(blocks.end(), children.begin(), children.end());
+    blocks.insert(blocks.end(), children[id].begin(), children[id].end());
 
     EXPECT_EQ(shared.learn(id, shared_tips[node]),
               own[node].learn(id, own_tips[node]))

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -46,14 +45,10 @@ TEST(Metrics, MutationsAreIgnoredWhileDisabled) {
   EXPECT_EQ(counter.value(), 0u);
   obs::Gauge gauge;
   gauge.set(3.5);
-  gauge.add(1.0);
   EXPECT_EQ(gauge.value(), 0.0);
-  obs::Histogram histogram({1.0, 2.0});
-  histogram.observe(0.5);
-  EXPECT_EQ(histogram.snapshot().count, 0u);
 }
 
-TEST(Metrics, CounterGaugeHistogramRecordWhenEnabled) {
+TEST(Metrics, CounterAndGaugeRecordWhenEnabled) {
   ObsQuiescer quiesce;
   obs::set_metrics_enabled(true);
   obs::Counter counter;
@@ -66,23 +61,10 @@ TEST(Metrics, CounterGaugeHistogramRecordWhenEnabled) {
   obs::Gauge gauge;
   gauge.set(2.5);
   EXPECT_EQ(gauge.value(), 2.5);
-  gauge.add(-1.0);
-  EXPECT_EQ(gauge.value(), 1.5);
-
-  obs::Histogram histogram({0.1, 1.0, 10.0});
-  histogram.observe(0.05);   // bucket 0
-  histogram.observe(0.5);    // bucket 1
-  histogram.observe(10.0);   // bucket 2 (bounds are inclusive upper limits)
-  histogram.observe(100.0);  // overflow
-  const obs::Histogram::Snapshot snap = histogram.snapshot();
-  ASSERT_EQ(snap.bounds.size(), 3u);
-  ASSERT_EQ(snap.counts.size(), 4u);
-  EXPECT_EQ(snap.counts[0], 1u);
-  EXPECT_EQ(snap.counts[1], 1u);
-  EXPECT_EQ(snap.counts[2], 1u);
-  EXPECT_EQ(snap.counts[3], 1u);
-  EXPECT_EQ(snap.count, 4u);
-  EXPECT_DOUBLE_EQ(snap.sum, 110.55);
+  gauge.set(-1.0);
+  EXPECT_EQ(gauge.value(), -1.0);
+  gauge.reset();
+  EXPECT_EQ(gauge.value(), 0.0);
 }
 
 TEST(Metrics, RegistryFindsOrCreatesWithStableAddresses) {
@@ -95,20 +77,16 @@ TEST(Metrics, RegistryFindsOrCreatesWithStableAddresses) {
   a.add(3);
   EXPECT_EQ(b.value(), 3u);
 
-  const std::array<double, 2> bounds{1.0, 2.0};
-  obs::Histogram& h1 = registry.histogram("test.registry.hist", bounds);
-  // Bounds are consulted only on first registration.
-  const std::array<double, 1> other{99.0};
-  obs::Histogram& h2 = registry.histogram("test.registry.hist", other);
-  EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h2.snapshot().bounds.size(), 2u);
+  obs::Gauge& g1 = registry.gauge("test.registry.gauge");
+  obs::Gauge& g2 = registry.gauge("test.registry.gauge");
+  EXPECT_EQ(&g1, &g2);
+  g1.set(1.25);
 
-  registry.gauge("test.registry.gauge").set(1.25);
   const obs::MetricsSnapshot snapshot = registry.snapshot();
-  EXPECT_FALSE(snapshot.empty());
+  EXPECT_EQ(snapshot.counters.size(), 1u);
+  EXPECT_EQ(snapshot.gauges.size(), 1u);
   EXPECT_EQ(snapshot.counters.at("test.registry.counter"), 3u);
   EXPECT_EQ(snapshot.gauges.at("test.registry.gauge"), 1.25);
-  EXPECT_EQ(snapshot.histograms.at("test.registry.hist").bounds.size(), 2u);
 
   registry.reset();
   EXPECT_EQ(registry.snapshot().counters.at("test.registry.counter"), 0u);
@@ -124,32 +102,20 @@ TEST(Metrics, WriteJsonEmitsEverySection) {
   registry.counter(odd).add(3);
   registry.gauge("b.gauge").set(0.5);
   registry.gauge(odd).set(-2.0);
-  const std::array<double, 1> bounds{1.0};
-  registry.histogram("c.hist", bounds).observe(0.25);
-  registry.histogram(odd, bounds).observe(4.0);
   std::ostringstream out;
   registry.write_json(out);
   const std::optional<obs::Json> json = obs::Json::parse(out.str());
   ASSERT_TRUE(json.has_value()) << out.str();
+  ASSERT_TRUE(json->is_object());
+  EXPECT_EQ(json->members().size(), 2u) << out.str();  // counters, gauges
   const obs::Json* counters = json->find("counters");
   const obs::Json* gauges = json->find("gauges");
-  const obs::Json* histograms = json->find("histograms");
   ASSERT_NE(counters, nullptr);
   ASSERT_NE(gauges, nullptr);
-  ASSERT_NE(histograms, nullptr);
   EXPECT_EQ(counters->number_or("a.counter", 0.0), 5.0);
   EXPECT_EQ(counters->number_or(odd, 0.0), 3.0);
   EXPECT_EQ(gauges->number_or("b.gauge", 0.0), 0.5);
   EXPECT_EQ(gauges->number_or(odd, 0.0), -2.0);
-  for (const std::string& name : {std::string("c.hist"), odd}) {
-    const obs::Json* histogram = histograms->find(name);
-    ASSERT_NE(histogram, nullptr) << name;
-    EXPECT_EQ(histogram->number_or("count", 0.0), 1.0) << name;
-    const obs::Json* counts = histogram->find("counts");
-    ASSERT_NE(counts, nullptr) << name;
-    EXPECT_EQ(counts->size(), 2u) << name;
-  }
-  EXPECT_EQ(histograms->find(odd)->number_or("sum", 0.0), 4.0);
 }
 
 TEST(Metrics, ConcurrentCountingLosesNothing) {
@@ -185,7 +151,7 @@ TEST(Trace, SpanIsFreeWhileDisabled) {
     obs::Span span("obs_test.disabled", "test");
     span.arg("k", std::int64_t{1});
   }
-  obs::trace_instant("obs_test.disabled_instant", "test");
+  obs::trace_instant("obs_test.disabled_instant", "test", "k", 1.0);
   EXPECT_EQ(obs::Tracer::global().recorded_events(), 0u);
 }
 
@@ -318,36 +284,6 @@ TEST(Manifest, JsonEmbedsMetricsSnapshotAndOutputs) {
   EXPECT_NE(json.find("table2.csv"), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
-}
-
-// Regression: re-registering a histogram under the same name with
-// DIFFERENT bounds must keep the original buckets (stable addresses, no
-// silent re-bucketing) and surface the clash as a counter.
-TEST(Metrics, HistogramBoundMismatchKeepsOriginalAndCountsConflict) {
-  ObsQuiescer quiesce;
-  obs::set_metrics_enabled(true);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  const std::array<double, 2> bounds{1.0, 2.0};
-  obs::Histogram& original =
-      registry.histogram("test.obs.bound_mismatch", bounds);
-  const std::uint64_t before =
-      registry.counter("obs.metrics.histogram_bound_conflicts").value();
-
-  const std::array<double, 3> other{0.5, 1.5, 9.0};
-  obs::Histogram& clashed =
-      registry.histogram("test.obs.bound_mismatch", other);
-  EXPECT_EQ(&original, &clashed);
-  ASSERT_EQ(clashed.bounds().size(), 2u);
-  EXPECT_EQ(clashed.bounds()[0], 1.0);
-  EXPECT_EQ(registry.counter("obs.metrics.histogram_bound_conflicts").value(),
-            before + 1);
-
-  // Identical bounds are a plain lookup, not a conflict.
-  obs::Histogram& same = registry.histogram("test.obs.bound_mismatch", bounds);
-  EXPECT_EQ(&original, &same);
-  EXPECT_EQ(registry.counter("obs.metrics.histogram_bound_conflicts").value(),
-            before + 1);
-  registry.reset();
 }
 
 }  // namespace
